@@ -4,7 +4,8 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt verify-examples chaos fuzz cover check \
-	bench bench-smoke bench-churn bench-churn-smoke race-stress
+	bench bench-smoke bench-churn bench-churn-smoke race-stress race-flake \
+	results-check
 
 all: build
 
@@ -80,17 +81,17 @@ verify-examples:
 	$(GO) run ./cmd/sdme-topo -topology campus -verify
 	$(GO) run ./cmd/sdme-topo -topology waxman -verify
 
-# Dataplane throughput/latency grid (workers × shards, both substrates) →
-# results/bench_dataplane.json. Exits nonzero if the simulated substrate
-# fails the ≥2× 16-vs-1-worker scaling gate (the sim numbers come from a
-# deterministic virtual-time pipeline model, so the gate is reproducible
-# on any host, including single-core CI). bench-smoke is the reduced CI
-# variant.
+# The repository benchmark (bench/README.md): five time-bounded workloads
+# over the real dataplane nodes, the live runtime and the control loop
+# (Recompute → delta 2PC rollout), every number measured. bench-smoke runs
+# every code path and every in-command correctness check (conservation,
+# hop sequence, delta equivalence, converged) in a couple of seconds; its
+# numbers mean nothing, its exit code does.
 bench:
-	$(GO) run ./cmd/sdme-bench -suite dataplane -out results
+	$(GO) run ./bench
 
 bench-smoke:
-	$(GO) run ./cmd/sdme-bench -suite dataplane -smoke -out results
+	$(GO) run ./bench -smoke
 
 # Incremental-pipeline churn grid (full vs delta rollout across churn
 # rates) → results/bench_churn.json. Exits nonzero if the incremental
@@ -109,5 +110,29 @@ bench-churn-smoke:
 race-stress:
 	$(GO) test -race -count=5 -run 'Stress|WorkerPool|FlowWorkerHash' \
 		./internal/flowtable/ ./internal/live/
+
+# Flake hunt for the packages that cross a wire or a clock: 20 passes
+# under the race detector at GOMAXPROCS 1 and 2, where a test that waits
+# on one side of a connection and reads counters on the other shows up.
+# -short trims the single-threaded LP property tests, not the wire tests;
+# -p 1 runs the packages one after another, so the hunt finds ordering
+# bugs rather than one package starving another's timers.
+race-flake:
+	@for p in 1 2; do \
+		echo "== GOMAXPROCS=$$p =="; \
+		GOMAXPROCS=$$p $(GO) test -p 1 -race -short -count=20 \
+			./internal/mgmt/ ./internal/controller/ ./internal/live/ || exit 1; \
+	done
+
+# Same behaviour, checked: regenerate the paper suite into a temp dir and
+# compare the three paper CSVs (Figures 4/5, Table III) byte for byte
+# against the committed ones (~30 s).
+results-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/sdme-bench -suite paper -out "$$tmp" >/dev/null || exit 1; \
+	for f in figure_campus.csv figure_waxman.csv table3.csv; do \
+		cmp "$$tmp/$$f" "results/$$f" || exit 1; \
+	done; \
+	echo "results-check: figure_campus.csv figure_waxman.csv table3.csv identical"
 
 check: build fmt vet verify-examples race

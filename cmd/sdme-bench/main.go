@@ -4,16 +4,13 @@
 //
 // Usage:
 //
-//	sdme-bench [-suite paper|dataplane|churn] [-out results] [-seed 20] [-quick] [-smoke]
+//	sdme-bench [-suite paper|churn] [-out results] [-seed 20] [-quick] [-smoke]
 //
 // -quick runs a reduced traffic sweep (useful for smoke checks); the
 // default regenerates the full 1M–10M packet series of Figures 4 and 5.
 //
-// -suite dataplane runs the sharded-dataplane throughput/latency grid
-// (workers × shards on both substrates) and writes
-// results/bench_dataplane.json; it exits nonzero if the simulated
-// substrate fails the ≥2× 16-vs-1-worker scaling gate. -smoke shrinks it
-// for CI.
+// Dataplane and control-loop performance are measured by the repository
+// benchmark instead (go run ./bench; see bench/README.md).
 //
 // -suite churn replays randomized policy/node/demand churn through the
 // full-rebuild and incremental compilation pipelines and writes
@@ -45,21 +42,19 @@ func run() error {
 	seed := flag.Int64("seed", 20, "seed for topology, placement and workload")
 	quick := flag.Bool("quick", false, "reduced sweep for smoke checks")
 	multiseed := flag.Int("multiseed", 0, "additionally average the campus point over N seeds")
-	suite := flag.String("suite", "paper", "benchmark suite: paper (figures/tables), dataplane (worker/shard scaling) or churn (incremental pipeline)")
-	smoke := flag.Bool("smoke", false, "dataplane/churn suites only: reduced sizes for CI")
+	suite := flag.String("suite", "paper", "benchmark suite: paper (figures/tables) or churn (incremental pipeline)")
+	smoke := flag.Bool("smoke", false, "churn suite only: reduced sizes for CI")
 	flag.Parse()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
 	switch *suite {
-	case "dataplane":
-		return runDataplaneSuite(*out, *seed, *smoke)
 	case "churn":
 		return runChurnSuite(*out, *seed, *smoke)
 	case "paper":
 	default:
-		return fmt.Errorf("unknown suite %q (want paper, dataplane or churn)", *suite)
+		return fmt.Errorf("unknown suite %q (want paper or churn)", *suite)
 	}
 	traffic := []int(nil) // default: paper's 1M..10M
 	tablePoint := 10000000
@@ -275,43 +270,6 @@ func run() error {
 		return fmt.Errorf("close %s: %w", md.Name(), err)
 	}
 	fmt.Println("markdown -> " + md.Name())
-	return nil
-}
-
-// runDataplaneSuite runs the worker×shard throughput/latency grid and
-// enforces the simulated substrate's scaling gate.
-func runDataplaneSuite(out string, seed int64, smoke bool) error {
-	cfg := experiments.DataplaneConfig{Seed: seed}
-	if smoke {
-		cfg.SimPackets = 30000
-		cfg.LivePackets = 800
-		cfg.Flows = 128
-	}
-	start := time.Now()
-	res, err := experiments.RunDataplaneBench(cfg)
-	if err != nil {
-		return err
-	}
-	res.Generated = time.Now().UTC().Format(time.RFC3339)
-	path := filepath.Join(out, "bench_dataplane.json")
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteDataplaneJSON(f, res); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("close %s: %w", path, err)
-	}
-	fmt.Print(experiments.DataplaneMarkdown(res))
-	fmt.Printf("dataplane: %d points -> %s (%v)\n",
-		len(res.Points), path, time.Since(start).Round(time.Millisecond))
-	if !res.Gate.Pass {
-		return fmt.Errorf("scaling gate failed: sim %dw/%ds speedup %.2fx < %.1fx",
-			res.Gate.Workers, res.Gate.Shards, res.Gate.Measured, res.Gate.MinSpeedup)
-	}
 	return nil
 }
 

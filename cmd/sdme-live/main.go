@@ -6,8 +6,8 @@
 //   - a management server (the controller) pushes each node's
 //     configuration over TCP through per-device agents (§III-A);
 //   - proxies report traffic measurements back over the same channel
-//     (§III-C), the controller solves the load-balancing LP and pushes
-//     weight updates without disturbing flow state;
+//     (§III-C), the controller re-solves the load-balancing LP and rolls
+//     the reweight deltas out without disturbing flow state;
 //   - IP-over-IP tunnels carry first packets, §III-E control messages
 //     flip flows to label switching.
 //
@@ -61,7 +61,6 @@ func run() error {
 	traceOneIn := flag.Uint64("trace-one-in", 1, "runtime packet tracing sample rate (1 = every flow, 0 = off)")
 	hold := flag.Duration("hold", 0, "keep serving the metrics endpoint this long after the demo")
 	journalPath := flag.String("journal", "", "controller write-ahead journal: replayed on start if present, appended during the run (empty: disabled)")
-	twophase := flag.Bool("twophase", true, "push the initial plan with the epoch-fenced prepare/commit protocol")
 	peers := flag.Int("peers", 0, "controller replicas; >0 runs the replicated-HA takeover demo over real sockets instead of the single-controller demo")
 	workers := flag.Int("workers", 0, "dataplane workers per device (0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 16, "flow/label table shards per device (local tuning, survives config pushes)")
@@ -97,7 +96,7 @@ func run() error {
 	// Crash recovery: an existing journal is replayed into the controller
 	// (failed set, weight plan, epoch high-water) before any plan is
 	// computed, then reopened for appending so this run's state survives
-	// the next restart.
+	// the next restart. The pipeline then starts from the journaled plan.
 	var jst *controller.JournalState
 	if *journalPath != "" {
 		if _, err := os.Stat(*journalPath); err == nil {
@@ -124,15 +123,17 @@ func run() error {
 		}
 	}
 
-	nodes, err := ctl.BuildNodes()
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	if pipe.Plan() == nil {
+		if _, err := pipe.Recompute(nil); err != nil {
+			return err
+		}
+	} else if pipe.Plan().Weights != nil {
+		fmt.Printf("journal: recovered LB weight plan (λ=%.0f)\n", pipe.Plan().Lambda)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(pipe.Plan())
 	if err != nil {
 		return err
-	}
-	if jst != nil {
-		if sol := jst.RestoredSolution(); sol != nil {
-			controller.ApplyWeights(nodes, sol)
-			fmt.Printf("journal: reapplied recovered LB weight plan (λ=%.0f)\n", sol.Lambda)
-		}
 	}
 
 	// Management server: collects measurement reports as they arrive.
@@ -177,6 +178,8 @@ func run() error {
 		fmt.Printf("observability on http://%s/metrics and /debug/pprof/\n\n", ln.Addr())
 	}
 
+	// Wire form of every node's plan, taken before the devices own the nodes.
+	fallback := experiments.FullConfigs(nodes)
 	devices := make(map[topo.NodeID]*live.Device)
 	var agents []*mgmt.Agent
 	defer func() {
@@ -217,32 +220,18 @@ func run() error {
 		return fmt.Errorf("agents failed to connect")
 	}
 
-	// Push every node's configuration over the wire. The epoch-fenced
+	// Roll the plan out over the wire: a delta against the empty base,
+	// carried by each node's full configuration. The epoch-fenced
 	// prepare/commit batch guarantees the fleet never mixes plan
 	// generations: every node stages, then all flip atomically (a single
-	// refusal rolls the whole batch back). The plain path rides the same
-	// self-healing channel with per-node retries instead.
+	// refusal rolls the whole batch back).
 	pushPol := mgmt.RetryPolicy{Attempts: 3, PerAttempt: 3 * time.Second, Backoff: 50 * time.Millisecond}
-	if *twophase {
-		plans := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
-		for id, n := range nodes {
-			plans[id] = mgmt.ConfigToDTO(0, n.Config())
-		}
-		epoch, err := server.PushAll2PC(plans, pushPol)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("\nconfiguration committed on %d nodes via prepare/commit (epoch %d)\n",
-			len(nodes), epoch)
-	} else {
-		for id, n := range nodes {
-			if err := server.PushRetry(id, mgmt.ConfigToDTO(0, n.Config()), pushPol); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("\nconfiguration pushed to %d nodes over the management channel (epoch %d)\n",
-			len(nodes), server.Epoch())
+	initial, _ := controller.DiffPlans(nil, pipe.Plan())
+	epoch, err := pipe.Rollout(server, initial, fallback, pushPol)
+	if err != nil {
+		return err
 	}
+	fmt.Printf("\nconfiguration committed on %d nodes via prepare/commit (epoch %d)\n", len(nodes), epoch)
 	if j := ctl.Journal(); j != nil {
 		if err := j.LogEpoch(server.Epoch(), 0); err != nil {
 			return err
@@ -302,18 +291,16 @@ func run() error {
 		snapshot[k] = v
 	}
 	measMu.Unlock()
-	sol, err := ctl.SolveLB(snapshot)
+	upd, err := pipe.Recompute(snapshot)
 	if err != nil {
 		return err
 	}
-	for id := range nodes {
-		if err := server.PushRetry(id, mgmt.WeightsToDTO(0, sol.Weights[id]), pushPol); err != nil {
-			return err
-		}
+	if _, err := pipe.Rollout(server, upd.Deltas, nil, pushPol); err != nil {
+		return err
 	}
 	fmt.Printf("\n§III-C loop closed: proxies reported %d packets, controller solved λ=%.0f\n",
-		sum(snapshot), sol.Lambda)
-	fmt.Println("and pushed fresh LB weights over the management channel.")
+		sum(snapshot), upd.Plan.Lambda)
+	fmt.Printf("and rolled the reweight deltas out to %d nodes over the management channel.\n", len(upd.Deltas))
 	if j := ctl.Journal(); j != nil {
 		if err := j.LogEpoch(server.Epoch(), 0); err != nil {
 			return err

@@ -177,16 +177,10 @@ func traceOne(bed *experiments.Bed, strategy enforce.Strategy, demands []enforce
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy: strategy, K: bed.Cfg.K,
 	})
-	nodes, err := ctl.BuildNodes()
+	_, nodes, _, err := experiments.Deploy(ctl, controller.PipelineOptions{},
+		controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands))
 	if err != nil {
 		return err
-	}
-	if strategy == enforce.LoadBalanced {
-		sol, err := ctl.SolveLB(controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands))
-		if err != nil {
-			return err
-		}
-		controller.ApplyWeights(nodes, sol)
 	}
 	ft := netaddr.FiveTuple{
 		Src: topo.HostAddr(src, 1), Dst: topo.HostAddr(dst, 1),
@@ -257,7 +251,15 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 			return err
 		}
 	}
-	nodes, err := ctl.BuildNodes()
+	// The pipeline starts from the journaled plan when one was replayed,
+	// otherwise its first Recompute compiles the initial one.
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	if pipe.Plan() == nil {
+		if _, err := pipe.Recompute(nil); err != nil {
+			return err
+		}
+	}
+	nodes, err := ctl.BuildNodesFromPlan(pipe.Plan())
 	if err != nil {
 		return err
 	}
@@ -275,11 +277,13 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 	if strategy == enforce.LoadBalanced {
 		demands := bed.GenerateDemands(traffic)
 		meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands)
-		sol, err := ctl.SolveLB(meas)
+		upd, err := pipe.Recompute(meas)
 		if err != nil {
 			return err
 		}
-		controller.ApplyWeights(nodes, sol)
+		if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
+			return err
+		}
 	}
 	// Local fast failover demo: at the requested virtual time the first
 	// firewall dies. No controller reaction is scheduled — recovery must

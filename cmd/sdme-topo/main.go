@@ -103,9 +103,16 @@ func run() error {
 		}
 	}
 
-	if *audit {
+	// defaultDeployment compiles the default controller's first plan and
+	// builds every node from it.
+	defaultDeployment := func() (*controller.Controller, map[topo.NodeID]*enforce.Node, error) {
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: controller.DefaultK()})
-		nodes, err := ctl.BuildNodes()
+		_, nodes, _, err := experiments.Deploy(ctl, controller.PipelineOptions{}, nil)
+		return ctl, nodes, err
+	}
+
+	if *audit {
+		ctl, nodes, err := defaultDeployment()
 		if err != nil {
 			return err
 		}
@@ -122,8 +129,7 @@ func run() error {
 	}
 
 	if *exportPath != "" {
-		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: controller.DefaultK()})
-		nodes, err := ctl.BuildNodes()
+		ctl, nodes, err := defaultDeployment()
 		if err != nil {
 			return err
 		}
@@ -244,13 +250,21 @@ func runObserve(topology string, seed int64, flows int) error {
 	return nil
 }
 
-// runVerify statically verifies the default controller plan for the bed:
-// first the pre-install invariants over the candidate assignments, then
-// the lb-weights invariant over an LB solution solved against a
-// synthetic demand set. A plan with hard violations fails the command.
+// runVerify statically verifies the default controller's compiled plans
+// for the bed: first the pre-install invariants over the candidate
+// assignments of the initial plan, then the lb-weights invariant over the
+// plan solved against a synthetic demand set. A plan with hard violations
+// fails the command.
 func runVerify(bed *experiments.Bed) error {
-	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: controller.DefaultK()})
-	vs := ctl.VerifyPlan(nil)
+	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
+		Strategy: enforce.LoadBalanced, K: controller.DefaultK(),
+	})
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	upd, err := pipe.Recompute(nil)
+	if err != nil {
+		return fmt.Errorf("compile plan for verification: %w", err)
+	}
+	vs := ctl.VerifyPlan(upd.Plan)
 	fmt.Printf("\nplan verification (coverage, loop-freedom, hp-optimality, failed-candidate):\n")
 	report := func(vs []verify.Violation) {
 		for _, v := range vs {
@@ -265,19 +279,15 @@ func runVerify(bed *experiments.Bed) error {
 	}
 
 	meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, bed.GenerateDemands(100000))
-	sol, err := ctl.SolveLB(meas)
-	if err != nil {
+	if upd, err = pipe.Recompute(meas); err != nil {
 		return fmt.Errorf("solve LB for verification: %w", err)
 	}
-	wvs := ctl.VerifyPlan(sol.Weights)
-	fmt.Printf("plan verification (lb-weights, λ=%.3f, %d weighted nodes):\n", sol.Lambda, len(sol.Weights))
+	wvs := ctl.VerifyPlan(upd.Plan)
+	fmt.Printf("plan verification (lb-weights, λ=%.3f, %d weighted nodes):\n", upd.Plan.Lambda, len(upd.Plan.Weights))
 	if len(wvs) == 0 {
 		fmt.Println("  ok: no violations")
 	} else {
 		report(wvs)
 	}
-	if err := verify.AsError(append(vs, wvs...)); err != nil {
-		return err
-	}
-	return nil
+	return verify.AsError(append(vs, wvs...))
 }

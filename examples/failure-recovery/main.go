@@ -39,9 +39,10 @@ func main() {
 	}
 	fmt.Println("audit: every policy enforceable from every subnet ✓")
 
-	// The firewall dies. MarkFailed + Reassign run inside FailMiddlebox:
-	// candidate sets are recomputed over the survivors and swapped into
-	// the running nodes (soft state preserved). No router is touched —
+	// The firewall dies. FailMiddlebox runs the control loop's repair
+	// turn (MarkFailed + Recompute): candidate sets are recompiled over
+	// the survivors and the deltas applied to the running nodes in place
+	// (soft state preserved). No router is touched —
 	// the network never knew the middlebox existed.
 	fmt.Printf("\n*** %s fails ***\n\n", sys.NameOf(victim))
 	if err := sys.FailMiddlebox(victim, true); err != nil {

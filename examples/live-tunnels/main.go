@@ -46,7 +46,11 @@ func main() {
 		K:              map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1, policy.FuncTM: 1},
 		LabelSwitching: true,
 	})
-	nodes, err := ctl.BuildNodes()
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		log.Fatal(err)
 	}

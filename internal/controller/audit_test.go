@@ -19,10 +19,7 @@ func TestAuditCleanDeployment(t *testing.T) {
 		Strategy: enforce.LoadBalanced,
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
 	})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, nodes, _ := deploy(t, ctl, nil)
 	if vs := ctl.Audit(nodes); len(vs) != 0 {
 		t.Errorf("clean deployment has violations: %v", vs)
 	}
@@ -43,10 +40,7 @@ func TestAuditFullCampusWorkloadPolicies(t *testing.T) {
 
 	for _, strategy := range []enforce.Strategy{enforce.HotPotato, enforce.Random, enforce.LoadBalanced} {
 		ctl := controller.New(dep, ap, tbl, controller.Options{Strategy: strategy, K: controller.DefaultK()})
-		nodes, err := ctl.BuildNodes()
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, nodes, _ := deploy(t, ctl, nil)
 		if vs := ctl.Audit(nodes); len(vs) != 0 {
 			t.Errorf("%v: %d violations, first: %v", strategy, len(vs), vs[0])
 		}
@@ -58,17 +52,13 @@ func TestAuditDetectsSabotagedCandidates(t *testing.T) {
 	// box; the audit must catch the wrong-function step.
 	b := newBed(t, 62, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.HotPotato})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
+	_, nodes, _ := deploy(t, ctl, nil)
+	victim, _ := b.dep.ProxyFor(1)
+	if err := nodes[victim].ApplyDelta(enforce.ConfigDelta{SetCandidates: map[policy.FuncType][]topo.NodeID{
+		policy.FuncFW: {b.dep.Providers(policy.FuncIDS)[0]},
+	}}); err != nil {
 		t.Fatal(err)
 	}
-	victim, _ := b.dep.ProxyFor(1)
-	bad := map[policy.FuncType][]topo.NodeID{}
-	for f, c := range nodes[victim].Config().Candidates {
-		bad[f] = c
-	}
-	bad[policy.FuncFW] = []topo.NodeID{b.dep.Providers(policy.FuncIDS)[0]}
-	nodes[victim].SetCandidates(bad)
 
 	vs := ctl.Audit(nodes)
 	if len(vs) == 0 {
@@ -98,10 +88,7 @@ func TestAuditDetectsStaleFailure(t *testing.T) {
 		Strategy: enforce.HotPotato,
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
 	})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe, nodes, _ := deploy(t, ctl, nil)
 	// Find a firewall that actually serves some subnet under HP.
 	demands := []enforce.FlowDemand{
 		{Tuple: flow(1, 2, 80, 1), Packets: 1},
@@ -136,10 +123,9 @@ func TestAuditDetectsStaleFailure(t *testing.T) {
 	if !found {
 		t.Errorf("stale failure not flagged: %v", vs)
 	}
-	// After Reassign the audit is clean again.
-	if err := ctl.Reassign(nodes); err != nil {
-		t.Fatal(err)
-	}
+	// After the repair turn of the loop the audit is clean again.
+	pipe.NodeChanged(used)
+	recompute(t, pipe, nodes, nil)
 	if vs := ctl.Audit(nodes); len(vs) != 0 {
 		t.Errorf("violations after repair: %v", vs)
 	}

@@ -3,11 +3,13 @@ package controller_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
 	"sdme/internal/experiments"
+	"sdme/internal/mgmt"
 	"sdme/internal/topo"
 	"sdme/internal/verify"
 	"sdme/internal/workload"
@@ -22,7 +24,9 @@ import (
 // at every single step, both structurally (verify.CheckDeltaEquivalence)
 // and on the serialized export bytes. Shards cover the Eq. (2) and
 // Eq. (1) formulations and the three dirty-threshold regimes (default
-// mixed, always-scoped, always-full).
+// mixed, always-scoped, always-full). Every shard runs twice: the same
+// seed must give deeply equal plans and identical encoded delta bytes at
+// every step — scoped solves included, they are bit-reproducible.
 
 // churnShard parameterizes one shard of the property test.
 type churnShard struct {
@@ -58,12 +62,48 @@ func TestChurnIncrementalEquivalence(t *testing.T) {
 			if testing.Short() {
 				sh.steps /= 5
 			}
-			runChurnShard(t, sh)
+			a := runChurnShard(t, sh)
+			if testing.Short() {
+				return // the equivalence run alone; reproducibility needs the second
+			}
+			b := runChurnShard(t, sh)
+			for i := range a {
+				if !reflect.DeepEqual(a[i].plan, b[i].plan) {
+					t.Fatalf("recompute %d: same seed, different plans", i)
+				}
+				if !bytes.Equal(a[i].wire, b[i].wire) {
+					t.Fatalf("recompute %d: same seed, different encoded delta bytes", i)
+				}
+			}
 		})
 	}
 }
 
-func runChurnShard(t *testing.T, sh churnShard) {
+// churnRecord is what one Recompute of a shard produced: the plan and the
+// wire bytes of its deltas, node by node in ID order.
+type churnRecord struct {
+	plan *controller.Plan
+	wire []byte
+}
+
+func recordOf(t *testing.T, upd *controller.PlanUpdate) churnRecord {
+	t.Helper()
+	ids := make([]topo.NodeID, 0, len(upd.Deltas))
+	for id := range upd.Deltas {
+		ids = append(ids, id)
+	}
+	var wire []byte
+	for _, id := range topo.SortedIDs(ids) {
+		buf, err := mgmt.EncodeEnvelope(mgmt.TypePrepareDelta, mgmt.DeltaToDTO(0, upd.Deltas[id]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, buf...)
+	}
+	return churnRecord{plan: upd.Plan, wire: wire}
+}
+
+func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 	bed, err := experiments.NewBed(experiments.Config{
 		Topology:         sh.topology,
 		Seed:             sh.seed,
@@ -86,9 +126,11 @@ func runChurnShard(t *testing.T, sh churnShard) {
 	if err != nil {
 		t.Fatalf("initial recompute: %v", err)
 	}
-	if upd.Deltas != nil {
-		t.Fatalf("first recompute produced deltas; want full rollout")
+	// A full push is a delta against the empty base.
+	if initial, _ := controller.DiffPlans(nil, upd.Plan); !reflect.DeepEqual(upd.Deltas, initial) {
+		t.Fatalf("first recompute's deltas are not the diff against the empty plan")
 	}
+	records := []churnRecord{recordOf(t, upd)}
 	live, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		t.Fatalf("initial build: %v", err)
@@ -106,14 +148,14 @@ func runChurnShard(t *testing.T, sh churnShard) {
 		if upd.Stats.Solved && !upd.Stats.FullSolve {
 			scoped++
 		}
-		for id, d := range upd.Deltas {
-			n := live[id]
-			if n == nil {
+		records = append(records, recordOf(t, upd))
+		for id := range upd.Deltas {
+			if live[id] == nil {
 				t.Fatalf("step %d: delta for unknown node %v", step, id)
 			}
-			if err := n.ApplyDelta(d); err != nil {
-				t.Fatalf("step %d: apply delta to %v: %v", step, id, err)
-			}
+		}
+		if err := controller.ApplyDeltas(live, upd.Deltas); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 
 		rebuilt, err := ctl.BuildNodesFromPlan(upd.Plan)
@@ -134,6 +176,7 @@ func runChurnShard(t *testing.T, sh churnShard) {
 	}
 	t.Logf("%d steps, %d scoped recomputes, %d policies, %d failed middleboxes at end",
 		sh.steps, scoped, bed.Table.Len(), len(down))
+	return records
 }
 
 // churnStep applies one random mutation to the test bed: a policy edit,

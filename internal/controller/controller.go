@@ -72,9 +72,10 @@ type Options struct {
 	// uses the built-in implementations (nf.New). Required when policies
 	// reference function types registered beyond the built-in four.
 	FunctionFactory enforce.FunctionFactory
-	// Verify makes BuildNodes, Reassign and the LB solvers statically
-	// verify their plan (internal/verify) and refuse to install one with
-	// violations. The failed check returns a *verify.Error listing them.
+	// Verify makes the pipeline statically verify every plan it compiles
+	// (internal/verify), full and scoped, and refuse to diff or build one
+	// with violations. The failed check returns a *verify.Error listing
+	// them.
 	Verify bool
 }
 
@@ -90,14 +91,15 @@ type Controller struct {
 	failed map[topo.NodeID]bool
 
 	// Observability attachments (observe.go); nil unless SetMetrics was
-	// called. lastWeights is the previous solve's plan, for churn.
-	metrics     *metricsRegistry
-	clock       clockFunc
-	lastWeights weightPlan
+	// called.
+	metrics *metricsRegistry
+	clock   clockFunc
 
 	// journal is the optional write-ahead log (journal.go); nil unless
-	// SetJournal was called.
-	journal *Journal
+	// SetJournal was called. restored is the plan RestoreFromJournal
+	// rebuilt, which the controller's pipelines start from.
+	journal  *Journal
+	restored *Plan
 }
 
 // New creates a controller over a completed deployment (all middleboxes
@@ -167,56 +169,6 @@ func (c *Controller) CandidatesOf(x topo.NodeID) map[policy.FuncType][]topo.Node
 	return c.candidates[x]
 }
 
-// BuildNodes materializes and configures every proxy and middlebox:
-// candidate sets, relevant policies P_x, strategy, and feature flags.
-// LB weights are installed separately via ApplyWeights after SolveLB.
-func (c *Controller) BuildNodes() (map[topo.NodeID]*enforce.Node, error) {
-	if c.candidates == nil {
-		c.computeAssignments()
-	}
-	if err := c.verifyPlan(nil); err != nil {
-		return nil, err
-	}
-	nodes := make(map[topo.NodeID]*enforce.Node, len(c.dep.ProxyNodes)+len(c.dep.MBNodes))
-
-	for _, id := range c.dep.ProxyNodes {
-		n := enforce.NewProxy(c.dep, id)
-		subnet := c.dep.Graph.Node(id).Subnet
-		cfg := c.baseConfig(id)
-		cfg.Policies = c.policies.SrcRelevant(subnet)
-		if err := n.Install(cfg); err != nil {
-			return nil, fmt.Errorf("controller: configure proxy %v: %w", id, err)
-		}
-		nodes[id] = n
-	}
-	for _, id := range c.dep.MBNodes {
-		n, err := enforce.NewMiddleboxWith(c.dep, id, c.opts.FunctionFactory)
-		if err != nil {
-			return nil, err
-		}
-		cfg := c.baseConfig(id)
-		cfg.Policies = c.policies.FuncRelevant(c.dep.FuncsOf(id))
-		if err := n.Install(cfg); err != nil {
-			return nil, fmt.Errorf("controller: configure middlebox %v: %w", id, err)
-		}
-		nodes[id] = n
-	}
-	return nodes, nil
-}
-
-// baseConfig builds the strategy/feature part of a node's Config.
-func (c *Controller) baseConfig(id topo.NodeID) enforce.Config {
-	return enforce.Config{
-		Candidates:     c.candidates[id],
-		Strategy:       c.opts.Strategy,
-		HashSeed:       c.opts.HashSeed,
-		LabelSwitching: c.opts.LabelSwitching,
-		FlowTTL:        c.opts.FlowTTL,
-		LabelTTL:       c.opts.LabelTTL,
-		UseTrie:        c.opts.UseTrie,
-	}
-}
-
 // Measurements aggregates per-(policy, src, dst) packet volumes — the
 // T_{s,d,p} of §III-C, from which every other T derives.
 type Measurements map[enforce.MeasKey]int64
@@ -251,15 +203,20 @@ func MeasurementsFromFlows(dep *enforce.Deployment, tbl *policy.Table, flows []e
 	return out
 }
 
-// ApplyWeights pushes a solved LB configuration to the nodes.
-func ApplyWeights(nodes map[topo.NodeID]*enforce.Node, sol *LBSolution) {
-	for id, n := range nodes {
-		if w, ok := sol.Weights[id]; ok {
-			n.SetWeights(w)
-		} else {
-			n.SetWeights(nil)
+// ApplyDeltas is the in-process rollout: it applies a plan update's
+// per-node deltas in place, preserving flow/label soft state (the wire
+// rollout is Pipeline.Rollout). The caller must own the nodes.
+func ApplyDeltas(nodes map[topo.NodeID]*enforce.Node, deltas map[topo.NodeID]enforce.ConfigDelta) error {
+	for id, d := range deltas {
+		n, ok := nodes[id]
+		if !ok {
+			continue
+		}
+		if err := n.ApplyDelta(d); err != nil {
+			return fmt.Errorf("controller: apply delta on node %v: %w", id, err)
 		}
 	}
+	return nil
 }
 
 // RandomDeployment is a convenience that builds the paper's §IV-A

@@ -44,6 +44,49 @@ func newBed(t *testing.T, seed int64, buildPolicies func(tbl *policy.Table)) *be
 	return &bed{g: g, dep: dep, ap: route.NewAllPairs(g, route.RouterTransitOnly(g)), tbl: tbl}
 }
 
+// deploy takes a fresh controller through the control loop's first turn:
+// compile (and under LB solve) the first plan over meas, build the nodes.
+func deploy(t *testing.T, ctl *controller.Controller, meas controller.Measurements) (*controller.Pipeline, map[topo.NodeID]*enforce.Node, *controller.PlanUpdate) {
+	t.Helper()
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	upd, err := pipe.Recompute(meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pipe, nodes, upd
+}
+
+// recompute runs one later turn of the loop in process: Recompute over
+// meas, then the deltas applied to the nodes in place.
+func recompute(t *testing.T, pipe *controller.Pipeline, nodes map[topo.NodeID]*enforce.Node, meas controller.Measurements) *controller.PlanUpdate {
+	t.Helper()
+	upd, err := pipe.Recompute(meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
+		t.Fatal(err)
+	}
+	return upd
+}
+
+// solveLB is one full solve of the given formulation on a fresh pipeline.
+func solveLB(t *testing.T, ctl *controller.Controller, meas controller.Measurements, fine bool) *controller.LBSolution {
+	t.Helper()
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{Fine: fine}).Recompute(meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upd.Solution == nil {
+		t.Fatal("Recompute ran no LP")
+	}
+	return upd.Solution
+}
+
 func webPolicy(tbl *policy.Table) {
 	d := policy.NewDescriptor()
 	d.DstPort = netaddr.SinglePort(80)
@@ -108,10 +151,7 @@ func TestBuildNodesDistributesPolicies(t *testing.T) {
 		tbl.Add(d2, policy.ActionList{policy.FuncIDS, policy.FuncTM})
 	})
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.HotPotato})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, nodes, _ := deploy(t, ctl, nil)
 	if len(nodes) != len(b.dep.ProxyNodes)+len(b.dep.MBNodes) {
 		t.Fatalf("built %d nodes", len(nodes))
 	}
@@ -156,10 +196,7 @@ func TestSolveLBBalancesTwoFirewalls(t *testing.T) {
 		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 200,
 		{PolicyID: pid, SrcSubnet: 3, DstSubnet: 4}: 100,
 	}
-	sol, err := ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveLB(t, ctl, meas, false)
 	if math.Abs(sol.Lambda-100) > 1e-6 {
 		t.Errorf("lambda = %v, want 100", sol.Lambda)
 	}
@@ -211,10 +248,7 @@ func TestSolveLBChainConservation(t *testing.T) {
 		{PolicyID: pid, SrcSubnet: 2, DstSubnet: 3}: 300,
 		{PolicyID: pid, SrcSubnet: 4, DstSubnet: 1}: 200,
 	}
-	sol, err := ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveLB(t, ctl, meas, false)
 	sum := func(f policy.FuncType) float64 {
 		var s float64
 		for _, id := range b.dep.Providers(f) {
@@ -260,14 +294,8 @@ func TestSolveLBFineAgreesOnOptimum(t *testing.T) {
 		{PolicyID: pid, SrcSubnet: 2, DstSubnet: 1}: 400,
 		{PolicyID: pid, SrcSubnet: 3, DstSubnet: 4}: 400,
 	}
-	agg, err := ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fine, err := ctl.SolveLBFine(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := solveLB(t, ctl, meas, false)
+	fine := solveLB(t, ctl, meas, true)
 	if agg.Lambda > fine.Lambda+1e-6 {
 		t.Errorf("aggregated λ %v worse than fine λ %v", agg.Lambda, fine.Lambda)
 	}
@@ -307,26 +335,15 @@ func TestRealizedLoadsTrackLPSolution(t *testing.T) {
 
 	kk := map[policy.FuncType]int{policy.FuncFW: 3, policy.FuncIDS: 2}
 	lbCtl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.LoadBalanced, K: kk, HashSeed: 5})
-	nodes, err := lbCtl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	meas := controller.MeasurementsFromFlows(b.dep, b.tbl, demands)
-	sol, err := lbCtl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	controller.ApplyWeights(nodes, sol)
+	_, nodes, upd := deploy(t, lbCtl, controller.MeasurementsFromFlows(b.dep, b.tbl, demands))
+	sol := upd.Solution
 	lbReport, err := enforce.EvaluateFlows(nodes, b.dep, b.ap, demands)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	hpCtl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.HotPotato, K: kk, HashSeed: 5})
-	hpNodes, err := hpCtl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, hpNodes, _ := deploy(t, hpCtl, nil)
 	hpReport, err := enforce.EvaluateFlows(hpNodes, b.dep, b.ap, demands)
 	if err != nil {
 		t.Fatal(err)
@@ -363,10 +380,7 @@ func TestInfeasibleCapRetriesUncapped(t *testing.T) {
 	})
 	pid := b.tbl.All()[0].ID
 	meas := controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 1000}
-	sol, err := ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveLB(t, ctl, meas, false)
 	if sol.Capped {
 		t.Error("solution should report the cap was dropped")
 	}
@@ -389,10 +403,7 @@ func TestCapRespectedWhenFeasible(t *testing.T) {
 	})
 	pid := b.tbl.All()[0].ID
 	meas := controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 1000}
-	sol, err := ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveLB(t, ctl, meas, false)
 	if !sol.Capped {
 		t.Error("cap should have been kept")
 	}
@@ -461,17 +472,7 @@ func TestRandomDeploymentAndFullCampusSolve(t *testing.T) {
 		ctl := controller.New(dep, ap, tbl, controller.Options{
 			Strategy: strategy, K: controller.DefaultK(), HashSeed: 77,
 		})
-		nodes, err := ctl.BuildNodes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strategy == enforce.LoadBalanced {
-			sol, err := ctl.SolveLB(meas)
-			if err != nil {
-				t.Fatal(err)
-			}
-			controller.ApplyWeights(nodes, sol)
-		}
+		_, nodes, _ := deploy(t, ctl, meas)
 		report, err := enforce.EvaluateFlows(nodes, dep, ap, demands)
 		if err != nil {
 			t.Fatal(err)

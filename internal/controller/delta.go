@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"sdme/internal/enforce"
+	"sdme/internal/mgmt"
 	"sdme/internal/policy"
 	"sdme/internal/topo"
 )
@@ -69,12 +70,7 @@ func unionNodes(old, cur *Plan) []topo.NodeID {
 	}
 	add(old)
 	add(cur)
-	ids := make([]topo.NodeID, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return sortedNodeKeys(seen)
 }
 
 func diffPolicies(old, cur []*policy.Policy, d *enforce.ConfigDelta, stats *DeltaStats) {
@@ -189,19 +185,6 @@ func sortedWeightKeys(m map[enforce.WeightKey][]float64) []enforce.WeightKey {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessWeightKey(out[i], out[j]) })
+	mgmt.SortWeightKeys(out)
 	return out
-}
-
-func lessWeightKey(a, b enforce.WeightKey) bool {
-	if a.PolicyID != b.PolicyID {
-		return a.PolicyID < b.PolicyID
-	}
-	if a.Func != b.Func {
-		return a.Func < b.Func
-	}
-	if a.SrcSubnet != b.SrcSubnet {
-		return a.SrcSubnet < b.SrcSubnet
-	}
-	return a.DstSubnet < b.DstSubnet
 }

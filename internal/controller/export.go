@@ -3,7 +3,6 @@ package controller
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
 	"sdme/internal/enforce"
 	"sdme/internal/topo"
@@ -68,12 +67,7 @@ func (c *Controller) ExportConfig(nodes map[topo.NodeID]*enforce.Node) *Export {
 		out.FailedMiddleboxes = append(out.FailedMiddleboxes, c.dep.Graph.Node(id).Name)
 	}
 
-	ids := make([]topo.NodeID, 0, len(nodes))
-	for id := range nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedNodeKeys(nodes) {
 		n := nodes[id]
 		gn := c.dep.Graph.Node(id)
 		cfg := n.Config()
@@ -98,24 +92,7 @@ func (c *Controller) ExportConfig(nodes map[topo.NodeID]*enforce.Node) *Export {
 			}
 			en.Candidates[f.String()] = names
 		}
-		var wkeys []enforce.WeightKey
-		for k := range cfg.Weights {
-			wkeys = append(wkeys, k)
-		}
-		sort.Slice(wkeys, func(i, j int) bool {
-			a, b := wkeys[i], wkeys[j]
-			if a.PolicyID != b.PolicyID {
-				return a.PolicyID < b.PolicyID
-			}
-			if a.Func != b.Func {
-				return a.Func < b.Func
-			}
-			if a.SrcSubnet != b.SrcSubnet {
-				return a.SrcSubnet < b.SrcSubnet
-			}
-			return a.DstSubnet < b.DstSubnet
-		})
-		for _, k := range wkeys {
+		for _, k := range sortedWeightKeys(cfg.Weights) {
 			en.Weights = append(en.Weights, ExportedWeight{
 				PolicyID: k.PolicyID, Func: k.Func.String(),
 				SrcSubnet: k.SrcSubnet, DstSubnet: k.DstSubnet,

@@ -16,18 +16,10 @@ func TestExportConfigRoundTrip(t *testing.T) {
 		Strategy: enforce.LoadBalanced,
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
 	})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pid := b.tbl.All()[0].ID
-	sol, err := ctl.SolveLB(controller.Measurements{
+	_, nodes, _ := deploy(t, ctl, controller.Measurements{
 		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 100,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	controller.ApplyWeights(nodes, sol)
 
 	export := ctl.ExportConfig(nodes)
 	if export.Topology.Subnets != 4 || export.Topology.Middleboxes != 7 {
@@ -49,7 +41,7 @@ func TestExportConfigRoundTrip(t *testing.T) {
 		t.Fatal("round trip lost nodes")
 	}
 
-	// The proxy for subnet 1 carries the policy and (after ApplyWeights)
+	// The proxy for subnet 1 carries the policy and (the plan was solved)
 	// a weight vector over its FW candidates.
 	var proxy1 *controller.ExportedNode
 	for i := range back.Nodes {
@@ -67,7 +59,7 @@ func TestExportConfigRoundTrip(t *testing.T) {
 		t.Errorf("proxy FW candidates: %v", proxy1.Candidates)
 	}
 	if len(proxy1.Weights) == 0 {
-		t.Error("proxy weights missing after ApplyWeights")
+		t.Error("proxy weights missing from a solved plan")
 	} else {
 		w := proxy1.Weights[0]
 		if w.Func != "FW" || len(w.Weights) != 2 {
@@ -82,10 +74,7 @@ func TestExportConfigRoundTrip(t *testing.T) {
 func TestExportMarksFailures(t *testing.T) {
 	b := newBed(t, 52, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.HotPotato})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, nodes, _ := deploy(t, ctl, nil)
 	dead := b.dep.MBNodes[2]
 	if err := ctl.MarkFailed(dead, true); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 
 	"sdme/internal/enforce"
 	"sdme/internal/policy"
@@ -34,14 +33,16 @@ func (e *NoLiveProviderError) Is(target error) bool { return target == ErrNoLive
 // Failure handling — the "dependable" in the paper's title. The
 // controller monitors middlebox liveness (in a real deployment via the
 // same channel it uses for measurement collection) and, on failure,
-// recomputes the closest/candidate assignments without the failed boxes
-// and pushes the repaired candidate sets to every node. Routing is
+// recompiles the plan without the failed boxes: MarkFailed + NodeChanged +
+// Recompute, whose delta carries the repaired candidate sets (and drops
+// the weight vectors that were parallel to the old ones). Routing is
 // untouched: the underlying network never knew about the middleboxes in
 // the first place, which is precisely the architecture's resilience
 // argument.
 
 // MarkFailed records a middlebox as down (or up again). It affects the
-// next Reassign/SolveLB; it does not touch already-configured nodes.
+// next Recompute (pair it with Pipeline.NodeChanged); it does not touch
+// already-configured nodes.
 func (c *Controller) MarkFailed(mb topo.NodeID, down bool) error {
 	found := false
 	for _, id := range c.dep.MBNodes {
@@ -70,12 +71,7 @@ func (c *Controller) MarkFailed(mb topo.NodeID, down bool) error {
 
 // Failed returns the currently failed middleboxes in ID order.
 func (c *Controller) Failed() []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(c.failed))
-	for id := range c.failed {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedNodeKeys(c.failed)
 }
 
 // liveProviders filters M^e down to live middleboxes.
@@ -91,39 +87,4 @@ func (c *Controller) liveProviders(e policy.FuncType) []topo.NodeID {
 		}
 	}
 	return out
-}
-
-// ComputeCandidates recomputes every node's candidate sets against the
-// live middlebox population, without touching any node. It returns an
-// error if some function has no live provider left — enforcement of that
-// function is impossible and the operator must know. Callers whose nodes
-// run on their own goroutines (the live runtime) apply the result inside
-// each node's owner; single-threaded callers can use Reassign directly.
-func (c *Controller) ComputeCandidates() (map[topo.NodeID]map[policy.FuncType][]topo.NodeID, error) {
-	for _, e := range c.dep.Functions() {
-		if len(c.liveProviders(e)) == 0 {
-			return nil, &NoLiveProviderError{Func: e}
-		}
-	}
-	c.computeAssignments()
-	return c.candidates, nil
-}
-
-// Reassign recomputes candidate sets (see ComputeCandidates) and installs
-// them in place on the given nodes, preserving flow/label soft state.
-// The caller must own the nodes (no concurrent dataplane activity).
-func (c *Controller) Reassign(nodes map[topo.NodeID]*enforce.Node) error {
-	cands, err := c.ComputeCandidates()
-	if err != nil {
-		return err
-	}
-	if err := c.verifyPlan(nil); err != nil {
-		return err
-	}
-	for id, n := range nodes {
-		if cc, ok := cands[id]; ok {
-			n.SetCandidates(cc)
-		}
-	}
-	return nil
 }

@@ -38,10 +38,7 @@ func TestReassignAfterFailureShiftsTraffic(t *testing.T) {
 		Strategy: enforce.HotPotato,
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
 	})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe, nodes, _ := deploy(t, ctl, nil)
 	demands := []enforce.FlowDemand{
 		{Tuple: flow(1, 2, 80, 1), Packets: 100},
 		{Tuple: flow(2, 3, 80, 2), Packets: 100},
@@ -70,9 +67,8 @@ func TestReassignAfterFailureShiftsTraffic(t *testing.T) {
 	if err := ctl.MarkFailed(hot.Node, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Reassign(nodes); err != nil {
-		t.Fatal(err)
-	}
+	pipe.NodeChanged(hot.Node)
+	recompute(t, pipe, nodes, nil)
 	after, err := enforce.EvaluateFlows(nodes, b.dep, b.ap, demands)
 	if err != nil {
 		t.Fatal(err)
@@ -89,16 +85,15 @@ func TestReassignAfterFailureShiftsTraffic(t *testing.T) {
 		t.Errorf("FW total after failure = %d, want 300", fwTotal)
 	}
 	if after.Dropped != 0 {
-		t.Errorf("flows dropped after reassign: %d", after.Dropped)
+		t.Errorf("flows dropped after the repair: %d", after.Dropped)
 	}
 
 	// Recovery restores the original assignment.
 	if err := ctl.MarkFailed(hot.Node, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Reassign(nodes); err != nil {
-		t.Fatal(err)
-	}
+	pipe.NodeChanged(hot.Node)
+	recompute(t, pipe, nodes, nil)
 	restored, err := enforce.EvaluateFlows(nodes, b.dep, b.ap, demands)
 	if err != nil {
 		t.Fatal(err)
@@ -111,19 +106,17 @@ func TestReassignAfterFailureShiftsTraffic(t *testing.T) {
 func TestReassignFailsWhenFunctionUncovered(t *testing.T) {
 	b := newBed(t, 33, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.HotPotato})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe, _, _ := deploy(t, ctl, nil)
 	// Fail every IDS.
 	for _, id := range b.dep.Providers(policy.FuncIDS) {
 		if err := ctl.MarkFailed(id, true); err != nil {
 			t.Fatal(err)
 		}
+		pipe.NodeChanged(id)
 	}
-	err = ctl.Reassign(nodes)
+	_, err := pipe.Recompute(nil)
 	if err == nil {
-		t.Fatal("Reassign must fail when a function loses all providers")
+		t.Fatal("Recompute must fail when a function loses all providers")
 	}
 	// The failure is typed: recovery loops branch on the sentinel and read
 	// the starved function off the concrete error.
@@ -140,32 +133,27 @@ func TestReassignFailsWhenFunctionUncovered(t *testing.T) {
 }
 
 func TestLBAfterFailure(t *testing.T) {
-	// After failure + reassign, SolveLB over the surviving boxes must
-	// produce a valid balanced solution that avoids the dead box.
+	// After a failure the repair turn re-solves over the surviving boxes:
+	// a valid balanced solution that avoids the dead box.
 	b := newBed(t, 34, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
 		Strategy: enforce.LoadBalanced,
 		K:        map[policy.FuncType]int{policy.FuncFW: 3, policy.FuncIDS: 2},
 	})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
 	pid := b.tbl.All()[0].ID
 	meas := controller.Measurements{
 		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 600,
 		{PolicyID: pid, SrcSubnet: 3, DstSubnet: 4}: 600,
 	}
+	pipe, nodes, _ := deploy(t, ctl, meas)
 	dead := b.dep.Providers(policy.FuncFW)[0]
 	if err := ctl.MarkFailed(dead, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Reassign(nodes); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
+	pipe.NodeChanged(dead)
+	sol := recompute(t, pipe, nodes, meas).Solution
+	if sol == nil {
+		t.Fatal("the repair ran no LP")
 	}
 	if sol.ExpectedLoads[dead] != 0 {
 		t.Errorf("LP routed %v packets through the failed box", sol.ExpectedLoads[dead])
@@ -174,7 +162,6 @@ func TestLBAfterFailure(t *testing.T) {
 	if sol.Lambda < 600-1e-6 {
 		t.Errorf("λ = %v below feasible bound", sol.Lambda)
 	}
-	controller.ApplyWeights(nodes, sol)
 	demands := []enforce.FlowDemand{
 		{Tuple: flow(1, 2, 80, 1), Packets: 600},
 		{Tuple: flow(3, 4, 80, 2), Packets: 600},
@@ -198,10 +185,6 @@ func TestFineWeightsDriveDataplane(t *testing.T) {
 		K:        map[policy.FuncType]int{policy.FuncFW: 3, policy.FuncIDS: 2},
 		HashSeed: 3,
 	})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var demands []enforce.FlowDemand
 	for i := 0; i < 3000; i++ {
 		src := 1 + i%4
@@ -215,11 +198,15 @@ func TestFineWeightsDriveDataplane(t *testing.T) {
 		})
 	}
 	meas := controller.MeasurementsFromFlows(b.dep, b.tbl, demands)
-	fine, err := ctl.SolveLBFine(meas)
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{Fine: true}).Recompute(meas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	controller.ApplyWeights(nodes, fine)
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fine := upd.Solution
 	report, err := enforce.EvaluateFlows(nodes, b.dep, b.ap, demands)
 	if err != nil {
 		t.Fatal(err)
@@ -247,11 +234,10 @@ func TestSolveLBErrorsWithoutProviders(t *testing.T) {
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.LoadBalanced})
 	pid := b.tbl.All()[0].ID
 	meas := controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 10}
-	if _, err := ctl.SolveLB(meas); err == nil {
-		t.Error("SolveLB should fail when a chain function has no provider")
-	}
-	if _, err := ctl.SolveLBFine(meas); err == nil {
-		t.Error("SolveLBFine should fail when a chain function has no provider")
+	for _, fine := range []bool{false, true} {
+		if _, err := ctl.NewPipeline(controller.PipelineOptions{Fine: fine}).Recompute(meas); err == nil {
+			t.Errorf("Recompute (fine=%v) should fail when a chain function has no provider", fine)
+		}
 	}
 }
 
@@ -259,21 +245,22 @@ func TestSolveLBUnknownPolicyMeasurement(t *testing.T) {
 	b := newBed(t, 37, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.LoadBalanced})
 	meas := controller.Measurements{{PolicyID: 9999, SrcSubnet: 1, DstSubnet: 2}: 10}
-	if _, err := ctl.SolveLB(meas); err == nil {
+	if _, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(meas); err == nil {
 		t.Error("unknown policy ID in measurements should fail")
 	}
 }
 
 func TestSolveLBEmptyMeasurements(t *testing.T) {
-	// No traffic measured: the LP is trivial (λ = 0) and yields no
-	// weights; the dataplane then falls back to uniform splits.
+	// No traffic measured: there is nothing to solve (λ = 0) and the plan
+	// carries no weights; the dataplane then falls back to uniform splits.
 	b := newBed(t, 38, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.LoadBalanced})
-	sol, err := ctl.SolveLB(controller.Measurements{})
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(controller.Measurements{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Lambda != 0 {
-		t.Errorf("λ = %v for empty measurements", sol.Lambda)
+	if upd.Plan.Lambda != 0 || len(upd.Plan.Weights) != 0 || upd.Stats.Solved {
+		t.Errorf("empty measurements: λ = %v, %d weighted nodes, solved = %v",
+			upd.Plan.Lambda, len(upd.Plan.Weights), upd.Stats.Solved)
 	}
 }

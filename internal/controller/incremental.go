@@ -1,7 +1,10 @@
 package controller
 
 import (
+	"errors"
+
 	"sdme/internal/enforce"
+	"sdme/internal/mgmt"
 	"sdme/internal/topo"
 )
 
@@ -26,6 +29,16 @@ type Pipeline struct {
 	// Explicit dirty marks, folded into the hash-based detection at the
 	// next Recompute (they force instances dirty even when their inputs
 	// hash equal, e.g. to re-tighten carried spread approximations).
+	dirtyPolicies map[int]bool
+	dirtyNodes    map[topo.NodeID]bool
+
+	// undo is what the last Recompute replaced; Rollback restores it when
+	// the fleet refused that plan's rollout.
+	undo *pipelineUndo
+}
+
+type pipelineUndo struct {
+	plan          *Plan
 	dirtyPolicies map[int]bool
 	dirtyNodes    map[topo.NodeID]bool
 }
@@ -53,7 +66,7 @@ type PlanStats struct {
 	// them re-entered the LP.
 	Instances, Dirty int
 	// FullSolve reports whether the dirty set exceeded the threshold (or
-	// no previous plan existed) and the LP was solved from scratch.
+	// no previous solution existed) and the LP was solved from scratch.
 	FullSolve bool
 	// Solved reports whether an LP ran at all (false for HP/Random
 	// strategies and for no-op recomputes).
@@ -63,9 +76,9 @@ type PlanStats struct {
 }
 
 // PlanUpdate is the outcome of one Recompute: the new plan, the per-node
-// deltas transforming the previous plan's configuration into it (nil on
-// the first compile, which must be rolled out as full configurations),
-// and the merged solution for weight installation paths that want it.
+// deltas transforming the previous plan's configuration into it (on the
+// first compile, the diff against the empty plan: a full push is a delta
+// against the empty base), and the LP solution when one ran.
 type PlanUpdate struct {
 	Plan     *Plan
 	Solution *LBSolution
@@ -74,17 +87,24 @@ type PlanUpdate struct {
 }
 
 // NewPipeline creates an incremental compilation pipeline over the
-// controller.
+// controller. After RestoreFromJournal it starts from the journaled plan.
 func (c *Controller) NewPipeline(opts PipelineOptions) *Pipeline {
-	return &Pipeline{
+	p := &Pipeline{
 		c:             c,
 		opts:          opts,
 		dirtyPolicies: make(map[int]bool),
 		dirtyNodes:    make(map[topo.NodeID]bool),
 	}
+	if c.restored != nil {
+		plan := *c.restored
+		plan.Fine = opts.Fine
+		p.plan = &plan
+	}
+	return p
 }
 
-// Plan returns the last compiled plan (nil before the first Recompute).
+// Plan returns the last compiled plan (nil before the first Recompute,
+// unless the controller was restored from a journal).
 func (p *Pipeline) Plan() *Plan { return p.plan }
 
 // PolicyChanged marks a policy as edited (added, removed or updated):
@@ -99,7 +119,8 @@ func (p *Pipeline) NodeChanged(id topo.NodeID) { p.dirtyNodes[id] = true }
 
 // Recompute runs the three pipeline stages over the given measurements
 // and returns the new plan plus the deltas that reach it from the
-// previous one.
+// previous one. It is the only way a plan is computed: a full solve is
+// "everything dirty", a failure repair MarkFailed + NodeChanged + Recompute.
 func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	c := p.c
 	startUS := c.solveStart()
@@ -111,8 +132,9 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	dirty := p.dirtySet(plan)
 	stats := PlanStats{Instances: len(plan.Order), Dirty: len(dirty)}
 
+	var sol *LBSolution
 	if c.opts.Strategy == enforce.LoadBalanced && len(plan.Order) > 0 {
-		if err := p.solve(plan, dirty, &stats); err != nil {
+		if sol, err = p.solve(plan, dirty, &stats); err != nil {
 			return nil, err
 		}
 	} else if err := c.verifyPlanWith(plan.Candidates, nil); err != nil {
@@ -121,33 +143,64 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 		return nil, err
 	}
 
-	var deltas map[topo.NodeID]enforce.ConfigDelta
-	if p.plan != nil {
-		deltas, stats.Delta = DiffPlans(p.plan, plan)
-	}
-
+	deltas, dstats := DiffPlans(p.plan, plan)
+	stats.Delta = dstats
 	p.version++
 	plan.Version = p.version
-	sol := &LBSolution{Lambda: plan.Lambda, Weights: plan.Weights, InstanceLoads: plan.InstanceLoads}
-	if stats.Solved {
-		// Journal the merged plan (write-ahead, like solveChainLP) and
-		// record solve metrics before the caller can push anything.
-		if err := c.journalWeights(sol); err != nil {
+	if sol != nil {
+		// Write-ahead: journal the merged plan and record solve metrics
+		// before the caller can push anything.
+		if err := c.journalWeights(plan.Lambda, plan.Weights); err != nil {
 			return nil, err
 		}
 		c.observeSolveStats(sol, startUS)
-		c.lastWeights = plan.Weights
 	}
 	c.observePlanDelta(stats.Delta)
+	p.undo = &pipelineUndo{plan: p.plan, dirtyPolicies: p.dirtyPolicies, dirtyNodes: p.dirtyNodes}
 	p.plan = plan
 	p.dirtyPolicies = make(map[int]bool)
 	p.dirtyNodes = make(map[topo.NodeID]bool)
 
-	upd := &PlanUpdate{Plan: plan, Deltas: deltas, Stats: stats}
-	if stats.Solved {
-		upd.Solution = sol
+	return &PlanUpdate{Plan: plan, Solution: sol, Deltas: deltas, Stats: stats}, nil
+}
+
+// Rollback undoes the last Recompute after the fleet refused its rollout
+// (an aborted 2PC: no node holds the plan). The next Recompute then diffs
+// against the plan the nodes still run, with the dirty marks the refused
+// plan had consumed pending again; the restored weights are journaled
+// anew so a restart reproduces what the fleet holds, not what it refused.
+// Without a Recompute to undo it is a no-op.
+func (p *Pipeline) Rollback() error {
+	u := p.undo
+	if u == nil {
+		return nil
 	}
-	return upd, nil
+	p.undo = nil
+	p.plan = u.plan
+	for id := range u.dirtyPolicies {
+		p.dirtyPolicies[id] = true
+	}
+	for id := range u.dirtyNodes {
+		p.dirtyNodes[id] = true
+	}
+	if p.plan == nil || p.plan.Weights == nil {
+		return nil
+	}
+	return p.c.journalWeights(p.plan.Lambda, p.plan.Weights)
+}
+
+// Rollout is the wire rollout: it pushes a plan update's deltas through
+// the management server's epoch-fenced two-phase protocol (fallback as in
+// mgmt.Server.PushAllDelta2PC) and, when the fleet refused them, rolls
+// the pipeline back so its diff base never runs ahead of the nodes. A
+// commit straggler is not a refusal: the plan is decided and the
+// straggler heals through the reconnect re-push.
+func (p *Pipeline) Rollout(srv *mgmt.Server, deltas map[topo.NodeID]enforce.ConfigDelta, fallback map[topo.NodeID]mgmt.ConfigDTO, pol mgmt.RetryPolicy) (uint64, error) {
+	epoch, err := srv.PushAllDelta2PC(deltas, fallback, pol)
+	if err != nil && !errors.Is(err, mgmt.ErrCommitStraggler) {
+		err = errors.Join(err, p.Rollback())
+	}
+	return epoch, err
 }
 
 // dirtySet computes which of the new plan's instances must re-enter the
@@ -182,10 +235,13 @@ func (p *Pipeline) dirtySet(plan *Plan) map[InstanceKey]bool {
 }
 
 // solve runs Stage 2 proper: scoped or full LP solve, weight merge, and
-// verification (scoped to the dirty policies on the scoped path).
-func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStats) error {
+// verification (scoped to the dirty policies on the scoped path). It
+// returns the LP's solution over the merged plan, nil when no LP ran.
+func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStats) (*LBSolution, error) {
 	c := p.c
-	full := p.plan == nil || p.plan.Weights == nil ||
+	// Without previous instance loads (first compile, a plan restored
+	// from the journal) nothing can be carried.
+	full := p.plan == nil || p.plan.InstanceLoads == nil ||
 		p.opts.DirtyThreshold < 0 ||
 		float64(len(dirty)) > p.opts.threshold()*float64(len(plan.Order))
 
@@ -194,51 +250,52 @@ func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStat
 		// dropping entries whose instances disappeared.
 		plan.Weights, plan.InstanceLoads = p.carryForward(plan, dirty)
 		plan.Lambda = p.plan.Lambda
-		return nil
+		return nil, nil
 	}
 
 	if full {
-		sol, err := c.solveChainLPWith(orderedInstances(plan, nil), nil)
+		sol, err := c.solveChainLP(orderedInstances(plan, nil), nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := c.verifyPlanWith(plan.Candidates, sol.Weights); err != nil {
-			return err
+			return nil, err
 		}
 		plan.Weights, plan.InstanceLoads = sol.Weights, sol.InstanceLoads
 		plan.Lambda = sol.Lambda
 		stats.FullSolve, stats.Solved = true, true
-		return nil
+		return sol, nil
 	}
 
 	// Scoped solve: clean instances keep their weights and charge their
-	// previous expected loads as base capacity consumption.
+	// previous expected loads as base capacity consumption, summed in
+	// canonical instance order so equal inputs give bit-equal plans.
 	carriedW, carriedLoads := p.carryForward(plan, dirty)
 	base := make(map[topo.NodeID]float64)
-	for _, loads := range carriedLoads {
-		for x, l := range loads {
+	for _, k := range plan.Order {
+		for x, l := range carriedLoads[k] {
 			base[x] += l
 		}
 	}
-	sol, err := c.solveChainLPWith(orderedInstances(plan, dirty), base)
+	sol, err := c.solveChainLP(orderedInstances(plan, dirty), base)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	dirtyPolicies := make(map[int]bool, len(dirty))
 	for k := range dirty {
 		dirtyPolicies[k.PolicyID] = true
 	}
-	plan.Weights = mergeWeights(carriedW, sol.Weights)
-	plan.Lambda = sol.Lambda
-	plan.InstanceLoads = carriedLoads
 	for k, loads := range sol.InstanceLoads {
-		plan.InstanceLoads[k] = loads
+		carriedLoads[k] = loads
 	}
+	sol.Weights, sol.InstanceLoads = mergeWeights(carriedW, sol.Weights), carriedLoads
+	plan.Weights, plan.InstanceLoads = sol.Weights, sol.InstanceLoads
+	plan.Lambda = sol.Lambda
 	if err := c.verifyPlanScoped(plan.Candidates, plan.Weights, dirtyPolicies); err != nil {
-		return err
+		return nil, err
 	}
 	stats.Solved = true
-	return nil
+	return sol, nil
 }
 
 // carryForward extracts the previous plan's weights and instance loads

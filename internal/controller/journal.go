@@ -128,7 +128,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("controller: open journal: %w", err)
 	}
-	intact, records, crc, torn, err := scanFrames(path)
+	intact, _, crc, torn, err := scanFrames(path, nil)
 	if err != nil {
 		_ = f.Close()
 		return nil, err
@@ -143,21 +143,22 @@ func OpenJournal(path string) (*Journal, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	_ = records
 	j := &Journal{f: f, path: path}
 	j.size.Store(intact)
 	j.runCRC.Store(uint32(crc))
 	return j, nil
 }
 
-// scanFrames walks a journal's framing (length + CRC only, no record
-// decoding) and returns the intact prefix length, the record count, the
-// running CRC-32 over the intact prefix, and whether a torn/corrupt
-// tail follows the prefix.
-func scanFrames(path string) (intact int64, records int64, crc uint32, torn bool, err error) {
+// scanFrames walks a journal's framing (length + CRC) and returns the
+// intact prefix length, the record count, the running CRC-32 over the
+// intact prefix, and whether a torn/corrupt tail follows the prefix.
+// visit, when non-nil, sees each intact record's payload in order; a
+// false return ends the walk there (that record counts as the torn
+// tail), an error aborts it.
+func scanFrames(path string, visit func(payload []byte) (bool, error)) (intact int64, records int64, crc uint32, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, false, fmt.Errorf("controller: scan journal: %w", err)
+		return 0, 0, 0, false, fmt.Errorf("controller: open journal: %w", err)
 	}
 	defer f.Close() //nolint:errcheck // read-only handle
 	var hdr [8]byte
@@ -176,6 +177,15 @@ func scanFrames(path string) (intact int64, records int64, crc uint32, torn bool
 		}
 		if crc32.ChecksumIEEE(buf) != sum {
 			return intact, records, crc, true, nil
+		}
+		if visit != nil {
+			ok, verr := visit(buf)
+			if verr != nil {
+				return intact, records, crc, false, verr
+			}
+			if !ok {
+				return intact, records, crc, true, nil
+			}
 		}
 		crc = crc32.Update(crc, crc32.IEEETable, hdr[:])
 		crc = crc32.Update(crc, crc32.IEEETable, buf)
@@ -380,49 +390,23 @@ type JournalState struct {
 	Torn    bool
 }
 
-// ReplayJournal reads a journal back, stopping cleanly at a torn tail.
+// ReplayJournal reads a journal back, stopping cleanly at a torn tail (a
+// partial, corrupt or undecodable record: replay ends at the last intact
+// one before it).
 func ReplayJournal(path string) (*JournalState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("controller: open journal: %w", err)
-	}
-	defer f.Close() //nolint:errcheck // read-only handle
 	st := &JournalState{}
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return st, nil
-			}
-			st.Torn = true // partial header
-			return st, nil
-		}
-		n := binary.BigEndian.Uint32(hdr[:4])
-		sum := binary.BigEndian.Uint32(hdr[4:8])
-		if n == 0 || n > 16<<20 {
-			st.Torn = true
-			return st, nil
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			st.Torn = true // partial payload
-			return st, nil
-		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			st.Torn = true // corrupt record: stop replay here
-			return st, nil
-		}
-		env, err := mgmt.DecodeEnvelope(buf)
+	intact, records, _, torn, err := scanFrames(path, func(payload []byte) (bool, error) {
+		env, err := mgmt.DecodeEnvelope(payload)
 		if err != nil {
-			st.Torn = true
-			return st, nil
+			return false, nil
 		}
-		if err := st.apply(env); err != nil {
-			return nil, err
-		}
-		st.Records++
-		st.Bytes += int64(8 + n)
+		return true, st.apply(env)
+	})
+	if err != nil {
+		return nil, err
 	}
+	st.Records, st.Bytes, st.Torn = int(records), intact, torn
+	return st, nil
 }
 
 // apply folds one intact record into the state (last record wins).
@@ -511,8 +495,9 @@ func (c *Controller) Fingerprint() uint64 {
 }
 
 // SetJournal attaches a write-ahead journal: the static inputs are
-// recorded immediately, and every subsequent MarkFailed / LB solve
-// appends its record before the result can reach any node. nil detaches.
+// recorded immediately, and every subsequent MarkFailed / solved
+// Recompute appends its record before the result can reach any node. nil
+// detaches.
 func (c *Controller) SetJournal(j *Journal) error {
 	c.journal = j
 	if j == nil {
@@ -545,30 +530,28 @@ func (c *Controller) journalFailed() error {
 }
 
 // journalWeights appends a solved weight plan (no-op without a journal).
-func (c *Controller) journalWeights(sol *LBSolution) error {
+func (c *Controller) journalWeights(lambda float64, weights weightPlan) error {
 	if c.journal == nil {
 		return nil
 	}
-	r := WeightsRecord{Lambda: sol.Lambda}
-	ids := make([]topo.NodeID, 0, len(sol.Weights))
-	for id := range sol.Weights {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	r := WeightsRecord{Lambda: lambda}
+	for _, id := range sortedNodeKeys(weights) {
 		r.Nodes = append(r.Nodes, NodeWeights{
 			Node: int(id),
-			Rows: mgmt.WeightsToDTO(0, sol.Weights[id]).Weights,
+			Rows: mgmt.WeightsToDTO(0, weights[id]).Weights,
 		})
 	}
 	return c.journal.Append(JournalWeights, r)
 }
 
 // RestoreFromJournal folds a replayed journal state back into the
-// controller: the failed set is restored and cached assignments are
-// invalidated so the next ComputeCandidates/BuildNodes reproduces the
-// pre-crash plan. It refuses a journal whose deployment fingerprint does
-// not match this controller's inputs.
+// controller: the failed set is restored and the journaled plan is
+// rebuilt — candidates over the restored failed set, weights and λ from
+// the last weights record — as the plan every pipeline of this controller
+// starts from. BuildNodesFromPlan(pipe.Plan()) therefore reproduces the
+// pre-crash export, and the next Recompute is a full solve (no instance
+// loads were journaled, so nothing may be carried). It refuses a journal
+// whose deployment fingerprint does not match this controller's inputs.
 func (c *Controller) RestoreFromJournal(st *JournalState) error {
 	if st.Fingerprint != c.Fingerprint() {
 		return fmt.Errorf("controller: journal fingerprint %#x does not match deployment %#x",
@@ -578,18 +561,18 @@ func (c *Controller) RestoreFromJournal(st *JournalState) error {
 	for _, id := range st.Failed {
 		c.failed[id] = true
 	}
-	c.candidates = nil
-	return nil
-}
-
-// RestoredSolution rebuilds an LBSolution from replayed journal state
-// (nil if the journal recorded no weight plan), so the restart path can
-// reuse ApplyWeights and the weights-only push exactly like a live solve.
-func (st *JournalState) RestoredSolution() *LBSolution {
-	if st.Weights == nil {
+	plan, err := c.CompilePlan(nil, false)
+	if errors.Is(err, ErrNoLiveProvider) {
+		// The journaled failed set starves a function: no plan exists to
+		// restore. The next Recompute reports it to the recovery loop.
 		return nil
 	}
-	return &LBSolution{Lambda: st.Lambda, Weights: st.Weights}
+	if err != nil {
+		return err
+	}
+	plan.Weights, plan.Lambda = st.Weights, st.Lambda
+	c.restored = plan
+	return nil
 }
 
 // policiesToDTO dumps the controller's full policy table in wire form.

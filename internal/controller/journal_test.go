@@ -1,6 +1,8 @@
 package controller_test
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -231,6 +233,124 @@ func TestRestoreFromJournalFingerprintGate(t *testing.T) {
 
 func TestJournalRestoredSolutionRoundTrip(t *testing.T) {
 	b := newBed(t, 62, webPolicy)
+	opts := controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
+	}
+	ctl := controller.New(b.dep, b.ap, b.tbl, opts)
+	path := journalPath(t)
+	j, err := controller.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.SetJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	pid := b.tbl.All()[0].ID
+	meas := controller.Measurements{
+		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 500,
+		{PolicyID: pid, SrcSubnet: 2, DstSubnet: 3}: 300,
+	}
+	pipe, nodes, _ := deploy(t, ctl, meas)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := controller.ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One step: the restored controller's pipeline starts from the
+	// journaled plan, and a build from it is the pre-crash export.
+	twin := controller.New(b.dep, b.ap, b.tbl, opts)
+	if err := twin.RestoreFromJournal(st); err != nil {
+		t.Fatal(err)
+	}
+	pipe2 := twin.NewPipeline(controller.PipelineOptions{})
+	got, want := pipe2.Plan(), pipe.Plan()
+	if got == nil {
+		t.Fatal("restored pipeline has no plan")
+	}
+	if got.Lambda != want.Lambda {
+		t.Errorf("lambda = %v, want %v", got.Lambda, want.Lambda)
+	}
+	if !reflect.DeepEqual(got.Weights, want.Weights) {
+		t.Errorf("weights diverged through the journal:\n%v\n%v", got.Weights, want.Weights)
+	}
+	nodes2, err := twin.BuildNodesFromPlan(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := exportBytes(t, ctl, nodes), exportBytes(t, twin, nodes2); !bytes.Equal(a, b) {
+		t.Errorf("restored export differs from the pre-crash export")
+	}
+	// No instance loads were journaled, so the next solve carries nothing.
+	upd, err := pipe2.Recompute(meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !upd.Stats.FullSolve {
+		t.Errorf("first Recompute after a restore was not a full solve: %+v", upd.Stats)
+	}
+	if upd.Stats.Delta.Total() != 0 {
+		t.Errorf("re-solving the journaled inputs changed the plan: %+v", upd.Stats.Delta)
+	}
+
+	// A journal with no weights record restores a plan without weights.
+	bare := controller.New(b.dep, b.ap, b.tbl, opts)
+	if err := bare.RestoreFromJournal(&controller.JournalState{Fingerprint: bare.Fingerprint()}); err != nil {
+		t.Fatal(err)
+	}
+	if p := bare.NewPipeline(controller.PipelineOptions{}).Plan(); p == nil || p.Weights != nil {
+		t.Errorf("weightless journal restored %+v", p)
+	}
+}
+
+// TestReplayParentCommitJournal replays a journal written by the commit
+// before the one-loop refactor (testdata/pr12.journal: deploy, policies,
+// weights, epoch 3, failed set, epoch 4 at term 2): the record format is
+// unchanged, so old journals restore into the pipeline.
+func TestReplayParentCommitJournal(t *testing.T) {
+	st, err := controller.ReplayJournal("testdata/pr12.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Torn || st.Records != 6 || st.Epoch != 4 || st.Term != 2 || st.Lambda != 400 || len(st.Weights) != 5 {
+		t.Fatalf("replayed state: records %d torn %v epoch %d term %d λ %v weighted nodes %d",
+			st.Records, st.Torn, st.Epoch, st.Term, st.Lambda, len(st.Weights))
+	}
+	b := newBed(t, 62, webPolicy)
+	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
+	})
+	if err := ctl.RestoreFromJournal(st); err != nil {
+		t.Fatal(err)
+	}
+	dead := b.dep.Providers(policy.FuncFW)[0]
+	if got := ctl.Failed(); len(got) != 1 || got[0] != dead {
+		t.Errorf("restored failed set = %v, want [%v]", got, dead)
+	}
+	plan := ctl.NewPipeline(controller.PipelineOptions{}).Plan()
+	if plan == nil || plan.Lambda != 400 || !reflect.DeepEqual(plan.Weights, st.Weights) {
+		t.Fatalf("restored plan does not carry the journaled weights: %+v", plan)
+	}
+	for x, byFunc := range plan.Candidates {
+		for _, mb := range byFunc[policy.FuncFW] {
+			if mb == dead {
+				t.Errorf("node %v still lists the failed firewall", x)
+			}
+		}
+	}
+}
+
+// TestRollbackRejournalsTheRestoredPlan: weights are journaled
+// write-ahead, so a plan the fleet then refuses is the journal's last
+// weights record. Rollback restores the previous plan as the pipeline's
+// diff base and journals it again, so a restart reproduces what the
+// fleet holds rather than what it refused.
+func TestRollbackRejournalsTheRestoredPlan(t *testing.T) {
+	b := newBed(t, 63, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
 		Strategy: enforce.LoadBalanced,
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
@@ -244,12 +364,25 @@ func TestJournalRestoredSolutionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	pid := b.tbl.All()[0].ID
-	sol, err := ctl.SolveLB(controller.Measurements{
-		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 500,
-		{PolicyID: pid, SrcSubnet: 2, DstSubnet: 3}: 300,
-	})
+	pipe, _, _ := deploy(t, ctl, controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 500})
+	held := pipe.Plan()
+
+	refused, err := pipe.Recompute(controller.Measurements{{PolicyID: pid, SrcSubnet: 3, DstSubnet: 4}: 900})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reflect.DeepEqual(refused.Plan.Weights, held.Weights) {
+		t.Fatal("the second plan does not differ; the test proves nothing")
+	}
+	if err := pipe.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if pipe.Plan() != held {
+		t.Fatal("Rollback did not restore the previous plan")
+	}
+	// One Recompute, one undo: a second Rollback has nothing to restore.
+	if err := pipe.Rollback(); err != nil || pipe.Plan() != held {
+		t.Fatalf("second Rollback: err %v, plan changed %v", err, pipe.Plan() != held)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -258,19 +391,30 @@ func TestJournalRestoredSolutionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := st.RestoredSolution()
-	if got == nil {
-		t.Fatal("no solution restored")
+	if st.Lambda != held.Lambda || !reflect.DeepEqual(st.Weights, held.Weights) {
+		t.Errorf("journal ends on λ=%v, want the restored plan's λ=%v and weights", st.Lambda, held.Lambda)
 	}
-	if got.Lambda != sol.Lambda {
-		t.Errorf("lambda = %v, want %v", got.Lambda, sol.Lambda)
-	}
-	if !reflect.DeepEqual(got.Weights, sol.Weights) {
-		t.Errorf("weights diverged through the journal:\n%v\n%v", got.Weights, sol.Weights)
-	}
+}
 
-	// A journal with no weights record restores a nil solution.
-	if (&controller.JournalState{}).RestoredSolution() != nil {
-		t.Error("empty state produced a solution")
+// TestRestoreWithStarvedFunction: a journal whose failed set leaves a
+// function without a live provider still restores (the failed set is
+// state the controller must not lose); there is just no plan to start
+// from, and the first Recompute reports the starvation as it would live.
+func TestRestoreWithStarvedFunction(t *testing.T) {
+	b := newBed(t, 64, webPolicy)
+	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{Strategy: enforce.HotPotato})
+	st := &controller.JournalState{Fingerprint: ctl.Fingerprint(), Failed: b.dep.Providers(policy.FuncIDS)}
+	if err := ctl.RestoreFromJournal(st); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if got := ctl.Failed(); len(got) != len(st.Failed) {
+		t.Errorf("restored failed set = %v, want %v", got, st.Failed)
+	}
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	if pipe.Plan() != nil {
+		t.Error("a plan was restored although IDS has no live provider")
+	}
+	if _, err := pipe.Recompute(nil); !errors.Is(err, controller.ErrNoLiveProvider) {
+		t.Errorf("Recompute: %v, want ErrNoLiveProvider", err)
 	}
 }

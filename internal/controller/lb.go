@@ -35,31 +35,6 @@ type LBSolution struct {
 	InstanceLoads map[InstanceKey]map[topo.NodeID]float64
 }
 
-// SolveLB solves the aggregated formulation (Eq. 2 of the paper) over
-// the given measurements. Two exact reductions are applied (see
-// DESIGN.md): sources with identical candidate sets share first-hop
-// variables, and per-destination last-hop variables are merged into one
-// virtual sink per policy.
-func (c *Controller) SolveLB(meas Measurements) (*LBSolution, error) {
-	insts, err := c.chainInstances(meas, false)
-	if err != nil {
-		return nil, err
-	}
-	return c.solveChainLP(insts)
-}
-
-// SolveLBFine solves the fine-grained formulation (Eq. 1): independent
-// flow conservation and weight vectors per (source, destination, policy)
-// triple. Variable count grows with |R|^2·|P|, so this is intended for
-// small topologies and for cross-checking Eq. (2).
-func (c *Controller) SolveLBFine(meas Measurements) (*LBSolution, error) {
-	insts, err := c.chainInstances(meas, true)
-	if err != nil {
-		return nil, err
-	}
-	return c.solveChainLP(insts)
-}
-
 // policyIndex maps policy ID -> policy for the global table.
 func (c *Controller) policyIndex() map[int]*policy.Policy {
 	out := make(map[int]*policy.Policy, c.policies.Len())
@@ -77,7 +52,8 @@ type wRef struct {
 }
 
 // solveChainLP builds and solves the min-λ program over the given chain
-// instances, then extracts weights and expected loads.
+// instances, then extracts weights and expected loads. It is the bare
+// solve: the pipeline verifies, journals and observes the merged plan.
 //
 // The optimization is lexicographic, mirroring the evenly spread
 // solutions the paper reports: phase one minimizes the maximum load
@@ -88,34 +64,13 @@ type wRef struct {
 // park some middleboxes at zero load while only the bottleneck type is
 // actually constrained; phase two removes both artifacts (cf. the tight
 // per-type spreads of the paper's Table III).
-func (c *Controller) solveChainLP(insts []*ChainInstance) (*LBSolution, error) {
-	startUS := c.solveStart()
-	sol, err := c.solveChainLPWith(insts, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.verifyPlan(sol.Weights); err != nil {
-		return nil, err
-	}
-	// Write-ahead: journal the plan before the caller can push it.
-	if err := c.journalWeights(sol); err != nil {
-		return nil, err
-	}
-	c.observeSolve(sol, startUS)
-	return sol, nil
-}
-
-// solveChainLPWith is the bare two-phase solve, without verification,
-// journaling or metrics — the incremental pipeline calls it for scoped
-// re-solves and performs those steps itself on the merged plan. base, when
-// non-nil, carries constant per-middlebox load offsets: the expected loads
-// of carried-forward instances that are NOT re-entering the LP. Their
-// traffic still consumes capacity, so every capacity and spread constraint
-// is shifted by the offsets, and reported loads include them.
-func (c *Controller) solveChainLPWith(insts []*ChainInstance, base map[topo.NodeID]float64) (*LBSolution, error) {
-	if c.candidates == nil {
-		c.computeAssignments()
-	}
+//
+// base, when non-nil, carries constant per-middlebox load offsets: the
+// expected loads of carried-forward instances that are NOT re-entering
+// the LP. Their traffic still consumes capacity, so every capacity and
+// spread constraint is shifted by the offsets, and reported loads include
+// them.
+func (c *Controller) solveChainLP(insts []*ChainInstance, base map[topo.NodeID]float64) (*LBSolution, error) {
 	sol, err := c.buildAndSolve(insts, c.opts.CapLambda, nil, base)
 	if err != nil {
 		return nil, err
@@ -150,7 +105,7 @@ func (c *Controller) solveChainLPWith(insts []*ChainInstance, base map[topo.Node
 // every middlebox load is capped at λ*·C(x), and per function type f the
 // objective minimizes its maximum load factor λ_f and maximizes its
 // minimum load factor μ_f. base shifts every load expression by constant
-// carried-forward loads (see solveChainLPWith).
+// carried-forward loads (see solveChainLP).
 func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, maxMinAt *float64, base map[topo.NodeID]float64) (*LBSolution, error) {
 	prob := lp.NewProblem()
 	lam := prob.AddVar("lambda")
@@ -187,19 +142,14 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, maxMi
 	// μ_f·C(x) <= load(x) <= λ_f·C(x) are added. Middleboxes carrying only
 	// base load still constrain λ and the per-type bounds, so a scoped
 	// solve can never under-report the network-wide load factor.
-	seen := make(map[topo.NodeID]bool, len(loadTerms)+len(base))
-	mbs := make([]topo.NodeID, 0, len(loadTerms)+len(base))
+	loaded := make(map[topo.NodeID]bool, len(loadTerms)+len(base))
 	for x := range loadTerms {
-		seen[x] = true
-		mbs = append(mbs, x)
+		loaded[x] = true
 	}
 	for x := range base {
-		if !seen[x] {
-			mbs = append(mbs, x)
-		}
+		loaded[x] = true
 	}
-	sort.Slice(mbs, func(i, j int) bool { return mbs[i] < mbs[j] })
-	for _, x := range mbs {
+	for _, x := range sortedNodeKeys(loaded) {
 		if maxMinAt == nil {
 			terms := append([]lp.Term{{Var: lam, Coef: -c.capacityOf(x)}}, loadTerms[x]...)
 			prob.AddConstraint(lp.Le, -base[x], terms...)
@@ -234,33 +184,13 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, maxMi
 	out := &LBSolution{
 		Lambda:        solved.Objective,
 		Capped:        capLambda,
-		Weights:       make(map[topo.NodeID]map[enforce.WeightKey][]float64),
 		ExpectedLoads: make(map[topo.NodeID]float64),
 		Vars:          prob.NumVars(),
 		Constraints:   prob.NumConstraints(),
 		Iterations:    solved.Iterations,
 		InstanceLoads: make(map[InstanceKey]map[topo.NodeID]float64, len(insts)),
 	}
-	for _, r := range refs {
-		w := make([]float64, len(r.vars))
-		for i, v := range r.vars {
-			w[i] = solved.Value(v)
-		}
-		m := out.Weights[r.owner]
-		if m == nil {
-			m = make(map[enforce.WeightKey][]float64)
-			out.Weights[r.owner] = m
-		}
-		// Eq. (1) instances can hit the same (owner, key) from multiple
-		// triples only if keys collide, which the subnet tags prevent;
-		// Eq. (2) never revisits a key. Accumulate defensively anyway.
-		if prev, ok := m[r.key]; ok {
-			for i := range w {
-				w[i] += prev[i]
-			}
-		}
-		m[r.key] = w
-	}
+	out.Weights = extractWeights(refs, solved.Value)
 	for x, terms := range loadTerms {
 		var total float64
 		for _, t := range terms {
@@ -315,12 +245,7 @@ func (c *Controller) buildChain(prob *lp.Problem, inst *ChainInstance, loadTerms
 		members []topo.NodeID
 	}
 	groups := make(map[string]*group)
-	srcs := make([]topo.NodeID, 0, len(inst.SrcVols))
-	for s := range inst.SrcVols {
-		srcs = append(srcs, s)
-	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	for _, s := range srcs {
+	for _, s := range sortedNodeKeys(inst.SrcVols) {
 		cands := c.candidates[s][e1]
 		if len(cands) == 0 {
 			return fmt.Errorf("controller: proxy %v has no candidates for %v", s, e1)
@@ -369,12 +294,7 @@ func (c *Controller) buildChain(prob *lp.Problem, inst *ChainInstance, loadTerms
 	for i := 1; i < len(chain); i++ {
 		eNext := chain[i]
 		newInflow := make(map[topo.NodeID][]lp.Term)
-		xs := make([]topo.NodeID, 0, len(inflow))
-		for x := range inflow {
-			xs = append(xs, x)
-		}
-		sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-		for _, x := range xs {
+		for _, x := range sortedNodeKeys(inflow) {
 			addLoad(x, inflow[x]...)
 			cands := c.candidates[x][eNext]
 			if len(cands) == 0 {
@@ -407,8 +327,55 @@ func (c *Controller) buildChain(prob *lp.Problem, inst *ChainInstance, loadTerms
 	// Final stage: inflow at the chain's last providers feeds their load;
 	// the onward traffic to destinations is the aggregated virtual sink
 	// (exact for min-λ; see DESIGN.md).
-	for x, terms := range inflow {
-		addLoad(x, terms...)
+	for _, x := range sortedNodeKeys(inflow) {
+		addLoad(x, inflow[x]...)
 	}
 	return nil
+}
+
+// extractWeights copies the solved LP variables into the per-node weight
+// vectors to install, clamping simplex round-off.
+func extractWeights(refs []wRef, value func(v int) float64) weightPlan {
+	out := make(weightPlan)
+	for _, r := range refs {
+		w := make([]float64, len(r.vars))
+		for i, v := range r.vars {
+			w[i] = clampRoundOff(value(v))
+		}
+		m := out[r.owner]
+		if m == nil {
+			m = make(map[enforce.WeightKey][]float64)
+			out[r.owner] = m
+		}
+		// Eq. (1) instances can hit the same (owner, key) from multiple
+		// triples only if keys collide, which the subnet tags prevent;
+		// Eq. (2) never revisits a key. Accumulate defensively anyway.
+		if prev, ok := m[r.key]; ok {
+			for i := range w {
+				w[i] += prev[i]
+			}
+		}
+		m[r.key] = w
+	}
+	return out
+}
+
+// clampRoundOff zeroes the ≈ −1e-9 values a simplex vertex can carry for
+// a variable that is mathematically zero. Anything more negative is a
+// real violation and is left for plan verification (and the management
+// channel's validation) to refuse.
+func clampRoundOff(v float64) float64 {
+	if v < 0 && v > -1e-6 {
+		return 0
+	}
+	return v
+}
+
+func sortedNodeKeys[V any](m map[topo.NodeID]V) []topo.NodeID {
+	out := make([]topo.NodeID, 0, len(m))
+	for x := range m {
+		out = append(out, x)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

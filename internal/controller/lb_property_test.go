@@ -39,13 +39,16 @@ func TestLBSolutionProperties(t *testing.T) {
 		{"waxman", 17, false},
 	}
 	type solver struct {
-		name  string
-		solve func(*controller.Controller, controller.Measurements) (*controller.LBSolution, error)
+		name string
+		fine bool
+	}
+	if testing.Short() {
+		cases = cases[:1] // one campus seed, both formulations
 	}
 	for _, tc := range cases {
-		solvers := []solver{{"aggregated", (*controller.Controller).SolveLB}}
+		solvers := []solver{{"aggregated", false}}
 		if tc.fine {
-			solvers = append(solvers, solver{"fine", (*controller.Controller).SolveLBFine})
+			solvers = append(solvers, solver{"fine", true})
 		}
 		bed, err := experiments.NewBed(experiments.Config{Topology: tc.topology, Seed: tc.seed, PoliciesPerClass: 2})
 		if err != nil {
@@ -58,10 +61,7 @@ func TestLBSolutionProperties(t *testing.T) {
 		hpCtl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: enforce.HotPotato, K: bed.Cfg.K,
 		})
-		hpNodes, err := hpCtl.BuildNodes()
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, hpNodes, _ := deploy(t, hpCtl, nil)
 		hpReport, err := enforce.EvaluateFlows(hpNodes, bed.Dep, bed.AllPairs, demands)
 		if err != nil {
 			t.Fatal(err)
@@ -77,10 +77,11 @@ func TestLBSolutionProperties(t *testing.T) {
 			ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 				Strategy: enforce.LoadBalanced, K: bed.Cfg.K,
 			})
-			sol, err := sv.solve(ctl, meas)
+			upd, err := ctl.NewPipeline(controller.PipelineOptions{Fine: sv.fine}).Recompute(meas)
 			if err != nil {
 				t.Fatalf("%s/%d/%s: %v", tc.topology, tc.seed, sv.name, err)
 			}
+			sol := upd.Solution
 			vectors := 0
 			for x, byKey := range sol.Weights {
 				cands := ctl.CandidatesOf(x)

@@ -28,29 +28,17 @@ const (
 
 // SetMetrics attaches a registry and clock to the controller: every LB
 // solve then records its duration (per the clock — virtual in sim-driven
-// tests, wall in live deployments), the resulting λ, the program size,
-// and the delta size versus the previous plan. nil detaches.
+// tests, wall in live deployments), the resulting λ and the program size,
+// and every Recompute the size of its delta versus the previous plan. nil
+// detaches.
 func (c *Controller) SetMetrics(reg *metrics.Registry, clock metrics.Clock) {
 	c.metrics = reg
 	c.clock = clock
-	c.lastWeights = nil
 }
 
-// observeSolve records one successful direct solve (the non-pipeline
-// SolveLB/SolveLBFine path): solve stats plus the weight-entry delta
-// against the previous solve.
-func (c *Controller) observeSolve(sol *LBSolution, startUS int64) {
-	if c.metrics == nil {
-		return
-	}
-	c.observeSolveStats(sol, startUS)
-	c.observePlanDelta(weightDeltaStats(c.lastWeights, sol.Weights))
-	c.lastWeights = sol.Weights
-}
-
-// observeSolveStats records solve count, duration, λ and program size —
-// without any churn accounting (the pipeline reports its own, exact,
-// delta sizes via observePlanDelta).
+// observeSolveStats records solve count, duration, λ and program size
+// (plan churn is reported separately, as exact delta sizes, by
+// observePlanDelta).
 func (c *Controller) observeSolveStats(sol *LBSolution, startUS int64) {
 	reg := c.metrics
 	if reg == nil {
@@ -68,7 +56,7 @@ func (c *Controller) observeSolveStats(sol *LBSolution, startUS int64) {
 
 // observePlanDelta records the actual size of one plan delta: entries
 // added, removed and reweighted (policies, candidate lists and weight
-// vectors alike for pipeline diffs; weight vectors for direct solves).
+// vectors alike).
 func (c *Controller) observePlanDelta(d DeltaStats) {
 	reg := c.metrics
 	if reg == nil {
@@ -102,34 +90,6 @@ func countVectors(w weightPlan) int {
 		n += len(m)
 	}
 	return n
-}
-
-// weightDeltaStats classifies the weight-vector entries that differ
-// between two plans as added, removed or reweighted. Two consecutive
-// solves on the same measurement matrix churn zero.
-func weightDeltaStats(old, cur weightPlan) DeltaStats {
-	var d DeltaStats
-	for node, m := range cur {
-		om := old[node]
-		for k, w := range m {
-			ow, ok := om[k]
-			switch {
-			case !ok:
-				d.Added++
-			case !sameVector(ow, w):
-				d.Reweighted++
-			}
-		}
-	}
-	for node, om := range old {
-		m := cur[node]
-		for k := range om {
-			if _, ok := m[k]; !ok {
-				d.Removed++
-			}
-		}
-	}
-	return d
 }
 
 func sameVector(a, b []float64) bool {

@@ -86,8 +86,15 @@ type Plan struct {
 // CompilePlan runs Stage 1: it recomputes candidate assignments over the
 // current failed-set, canonicalizes the measurements into chain instances
 // (fine selects Eq. 1), computes every node's relevant policy subset, and
-// builds the dependency index. The returned plan has no weights yet.
+// builds the dependency index. The returned plan has no weights yet. A
+// function whose last live provider failed makes the plan impossible: the
+// typed *NoLiveProviderError (errors.Is ErrNoLiveProvider) says which.
 func (c *Controller) CompilePlan(meas Measurements, fine bool) (*Plan, error) {
+	for _, e := range c.dep.Functions() {
+		if len(c.liveProviders(e)) == 0 {
+			return nil, &NoLiveProviderError{Func: e}
+		}
+	}
 	c.computeAssignments()
 	insts, err := c.chainInstances(meas, fine)
 	if err != nil {
@@ -191,11 +198,7 @@ func (c *Controller) indexInstance(inst *ChainInstance) error {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%d|%x|", inst.Key.PolicyID, inst.Key.SrcSubnet, inst.Key.DstSubnet, inst.Pol.Hash())
 	touched := make(map[topo.NodeID]bool)
-	cur := make([]topo.NodeID, 0, len(inst.SrcVols))
-	for s := range inst.SrcVols {
-		cur = append(cur, s)
-	}
-	sort.Slice(cur, func(i, j int) bool { return cur[i] < cur[j] })
+	cur := sortedNodeKeys(inst.SrcVols)
 	for _, s := range cur {
 		touched[s] = true
 		fmt.Fprintf(h, "s%d=%d,", s, inst.SrcVols[s])
@@ -218,25 +221,18 @@ func (c *Controller) indexInstance(inst *ChainInstance) error {
 				touched[y] = true
 			}
 		}
-		cur = cur[:0]
-		for y := range next {
-			cur = append(cur, y)
-		}
-		sort.Slice(cur, func(a, b int) bool { return cur[a] < cur[b] })
+		cur = sortedNodeKeys(next)
 	}
-	inst.Touched = make([]topo.NodeID, 0, len(touched))
-	for x := range touched {
-		inst.Touched = append(inst.Touched, x)
-	}
-	sort.Slice(inst.Touched, func(i, j int) bool { return inst.Touched[i] < inst.Touched[j] })
+	inst.Touched = sortedNodeKeys(touched)
 	inst.Hash = h.Sum64()
 	return nil
 }
 
-// BuildNodesFromPlan materializes every node from a compiled plan — the
-// from-scratch rebuild path the incremental pipeline is checked against.
-// It is BuildNodes driven by the plan IR instead of live controller state,
-// plus weight installation when the plan has been solved.
+// BuildNodesFromPlan materializes and configures every proxy and
+// middlebox from a compiled plan: candidate sets, relevant policies P_x,
+// strategy, feature flags and, when the plan has been solved, LB weights.
+// It is the only from-scratch build; every later change reaches the nodes
+// as a delta, and the churn property test checks the two agree.
 func (c *Controller) BuildNodesFromPlan(p *Plan) (map[topo.NodeID]*enforce.Node, error) {
 	if err := c.verifyPlanWith(p.Candidates, p.Weights); err != nil {
 		return nil, err

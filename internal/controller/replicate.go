@@ -97,7 +97,7 @@ func OpenStandbyJournal(path string) (*StandbyJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("controller: open standby journal: %w", err)
 	}
-	intact, records, crc, torn, err := scanFrames(path)
+	intact, records, crc, torn, err := scanFrames(path, nil)
 	if err != nil {
 		_ = f.Close()
 		return nil, err
@@ -214,7 +214,7 @@ func (s *StandbyJournal) TruncateTo(n int64) error {
 		return fmt.Errorf("controller: standby truncate sync: %w", err)
 	}
 	//vet:ignore lockedblocking -- post-truncate rescan must complete before the next frame is judged against bytes/crc
-	intact, records, crc, _, err := scanFrames(s.path)
+	intact, records, crc, _, err := scanFrames(s.path, nil)
 	if err != nil {
 		return err
 	}

@@ -1,56 +1,29 @@
 package controller
 
 import (
-	"sdme/internal/enforce"
 	"sdme/internal/policy"
 	"sdme/internal/topo"
 	"sdme/internal/verify"
 )
 
 // Static plan verification (see internal/verify): with Options.Verify
-// set, the controller refuses to install any plan that fails the
+// set, the pipeline refuses to diff or build any plan that fails the
 // coverage / loop-freedom / hp-optimality / failed-candidate invariants,
-// and any LB solution whose weight vectors fail the lb-weights
-// invariant. The checks recompute rankings independently from AllPairs,
-// so they catch corruption of the controller's own cache, not only bad
-// inputs.
+// or whose weight vectors fail the lb-weights invariant. The checks
+// recompute rankings independently from AllPairs, so they catch
+// corruption of the controller's own cache, not only bad inputs.
 
-// VerifyPlan statically checks the current candidate assignments
-// (computing them first if needed) and, when weights is non-nil, an LB
-// solution's weight vectors. It returns every violation found; an empty
-// result means the plan upholds all invariants. Pass
-// LBSolution.Weights as weights to audit a solved rebalance.
-func (c *Controller) VerifyPlan(weights map[topo.NodeID]map[enforce.WeightKey][]float64) []verify.Violation {
-	if c.candidates == nil {
-		c.computeAssignments()
-	}
-	return verify.Check(verify.Plan{
-		Dep:        c.dep,
-		AP:         c.ap,
-		Policies:   c.policies,
-		Candidates: c.candidates,
-		Weights:    weights,
-		Failed:     c.Failed(),
-		K:          c.kFor,
-	})
+// VerifyPlan statically checks a compiled plan: its candidate
+// assignments and, when the plan has been solved, its weight vectors. It
+// returns every violation found; an empty result means the plan upholds
+// all invariants.
+func (c *Controller) VerifyPlan(p *Plan) []verify.Violation {
+	return verify.Check(c.verifyInput(p.Candidates, p.Weights))
 }
 
-// verifyPlan is the internal gate: nil unless verification is enabled
-// and finds hard violations, in which case it returns a *verify.Error.
-func (c *Controller) verifyPlan(weights map[topo.NodeID]map[enforce.WeightKey][]float64) error {
-	if !c.opts.Verify {
-		return nil
-	}
-	return verify.AsError(c.VerifyPlan(weights))
-}
-
-// verifyPlanWith is verifyPlan over an explicit candidate snapshot (a
-// compiled Plan's) instead of the controller's live cache.
-func (c *Controller) verifyPlanWith(candidates map[topo.NodeID]map[policy.FuncType][]topo.NodeID, weights map[topo.NodeID]map[enforce.WeightKey][]float64) error {
-	if !c.opts.Verify {
-		return nil
-	}
-	return verify.AsError(verify.Check(verify.Plan{
+// verifyInput assembles the verifier's view of a candidate snapshot.
+func (c *Controller) verifyInput(candidates map[topo.NodeID]map[policy.FuncType][]topo.NodeID, weights weightPlan) verify.Plan {
+	return verify.Plan{
 		Dep:        c.dep,
 		AP:         c.ap,
 		Policies:   c.policies,
@@ -58,24 +31,26 @@ func (c *Controller) verifyPlanWith(candidates map[topo.NodeID]map[policy.FuncTy
 		Weights:    weights,
 		Failed:     c.Failed(),
 		K:          c.kFor,
-	}))
+	}
+}
+
+// verifyPlanWith is the internal gate over a compiled plan's candidate
+// snapshot: nil unless verification is enabled and finds hard
+// violations, in which case it returns a *verify.Error.
+func (c *Controller) verifyPlanWith(candidates map[topo.NodeID]map[policy.FuncType][]topo.NodeID, weights weightPlan) error {
+	if !c.opts.Verify {
+		return nil
+	}
+	return verify.AsError(verify.Check(c.verifyInput(candidates, weights)))
 }
 
 // verifyPlanScoped gates a scoped re-solve: the invariants are checked
 // only for the dirty policy set (and the candidate lists / weight vectors
 // those policies can exercise), which is what keeps incremental
 // verification proportional to the change rather than the plan.
-func (c *Controller) verifyPlanScoped(candidates map[topo.NodeID]map[policy.FuncType][]topo.NodeID, weights map[topo.NodeID]map[enforce.WeightKey][]float64, policyIDs map[int]bool) error {
+func (c *Controller) verifyPlanScoped(candidates map[topo.NodeID]map[policy.FuncType][]topo.NodeID, weights weightPlan, policyIDs map[int]bool) error {
 	if !c.opts.Verify {
 		return nil
 	}
-	return verify.AsError(verify.CheckScoped(verify.Plan{
-		Dep:        c.dep,
-		AP:         c.ap,
-		Policies:   c.policies,
-		Candidates: candidates,
-		Weights:    weights,
-		Failed:     c.Failed(),
-		K:          c.kFor,
-	}, policyIDs))
+	return verify.AsError(verify.CheckScoped(c.verifyInput(candidates, weights), policyIDs))
 }

@@ -128,7 +128,7 @@ func (d *ConfigDelta) ApplyToConfig(base Config) Config {
 //     its Prio) are purged, because the new rule may now shadow them;
 //   - pinned entries whose next hop drops out of every candidate list are
 //     purged, mirroring InvalidateProvider;
-//   - pure weight changes purge nothing, mirroring SetWeights.
+//   - pure weight changes purge nothing (the §III-C periodic rebalance).
 //
 // This is a configuration mutator under the Node concurrency contract:
 // serialize it with packet handling.

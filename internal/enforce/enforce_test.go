@@ -108,11 +108,22 @@ func newTestbed(t *testing.T, opts controller.Options, buildPolicies func(tbl *p
 		opts.K = map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2, policy.FuncWP: 1, policy.FuncTM: 1}
 	}
 	ctl := controller.New(dep, ap, tbl, opts)
-	nodes, err := ctl.BuildNodes()
+	return &testbed{g: g, dep: dep, ap: ap, tbl: tbl, ctl: ctl, nodes: buildNodes(t, ctl)}
+}
+
+// buildNodes compiles the controller's first plan (no measurements) and
+// materializes a fresh set of nodes from it.
+func buildNodes(t *testing.T, ctl *controller.Controller) map[topo.NodeID]*enforce.Node {
+	t.Helper()
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &testbed{g: g, dep: dep, ap: ap, tbl: tbl, ctl: ctl, nodes: nodes}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nodes
 }
 
 func (tb *testbed) proxy(t *testing.T, subnet int) *enforce.Node {
@@ -535,10 +546,7 @@ func TestEvaluatorMatchesPacketDataplane(t *testing.T) {
 		}
 
 		// Fresh nodes for the packet run (the evaluator shares no state).
-		nodes2, err := tb.ctl.BuildNodes()
-		if err != nil {
-			t.Fatal(err)
-		}
+		nodes2 := buildNodes(t, tb.ctl)
 		f = newFabric(t, nodes2)
 		for _, d := range demands {
 			srcSub := tb.dep.SubnetIndexOf(d.Tuple.Src)
@@ -725,10 +733,7 @@ func TestCustomFunctionTypeEndToEnd(t *testing.T) {
 			return nf.New(ft)
 		},
 	})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes := buildNodes(t, ctl)
 	f := newFabric(t, nodes)
 
 	proxyID, _ := dep.ProxyFor(1)

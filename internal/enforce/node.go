@@ -120,9 +120,9 @@ type MeasKey struct {
 
 // Node is one software-defined device: a policy proxy or a middlebox.
 //
-// Concurrency contract: configuration mutators (Install, SetWeights,
-// SetCandidates, SetStrategy, SetMetrics, SetTracer, ResetMeasurements)
-// must be serialized with packet handling — the live runtime quiesces its
+// Concurrency contract: configuration mutators (Install, ApplyDelta,
+// SetStrategy, SetMetrics, SetTracer, ResetMeasurements) must be
+// serialized with packet handling — the live runtime quiesces its
 // worker pool around them, the simulator is single-threaded. Packet
 // handlers (HandleOutbound/HandleArrival/HandleControl) may run
 // concurrently from multiple workers PROVIDED all packets and control
@@ -298,21 +298,6 @@ func (n *Node) SetShardTuning(flowShards, labelShards int) {
 
 // Config returns the installed configuration.
 func (n *Node) Config() Config { return n.cfg }
-
-// SetWeights replaces the node's LB weight vectors in place, preserving
-// flow/label soft state — this is the controller's periodic
-// reconfiguration path (§III-C: weights are recomputed as measurements
-// arrive).
-func (n *Node) SetWeights(w map[WeightKey][]float64) { n.cfg.Weights = w }
-
-// SetCandidates replaces the node's candidate sets in place (the
-// controller's repair path after a middlebox failure). Stale LB weights
-// are dropped at the same time: their vectors are parallel to the old
-// candidate lists and would misroute against the new ones.
-func (n *Node) SetCandidates(c map[policy.FuncType][]topo.NodeID) {
-	n.cfg.Candidates = c
-	n.cfg.Weights = nil
-}
 
 // SetStrategy switches the selection strategy in place (used by
 // experiments comparing HP/Rand/LB on identical state).

@@ -44,22 +44,17 @@ func RunCandidateKAblation(cfg Config, traffic int, ks []int) ([]KAblationPoint,
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: enforce.LoadBalanced, K: kmap, HashSeed: uint64(cfg.Seed) + uint64(k),
 		})
-		nodes, err := ctl.BuildNodes()
-		if err != nil {
-			return nil, err
-		}
-		sol, err := ctl.SolveLB(meas)
+		_, nodes, upd, err := Deploy(ctl, controller.PipelineOptions{}, meas)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: k=%d: %w", k, err)
 		}
-		controller.ApplyWeights(nodes, sol)
 		report, err := enforce.EvaluateFlows(nodes, bed.Dep, bed.AllPairs, demands)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, KAblationPoint{
 			K:              k,
-			Lambda:         sol.Lambda,
+			Lambda:         upd.Plan.Lambda,
 			RealizedMaxIDS: report.MaxLoad(bed.Dep, policy.FuncIDS),
 			AvgPathCost:    report.AvgPathCost(),
 		})
@@ -102,7 +97,7 @@ func RunStateAblation(seed int64, flows, packetsPerFlow, packetBytes int, labelS
 		Strategy: enforce.HotPotato, K: bed.Cfg.K,
 		LabelSwitching: labelSwitching, HashSeed: uint64(seed),
 	})
-	nodes, err := ctl.BuildNodes()
+	_, nodes, _, err := Deploy(ctl, controller.PipelineOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -159,11 +154,18 @@ func RunEq1VsEq2(cfg Config, traffic int) (*FormulationComparison, error) {
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy: enforce.LoadBalanced, K: bed.Cfg.K, HashSeed: uint64(cfg.Seed),
 	})
-	agg, err := ctl.SolveLB(meas)
+	solve := func(fine bool) (*controller.LBSolution, error) {
+		upd, err := ctl.NewPipeline(controller.PipelineOptions{Fine: fine}).Recompute(meas)
+		if err != nil {
+			return nil, err
+		}
+		return upd.Solution, nil
+	}
+	agg, err := solve(false)
 	if err != nil {
 		return nil, err
 	}
-	fine, err := ctl.SolveLBFine(meas)
+	fine, err := solve(true)
 	if err != nil {
 		return nil, err
 	}
@@ -273,29 +275,23 @@ func RunQueueingAblation(seed int64, flows, packetsPerFlow int, ratePPS float64)
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: strategy, K: bed.Cfg.K, HashSeed: uint64(seed),
 		})
-		nodes, err := ctl.BuildNodes()
+		// Scale the per-flow demands to packet counts for measurement
+		// (only the LB strategy solves over them).
+		meas := controller.Measurements{}
+		for _, d := range demands {
+			p := bed.Table.Match(d.Tuple)
+			if p == nil || p.Actions.IsPermit() {
+				continue
+			}
+			meas[enforce.MeasKey{
+				PolicyID:  p.ID,
+				SrcSubnet: bed.Dep.SubnetIndexOf(d.Tuple.Src),
+				DstSubnet: bed.Dep.SubnetIndexOf(d.Tuple.Dst),
+			}] += int64(packetsPerFlow)
+		}
+		_, nodes, _, err := Deploy(ctl, controller.PipelineOptions{}, meas)
 		if err != nil {
 			return nil, err
-		}
-		if strategy == enforce.LoadBalanced {
-			// Scale the per-flow demands to packet counts for measurement.
-			var meas = controller.Measurements{}
-			for _, d := range demands {
-				p := bed.Table.Match(d.Tuple)
-				if p == nil || p.Actions.IsPermit() {
-					continue
-				}
-				meas[enforce.MeasKey{
-					PolicyID:  p.ID,
-					SrcSubnet: bed.Dep.SubnetIndexOf(d.Tuple.Src),
-					DstSubnet: bed.Dep.SubnetIndexOf(d.Tuple.Dst),
-				}] += int64(packetsPerFlow)
-			}
-			sol, err := ctl.SolveLB(meas)
-			if err != nil {
-				return nil, err
-			}
-			controller.ApplyWeights(nodes, sol)
 		}
 		dom := ospf.NewDomain(bed.Graph)
 		dom.Converge()

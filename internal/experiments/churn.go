@@ -352,7 +352,7 @@ func fullPlanBytes(dep *enforce.Deployment, plan *controller.Plan) (int64, error
 func deltaBytes(deltas map[topo.NodeID]enforce.ConfigDelta) (int64, error) {
 	var total int64
 	for _, d := range deltas {
-		buf, err := mgmt.EncodeEnvelope(mgmt.TypeDelta, mgmt.DeltaToDTO(0, d))
+		buf, err := mgmt.EncodeEnvelope(mgmt.TypePrepareDelta, mgmt.DeltaToDTO(0, d))
 		if err != nil {
 			return 0, err
 		}

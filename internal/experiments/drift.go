@@ -58,18 +58,31 @@ func RunDriftExperiment(cfg Config, target, epochs int) ([]DriftEpoch, error) {
 		return out
 	}
 
-	newNodes := func() (map[topo.NodeID]*enforce.Node, *controller.Controller, error) {
+	// Each side is one control loop: a pipeline (full re-solves, the
+	// §III-C periodic rebalance) and the nodes its deltas are applied to.
+	type loop struct {
+		pipe  *controller.Pipeline
+		nodes map[topo.NodeID]*enforce.Node
+	}
+	newLoop := func() (loop, error) {
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: enforce.LoadBalanced, K: bed.Cfg.K, HashSeed: uint64(cfg.Seed),
 		})
-		nodes, err := ctl.BuildNodes()
-		return nodes, ctl, err
+		pipe, nodes, _, err := Deploy(ctl, controller.PipelineOptions{DirtyThreshold: -1}, nil)
+		return loop{pipe, nodes}, err
 	}
-	staleNodes, staleCtl, err := newNodes()
+	rebalance := func(l loop, meas controller.Measurements) error {
+		upd, err := l.pipe.Recompute(meas)
+		if err != nil {
+			return err
+		}
+		return controller.ApplyDeltas(l.nodes, upd.Deltas)
+	}
+	stale, err := newLoop()
 	if err != nil {
 		return nil, err
 	}
-	rebalNodes, rebalCtl, err := newNodes()
+	rebal, err := newLoop()
 	if err != nil {
 		return nil, err
 	}
@@ -82,25 +95,21 @@ func RunDriftExperiment(cfg Config, target, epochs int) ([]DriftEpoch, error) {
 
 		if e == 0 {
 			// Both controllers see epoch 0 and solve once.
-			sol, err := staleCtl.SolveLB(meas)
-			if err != nil {
+			if err := rebalance(stale, meas); err != nil {
 				return nil, err
 			}
-			controller.ApplyWeights(staleNodes, sol)
 		}
 		// The rebalancing controller re-solves every epoch (§III-C's
 		// periodic loop); the stale one keeps epoch-0 weights forever.
-		sol, err := rebalCtl.SolveLB(meas)
-		if err != nil {
+		if err := rebalance(rebal, meas); err != nil {
 			return nil, err
 		}
-		controller.ApplyWeights(rebalNodes, sol)
 
-		staleReport, err := enforce.EvaluateFlows(staleNodes, bed.Dep, bed.AllPairs, demands)
+		staleReport, err := enforce.EvaluateFlows(stale.nodes, bed.Dep, bed.AllPairs, demands)
 		if err != nil {
 			return nil, err
 		}
-		rebalReport, err := enforce.EvaluateFlows(rebalNodes, bed.Dep, bed.AllPairs, demands)
+		rebalReport, err := enforce.EvaluateFlows(rebal.nodes, bed.Dep, bed.AllPairs, demands)
 		if err != nil {
 			return nil, err
 		}

@@ -132,24 +132,32 @@ func (b *Bed) RunStrategy(strategy enforce.Strategy, demands []enforce.FlowDeman
 		HashSeed: uint64(b.Cfg.Seed)*2654435761 + uint64(strategy),
 		UseTrie:  b.Cfg.UseTrie,
 	})
-	nodes, err := ctl.BuildNodes()
+	_, nodes, upd, err := Deploy(ctl, controller.PipelineOptions{}, controller.MeasurementsFromFlows(b.Dep, b.Table, demands))
 	if err != nil {
 		return nil, nil, err
-	}
-	var sol *controller.LBSolution
-	if strategy == enforce.LoadBalanced {
-		meas := controller.MeasurementsFromFlows(b.Dep, b.Table, demands)
-		sol, err = ctl.SolveLB(meas)
-		if err != nil {
-			return nil, nil, err
-		}
-		controller.ApplyWeights(nodes, sol)
 	}
 	report, err := enforce.EvaluateFlows(nodes, b.Dep, b.AllPairs, demands)
 	if err != nil {
 		return nil, nil, err
 	}
-	return report, sol, nil
+	return report, upd.Solution, nil
+}
+
+// Deploy takes a fresh controller through the control loop's first turn:
+// the pipeline compiles the first plan over meas (solving the LB weights
+// when the strategy is LoadBalanced and there is traffic) and every node
+// is built from it. Later turns are pipe.Recompute + the deltas.
+func Deploy(ctl *controller.Controller, opts controller.PipelineOptions, meas controller.Measurements) (*controller.Pipeline, map[topo.NodeID]*enforce.Node, *controller.PlanUpdate, error) {
+	pipe := ctl.NewPipeline(opts)
+	upd, err := pipe.Recompute(meas)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return pipe, nodes, upd, nil
 }
 
 // FigurePoint is one x-axis point of Figures 4/5.

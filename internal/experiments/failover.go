@@ -21,7 +21,6 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -211,10 +210,8 @@ func RunLiveFailover(cfg FailoverConfig) (*FailoverResult, error) {
 		return nil, fmt.Errorf("experiments: agents did not connect: %v", server.Connected())
 	}
 	pushPol := mgmt.RetryPolicy{Attempts: 4, PerAttempt: 2 * time.Second, Backoff: 25 * time.Millisecond}
-	for _, id := range nodeIDs {
-		if err := server.PushRetry(id, mgmt.ConfigToDTO(0, bed.nodes[id].Config()), pushPol); err != nil {
-			return nil, fmt.Errorf("experiments: initial push to %v: %w", id, err)
-		}
+	if err := rolloutPlan(server, bed.ctl, bed.pipe, pushPol); err != nil {
+		return nil, fmt.Errorf("experiments: initial rollout: %w", err)
 	}
 
 	// The monitor feeds ONLY the dataplane liveness view. No repair, no
@@ -336,7 +333,7 @@ func newRestartBed(seed int64) (*recoveryBed, error) {
 	// newRecoveryBed builds an HP controller; swap in an LB one over the
 	// same deployment.
 	bed.ctl = controller.New(bed.dep, bed.ap, bed.tbl, restartOpts(seed))
-	bed.nodes, err = bed.ctl.BuildNodes()
+	bed.pipe, bed.nodes, _, err = Deploy(bed.ctl, controller.PipelineOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -365,18 +362,35 @@ func restartOpts(seed int64) controller.Options {
 	}
 }
 
-// exportBytes renders the controller's current plan intent: a fresh
-// BuildNodes (current candidates and failed set) with the weight plan
-// applied, exported as indented JSON. Both the pre-kill and post-restart
+// restartMeasurements is restartDemands as the proxies would report it.
+func restartMeasurements(bed *recoveryBed) controller.Measurements {
+	return controller.MeasurementsFromFlows(bed.dep, bed.tbl, restartDemands())
+}
+
+// solveThenFail is the history a restarted or promoted controller must
+// reproduce: solve the LB plan (journals the weights), lose a firewall
+// (journals the failed set), repair (journals the re-solved weights).
+func solveThenFail(bed *recoveryBed, ctl *controller.Controller, pipe *controller.Pipeline) error {
+	meas := restartMeasurements(bed)
+	if _, err := pipe.Recompute(meas); err != nil {
+		return err
+	}
+	if err := ctl.MarkFailed(bed.fw[0], true); err != nil {
+		return err
+	}
+	pipe.NodeChanged(bed.fw[0])
+	_, err := pipe.Recompute(meas)
+	return err
+}
+
+// exportBytes renders a plan as the configuration export of a fresh
+// build from it, as indented JSON. Both the pre-kill and post-restart
 // exports go through this one path, so byte equality means state
 // equality.
-func exportBytes(ctl *controller.Controller, sol *controller.LBSolution) ([]byte, error) {
-	nodes, err := ctl.BuildNodes()
+func exportBytes(ctl *controller.Controller, plan *controller.Plan) ([]byte, error) {
+	nodes, err := ctl.BuildNodesFromPlan(plan)
 	if err != nil {
 		return nil, err
-	}
-	if sol != nil {
-		controller.ApplyWeights(nodes, sol)
 	}
 	var buf bytes.Buffer
 	if err := ctl.ExportConfig(nodes).WriteJSON(&buf); err != nil {
@@ -398,8 +412,8 @@ func (c *RestartConfig) journalPath(substrate string) (string, func(), error) {
 }
 
 // RunSimRestart exercises the journal without a management channel:
-// solve, fail a middlebox, export; kill; replay into a fresh controller
-// and compare exports byte for byte.
+// solve, fail a middlebox, repair, export; kill; replay into a fresh
+// controller and compare exports byte for byte.
 func RunSimRestart(cfg RestartConfig) (*RestartResult, error) {
 	path, cleanup, err := cfg.journalPath("sim")
 	if err != nil {
@@ -418,15 +432,12 @@ func RunSimRestart(cfg RestartConfig) (*RestartResult, error) {
 		return nil, err
 	}
 	// Solve WITH the journal attached so the weight plan is recorded,
-	// then take a failure — both mutations the restart must reproduce.
-	sol, err := bed.ctl.SolveLB(controller.MeasurementsFromFlows(bed.dep, bed.tbl, restartDemands()))
-	if err != nil {
+	// then take a failure and repair it — the mutations the restart must
+	// reproduce.
+	if err := solveThenFail(bed, bed.ctl, bed.pipe); err != nil {
 		return nil, err
 	}
-	if err := bed.ctl.MarkFailed(bed.fw[0], true); err != nil {
-		return nil, err
-	}
-	before, err := exportBytes(bed.ctl, sol)
+	before, err := exportBytes(bed.ctl, bed.pipe.Plan())
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +453,7 @@ func RunSimRestart(cfg RestartConfig) (*RestartResult, error) {
 	if err := ctl2.RestoreFromJournal(st); err != nil {
 		return nil, err
 	}
-	after, err := exportBytes(ctl2, st.RestoredSolution())
+	after, err := exportBytes(ctl2, ctl2.NewPipeline(controller.PipelineOptions{}).Plan())
 	if err != nil {
 		return nil, err
 	}
@@ -520,34 +531,21 @@ func RunLiveRestart(cfg RestartConfig) (*RestartResult, error) {
 	}
 
 	// Pre-kill history: solve (journals weights), fail a middlebox
-	// (journals the failed set), push the resulting plan, log the epoch.
+	// (journals the failed set), repair, roll the resulting plan out, log
+	// the epoch.
 	pushPol := mgmt.RetryPolicy{Attempts: 4, PerAttempt: 2 * time.Second, Backoff: 25 * time.Millisecond}
-	sol, err := bed.ctl.SolveLB(controller.MeasurementsFromFlows(bed.dep, bed.tbl, restartDemands()))
+	err = solveThenFail(bed, bed.ctl, bed.pipe)
+	if err == nil {
+		err = rolloutPlan(server, bed.ctl, bed.pipe, pushPol)
+	}
+	if err == nil {
+		err = jrnl.LogEpoch(server.Epoch(), 0)
+	}
 	if err != nil {
 		server.Close()
-		return nil, err
+		return nil, fmt.Errorf("experiments: pre-kill history: %w", err)
 	}
-	if err := bed.ctl.MarkFailed(bed.fw[0], true); err != nil {
-		server.Close()
-		return nil, err
-	}
-	planNodes, err := bed.ctl.BuildNodes()
-	if err != nil {
-		server.Close()
-		return nil, err
-	}
-	controller.ApplyWeights(planNodes, sol)
-	for _, id := range nodeIDs {
-		if err := server.PushRetry(id, mgmt.ConfigToDTO(0, planNodes[id].Config()), pushPol); err != nil {
-			server.Close()
-			return nil, fmt.Errorf("experiments: pre-kill push to %v: %w", id, err)
-		}
-	}
-	if err := jrnl.LogEpoch(server.Epoch(), 0); err != nil {
-		server.Close()
-		return nil, err
-	}
-	before, err := exportBytes(bed.ctl, sol)
+	before, err := exportBytes(bed.ctl, bed.pipe.Plan())
 	if err != nil {
 		server.Close()
 		return nil, err
@@ -561,7 +559,7 @@ func RunLiveRestart(cfg RestartConfig) (*RestartResult, error) {
 
 	// The restart: replay, restore, resume the epoch sequence, re-listen
 	// on the same address so the surviving agents' reconnect loops find
-	// the new server, and re-push idempotently.
+	// the new server, and roll the restored plan out.
 	st, err := controller.ReplayJournal(path)
 	if err != nil {
 		return nil, err
@@ -596,28 +594,16 @@ func RunLiveRestart(cfg RestartConfig) (*RestartResult, error) {
 		return nil, fmt.Errorf("experiments: agents did not rejoin: %v", server2.Connected())
 	}
 
-	sol2 := st.RestoredSolution()
-	planNodes2, err := ctl2.BuildNodes()
-	if err != nil {
-		return nil, err
-	}
-	if sol2 != nil {
-		controller.ApplyWeights(planNodes2, sol2)
-	}
-	for _, id := range nodeIDs {
-		if err := server2.PushRetry(id, mgmt.ConfigToDTO(0, planNodes2[id].Config()), pushPol); err != nil {
-			// An agent mid-reconnect can miss one attempt; the retry policy
-			// absorbs transient failures, so surface anything that survives.
-			var refused *mgmt.RefusedError
-			if !errors.As(err, &refused) {
-				return nil, fmt.Errorf("experiments: post-restart push to %v: %w", id, err)
-			}
-		}
+	// The restored pipeline starts from the journaled plan; the new server
+	// holds no base, so the plan goes out whole, at the next epoch.
+	pipe2 := ctl2.NewPipeline(controller.PipelineOptions{})
+	if err := rolloutPlan(server2, ctl2, pipe2, pushPol); err != nil {
+		return nil, fmt.Errorf("experiments: post-restart rollout: %w", err)
 	}
 	if err := jrnl2.LogEpoch(server2.Epoch(), 0); err != nil {
 		return nil, err
 	}
-	after, err := exportBytes(ctl2, sol2)
+	after, err := exportBytes(ctl2, pipe2.Plan())
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"sdme/internal/controller"
+	"sdme/internal/enforce"
 	"sdme/internal/faultinject"
 	"sdme/internal/live"
 	"sdme/internal/mgmt"
@@ -160,6 +161,7 @@ type simHAHarness struct {
 	leader int // -1 while no promoted controller is live
 	term   uint64
 	ctl    *controller.Controller
+	pipe   *controller.Pipeline // starts from the replayed plan on takeover
 	j      *controller.Journal
 	st     *controller.JournalState
 	err    error
@@ -183,6 +185,7 @@ func (h *simHAHarness) onPromote(id int, st *controller.JournalState, j *control
 		return
 	}
 	h.leader, h.term, h.ctl, h.j, h.st = id, term, ctl, j, st
+	h.pipe = ctl.NewPipeline(controller.PipelineOptions{})
 	if st.Epoch > h.nextEpoch {
 		h.nextEpoch = st.Epoch
 	}
@@ -237,14 +240,10 @@ func RunSimHA(cfg HAConfig) (*HAResult, error) {
 	res.FirstLeader, res.FirstTerm = id0, term0
 
 	// The rollout: solve (journals weights), fail a middlebox (journals
-	// the failed set), fence an epoch under the leader's term — then wait
-	// until a quorum of replicas holds the whole journal before treating
-	// the plan as durable (stream-before-ack).
-	sol, err := h.ctl.SolveLB(controller.MeasurementsFromFlows(bed.dep, bed.tbl, restartDemands()))
-	if err != nil {
-		return nil, err
-	}
-	if err := h.ctl.MarkFailed(bed.fw[0], true); err != nil {
+	// the failed set), repair, fence an epoch under the leader's term —
+	// then wait until a quorum of replicas holds the whole journal before
+	// treating the plan as durable (stream-before-ack).
+	if err := solveThenFail(bed, h.ctl, h.pipe); err != nil {
 		return nil, err
 	}
 	h.nextEpoch++
@@ -255,7 +254,7 @@ func RunSimHA(cfg HAConfig) (*HAResult, error) {
 	if !simWaitQuorum(eng, group, h, limit) {
 		return nil, fmt.Errorf("experiments: journal never reached quorum")
 	}
-	before, err := exportBytes(h.ctl, sol)
+	before, err := exportBytes(h.ctl, h.pipe.Plan())
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +330,7 @@ func RunSimHA(cfg HAConfig) (*HAResult, error) {
 		res.Records = h.st.Records
 
 		// The restored plan must be byte-identical to the first leader's.
-		after, err := exportBytes(h.ctl, h.st.RestoredSolution())
+		after, err := exportBytes(h.ctl, h.pipe.Plan())
 		if err != nil {
 			return nil, err
 		}
@@ -441,6 +440,7 @@ type liveHAHarness struct {
 	leader  int
 	term    uint64
 	ctl     *controller.Controller
+	pipe    *controller.Pipeline
 	j       *controller.Journal
 	st      *controller.JournalState
 	servers []*mgmt.Server
@@ -469,6 +469,7 @@ func (h *liveHAHarness) onPromote(id int, st *controller.JournalState, j *contro
 	}
 	h.mu.Lock()
 	h.leader, h.term, h.ctl, h.j, h.st = id, term, ctl, j, st
+	h.pipe = ctl.NewPipeline(controller.PipelineOptions{})
 	h.promUS = append(h.promUS, h.clock.NowUS())
 	srv := h.servers[id]
 	addr := srv.Addr()
@@ -500,13 +501,13 @@ func (h *liveHAHarness) onDemote(id int, term uint64) {
 
 // current snapshots the promoted leader's push surface (nil when
 // leaderless).
-func (h *liveHAHarness) current() (srv *mgmt.Server, j *controller.Journal, ctl *controller.Controller, st *controller.JournalState, term uint64) {
+func (h *liveHAHarness) current() (srv *mgmt.Server, j *controller.Journal, ctl *controller.Controller, pipe *controller.Pipeline, term uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.leader < 0 {
 		return nil, nil, nil, nil, 0
 	}
-	return h.servers[h.leader], h.j, h.ctl, h.st, h.term
+	return h.servers[h.leader], h.j, h.ctl, h.pipe, h.term
 }
 
 // RunLiveHA runs three controller replicas over real sockets — a peer
@@ -679,18 +680,15 @@ func RunLiveHA(cfg HAConfig) (*HAResult, error) {
 		return nil, fmt.Errorf("experiments: agents did not reach the leader: %v", leaderSrv.Connected())
 	}
 
-	// The rollout under the first term: solve, fail a middlebox, fence an
-	// epoch in the journal, wait for replication quorum, THEN push 2PC.
+	// The rollout under the first term: solve, fail a middlebox, repair,
+	// fence an epoch in the journal, wait for replication quorum, THEN
+	// roll the plan out.
 	pushPol := mgmt.RetryPolicy{Attempts: 4, PerAttempt: 2 * time.Second, Backoff: 25 * time.Millisecond}
-	_, j0, ctl0, _, term0 := h.current()
+	_, j0, ctl0, pipe0, term0 := h.current()
 	if ctl0 == nil {
 		return nil, fmt.Errorf("experiments: leader lost before the rollout")
 	}
-	sol, err := ctl0.SolveLB(controller.MeasurementsFromFlows(bed.dep, bed.tbl, restartDemands()))
-	if err != nil {
-		return nil, err
-	}
-	if err := ctl0.MarkFailed(bed.fw[0], true); err != nil {
+	if err := solveThenFail(bed, ctl0, pipe0); err != nil {
 		return nil, err
 	}
 	epoch0 := leaderSrv.Epoch() + 1
@@ -704,28 +702,27 @@ func RunLiveHA(cfg HAConfig) (*HAResult, error) {
 	if err := repl0.WaitQuorum(j0.Size(), 5*time.Second); err != nil {
 		return nil, fmt.Errorf("experiments: pre-push quorum: %w", err)
 	}
-	planNodes, err := ctl0.BuildNodes()
-	if err != nil {
-		return nil, err
-	}
-	controller.ApplyWeights(planNodes, sol)
-	plans := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodeIDs))
-	for _, id := range nodeIDs {
-		plans[id] = mgmt.ConfigToDTO(0, planNodes[id].Config())
-	}
-	if _, err := leaderSrv.PushAll2PC(plans, pushPol); err != nil {
-		return nil, fmt.Errorf("experiments: initial 2pc rollout: %w", err)
+	if err := rolloutPlan(leaderSrv, ctl0, pipe0, pushPol); err != nil {
+		return nil, fmt.Errorf("experiments: initial rollout: %w", err)
 	}
 	res.EpochBefore = leaderSrv.Epoch()
-	before, err := exportBytes(ctl0, sol)
+	before, err := exportBytes(ctl0, pipe0.Plan())
 	if err != nil {
 		return nil, err
 	}
 
-	// Availability prober: journaled single-node pushes through whichever
-	// replica currently leads, until stopped.
+	// Availability prober: journaled one-node rollouts through whichever
+	// replica currently leads, until stopped. The batch is an empty delta
+	// for one node — an epoch heartbeat through the full prepare/commit
+	// path; a server that holds no base for the node yet (the new leader
+	// before its takeover rollout) stages the fallback instead.
 	probeNode := nodeIDs[0]
-	probeDTO := plans[probeNode]
+	probe := map[topo.NodeID]enforce.ConfigDelta{probeNode: {}}
+	planNodes, err := ctl0.BuildNodesFromPlan(pipe0.Plan())
+	if err != nil {
+		return nil, err
+	}
+	probeFallback := map[topo.NodeID]mgmt.ConfigDTO{probeNode: mgmt.ConfigToDTO(0, planNodes[probeNode].Config())}
 	stopProbe := make(chan struct{})
 	var probeWG sync.WaitGroup
 	probeWG.Add(1)
@@ -739,13 +736,9 @@ func RunLiveHA(cfg HAConfig) (*HAResult, error) {
 			}
 			srv, j, _, _, term := h.current()
 			ok := false
-			if srv != nil && j != nil {
-				dto := probeDTO
-				dto.Epoch = srv.Epoch() + 1
-				if j.LogEpoch(dto.Epoch, term) == nil &&
-					srv.PushRetry(probeNode, dto, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 250 * time.Millisecond}) == nil {
-					ok = true
-				}
+			if srv != nil && j != nil && j.LogEpoch(srv.Epoch()+1, term) == nil {
+				_, err := srv.PushAllDelta2PC(probe, probeFallback, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 250 * time.Millisecond})
+				ok = err == nil
 			}
 			h.mu.Lock()
 			res.PushAttempts++
@@ -777,7 +770,7 @@ func RunLiveHA(cfg HAConfig) (*HAResult, error) {
 	res.FinalLeader, res.FinalTerm = h.leader, h.term
 	res.TakeoverMaxUS = h.promUS[len(h.promUS)-1] - killUS
 	newSrv := h.servers[h.leader]
-	st1, ctl1, j1 := h.st, h.ctl, h.j
+	st1, ctl1, pipe1, j1 := h.st, h.ctl, h.pipe, h.j
 	takeErr := h.err
 	h.mu.Unlock()
 	if takeErr != nil {
@@ -788,7 +781,7 @@ func RunLiveHA(cfg HAConfig) (*HAResult, error) {
 	// Fence 1: the deposed leader's own server refuses to push — its
 	// OnDemote gate closed before any agent could hear its stale term.
 	staleLocal := live.WaitUntil(10*time.Second, func() bool {
-		err := h.servers[oldLeader].PushRetry(probeNode, probeDTO, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 100 * time.Millisecond})
+		_, err := h.servers[oldLeader].PushAllDelta2PC(probe, probeFallback, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 100 * time.Millisecond})
 		return errors.Is(err, mgmt.ErrNotLeader)
 	})
 
@@ -803,16 +796,9 @@ func RunLiveHA(cfg HAConfig) (*HAResult, error) {
 	close(stopProbe)
 	probeWG.Wait()
 
-	// The takeover rollout under the new term: replayed state, resumed
-	// epochs, fresh 2PC through the re-homed agents.
-	sol1 := st1.RestoredSolution()
-	planNodes1, err := ctl1.BuildNodes()
-	if err != nil {
-		return nil, err
-	}
-	if sol1 != nil {
-		controller.ApplyWeights(planNodes1, sol1)
-	}
+	// The takeover rollout under the new term: the pipeline restored from
+	// the replayed journal, resumed epochs, a fresh rollout through the
+	// re-homed agents.
 	epoch1 := newSrv.Epoch() + 1
 	if err := j1.LogEpoch(epoch1, res.FinalTerm); err != nil {
 		return nil, err
@@ -824,35 +810,33 @@ func RunLiveHA(cfg HAConfig) (*HAResult, error) {
 	if err := repl1.WaitQuorum(j1.Size(), 5*time.Second); err != nil {
 		return nil, fmt.Errorf("experiments: post-takeover quorum: %w", err)
 	}
-	plans1 := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodeIDs))
-	for _, id := range nodeIDs {
-		plans1[id] = mgmt.ConfigToDTO(0, planNodes1[id].Config())
-	}
-	if _, err := newSrv.PushAll2PC(plans1, pushPol); err != nil {
-		return nil, fmt.Errorf("experiments: post-takeover 2pc rollout: %w", err)
+	if err := rolloutPlan(newSrv, ctl1, pipe1, pushPol); err != nil {
+		return nil, fmt.Errorf("experiments: post-takeover rollout: %w", err)
 	}
 	res.EpochAfter = newSrv.Epoch()
 	res.Resumed = res.EpochAfter > res.EpochBefore
 	res.Converged = newSrv.Converged(nodeIDs...)
 
-	after, err := exportBytes(ctl1, sol1)
+	after, err := exportBytes(ctl1, pipe1.Plan())
 	if err != nil {
 		return nil, err
 	}
 	res.ExportIdentical = bytes.Equal(before, after)
 
-	// Fence 2: a plan stamped with the dead leader's term reaches a live,
-	// connected agent over a real connection — the agent must refuse it.
-	// (Last: the refusal leaves the stale DTO as the server's recorded
-	// latest for that node, which would pollute convergence accounting.)
+	// Fence 2: the deposed leader comes back as a zombie — its gate
+	// reopened at its dead term — and the probe node's agent is steered
+	// onto it by a redirect. The plan the zombie rolls out reaches a live
+	// agent over a real connection, and the agent must refuse it. (Last:
+	// it takes the new leader's server out of service.)
+	zombie := h.servers[oldLeader]
+	zombie.SetLeader(res.FirstTerm)
+	newSrv.SetNotLeader(zombie.Addr())
+	newSrv.DropConn(probeNode)
 	staleAgent := false
-	staleDTO := plans1[probeNode]
-	staleDTO.Term = res.FirstTerm
-	staleDTO.Epoch = newSrv.Epoch() + 1
-	err = newSrv.PushRetry(probeNode, staleDTO, pushPol)
-	var refused *mgmt.RefusedError
-	if errors.As(err, &refused) && strings.Contains(refused.Reason, "stale term") {
-		staleAgent = true
+	if zombie.WaitConnected(10*time.Second, probeNode) {
+		_, err = zombie.PushAllDelta2PC(probe, probeFallback, pushPol)
+		var refused *mgmt.RefusedError
+		staleAgent = errors.As(err, &refused) && strings.Contains(refused.Reason, "stale term")
 	}
 	res.StaleRejected = staleLocal && staleAgent
 
@@ -878,18 +862,27 @@ func RunHAExperiments(cfg HAConfig) ([]HAResult, error) {
 	return []HAResult{*simRes, *liveRes}, nil
 }
 
+// convergedCell renders Converged for the tables: the sim substrate has
+// no agents to converge, so it says "n/a" rather than a false "false".
+func (r *HAResult) convergedCell() string {
+	if r.Substrate == "sim" {
+		return "n/a"
+	}
+	return fmt.Sprintf("%t", r.Converged)
+}
+
 // WriteHACSV emits results/ha.csv, one row per substrate.
 func WriteHACSV(w io.Writer, rs []HAResult) error {
 	if _, err := fmt.Fprintln(w, "experiment,substrate,seed,replicas,kills,first_leader,first_term,final_leader,final_term,takeover_max_us,push_attempts,push_failures,epoch_before,epoch_after,records,export_identical,stale_rejected,resumed,converged,redirects,reconnects"); err != nil {
 		return err
 	}
 	for _, r := range rs {
-		if _, err := fmt.Fprintf(w, "ha,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%t,%t,%t,%t,%d,%d\n",
+		if _, err := fmt.Fprintf(w, "ha,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%t,%t,%t,%s,%d,%d\n",
 			r.Substrate, r.Seed, r.Replicas, r.Kills,
 			r.FirstLeader, r.FirstTerm, r.FinalLeader, r.FinalTerm,
 			r.TakeoverMaxUS, r.PushAttempts, r.PushFailures,
 			r.EpochBefore, r.EpochAfter, r.Records,
-			r.ExportIdentical, r.StaleRejected, r.Resumed, r.Converged,
+			r.ExportIdentical, r.StaleRejected, r.Resumed, r.convergedCell(),
 			r.Redirects, r.Reconnects); err != nil {
 			return err
 		}
@@ -907,15 +900,11 @@ func HAMarkdown(rs []HAResult) string {
 		if r.PushAttempts > 0 {
 			avail = fmt.Sprintf("%.1f%%", 100*float64(r.PushAttempts-r.PushFailures)/float64(r.PushAttempts))
 		}
-		conv := fmt.Sprintf("%t", r.Converged)
-		if r.Substrate == "sim" {
-			conv = "n/a"
-		}
 		fmt.Fprintf(&b, "| %s | %d | %d | %s | %s | %d → %d | %t | %t | %s |\n",
 			r.Substrate, r.Replicas, r.Kills,
 			(time.Duration(r.TakeoverMaxUS) * time.Microsecond).String(),
 			avail, r.EpochBefore, r.EpochAfter,
-			r.ExportIdentical, r.StaleRejected, conv)
+			r.ExportIdentical, r.StaleRejected, r.convergedCell())
 	}
 	return b.String()
 }

@@ -130,7 +130,7 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 		LabelSwitching: cfg.LabelSwitching,
 		UseTrie:        b.Cfg.UseTrie,
 	})
-	nodes, err := ctl.BuildNodes()
+	pipe, nodes, _, err := Deploy(ctl, controller.PipelineOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -163,12 +163,14 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 			demands[i] = enforce.FlowDemand{Tuple: ft, Packets: int64(cfg.PacketsPerFlow)}
 		}
 		meas := controller.MeasurementsFromFlows(b.Dep, b.Table, demands)
-		sol, err := ctl.SolveLB(meas)
+		upd, err := pipe.Recompute(meas)
 		if err != nil {
 			return nil, err
 		}
-		controller.ApplyWeights(nodes, sol)
-		run.Lambda = sol.Lambda
+		if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
+			return nil, err
+		}
+		run.Lambda = upd.Plan.Lambda
 	}
 
 	capacity := cfg.Flows*cfg.PacketsPerFlow*8 + 64

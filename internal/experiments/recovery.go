@@ -108,6 +108,7 @@ type recoveryBed struct {
 	tbl   *policy.Table
 	ap    *route.AllPairs
 	ctl   *controller.Controller
+	pipe  *controller.Pipeline
 	nodes map[topo.NodeID]*enforce.Node
 	fw    []topo.NodeID // fw1 fw2 fw3
 	ids   []topo.NodeID // ids1 ids2
@@ -144,11 +145,34 @@ func newRecoveryBed(seed int64) (*recoveryBed, error) {
 		HashSeed: uint64(seed),
 		Verify:   true,
 	})
-	b.nodes, err = b.ctl.BuildNodes()
+	b.pipe, b.nodes, _, err = Deploy(b.ctl, controller.PipelineOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// FullConfigs renders every node's installed configuration in wire form:
+// the fallback map a rollout needs for nodes the server holds no base for.
+func FullConfigs(nodes map[topo.NodeID]*enforce.Node) map[topo.NodeID]mgmt.ConfigDTO {
+	out := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
+	for id, n := range nodes {
+		out[id] = mgmt.ConfigToDTO(0, n.Config())
+	}
+	return out
+}
+
+// rolloutPlan pushes the pipeline's whole current plan to a fleet whose
+// server holds no base yet: a delta against the empty plan, carried by
+// the full-configuration fallback.
+func rolloutPlan(srv *mgmt.Server, ctl *controller.Controller, pipe *controller.Pipeline, pol mgmt.RetryPolicy) error {
+	nodes, err := ctl.BuildNodesFromPlan(pipe.Plan())
+	if err != nil {
+		return err
+	}
+	deltas, _ := controller.DiffPlans(nil, pipe.Plan())
+	_, err = pipe.Rollout(srv, deltas, FullConfigs(nodes), pol)
+	return err
 }
 
 // DefaultRecoverySchedule is the acceptance scenario: crash two
@@ -184,8 +208,8 @@ func recoveryFlow(i int) netaddr.FiveTuple {
 
 // RunSimRecovery replays the fault schedule against the discrete-event
 // simulator: crashes and wedges blackhole packets (Stats.DroppedDown)
-// until a modeled detection delay triggers MarkFailed + verified
-// Reassign. Virtual time makes the convergence measurement exact and
+// until a modeled detection delay triggers MarkFailed + a verified
+// Recompute. Virtual time makes the convergence measurement exact and
 // deterministic.
 func RunSimRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	cfg.fill()
@@ -207,18 +231,22 @@ func RunSimRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	var lastFaultUS, repairedUS int64
 	var repairErr error
 	// repair is the controller's reaction, scheduled DetectUS after the
-	// fault: record the state change, recompute candidates, verify, and
-	// install on every node. The engine is single-threaded, so mutating
+	// fault: record the state change, recompile the (verified) plan, and
+	// apply its deltas on every node. The engine is single-threaded, so mutating
 	// nodes here is safe.
 	repair := func(id topo.NodeID, down bool) {
 		if err := bed.ctl.MarkFailed(id, down); err != nil {
 			repairErr = err
 			return
 		}
-		err := bed.ctl.Reassign(bed.nodes)
+		bed.pipe.NodeChanged(id)
+		upd, err := bed.pipe.Recompute(nil)
 		if errors.Is(err, controller.ErrNoLiveProvider) {
 			res.Degraded++
 			return
+		}
+		if err == nil {
+			err = controller.ApplyDeltas(bed.nodes, upd.Deltas)
 		}
 		if err != nil {
 			repairErr = err
@@ -263,7 +291,7 @@ func RunSimRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	if repairedUS > lastFaultUS {
 		res.ConvergeUS = repairedUS - lastFaultUS
 	}
-	res.VerifyOK = len(bed.ctl.VerifyPlan(nil)) == 0
+	res.VerifyOK = len(bed.ctl.VerifyPlan(bed.pipe.Plan())) == 0
 	res.Converged = res.Repairs > 0 && res.VerifyOK
 	return res, nil
 }
@@ -272,7 +300,8 @@ func RunSimRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 // runtime with the full control plane in the loop: devices configured
 // over the management channel, a health monitor detecting crashed and
 // wedged devices, and the self-healing channel (reconnect, retries,
-// epochs) carrying the verified repaired plan back out. Wall-clock
+// epoch-fenced delta rollouts) carrying the verified repaired plan back
+// out. Wall-clock
 // nondeterminism makes the numbers approximate; the convergence
 // properties (latest epoch acked everywhere, verified plan) are exact.
 func RunLiveRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
@@ -329,33 +358,27 @@ func RunLiveRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 		return nil, fmt.Errorf("experiments: agents did not connect: %v", server.Connected())
 	}
 
-	// Initial plan over the wire; keep each node's DTO as the base the
-	// repair pushes rewrite candidates into.
+	// Initial plan over the wire.
 	pushPol := mgmt.RetryPolicy{Attempts: 4, PerAttempt: 2 * time.Second, Backoff: 25 * time.Millisecond}
 	server.SetRepushPolicy(pushPol)
-	baseDTO := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodeIDs))
-	for _, id := range nodeIDs {
-		dto := mgmt.ConfigToDTO(0, bed.nodes[id].Config())
-		baseDTO[id] = dto
-		if err := server.PushRetry(id, dto, pushPol); err != nil {
-			return nil, fmt.Errorf("experiments: initial push to %v: %w", id, err)
-		}
+	if err := rolloutPlan(server, bed.ctl, bed.pipe, pushPol); err != nil {
+		return nil, fmt.Errorf("experiments: initial rollout: %w", err)
 	}
 
 	res := &RecoveryResult{Substrate: "live", Seed: cfg.Seed}
 	var mu sync.Mutex // guards ctl, res counters, convergedAtUS below
 	var convergedAtUS int64
-	// repair reacts to health transitions: mark, recompute, verify, and
-	// re-push to every node the monitor considers alive. Both callbacks
-	// fire from the monitor goroutine, so repairs are serialized.
-	var mon *live.HealthMonitor
+	// repair reacts to health transitions: mark, recompile the verified
+	// plan, and roll its deltas out. Both callbacks fire from the monitor
+	// goroutine, so repairs are serialized.
 	repair := func(id topo.NodeID, down bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		if err := bed.ctl.MarkFailed(id, down); err != nil {
 			return // routers/proxies are not middleboxes; nothing to repair
 		}
-		cands, err := bed.ctl.ComputeCandidates()
+		bed.pipe.NodeChanged(id)
+		upd, err := bed.pipe.Recompute(nil)
 		if errors.Is(err, controller.ErrNoLiveProvider) {
 			res.Degraded++
 			return
@@ -363,35 +386,21 @@ func RunLiveRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 		if err != nil {
 			return
 		}
-		if verify.AsError(bed.ctl.VerifyPlan(nil)) != nil {
-			return
-		}
-		ok := true
-		for _, nodeID := range nodeIDs {
-			if mon.IsDown(nodeID) {
-				continue // a wedged device cannot ack; it catches up on recovery
-			}
-			dto := baseDTO[nodeID]
-			dto.Epoch = 0
-			dto.Candidates = candidatesToDTO(cands[nodeID])
-			baseDTO[nodeID] = dto
-			if err := server.PushRetry(nodeID, dto, pushPol); err != nil {
-				// A refusal means the device died between the fault and its
-				// detection: its agent acked "device stopped". The monitor
-				// will report it within a probe interval and the next repair
-				// excludes it — not a failure of this repair.
-				var refused *mgmt.RefusedError
-				if !errors.As(err, &refused) {
-					ok = false
-				}
-			}
-		}
-		if ok {
+		// A refused commit means the device died between the fault and
+		// its detection: its agent staged the plan and then acked "device
+		// stopped". The plan is decided all the same; the monitor reports
+		// the death within a probe interval and the next repair plans
+		// around it — not a failure of this repair. Anything else (an
+		// aborted prepare) rolled the pipeline back and leaves the repair
+		// to the next health event.
+		_, err = bed.pipe.Rollout(server, upd.Deltas, nil, pushPol)
+		var refused *mgmt.RefusedError
+		if err == nil || (errors.Is(err, mgmt.ErrCommitStraggler) && errors.As(err, &refused)) {
 			res.Repairs++
 			convergedAtUS = rt.NowUS()
 		}
 	}
-	mon = rt.NewHealthMonitor(10*time.Millisecond, 2,
+	mon := rt.NewHealthMonitor(10*time.Millisecond, 2,
 		func(id topo.NodeID) { repair(id, true) },
 		func(id topo.NodeID) { repair(id, false) })
 	mon.Start()
@@ -504,7 +513,7 @@ func RunLiveRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 
 	mu.Lock()
 	res.Converged = converged && res.Repairs > 0
-	res.VerifyOK = verify.AsError(bed.ctl.VerifyPlan(nil)) == nil
+	res.VerifyOK = verify.AsError(bed.ctl.VerifyPlan(bed.pipe.Plan())) == nil
 	if last := lastFaultUS.Load(); convergedAtUS > last {
 		res.ConvergeUS = convergedAtUS - last
 	}
@@ -519,22 +528,6 @@ func RunLiveRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	}
 	res.FinalEpoch = server.Epoch()
 	return res, nil
-}
-
-func candidatesToDTO(cands map[policy.FuncType][]topo.NodeID) []mgmt.CandidateDTO {
-	out := make([]mgmt.CandidateDTO, 0, len(cands))
-	for _, f := range Funcs {
-		nodes, ok := cands[f]
-		if !ok {
-			continue
-		}
-		cd := mgmt.CandidateDTO{Func: int(f)}
-		for _, n := range nodes {
-			cd.Nodes = append(cd.Nodes, int(n))
-		}
-		out = append(out, cd)
-	}
-	return out
 }
 
 // RunRecoveryExperiments runs the acceptance schedule on both

@@ -15,8 +15,9 @@ import (
 // in the stream — the peer only ever sees whole frames or silence.
 //
 // Faults available: DropNow (kill the connection mid-stream), a per-frame
-// write delay (slow channel), and counted frame loss (lost acks or
-// measurement reports).
+// write delay (slow channel), counted frame loss (lost acks or
+// measurement reports), and AfterFrames (a fault that fires at an exact
+// point of the conversation, e.g. between a prepare ack and the commit).
 type Conn struct {
 	inner net.Conn
 
@@ -24,6 +25,9 @@ type Conn struct {
 	buf        []byte
 	delay      time.Duration
 	dropFrames int64
+	// afterN / after: run after once afterN more frames reached the socket.
+	afterN int64
+	after  func(*Conn)
 	// DroppedFrames / DelayedFrames count injected faults for assertions.
 	droppedFrames int64
 	delayedFrames int64
@@ -56,6 +60,19 @@ func (c *Conn) DropFrames(n int64) {
 	c.dropFrames = n
 }
 
+// AfterFrames arms a one-shot fault: once n more frames have been written
+// to the socket, fn runs on the writer's goroutine, before the write
+// returns. The peer reads those n frames before it can see fn's effect
+// (TCP delivers data ahead of a close), so a fault can be placed at an
+// exact point of the conversation instead of being raced against it:
+// AfterFrames(1, (*Conn).DropNow) on an agent kills its connection right
+// after its next ack.
+func (c *Conn) AfterFrames(n int64, fn func(*Conn)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.afterN, c.after = n, fn
+}
+
 // DropNow severs the connection mid-stream: both directions fail from
 // here on, as if the peer's kernel reset the socket.
 func (c *Conn) DropNow() { _ = c.inner.Close() }
@@ -80,6 +97,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 	// socket write cannot reorder frames.
 	var forward [][]byte
 	var delay time.Duration
+	var fault func(*Conn) // the AfterFrames fault, due after forward[faultAt]
+	faultAt := -1
 	c.mu.Lock()
 	c.buf = append(c.buf, p...)
 	for {
@@ -103,14 +122,25 @@ func (c *Conn) Write(p []byte) (int, error) {
 			delay = c.delay
 		}
 		forward = append(forward, frame)
+		// Counted here, under the lock AfterFrames arms under: a frame
+		// whose Write was already past this point when the fault was
+		// armed is not one of the n.
+		if c.after != nil {
+			if c.afterN--; c.afterN <= 0 {
+				fault, faultAt, c.after = c.after, len(forward)-1, nil
+			}
+		}
 	}
 	c.mu.Unlock()
-	for _, frame := range forward {
+	for i, frame := range forward {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
 		if _, err := c.inner.Write(frame); err != nil {
 			return 0, err
+		}
+		if i == faultAt {
+			fault(c)
 		}
 	}
 	return len(p), nil
@@ -179,6 +209,19 @@ func (t *ConnTap) DropFrames(n int64) {
 		return
 	}
 	t.dropFrames += n
+}
+
+// AfterFrames arms Conn.AfterFrames on the current connection; it reports
+// whether one existed.
+func (t *ConnTap) AfterFrames(n int64, fn func(*Conn)) bool {
+	t.mu.Lock()
+	cur := t.cur
+	t.mu.Unlock()
+	if cur == nil {
+		return false
+	}
+	cur.AfterFrames(n, fn)
+	return true
 }
 
 // DropConn severs the current connection; it reports whether one existed.

@@ -264,6 +264,30 @@ func TestConnDropsWholeFramesOnly(t *testing.T) {
 	}
 }
 
+// AfterFrames places a fault at an exact point of the conversation: the
+// frames before it are delivered whole, the fault fires once.
+func TestConnAfterFramesFiresOnceAtTheFrame(t *testing.T) {
+	fired := 0
+	got := pipeFrames(t, func(c *faultinject.Conn) {
+		c.AfterFrames(2, func(c *faultinject.Conn) {
+			fired++
+			c.DropFrames(1) // the third frame vanishes
+		})
+	}, []string{"aa", "bb", "cc", "dd"})
+	if want := []string{"aa", "bb", "dd"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("received %v, want %v", got, want)
+	}
+	if fired != 1 {
+		t.Errorf("fault fired %d times, want once", fired)
+	}
+
+	got = pipeFrames(t, func(c *faultinject.Conn) { c.AfterFrames(1, (*faultinject.Conn).DropNow) },
+		[]string{"aa"})
+	if want := []string{"aa"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame before the drop: received %v, want %v", got, want)
+	}
+}
+
 func TestConnPassThrough(t *testing.T) {
 	got := pipeFrames(t, func(*faultinject.Conn) {}, []string{"xy", "z"})
 	if !reflect.DeepEqual(got, []string{"xy", "z"}) {

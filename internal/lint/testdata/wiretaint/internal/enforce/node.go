@@ -1,6 +1,6 @@
 // Package enforce is a stand-in for the real enforcement package: its
 // import path ends in internal/enforce, so wiretaint treats Install and
-// SetWeights as enforcement-state sinks.
+// ApplyDelta as enforcement-state sinks.
 package enforce
 
 // Config is a node configuration.
@@ -18,11 +18,6 @@ type Node struct {
 func (n *Node) Install(cfg Config) error {
 	n.cfg = cfg
 	return nil
-}
-
-// SetWeights applies only weight vectors (wiretaint sink).
-func (n *Node) SetWeights(w map[int]float64) {
-	n.cfg.Weights = w
 }
 
 // ConfigDelta is an in-place configuration edit script.

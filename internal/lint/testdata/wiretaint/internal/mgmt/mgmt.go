@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 
+	"wt/internal/controller"
 	"wt/internal/enforce"
 )
 
@@ -65,7 +66,7 @@ func ApplyInClosure(d *Device, data []byte) {
 	var dto ConfigDTO
 	_ = json.Unmarshal(data, &dto)
 	d.Do(func(n *enforce.Node) {
-		n.SetWeights(dto.Weights) // want:wiretaint
+		_ = n.Install(FromDTO(dto)) // want:wiretaint
 	})
 }
 
@@ -136,4 +137,37 @@ func ApplyDeltaInClosure(d *Device, data []byte) {
 	d.Do(func(n *enforce.Node) {
 		_ = n.ApplyDelta(DeltaFromDTO(dto)) // want:wiretaint
 	})
+}
+
+// Measure is the wire form of a proxy's measurement report.
+type Measure struct {
+	Rows map[int]int64 `json:"rows"`
+}
+
+// Validate is the report sanitizer wiretaint recognizes.
+func (m *Measure) Validate() error {
+	for _, v := range m.Rows {
+		if v < 0 {
+			return errors.New("negative packet count")
+		}
+	}
+	return nil
+}
+
+// RecomputeUnvalidated solves on a wire-decoded report without
+// validation: positive (Pipeline.Recompute is the control loop's sink).
+func RecomputeUnvalidated(p *controller.Pipeline, data []byte) error {
+	var m Measure
+	_ = json.Unmarshal(data, &m)
+	return p.Recompute(m.Rows) // want:wiretaint
+}
+
+// RecomputeValidated validates the report first: negative.
+func RecomputeValidated(p *controller.Pipeline, data []byte) error {
+	var m Measure
+	_ = json.Unmarshal(data, &m)
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	return p.Recompute(m.Rows)
 }

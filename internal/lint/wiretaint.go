@@ -10,7 +10,7 @@ import (
 // produced by the management-channel codec — readMsg/ReadMsg*/Decode*
 // results, json.Unmarshal targets — is tainted until it flows through a
 // Validate-family call; a tainted value reaching controller plan state,
-// enforce deployment (Node.Install, Node.SetWeights, ...) or flow-table
+// enforce deployment (Node.Install, Node.ApplyDelta, ...) or flow-table
 // mutation is reported. The paper's dependability argument (§III-A)
 // assumes devices never act on unvalidated controller input and the
 // controller never solves on unvalidated measurements; this analyzer
@@ -38,10 +38,13 @@ var WireTaintDepth = 3
 // Matching by suffix keeps the table valid for the fixture modules the
 // golden tests load (their packages end in the same suffixes).
 var wireSinkMethods = map[string][]string{
-	"internal/enforce":   {"Install", "SetWeights", "SetStrategy", "ApplyDelta"},
+	"internal/enforce":   {"Install", "SetStrategy", "ApplyDelta"},
 	"internal/flowtable": {"Insert", "Install", "Set", "Add"},
+	// The control loop's inputs: measurements (Recompute), dirty marks and
+	// the failed set. A wire-decoded report must be validated before the
+	// pipeline solves on it.
 	"internal/controller": {
-		"SolveLB", "SolveLBFine", "MarkFailed", "Reassign", "SetMeasurements",
+		"Recompute", "PolicyChanged", "NodeChanged", "MarkFailed",
 	},
 }
 

@@ -11,7 +11,7 @@ import (
 // controller would watch its middleboxes: each device answers a liveness
 // probe through the same query channel its dataplane loop serves, so a
 // wedged or stopped device misses probes and is reported down. The
-// controller side pairs this with MarkFailed + Reassign to complete the
+// controller side pairs this with MarkFailed + Recompute to complete the
 // dependability loop.
 type HealthMonitor struct {
 	rt       *Runtime

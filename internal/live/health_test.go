@@ -135,7 +135,12 @@ func TestHealthMonitorDrivesControllerRepair(t *testing.T) {
 		Strategy: enforce.HotPotato,
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1},
 	})
-	nodes, err := ctl.BuildNodes()
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	upd, err := pipe.Recompute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,17 +166,22 @@ func TestHealthMonitorDrivesControllerRepair(t *testing.T) {
 			t.Errorf("MarkFailed(%v): %v", id, err)
 			return
 		}
-		// Live nodes are owned by their device goroutines: compute the
-		// repaired candidate sets here, apply each inside its owner.
-		cands, err := ctl.ComputeCandidates()
+		// Live nodes are owned by their device goroutines: recompile the
+		// plan here, apply each node's delta inside its owner.
+		pipe.NodeChanged(id)
+		upd, err := pipe.Recompute(nil)
 		if err != nil {
-			t.Errorf("ComputeCandidates: %v", err)
+			t.Errorf("Recompute: %v", err)
 			return
 		}
-		for nodeID, cc := range cands {
+		for nodeID, d := range upd.Deltas {
 			if dev, ok := devices[nodeID]; ok {
-				cc := cc
-				dev.Do(func(n *enforce.Node) { n.SetCandidates(cc) })
+				d := d
+				dev.Do(func(n *enforce.Node) {
+					if err := n.ApplyDelta(d); err != nil {
+						t.Errorf("ApplyDelta on %v: %v", nodeID, err)
+					}
+				})
 			}
 		}
 		repaired <- id

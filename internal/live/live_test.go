@@ -44,7 +44,11 @@ func newLiveBed(t *testing.T, opts controller.Options) *liveBed {
 	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))
 	opts.K = map[policy.FuncType]int{policy.FuncFW: 1, policy.FuncIDS: 1}
 	ctl := controller.New(dep, ap, tbl, opts)
-	nodes, err := ctl.BuildNodes()
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,19 @@ func newObservedLiveBed(t *testing.T, strategy enforce.Strategy) *observedLiveBe
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1},
 		HashSeed: 2,
 	})
-	nodes, err := ctl.BuildNodes()
+	// The plan is compiled over the flows the test will send (under LB the
+	// weights are solved for them) and the nodes built from it before the
+	// devices start, so the static plan and the runtime selection share
+	// one configuration.
+	demands := make([]enforce.FlowDemand, 0, 50)
+	for i := 0; i < 50; i++ {
+		demands = append(demands, enforce.FlowDemand{Tuple: observedLiveFlow(i), Packets: 1})
+	}
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(controller.MeasurementsFromFlows(dep, tbl, demands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,20 +78,6 @@ func newObservedLiveBed(t *testing.T, strategy enforce.Strategy) *observedLiveBe
 	reg := rt.NewRegistry()
 	rt.AttachMetrics(reg)
 	tracer := enforce.NewRuntimeTracer(4096, 1, 2)
-
-	if strategy == enforce.LoadBalanced {
-		// Weights solved and installed before the devices start, so the
-		// static plan and the runtime selection share one configuration.
-		demands := make([]enforce.FlowDemand, 0, 50)
-		for i := 0; i < 50; i++ {
-			demands = append(demands, enforce.FlowDemand{Tuple: observedLiveFlow(i), Packets: 1})
-		}
-		sol, err := ctl.SolveLB(controller.MeasurementsFromFlows(dep, tbl, demands))
-		if err != nil {
-			t.Fatal(err)
-		}
-		controller.ApplyWeights(nodes, sol)
-	}
 
 	devices := make(map[topo.NodeID]*live.Device)
 	for id, n := range nodes {

@@ -38,7 +38,11 @@ func buildLiveNodes(t *testing.T) map[topo.NodeID]*enforce.Node {
 	ctl := controller.New(dep, ap, tbl, controller.Options{
 		K: map[policy.FuncType]int{policy.FuncFW: 1, policy.FuncIDS: 1},
 	})
-	nodes, err := ctl.BuildNodes()
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

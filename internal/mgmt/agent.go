@@ -80,7 +80,9 @@ func (o *AgentOptions) fill(dev *live.Device, serverAddr string) {
 
 // AgentStats counts the agent's self-healing activity.
 type AgentStats struct {
-	// Reconnects counts successful re-dials after the initial connect.
+	// Reconnects counts re-dials after the initial connect that reached a
+	// replica. It moves before the re-HELLO is sent, so whoever sees the
+	// agent registered again (Server.WaitConnected) also sees the count.
 	Reconnects int64
 	// Applies counts configurations actually installed on the device.
 	Applies int64
@@ -172,7 +174,7 @@ func NewAgentWith(dev *live.Device, serverAddr string, opts AgentOptions) (*Agen
 	var conn net.Conn
 	var err error
 	for try := 0; try < 2*len(opts.Addrs); try++ {
-		conn, err = a.connect()
+		conn, err = a.connect(false)
 		if err == nil {
 			break
 		}
@@ -256,7 +258,11 @@ func (a *Agent) followRedirect(addr string) {
 // connect dials the current replica and performs the HELLO handshake,
 // installing the new connection as current. A failed dial or a
 // NotLeader bounce advances the replica rotation for the next attempt.
-func (a *Agent) connect() (net.Conn, error) {
+// redial marks a reconnect, counted as soon as the dial succeeds: the
+// server registers the connection inside the handshake, so counting after
+// it would let the other side observe the agent connected with the
+// counter still unmoved.
+func (a *Agent) connect(redial bool) (net.Conn, error) {
 	var conn net.Conn
 	var err error
 	if a.opts.Dial != nil {
@@ -267,6 +273,12 @@ func (a *Agent) connect() (net.Conn, error) {
 	if err != nil {
 		a.rotateAddr()
 		return nil, err
+	}
+	if redial {
+		a.reconnects.Add(1)
+		if a.am != nil {
+			a.am.reconnects.Inc()
+		}
 	}
 	a.writeMu.Lock()
 	a.conn = conn
@@ -324,8 +336,6 @@ func (a *Agent) dispatch(env *Envelope) {
 	switch env.T {
 	case TypeConfig:
 		a.handleConfig(env.Data)
-	case TypeDelta:
-		a.handleDelta(env.Data)
 	case TypePrepare:
 		a.handlePrepare(env.Data)
 	case TypePrepareDelta:
@@ -385,7 +395,7 @@ func (a *Agent) run(conn net.Conn) {
 				timer.Stop()
 				return
 			}
-			c, err := a.connect()
+			c, err := a.connect(true)
 			if err == nil {
 				// Close may have raced the dial: stop is closed but the
 				// fresh conn escaped its sweep. Shut it down ourselves or
@@ -395,10 +405,6 @@ func (a *Agent) run(conn net.Conn) {
 					_ = c.Close()
 					return
 				default:
-				}
-				a.reconnects.Add(1)
-				if a.am != nil {
-					a.am.reconnects.Inc()
 				}
 				conn = c
 				break
@@ -466,35 +472,63 @@ func (a *Agent) fenceTerm(term uint64) string {
 	}
 }
 
-// handleConfig applies one pushed configuration and acks it.
+// admit runs the checks every plan-carrying message passes before it may
+// touch agent state, acking and returning false when it must go no
+// further (prepared marks the acks of two-phase stages):
+//
+//   - Trust boundary: nothing from the wire reaches the device before
+//     Validate passes (enforced by the wiretaint analyzer). An invalid
+//     plan is refused whole, at stage time, so it fails the quorum
+//     before any node flips.
+//   - Term fencing comes BEFORE epoch idempotence: a deposed leader
+//     re-pushing an old epoch must be refused, not idempotently acked.
+//   - Epoch idempotence: a plan the device already runs (a reconnect
+//     re-push racing an earlier delivery) is acked without re-applying
+//     or staging — at-most-once application per epoch.
+func (a *Agent) admit(seq, epoch, term uint64, invalid error, prepared bool) bool {
+	if invalid != nil {
+		_ = a.write(TypeAck, Ack{Seq: seq, Epoch: epoch, Error: invalid.Error(), Prepared: prepared})
+		return false
+	}
+	if reason := a.fenceTerm(term); reason != "" {
+		_ = a.write(TypeAck, Ack{Seq: seq, Epoch: epoch, Term: a.term.Load(), Error: reason, Prepared: prepared})
+		return false
+	}
+	if epoch != 0 && epoch <= a.epoch.Load() {
+		a.stale.Add(1)
+		if a.am != nil {
+			a.am.epochRejects.Inc()
+		}
+		_ = a.write(TypeAck, Ack{Seq: seq, Epoch: epoch, Prepared: prepared})
+		return false
+	}
+	return true
+}
+
+// stage holds a prepared plan until its commit or abort. A newer prepare
+// supersedes an older staged plan (the older epoch's commit can no longer
+// win: its quorum failed or this one would not have been issued). The ack
+// carries Prepared so the server never mistakes "staged" for "running".
+func (a *Agent) stage(seq uint64, st *stagedPlan) {
+	a.stagedMu.Lock()
+	a.staged = st
+	a.stagedMu.Unlock()
+	a.prepared.Add(1)
+	if a.am != nil {
+		a.am.prepares.Inc()
+	}
+	_ = a.write(TypeAck, Ack{Seq: seq, Epoch: st.epoch, Prepared: true})
+}
+
+// handleConfig applies one directly pushed full configuration — the
+// server's reconnect catch-up — and acks it.
 func (a *Agent) handleConfig(data []byte) {
 	var dto ConfigDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
 		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Error: "bad config: " + err.Error()})
 		return
 	}
-	// Trust boundary: nothing from the wire reaches the device before
-	// Validate passes (enforced by the wiretaint analyzer). An invalid
-	// push is refused whole via an error Ack, never half-applied.
-	if err := dto.Validate(); err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: err.Error()})
-		return
-	}
-	// Term fencing comes BEFORE epoch idempotence: a deposed leader
-	// re-pushing an old epoch must be refused, not idempotently acked.
-	if reason := a.fenceTerm(dto.Term); reason != "" {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Term: a.term.Load(), Error: reason})
-		return
-	}
-	// Epoch idempotence: a plan the device already runs (a reconnect
-	// re-push racing an earlier delivery) is acked without
-	// re-applying — at-most-once application per epoch.
-	if dto.Epoch != 0 && dto.Epoch <= a.epoch.Load() {
-		a.stale.Add(1)
-		if a.am != nil {
-			a.am.epochRejects.Inc()
-		}
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch})
+	if !a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), false) {
 		return
 	}
 	errStr := a.applyDTO(dto)

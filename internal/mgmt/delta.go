@@ -13,22 +13,22 @@ import (
 // Wire form of the incremental pipeline's configuration deltas
 // (controller.DiffPlans → enforce.ConfigDelta). A delta names the exact
 // configuration epoch it edits: agents running any other epoch refuse it
-// (reason prefix RefuseDeltaBase) and the server falls back to a full
-// push of the merged configuration — a delta must never be applied on
-// top of a base it was not diffed against.
+// (reason prefix RefuseDeltaBase) and the server stages the merged full
+// configuration instead — a delta must never be applied on top of a base
+// it was not diffed against.
 
 // RefuseDeltaBase prefixes an agent's refusal of a delta whose BaseEpoch
 // does not match the agent's applied epoch. The server recognizes the
-// prefix and substitutes a full-configuration push at the same epoch.
+// prefix and substitutes a full-configuration prepare at the same epoch.
 const RefuseDeltaBase = "delta base mismatch"
 
 // ErrNoBase: the server has no full configuration recorded for the node,
-// so there is nothing a delta could edit; the caller must push (or
-// supply as fallback) a full configuration instead.
+// so there is nothing a delta could edit; the caller must supply the
+// node's full configuration as fallback.
 var ErrNoBase = errors.New("no full base config recorded for delta")
 
 // IsBaseMismatch reports whether err is an agent's base-epoch refusal of
-// a delta push — the one refusal that is not fatal, because re-sending
+// a delta prepare — the one refusal that is not fatal, because staging
 // the merged full configuration deterministically succeeds.
 func IsBaseMismatch(err error) bool {
 	var r *RefusedError
@@ -102,7 +102,7 @@ func DeltaToDTO(seq uint64, d enforce.ConfigDelta) DeltaDTO {
 	for k := range d.SetWeights {
 		keys = append(keys, k)
 	}
-	sortWeightKeys(keys)
+	SortWeightKeys(keys)
 	for _, k := range keys {
 		dto.SetWeights = append(dto.SetWeights, WeightDTO{
 			PolicyID: k.PolicyID, Func: int(k.Func),
@@ -111,7 +111,7 @@ func DeltaToDTO(seq uint64, d enforce.ConfigDelta) DeltaDTO {
 		})
 	}
 	drops := append([]enforce.WeightKey(nil), d.DropWeights...)
-	sortWeightKeys(drops)
+	SortWeightKeys(drops)
 	for _, k := range drops {
 		dto.DropWeights = append(dto.DropWeights, WeightKeyDTO{
 			PolicyID: k.PolicyID, Func: int(k.Func),
@@ -153,7 +153,10 @@ func DeltaFromDTO(dto DeltaDTO) enforce.ConfigDelta {
 	return d
 }
 
-func sortWeightKeys(keys []enforce.WeightKey) {
+// SortWeightKeys orders weight-vector keys canonically (policy, function,
+// source subnet, destination subnet) — the order every serialized plan
+// lists them in.
+func SortWeightKeys(keys []enforce.WeightKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.PolicyID != b.PolicyID {

@@ -16,10 +16,10 @@ import (
 
 // The delta rollout's two safety rules are protocol behavior, so they
 // are tested at the wire level with a scripted peer standing in for the
-// agent: base fencing (a refused delta degrades to a full push of the
-// merged configuration at the same epoch) and merge-at-store (reconnect
+// agent: base fencing (a refused delta degrades to staging the merged
+// full configuration at the same epoch) and merge-at-store (reconnect
 // catch-up always re-pushes a full merged configuration, never a delta
-// chain, no matter how many delta epochs a node missed).
+// chain, no matter how many delta epochs a node is behind).
 
 const fakeNode = topo.NodeID(7)
 
@@ -41,20 +41,44 @@ func dialFake(t *testing.T, addr string, epoch uint64) net.Conn {
 	return conn
 }
 
-// serveScript answers every envelope with handle's ack and records the
-// envelope types seen, until the connection closes.
-func serveScript(t *testing.T, conn net.Conn, seen chan<- *Envelope, handle func(env *Envelope) Ack) {
+// serveScript records every envelope it receives and then answers it with
+// handle's ack, until the connection closes. Recording comes first: once
+// the server has the ack, the test may already be reading seen. A nil ack
+// hangs up instead of answering.
+func serveScript(t *testing.T, conn net.Conn, seen chan<- *Envelope, handle func(env *Envelope) *Ack) {
 	for {
 		env, err := readMsg(conn)
 		if err != nil {
 			return
 		}
 		ack := handle(env)
-		if err := writeMsg(conn, TypeAck, ack); err != nil {
+		if ack == nil {
+			_ = conn.Close()
 			return
 		}
 		seen <- env
+		if err := writeMsg(conn, TypeAck, *ack); err != nil {
+			return
+		}
 	}
+}
+
+// ackAll is the well-behaved script: every message is acked, prepares as
+// staged.
+func ackAll(t *testing.T) func(env *Envelope) *Ack {
+	return func(env *Envelope) *Ack {
+		seq, epoch := seqEpochOf(t, env)
+		return &Ack{Seq: seq, Epoch: epoch, Prepared: env.T == TypePrepare || env.T == TypePrepareDelta}
+	}
+}
+
+// oneNode is a one-node rollout of d (or, on a server without a base for
+// the node, of the seed configuration).
+func oneNode(srv *Server, d enforce.ConfigDelta, pol RetryPolicy) error {
+	_, err := srv.PushAllDelta2PC(
+		map[topo.NodeID]enforce.ConfigDelta{fakeNode: d},
+		map[topo.NodeID]ConfigDTO{fakeNode: ConfigToDTO(0, seedConfig())}, pol)
+	return err
 }
 
 func seqEpochOf(t *testing.T, env *Envelope) (uint64, uint64) {
@@ -75,9 +99,10 @@ func TestPushDeltaRequiresFullBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	err = srv.PushDelta(fakeNode, seedDelta(), RetryPolicy{Attempts: 1, PerAttempt: time.Second})
+	_, err = srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{fakeNode: seedDelta()}, nil,
+		RetryPolicy{Attempts: 1, PerAttempt: time.Second})
 	if !errors.Is(err, ErrNoBase) {
-		t.Fatalf("delta push without a recorded base: err = %v, want ErrNoBase", err)
+		t.Fatalf("delta rollout without a recorded base or a fallback: err = %v, want ErrNoBase", err)
 	}
 }
 
@@ -93,34 +118,38 @@ func TestPushDeltaBaseMismatchFallsBackToFull(t *testing.T) {
 	conn := dialFake(t, srv.Addr(), 0)
 	defer conn.Close()
 	seen := make(chan *Envelope, 16)
-	go serveScript(t, conn, seen, func(env *Envelope) Ack {
-		seq, epoch := seqEpochOf(t, env)
-		if env.T == TypeDelta {
+	ack := ackAll(t)
+	go serveScript(t, conn, seen, func(env *Envelope) *Ack {
+		a := ack(env)
+		if env.T == TypePrepareDelta {
 			// Script the race the fallback exists for: the agent reports
 			// an applied epoch other than the delta's base.
-			return Ack{Seq: seq, Epoch: epoch, Error: RefuseDeltaBase + ": applied epoch 9, delta base 1"}
+			a.Error = RefuseDeltaBase + ": applied epoch 9, delta base 1"
 		}
-		return Ack{Seq: seq, Epoch: epoch}
+		return a
 	})
 	if !srv.WaitConnected(3*time.Second, fakeNode) {
 		t.Fatal("fake agent not registered")
 	}
 
 	pol := RetryPolicy{Attempts: 1, PerAttempt: 3 * time.Second}
-	if err := srv.PushRetry(fakeNode, ConfigToDTO(0, seedConfig()), pol); err != nil {
-		t.Fatalf("full push: %v", err)
+	if err := oneNode(srv, enforce.ConfigDelta{}, pol); err != nil {
+		t.Fatalf("first rollout: %v", err)
 	}
-	if err := srv.PushDelta(fakeNode, seedDelta(), pol); err != nil {
-		t.Fatalf("delta push should fall back to full, got %v", err)
+	if err := oneNode(srv, seedDelta(), pol); err != nil {
+		t.Fatalf("delta rollout should fall back to full, got %v", err)
 	}
 
 	var types []string
-	var last *Envelope
+	var fallback *Envelope
 	for len(seen) > 0 {
-		last = <-seen
-		types = append(types, last.T)
+		env := <-seen
+		types = append(types, env.T)
+		if env.T == TypePrepare {
+			fallback = env
+		}
 	}
-	want := []string{TypeConfig, TypeDelta, TypeConfig}
+	want := []string{TypePrepare, TypeCommit, TypePrepareDelta, TypePrepare, TypeCommit}
 	if strings.Join(types, ",") != strings.Join(want, ",") {
 		t.Fatalf("wire sequence = %v, want %v", types, want)
 	}
@@ -128,7 +157,7 @@ func TestPushDeltaBaseMismatchFallsBackToFull(t *testing.T) {
 	// epoch: the seed delta removes policy 2, so the merged config must
 	// not carry it.
 	var dto ConfigDTO
-	if err := json.Unmarshal(last.Data, &dto); err != nil {
+	if err := json.Unmarshal(fallback.Data, &dto); err != nil {
 		t.Fatal(err)
 	}
 	if dto.Epoch != 2 {
@@ -157,46 +186,49 @@ func TestDeltaReconnectCatchupPushesMergedFull(t *testing.T) {
 	}
 	defer srv.Close()
 
+	// The scripted node stages everything and commits epochs 1 and 2, but
+	// hangs up on the commit of epoch 3: a commit straggler.
 	conn := dialFake(t, srv.Addr(), 0)
 	seen := make(chan *Envelope, 16)
-	go serveScript(t, conn, seen, func(env *Envelope) Ack {
-		seq, epoch := seqEpochOf(t, env)
-		return Ack{Seq: seq, Epoch: epoch}
+	ack := ackAll(t)
+	go serveScript(t, conn, seen, func(env *Envelope) *Ack {
+		if _, epoch := seqEpochOf(t, env); env.T == TypeCommit && epoch == 3 {
+			return nil
+		}
+		return ack(env)
 	})
 	if !srv.WaitConnected(3*time.Second, fakeNode) {
 		t.Fatal("fake agent not registered")
 	}
 	pol := RetryPolicy{Attempts: 1, PerAttempt: 3 * time.Second}
-	if err := srv.PushRetry(fakeNode, ConfigToDTO(0, seedConfig()), pol); err != nil {
-		t.Fatalf("full push: %v", err)
+	if err := oneNode(srv, enforce.ConfigDelta{}, pol); err != nil {
+		t.Fatalf("first rollout: %v", err)
 	}
-	<-seen // the config envelope
 
-	// The node goes dark; two delta epochs are minted against it and both
-	// fail on the wire. Merge-at-store still advanced the recorded latest
-	// plan to the merged full configuration each time.
-	_ = conn.Close()
-	short := RetryPolicy{Attempts: 1, PerAttempt: 200 * time.Millisecond}
+	// Two delta epochs. The first commits; the second is decided — every
+	// node staged it — and then the node goes dark before confirming.
+	// Merge-at-store advanced the recorded latest plan to the merged full
+	// configuration at each commit decision.
 	d1 := enforce.ConfigDelta{Removes: []int{2}}
 	d2 := enforce.ConfigDelta{SetWeights: map[enforce.WeightKey][]float64{
 		{PolicyID: 1, Func: policy.FuncFW}: {0.25, 0.75},
 	}}
-	if err := srv.PushDelta(fakeNode, d1, short); err == nil {
-		t.Fatal("delta push to a dark node should fail")
+	if err := oneNode(srv, d1, pol); err != nil {
+		t.Fatalf("first delta rollout: %v", err)
 	}
-	if err := srv.PushDelta(fakeNode, d2, short); err == nil {
-		t.Fatal("delta push to a dark node should fail")
+	if err := oneNode(srv, d2, pol); !errors.Is(err, ErrCommitStraggler) {
+		t.Fatalf("rollout whose commit the node never confirmed: err = %v, want ErrCommitStraggler", err)
+	}
+	for len(seen) > 0 {
+		<-seen
 	}
 
-	// Reconnect reporting the last applied epoch (1). Catch-up must send
-	// ONE full config at the newest epoch with both deltas folded in — a
-	// node is never asked to replay a delta chain.
+	// Reconnect reporting only epoch 1 applied — two delta epochs behind.
+	// Catch-up must send ONE full config at the newest epoch with both
+	// deltas folded in — a node is never asked to replay a delta chain.
 	conn2 := dialFake(t, srv.Addr(), 1)
 	defer conn2.Close()
-	go serveScript(t, conn2, seen, func(env *Envelope) Ack {
-		seq, epoch := seqEpochOf(t, env)
-		return Ack{Seq: seq, Epoch: epoch}
-	})
+	go serveScript(t, conn2, seen, ackAll(t))
 	var env *Envelope
 	select {
 	case env = <-seen:

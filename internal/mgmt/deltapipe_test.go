@@ -1,12 +1,15 @@
 package mgmt_test
 
 import (
+	"errors"
+	"net"
 	"testing"
 	"time"
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
 	"sdme/internal/experiments"
+	"sdme/internal/faultinject"
 	"sdme/internal/live"
 	"sdme/internal/metrics"
 	"sdme/internal/mgmt"
@@ -45,6 +48,11 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 	upd, err := pipe.Recompute(meas)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The pipeline path reports its LP to the registry.
+	if v, it := creg.Gauge(controller.MetricLPVars).Value(), creg.Gauge(controller.MetricLPIters).Value(); v <= 0 || it <= 0 {
+		t.Errorf("after a solved Recompute: %s = %v, %s = %v, want both > 0",
+			controller.MetricLPVars, v, controller.MetricLPIters, it)
 	}
 	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
@@ -87,7 +95,9 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 	for id, n := range nodes {
 		plans[id] = mgmt.ConfigToDTO(0, n.Config())
 	}
-	if _, err := server.PushAll2PC(plans, pol); err != nil {
+	// The first Recompute's deltas are the diff against the empty plan;
+	// the server holds no base, so they go out as the full fallback.
+	if _, err := pipe.Rollout(server, upd.Deltas, plans, pol); err != nil {
 		t.Fatalf("full rollout: %v", err)
 	}
 	fullBytes := reg.Counter(mgmt.MetricPushBytesFull).Value()
@@ -141,7 +151,7 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 		t.Errorf("edit produced deltas for all %d nodes; want only the affected subset", len(nodes))
 	}
 
-	if _, err := server.PushAllDelta2PC(upd2.Deltas, nil, pol); err != nil {
+	if _, err := pipe.Rollout(server, upd2.Deltas, nil, pol); err != nil {
 		t.Fatalf("delta rollout: %v", err)
 	}
 	if got := reg.Counter(mgmt.MetricDeltaFallbacks).Value(); got != 0 {
@@ -176,5 +186,142 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 	if viol := verify.CheckDeltaEquivalence(applied, fullCfg); len(viol) > 0 {
 		t.Fatalf("fleet diverges from the rebuilt plan after delta rollout (%d violations), first: %v",
 			len(viol), viol[0])
+	}
+}
+
+// A refused rollout must not advance the pipeline's diff base. Recompute
+// has already replaced the pipeline's plan when the push starts; if the
+// fleet then refuses it (here: one prepare never acked, so the 2PC rolls
+// back), every later delta would be diffed against a plan no node holds
+// and the fleet would miss the refused edit for good. Rollout rolls the
+// pipeline back instead, so after three more edits the fleet is exactly a
+// from-scratch build of the latest plan.
+func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
+	bed, err := experiments.NewBed(experiments.Config{Topology: "campus", Seed: 13, PoliciesPerClass: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        bed.Cfg.K,
+	})
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	demands := bed.GenerateDemands(4000)
+	recompute := func() *controller.PlanUpdate {
+		t.Helper()
+		upd, err := pipe.Recompute(controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return upd
+	}
+	upd := recompute()
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rt := live.NewRuntime()
+	defer rt.Close()
+	server, err := mgmt.NewServer("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	devices := make(map[topo.NodeID]*live.Device, len(nodes))
+	agents := make(map[topo.NodeID]*mgmt.Agent, len(nodes))
+	taps := make(map[topo.NodeID]*faultinject.ConnTap, len(nodes))
+	fallback := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
+	var ids []topo.NodeID
+	for id, n := range nodes {
+		fallback[id] = mgmt.ConfigToDTO(0, n.Config())
+		dev, err := rt.AddDevice(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devices[id] = dev
+		tap := &faultinject.ConnTap{}
+		agent, err := mgmt.NewAgentWith(dev, server.Addr(), mgmt.AgentOptions{
+			Dial: tap.Dial(func() (net.Conn, error) { return net.Dial("tcp", server.Addr()) }),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agent.Close()
+		agents[id], taps[id] = agent, tap
+		ids = append(ids, id)
+	}
+	if !server.WaitConnected(5*time.Second, ids...) {
+		t.Fatalf("agents did not connect: %v of %v", server.Connected(), ids)
+	}
+	pol := mgmt.RetryPolicy{Attempts: 1, PerAttempt: 3 * time.Second}
+	if _, err := pipe.Rollout(server, upd.Deltas, fallback, pol); err != nil {
+		t.Fatalf("initial rollout: %v", err)
+	}
+	base := pipe.Plan()
+
+	// edit widens (or re-narrows) one policy's service port range.
+	policies := bed.Table.All()
+	edit := func(i int) *controller.PlanUpdate {
+		t.Helper()
+		p := policies[i%len(policies)]
+		d := p.Desc
+		d.DstPort.Hi = d.DstPort.Lo + uint16(i+1)
+		bed.Table.Update(p.ID, d, p.Actions)
+		pipe.PolicyChanged(p.ID)
+		upd := recompute()
+		if len(upd.Deltas) == 0 {
+			t.Fatalf("edit %d produced no deltas", i)
+		}
+		return upd
+	}
+
+	// The refused edit: one touched node swallows its prepare ack.
+	upd = edit(0)
+	var victim topo.NodeID
+	for id := range upd.Deltas {
+		victim = id
+		break
+	}
+	taps[victim].DropFrames(1)
+	_, err = pipe.Rollout(server, upd.Deltas, nil, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 300 * time.Millisecond})
+	if err == nil || errors.Is(err, mgmt.ErrCommitStraggler) {
+		t.Fatalf("rollout with a lost prepare ack: err = %v, want a rolled-back prepare failure", err)
+	}
+	if pipe.Plan() != base {
+		t.Fatal("the refused plan is still the pipeline's diff base")
+	}
+	for id, a := range agents {
+		if a.StagedEpoch() != 0 || a.LastEpoch() != agents[victim].LastEpoch() {
+			t.Errorf("node %v moved (epoch %d, staged %d) although the rollout rolled back", id, a.LastEpoch(), a.StagedEpoch())
+		}
+	}
+
+	// Three more edits roll out cleanly, carrying the refused one along.
+	for i := 1; i <= 3; i++ {
+		if _, err := pipe.Rollout(server, edit(i).Deltas, nil, pol); err != nil {
+			t.Fatalf("edit %d rollout: %v", i, err)
+		}
+	}
+
+	rebuilt, err := ctl.BuildNodesFromPlan(pipe.Plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := make(map[topo.NodeID]enforce.Config, len(devices))
+	for id, dev := range devices {
+		id := id
+		dev.Do(func(n *enforce.Node) { applied[id] = n.Config() })
+	}
+	want := make(map[topo.NodeID]enforce.Config, len(rebuilt))
+	for id, n := range rebuilt {
+		want[id] = n.Config()
+	}
+	if viol := verify.CheckDeltaEquivalence(applied, want); len(viol) > 0 {
+		t.Fatalf("fleet diverges from a from-scratch build after a refused rollout (%d violations), first: %v",
+			len(viol), viol[0])
+	}
+	if !server.Converged(ids...) {
+		t.Error("fleet not converged on the latest epoch")
 	}
 }

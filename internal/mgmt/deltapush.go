@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -10,103 +11,47 @@ import (
 	"sdme/internal/topo"
 )
 
-// Delta rollout (controller pipeline Stage 3 on the wire). A delta push
-// carries only what changed since the node's current epoch; the agent
+// Delta rollout (controller pipeline Stage 3 on the wire). A rollout
+// carries only what changed since each node's current epoch; the agent
 // applies it in place, preserving flowtable soft state for untouched
 // flows. Safety rests on two rules:
 //
 //  1. Base fencing. Every delta names the epoch it was diffed against
-//     (BaseEpoch). An agent on any other epoch refuses it, and the server
-//     falls back to a full push of the merged configuration at the same
-//     epoch — a delta is never applied to a base it does not match.
-//  2. Merge-at-store. Before anything hits the wire, the server merges
-//     the delta into the node's recorded latest FULL configuration. The
-//     reconnect catch-up path therefore always re-pushes full configs:
-//     a node that was down through any number of delta epochs converges
-//     in one push, never by replaying a delta chain.
+//     (BaseEpoch). An agent on any other epoch refuses it at prepare
+//     time, and the server stages the merged full configuration at the
+//     same epoch instead — a delta is never applied to a base it does not
+//     match.
+//  2. Merge-at-store. At the commit decision the server records, per
+//     node, the delta merged into the node's previous latest FULL
+//     configuration. The reconnect catch-up path therefore always
+//     re-pushes full configs: a node that was down through any number of
+//     delta epochs converges in one push, never by replaying a delta
+//     chain.
 
-// PushDelta sends a configuration delta to a node's agent with bounded
-// retries. The epoch is minted once; the node's recorded latest plan
-// becomes the delta-merged full configuration before the first attempt,
-// so a failed push still heals via reconnect re-push. If the agent
-// refuses the delta because its applied epoch does not match the base,
-// the merged full configuration is pushed instead at the same epoch.
-// Returns ErrNoBase when no full configuration was ever recorded for the
-// node — the caller must push a full config first.
-func (s *Server) PushDelta(node topo.NodeID, d enforce.ConfigDelta, pol RetryPolicy) error {
-	pol = pol.fill()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("mgmt: delta push to %v: %w", node, ErrServerClosed)
-	}
-	if s.notLeader {
-		s.mu.Unlock()
-		return fmt.Errorf("mgmt: delta push to %v: %w", node, ErrNotLeader)
-	}
-	base, ok := s.latest[node]
-	if !ok || base.WeightsOnly {
-		s.mu.Unlock()
-		return fmt.Errorf("mgmt: delta push to %v: %w", node, ErrNoBase)
-	}
-	s.epoch++
-	ddto := DeltaToDTO(0, d)
-	ddto.Epoch = s.epoch
-	ddto.Term = s.term
-	ddto.BaseEpoch = base.Epoch
-	merged, err := s.mergeLatestLocked(node, base, ddto)
-	if err != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("mgmt: delta push to %v: merge: %w", node, err)
-	}
-	s.mu.Unlock()
+// ErrCommitStraggler marks a rollout that was decided (every node staged
+// it, the plan is recorded as every node's latest) but that some node has
+// not confirmed applying: the fleet moves to the new plan and the
+// straggler heals through the reconnect re-push. Any other rollout error
+// means no node applied anything.
+var ErrCommitStraggler = errors.New("commit straggler")
 
-	s.smInc(func(m *serverMetrics) *metrics.Counter { return m.deltaPushes })
-	s.observePushBytes(TypeDelta, ddto, true)
-	err = s.callRetry(node, TypeDelta, func(seq uint64) interface{} {
-		ddto.Seq = seq
-		return ddto
-	}, pol, ddto.Epoch)
-	if !IsBaseMismatch(err) {
-		return err
-	}
-	// The agent runs an epoch other than the recorded base (e.g. a push
-	// raced a reconnect re-push). The merged full configuration is exact
-	// at this epoch, so send that instead.
-	s.smInc(func(m *serverMetrics) *metrics.Counter { return m.deltaFallbacks })
-	s.observePushBytes(TypeConfig, merged, false)
-	return s.callRetry(node, TypeConfig, func(seq uint64) interface{} {
-		merged.Seq = seq
-		return merged
-	}, pol, merged.Epoch)
-}
-
-// mergeLatestLocked folds a delta into the node's recorded latest full
-// configuration and stores the result as the new latest (s.mu held).
-// It returns the merged full ConfigDTO, which doubles as the fallback
-// payload when the agent refuses the delta.
-func (s *Server) mergeLatestLocked(node topo.NodeID, base ConfigDTO, ddto DeltaDTO) (ConfigDTO, error) {
-	cfg, err := ConfigFromDTO(base)
-	if err != nil {
-		return ConfigDTO{}, err
-	}
-	d := DeltaFromDTO(ddto)
-	out := ConfigToDTO(0, d.ApplyToConfig(cfg))
-	out.Epoch = ddto.Epoch
-	out.Term = ddto.Term
-	s.latest[node] = out
-	return out, nil
-}
-
-// PushAllDelta2PC rolls one plan generation out as per-node deltas under
-// the same epoch-fenced two-phase protocol as PushAll2PC: every node
-// stages its delta (or, where no delta is possible, the full fallback
-// configuration), and only when all have staged does the commit flip
-// them atomically. fallback supplies each node's full configuration for
-// the new plan; it is REQUIRED for nodes the server has no recorded base
-// for, and is substituted automatically when an agent refuses its
-// delta's base epoch at prepare time. Nodes absent from deltas are not
-// touched at all — that is the point of a delta rollout.
+// PushAllDelta2PC is the one way a plan reaches the fleet: it rolls one
+// plan generation out as per-node deltas under the epoch-fenced two-phase
+// protocol, under a single fresh epoch, which it returns. Every node
+// stages its delta (or, where no delta is possible, its full fallback
+// configuration), and only when all have staged does the commit flip them
+// atomically. fallback is REQUIRED for nodes the server has no recorded
+// base for (a first rollout is a delta against the empty base, carried
+// entirely by fallback); the merged configuration is substituted
+// automatically when an agent refuses its delta's base epoch at prepare
+// time. Nodes absent from deltas are not touched; a one-node batch is a
+// probe.
+//
+// On a prepare failure the batch is aborted (best-effort) and the first
+// failed prepare's error returned: no node applied anything. After the
+// commit decision, commit failures are returned wrapping
+// ErrCommitStraggler, but the plan is already recorded as every node's
+// latest — stragglers heal via reconnect re-push.
 func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fallback map[topo.NodeID]ConfigDTO, pol RetryPolicy) (uint64, error) {
 	pol = pol.fill()
 	s.mu.Lock()
@@ -132,11 +77,10 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 	}
 	plans := make(map[topo.NodeID]*nodePlan, len(deltas))
 	for node, d := range deltas {
-		base, haveBase := s.latest[node]
-		if haveBase && !base.WeightsOnly {
+		if base, ok := s.latest[node]; ok {
 			ddto := DeltaToDTO(0, d)
 			ddto.Epoch, ddto.Term, ddto.BaseEpoch = epoch, term, base.Epoch
-			merged, err := s.mergeDTOLocked(base, ddto)
+			merged, err := mergeDelta(base, ddto)
 			if err != nil {
 				s.mu.Unlock()
 				return 0, fmt.Errorf("mgmt: 2pc delta push: merge for %v: %w", node, err)
@@ -197,6 +141,9 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 		if err == nil {
 			continue
 		}
+		// Prepare quorum failed: roll the staged plans back. Best-effort
+		// single attempts — an unreachable agent discards its stale stage
+		// anyway when a newer epoch arrives.
 		s.smInc(func(m *serverMetrics) *metrics.Counter { return m.rollbacks })
 		abortPol := RetryPolicy{Attempts: 1, PerAttempt: pol.PerAttempt}
 		for _, node := range nodes {
@@ -215,7 +162,7 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 	}
 	s.mu.Unlock()
 
-	// Phase 2: flip everywhere (identical to the full-config rollout).
+	// Phase 2: flip everywhere.
 	for i, node := range nodes {
 		node := node
 		wg.Add(1)
@@ -230,16 +177,16 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return epoch, fmt.Errorf("mgmt: 2pc delta commit straggler %v (will heal via re-push): %w", nodes[i], err)
+			return epoch, fmt.Errorf("mgmt: 2pc delta %w %v (will heal via re-push): %w", ErrCommitStraggler, nodes[i], err)
 		}
 	}
 	return epoch, nil
 }
 
-// mergeDTOLocked is mergeLatestLocked without the store: it computes the
-// full configuration that base + delta yields (s.mu held for the read of
-// base, which the caller already did).
-func (s *Server) mergeDTOLocked(base ConfigDTO, ddto DeltaDTO) (ConfigDTO, error) {
+// mergeDelta computes the full configuration that base + delta yields,
+// at the delta's epoch: what the node's latest becomes at the commit
+// decision, and the prepare fallback when the agent refuses the delta.
+func mergeDelta(base ConfigDTO, ddto DeltaDTO) (ConfigDTO, error) {
 	cfg, err := ConfigFromDTO(base)
 	if err != nil {
 		return ConfigDTO{}, err
@@ -249,38 +196,6 @@ func (s *Server) mergeDTOLocked(base ConfigDTO, ddto DeltaDTO) (ConfigDTO, error
 	out.Epoch = ddto.Epoch
 	out.Term = ddto.Term
 	return out, nil
-}
-
-// handleDelta applies one pushed configuration delta and acks it — the
-// direct (non-2PC) path, mirroring handleConfig's fencing order exactly:
-// validate, term fence, epoch idempotence, then the delta-specific base
-// check before anything touches the device.
-func (a *Agent) handleDelta(data []byte) {
-	var dto DeltaDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Error: "bad delta: " + err.Error()})
-		return
-	}
-	// Trust boundary: nothing from the wire reaches Node.ApplyDelta
-	// before Validate passes (enforced by the wiretaint analyzer).
-	if err := dto.Validate(); err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: err.Error()})
-		return
-	}
-	if reason := a.fenceTerm(dto.Term); reason != "" {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Term: a.term.Load(), Error: reason})
-		return
-	}
-	if dto.Epoch != 0 && dto.Epoch <= a.epoch.Load() {
-		a.stale.Add(1)
-		if a.am != nil {
-			a.am.epochRejects.Inc()
-		}
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch})
-		return
-	}
-	errStr := a.applyDeltaDTO(dto)
-	_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: errStr})
 }
 
 // handlePrepareDelta stages a delta without applying it. The base epoch
@@ -293,17 +208,7 @@ func (a *Agent) handlePrepareDelta(data []byte) {
 		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Error: "bad prepare-delta: " + err.Error(), Prepared: true})
 		return
 	}
-	if err := dto.Validate(); err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: err.Error(), Prepared: true})
-		return
-	}
-	if reason := a.fenceTerm(dto.Term); reason != "" {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Term: a.term.Load(), Error: reason, Prepared: true})
-		return
-	}
-	if dto.Epoch != 0 && dto.Epoch <= a.epoch.Load() {
-		a.stale.Add(1)
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Prepared: true})
+	if !a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), true) {
 		return
 	}
 	if cur := a.epoch.Load(); cur != dto.BaseEpoch {
@@ -311,21 +216,14 @@ func (a *Agent) handlePrepareDelta(data []byte) {
 			Error: fmt.Sprintf("%s: applied epoch %d, delta base %d", RefuseDeltaBase, cur, dto.BaseEpoch), Prepared: true})
 		return
 	}
-	a.stagedMu.Lock()
-	a.staged = &stagedPlan{epoch: dto.Epoch, delta: &dto}
-	a.stagedMu.Unlock()
-	a.prepared.Add(1)
-	if a.am != nil {
-		a.am.prepares.Inc()
-	}
-	_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Prepared: true})
+	a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, delta: &dto})
 }
 
-// applyDeltaDTO validates and applies a delta to the device, returning an
-// error string for the ack ("" on success) and advancing the applied
-// epoch. Shared by the direct delta path and the commit path; the base
-// check is repeated here because the staged copy crossed goroutines (and
-// epochs may have advanced) since its prepare-time check.
+// applyDeltaDTO validates and applies a staged delta to the device at
+// commit, returning an error string for the ack ("" on success) and
+// advancing the applied epoch. The base check is repeated here because
+// the staged copy crossed goroutines (and epochs may have advanced) since
+// its prepare-time check.
 func (a *Agent) applyDeltaDTO(dto DeltaDTO) string {
 	if err := dto.Validate(); err != nil {
 		return err.Error()

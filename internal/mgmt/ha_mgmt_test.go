@@ -6,35 +6,55 @@ import (
 	"testing"
 	"time"
 
+	"sdme/internal/enforce"
 	"sdme/internal/mgmt"
+	"sdme/internal/topo"
 )
 
 // TestTermFenceRefusesStalePush: an agent that has seen a plan from term
-// 5 must refuse a later push carrying term 3 outright — a *RefusedError,
-// not an idempotent ack — even though the push carries a fresh epoch.
-// That refusal is how a deposed leader that somehow still holds a live
-// connection learns it lost (split-brain fencing, DESIGN §11).
+// 5 must refuse a later rollout carrying term 3 outright — a
+// *RefusedError, not an idempotent ack — even though the rollout carries
+// a fresh epoch. The stale plan comes from where it would in production:
+// a deposed leader that still accepts connections and pushes under its
+// old term. That refusal is how it learns it lost (split-brain fencing,
+// DESIGN §11).
 func TestTermFenceRefusesStalePush(t *testing.T) {
 	b := newMgmtBed(t, 0)
+	node := b.dep.MBNodes[0]
+	zombie, err := mgmt.NewServer("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(zombie.Close)
+	zombie.SetLeader(3)
+
+	// The node's agent knows both replicas; the bed server leads at term 5.
+	agent := b.replaceAgent(t, node, mgmt.AgentOptions{
+		Addrs:      []string{b.server.Addr(), zombie.Addr()},
+		BackoffMin: 5 * time.Millisecond,
+		BackoffMax: 100 * time.Millisecond,
+	})
 	b.server.SetLeader(5)
 	b.pushAll(t)
-
-	node := b.dep.MBNodes[0]
-	agent := b.agents[node]
 	if got := agent.LastTerm(); got != 5 {
-		t.Fatalf("agent term = %d after a term-5 push, want 5", got)
+		t.Fatalf("agent term = %d after a term-5 rollout, want 5", got)
 	}
 	applies0 := agent.Stats().Applies
 
-	// A deposed leader's push: explicit stale term, fresh epoch. PushRetry
-	// preserves both, so the only thing standing between this plan and the
-	// device is the agent-side fence.
-	stale := mgmt.ConfigToDTO(0, b.nodes[node].Config())
-	stale.Term = 3
-	err := b.server.PushRetry(node, stale, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 3 * time.Second})
+	// The leader bounces the agent onto the deposed replica, whose
+	// rollout carries its stale term and a fresh epoch. The only thing
+	// standing between this plan and the device is the agent-side fence.
+	b.server.SetNotLeader(zombie.Addr())
+	b.server.DropConn(node)
+	if !zombie.WaitConnected(5*time.Second, node) {
+		t.Fatal("agent did not reach the deposed replica")
+	}
+	_, err = zombie.PushAllDelta2PC(
+		map[topo.NodeID]enforce.ConfigDelta{node: {}},
+		map[topo.NodeID]mgmt.ConfigDTO{node: b.configs[node]}, testPol)
 	var refused *mgmt.RefusedError
 	if !errors.As(err, &refused) {
-		t.Fatalf("stale-term push returned %v, want a *RefusedError", err)
+		t.Fatalf("stale-term rollout returned %v, want a *RefusedError", err)
 	}
 	if !strings.Contains(refused.Reason, "stale term") {
 		t.Fatalf("refusal reason %q does not name the stale term", refused.Reason)
@@ -47,17 +67,21 @@ func TestTermFenceRefusesStalePush(t *testing.T) {
 		t.Fatalf("stale-term counter not bumped: %+v", st)
 	}
 	if got := agent.LastTerm(); got != 5 {
-		t.Fatalf("stale push moved the agent's term to %d", got)
+		t.Fatalf("stale rollout moved the agent's term to %d", got)
 	}
 
 	// The legitimate successor (term 6) still gets through.
 	b.server.SetLeader(6)
-	next := mgmt.ConfigToDTO(0, b.nodes[node].Config())
-	if err := b.server.Push(node, next, 3*time.Second); err != nil {
-		t.Fatalf("term-6 push after the fence: %v", err)
+	zombie.SetNotLeader(b.server.Addr())
+	zombie.DropAllConns()
+	if !b.server.WaitConnected(5*time.Second, node) {
+		t.Fatal("agent did not re-home to the term-6 leader")
+	}
+	if err := b.pushOne(node, testPol); err != nil {
+		t.Fatalf("term-6 rollout after the fence: %v", err)
 	}
 	if got := agent.LastTerm(); got != 6 {
-		t.Fatalf("agent term = %d after a term-6 push, want 6", got)
+		t.Fatalf("agent term = %d after a term-6 rollout, want 6", got)
 	}
 	if got := agent.Stats().Applies; got != applies0+1 {
 		t.Fatalf("term-6 plan applied %d times, want exactly 1", got-applies0)
@@ -71,7 +95,7 @@ func TestTermFenceRefusesStalePush(t *testing.T) {
 func TestNotLeaderRedirectAndRotation(t *testing.T) {
 	b := newMgmtBed(t, 0)
 	node := b.dep.MBNodes[0]
-	b.agents[node].Close()
+	b.closeAgent(t, node)
 
 	serverB, err := mgmt.NewServer("127.0.0.1:0", nil)
 	if err != nil {
@@ -117,7 +141,7 @@ func TestNotLeaderRedirectAndRotation(t *testing.T) {
 	}
 
 	// And the new home is a working one: a push lands end to end.
-	if err := b.server.Push(node, mgmt.ConfigToDTO(0, b.nodes[node].Config()), 3*time.Second); err != nil {
+	if err := b.pushOne(node, testPol); err != nil {
 		t.Fatalf("push through the re-homed connection: %v", err)
 	}
 }

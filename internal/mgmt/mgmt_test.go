@@ -1,6 +1,7 @@
 package mgmt_test
 
 import (
+	"errors"
 	"math/rand"
 	"net"
 	"strings"
@@ -76,7 +77,9 @@ type mgmtBed struct {
 	ap      *route.AllPairs
 	tbl     *policy.Table
 	ctl     *controller.Controller
+	pipe    *controller.Pipeline
 	nodes   map[topo.NodeID]*enforce.Node
+	configs map[topo.NodeID]mgmt.ConfigDTO // each node's plan in wire form
 	rt      *live.Runtime
 	devices map[topo.NodeID]*live.Device
 	sink    *live.Sink
@@ -110,18 +113,30 @@ func newMgmtBed(t *testing.T, reportEvery time.Duration) *mgmtBed {
 		Strategy: enforce.LoadBalanced,
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1},
 	})
-	// Build nodes but install only empty configs: the management channel
-	// must deliver the real configuration.
-	nodes, err := ctl.BuildNodes()
+	// Compile the first plan and build the nodes from it; the management
+	// channel must still deliver the configuration (agents start at epoch
+	// 0 and the server holds no base).
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	upd, err := pipe.Recompute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	b := &mgmtBed{
-		g: g, dep: dep, ap: ap, tbl: tbl, ctl: ctl, nodes: nodes,
+		g: g, dep: dep, ap: ap, tbl: tbl, ctl: ctl, pipe: pipe, nodes: nodes,
 		rt: live.NewRuntime(), devices: make(map[topo.NodeID]*live.Device),
 		agents: make(map[topo.NodeID]*mgmt.Agent),
 		meas:   make(controller.Measurements),
+	}
+	// Snapshot the wire form now: once a device owns its node, only the
+	// device goroutine may read it.
+	b.configs = make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
+	for id, n := range nodes {
+		b.configs[id] = mgmt.ConfigToDTO(0, n.Config())
 	}
 	t.Cleanup(func() {
 		for _, a := range b.agents {
@@ -170,15 +185,35 @@ func newMgmtBed(t *testing.T, reportEvery time.Duration) *mgmtBed {
 	return b
 }
 
-// pushAll ships every node's controller-computed config over the wire.
-func (b *mgmtBed) pushAll(t *testing.T) {
+// testPol is the rollout policy the wire tests push with.
+var testPol = mgmt.RetryPolicy{Attempts: 1, PerAttempt: 3 * time.Second}
+
+// pushAll ships the bed's whole plan over the wire: a delta against the
+// empty base, carried by the full-config fallback (b.configs) on a server
+// that holds no base yet.
+func (b *mgmtBed) pushAll(t *testing.T) uint64 {
 	t.Helper()
-	for id, n := range b.nodes {
-		dto := mgmt.ConfigToDTO(0, n.Config())
-		if err := b.server.Push(id, dto, 3*time.Second); err != nil {
-			t.Fatalf("push to %v: %v", id, err)
-		}
+	deltas, _ := controller.DiffPlans(nil, b.pipe.Plan())
+	epoch, err := b.server.PushAllDelta2PC(deltas, b.configs, testPol)
+	if err != nil {
+		t.Fatalf("rollout: %v", err)
 	}
+	return epoch
+}
+
+// pushOne is a one-node batch: a fresh epoch for one node, as an empty
+// delta on the server's recorded base or, without one, the node's full
+// configuration.
+func (b *mgmtBed) pushOne(node topo.NodeID, pol mgmt.RetryPolicy) error {
+	return b.pushDTO(node, b.configs[node], pol)
+}
+
+// pushDTO is pushOne with an explicit fallback configuration.
+func (b *mgmtBed) pushDTO(node topo.NodeID, dto mgmt.ConfigDTO, pol mgmt.RetryPolicy) error {
+	_, err := b.server.PushAllDelta2PC(
+		map[topo.NodeID]enforce.ConfigDelta{node: {}},
+		map[topo.NodeID]mgmt.ConfigDTO{node: dto}, pol)
+	return err
 }
 
 func TestConfigPushAndEnforcementOverWire(t *testing.T) {
@@ -236,38 +271,45 @@ func TestMeasurementReportingAndRebalanceOverWire(t *testing.T) {
 		t.Fatal("measurements never arrived at the controller")
 	}
 
-	// Close the §III-C loop: solve LB from the REPORTED measurements and
-	// push weights-only updates back over the wire.
+	// Close the §III-C loop: re-solve from the REPORTED measurements and
+	// roll the result out. A weight refresh is a delta that carries only
+	// weight edits.
 	b.measMu.Lock()
 	meas := make(controller.Measurements, len(b.meas))
 	for k, v := range b.meas {
 		meas[k] = v
 	}
 	b.measMu.Unlock()
-	sol, err := b.ctl.SolveLB(meas)
+	upd, err := b.pipe.Recompute(meas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range b.nodes {
-		w := sol.Weights[id]
-		if err := b.server.Push(id, mgmt.WeightsToDTO(0, w), 3*time.Second); err != nil {
-			t.Fatalf("weights push to %v: %v", id, err)
+	if len(upd.Deltas) == 0 {
+		t.Fatal("rebalance produced no deltas")
+	}
+	for id, d := range upd.Deltas {
+		if d.Entries() != len(d.SetWeights)+len(d.DropWeights) {
+			t.Errorf("rebalance delta for %v edits more than weights: %+v", id, d)
 		}
 	}
-	// Weight-only pushes preserve soft state: the proxy's flow table
-	// still has the 10 flows.
+	if _, err := b.server.PushAllDelta2PC(upd.Deltas, nil, testPol); err != nil {
+		t.Fatalf("reweight rollout: %v", err)
+	}
+	// Reweight deltas preserve soft state: the proxy's flow table still
+	// has the 10 flows.
 	proxyDev := b.devices[proxyID]
 	var flows int
 	proxyDev.Do(func(n *enforce.Node) { flows = n.FlowTable().Len() })
 	if flows != 10 {
-		t.Errorf("flow table lost state on weights push: %d entries", flows)
+		t.Errorf("flow table lost state on the reweight rollout: %d entries", flows)
 	}
 }
 
 func TestPushToUnknownNodeFails(t *testing.T) {
 	b := newMgmtBed(t, 0)
-	if err := b.server.Push(topo.NodeID(9999), mgmt.ConfigDTO{}, time.Second); err == nil {
-		t.Error("push to unknown node should fail")
+	err := b.pushDTO(topo.NodeID(9999), mgmt.ConfigDTO{}, mgmt.RetryPolicy{Attempts: 1, PerAttempt: time.Second})
+	if !errors.Is(err, mgmt.ErrNotConnected) {
+		t.Errorf("push to unknown node: %v, want ErrNotConnected", err)
 	}
 }
 
@@ -311,7 +353,7 @@ func TestAgentRejectsBadConfig(t *testing.T) {
 			Actions: []int{int(policy.FuncFW), int(policy.FuncIDS), int(policy.FuncFW)},
 		}},
 	}
-	err := b.server.Push(node, dto, 3*time.Second)
+	err := b.pushDTO(node, dto, testPol)
 	if err == nil {
 		t.Fatal("bad config accepted")
 	}
@@ -335,7 +377,7 @@ func TestAgentReconnectAfterServerRestart(t *testing.T) {
 	if !b.server.WaitConnected(3*time.Second, node) {
 		t.Fatal("reconnect did not register")
 	}
-	if err := b.server.Push(node, mgmt.ConfigToDTO(0, b.nodes[node].Config()), 3*time.Second); err != nil {
+	if err := b.pushOne(node, testPol); err != nil {
 		t.Fatalf("push after reconnect: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sdme/internal/controller"
 	"sdme/internal/faultinject"
 	"sdme/internal/live"
 	"sdme/internal/mgmt"
@@ -16,34 +17,32 @@ import (
 
 // TestReconnectDeliversLatestEpochExactlyOnce is the satellite coverage
 // for the self-healing channel: the server-side connection dies
-// mid-stream, a new plan is pushed while the node is unreachable, and
-// the reconnecting agent re-HELLOs, receives the latest-epoch config
-// exactly once, and resumes measurement reporting.
+// mid-rollout — the node staged the new plan, the commit never reaches
+// it — and the reconnecting agent re-HELLOs, receives the latest-epoch
+// config exactly once, and resumes measurement reporting.
 func TestReconnectDeliversLatestEpochExactlyOnce(t *testing.T) {
 	b := newMgmtBed(t, 20*time.Millisecond)
 	b.server.SetRepushPolicy(mgmt.RetryPolicy{Attempts: 5, PerAttempt: time.Second, Backoff: 20 * time.Millisecond})
+	proxyID, _ := b.dep.ProxyFor(1)
+	// A slow re-dial (0.5–1s) keeps the node dark through the commit phase.
+	agent, tap := b.tapAgent(t, proxyID, mgmt.AgentOptions{ReportEvery: 20 * time.Millisecond, BackoffMin: time.Second})
 	b.pushAll(t)
 
-	proxyID, _ := b.dep.ProxyFor(1)
-	agent := b.agents[proxyID]
 	applies0 := agent.Stats().Applies
 	epoch0 := agent.LastEpoch()
 	if epoch0 == 0 {
-		t.Fatal("push did not stamp an epoch")
+		t.Fatal("rollout did not stamp an epoch")
 	}
 
-	// Kill the server-side connection mid-stream.
-	if !b.server.DropConn(proxyID) {
-		t.Fatal("no connection to drop")
+	// The next plan generation: the connection dies mid-stream, right
+	// after the node acked staging the plan. The commit cannot reach it,
+	// but the rollout is decided and the plan recorded as latest.
+	dropAfterNextAck(t, tap)
+	deltas, _ := controller.DiffPlans(nil, b.pipe.Plan())
+	latestEpoch, err := b.server.PushAllDelta2PC(deltas, nil, testPol)
+	if !errors.Is(err, mgmt.ErrCommitStraggler) {
+		t.Fatalf("rollout with a node dark at commit: err = %v, want ErrCommitStraggler", err)
 	}
-
-	// While the node is unreachable, the controller pushes a new plan:
-	// the wire attempt fails, but the plan is recorded as latest.
-	err := b.server.Push(proxyID, mgmt.ConfigToDTO(0, b.nodes[proxyID].Config()), 100*time.Millisecond)
-	if err == nil {
-		t.Fatal("push to a dropped connection should fail") // reconnect can't be that fast: backoff min is 10ms and this races a fresh Push
-	}
-	latestEpoch := b.server.Epoch()
 	if latestEpoch <= epoch0 {
 		t.Fatalf("epoch did not advance: %d -> %d", epoch0, latestEpoch)
 	}
@@ -63,8 +62,8 @@ func TestReconnectDeliversLatestEpochExactlyOnce(t *testing.T) {
 	if agent.LastEpoch() != latestEpoch {
 		t.Errorf("agent epoch = %d, want %d", agent.LastEpoch(), latestEpoch)
 	}
-	// Exactly once: one apply for the initial config, one for the
-	// re-pushed latest plan — no duplicate application of either epoch.
+	// Exactly once: one apply for the re-pushed latest plan — the staged
+	// copy of the same epoch is never applied on top of it.
 	if got := st.Applies - applies0; got != 1 {
 		t.Errorf("latest-epoch config applied %d times, want exactly 1 (%+v)", got, st)
 	}
@@ -117,32 +116,20 @@ func TestReconnectNoRepushWhenCurrent(t *testing.T) {
 }
 
 // TestChaosPushRetryHealsAckLoss injects ack loss with the fault conn:
-// the first attempt's config is applied but its ack vanishes; the retry
-// of the same epoch is acked idempotently without a second apply.
+// the first commit is applied but its ack vanishes; the retry of the
+// same epoch is acked idempotently without a second apply.
 func TestChaosPushRetryHealsAckLoss(t *testing.T) {
 	b := newMgmtBed(t, 0)
 	node := b.dep.MBNodes[0]
-	// Replace the node's agent with one dialing through a fault tap.
-	b.agents[node].Close()
-	tap := &faultinject.ConnTap{}
-	agent, err := mgmt.NewAgentWith(b.devices[node], b.server.Addr(), mgmt.AgentOptions{
-		Dial: tap.Dial(func() (net.Conn, error) { return net.Dial("tcp", b.server.Addr()) }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.agents[node] = agent
-	if !b.server.WaitConnected(3*time.Second, node) {
-		t.Fatal("fault-tapped agent did not connect")
-	}
+	agent, tap := b.tapAgent(t, node, mgmt.AgentOptions{})
 
-	tap.DropFrames(1) // the next frame the agent writes (the ack) vanishes
+	// After the prepare ack, the next frame the agent writes (the commit
+	// ack) vanishes.
+	tap.AfterFrames(1, func(c *faultinject.Conn) { c.DropFrames(1) })
 	start := time.Now()
-	err = b.server.PushRetry(node, mgmt.ConfigToDTO(0, b.nodes[node].Config()), mgmt.RetryPolicy{
-		Attempts: 3, PerAttempt: 300 * time.Millisecond, Backoff: 20 * time.Millisecond,
-	})
+	err := b.pushOne(node, mgmt.RetryPolicy{Attempts: 3, PerAttempt: 300 * time.Millisecond, Backoff: 20 * time.Millisecond})
 	if err != nil {
-		t.Fatalf("push never survived ack loss: %v", err)
+		t.Fatalf("rollout never survived ack loss: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 300*time.Millisecond {
 		t.Errorf("first attempt cannot have timed out in %v; was the ack really dropped?", elapsed)
@@ -164,28 +151,16 @@ func TestChaosPushRetryHealsAckLoss(t *testing.T) {
 func TestChaosPushFailsFastOnConnDeath(t *testing.T) {
 	b := newMgmtBed(t, 0)
 	node := b.dep.MBNodes[0]
-	b.agents[node].Close()
-	tap := &faultinject.ConnTap{}
-	agent, err := mgmt.NewAgentWith(b.devices[node], b.server.Addr(), mgmt.AgentOptions{
-		Dial: tap.Dial(func() (net.Conn, error) { return net.Dial("tcp", b.server.Addr()) }),
-		// Slow reconnects so the fail-fast window is unambiguous.
-		BackoffMin: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.agents[node] = agent
-	if !b.server.WaitConnected(3*time.Second, node) {
-		t.Fatal("agent did not connect")
-	}
+	// Slow reconnects so the fail-fast window is unambiguous.
+	_, tap := b.tapAgent(t, node, mgmt.AgentOptions{BackoffMin: 2 * time.Second})
 
 	tap.DropFrames(8) // swallow acks: the push would wait its full budget
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		done <- b.server.Push(node, mgmt.ConfigToDTO(0, b.nodes[node].Config()), 30*time.Second)
+		done <- b.pushOne(node, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 30 * time.Second})
 	}()
-	time.Sleep(150 * time.Millisecond) // let the config land and its ack be eaten
+	time.Sleep(150 * time.Millisecond) // let the prepare land and its ack be eaten
 	tap.DropConn()
 	select {
 	case err := <-done:
@@ -203,13 +178,46 @@ func TestChaosPushFailsFastOnConnDeath(t *testing.T) {
 	}
 }
 
-// TestPushWhileDisconnectedConvergesOnReconnect: pushing to a node with
+// TestPushWhileDisconnectedConvergesOnReconnect: a commit to a node with
 // no connection fails with ErrNotConnected (without consuming wire
-// state), yet the plan still reaches the node when its agent appears.
+// state), yet the decided plan still reaches the node when its agent
+// appears. (A node that is already gone at prepare time fails the quorum
+// and nothing is decided: TestTwoPhaseCommitStragglerHealsViaReconnect.)
 func TestPushWhileDisconnectedConvergesOnReconnect(t *testing.T) {
 	b := newMgmtBed(t, 0)
 	b.server.SetRepushPolicy(mgmt.RetryPolicy{Attempts: 5, PerAttempt: time.Second, Backoff: 20 * time.Millisecond})
 	node := b.dep.MBNodes[0]
+
+	// The node goes away right after staging the plan and does not come
+	// back on its own (its re-dial is 5s out).
+	gone, tap := b.tapAgent(t, node, mgmt.AgentOptions{BackoffMin: 10 * time.Second})
+	dropAfterNextAck(t, tap)
+	deltas, _ := controller.DiffPlans(nil, b.pipe.Plan())
+	latest, err := b.server.PushAllDelta2PC(deltas, b.configs, testPol)
+	if !errors.Is(err, mgmt.ErrCommitStraggler) {
+		t.Fatalf("err = %v, want ErrCommitStraggler", err)
+	}
+	if !errors.Is(err, mgmt.ErrNotConnected) && !errors.Is(err, mgmt.ErrConnClosed) {
+		t.Fatalf("err = %v, want the straggler's cause: no connection", err)
+	}
+	gone.Close()
+
+	agent, err := mgmt.NewAgent(b.devices[node], b.server.Addr(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.agents[node] = agent
+	if !live.WaitUntil(5*time.Second, func() bool { return b.server.AckedEpoch(node) == latest }) {
+		t.Fatalf("stored plan never delivered on reconnect (acked %d, want %d)",
+			b.server.AckedEpoch(node), latest)
+	}
+}
+
+// closeAgent stops a node's agent and waits until the server has noticed:
+// the server deregisters a connection only when its read loop sees the
+// close, so until then WaitConnected would still answer for the old one.
+func (b *mgmtBed) closeAgent(t *testing.T, node topo.NodeID) {
+	t.Helper()
 	b.agents[node].Close()
 	if !live.WaitUntil(3*time.Second, func() bool {
 		for _, id := range b.server.Connected() {
@@ -221,21 +229,40 @@ func TestPushWhileDisconnectedConvergesOnReconnect(t *testing.T) {
 	}) {
 		t.Fatal("closed agent still registered")
 	}
+}
 
-	err := b.server.Push(node, mgmt.ConfigToDTO(0, b.nodes[node].Config()), time.Second)
-	if !errors.Is(err, mgmt.ErrNotConnected) {
-		t.Fatalf("err = %v, want ErrNotConnected", err)
-	}
-	latest := b.server.Epoch()
-
-	agent, err := mgmt.NewAgent(b.devices[node], b.server.Addr(), 0)
+// replaceAgent swaps a node's agent for one with the given options.
+func (b *mgmtBed) replaceAgent(t *testing.T, node topo.NodeID, opts mgmt.AgentOptions) *mgmt.Agent {
+	t.Helper()
+	b.closeAgent(t, node)
+	agent, err := mgmt.NewAgentWith(b.devices[node], b.server.Addr(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.agents[node] = agent
-	if !live.WaitUntil(5*time.Second, func() bool { return b.server.AckedEpoch(node) == latest }) {
-		t.Fatalf("stored plan never delivered on reconnect (acked %d, want %d)",
-			b.server.AckedEpoch(node), latest)
+	if !b.server.WaitConnected(3*time.Second, node) {
+		t.Fatal("replacement agent did not connect")
+	}
+	return agent
+}
+
+// tapAgent is replaceAgent with the new agent dialing through a fault tap.
+func (b *mgmtBed) tapAgent(t *testing.T, node topo.NodeID, opts mgmt.AgentOptions) (*mgmt.Agent, *faultinject.ConnTap) {
+	t.Helper()
+	tap := &faultinject.ConnTap{}
+	opts.Dial = tap.Dial(func() (net.Conn, error) { return net.Dial("tcp", b.server.Addr()) })
+	return b.replaceAgent(t, node, opts), tap
+}
+
+// dropAfterNextAck arms a tapped agent to lose its connection right after
+// the next frame it writes. Armed before a rollout that is its prepare
+// ack: the server reads the ack and then the close, so the node is dark
+// exactly between the two phases — a commit straggler by construction,
+// nothing raced.
+func dropAfterNextAck(t *testing.T, tap *faultinject.ConnTap) {
+	t.Helper()
+	if !tap.AfterFrames(1, (*faultinject.Conn).DropNow) {
+		t.Fatal("no connection to arm")
 	}
 }
 

@@ -73,10 +73,10 @@ var DefaultRepushPolicy = RetryPolicy{Attempts: 3, PerAttempt: 2 * time.Second, 
 // accepts agent connections, tracks which node each serves, pushes
 // configuration, and surfaces measurement reports.
 //
-// Dependability machinery: every push stamps a monotonic epoch and is
-// recorded as the node's latest intended plan — even when the node is
-// currently disconnected. When an agent (re)connects and its HELLO
-// reports an older epoch, the server re-pushes the latest plan
+// Dependability machinery: every rollout stamps a monotonic epoch and,
+// once decided, is recorded as each node's latest intended plan — even
+// for a node that is disconnected by then. When an agent (re)connects and
+// its HELLO reports an older epoch, the server re-pushes the latest plan
 // automatically, so a node that missed reconfigurations while down
 // converges without operator involvement. Acks carry the epoch back;
 // Converged answers whether every node runs the latest plan.
@@ -317,43 +317,22 @@ func (s *Server) Converged(nodes ...topo.NodeID) bool {
 	return true
 }
 
-// Push sends a configuration to a node's agent and waits for its ack —
-// a single attempt; see PushRetry for the self-healing form. The plan is
-// recorded as the node's latest either way, so a failed push still
-// reaches the node when its agent reconnects.
-func (s *Server) Push(node topo.NodeID, dto ConfigDTO, timeout time.Duration) error {
-	return s.PushRetry(node, dto, RetryPolicy{Attempts: 1, PerAttempt: timeout})
-}
-
-// PushRetry sends a configuration with bounded retries. The epoch is
-// assigned once (if the DTO carries none) and survives retries; each
-// attempt gets a fresh sequence number and its own timeout, and fails
-// fast if the connection dies under it. Transport errors are retried;
-// an agent's refusal returns immediately as a *RefusedError.
-func (s *Server) PushRetry(node topo.NodeID, dto ConfigDTO, pol RetryPolicy) error {
-	pol = pol.fill()
+// repushLatest is the reconnect catch-up: it re-sends the node's recorded
+// latest FULL configuration (same epoch, fresh seq per attempt) to an
+// agent whose hello reported an older epoch. It is the only direct
+// TypeConfig sender; every new plan goes through PushAllDelta2PC.
+func (s *Server) repushLatest(node topo.NodeID, dto ConfigDTO, pol RetryPolicy) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("mgmt: push to %v: %w", node, ErrServerClosed)
+	closed, notLeader := s.closed, s.notLeader
+	s.mu.Unlock()
+	if closed {
+		return fmt.Errorf("mgmt: re-push to %v: %w", node, ErrServerClosed)
 	}
-	if s.notLeader {
+	if notLeader {
 		// Deposed-leader self-gate: the stale plan dies here, before it
 		// could race the current leader's pushes at any agent.
-		s.mu.Unlock()
-		return fmt.Errorf("mgmt: push to %v: %w", node, ErrNotLeader)
+		return fmt.Errorf("mgmt: re-push to %v: %w", node, ErrNotLeader)
 	}
-	if dto.Term == 0 {
-		dto.Term = s.term
-	}
-	if dto.Epoch == 0 {
-		s.epoch++
-		dto.Epoch = s.epoch
-	} else if dto.Epoch > s.epoch {
-		s.epoch = dto.Epoch
-	}
-	s.storeLatestLocked(node, dto)
-	s.mu.Unlock()
 	s.smInc(func(m *serverMetrics) *metrics.Counter { return m.pushes })
 	s.observePushBytes(TypeConfig, dto, false)
 	return s.callRetry(node, TypeConfig, func(seq uint64) interface{} {
@@ -362,8 +341,8 @@ func (s *Server) PushRetry(node topo.NodeID, dto ConfigDTO, pol RetryPolicy) err
 	}, pol, dto.Epoch)
 }
 
-// callRetry is the bounded-retry engine shared by config pushes and the
-// two-phase rollout messages: each attempt gets a fresh seq and its own
+// callRetry is the bounded-retry engine shared by the catch-up re-push
+// and the two-phase rollout messages: each attempt gets a fresh seq and its own
 // ack budget; transport errors retry with exponential backoff, an agent's
 // refusal returns immediately. recordEpoch, when non-zero, advances the
 // node's acked-epoch record on success (zero for prepare: a staged plan
@@ -393,23 +372,6 @@ func (s *Server) callRetry(node topo.NodeID, typ string, mk func(seq uint64) int
 	}
 	s.smInc(func(m *serverMetrics) *metrics.Counter { return m.failures })
 	return lastErr
-}
-
-// storeLatestLocked records dto as the node's latest intended plan. A
-// weights-only push merges into the stored full config (re-pushing it
-// later must carry the current weights, not the stale ones).
-func (s *Server) storeLatestLocked(node topo.NodeID, dto ConfigDTO) {
-	dto.Seq = 0
-	if dto.WeightsOnly {
-		if full, ok := s.latest[node]; ok && !full.WeightsOnly {
-			full.Weights = dto.Weights
-			full.Epoch = dto.Epoch
-			full.Term = dto.Term
-			s.latest[node] = full
-			return
-		}
-	}
-	s.latest[node] = dto
 }
 
 // callOnce is one wire attempt: assign a seq, send, wait for the ack,
@@ -449,22 +411,29 @@ func (s *Server) callOnce(node topo.NodeID, typ string, mk func(seq uint64) inte
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
+	var ack Ack
 	select {
-	case ack := <-ackCh:
-		if ack.Error != "" {
-			return &RefusedError{Node: node, Reason: ack.Error}
-		}
-		if recordEpoch != 0 {
-			s.recordAck(node, recordEpoch)
-		}
-		return nil
+	case ack = <-ackCh:
 	case <-c.closed:
-		return fmt.Errorf("mgmt: push to %v: %w", node, ErrConnClosed)
+		// An ack that landed just before the connection died still
+		// counts: the read loop queues it before it can see the close.
+		select {
+		case ack = <-ackCh:
+		default:
+			return fmt.Errorf("mgmt: push to %v: %w", node, ErrConnClosed)
+		}
 	case <-timer.C:
 		return fmt.Errorf("mgmt: push to %v: %w", node, ErrAckTimeout)
 	case <-s.stop:
 		return fmt.Errorf("mgmt: push to %v: %w", node, ErrServerClosed)
 	}
+	if ack.Error != "" {
+		return &RefusedError{Node: node, Reason: ack.Error}
+	}
+	if recordEpoch != 0 {
+		s.recordAck(node, recordEpoch)
+	}
+	return nil
 }
 
 // recordAck advances a node's acked-epoch high-water mark; stale acks
@@ -567,7 +536,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			_ = s.PushRetry(c.node, latest, repush)
+			_ = s.repushLatest(c.node, latest, repush)
 		}()
 	}
 

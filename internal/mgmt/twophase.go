@@ -3,123 +3,22 @@ package mgmt
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"sdme/internal/enforce"
-	"sdme/internal/metrics"
-	"sdme/internal/topo"
 )
 
-// Epoch-fenced two-phase rollout. A plain PushRetry configures nodes one
-// by one, so a crash (or a refusal) partway through a multi-node rollout
-// leaves some nodes on epoch N and others on N−1 — two plans mixed in
-// one network, exactly the cross-node inconsistency verify.Consistency
-// flags. PushAll2PC closes that window: every node first STAGES the new
-// plan (prepare), and only when all of them have staged it does the
-// server tell them to atomically flip (commit). If any prepare fails
-// after retries, the staged plans are discarded (abort) and no node ever
-// ran the new epoch. Nodes that die between prepare and commit converge
-// through the existing reconnect catch-up: the commit decision records
+// Epoch-fenced two-phase rollout, agent side (the server side is
+// PushAllDelta2PC). Configuring nodes one by one would let a crash (or a
+// refusal) partway through a multi-node rollout leave some nodes on epoch
+// N and others on N−1 — two plans mixed in one network, exactly the
+// cross-node inconsistency verify.Consistency flags. So every node first
+// STAGES the new plan (prepare), and only when all of them have staged it
+// does the server tell them to atomically flip (commit). If any prepare
+// fails after retries, the staged plans are discarded (abort) and no node
+// ever ran the new epoch. Nodes that die between prepare and commit
+// converge through the reconnect catch-up: the commit decision records
 // the plan as each node's latest, so a rejoining agent is re-pushed the
 // committed plan idempotently.
-
-// PushAll2PC rolls one plan generation out to all given nodes with
-// prepare/commit fencing. It assigns a single fresh epoch to the batch
-// and returns it. On a prepare-quorum failure the batch is aborted
-// (best-effort, one attempt per staged node) and the error of the first
-// failed prepare is returned: no node applied anything. After the commit
-// decision, individual commit failures are returned as an error but the
-// plan is already recorded as every node's latest — stragglers heal via
-// reconnect re-push, and Converged reports the fleet's progress.
-func (s *Server) PushAll2PC(plans map[topo.NodeID]ConfigDTO, pol RetryPolicy) (uint64, error) {
-	pol = pol.fill()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("mgmt: 2pc push: %w", ErrServerClosed)
-	}
-	if s.notLeader {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("mgmt: 2pc push: %w", ErrNotLeader)
-	}
-	s.epoch++
-	epoch := s.epoch
-	term := s.term
-	s.mu.Unlock()
-
-	nodes := make([]topo.NodeID, 0, len(plans))
-	for id := range plans {
-		nodes = append(nodes, id)
-	}
-	nodes = topo.SortedIDs(nodes)
-
-	// Phase 1: stage the plan everywhere.
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, node := range nodes {
-		dto := plans[node]
-		dto.Epoch = epoch
-		dto.Term = term
-		wg.Add(1)
-		go func(i int, node topo.NodeID, dto ConfigDTO) {
-			defer wg.Done()
-			s.smInc(func(m *serverMetrics) *metrics.Counter { return m.prepares })
-			s.observePushBytes(TypePrepare, dto, false)
-			errs[i] = s.callRetry(node, TypePrepare, func(seq uint64) interface{} {
-				dto.Seq = seq
-				return dto
-			}, pol, 0)
-		}(i, node, dto)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		// Prepare quorum failed: roll the staged plans back. Best-effort
-		// single attempts — an unreachable agent discards its stale stage
-		// anyway when a newer epoch arrives.
-		s.smInc(func(m *serverMetrics) *metrics.Counter { return m.rollbacks })
-		abortPol := RetryPolicy{Attempts: 1, PerAttempt: pol.PerAttempt}
-		for _, node := range nodes {
-			_ = s.callRetry(node, TypeAbort, func(seq uint64) interface{} {
-				return Commit{Seq: seq, Epoch: epoch, Term: term}
-			}, abortPol, 0)
-		}
-		return epoch, fmt.Errorf("mgmt: 2pc prepare failed at node %v (rolled back): %w", nodes[i], err)
-	}
-
-	// Decision: commit. Record the plan as every node's latest FIRST, so
-	// even a node that dies right now converges via reconnect re-push.
-	s.mu.Lock()
-	for _, node := range nodes {
-		dto := plans[node]
-		dto.Epoch = epoch
-		dto.Term = term
-		s.storeLatestLocked(node, dto)
-	}
-	s.mu.Unlock()
-
-	// Phase 2: flip everywhere.
-	for i, node := range nodes {
-		node := node
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.smInc(func(m *serverMetrics) *metrics.Counter { return m.commits })
-			errs[i] = s.callRetry(node, TypeCommit, func(seq uint64) interface{} {
-				return Commit{Seq: seq, Epoch: epoch, Term: term}
-			}, pol, epoch)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return epoch, fmt.Errorf("mgmt: 2pc commit straggler %v (will heal via re-push): %w", nodes[i], err)
-		}
-	}
-	return epoch, nil
-}
 
 // stagedPlan is an agent's prepared-but-not-applied configuration: a
 // full ConfigDTO from a TypePrepare, or a DeltaDTO from a
@@ -130,44 +29,17 @@ type stagedPlan struct {
 	delta *DeltaDTO
 }
 
-// handlePrepare validates and stages a plan without applying it. The ack
-// carries Prepared so the server never mistakes "staged" for "running".
+// handlePrepare validates and stages a full configuration without
+// applying it.
 func (a *Agent) handlePrepare(data []byte) {
 	var dto ConfigDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
 		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Error: "bad prepare: " + err.Error(), Prepared: true})
 		return
 	}
-	// Trust boundary: refuse at stage time, not commit time — a plan that
-	// cannot be applied must fail the quorum before any node flips.
-	if err := dto.Validate(); err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: err.Error(), Prepared: true})
-		return
+	if a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), true) {
+		a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, dto: dto})
 	}
-	// A deposed leader must not stage plans either: a stale-term prepare
-	// fails its quorum at every fenced agent.
-	if reason := a.fenceTerm(dto.Term); reason != "" {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Term: a.term.Load(), Error: reason, Prepared: true})
-		return
-	}
-	if dto.Epoch != 0 && dto.Epoch <= a.epoch.Load() {
-		// Already applied (a reconnect re-push overtook the rollout):
-		// staging again is pointless; ack idempotently.
-		a.stale.Add(1)
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Prepared: true})
-		return
-	}
-	a.stagedMu.Lock()
-	// A newer prepare supersedes an older staged plan (the older epoch's
-	// commit can no longer win: its quorum failed or this one would not
-	// have been issued).
-	a.staged = &stagedPlan{epoch: dto.Epoch, dto: dto}
-	a.stagedMu.Unlock()
-	a.prepared.Add(1)
-	if a.am != nil {
-		a.am.prepares.Inc()
-	}
-	_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Prepared: true})
 }
 
 // handleCommit atomically applies the staged plan for the named epoch.
@@ -261,31 +133,21 @@ func (a *Agent) StagedEpoch() uint64 {
 
 // applyDTO validates and applies a configuration to the device, returning
 // an error string for the ack ("" on success) and advancing the agent's
-// applied epoch. Shared by the direct config path and the commit path.
+// applied epoch. Shared by the catch-up config path and the commit path.
 func (a *Agent) applyDTO(dto ConfigDTO) string {
 	if err := dto.Validate(); err != nil {
 		return err.Error()
 	}
 	errStr := ""
-	if dto.WeightsOnly {
-		w := WeightsFromDTO(dto.Weights)
-		if !a.dev.Do(func(n *enforce.Node) { n.SetWeights(w) }) {
-			errStr = "device stopped"
+	cfg, err := ConfigFromDTO(dto)
+	if err != nil {
+		errStr = err.Error()
+	} else if !a.dev.Do(func(n *enforce.Node) {
+		if ierr := n.Install(cfg); ierr != nil {
+			errStr = ierr.Error()
 		}
-	} else {
-		cfg, err := ConfigFromDTO(dto)
-		if err != nil {
-			errStr = err.Error()
-		} else {
-			applied := a.dev.Do(func(n *enforce.Node) {
-				if ierr := n.Install(cfg); ierr != nil {
-					errStr = ierr.Error()
-				}
-			})
-			if !applied {
-				errStr = "device stopped"
-			}
-		}
+	}) {
+		errStr = "device stopped"
 	}
 	if errStr == "" {
 		a.applies.Add(1)

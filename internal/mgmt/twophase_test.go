@@ -5,10 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"sdme/internal/controller"
+	"sdme/internal/enforce"
 	"sdme/internal/live"
 	"sdme/internal/mgmt"
 	"sdme/internal/netaddr"
 	"sdme/internal/packet"
+	"sdme/internal/policy"
 	"sdme/internal/topo"
 	"sdme/internal/verify"
 )
@@ -23,21 +26,9 @@ func (b *mgmtBed) fleetViews() map[topo.NodeID]verify.NodePlanView {
 	return views
 }
 
-// plansFor builds each node's controller-computed plan as a DTO batch.
-func (b *mgmtBed) plansFor() map[topo.NodeID]mgmt.ConfigDTO {
-	plans := make(map[topo.NodeID]mgmt.ConfigDTO, len(b.nodes))
-	for id, n := range b.nodes {
-		plans[id] = mgmt.ConfigToDTO(0, n.Config())
-	}
-	return plans
-}
-
 func TestTwoPhasePushAllCommits(t *testing.T) {
 	b := newMgmtBed(t, 0)
-	epoch, err := b.server.PushAll2PC(b.plansFor(), mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
-	if err != nil {
-		t.Fatalf("2pc push: %v", err)
-	}
+	epoch := b.pushAll(t)
 	if epoch == 0 {
 		t.Fatal("2pc push returned zero epoch")
 	}
@@ -78,22 +69,26 @@ func TestTwoPhaseAbortOnPrepareFailureNeverMixesPlans(t *testing.T) {
 	b := newMgmtBed(t, 0)
 
 	// Establish a committed baseline epoch first.
-	base, err := b.server.PushAll2PC(b.plansFor(), mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
-	if err != nil {
-		t.Fatalf("baseline 2pc: %v", err)
+	base := b.pushAll(t)
+
+	// Next generation: one node's plan is garbage (a negative weight — what
+	// LP round-off used to produce), so its prepare is refused and the
+	// whole batch must roll back.
+	deltas := make(map[topo.NodeID]enforce.ConfigDelta, len(b.nodes))
+	for id := range b.nodes {
+		deltas[id] = enforce.ConfigDelta{}
 	}
-
-	// Next generation: one node's plan is garbage (unknown strategy), so
-	// its prepare is refused and the whole batch must roll back.
-	plans := b.plansFor()
 	victim := b.dep.MBNodes[0]
-	bad := plans[victim]
-	bad.Strategy = 99
-	plans[victim] = bad
+	deltas[victim] = enforce.ConfigDelta{SetWeights: map[enforce.WeightKey][]float64{
+		{PolicyID: 1, Func: policy.FuncIDS}: {-1e-3},
+	}}
 
-	_, err = b.server.PushAll2PC(plans, mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
+	_, err := b.server.PushAllDelta2PC(deltas, nil, mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
 	if err == nil {
 		t.Fatal("2pc with an invalid plan committed")
+	}
+	if errors.Is(err, mgmt.ErrCommitStraggler) {
+		t.Errorf("a refused prepare reported as a commit straggler: %v", err)
 	}
 	var refused *mgmt.RefusedError
 	if !errors.As(err, &refused) {
@@ -118,48 +113,46 @@ func TestTwoPhaseAbortOnPrepareFailureNeverMixesPlans(t *testing.T) {
 	}
 }
 
-// A reconnect re-push (plain config at the committed epoch) overtaking a
-// late prepare retry must win: prepare for an epoch the agent already
-// applied acks idempotently and stages nothing.
-func TestTwoPhasePrepareAfterApplyIsIdempotent(t *testing.T) {
+// A reconnect re-push (plain config at the committed epoch) overtaking
+// the commit retry must win exactly once: the node's connection dies
+// right after it acked staging the plan and stays down through the commit
+// decision,
+// the re-dialing agent is caught up by the re-push, and the commit's
+// second attempt finds the epoch already applied — it acks idempotently
+// and applies nothing.
+func TestTwoPhaseRepushOvertakingCommitAppliesOnce(t *testing.T) {
 	b := newMgmtBed(t, 0)
-	epoch, err := b.server.PushAll2PC(b.plansFor(), mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-run the same generation: every prepare hits the already-applied
-	// fence... but PushAll2PC always mints a fresh epoch, so drive one
-	// node directly through Push with the committed epoch instead.
 	node := b.dep.MBNodes[0]
-	dto := mgmt.ConfigToDTO(0, b.nodes[node].Config())
-	dto.Epoch = epoch
-	if err := b.server.Push(node, dto, 3*time.Second); err != nil {
-		t.Fatalf("re-push at committed epoch: %v", err)
+	// Re-dial 0.3–0.6s after the drop: after the commit decision
+	// (milliseconds in), well before the commit's second attempt (2s in).
+	a, tap := b.tapAgent(t, node, mgmt.AgentOptions{BackoffMin: 600 * time.Millisecond})
+	b.pushAll(t)
+	applies0 := a.Stats().Applies
+
+	dropAfterNextAck(t, tap)
+	deltas, _ := controller.DiffPlans(nil, b.pipe.Plan())
+	epoch, err := b.server.PushAllDelta2PC(deltas, nil,
+		mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second, Backoff: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("rollout through a reconnect: %v", err)
 	}
-	a := b.agents[node]
 	if got := a.LastEpoch(); got != epoch {
-		t.Errorf("epoch regressed to %d", got)
+		t.Errorf("agent on epoch %d, want %d", got, epoch)
 	}
-	if a.Stats().StaleConfigs == 0 {
-		t.Error("re-push at applied epoch was not treated as stale")
+	st := a.Stats()
+	if got := st.Applies - applies0; got != 1 {
+		t.Errorf("epoch %d applied %d times, want exactly 1 (%+v)", epoch, got, st)
 	}
-	if se := a.StagedEpoch(); se != 0 {
-		t.Errorf("idempotent path staged epoch %d", se)
+	if st.StaleConfigs == 0 {
+		t.Errorf("neither the re-push nor the commit retry was treated as stale: %+v", st)
 	}
 }
 
 // Successive 2PC generations advance the fleet monotonically.
 func TestTwoPhaseSuccessiveGenerations(t *testing.T) {
 	b := newMgmtBed(t, 0)
-	pol := mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second}
-	e1, err := b.server.PushAll2PC(b.plansFor(), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := b.server.PushAll2PC(b.plansFor(), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e1 := b.pushAll(t)
+	e2 := b.pushAll(t)
 	if e2 <= e1 {
 		t.Fatalf("epochs not monotonic: %d then %d", e1, e2)
 	}
@@ -172,22 +165,19 @@ func TestTwoPhaseSuccessiveGenerations(t *testing.T) {
 
 // The plan-consistency invariant over a real fleet: clean after an
 // epoch-fenced batch, and flagging the exact divergent node after a
-// deliberately partial plain push — the failure mode 2PC exists to
-// prevent.
+// deliberately partial one-node batch — the failure mode fleet-wide
+// batches exist to prevent.
 func TestTwoPhaseFleetPlanConsistency(t *testing.T) {
 	b := newMgmtBed(t, 0)
-	if _, err := b.server.PushAll2PC(b.plansFor(), mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second}); err != nil {
-		t.Fatal(err)
-	}
+	b.pushAll(t)
 	if v := verify.CheckConsistency(b.fleetViews()); len(v) != 0 {
 		t.Fatalf("consistent fleet flagged: %v", v)
 	}
 
-	// Push a lone node forward with a plain (unfenced) config: the fleet
-	// now mixes generations, and the checker must say which node.
+	// Push a lone node forward in a one-node batch: the fleet now mixes
+	// generations, and the checker must say which node.
 	node := b.dep.MBNodes[0]
-	dto := mgmt.ConfigToDTO(0, b.nodes[node].Config())
-	if err := b.server.PushRetry(node, dto, mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second}); err != nil {
+	if err := b.pushOne(node, mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 	viol := verify.CheckConsistency(b.fleetViews())
@@ -201,16 +191,14 @@ func TestTwoPhaseFleetPlanConsistency(t *testing.T) {
 	}
 }
 
-// Killing an agent before commit: the batch's commit phase reports a
-// straggler, but the plan is recorded as latest, so the rejoining agent
-// is caught up by the reconnect re-push and the fleet converges anyway.
+// Killing an agent before prepare: the batch fails its prepare quorum and
+// rolls back — no node moves. Once the agent rejoins, the next generation
+// lands on everyone together. (An agent lost between prepare and commit
+// is the straggler the reconnect re-push heals:
+// TestPushWhileDisconnectedConvergesOnReconnect.)
 func TestTwoPhaseCommitStragglerHealsViaReconnect(t *testing.T) {
 	b := newMgmtBed(t, 0)
-	pol := mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second}
-	base, err := b.server.PushAll2PC(b.plansFor(), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := b.pushAll(t)
 
 	// Drop one agent entirely. Prepare cannot reach it, so this generation
 	// rolls back; that is the fenced behavior — no node moves.
@@ -219,7 +207,8 @@ func TestTwoPhaseCommitStragglerHealsViaReconnect(t *testing.T) {
 	delete(b.agents, node)
 	b.server.DropConn(node)
 
-	if _, err := b.server.PushAll2PC(b.plansFor(), mgmt.RetryPolicy{Attempts: 1, PerAttempt: time.Second}); err == nil {
+	deltas, _ := controller.DiffPlans(nil, b.pipe.Plan())
+	if _, err := b.server.PushAllDelta2PC(deltas, nil, mgmt.RetryPolicy{Attempts: 1, PerAttempt: time.Second}); err == nil {
 		t.Fatal("2pc committed with a dead member")
 	}
 	for id, a := range b.agents {
@@ -237,10 +226,7 @@ func TestTwoPhaseCommitStragglerHealsViaReconnect(t *testing.T) {
 	if !b.server.WaitConnected(3*time.Second, node) {
 		t.Fatal("agent did not rejoin")
 	}
-	next, err := b.server.PushAll2PC(b.plansFor(), pol)
-	if err != nil {
-		t.Fatalf("2pc after rejoin: %v", err)
-	}
+	next := b.pushAll(t)
 	if !live.WaitUntil(3*time.Second, func() bool {
 		for _, a := range b.agents {
 			if a.LastEpoch() != next {

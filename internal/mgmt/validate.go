@@ -9,7 +9,7 @@ import (
 
 // This file is the trust boundary of the management channel. Every DTO
 // that arrives off the wire must pass its Validate method before any
-// field reaches enforcement state (Node.Install, SetWeights) or the
+// field reaches enforcement state (Node.Install, ApplyDelta) or the
 // controller's solver inputs — the wiretaint analyzer (internal/lint)
 // enforces that rule at build time, and these are the sanitizers it
 // recognizes. Validation is structural: range checks that hold for any
@@ -23,30 +23,28 @@ const maxNameLen = 256
 // Validate checks a configuration push for structural sanity: strategy
 // in range, prefix bits within IPv4 width, port ranges ordered, action
 // and function codes positive, TTLs non-negative, weights finite and
-// non-negative. WeightsOnly pushes skip the full-config checks.
+// non-negative.
 func (d *ConfigDTO) Validate() error {
-	if !d.WeightsOnly {
-		switch enforce.Strategy(d.Strategy) {
-		case enforce.HotPotato, enforce.Random, enforce.LoadBalanced:
-		default:
-			return fmt.Errorf("mgmt: config seq %d: unknown strategy %d", d.Seq, d.Strategy)
+	switch enforce.Strategy(d.Strategy) {
+	case enforce.HotPotato, enforce.Random, enforce.LoadBalanced:
+	default:
+		return fmt.Errorf("mgmt: config seq %d: unknown strategy %d", d.Seq, d.Strategy)
+	}
+	if d.FlowTTL < 0 || d.LabelTTL < 0 {
+		return fmt.Errorf("mgmt: config seq %d: negative TTL (flow %d, label %d)", d.Seq, d.FlowTTL, d.LabelTTL)
+	}
+	for i, p := range d.Policies {
+		if err := p.validate(); err != nil {
+			return fmt.Errorf("mgmt: config seq %d: policy[%d]: %w", d.Seq, i, err)
 		}
-		if d.FlowTTL < 0 || d.LabelTTL < 0 {
-			return fmt.Errorf("mgmt: config seq %d: negative TTL (flow %d, label %d)", d.Seq, d.FlowTTL, d.LabelTTL)
+	}
+	for i, c := range d.Candidates {
+		if c.Func <= 0 {
+			return fmt.Errorf("mgmt: config seq %d: candidates[%d]: function code %d out of range", d.Seq, i, c.Func)
 		}
-		for i, p := range d.Policies {
-			if err := p.validate(); err != nil {
-				return fmt.Errorf("mgmt: config seq %d: policy[%d]: %w", d.Seq, i, err)
-			}
-		}
-		for i, c := range d.Candidates {
-			if c.Func <= 0 {
-				return fmt.Errorf("mgmt: config seq %d: candidates[%d]: function code %d out of range", d.Seq, i, c.Func)
-			}
-			for _, n := range c.Nodes {
-				if n < 0 {
-					return fmt.Errorf("mgmt: config seq %d: candidates[%d]: negative node id %d", d.Seq, i, n)
-				}
+		for _, n := range c.Nodes {
+			if n < 0 {
+				return fmt.Errorf("mgmt: config seq %d: candidates[%d]: negative node id %d", d.Seq, i, n)
 			}
 		}
 	}

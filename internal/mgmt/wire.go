@@ -45,18 +45,18 @@ const (
 	TypeAck      = "ack"
 	TypeMeasure  = "measure"
 	// TypePrepare / TypeCommit / TypeAbort are the epoch-fenced two-phase
-	// rollout (twophase.go): prepare carries a ConfigDTO the agent stages
+	// rollout (twophase.go): prepare carries a full ConfigDTO (the delta
+	// rollout's fallback form) the agent stages
 	// without applying; commit atomically flips the node to the staged
 	// plan; abort discards it after a prepare-quorum failure.
 	TypePrepare = "prepare"
 	TypeCommit  = "commit"
 	TypeAbort   = "abort"
-	// TypeDelta carries a DeltaDTO — the incremental pipeline's per-node
-	// edit script, applied in place by the agent without reinstalling the
-	// untouched parts of the configuration. TypePrepareDelta is the same
-	// payload staged under the two-phase rollout: commit/abort reuse
-	// TypeCommit/TypeAbort unchanged.
-	TypeDelta        = "delta"
+	// TypePrepareDelta carries a DeltaDTO — the incremental pipeline's
+	// per-node edit script — staged under the two-phase rollout and
+	// applied in place at commit, without reinstalling the untouched
+	// parts of the configuration. Commit/abort reuse TypeCommit/TypeAbort
+	// unchanged.
 	TypePrepareDelta = "prepare-delta"
 	// TypeLeaseRequest / TypeLeaseGrant / TypeHeartbeat are the
 	// controller-replica election protocol (internal/controller/election.go):
@@ -122,9 +122,9 @@ type WeightDTO struct {
 	Weights   []float64 `json:"w"`
 }
 
-// ConfigDTO is a full node configuration push. Seq identifies one wire
+// ConfigDTO is a full node configuration. Seq identifies one wire
 // attempt (assigned per send); Epoch identifies the logical plan
-// generation (assigned once per Push, monotonic across the server's
+// generation (assigned once per rollout, monotonic across the server's
 // lifetime) — a re-pushed plan keeps its epoch under a fresh seq, and
 // agents apply each epoch at most once.
 type ConfigDTO struct {
@@ -144,9 +144,6 @@ type ConfigDTO struct {
 	Policies       []PolicyDTO    `json:"policies"`
 	Candidates     []CandidateDTO `json:"candidates"`
 	Weights        []WeightDTO    `json:"weights,omitempty"`
-	// WeightsOnly applies only the weight vectors, preserving tables and
-	// soft state (the §III-C periodic rebalance).
-	WeightsOnly bool `json:"weights_only,omitempty"`
 }
 
 // Ack confirms (or refuses) a config push. Epoch echoes the config's
@@ -376,9 +373,10 @@ func weightsToDTO(w map[enforce.WeightKey][]float64) []WeightDTO {
 	return out
 }
 
-// WeightsToDTO serializes a solved weight map for a weights-only push.
+// WeightsToDTO serializes a solved weight map; its Weights rows are the
+// controller journal's weights-record encoding.
 func WeightsToDTO(seq uint64, w map[enforce.WeightKey][]float64) ConfigDTO {
-	return ConfigDTO{Seq: seq, WeightsOnly: true, Weights: weightsToDTO(w)}
+	return ConfigDTO{Seq: seq, Weights: weightsToDTO(w)}
 }
 
 // ConfigFromDTO reconstructs an enforce.Config from the wire form.

@@ -58,11 +58,7 @@ func TestClosedLoopRebalancing(t *testing.T) {
 		t.Fatalf("measured %d packets, injected %d", measured, b.nw.Stats().PacketsInjected)
 	}
 
-	sol, err := b.ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	controller.ApplyWeights(b.nodes, sol)
+	b.recompute(t, meas)
 	for _, n := range b.nodes {
 		n.ResetMeasurements()
 	}
@@ -134,9 +130,8 @@ func TestMiddleboxFailureRepairInSim(t *testing.T) {
 	if err := b.ctl.MarkFailed(dead, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ctl.Reassign(b.nodes); err != nil {
-		t.Fatal(err)
-	}
+	b.pipe.NodeChanged(dead)
+	b.recompute(t, nil)
 
 	deliveredBefore := b.nw.Stats().Delivered
 	loadAtFailure := b.nodes[dead].Counters.Load
@@ -189,11 +184,7 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 
 	// Rebalance from live measurements.
 	meas := controller.Collect(b.nodes)
-	sol, err := b.ctl.SolveLB(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	controller.ApplyWeights(b.nodes, sol)
+	b.recompute(t, meas)
 
 	// Periodic sweeps plus phase 2 traffic.
 	for _, n := range b.nodes {
@@ -213,9 +204,8 @@ func TestSoakEverythingAtOnce(t *testing.T) {
 	if err := b.ctl.MarkFailed(hot, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ctl.Reassign(b.nodes); err != nil {
-		t.Fatal(err)
-	}
+	b.pipe.NodeChanged(hot)
+	b.recompute(t, meas)
 	inject(b.nw.Engine.Now()+1000, 120)
 	b.nw.Run(0)
 

@@ -77,8 +77,39 @@ type simBed struct {
 	dom   *ospf.Domain
 	tbl   *policy.Table
 	ctl   *controller.Controller
+	pipe  *controller.Pipeline
 	nodes map[topo.NodeID]*enforce.Node
 	nw    *sim.Network
+}
+
+// buildNodes compiles a controller's first plan (no measurements) and
+// materializes a fresh set of nodes from it.
+func buildNodes(t *testing.T, ctl *controller.Controller) (*controller.Pipeline, map[topo.NodeID]*enforce.Node) {
+	t.Helper()
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	upd, err := pipe.Recompute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pipe, nodes
+}
+
+// recompute runs one turn of the control loop in process: re-plan over
+// meas, then apply the deltas to the bed's nodes in place.
+func (b *simBed) recompute(t *testing.T, meas controller.Measurements) *controller.PlanUpdate {
+	t.Helper()
+	upd, err := b.pipe.Recompute(meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := controller.ApplyDeltas(b.nodes, upd.Deltas); err != nil {
+		t.Fatal(err)
+	}
+	return upd
 }
 
 func newSimBed(t *testing.T, opts controller.Options) *simBed {
@@ -108,12 +139,9 @@ func newSimBed(t *testing.T, opts controller.Options) *simBed {
 		opts.K = map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2}
 	}
 	ctl := controller.New(dep, ap, tbl, opts)
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pipe, nodes := buildNodes(t, ctl)
 	return &simBed{
-		g: g, dep: dep, ap: ap, dom: dom, tbl: tbl, ctl: ctl, nodes: nodes,
+		g: g, dep: dep, ap: ap, dom: dom, tbl: tbl, ctl: ctl, pipe: pipe, nodes: nodes,
 		nw: sim.New(g, dom, dep, nodes),
 	}
 }
@@ -214,10 +242,7 @@ func TestSimMatchesEvaluatorLoads(t *testing.T) {
 	b.nw.Run(0)
 	simLoads := b.nw.MiddleboxLoads()
 
-	nodes2, err := b.ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, nodes2 := buildNodes(t, b.ctl)
 	report, err := enforce.EvaluateFlows(nodes2, b.dep, b.ap, demands)
 	if err != nil {
 		t.Fatal(err)
@@ -358,10 +383,7 @@ func TestOffPathProxyLoopbackAccounting(t *testing.T) {
 	dom.Converge()
 	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))
 	ctl := controller.New(dep, ap, tbl, controller.Options{Strategy: enforce.HotPotato})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, nodes := buildNodes(t, ctl)
 	nw := sim.New(g, dom, dep, nodes)
 	if err := nw.InjectFlow(flowTuple(1, 2, 80, 1), 7, 256, 0, 50); err != nil {
 		t.Fatal(err)
@@ -446,10 +468,7 @@ func TestBandwidthTransmissionDelay(t *testing.T) {
 	dom.Converge()
 	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))
 	ctl := controller.New(dep, ap, tbl, controller.Options{Strategy: enforce.HotPotato})
-	nodes, err := ctl.BuildNodes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, nodes := buildNodes(t, ctl)
 	nw := sim.New(g, dom, dep, nodes)
 	_ = prx
 

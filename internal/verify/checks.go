@@ -136,8 +136,8 @@ func CheckHotPotato(p Plan) []Violation {
 }
 
 // CheckFailed verifies that no middlebox marked failed appears in any
-// candidate set — the exact staleness a crash between MarkFailed and
-// Reassign would install.
+// candidate set — the exact staleness a crash between MarkFailed and the
+// repair Recompute would leave behind.
 func CheckFailed(p Plan) []Violation {
 	failed := p.failedSet()
 	if len(failed) == 0 {

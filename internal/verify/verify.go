@@ -25,8 +25,8 @@
 //
 // All checks are pure reads: nothing in this package mutates the
 // deployment, the routing state or the candidate sets, and no check
-// needs a constructed enforce.Node — plans are verifiable before
-// BuildNodes runs.
+// needs a constructed enforce.Node — plans are verifiable before any
+// node is built from them.
 package verify
 
 import (

@@ -56,11 +56,11 @@ func newPlanBed(t *testing.T, seed int64) *planBed {
 	ctl := controller.New(dep, b.ap, tbl, controller.Options{
 		K: map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
 	})
-	cands, err := ctl.ComputeCandidates()
+	plan, err := ctl.CompilePlan(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.cands = cands
+	b.cands = plan.Candidates
 	return b
 }
 
@@ -224,7 +224,7 @@ func TestCorruptedPlans(t *testing.T) {
 		},
 		{
 			// A failed middlebox left in candidate sets is the staleness a
-			// crash between MarkFailed and Reassign would install: every
+			// crash between MarkFailed and the repair Recompute would leave: every
 			// holder gets a failed-candidate finding, and its list is no
 			// longer the prefix of the *live* providers.
 			name: "failed-middlebox-in-candidates",
@@ -330,7 +330,7 @@ func TestWeightChecks(t *testing.T) {
 }
 
 // TestReassignAfterFailureIsClean is the regression guard for the
-// dependability loop: after MarkFailed, recomputing and reassigning must
+// dependability loop: after MarkFailed, the repair turn of the loop must
 // always produce a plan with zero violations — the failed box is gone
 // from every candidate set and the survivors re-rank into valid prefixes.
 func TestReassignAfterFailureIsClean(t *testing.T) {
@@ -339,31 +339,37 @@ func TestReassignAfterFailureIsClean(t *testing.T) {
 		K:      map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
 		Verify: true,
 	})
-	nodes, err := ctl.BuildNodes()
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	upd, err := pipe.Recompute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mb := range []topo.NodeID{b.fw[0], b.ids[0]} {
-		if err := ctl.MarkFailed(mb, true); err != nil {
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repair := func(mb topo.NodeID, down bool) []verify.Violation {
+		t.Helper()
+		if err := ctl.MarkFailed(mb, down); err != nil {
 			t.Fatal(err)
 		}
-		if err := ctl.Reassign(nodes); err != nil {
-			t.Fatalf("reassign after failing %d: %v", int(mb), err)
+		pipe.NodeChanged(mb)
+		upd, err := pipe.Recompute(nil)
+		if err != nil {
+			t.Fatalf("repair after marking %d down=%v: %v", int(mb), down, err)
 		}
-		if vs := ctl.VerifyPlan(nil); len(vs) != 0 {
-			for _, v := range vs {
-				t.Errorf("after failing %d: %s", int(mb), v)
-			}
+		if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
+			t.Fatal(err)
+		}
+		return ctl.VerifyPlan(upd.Plan)
+	}
+	for _, mb := range []topo.NodeID{b.fw[0], b.ids[0]} {
+		for _, v := range repair(mb, true) {
+			t.Errorf("after failing %d: %s", int(mb), v)
 		}
 	}
 	// Recovery must verify clean too.
-	if err := ctl.MarkFailed(b.fw[0], false); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.Reassign(nodes); err != nil {
-		t.Fatal(err)
-	}
-	if vs := ctl.VerifyPlan(nil); len(vs) != 0 {
+	if vs := repair(b.fw[0], false); len(vs) != 0 {
 		t.Errorf("after recovery: %d violations", len(vs))
 	}
 }
@@ -374,12 +380,10 @@ func TestReassignAfterFailureIsClean(t *testing.T) {
 func TestVerifiedLBSolutionIsClean(t *testing.T) {
 	b := newPlanBed(t, 7)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
-		K:      map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
-		Verify: true,
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
+		Verify:   true,
 	})
-	if _, err := ctl.BuildNodes(); err != nil {
-		t.Fatal(err)
-	}
 	meas := controller.Measurements{}
 	for s := 1; s <= b.dep.NumSubnets(); s++ {
 		for d := 1; d <= b.dep.NumSubnets(); d++ {
@@ -389,12 +393,14 @@ func TestVerifiedLBSolutionIsClean(t *testing.T) {
 			meas[enforce.MeasKey{PolicyID: b.polID, SrcSubnet: s, DstSubnet: d}] = 100
 		}
 	}
-	sol, err := ctl.SolveLB(meas)
+	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(meas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := ctl.VerifyPlan(sol.Weights)
-	for _, v := range vs {
+	if len(upd.Plan.Weights) == 0 {
+		t.Fatal("the plan was not solved")
+	}
+	for _, v := range ctl.VerifyPlan(upd.Plan) {
 		if v.Severity >= verify.SevError {
 			t.Errorf("LB solution violation: %s", v)
 		}

@@ -107,6 +107,8 @@ type System struct {
 
 	cfg      Config
 	ctl      *controller.Controller
+	pipe     *controller.Pipeline
+	meas     controller.Measurements // the last Balance's traffic
 	strategy Strategy
 	deployed bool
 }
@@ -259,7 +261,14 @@ func (s *System) Deploy(strategy Strategy) error {
 		UseTrie:        s.cfg.UseTrie,
 		HashSeed:       s.cfg.HashSeed,
 	})
-	nodes, err := s.ctl.BuildNodes()
+	// Every plan, this first one included, comes out of the one pipeline;
+	// full solves keep Balance's λ the exact optimum.
+	s.pipe = s.ctl.NewPipeline(controller.PipelineOptions{DirtyThreshold: -1})
+	upd, err := s.pipe.Recompute(nil)
+	if err != nil {
+		return err
+	}
+	nodes, err := s.ctl.BuildNodesFromPlan(upd.Plan)
 	if err != nil {
 		return err
 	}
@@ -278,13 +287,21 @@ func (s *System) Balance(demands []FlowDemand) (float64, error) {
 	if !s.deployed {
 		return 0, fmt.Errorf("sdme: Balance before Deploy")
 	}
-	meas := controller.MeasurementsFromFlows(s.Dep, s.Policies, demands)
-	sol, err := s.ctl.SolveLB(meas)
-	if err != nil {
+	s.meas = controller.MeasurementsFromFlows(s.Dep, s.Policies, demands)
+	if err := s.recompute(); err != nil {
 		return 0, err
 	}
-	controller.ApplyWeights(s.Nodes, sol)
-	return sol.Lambda, nil
+	return s.pipe.Plan().Lambda, nil
+}
+
+// recompute runs the control loop once in process: re-plan over the
+// current inputs, then apply the deltas to the nodes in place.
+func (s *System) recompute() error {
+	upd, err := s.pipe.Recompute(s.meas)
+	if err != nil {
+		return err
+	}
+	return controller.ApplyDeltas(s.Nodes, upd.Deltas)
 }
 
 // Evaluate routes the demand set through the enforcement logic and
@@ -316,8 +333,8 @@ func (s *System) Trace(ft FiveTuple) (*enforce.Trace, error) {
 
 // FailMiddlebox marks a middlebox (by node ID) as down and repairs the
 // deployment: every node's candidate sets are recomputed over the
-// survivors, in place. Pass down=false to bring it back. LB weights are
-// dropped by the repair; call Balance again to restore optimized splits.
+// survivors and, under LoadBalanced, the weights re-solved for the last
+// Balance's traffic, in place. Pass down=false to bring it back.
 func (s *System) FailMiddlebox(id NodeID, down bool) error {
 	if !s.deployed {
 		return fmt.Errorf("sdme: FailMiddlebox before Deploy")
@@ -325,7 +342,8 @@ func (s *System) FailMiddlebox(id NodeID, down bool) error {
 	if err := s.ctl.MarkFailed(id, down); err != nil {
 		return err
 	}
-	return s.ctl.Reassign(s.Nodes)
+	s.pipe.NodeChanged(id)
+	return s.recompute()
 }
 
 // Verify audits the deployed configuration: for every (policy, source
