@@ -32,7 +32,7 @@ func reportFigure(b *testing.B, res *experiments.FigureResult) {
 			b.ReportMetric(float64(last.MaxLoad[f][s]), f.String()+"_"+s.String()+"_max@10M")
 		}
 	}
-	b.Logf("figure series (%s):\n%s", res.Topology, experiments.FigureMarkdown(res))
+	b.Logf("figure series (%s):\n%s", res.Topology, res.Table().Markdown())
 }
 
 // BenchmarkFig4MaxLoadCampus regenerates Figure 4: max load on each
@@ -89,7 +89,7 @@ func BenchmarkTable3LoadDistribution(b *testing.B) {
 					b.ReportMetric(float64(r.ByStrat[s]), r.Func.String()+"_"+kind+"_"+s.String())
 				}
 			}
-			b.Logf("Table III:\n%s", experiments.TableMarkdown(rows))
+			b.Logf("Table III:\n%s", experiments.LoadTable(rows).Markdown())
 		}
 	}
 }
@@ -109,7 +109,7 @@ func BenchmarkAblationCandidateSetSize(b *testing.B) {
 			for _, p := range points {
 				b.ReportMetric(p.Lambda, "lambda@k="+string(rune('0'+p.K)))
 			}
-			b.Logf("candidate-set ablation:\n%s", experiments.KAblationMarkdown(points))
+			b.Logf("candidate-set ablation:\n%s", experiments.KAblationTable(points).Markdown())
 		}
 	}
 }
@@ -132,7 +132,7 @@ func BenchmarkAblationFlowTableAndLabels(b *testing.B) {
 			b.ReportMetric(float64(on.FragmentsCreated), "fragments_labels")
 			b.ReportMetric(float64(off.EncapOverheadBytes), "encap_bytes_tunnel")
 			b.ReportMetric(float64(on.EncapOverheadBytes), "encap_bytes_labels")
-			b.Logf("state ablation:\n%s", experiments.StateAblationMarkdown(off, on))
+			b.Logf("state ablation:\n%s", experiments.StateAblationTable(off, on).Markdown())
 		}
 	}
 }
@@ -152,7 +152,7 @@ func BenchmarkAblationEq1VsEq2(b *testing.B) {
 			b.ReportMetric(float64(cmp.FineVars), "eq1_vars")
 			b.ReportMetric(cmp.AggLambda, "eq2_lambda")
 			b.ReportMetric(cmp.FineLambda, "eq1_lambda")
-			b.Logf("formulations:\n%s", experiments.FormulationMarkdown(cmp))
+			b.Logf("formulations:\n%s", cmp.Table().Markdown())
 		}
 	}
 }
@@ -194,7 +194,7 @@ func BenchmarkAblationPathStretch(b *testing.B) {
 			for _, p := range points {
 				b.ReportMetric(p.Stretch, "stretch_"+p.Strategy.String())
 			}
-			b.Logf("path stretch:\n%s", experiments.StretchMarkdown(base, points))
+			b.Logf("path stretch:\n%s", experiments.StretchTable(base, points).Markdown())
 		}
 	}
 }
@@ -212,7 +212,7 @@ func BenchmarkAblationQueueing(b *testing.B) {
 			for _, p := range points {
 				b.ReportMetric(p.AvgLatencyUS, "avg_latency_us_"+p.Strategy.String())
 			}
-			b.Logf("queueing under finite capacity:\n%s", experiments.QueueingMarkdown(points))
+			b.Logf("queueing under finite capacity:\n%s", experiments.QueueingTable(points).Markdown())
 		}
 	}
 }
@@ -236,7 +236,7 @@ func BenchmarkAblationTrafficDrift(b *testing.B) {
 			}
 			b.ReportMetric(float64(stale)/float64(len(rows)-1), "avg_max_stale")
 			b.ReportMetric(float64(rebal)/float64(len(rows)-1), "avg_max_rebalanced")
-			b.Logf("traffic drift:\n%s", experiments.DriftMarkdown(rows))
+			b.Logf("traffic drift:\n%s", experiments.DriftTable(rows).Markdown())
 		}
 	}
 }

@@ -97,29 +97,17 @@ func run() error {
 	// (failed set, weight plan, epoch high-water) before any plan is
 	// computed, then reopened for appending so this run's state survives
 	// the next restart. The pipeline then starts from the journaled plan.
-	var jst *controller.JournalState
+	var resumeEpoch uint64
 	if *journalPath != "" {
-		if _, err := os.Stat(*journalPath); err == nil {
-			st, err := controller.ReplayJournal(*journalPath)
-			if err != nil {
-				return err
-			}
-			if st.Records > 0 {
-				if err := ctl.RestoreFromJournal(st); err != nil {
-					return err
-				}
-				jst = st
-				fmt.Printf("journal: replayed %d records (epoch %d, %d failed middleboxes, torn tail: %v)\n",
-					st.Records, st.Epoch, len(st.Failed), st.Torn)
-			}
-		}
-		jrnl, err := controller.OpenJournal(*journalPath)
+		st, err := ctl.AttachJournal(*journalPath)
 		if err != nil {
 			return err
 		}
-		defer jrnl.Close()
-		if err := ctl.SetJournal(jrnl); err != nil {
-			return err
+		defer ctl.Journal().Close()
+		if st.Records > 0 {
+			resumeEpoch = st.Epoch
+			fmt.Printf("journal: replayed %d records (epoch %d, %d failed middleboxes, torn tail: %v)\n",
+				st.Records, st.Epoch, len(st.Failed), st.Torn)
 		}
 	}
 
@@ -150,14 +138,13 @@ func run() error {
 		return err
 	}
 	defer server.Close()
-	if jst != nil {
-		server.ResumeEpoch(jst.Epoch)
-	}
+	server.ResumeEpoch(resumeEpoch)
 	fmt.Printf("controller management server on %s\n\n", server.Addr())
 
 	// Dataplane devices + their management agents.
-	rt := live.NewRuntime()
-	defer rt.Close()
+	fleet := experiments.NewFleet()
+	defer fleet.Close()
+	rt := fleet.Runtime
 	rt.SetDefaultWorkers(*workers)
 
 	// Observability: one registry on the runtime's wall clock, shared by
@@ -180,18 +167,11 @@ func run() error {
 
 	// Wire form of every node's plan, taken before the devices own the nodes.
 	fallback := experiments.FullConfigs(nodes)
-	devices := make(map[topo.NodeID]*live.Device)
-	var agents []*mgmt.Agent
-	defer func() {
-		for _, a := range agents {
-			a.Close()
-		}
-	}()
-	var ids []topo.NodeID
-	for id, n := range nodes {
-		// Attach before AddDevice: the device goroutine owns the node
-		// from then on. Shard tuning is local (never on the wire), so it
-		// is set here and re-applied by every subsequent config install.
+	for _, n := range nodes {
+		// Attach before the fleet takes the nodes: the device goroutine
+		// owns a node from then on. Shard tuning is local (never on the
+		// wire), so it is set here and re-applied by every subsequent
+		// config install.
 		n.SetMetrics(reg)
 		n.SetTracer(tracer)
 		if *shards > 0 {
@@ -200,21 +180,16 @@ func run() error {
 				return err
 			}
 		}
-		dev, err := rt.AddDevice(n)
-		if err != nil {
-			return err
-		}
-		devices[id] = dev
-		agent, err := mgmt.NewAgentWith(dev, server.Addr(), mgmt.AgentOptions{
-			ReportEvery: 50 * time.Millisecond,
-			Metrics:     reg,
-		})
-		if err != nil {
-			return err
-		}
-		agents = append(agents, agent)
-		ids = append(ids, id)
-		fmt.Printf("  %-12s dataplane %-14s agent connected over TCP\n", g.Node(id).Name, n.Addr)
+	}
+	if err := fleet.Add(nodes); err != nil {
+		return err
+	}
+	if err := fleet.Connect(server.Addr(), mgmt.AgentOptions{ReportEvery: 50 * time.Millisecond, Metrics: reg}); err != nil {
+		return err
+	}
+	devices, ids := fleet.Devices, fleet.IDs
+	for _, id := range ids {
+		fmt.Printf("  %-12s dataplane %-14s agent connected over TCP\n", g.Node(id).Name, nodes[id].Addr)
 	}
 	if !server.WaitConnected(3*time.Second, ids...) {
 		return fmt.Errorf("agents failed to connect")
@@ -320,7 +295,7 @@ func run() error {
 	// holds its first connection (0 reconnects) and has acked the latest
 	// epoch pushed to it.
 	var reconnects, applies int64
-	for _, a := range agents {
+	for _, a := range fleet.Agents {
 		st := a.Stats()
 		reconnects += st.Reconnects
 		applies += st.Applies
@@ -373,45 +348,15 @@ func run() error {
 // the leader is partitioned away mid-run, and a standby takes over with
 // the agents re-homing via rotation and NotLeader redirects (DESIGN §11).
 func runLiveHA(peers int, seed int64) error {
-	fmt.Printf("replicated controller HA over real sockets: %d replicas, seed %d\n", peers, seed)
-	res, err := experiments.RunLiveHA(experiments.HAConfig{Seed: seed, Replicas: peers})
+	res, err := experiments.RunHA(experiments.Live, experiments.HAConfig{Seed: seed, Replicas: peers})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("first leader: replica %d at term %d\n", res.FirstLeader, res.FirstTerm)
-	fmt.Printf("leader partitioned away; replica %d took over at term %d in %dus\n",
-		res.FinalLeader, res.FinalTerm, res.TakeoverMaxUS)
-	fmt.Printf("epochs: %d before -> %d after (resumed past the fenced high-water: %v)\n",
-		res.EpochBefore, res.EpochAfter, res.Resumed)
-	fmt.Printf("journal records replayed on takeover: %d\n", res.Records)
-	fmt.Printf("exported plan byte-identical across the takeover: %v\n", res.ExportIdentical)
-	fmt.Printf("fleet converged on the new leader's plan: %v\n", res.Converged)
-	fmt.Printf("stale-term pushes refused (deposed server self-gate + agent fence): %v\n", res.StaleRejected)
-	fmt.Printf("agent re-homing: %d reconnects, %d NotLeader redirects\n", res.Reconnects, res.Redirects)
-	avail := 1.0
-	if res.PushAttempts > 0 {
-		avail = 1 - float64(res.PushFailures)/float64(res.PushAttempts)
-	}
-	fmt.Printf("plan-push availability through the takeover: %.1f%% (%d of %d probes failed)\n",
-		100*avail, res.PushFailures, res.PushAttempts)
+	fmt.Printf("controller HA over real sockets: promotion trace %s\n\n%s", res.Trace, experiments.HATable([]experiments.HAResult{*res}).Markdown())
 	if !res.ExportIdentical || !res.StaleRejected || !res.Resumed || !res.Converged {
 		return fmt.Errorf("HA takeover degraded (see above)")
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func sum(m controller.Measurements) int64 {

@@ -29,11 +29,10 @@ import (
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
 	"sdme/internal/experiments"
+	"sdme/internal/faultinject"
 	"sdme/internal/metrics"
 	"sdme/internal/netaddr"
-	"sdme/internal/ospf"
 	"sdme/internal/policy"
-	"sdme/internal/sim"
 	"sdme/internal/topo"
 )
 
@@ -126,10 +125,10 @@ func run() error {
 }
 
 // runHATakeover hosts N controller replicas on the virtual clock, kills
-// the elected leader(s) mid-history, and prints the takeover trace — the
+// the elected leader(s) mid-history, and prints the takeover story — the
 // replicated-HA scenario (DESIGN §11), deterministic per seed.
 func runHATakeover(replicas, kills int, killLeaderAtUS, seed int64) error {
-	res, err := experiments.RunSimHA(experiments.HAConfig{
+	res, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{
 		Seed:      seed,
 		Replicas:  replicas,
 		Kills:     kills,
@@ -138,22 +137,7 @@ func runHATakeover(replicas, kills int, killLeaderAtUS, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("controller HA: %d replicas, %d leader kill(s), seed %d\n", res.Replicas, res.Kills, res.Seed)
-	fmt.Printf("first leader: replica %d at term %d\n", res.FirstLeader, res.FirstTerm)
-	fmt.Printf("final leader: replica %d at term %d (worst takeover %dus)\n",
-		res.FinalLeader, res.FinalTerm, res.TakeoverMaxUS)
-	fmt.Printf("promotion trace: %s\n", res.Trace)
-	fmt.Printf("epochs: %d before -> %d after (resumed past the fenced high-water: %v)\n",
-		res.EpochBefore, res.EpochAfter, res.Resumed)
-	fmt.Printf("journal records replayed by the final takeover: %d\n", res.Records)
-	fmt.Printf("exported plan byte-identical across takeovers: %v\n", res.ExportIdentical)
-	fmt.Printf("stale-term output from the dead leader refused: %v\n", res.StaleRejected)
-	avail := 1.0
-	if res.PushAttempts > 0 {
-		avail = 1 - float64(res.PushFailures)/float64(res.PushAttempts)
-	}
-	fmt.Printf("plan-push availability: %.1f%% (%d of %d probe pushes failed during takeovers)\n",
-		100*avail, res.PushFailures, res.PushAttempts)
+	fmt.Printf("controller HA: promotion trace %s\n\n%s", res.Trace, experiments.HATable([]experiments.HAResult{*res}).Markdown())
 	if !res.ExportIdentical || !res.StaleRejected || !res.Resumed {
 		return fmt.Errorf("HA takeover degraded (see above)")
 	}
@@ -229,26 +213,14 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 		LabelSwitching: labels, HashSeed: uint64(seed),
 	})
 	if journalPath != "" {
-		if _, err := os.Stat(journalPath); err == nil {
-			st, err := controller.ReplayJournal(journalPath)
-			if err != nil {
-				return err
-			}
-			if st.Records > 0 {
-				if err := ctl.RestoreFromJournal(st); err != nil {
-					return err
-				}
-				fmt.Printf("journal: replayed %d records (epoch %d, %d failed middleboxes, torn tail: %v)\n",
-					st.Records, st.Epoch, len(st.Failed), st.Torn)
-			}
-		}
-		jrnl, err := controller.OpenJournal(journalPath)
+		st, err := ctl.AttachJournal(journalPath)
 		if err != nil {
 			return err
 		}
-		defer jrnl.Close()
-		if err := ctl.SetJournal(jrnl); err != nil {
-			return err
+		defer ctl.Journal().Close()
+		if st.Records > 0 {
+			fmt.Printf("journal: replayed %d records (epoch %d, %d failed middleboxes, torn tail: %v)\n",
+				st.Records, st.Epoch, len(st.Failed), st.Torn)
 		}
 	}
 	// The pipeline starts from the journaled plan when one was replayed,
@@ -263,11 +235,10 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 	if err != nil {
 		return err
 	}
-	dom := ospf.NewDomain(bed.Graph)
-	fstats := dom.Converge()
-	fmt.Printf("OSPF converged: %d flooding rounds, %d LSA messages\n", fstats.Rounds, fstats.Messages)
+	sub := experiments.NewSim(experiments.Site{Graph: bed.Graph, Dep: bed.Dep, Nodes: nodes})
+	fmt.Printf("OSPF converged: %d flooding rounds, %d LSA messages\n", sub.Flooding.Rounds, sub.Flooding.Messages)
 
-	nw := sim.New(bed.Graph, dom, bed.Dep, nodes)
+	nw := sub.Network
 	var reg *metrics.Registry
 	if metricsOut != "" {
 		reg = nw.NewRegistry()
@@ -285,21 +256,6 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 			return err
 		}
 	}
-	// Local fast failover demo: at the requested virtual time the first
-	// firewall dies. No controller reaction is scheduled — recovery must
-	// come entirely from the pre-installed backup candidate lists.
-	var victim topo.NodeID
-	if killAt > 0 {
-		fws := topo.SortedIDs(bed.Dep.Providers(policy.FuncFW))
-		if len(fws) < 2 {
-			return fmt.Errorf("-kill-at needs at least 2 FW middleboxes, have %d", len(fws))
-		}
-		victim = fws[0]
-		nw.Engine.After(killAt, func() { nw.SetNodeDown(victim, true) })
-		fmt.Printf("failover: %s dies at t=%dus (no controller involvement)\n",
-			bed.Graph.Node(victim).Name, killAt)
-	}
-
 	demands := bed.GenerateDemands(traffic)
 	at := int64(0)
 	for _, d := range demands {
@@ -308,20 +264,32 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 		}
 		at += 13
 	}
-	nw.Run(0)
+	// Local fast failover demo: at the requested virtual time the first
+	// firewall dies. No controller reaction is registered — recovery must
+	// come entirely from the pre-installed backup candidate lists.
+	var victim topo.NodeID
+	if killAt > 0 {
+		fws := topo.SortedIDs(bed.Dep.Providers(policy.FuncFW))
+		if len(fws) < 2 {
+			return fmt.Errorf("-kill-at needs at least 2 FW middleboxes, have %d", len(fws))
+		}
+		victim = fws[0]
+		fmt.Printf("failover: %s dies at t=%dus (no controller involvement)\n",
+			bed.Graph.Node(victim).Name, killAt)
+		sub.Play(&faultinject.Schedule{Events: []faultinject.Event{
+			{AtUS: killAt, Kind: faultinject.KindCrash, Target: victim},
+		}}, sub.Apply)
+	}
+	sub.Drain()
 	s := nw.Stats()
 	fmt.Printf("\nsimulation: injected=%d delivered=%d served=%d dropped(policy)=%d hops=%d\n",
 		s.PacketsInjected, s.Delivered, s.ServedLocally, s.DroppedPolicy, s.PacketHops)
 	fmt.Printf("fragments=%d reassemblies=%d control=%d errors=%d\n",
 		s.FragmentsCreated, s.Reassemblies, s.ControlMessages, s.EnforcementErrors)
 	if killAt > 0 {
-		var failovers, invalidated int64
-		for _, n := range nodes {
-			failovers += n.Counters.Failovers
-			invalidated += n.Counters.Invalidated
-		}
+		t := sub.Totals()
 		fmt.Printf("failover: %d selections diverted to backups, %d soft-state entries purged after %s died\n",
-			failovers, invalidated, bed.Graph.Node(victim).Name)
+			t.Failovers, t.Invalidated, bed.Graph.Node(victim).Name)
 	}
 
 	loads := nw.MiddleboxLoads()

@@ -14,6 +14,7 @@ import (
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
+	"sdme/internal/experiments"
 	"sdme/internal/live"
 	"sdme/internal/netaddr"
 	"sdme/internal/packet"
@@ -55,16 +56,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rt := live.NewRuntime()
-	defer rt.Close()
-	devices := make(map[topo.NodeID]*live.Device)
-	for id, n := range nodes {
-		dev, err := rt.AddDevice(n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		devices[id] = dev
+	fleet := experiments.NewFleet()
+	defer fleet.Close()
+	if err := fleet.Add(nodes); err != nil {
+		log.Fatal(err)
 	}
+	rt, devices := fleet.Runtime, fleet.Devices
 	sink, err := rt.AddSink(topo.HostAddr(2, 1))
 	if err != nil {
 		log.Fatal(err)

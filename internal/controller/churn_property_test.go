@@ -138,6 +138,7 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 
 	down := make(map[topo.NodeID]bool)
 	scoped := 0
+	var deltaBytes, fullBytes int
 	for step := 0; step < sh.steps; step++ {
 		churnStep(t, bed, ctl, pipe, rng, down, &demands, demandTarget)
 		meas = controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands)
@@ -149,6 +150,7 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 			scoped++
 		}
 		records = append(records, recordOf(t, upd))
+		deltaBytes += len(records[len(records)-1].wire)
 		for id := range upd.Deltas {
 			if live[id] == nil {
 				t.Fatalf("step %d: delta for unknown node %v", step, id)
@@ -162,6 +164,13 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 		if err != nil {
 			t.Fatalf("step %d: rebuild: %v", step, err)
 		}
+		for _, n := range rebuilt {
+			buf, err := mgmt.EncodeEnvelope(mgmt.TypeConfig, mgmt.ConfigToDTO(0, n.Config()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullBytes += len(buf)
+		}
 		if viol := verify.CheckDeltaEquivalence(configsOf(live), configsOf(rebuilt)); len(viol) > 0 {
 			t.Fatalf("step %d: delta-applied configuration diverges from full rebuild (%d violations), first: %v",
 				step, len(viol), viol[0])
@@ -174,8 +183,15 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 	if sh.wantScoped && scoped == 0 {
 		t.Fatalf("no recompute took the scoped-solve path in %d steps", sh.steps)
 	}
-	t.Logf("%d steps, %d scoped recomputes, %d policies, %d failed middleboxes at end",
-		sh.steps, scoped, bed.Table.Len(), len(down))
+	// Shipping deltas must pay: over the mutation mix — demand shifts, which
+	// dirty everything, included — the encoded deltas cost at most half of
+	// what re-sending every node's full configuration each step would.
+	if 2*deltaBytes > fullBytes {
+		t.Fatalf("deltas cost %d bytes over %d steps, more than half the %d bytes of full configurations",
+			deltaBytes, sh.steps, fullBytes)
+	}
+	t.Logf("%d steps, %d scoped recomputes, %d policies, %d failed middleboxes at end; delta/full bytes %.3f",
+		sh.steps, scoped, bed.Table.Len(), len(down), float64(deltaBytes)/float64(fullBytes))
 	return records
 }
 

@@ -575,6 +575,41 @@ func (c *Controller) RestoreFromJournal(st *JournalState) error {
 	return nil
 }
 
+// AttachJournal makes the file at path the controller's write-ahead
+// journal: whatever an earlier run left there is replayed and restored,
+// then the file is reopened for appending and attached. It returns the
+// replayed state (zero Records for a new file); the open journal is
+// c.Journal(), which the caller closes.
+func (c *Controller) AttachJournal(path string) (*JournalState, error) {
+	st := &JournalState{}
+	if _, err := os.Stat(path); err == nil {
+		if st, err = ReplayJournal(path); err != nil {
+			return nil, err
+		}
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := c.ResumeJournal(st, j); err != nil {
+		_ = j.Close()
+		return nil, err
+	}
+	return st, nil
+}
+
+// ResumeJournal is AttachJournal for a caller that already holds the
+// replayed state and the open journal (a replica promoted to leader):
+// restore what was replayed, then attach the journal for appending.
+func (c *Controller) ResumeJournal(st *JournalState, j *Journal) error {
+	if st.Records > 0 {
+		if err := c.RestoreFromJournal(st); err != nil {
+			return err
+		}
+	}
+	return c.SetJournal(j)
+}
+
 // policiesToDTO dumps the controller's full policy table in wire form.
 func policiesToDTO(c *Controller) []mgmt.PolicyDTO {
 	cfg := enforce.Config{Policies: c.policies.All()}

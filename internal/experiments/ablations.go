@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
-	"sdme/internal/ospf"
 	"sdme/internal/policy"
-	"sdme/internal/sim"
 	"sdme/internal/topo"
 )
 
@@ -62,6 +59,15 @@ func RunCandidateKAblation(cfg Config, traffic int, ks []int) ([]KAblationPoint,
 	return out, nil
 }
 
+// KAblationTable renders the candidate-set-size sweep.
+func KAblationTable(points []KAblationPoint) *Table {
+	t := NewTable("k", "λ (max expected load)", "realized max IDS load", "avg path cost")
+	for _, p := range points {
+		t.Add(p.K, fmt.Sprintf("%.0f", p.Lambda), p.RealizedMaxIDS, fmt.Sprintf("%.2f", p.AvgPathCost))
+	}
+	return t
+}
+
 // StateAblation reports the effect of the §III-D flow table and §III-E
 // label switching, measured packet-by-packet in the simulator.
 type StateAblation struct {
@@ -101,9 +107,7 @@ func RunStateAblation(seed int64, flows, packetsPerFlow, packetBytes int, labelS
 	if err != nil {
 		return nil, err
 	}
-	dom := ospf.NewDomain(bed.Graph)
-	dom.Converge()
-	nw := sim.New(bed.Graph, dom, bed.Dep, nodes)
+	nw := NewSim(Site{Graph: bed.Graph, Dep: bed.Dep, Nodes: nodes}).Network
 
 	demands := bed.GenerateDemands(flows) // ≈1 packet per flow target; resize below
 	if len(demands) > flows {
@@ -131,6 +135,21 @@ func RunStateAblation(seed int64, flows, packetsPerFlow, packetBytes int, labelS
 	}
 	out.EncapOverheadBytes = out.TunnelTx * 20
 	return out, nil
+}
+
+// StateAblationTable renders the flow-table / label-switching ablation
+// pair.
+func StateAblationTable(off, on *StateAblation) *Table {
+	t := NewTable("metric", "tunneling only", "with label switching")
+	t.Add("middlebox packets processed", off.PacketsProcessed, on.PacketsProcessed)
+	t.Add("multi-field classifications", off.Classifications, on.Classifications)
+	t.Add("IP-over-IP transmissions", off.TunnelTx, on.TunnelTx)
+	t.Add("label-switched transmissions", off.LabelTx, on.LabelTx)
+	t.Add("encapsulation overhead (bytes)", off.EncapOverheadBytes, on.EncapOverheadBytes)
+	t.Add("fragments created", off.FragmentsCreated, on.FragmentsCreated)
+	t.Add("control messages", off.ControlMessages, on.ControlMessages)
+	t.Add("delivered", off.Delivered, on.Delivered)
+	return t
 }
 
 // FormulationComparison reports Eq. (1) vs Eq. (2) on one instance.
@@ -175,6 +194,16 @@ func RunEq1VsEq2(cfg Config, traffic int) (*FormulationComparison, error) {
 		AggConstraints: agg.Constraints, FineConstraints: fine.Constraints,
 		AggIterations: agg.Iterations, FineIterations: fine.Iterations,
 	}, nil
+}
+
+// Table renders the Eq. (1) vs Eq. (2) comparison.
+func (c *FormulationComparison) Table() *Table {
+	t := NewTable("metric", "Eq. (2) aggregated", "Eq. (1) fine-grained")
+	t.Add("λ", fmt.Sprintf("%.1f", c.AggLambda), fmt.Sprintf("%.1f", c.FineLambda))
+	t.Add("variables", c.AggVars, c.FineVars)
+	t.Add("constraints", c.AggConstraints, c.FineConstraints)
+	t.Add("simplex iterations", c.AggIterations, c.FineIterations)
+	return t
 }
 
 // StretchPoint reports the average per-packet path cost of a strategy
@@ -233,15 +262,15 @@ func RunPathStretch(cfg Config, traffic int) (baselineCost float64, points []Str
 	return base, points, nil
 }
 
-// StretchMarkdown renders the path-stretch ablation.
-func StretchMarkdown(baseline float64, points []StretchPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "baseline (no enforcement): %.2f hops/packet\n\n", baseline)
-	b.WriteString("| strategy | avg path cost (hops/pkt) | stretch vs baseline |\n|---|---:|---:|\n")
+// StretchTable renders the path-stretch ablation, the no-enforcement
+// baseline first.
+func StretchTable(baseline float64, points []StretchPoint) *Table {
+	t := NewTable("strategy", "avg path cost (hops/pkt)", "stretch vs baseline")
+	t.Add("none (shortest path)", fmt.Sprintf("%.2f", baseline), "1.00x")
 	for _, p := range points {
-		fmt.Fprintf(&b, "| %v | %.2f | %.2fx |\n", p.Strategy, p.AvgPathCost, p.Stretch)
+		t.Add(p.Strategy, fmt.Sprintf("%.2f", p.AvgPathCost), fmt.Sprintf("%.2fx", p.Stretch))
 	}
-	return b.String()
+	return t
 }
 
 // QueueAblation reports one strategy's latency under finite middlebox
@@ -293,9 +322,7 @@ func RunQueueingAblation(seed int64, flows, packetsPerFlow int, ratePPS float64)
 		if err != nil {
 			return nil, err
 		}
-		dom := ospf.NewDomain(bed.Graph)
-		dom.Converge()
-		nw := sim.New(bed.Graph, dom, bed.Dep, nodes)
+		nw := NewSim(Site{Graph: bed.Graph, Dep: bed.Dep, Nodes: nodes}).Network
 		for _, id := range bed.Dep.MBNodes {
 			nw.SetServiceRate(id, ratePPS)
 		}
@@ -318,13 +345,12 @@ func RunQueueingAblation(seed int64, flows, packetsPerFlow int, ratePPS float64)
 	return out, nil
 }
 
-// QueueingMarkdown renders the queueing ablation.
-func QueueingMarkdown(points []QueueAblation) string {
-	var b strings.Builder
-	b.WriteString("| strategy | avg latency (µs) | max latency (µs) | avg queue wait (µs) | max queue wait (µs) |\n|---|---:|---:|---:|---:|\n")
+// QueueingTable renders the queueing ablation.
+func QueueingTable(points []QueueAblation) *Table {
+	t := NewTable("strategy", "avg latency (µs)", "max latency (µs)", "avg queue wait (µs)", "max queue wait (µs)")
 	for _, p := range points {
-		fmt.Fprintf(&b, "| %v | %.0f | %.0f | %.0f | %.0f |\n",
-			p.Strategy, p.AvgLatencyUS, p.MaxLatencyUS, p.AvgQueueUS, p.MaxQueueUS)
+		t.Add(p.Strategy, fmt.Sprintf("%.0f", p.AvgLatencyUS), fmt.Sprintf("%.0f", p.MaxLatencyUS),
+			fmt.Sprintf("%.0f", p.AvgQueueUS), fmt.Sprintf("%.0f", p.MaxQueueUS))
 	}
-	return b.String()
+	return t
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
@@ -135,13 +134,11 @@ func RunDriftExperiment(cfg Config, target, epochs int) ([]DriftEpoch, error) {
 	return out, nil
 }
 
-// DriftMarkdown renders the drift experiment.
-func DriftMarkdown(rows []DriftEpoch) string {
-	var b strings.Builder
-	b.WriteString("| epoch | hot subnet | max load (stale weights) | max load (rebalanced) | IDS floor |\n|---:|---:|---:|---:|---:|\n")
+// DriftTable renders the drift experiment.
+func DriftTable(rows []DriftEpoch) *Table {
+	t := NewTable("epoch", "hot subnet", "max load (stale weights)", "max load (rebalanced)", "IDS floor")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "| %d | %d | %d | %d | %.0f |\n",
-			r.Epoch, r.Hot, r.MaxStale, r.MaxRebalanced, r.Ideal)
+		t.Add(r.Epoch, r.Hot, r.MaxStale, r.MaxRebalanced, fmt.Sprintf("%.0f", r.Ideal))
 	}
-	return b.String()
+	return t
 }

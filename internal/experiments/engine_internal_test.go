@@ -1,0 +1,128 @@
+package experiments
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"sdme/internal/controller"
+	"sdme/internal/faultinject"
+	"sdme/internal/mgmt"
+	"sdme/internal/topo"
+)
+
+// failingRollout is the simulator with a management channel that answers
+// every plan update with a scripted error.
+type failingRollout struct {
+	*SimSubstrate
+	err error
+}
+
+func (f failingRollout) Rollout(p Plane, upd *controller.PlanUpdate) error {
+	if upd == nil {
+		return nil
+	}
+	return f.err
+}
+
+func simFailing(err error) Backend {
+	on := Sim
+	on.newSubstrate = func(site Site) (Substrate, error) {
+		return failingRollout{NewSim(site), err}, nil
+	}
+	return on
+}
+
+// TestChaosRepairAbsorbsOnlyExpectedOutcomes: a repair absorbs a function
+// left without a live provider, a health report about a node that carries
+// no function, an aborted prepare and a decided commit straggler — and
+// nothing else. An unexpected error fails the run on either backend
+// instead of vanishing.
+func TestChaosRepairAbsorbsOnlyExpectedOutcomes(t *testing.T) {
+	bed, err := newFaultBed(11, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, _ := bed.Dep.ProxyFor(1)
+	crash := func(ids ...topo.NodeID) *faultinject.Schedule {
+		s := &faultinject.Schedule{}
+		for i, id := range ids {
+			s.Events = append(s.Events, faultinject.Event{AtUS: int64(10_000 * (i + 1)), Kind: faultinject.KindCrash, Target: id})
+		}
+		return s
+	}
+	refused := &mgmt.RefusedError{Node: bed.fw[1], Reason: "device stopped"}
+	cases := []struct {
+		name              string
+		on                Backend
+		sched             *faultinject.Schedule
+		repairs, degraded int
+		wantErr           string
+	}{
+		{name: "no live provider", on: Sim, sched: crash(bed.ids[0], bed.ids[1]), repairs: 1, degraded: 1},
+		{name: "not a middlebox", on: Sim, sched: crash(proxy)},
+		{name: "aborted prepare", on: simFailing(fmt.Errorf("prepare failed: %w", mgmt.ErrAckTimeout)), sched: crash(bed.fw[0])},
+		{name: "refused prepare", on: simFailing(fmt.Errorf("prepare failed: %w", refused)), sched: crash(bed.fw[0])},
+		{name: "decided straggler", on: simFailing(fmt.Errorf("%w: %w", mgmt.ErrCommitStraggler, refused)), sched: crash(bed.fw[0]), repairs: 1},
+		{name: "anything else", on: simFailing(errors.New("disk full")), sched: crash(bed.fw[0]), wantErr: "disk full"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := Recovery(11)
+			sc.Schedule, sc.Flows, sc.PacketsPerFlow = tc.sched, 8, 100
+			res, err := Run(tc.on, sc)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want one naming %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Repairs != tc.repairs || res.Degraded != tc.degraded {
+				t.Errorf("repairs=%d degraded=%d, want %d and %d", res.Repairs, res.Degraded, tc.repairs, tc.degraded)
+			}
+		})
+	}
+}
+
+// TestHAPromotionBookkeepingRace: spurious re-elections promote and demote
+// on elector goroutines while the story reads who leads. Run under -race;
+// every reader takes the lock the hooks write under.
+func TestHAPromotionBookkeepingRace(t *testing.T) {
+	bed, err := newFaultBed(7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &haHarness{bed: bed}
+	cfg := HAConfig{Seed: 7}
+	cfg.fill(Live)
+	grp, err := newLiveGroup(bed.Site, cfg, t.TempDir(),
+		func(int, *controller.JournalState, *controller.Journal, uint64) error { return nil }, h.demote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grp.Close()
+	g := grp.(*liveGroup)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for term := uint64(100); term < 300; term++ {
+			g.promoted(1, &controller.JournalState{}, term, errors.New("no controller behind this promotion"))
+			g.demoted(1, h.demote)
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		g.AwaitLeader(0, 1)
+		_, _ = h.leader()
+		_ = g.Totals()
+	}
+	wg.Wait()
+	if !strings.Contains(g.Totals().Trace, "1@299@") {
+		t.Errorf("promotions lost: trace %q", g.Totals().Trace)
+	}
+}

@@ -4,14 +4,14 @@
 // extension ablations listed in DESIGN.md. Each experiment builds the
 // paper's deployment, generates the three-class workload, runs the
 // HP/Rand/LB strategies through the flow-level evaluator, and reports
-// per-middlebox packet loads.
+// per-middlebox packet loads. The dependability stories (recovery,
+// failover, controller restart, replicated-controller takeover) are each
+// written once over the scenario engine's two backends — see substrate.go.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
@@ -201,6 +201,28 @@ func RunMaxLoadFigure(cfg Config) (*FigureResult, error) {
 	return res, nil
 }
 
+// Table is the series of Figures 4/5 (results/figure_<topology>.csv): one
+// row per traffic point, one column per (function, strategy) pair.
+func (res *FigureResult) Table() *Table {
+	cols := []string{"traffic"}
+	for _, f := range Funcs {
+		for _, s := range Strategies {
+			cols = append(cols, fmt.Sprintf("%s_%s_max", f, s))
+		}
+	}
+	t := NewTable(cols...)
+	for _, pt := range res.Points {
+		row := []any{pt.ActualTraffic}
+		for _, f := range Funcs {
+			for _, s := range Strategies {
+				row = append(row, pt.MaxLoad[f][s])
+			}
+		}
+		t.Add(row...)
+	}
+	return t
+}
+
 // RunPoint evaluates all strategies at one traffic level.
 func (b *Bed) RunPoint(target int) (*FigurePoint, error) {
 	demands := b.GenerateDemands(target)
@@ -265,26 +287,17 @@ func RunLoadDistributionTable(cfg Config, traffic int) ([]TableRow, error) {
 	return rows, nil
 }
 
-// SpreadRatio summarizes a strategy's balance quality at a point:
-// max/min per function (∞ when min is 0, represented as -1).
-func SpreadRatio(pt *FigurePoint, f policy.FuncType, s enforce.Strategy) float64 {
-	min := pt.MinLoad[f][s]
-	if min == 0 {
-		return -1
-	}
-	return float64(pt.MaxLoad[f][s]) / float64(min)
-}
-
-// SortedFuncs returns Funcs filtered to those present in a result point.
-func SortedFuncs(pt *FigurePoint) []policy.FuncType {
-	var out []policy.FuncType
-	for _, f := range Funcs {
-		if _, ok := pt.MaxLoad[f]; ok {
-			out = append(out, f)
+// LoadTable is Table III (results/table3.csv) in the paper's layout.
+func LoadTable(rows []TableRow) *Table {
+	t := NewTable("middlebox", "stat", "hp", "rand", "lb")
+	for _, r := range rows {
+		stat := "min"
+		if r.IsMax {
+			stat = "max"
 		}
+		t.Add(r.Func, stat, r.ByStrat[Strategies[0]], r.ByStrat[Strategies[1]], r.ByStrat[Strategies[2]])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return t
 }
 
 // MultiSeedSummary aggregates one traffic point across several
@@ -342,16 +355,13 @@ func RunMultiSeed(cfg Config, traffic int, seeds []int64) (*MultiSeedSummary, er
 	return sum, nil
 }
 
-// MultiSeedMarkdown renders the cross-seed summary.
-func MultiSeedMarkdown(sum *MultiSeedSummary) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "max load at %d packets, %s topology, %d seeds\n\n", sum.Traffic, sum.Topology, len(sum.Seeds))
-	b.WriteString("| middlebox | strategy | mean | min | max |\n|---|---|---:|---:|---:|\n")
+// Table renders the cross-seed summary.
+func (sum *MultiSeedSummary) Table() *Table {
+	t := NewTable("middlebox", "strategy", "mean", "min", "max")
 	for _, f := range Funcs {
 		for _, s := range Strategies {
-			fmt.Fprintf(&b, "| %v | %v | %.0f | %d | %d |\n",
-				f, s, sum.Mean[f][s], sum.Min[f][s], sum.Max[f][s])
+			t.Add(f, s, fmt.Sprintf("%.0f", sum.Mean[f][s]), sum.Min[f][s], sum.Max[f][s])
 		}
 	}
-	return b.String()
+	return t
 }

@@ -229,7 +229,7 @@ func TestRendering(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteFigureCSV(&buf, res); err != nil {
+	if err := res.Table().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -239,7 +239,7 @@ func TestRendering(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "traffic,FW_HP_max") {
 		t.Errorf("csv header = %q", lines[0])
 	}
-	if md := FigureMarkdown(res); !strings.Contains(md, "| traffic (pkts) | HP | Rand | LB |") {
+	if md := res.Table().Markdown(); !strings.HasPrefix(md, "| traffic | FW_HP_max | FW_Rand_max | FW_LB_max |") {
 		t.Error("figure markdown malformed")
 	}
 
@@ -247,12 +247,12 @@ func TestRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md := TableMarkdown(rows)
-	if !strings.Contains(md, "FW max.") || !strings.Contains(md, "TM min.") {
+	md := LoadTable(rows).Markdown()
+	if !strings.Contains(md, "| FW | max |") || !strings.Contains(md, "| TM | min |") {
 		t.Errorf("table markdown malformed:\n%s", md)
 	}
 	buf.Reset()
-	if err := WriteTableCSV(&buf, rows); err != nil {
+	if err := LoadTable(rows).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 9 {
@@ -263,7 +263,7 @@ func TestRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if md := KAblationMarkdown(ks); !strings.Contains(md, "| k |") {
+	if md := KAblationTable(ks).Markdown(); !strings.Contains(md, "| k |") {
 		t.Error("k ablation markdown malformed")
 	}
 	off, err := RunStateAblation(3, 5, 3, 600, false)
@@ -274,14 +274,14 @@ func TestRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if md := StateAblationMarkdown(off, on); !strings.Contains(md, "fragments created") {
+	if md := StateAblationTable(off, on).Markdown(); !strings.Contains(md, "fragments created") {
 		t.Error("state ablation markdown malformed")
 	}
 	cmp, err := RunEq1VsEq2(Config{Topology: "campus", Seed: 11, PoliciesPerClass: 2}, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if md := FormulationMarkdown(cmp); !strings.Contains(md, "variables") {
+	if md := cmp.Table().Markdown(); !strings.Contains(md, "variables") {
 		t.Error("formulation markdown malformed")
 	}
 }
@@ -312,7 +312,7 @@ func TestPathStretch(t *testing.T) {
 	if hp.AvgPathCost > lb.AvgPathCost+0.5 {
 		t.Errorf("HP path cost %v above LB %v", hp.AvgPathCost, lb.AvgPathCost)
 	}
-	if md := StretchMarkdown(base, points); !strings.Contains(md, "stretch vs baseline") {
+	if md := StretchTable(base, points).Markdown(); !strings.Contains(md, "stretch vs baseline") {
 		t.Error("stretch markdown malformed")
 	}
 }
@@ -341,7 +341,7 @@ func TestQueueingAblation(t *testing.T) {
 	if lb.MaxLatencyUS >= hp.MaxLatencyUS {
 		t.Errorf("LB max latency %v not below HP %v", lb.MaxLatencyUS, hp.MaxLatencyUS)
 	}
-	if md := QueueingMarkdown(points); !strings.Contains(md, "queue wait") {
+	if md := QueueingTable(points).Markdown(); !strings.Contains(md, "queue wait") {
 		t.Error("queueing markdown malformed")
 	}
 }
@@ -371,7 +371,7 @@ func TestMultiSeed(t *testing.T) {
 				f, sum.Mean[f][enforce.LoadBalanced], sum.Mean[f][enforce.HotPotato])
 		}
 	}
-	if md := MultiSeedMarkdown(sum); !strings.Contains(md, "3 seeds") {
+	if md := sum.Table().Markdown(); strings.Count(md, "\n") != 2+len(Funcs)*len(Strategies) {
 		t.Error("multi-seed markdown malformed")
 	}
 }
@@ -408,7 +408,7 @@ func TestDriftExperiment(t *testing.T) {
 	if rebalSum >= staleSum {
 		t.Errorf("rebalancing did not help under drift: %d vs %d", rebalSum, staleSum)
 	}
-	if md := DriftMarkdown(rows); !strings.Contains(md, "stale weights") {
+	if md := DriftTable(rows).Markdown(); !strings.Contains(md, "stale weights") {
 		t.Error("drift markdown malformed")
 	}
 }

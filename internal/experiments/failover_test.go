@@ -25,7 +25,7 @@ func chaosSeed(def int64) int64 {
 // pre-installed backup candidates, with the dataplane recording both the
 // diversions and the purge of pinned soft state.
 func TestChaosSimFailoverZeroRoundTrips(t *testing.T) {
-	res, err := experiments.RunSimFailover(experiments.FailoverConfig{Seed: chaosSeed(11)})
+	res, err := experiments.Run(experiments.Sim, experiments.Failover(chaosSeed(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,21 +38,24 @@ func TestChaosSimFailoverZeroRoundTrips(t *testing.T) {
 	if res.Invalidated == 0 {
 		t.Error("no pinned entries purged — stale soft state survived the kill")
 	}
-	if res.DeliveredPostKill <= res.DeliveredPreKill/10 {
-		t.Errorf("post-kill delivery collapsed: pre=%d post=%d", res.DeliveredPreKill, res.DeliveredPostKill)
+	if res.DeliveredPostFault <= res.DeliveredPreFault/10 {
+		t.Errorf("post-kill delivery collapsed: pre=%d post=%d", res.DeliveredPreFault, res.DeliveredPostFault)
 	}
 	if res.PushesDuring != 0 {
 		t.Errorf("sim substrate has no mgmt channel but counted %d pushes", res.PushesDuring)
+	}
+	if res.Repairs != 0 {
+		t.Errorf("a liveness-only scenario ran %d repairs", res.Repairs)
 	}
 }
 
 // TestChaosSimFailoverDeterministic: same seed → identical counters.
 func TestChaosSimFailoverDeterministic(t *testing.T) {
-	a, err := experiments.RunSimFailover(experiments.FailoverConfig{Seed: chaosSeed(7)})
+	a, err := experiments.Run(experiments.Sim, experiments.Failover(chaosSeed(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := experiments.RunSimFailover(experiments.FailoverConfig{Seed: chaosSeed(7)})
+	b, err := experiments.Run(experiments.Sim, experiments.Failover(chaosSeed(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestChaosLiveFailoverZeroRoundTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live failover run in short mode")
 	}
-	res, err := experiments.RunLiveFailover(experiments.FailoverConfig{Seed: chaosSeed(11)})
+	res, err := experiments.Run(experiments.Live, experiments.Failover(chaosSeed(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +91,7 @@ func TestChaosLiveFailoverZeroRoundTrips(t *testing.T) {
 // solve and a failure, replay the journal into a fresh controller, and
 // require the byte-identical exported plan.
 func TestChaosSimRestartByteIdenticalPlan(t *testing.T) {
-	res, err := experiments.RunSimRestart(experiments.RestartConfig{Seed: chaosSeed(11)})
+	res, err := experiments.RunRestart(experiments.Sim, chaosSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestChaosLiveRestartResumesEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live restart run in short mode")
 	}
-	res, err := experiments.RunLiveRestart(experiments.RestartConfig{Seed: chaosSeed(11)})
+	res, err := experiments.RunRestart(experiments.Live, chaosSeed(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,23 +135,27 @@ func TestChaosLiveRestartResumesEpoch(t *testing.T) {
 }
 
 func TestSurvivabilityRenderers(t *testing.T) {
-	fo := []experiments.FailoverResult{{
-		Substrate: "sim", Seed: 1, Injected: 100, Delivered: 90,
-		DeliveredPreKill: 40, DeliveredPostKill: 50,
-		Failovers: 3, Invalidated: 2, Resumed: true,
+	fo := []experiments.FaultResult{{
+		Substrate: "sim", Seed: 1,
+		Totals:            experiments.Totals{Injected: 100, Delivered: 90, Failovers: 3, Invalidated: 2},
+		DeliveredPreFault: 40, DeliveredPostFault: 50, Resumed: true,
 	}}
 	rs := []experiments.RestartResult{{
 		Substrate: "live", Seed: 1, Records: 5,
 		EpochBefore: 3, EpochAfter: 4,
 		ExportIdentical: true, Resumed: true, Converged: true,
 	}}
+	tbl := experiments.SurvivabilityTable(fo, rs)
 	var csv strings.Builder
-	if err := experiments.WriteSurvivabilityCSV(&csv, fo, rs); err != nil {
+	if err := tbl.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d, want header + 2 rows:\n%s", len(lines), csv.String())
+	}
+	if lines[1] != "failover,sim,1,100,90,50,3,2,0,true,,,,," || lines[2] != "restart,live,1,,,,,,,true,5,3,4,true,true" {
+		t.Errorf("rows wrong:\n%s", csv.String())
 	}
 	wantCols := strings.Count(lines[0], ",")
 	for i, l := range lines[1:] {
@@ -156,8 +163,8 @@ func TestSurvivabilityRenderers(t *testing.T) {
 			t.Errorf("row %d has ragged columns: %s", i, l)
 		}
 	}
-	md := experiments.SurvivabilityMarkdown(fo, rs)
-	if !strings.Contains(md, "| sim |") || !strings.Contains(md, "3 → 4") {
+	md := tbl.Markdown()
+	if !strings.Contains(md, "| failover | sim |") || !strings.Contains(md, "| 3 | 4 | true | true |") {
 		t.Errorf("markdown missing rows:\n%s", md)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // byte-identical plan, resume fenced epoch numbering, and refuse the
 // dead leader's stale-term frames.
 func TestChaosSimHATakeover(t *testing.T) {
-	res, err := experiments.RunSimHA(experiments.HAConfig{Seed: chaosSeed(7)})
+	res, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{Seed: chaosSeed(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +50,27 @@ func TestChaosSimHATakeover(t *testing.T) {
 // terms, promotion times — is a function of the seed.
 func TestSimHADeterministic(t *testing.T) {
 	cfg := experiments.HAConfig{Seed: 21}
-	a, err := experiments.RunSimHA(cfg)
+	a, err := experiments.RunHA(experiments.Sim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := experiments.RunSimHA(cfg)
+	b, err := experiments.RunHA(experiments.Sim, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Trace != b.Trace {
 		t.Fatalf("same seed, different takeover traces:\n%s\n%s", a.Trace, b.Trace)
 	}
+	// Golden: the seed's history is part of the repository's "same
+	// behaviour" contract, like the sim rows of results/ha.csv.
+	const golden = "0@1@22599;2@2@296105;"
+	if a.Trace != golden {
+		t.Fatalf("seed 21 trace %q, want %q", a.Trace, golden)
+	}
 	if a.TakeoverMaxUS != b.TakeoverMaxUS || a.PushAttempts != b.PushAttempts || a.PushFailures != b.PushFailures {
 		t.Fatalf("same seed, different measurements: %+v vs %+v", a, b)
 	}
-	c, err := experiments.RunSimHA(experiments.HAConfig{Seed: 22})
+	c, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +85,7 @@ func TestSimHARepeatedKills(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-kill HA run is not short")
 	}
-	res, err := experiments.RunSimHA(experiments.HAConfig{Seed: chaosSeed(13), Replicas: 5, Kills: 2})
+	res, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{Seed: chaosSeed(13), Replicas: 5, Kills: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestChaosLiveHATakeover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live HA run is not short")
 	}
-	res, err := experiments.RunLiveHA(experiments.HAConfig{Seed: chaosSeed(7)})
+	res, err := experiments.RunHA(experiments.Live, experiments.HAConfig{Seed: chaosSeed(7)})
 	if err != nil {
 		t.Fatal(err)
 	}

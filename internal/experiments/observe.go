@@ -7,7 +7,6 @@ import (
 	"sdme/internal/enforce"
 	"sdme/internal/metrics"
 	"sdme/internal/netaddr"
-	"sdme/internal/ospf"
 	"sdme/internal/policy"
 	"sdme/internal/sim"
 	"sdme/internal/topo"
@@ -135,9 +134,7 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 		return nil, err
 	}
 
-	dom := ospf.NewDomain(b.Graph)
-	dom.Converge()
-	nw := sim.New(b.Graph, dom, b.Dep, nodes)
+	nw := NewSim(Site{Graph: b.Graph, Dep: b.Dep, Nodes: nodes}).Network
 
 	reg := nw.NewRegistry()
 	nw.AttachMetrics(reg)

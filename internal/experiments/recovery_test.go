@@ -13,7 +13,7 @@ import (
 // manual intervention, the repaired plan must verify, and the outage
 // must be visible (packets blackholed) yet bounded (traffic resumes).
 func TestChaosSimRecoveryConverges(t *testing.T) {
-	res, err := experiments.RunSimRecovery(experiments.RecoveryConfig{Seed: 11})
+	res, err := experiments.Run(experiments.Sim, experiments.Recovery(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +47,11 @@ func TestChaosSimRecoveryConverges(t *testing.T) {
 // metrics. The whole point of driving faults through the discrete-event
 // engine is that chaos runs are replayable.
 func TestChaosSimRecoveryDeterministic(t *testing.T) {
-	a, err := experiments.RunSimRecovery(experiments.RecoveryConfig{Seed: 7})
+	a, err := experiments.Run(experiments.Sim, experiments.Recovery(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := experiments.RunSimRecovery(experiments.RecoveryConfig{Seed: 7})
+	b, err := experiments.Run(experiments.Sim, experiments.Recovery(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestChaosSimRecoveryDeterministic(t *testing.T) {
 // surviving agent must be reconnected with the latest epoch acked, and
 // the repaired plan must pass verification — no manual intervention.
 func TestChaosLiveRecoveryConverges(t *testing.T) {
-	res, err := experiments.RunLiveRecovery(experiments.RecoveryConfig{Seed: 11})
+	res, err := experiments.Run(experiments.Live, experiments.Recovery(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestChaosLiveRecoveryConverges(t *testing.T) {
 	if res.Reconnects == 0 {
 		t.Error("conn-drop never forced a reconnect")
 	}
-	if res.FinalEpoch == 0 {
+	if res.Epoch == 0 {
 		t.Error("no epochs assigned — nothing was pushed")
 	}
 	if res.Delivered == 0 {
@@ -91,14 +91,14 @@ func TestChaosLiveRecoveryConverges(t *testing.T) {
 }
 
 func TestRecoveryRenderers(t *testing.T) {
-	rs := []experiments.RecoveryResult{
-		{Substrate: "sim", Seed: 1, Injected: 100, Delivered: 90, DroppedDown: 10,
-			ConvergeUS: 20500, Repairs: 3, Reconnects: 0, FinalEpoch: 0, VerifyOK: true, Converged: true},
-		{Substrate: "live", Seed: 1, Injected: 80, Delivered: 70, DroppedDown: 10,
-			ConvergeUS: 31000, Repairs: 3, Reconnects: 1, FinalEpoch: 42, VerifyOK: true, Converged: true},
-	}
+	tbl := experiments.RecoveryTable([]experiments.FaultResult{
+		{Substrate: "sim", Seed: 1, Totals: experiments.Totals{Injected: 100, Delivered: 90, DroppedDown: 10},
+			ConvergeUS: 20500, Repairs: 3, VerifyOK: true, Converged: true},
+		{Substrate: "live", Seed: 1, Totals: experiments.Totals{Injected: 80, Delivered: 70, DroppedDown: 10, Reconnects: 1, Epoch: 42},
+			ConvergeUS: 31000, Repairs: 3, VerifyOK: true, Converged: true},
+	})
 	var csv strings.Builder
-	if err := experiments.WriteRecoveryCSV(&csv, rs); err != nil {
+	if err := tbl.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	got := csv.String()
@@ -111,8 +111,8 @@ func TestRecoveryRenderers(t *testing.T) {
 	if lines := strings.Count(got, "\n"); lines != 3 {
 		t.Errorf("csv line count = %d, want 3", lines)
 	}
-	md := experiments.RecoveryMarkdown(rs)
-	for _, want := range []string{"| sim |", "| live |", "| 20.5 |", "| 42 |"} {
+	md := tbl.Markdown()
+	for _, want := range []string{"| substrate | seed |", "| sim |", "| live |", "| 20500 |", "| 42 |"} {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}

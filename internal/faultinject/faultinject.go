@@ -62,8 +62,8 @@ const (
 	KindPartition
 	// KindLeaderKill crashes whichever controller replica currently
 	// leads (Target is ignored — the leader is resolved at fire time).
-	// Drivers hosting a replicated controller group (experiments/ha.go)
-	// handle it; single-controller drivers treat it as a no-op.
+	// The replicated-controller story (experiments.RunHA) scripts its
+	// leader kills with it; single-controller drivers treat it as a no-op.
 	KindLeaderKill
 )
 
