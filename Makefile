@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt verify-examples chaos fuzz cover check \
-	bench bench-smoke race-stress race-flake results-check
+	bench bench-smoke race-stress race-flake results-check loc
 
 all: build
 
@@ -120,7 +120,7 @@ race-flake:
 # measurements) (~40 s).
 results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/sdme-bench -out "$$tmp" >/dev/null || exit 1; \
+	$(GO) run ./cmd/sdme-results -out "$$tmp" >/dev/null || exit 1; \
 	for f in figure_campus.csv figure_waxman.csv table3.csv; do \
 		cmp "$$tmp/$$f" "results/$$f" || exit 1; \
 	done; \
@@ -129,5 +129,11 @@ results-check:
 		grep -v '^live,\|,live,' "results/$$f" | cmp - "$$tmp/$$f.sim" || exit 1; \
 	done; \
 	echo "results-check: paper CSVs and the sim rows of recovery.csv failover.csv ha.csv identical"
+
+# The size figure every PR reports (ROADMAP north star): non-test Go lines
+# outside the benchmark and the analyzers' fixtures.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
+		! -path './internal/lint/testdata/*' -print0 | xargs -0 cat | wc -l
 
 check: build fmt vet verify-examples race

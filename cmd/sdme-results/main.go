@@ -1,17 +1,17 @@
-// Command sdme-bench regenerates every table and figure of the paper's
+// Command sdme-results regenerates every table and figure of the paper's
 // evaluation (plus the repository's extension ablations and the fault
 // stories on both backends) and writes them as CSV and Markdown under an
 // output directory.
 //
 // Usage:
 //
-//	sdme-bench [-out results] [-seed 20] [-quick] [-multiseed N]
+//	sdme-results [-out results] [-seed 20] [-quick] [-multiseed N]
 //
 // -quick runs a reduced traffic sweep (useful for smoke checks); the
 // default regenerates the full 1M–10M packet series of Figures 4 and 5.
 //
-// Dataplane and control-loop performance are measured by the repository
-// benchmark instead (go run ./bench; see bench/README.md).
+// It measures no performance: dataplane and control-loop performance are
+// measured by the repository benchmark (go run ./bench; see bench/README.md).
 package main
 
 import (
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "sdme-bench:", err)
+		fmt.Fprintln(os.Stderr, "sdme-results:", err)
 		os.Exit(1)
 	}
 }

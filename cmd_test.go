@@ -15,7 +15,7 @@ func TestCmdSmoke(t *testing.T) {
 		t.Skip("builds and runs the binaries")
 	}
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin+"/", "./cmd/sdme-sim", "./cmd/sdme-live", "./cmd/sdme-topo").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin+"/", "./cmd/sdme-sim", "./cmd/sdme-live", "./cmd/sdme-topo", "./cmd/sdme-results").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	for _, tc := range []struct {
@@ -27,11 +27,14 @@ func TestCmdSmoke(t *testing.T) {
 		{[]string{"sdme-live", "-packets", "3"}, "matches static plan across 3 packets: true"},
 		{[]string{"sdme-live", "-peers", "3"}, "| ha | live | 20 | 3 | 1 |"},
 		{[]string{"sdme-topo", "-topology", "campus", "-verify"}, "ok: 32 nodes, 3 policies, no violations"},
+		{[]string{"sdme-results", "-quick"}, "markdown -> results/EXPERIMENTS.generated.md"},
 	} {
 		tc := tc
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			t.Parallel()
-			out, err := exec.Command(filepath.Join(bin, tc.args[0]), tc.args[1:]...).CombinedOutput()
+			cmd := exec.Command(filepath.Join(bin, tc.args[0]), tc.args[1:]...)
+			cmd.Dir = t.TempDir() // sdme-results writes ./results
+			out, err := cmd.CombinedOutput()
 			if err != nil {
 				t.Fatalf("%v\n%s", err, out)
 			}

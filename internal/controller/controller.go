@@ -48,10 +48,8 @@ type Options struct {
 	// Strategy is installed on every node (HotPotato, Random or
 	// LoadBalanced).
 	Strategy enforce.Strategy
-	// K sets |M_x^e| per function; functions absent from the map get
-	// KDefault (itself defaulting to 1).
-	K        map[policy.FuncType]int
-	KDefault int
+	// K sets |M_x^e| per function; functions absent from the map get 1.
+	K map[policy.FuncType]int
 	// Capacity is C(x) per middlebox; absent entries get 1. With uniform
 	// capacities, minimizing λ minimizes the maximum load, which is what
 	// the paper's evaluation plots.
@@ -64,8 +62,6 @@ type Options struct {
 	LabelSwitching bool
 	// FlowTTL/LabelTTL are soft-state lifetimes (0 = no expiry).
 	FlowTTL, LabelTTL int64
-	// UseTrie selects trie classifiers at nodes.
-	UseTrie bool
 	// HashSeed seeds flow-hash selection.
 	HashSeed uint64
 	// FunctionFactory overrides middlebox function construction; nil
@@ -109,9 +105,6 @@ func New(dep *enforce.Deployment, ap *route.AllPairs, policies *policy.Table, op
 	if opts.Strategy == 0 {
 		opts.Strategy = enforce.HotPotato
 	}
-	if opts.KDefault == 0 {
-		opts.KDefault = 1
-	}
 	return &Controller{dep: dep, ap: ap, policies: policies, opts: opts}
 }
 
@@ -120,7 +113,7 @@ func (c *Controller) kFor(e policy.FuncType) int {
 	if k, ok := c.opts.K[e]; ok {
 		return k
 	}
-	return c.opts.KDefault
+	return 1
 }
 
 // capacityOf returns C(x).

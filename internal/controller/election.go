@@ -102,9 +102,8 @@ type ElectorConfig struct {
 	Quorum int
 	// LeaseUS is the leadership lease in microseconds (default 150ms
 	// worth). Election timeouts are drawn uniformly from [LeaseUS,
-	// 2·LeaseUS); heartbeats fire every HeartbeatUS (default LeaseUS/3).
-	LeaseUS     int64
-	HeartbeatUS int64
+	// 2·LeaseUS); heartbeats fire every LeaseUS/3.
+	LeaseUS int64
 	// Seed drives the randomized election timeouts (default ID+1).
 	Seed      int64
 	Clock     ElectionClock
@@ -135,12 +134,6 @@ func (c *ElectorConfig) fill() {
 	}
 	if c.LeaseUS <= 0 {
 		c.LeaseUS = 150_000
-	}
-	if c.HeartbeatUS <= 0 {
-		c.HeartbeatUS = c.LeaseUS / 3
-	}
-	if c.HeartbeatUS <= 0 {
-		c.HeartbeatUS = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = int64(c.ID) + 1
@@ -389,7 +382,7 @@ func (e *Elector) onHeartbeatTick() {
 		}
 		return
 	}
-	e.scheduleHeartbeatLocked(e.cfg.HeartbeatUS)
+	e.scheduleHeartbeatLocked(max(e.cfg.LeaseUS/3, 1))
 	hb := mgmt.Heartbeat{Leader: e.cfg.ID, Term: e.term, JournalBytes: e.journalBytes(), JournalCRC: e.journalCRC()}
 	peers := append([]int(nil), e.cfg.Peers...)
 	e.mu.Unlock()

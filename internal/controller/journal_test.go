@@ -344,6 +344,34 @@ func TestReplayParentCommitJournal(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins Fingerprint's output for two fixed controllers
+// to the values recorded at the commit that wrote testdata/pr12.journal
+// (the first is the one in that journal's deploy record). RestoreFromJournal
+// refuses a journal whose fingerprint differs, so a change to what
+// Fingerprint hashes — removing an option it covers, say — must keep these
+// values or it orphans every journal written before it.
+func TestFingerprintPinned(t *testing.T) {
+	b := newBed(t, 62, webPolicy)
+	for _, tt := range []struct {
+		name string
+		opts controller.Options
+		want uint64
+	}{
+		{"pr12.journal", controller.Options{
+			Strategy: enforce.LoadBalanced,
+			K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
+		}, 3890866397437025038},
+		{"every hashed option set", controller.Options{
+			Strategy: enforce.Random, K: map[policy.FuncType]int{policy.FuncFW: 3},
+			CapLambda: true, LabelSwitching: true, FlowTTL: 500, LabelTTL: 700, HashSeed: 99,
+		}, 12208636457476732597},
+	} {
+		if got := controller.New(b.dep, b.ap, b.tbl, tt.opts).Fingerprint(); got != tt.want {
+			t.Errorf("%s: fingerprint %d, recorded %d", tt.name, got, tt.want)
+		}
+	}
+}
+
 // TestRollbackRejournalsTheRestoredPlan: weights are journaled
 // write-ahead, so a plan the fleet then refuses is the journal's last
 // weights record. Rollback restores the previous plan as the pipeline's

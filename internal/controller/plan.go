@@ -246,7 +246,6 @@ func (c *Controller) BuildNodesFromPlan(p *Plan) (map[topo.NodeID]*enforce.Node,
 			LabelSwitching: c.opts.LabelSwitching,
 			FlowTTL:        c.opts.FlowTTL,
 			LabelTTL:       c.opts.LabelTTL,
-			UseTrie:        c.opts.UseTrie,
 		}
 		cfg.Policies = p.NodePolicies[id]
 		if w := p.Weights[id]; len(w) > 0 {

@@ -45,10 +45,9 @@ type HAReplicaConfig struct {
 	JournalPath string
 	Transport   PeerTransport
 	// Election timing (see ElectorConfig); zero values take defaults.
-	LeaseUS     int64
-	HeartbeatUS int64
-	Seed        int64
-	Clock       ElectionClock
+	LeaseUS int64
+	Seed    int64
+	Clock   ElectionClock
 	// OnPromote fires (outside all replica locks) when this replica wins
 	// a term: st is the replayed journal state, j the reopened leader
 	// journal. The harness rebuilds its controller from st, attaches j,
@@ -105,7 +104,6 @@ func NewHAReplica(cfg HAReplicaConfig) (*HAReplica, error) {
 		Peers:           cfg.Peers,
 		Quorum:          cfg.Quorum,
 		LeaseUS:         cfg.LeaseUS,
-		HeartbeatUS:     cfg.HeartbeatUS,
 		Seed:            cfg.Seed,
 		Clock:           cfg.Clock,
 		Transport:       cfg.Transport,

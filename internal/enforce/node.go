@@ -72,13 +72,6 @@ type Config struct {
 	// FlowTTL / LabelTTL are soft-state lifetimes in simulator ticks
 	// (microseconds in the discrete-event sim); zero disables expiry.
 	FlowTTL, LabelTTL int64
-	// UseTrie selects the trie classifier instead of the linear table.
-	UseTrie bool
-	// FlowShards / LabelShards set the lock-striping factor of the
-	// soft-state tables (rounded to a power of two; 0 and 1 both mean
-	// unsharded). Local tuning, not part of the controller wire config:
-	// the right value depends on the device's worker count, not policy.
-	FlowShards, LabelShards int
 }
 
 // Counters aggregates a node's dataplane activity. The figure benchmarks
@@ -162,11 +155,12 @@ type Node struct {
 	nm     *nodeMetrics
 	tracer *RuntimeTracer
 
-	// flowShardPref / labelShardPref are the node-local striping defaults
-	// set by SetShardTuning; Install falls back to them when the incoming
-	// Config carries no shard counts (wire configs never do — striping is
-	// local capacity tuning, not policy).
-	flowShardPref, labelShardPref int
+	// flowShards / labelShards are the lock-striping factors of the
+	// soft-state tables Install builds, set by SetShardTuning (rounded to a
+	// power of two; 0 and 1 both mean unsharded). Striping is local
+	// capacity tuning — the right value depends on the device's worker
+	// count, not on policy — so it is no part of Config.
+	flowShards, labelShards int
 
 	// Counters is exported for inspection; treat as read-only outside
 	// the node's owner, and use CountersSnapshot instead while dataplane
@@ -263,37 +257,20 @@ func (n *Node) Install(cfg Config) error {
 		}
 	}
 	n.cfg = cfg
-	tbl := policy.NewTable()
-	for _, p := range cfg.Policies {
-		tbl.AddPolicy(p)
-	}
-	if cfg.UseTrie {
-		n.classifier = policy.NewTrieClassifier(cfg.Policies)
-	} else {
-		n.classifier = tbl
-	}
-	fs, ls := cfg.FlowShards, cfg.LabelShards
-	if fs == 0 {
-		fs = n.flowShardPref
-	}
-	if ls == 0 {
-		ls = n.labelShardPref
-	}
-	n.flows = flowtable.NewTableSharded(cfg.FlowTTL, fs)
+	n.classifier = policy.NewClassifier(cfg.Policies)
+	n.flows = flowtable.NewTableSharded(cfg.FlowTTL, n.flowShards)
 	if !n.IsProxy {
-		n.labels = flowtable.NewLabelTableSharded(cfg.LabelTTL, ls)
+		n.labels = flowtable.NewLabelTableSharded(cfg.LabelTTL, n.labelShards)
 	}
 	return nil
 }
 
-// SetShardTuning records the node's local table-striping preference. It
-// applies on the next Install (including configs arriving over the
-// management channel, which never carry shard counts) — call it before
-// installing, alongside SetMetrics/SetTracer. Zero keeps single-shard
-// tables. This is a configuration mutator under the Node concurrency
-// contract.
+// SetShardTuning sets the node's table striping. It applies on the next
+// Install — call it before installing, alongside SetMetrics/SetTracer.
+// Zero keeps single-shard tables. This is a configuration mutator under
+// the Node concurrency contract.
 func (n *Node) SetShardTuning(flowShards, labelShards int) {
-	n.flowShardPref, n.labelShardPref = flowShards, labelShards
+	n.flowShards, n.labelShards = flowShards, labelShards
 }
 
 // Config returns the installed configuration.

@@ -412,3 +412,24 @@ func TestDriftExperiment(t *testing.T) {
 		t.Error("drift markdown malformed")
 	}
 }
+
+// BenchmarkEvaluator10M measures the flow-level evaluator's throughput at
+// the paper's largest operating point (engineering metric, not a paper
+// figure).
+func BenchmarkEvaluator10M(b *testing.B) {
+	bed, err := NewBed(Config{Topology: "campus", Seed: 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	demands := bed.GenerateDemands(10000000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		report, _, err := bed.RunStrategy(enforce.HotPotato, demands)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if report.MaxLoad(bed.Dep, policy.FuncIDS) == 0 {
+			b.Fatal("empty report")
+		}
+	}
+}

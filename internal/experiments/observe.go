@@ -127,7 +127,6 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 		K:              b.Cfg.K,
 		HashSeed:       uint64(b.Cfg.Seed)*2654435761 + uint64(cfg.Strategy),
 		LabelSwitching: cfg.LabelSwitching,
-		UseTrie:        b.Cfg.UseTrie,
 	})
 	pipe, nodes, _, err := Deploy(ctl, controller.PipelineOptions{}, nil)
 	if err != nil {

@@ -87,7 +87,6 @@ func newWorkerBed(t *testing.T, workers int) *workerBed {
 		Policies:   []*policy.Policy{pol},
 		Candidates: map[policy.FuncType][]topo.NodeID{policy.FuncIDS: {mbID}},
 		Strategy:   enforce.HotPotato,
-		FlowShards: 16,
 	}
 
 	proxyID, ok := dep.ProxyFor(1)
@@ -95,6 +94,7 @@ func newWorkerBed(t *testing.T, workers int) *workerBed {
 		t.Fatal("no proxy for subnet 1")
 	}
 	proxyNode := enforce.NewProxy(dep, proxyID)
+	proxyNode.SetShardTuning(16, 0)
 	if err := proxyNode.Install(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -104,6 +104,7 @@ func newWorkerBed(t *testing.T, workers int) *workerBed {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mbNode.SetShardTuning(16, 0)
 	if err := mbNode.Install(cfg); err != nil {
 		t.Fatal(err)
 	}

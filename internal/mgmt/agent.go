@@ -46,9 +46,6 @@ type AgentOptions struct {
 	// a fleet of agents created together de-synchronizes its retries
 	// deterministically).
 	Seed int64
-	// MaxReconnectAttempts caps consecutive failed dials before the
-	// agent gives up (0 = retry forever).
-	MaxReconnectAttempts int
 	// Metrics, when non-nil, records the agent's self-healing activity
 	// (reconnects, applies, epoch rejects, reports) under a node label.
 	Metrics *metrics.Registry
@@ -383,7 +380,6 @@ func (a *Agent) run(conn net.Conn) {
 		}
 
 		backoff = a.opts.nextBackoffBase(backoff, time.Since(connectedAt))
-		attempts := 0
 		for {
 			// Uniform jitter in [backoff/2, backoff]: agents that lost
 			// the same server don't stampede its listener in lockstep.
@@ -408,10 +404,6 @@ func (a *Agent) run(conn net.Conn) {
 				}
 				conn = c
 				break
-			}
-			attempts++
-			if a.opts.MaxReconnectAttempts > 0 && attempts >= a.opts.MaxReconnectAttempts {
-				return
 			}
 			if backoff *= 2; backoff > a.opts.BackoffMax {
 				backoff = a.opts.BackoffMax

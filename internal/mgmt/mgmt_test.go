@@ -1,9 +1,11 @@
 package mgmt_test
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -41,17 +43,33 @@ func TestConfigDTORoundTrip(t *testing.T) {
 		LabelSwitching: true,
 		FlowTTL:        12345,
 		LabelTTL:       67890,
-		UseTrie:        true,
 	}
-	back, err := mgmt.ConfigFromDTO(mgmt.ConfigToDTO(7, cfg))
+	dto := mgmt.ConfigToDTO(7, cfg)
+	back, err := mgmt.ConfigFromDTO(dto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Strategy != cfg.Strategy || back.HashSeed != cfg.HashSeed ||
 		back.LabelSwitching != cfg.LabelSwitching ||
-		back.FlowTTL != cfg.FlowTTL || back.LabelTTL != cfg.LabelTTL ||
-		back.UseTrie != cfg.UseTrie {
+		back.FlowTTL != cfg.FlowTTL || back.LabelTTL != cfg.LabelTTL {
 		t.Errorf("scalar fields lost: %+v", back)
+	}
+
+	// A controller from before the classifier option was removed still
+	// sends "use_trie"; agents must take its configs as they are.
+	wire, err := json.Marshal(dto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var legacy mgmt.ConfigDTO
+	if err := json.Unmarshal(append([]byte(`{"use_trie":true,`), wire[1:]...), &legacy); err != nil {
+		t.Fatalf("legacy config does not decode: %v", err)
+	}
+	if err := legacy.Validate(); err != nil {
+		t.Fatalf("legacy config does not validate: %v", err)
+	}
+	if !reflect.DeepEqual(legacy, dto) {
+		t.Errorf("legacy config decoded to %+v, want %+v", legacy, dto)
 	}
 	if len(back.Policies) != 1 {
 		t.Fatalf("policies = %d", len(back.Policies))

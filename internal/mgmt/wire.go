@@ -140,7 +140,6 @@ type ConfigDTO struct {
 	LabelSwitching bool           `json:"label_switching"`
 	FlowTTL        int64          `json:"flow_ttl"`
 	LabelTTL       int64          `json:"label_ttl"`
-	UseTrie        bool           `json:"use_trie"`
 	Policies       []PolicyDTO    `json:"policies"`
 	Candidates     []CandidateDTO `json:"candidates"`
 	Weights        []WeightDTO    `json:"weights,omitempty"`
@@ -345,7 +344,6 @@ func ConfigToDTO(seq uint64, cfg enforce.Config) ConfigDTO {
 		LabelSwitching: cfg.LabelSwitching,
 		FlowTTL:        cfg.FlowTTL,
 		LabelTTL:       cfg.LabelTTL,
-		UseTrie:        cfg.UseTrie,
 	}
 	for _, p := range cfg.Policies {
 		dto.Policies = append(dto.Policies, policyToDTO(p))
@@ -387,7 +385,6 @@ func ConfigFromDTO(dto ConfigDTO) (enforce.Config, error) {
 		LabelSwitching: dto.LabelSwitching,
 		FlowTTL:        dto.FlowTTL,
 		LabelTTL:       dto.LabelTTL,
-		UseTrie:        dto.UseTrie,
 	}
 	for _, pd := range dto.Policies {
 		cfg.Policies = append(cfg.Policies, policyFromDTO(pd))

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -250,45 +251,96 @@ func randomDescriptor(rng *rand.Rand) Descriptor {
 	return d
 }
 
+// randomTable draws n random rules; every fourth is a permit rule.
+func randomTable(n int, rng *rand.Rand) *Table {
+	tbl := NewTable()
+	for i := 0; i < n; i++ {
+		a := ActionList{FuncFW}
+		if i%4 == 3 {
+			a = nil
+		}
+		d := randomDescriptor(rng)
+		for d.Src.IsAny() && d.Dst.IsAny() {
+			d = randomDescriptor(rng) // a catch-all rule would leave no probe unmatched
+		}
+		tbl.Add(d, a)
+	}
+	return tbl
+}
+
+// probeMix counts what a run of probes exercised.
+type probeMix struct{ hits, misses, permits int }
+
+func (m probeMix) require(t *testing.T) {
+	t.Helper()
+	if m.hits == 0 || m.misses == 0 || m.permits == 0 {
+		t.Fatalf("probes made %+v; a kind that never occurs proves nothing", m)
+	}
+}
+
+// checkMatchesTable probes c with random flows, half of them derived from
+// a random rule of tbl so that matches (permit rules among them) occur and
+// half uniform so that misses do, and requires exactly tbl.Match's answer.
+func checkMatchesTable(t *testing.T, tbl *Table, c Classifier, rng *rand.Rand, mix *probeMix) {
+	t.Helper()
+	if c.Len() != tbl.Len() {
+		t.Fatalf("Len %d != %d", c.Len(), tbl.Len())
+	}
+	for probe := 0; probe < 300; probe++ {
+		ft := netaddr.FiveTuple{
+			Src: netaddr.Addr(rng.Uint32()), Dst: netaddr.Addr(rng.Uint32()),
+			SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(rng.Intn(65536)),
+			Proto: netaddr.ProtoTCP,
+		}
+		if probe%2 == 0 {
+			p := tbl.All()[rng.Intn(tbl.Len())]
+			ft.Src = p.Desc.Src.Addr() + netaddr.Addr(rng.Intn(4))
+			ft.Dst = p.Desc.Dst.Addr() + netaddr.Addr(rng.Intn(4))
+			ft.SrcPort, ft.DstPort = p.Desc.SrcPort.Lo, p.Desc.DstPort.Lo
+		}
+		want, got := tbl.Match(ft), c.Match(ft)
+		if want != got {
+			t.Fatalf("%d rules, probe %v: got %v, linear table says %v", tbl.Len(), ft, got, want)
+		}
+		switch {
+		case want == nil:
+			mix.misses++
+		case want.Actions.IsPermit():
+			mix.permits++
+		default:
+			mix.hits++
+		}
+	}
+}
+
 func TestTrieMatchesLinearTable(t *testing.T) {
-	// Property: on random policy sets and random probes (biased to share
-	// prefixes with the policies so matches actually occur), the trie
+	// Property: on random policy sets and random probes the trie
 	// classifier returns exactly the linear table's answer.
 	rng := rand.New(rand.NewSource(99))
+	var mix probeMix
 	for trial := 0; trial < 30; trial++ {
-		tbl := NewTable()
-		n := 1 + rng.Intn(40)
-		for i := 0; i < n; i++ {
-			tbl.Add(randomDescriptor(rng), ActionList{FuncFW})
-		}
-		trie := NewTrieClassifier(tbl.All())
-		if trie.Len() != tbl.Len() {
-			t.Fatalf("trial %d: Len %d != %d", trial, trie.Len(), tbl.Len())
-		}
-		for probe := 0; probe < 300; probe++ {
-			var ft netaddr.FiveTuple
-			if probe%2 == 0 && tbl.Len() > 0 {
-				// Derive the probe from a random policy so it likely matches.
-				p := tbl.All()[rng.Intn(tbl.Len())]
-				ft = netaddr.FiveTuple{
-					Src:     p.Desc.Src.Addr() + netaddr.Addr(rng.Intn(4)),
-					Dst:     p.Desc.Dst.Addr() + netaddr.Addr(rng.Intn(4)),
-					SrcPort: p.Desc.SrcPort.Lo,
-					DstPort: p.Desc.DstPort.Lo,
-					Proto:   netaddr.ProtoTCP,
-				}
-			} else {
-				ft = netaddr.FiveTuple{
-					Src: netaddr.Addr(rng.Uint32()), Dst: netaddr.Addr(rng.Uint32()),
-					SrcPort: uint16(rng.Intn(65536)), DstPort: uint16(rng.Intn(65536)),
-					Proto: netaddr.ProtoTCP,
-				}
+		tbl := randomTable(1+rng.Intn(40), rng)
+		checkMatchesTable(t, tbl, NewTrieClassifier(tbl.All()), rng, &mix)
+	}
+	mix.require(t)
+}
+
+// TestNewClassifierSelectsBySize: the scan below trieThreshold rules, the
+// trie from there on, and on either side of the switch (and at the
+// benchmark's largest table) exactly the reference table's matches.
+func TestNewClassifierSelectsBySize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{trieThreshold - 1, trieThreshold, trieThreshold + 1, 300} {
+		var mix probeMix
+		for trial := 0; trial < 5; trial++ {
+			tbl := randomTable(n, rng)
+			c := NewClassifier(tbl.All())
+			if _, isTrie := c.(*TrieClassifier); isTrie != (n >= trieThreshold) {
+				t.Fatalf("%d rules: NewClassifier built a %T", n, c)
 			}
-			want, got := tbl.Match(ft), trie.Match(ft)
-			if want != got {
-				t.Fatalf("trial %d probe %v: trie=%v linear=%v", trial, ft, got, want)
-			}
+			checkMatchesTable(t, tbl, c, rng, &mix)
 		}
+		mix.require(t)
 	}
 }
 
@@ -322,29 +374,69 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func BenchmarkLinearMatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
+// campusRules draws n rules shaped like the ones the controller installs
+// on a node (workload.GeneratePolicies: any→subnet:port, subnet→any:80,
+// subnet→subnet:port over /16 stub subnets), and probes between the same
+// subnets: four in five aimed at a rule chosen uniformly, so a scan stops
+// half-way through the table on average, every fifth at a port no rule
+// names (the null-flow share of the benchmark's flow_churn workload).
+func campusRules(n int, rng *rand.Rand) (*Table, []netaddr.FiveTuple) {
+	subnet := func() netaddr.Prefix {
+		return netaddr.PrefixFrom(netaddr.Addr(10<<24|uint32(1+rng.Intn(40))<<16), 16)
+	}
 	tbl := NewTable()
-	for i := 0; i < 500; i++ {
-		tbl.Add(randomDescriptor(rng), ActionList{FuncFW})
+	for i := 0; i < n; i++ {
+		d := NewDescriptor()
+		d.DstPort = netaddr.SinglePort(uint16(1 + rng.Intn(1024)))
+		switch i % 3 {
+		case 0:
+			d.Dst = subnet()
+		case 1:
+			d.Src, d.DstPort = subnet(), netaddr.SinglePort(80)
+		case 2:
+			d.Src, d.Dst = subnet(), subnet()
+		}
+		tbl.Add(d, ActionList{FuncFW})
 	}
-	ft := tuple("10.1.2.3", "10.4.5.6", 1234, 80)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.Match(ft)
+	in := func(pfx netaddr.Prefix) netaddr.Addr {
+		if pfx.IsAny() {
+			pfx = subnet()
+		}
+		return pfx.Addr() + netaddr.Addr(1+rng.Intn(1<<16-2))
 	}
+	probes := make([]netaddr.FiveTuple, 0, 4096)
+	for len(probes) < cap(probes) {
+		p := tbl.All()[rng.Intn(n)]
+		hit := netaddr.FiveTuple{
+			Src: in(p.Desc.Src), Dst: in(p.Desc.Dst),
+			SrcPort: uint16(1024 + rng.Intn(60000)), DstPort: p.Desc.DstPort.Lo,
+			Proto: netaddr.ProtoTCP,
+		}
+		if len(probes)%5 == 4 {
+			hit.DstPort = 0
+		}
+		probes = append(probes, hit)
+	}
+	return tbl, probes
 }
 
+var matchSink *Policy
+
+// BenchmarkTrieMatch times both classifiers over the same rules and probes
+// at the table sizes around the point where NewClassifier switches from one
+// to the other; trieThreshold's comment records the crossover it shows.
 func BenchmarkTrieMatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tbl := NewTable()
-	for i := 0; i < 500; i++ {
-		tbl.Add(randomDescriptor(rng), ActionList{FuncFW})
-	}
-	trie := NewTrieClassifier(tbl.All())
-	ft := tuple("10.1.2.3", "10.4.5.6", 1234, 80)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trie.Match(ft)
+	for _, n := range []int{8, 16, 32, 64, 128} {
+		scan, probes := campusRules(n, rand.New(rand.NewSource(1)))
+		for _, c := range []struct {
+			name string
+			Classifier
+		}{{"scan", scan}, {"trie", NewTrieClassifier(scan.All())}} {
+			b.Run(fmt.Sprintf("%s/rules=%d", c.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matchSink = c.Match(probes[i%len(probes)])
+				}
+			})
+		}
 	}
 }

@@ -32,9 +32,9 @@ type ControllerGroupConfig struct {
 	N int
 	// Dir holds the per-replica journal files (replica-<id>.wal).
 	Dir string
-	// LeaseUS / HeartbeatUS are the election timings in virtual µs
-	// (defaults per controller.ElectorConfig).
-	LeaseUS, HeartbeatUS int64
+	// LeaseUS is the election lease in virtual µs (default per
+	// controller.ElectorConfig).
+	LeaseUS int64
 	// Seed drives every replica's election jitter; replica i draws from
 	// seed Seed*1009 + i + 1 so groups with different seeds diverge.
 	Seed int64
@@ -94,7 +94,6 @@ func NewControllerGroup(eng *Engine, cfg ControllerGroupConfig) (*ControllerGrou
 			JournalPath: filepath.Join(cfg.Dir, fmt.Sprintf("replica-%d.wal", id)),
 			Transport:   groupTransport{g: g, from: id},
 			LeaseUS:     cfg.LeaseUS,
-			HeartbeatUS: cfg.HeartbeatUS,
 			Seed:        cfg.Seed*1009 + int64(id) + 1,
 			Clock:       simClock{eng: eng},
 			Metrics:     cfg.Metrics,

@@ -115,11 +115,8 @@ func CheckDeltaEquivalence(applied, full map[topo.NodeID]enforce.Config) []Viola
 			report(id, -1, 0, "node present in applied=%v full=%v", aok, bok)
 			continue
 		}
-		if a.Strategy != b.Strategy || a.HashSeed != b.HashSeed ||
-			a.LabelSwitching != b.LabelSwitching || a.UseTrie != b.UseTrie ||
-			a.FlowTTL != b.FlowTTL || a.LabelTTL != b.LabelTTL {
-			report(id, -1, 0, "strategy/flags differ: applied=%+v full=%+v",
-				configFlags(a), configFlags(b))
+		if fa, fb := configFlags(a), configFlags(b); fa != fb {
+			report(id, -1, 0, "strategy/flags differ: applied=%+v full=%+v", fa, fb)
 		}
 		comparePolicies(id, a.Policies, b.Policies, report)
 		compareCandidates(id, a.Candidates, b.Candidates, report)
@@ -132,13 +129,12 @@ type flagTuple struct {
 	Strategy       enforce.Strategy
 	HashSeed       uint64
 	LabelSwitching bool
-	UseTrie        bool
 	FlowTTL        int64
 	LabelTTL       int64
 }
 
 func configFlags(c enforce.Config) flagTuple {
-	return flagTuple{c.Strategy, c.HashSeed, c.LabelSwitching, c.UseTrie, c.FlowTTL, c.LabelTTL}
+	return flagTuple{c.Strategy, c.HashSeed, c.LabelSwitching, c.FlowTTL, c.LabelTTL}
 }
 
 type reportFunc func(node topo.NodeID, policyID int, f policy.FuncType, format string, args ...interface{})
