@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt verify-examples chaos fuzz cover check \
-	bench bench-smoke race-stress race-flake results-check loc
+	bench bench-smoke bench-compare race-stress race-flake results-check loc
 
 all: build
 
@@ -91,6 +91,15 @@ bench:
 
 bench-smoke:
 	$(GO) run ./bench -smoke
+
+# The trajectory (ROADMAP item 1): every PR that touches performance adds a
+# BENCH_<pr>.json at the repo root (`go run ./bench -trace 1 -out FILE`:
+# the untraced half's end-to-end metrics and the traced half's per-layer
+# ones, with the host fingerprint). This compares the two newest against
+# the BENCHMARK.json bounds; it refuses files from different hosts or seeds.
+bench-compare:
+	@set -- $$(ls BENCH_*.json | sort -V | tail -2); \
+	$(GO) run ./bench -compare "$$1,$$2"
 
 # Concurrency stress under the race detector: 8 writer goroutines + a
 # sweeper on the sharded tables (duplicate tunnel-ID and resurrection

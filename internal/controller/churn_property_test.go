@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"sdme/internal/controller"
@@ -100,8 +101,16 @@ func recordOf(t *testing.T, upd *controller.PlanUpdate) churnRecord {
 		}
 		wire = append(wire, buf...)
 	}
+	if negativeZero.Match(wire) {
+		t.Fatal("an encoded delta carries a -0 weight")
+	}
 	return churnRecord{plan: upd.Plan, wire: wire}
 }
+
+// negativeZero finds a JSON number -0: DiffPlans compares weights with ==,
+// under which -0 is 0, so a -0 that reached an encoder would make two plans
+// the diff calls equal serialize differently.
+var negativeZero = regexp.MustCompile(`[\[,:]-0[,\]}]`)
 
 func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 	bed, err := experiments.NewBed(experiments.Config{
@@ -178,6 +187,9 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 		a, b := exportBytes(t, ctl, live), exportBytes(t, ctl, rebuilt)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("step %d: exported plans differ (%d vs %d bytes)", step, len(a), len(b))
+		}
+		if negativeZero.Match(a) {
+			t.Fatalf("step %d: the exported plan carries a -0 weight", step)
 		}
 	}
 	if sh.wantScoped && scoped == 0 {

@@ -84,7 +84,7 @@ func diffPolicies(old, cur []*policy.Policy, d *enforce.ConfigDelta, stats *Delt
 		if prev, ok := oldByID[p.ID]; !ok {
 			d.Upserts = append(d.Upserts, p)
 			stats.Added++
-		} else if prev.Hash() != p.Hash() {
+		} else if prev != p && prev.Hash() != p.Hash() {
 			d.Upserts = append(d.Upserts, p)
 			stats.Reweighted++
 		}

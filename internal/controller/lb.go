@@ -361,11 +361,13 @@ func extractWeights(refs []wRef, value func(v int) float64) weightPlan {
 }
 
 // clampRoundOff zeroes the ≈ −1e-9 values a simplex vertex can carry for
-// a variable that is mathematically zero. Anything more negative is a
-// real violation and is left for plan verification (and the management
-// channel's validation) to refuse.
+// a variable that is mathematically zero, −0 included: DiffPlans compares
+// weights with == and sees no difference between −0 and 0, the JSON
+// encodings differ, so a −0 would make two equal plans export differently.
+// Anything more negative is a real violation and is left for plan
+// verification (and the management channel's validation) to refuse.
 func clampRoundOff(v float64) float64 {
-	if v < 0 && v > -1e-6 {
+	if v <= 0 && v > -1e-6 {
 		return 0
 	}
 	return v

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"math"
 	"testing"
 
 	"sdme/internal/enforce"
@@ -16,7 +17,7 @@ import (
 // genuinely negative value is left alone, so it still fails validation
 // instead of being hidden.
 func TestExtractWeightsClampsRoundOff(t *testing.T) {
-	solution := []float64{120, -1e-9, 0, -1e-3}
+	solution := []float64{120, -1e-9, math.Copysign(0, -1), -1e-3}
 	value := func(v int) float64 { return solution[v] }
 	roundOff := enforce.WeightKey{PolicyID: 1, Func: policy.FuncFW}
 	negative := enforce.WeightKey{PolicyID: 2, Func: policy.FuncFW}
@@ -27,6 +28,8 @@ func TestExtractWeightsClampsRoundOff(t *testing.T) {
 
 	if got := w[7][roundOff]; len(got) != 3 || got[0] != 120 || got[1] != 0 || got[2] != 0 {
 		t.Errorf("round-off vector = %v, want [120 0 0]", got)
+	} else if math.Signbit(got[1]) || math.Signbit(got[2]) {
+		t.Errorf("round-off vector = %v carries a negative zero", got)
 	}
 	if got := w[7][negative]; len(got) != 2 || got[1] != -1e-3 {
 		t.Errorf("a real negative was altered: %v", got)

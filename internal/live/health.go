@@ -9,7 +9,7 @@ import (
 
 // HealthMonitor watches the runtime's devices the way the paper's
 // controller would watch its middleboxes: each device answers a liveness
-// probe through the same query channel its dataplane loop serves, so a
+// probe on a channel its own dataplane loop serves between reads, so a
 // wedged or stopped device misses probes and is reported down. The
 // controller side pairs this with MarkFailed + Recompute to complete the
 // dependability loop.
@@ -145,14 +145,10 @@ func (m *HealthMonitor) probeAll() {
 }
 
 // probe asks the device loop to answer within the timeout; a live loop
-// services the query channel between reads.
+// is woken by the probe (submit) and answers without quiescing its pool.
 func (d *Device) probe(timeout time.Duration) bool {
 	resp := make(chan struct{}, 1)
-	select {
-	case d.health <- resp:
-	case <-time.After(timeout):
-		return false
-	case <-d.done:
+	if !submit(d, d.health, resp, time.After(timeout)) {
 		return false
 	}
 	select {
@@ -185,9 +181,6 @@ func (d *Device) Wedge() (release func()) {
 		case <-d.done:
 		}
 	}
-	select {
-	case d.commands <- blocked:
-	case <-d.done:
-	}
+	submit(d, d.commands, blocked, nil)
 	return release
 }

@@ -154,14 +154,14 @@ type Device struct {
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-	// queries serializes counter reads through the device loop so tests
-	// never race with the dataplane goroutine.
-	queries chan chan enforce.Counters
 	// health receives liveness probes, answered by the loop between
 	// reads (see HealthMonitor).
 	health chan chan struct{}
 	// commands runs node mutations inside the loop goroutine (see Do).
 	commands chan func()
+	// pending counts submitters between announcing themselves and their
+	// send (see submit); the loop does not block in a read while it is set.
+	pending atomic.Int32
 	// Errors counts dataplane errors observed by the loop.
 	Errors atomic.Int64
 
@@ -205,7 +205,6 @@ func (r *Runtime) AddDeviceWorkers(n *enforce.Node, workers int) (*Device, error
 		rt:       r,
 		conn:     conn,
 		done:     make(chan struct{}),
-		queries:  make(chan chan enforce.Counters),
 		health:   make(chan chan struct{}),
 		commands: make(chan func()),
 	}
@@ -222,20 +221,16 @@ func (r *Runtime) AddDeviceWorkers(n *enforce.Node, workers int) (*Device, error
 // Workers returns the size of the device's worker pool.
 func (d *Device) Workers() int { return len(d.workers) }
 
-// Counters returns a consistent snapshot of the node's counters: the
-// dispatcher quiesces the worker pool (every already-dispatched frame is
-// fully processed) before reading.
-func (d *Device) Counters() enforce.Counters {
-	resp := make(chan enforce.Counters, 1)
-	select {
-	case d.queries <- resp:
-		return <-resp
-	case <-d.done:
+// Counters returns a consistent snapshot of the node's counters: a Do, so
+// every already-dispatched frame is fully processed before the read.
+func (d *Device) Counters() (c enforce.Counters) {
+	if !d.Do(func(n *enforce.Node) { c = n.CountersSnapshot() }) {
 		// Stop was requested, but the pool may still be draining its
 		// queues; wait for it before reading the node directly.
 		d.wg.Wait()
-		return d.Node.CountersSnapshot()
+		c = d.Node.CountersSnapshot()
 	}
+	return c
 }
 
 // Do runs fn inside the device's dispatcher goroutine, after quiescing
@@ -244,14 +239,33 @@ func (d *Device) Counters() enforce.Counters {
 // reports false if the device has stopped, in which case fn did not run.
 func (d *Device) Do(fn func(n *enforce.Node)) bool {
 	done := make(chan struct{})
-	wrapped := func() {
+	ok := submit(d, d.commands, func() {
 		fn(d.Node)
 		close(done)
-	}
-	select {
-	case d.commands <- wrapped:
+	}, nil)
+	if ok {
 		<-done
+	}
+	return ok
+}
+
+// submit hands the dispatcher one request on one of its channels and
+// reports whether the loop took it (false: the device stopped, or giveUp,
+// if not nil, fired first). The dispatcher blocks in ReadFromUDP with no
+// deadline, so the submitter wakes it: it counts itself in pending, then
+// expires the read deadline, which makes a blocked (or the next) read
+// return at once. The loop clears the deadline and then looks at pending
+// before it reads again, so either it sees this submitter or this
+// deadline lands after its clear: no wake is lost (DESIGN.md §12).
+func submit[T any](d *Device, ch chan<- T, req T, giveUp <-chan time.Time) bool {
+	d.pending.Add(1)
+	defer d.pending.Add(-1)
+	_ = d.conn.SetReadDeadline(time.Now()) // fails only on a closed socket: done is closed too
+	select {
+	case ch <- req:
 		return true
+	case <-giveUp:
+		return false
 	case <-d.done:
 		return false
 	}
@@ -267,8 +281,9 @@ func (d *Device) stop() {
 
 // loop is the dispatcher: the device's single-producer receive loop. It
 // parses frames into pooled packets, enqueues them on per-flow workers,
-// and services query/health/command channels between reads — quiescing
-// the pool first, so those still observe a consistent node. On exit it
+// and services the health and command channels between reads — quiescing
+// the pool before a command, so it observes a consistent node. The read
+// has no deadline of its own; submit interrupts it. On exit the loop
 // closes the worker queues; workers drain them fully before stopping.
 func (d *Device) loop() {
 	defer d.wg.Done()
@@ -282,10 +297,6 @@ func (d *Device) loop() {
 		select {
 		case <-d.done:
 			return
-		case resp := <-d.queries:
-			d.quiesce()
-			resp <- d.Node.CountersSnapshot()
-			continue
 		case resp := <-d.health:
 			resp <- struct{}{}
 			continue
@@ -295,14 +306,21 @@ func (d *Device) loop() {
 			continue
 		default:
 		}
-		if err := d.conn.SetReadDeadline(time.Now().Add(5 * time.Millisecond)); err != nil {
-			return
+		if d.pending.Load() > 0 {
+			// A submitter is between announcing itself and its send.
+			runtime.Gosched()
+			continue
 		}
 		n, _, err := d.conn.ReadFromUDP(buf)
 		if err != nil {
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {
-				d.syncGauges() // idle moment: refresh sampled gauges
+				// Woken by submit: clear its deadline, and only then let
+				// the pending check above run again.
+				if err := d.conn.SetReadDeadline(time.Time{}); err != nil {
+					return
+				}
+				d.syncGauges() // sampled gauges refresh whenever someone asks
 				continue
 			}
 			return // socket closed
@@ -409,11 +427,9 @@ func (r *Runtime) sendVia(conn *net.UDPConn, ep *net.UDPAddr, frame []byte) {
 // Sink is a destination endpoint: it accepts data frames for one or more
 // model addresses and records what it received.
 type Sink struct {
-	rt       *Runtime
-	conn     *net.UDPConn
-	done     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	rt   *Runtime
+	conn *net.UDPConn
+	wg   sync.WaitGroup
 
 	mu       sync.Mutex
 	byFlow   map[netaddr.FiveTuple]int
@@ -431,7 +447,6 @@ func (r *Runtime) AddSink(addrs ...netaddr.Addr) (*Sink, error) {
 	}
 	s := &Sink{
 		rt: r, conn: conn,
-		done:   make(chan struct{}),
 		byFlow: make(map[netaddr.FiveTuple]int),
 		byAddr: make(map[netaddr.Addr]int),
 	}
@@ -446,8 +461,8 @@ func (r *Runtime) AddSink(addrs ...netaddr.Addr) (*Sink, error) {
 	return s, nil
 }
 
+// stop closes the socket, which is what ends the loop's blocked read.
 func (s *Sink) stop() {
-	s.stopOnce.Do(func() { close(s.done) })
 	_ = s.conn.Close()
 	s.wg.Wait()
 }
@@ -456,21 +471,9 @@ func (s *Sink) loop() {
 	defer s.wg.Done()
 	buf := make([]byte, 64*1024)
 	for {
-		select {
-		case <-s.done:
-			return
-		default:
-		}
-		if err := s.conn.SetReadDeadline(time.Now().Add(5 * time.Millisecond)); err != nil {
-			return
-		}
 		n, _, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				continue
-			}
-			return
+			return // socket closed by stop
 		}
 		if n < 1 || buf[0] != frameData {
 			continue

@@ -213,11 +213,25 @@ func TestLossyFabricDegradesGracefully(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// Some packets die on the fabric, the rest arrive; nothing wedges
-	// and no device reports an error beyond label misses (which the
-	// lossy control channel can legitimately cause).
-	if !live.WaitUntil(5*time.Second, func() bool { return b.sink.Received() >= n/4 }) {
-		t.Fatalf("only %d of %d packets arrived under 25%% loss", b.sink.Received(), n)
+	// Some packets die on the fabric, the rest arrive, nothing wedges and
+	// nothing vanishes: every packet is delivered, or was dropped once by
+	// the fabric, or was refused at a node for a label the lossy control
+	// channel never set up. That is conservation, not a floor on
+	// deliveries: shouldDrop drops the first datagram of every four sent,
+	// this flow costs four datagrams a packet and the loop above sends in
+	// lockstep, so which hop loses is a fixed phase — 20 of 40 arrive in
+	// step, none at 1-in-3 — and a scheduling hiccup that shifts the phase
+	// changes the count (8 of 40 has failed the old floor of 10).
+	accounted := func() int64 {
+		total := int64(b.sink.Received()) + b.rt.Dropped.Load()
+		for _, d := range b.devices {
+			total += d.Counters().LabelMiss
+		}
+		return total
+	}
+	if !live.WaitUntil(5*time.Second, func() bool { return accounted() >= n }) {
+		t.Fatalf("%d of %d packets unaccounted for under 25%% loss (%d delivered, %d datagrams dropped)",
+			n-accounted(), n, b.sink.Received(), b.rt.Dropped.Load())
 	}
 	if b.rt.Dropped.Load() == 0 {
 		t.Error("loss injection dropped nothing")

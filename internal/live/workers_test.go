@@ -9,7 +9,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +31,10 @@ type recorderNF struct {
 	mu   sync.Mutex
 	seqs map[netaddr.FiveTuple][]uint32
 	n    int64
+	// lagNS, when set, holds every packet this long between the node
+	// counting it as load and the recorder counting it as processed: the
+	// window in which an undrained pool shows.
+	lagNS atomic.Int64
 }
 
 func newRecorderNF() *recorderNF {
@@ -37,6 +44,9 @@ func newRecorderNF() *recorderNF {
 func (r *recorderNF) Type() policy.FuncType { return policy.FuncIDS }
 
 func (r *recorderNF) Process(p *packet.Packet, _ int64) nf.Verdict {
+	if lag := r.lagNS.Load(); lag > 0 {
+		time.Sleep(time.Duration(lag))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.n++
@@ -221,6 +231,106 @@ func TestWorkerPoolDrainedShutdown(t *testing.T) {
 	// Every packet was forwarded onward exactly once, too.
 	if c.TunnelTx != flows*perMsg {
 		t.Fatalf("TunnelTx = %d, want %d", c.TunnelTx, flows*perMsg)
+	}
+}
+
+// TestDoAnswersIdleDevice pins the wake: an idle dispatcher sits in a read
+// with no deadline, and a command must interrupt it rather than wait for a
+// timer (the loop used to look at its channels every 5 ms).
+func TestDoAnswersIdleDevice(t *testing.T) {
+	b := newWorkerBed(t, 2)
+	const calls = 200
+	took := make([]time.Duration, calls)
+	for i := range took {
+		start := time.Now()
+		if !b.mb.Do(func(*enforce.Node) {}) {
+			t.Fatal("Do on a running device reported it stopped")
+		}
+		took[i] = time.Since(start)
+	}
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	if median := took[calls/2]; median >= time.Millisecond {
+		t.Fatalf("median Do on an idle device took %v, want < 1ms (max %v)", median, took[calls-1])
+	}
+}
+
+// TestCommandDuringTrafficSeesDrainedPool asserts the quiesce barrier
+// under load, not only at shutdown: while packets keep arriving, every
+// command must find every frame dispatched before it fully processed —
+// the node's load count (taken when a worker picks a packet up) equal to
+// the function's own count (taken when it is done with it) — and every
+// one of 1,000 commands from four goroutines must return: no wake lost.
+func TestCommandDuringTrafficSeesDrainedPool(t *testing.T) {
+	b := newWorkerBed(t, 4)
+	b.rec.lagNS.Store(int64(20 * time.Microsecond))
+
+	stop := make(chan struct{})
+	var traffic sync.WaitGroup
+	traffic.Add(1)
+	go func() {
+		defer traffic.Done()
+		for injected := int64(0); ; injected++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := b.rt.Inject(b.proxyAddr, seqPacket(workerFlow(uint16(injected%16)), uint32(injected))); err != nil {
+				t.Error(err)
+				return
+			}
+			// Keep a bounded window in flight so the kernel drops nothing
+			// and the pool is never empty for long.
+			if injected%32 == 0 {
+				WaitUntil(time.Second, func() bool { return b.rec.Processed() >= injected-128 })
+			}
+		}
+	}()
+
+	const goroutines, each = 4, 250
+	var commands sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		commands.Add(1)
+		go func(g int) {
+			defer commands.Done()
+			for i, seen := 0, int64(0); i < each; i++ {
+				// Pace the commands to the traffic, so each lands while
+				// packets are in the pool.
+				for b.rec.Processed() == seen {
+					runtime.Gosched()
+				}
+				seen = b.rec.Processed()
+				if (g+i)%5 == 0 {
+					// Counters is a Do: the snapshot is of a drained node.
+					if c := b.mb.Counters(); c.PacketsIn != c.Load || c.Load != c.PlainTx {
+						t.Errorf("Counters under load: in %d, load %d, forwarded %d", c.PacketsIn, c.Load, c.PlainTx)
+						return
+					}
+					continue
+				}
+				ok := b.mb.Do(func(n *enforce.Node) {
+					if load, done := n.CountersSnapshot().Load, b.rec.Processed(); load != done {
+						t.Errorf("command ran with %d packets counted as load and %d processed", load, done)
+					}
+				})
+				if !ok {
+					t.Error("Do on a running device reported it stopped")
+					return
+				}
+			}
+		}(g)
+	}
+	returned := make(chan struct{})
+	go func() { commands.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(60 * time.Second):
+		t.Fatal("commands still outstanding after 60 s: a wake was lost")
+	}
+	close(stop)
+	traffic.Wait()
+	if b.rec.Processed() == 0 {
+		t.Fatal("no traffic reached the middlebox while the commands ran")
 	}
 }
 

@@ -337,10 +337,7 @@ func TestRandomLPsAgainstBruteForce(t *testing.T) {
 			}
 			p.AddConstraint(Eq, b[i], terms...)
 		}
-		sol, err := p.Solve()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		sol := solveLockstep(t, p)
 		if math.IsInf(want, 1) {
 			if sol.Status == Optimal {
 				t.Fatalf("trial %d: simplex found optimum %v where brute force says infeasible", trial, sol.Objective)
@@ -424,6 +421,181 @@ func TestOpAndStatusStrings(t *testing.T) {
 	if Status(9).String() == "" {
 		t.Error("unknown status should render")
 	}
+}
+
+// densePivot is the pivot this package used before the sparse one (every
+// column of every touched row), kept as the reference the production
+// kernel is compared against.
+func densePivot(a [][]float64, leave, enter int) {
+	prow := a[leave]
+	inv := 1 / prow[enter]
+	for j := range prow {
+		prow[j] *= inv
+	}
+	prow[enter] = 1
+	for i, row := range a {
+		f := row[enter]
+		if i == leave || f == 0 {
+			continue
+		}
+		for j := range row {
+			row[j] -= f * prow[j]
+		}
+		row[enter] = 0
+	}
+}
+
+// solveLockstep solves p with the production kernel and, bracketing every
+// pivot, applies densePivot to a copy of the tableau as it was before the
+// pivot: the two results must be == entry for entry (which treats -0 and
+// +0 as equal, the one difference the sparse kernel is allowed). Every
+// decision of the simplex reads tableau values through comparisons only,
+// so entrywise-equal tableaux after every pivot mean a dense solver walks
+// the same pivot sequence; the count of checked pivots must therefore be
+// the solution's Iterations.
+func solveLockstep(t *testing.T, p *Problem) *Solution {
+	t.Helper()
+	var want [][]float64
+	pivots := 0
+	sol, err := p.solve(func(tb *tableau, leave, enter int, done bool) {
+		if !done {
+			want = want[:0]
+			for _, row := range tb.a {
+				want = append(want, append([]float64(nil), row...))
+			}
+			densePivot(want, leave, enter)
+			return
+		}
+		pivots++
+		for i, row := range tb.a {
+			for j, v := range row {
+				if v != want[i][j] {
+					t.Fatalf("pivot %d (row %d, col %d): entry [%d][%d] = %v, dense pivot gives %v",
+						pivots, leave, enter, i, j, v, want[i][j])
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if sol.Iterations != pivots {
+		t.Fatalf("Iterations = %d, %d pivots checked", sol.Iterations, pivots)
+	}
+	return sol
+}
+
+// campusProgram builds a program with the block structure of the
+// controller's campus rebalance (controller/lb.go): chain instances of
+// one to three functions, source groups and providers each splitting over
+// three or four candidates (an Eq row per split), coupled only through one
+// load row per middlebox. At 30 instances it has the size of the
+// rebalance bench's control_loop solves (845 variables, 243 Eq rows, 22
+// middleboxes there). With lambdaStar nil it is the min-λ program; otherwise
+// the spread program at that λ*: a hard cap per middlebox plus a ceiling
+// (λ_f) and a floor (μ_f, a Ge row) per function type.
+func campusProgram(insts int, lambdaStar *float64) *Problem {
+	rng := rand.New(rand.NewSource(20))
+	const nFuncs, perFunc, capacity = 4, 6, 1000
+	p := NewProblem()
+	lam := p.AddVar("lambda")
+	var lamF, muF [nFuncs]int
+	if lambdaStar == nil {
+		p.SetObjective(lam, 1)
+	} else {
+		for f := range lamF {
+			lamF[f], muF[f] = p.AddVar("lambda_f"), p.AddVar("mu_f")
+			p.SetObjective(lamF[f], 1)
+			p.SetObjective(muF[f], -0.01)
+		}
+	}
+	loads := make([][]Term, nFuncs*perFunc) // middlebox f*perFunc+k implements f
+	split := func(f int, inflow []Term, rhs float64) map[int][]Term {
+		out := make(map[int][]Term)
+		cons := make([]Term, 0, 3+len(inflow))
+		for _, k := range rng.Perm(perFunc)[:3+rng.Intn(2)] {
+			v := p.AddVar("")
+			cons = append(cons, Term{v, 1})
+			out[f*perFunc+k] = append(out[f*perFunc+k], Term{v, 1})
+		}
+		for _, in := range inflow {
+			cons = append(cons, Term{in.Var, -1})
+		}
+		p.AddConstraint(Eq, rhs, cons...)
+		return out
+	}
+	merge := func(dst, src map[int][]Term) {
+		for x, terms := range src {
+			dst[x] = append(dst[x], terms...)
+		}
+	}
+	for ; insts > 0; insts-- {
+		chain := rng.Perm(nFuncs)[:1+rng.Intn(3)]
+		inflow := make(map[int][]Term)
+		for g := 2 + rng.Intn(4); g > 0; g-- {
+			merge(inflow, split(chain[0], nil, float64(20+rng.Intn(200))))
+		}
+		for _, f := range chain[1:] {
+			next := make(map[int][]Term)
+			for x := 0; x < len(loads); x++ {
+				if in := inflow[x]; in != nil {
+					loads[x] = append(loads[x], in...)
+					merge(next, split(f, in, 0))
+				}
+			}
+			inflow = next
+		}
+		for x, in := range inflow {
+			loads[x] = append(loads[x], in...)
+		}
+	}
+	for x, terms := range loads {
+		with := func(v int) []Term { return append([]Term{{v, -capacity}}, terms...) }
+		if lambdaStar == nil {
+			p.AddConstraint(Le, 0, with(lam)...)
+			continue
+		}
+		p.AddConstraint(Le, (*lambdaStar+1e-7**lambdaStar+1e-9)*capacity, terms...)
+		p.AddConstraint(Le, 0, with(lamF[x/perFunc])...)
+		p.AddConstraint(Ge, 0, with(muF[x/perFunc])...)
+	}
+	return p
+}
+
+func TestSparsePivotMatchesDense(t *testing.T) {
+	insts := 30
+	if testing.Short() {
+		insts = 10
+	}
+	minLam := solveLockstep(t, campusProgram(insts, nil))
+	if minLam.Status != Optimal || minLam.Objective <= 0 {
+		t.Fatalf("min-λ program: %v, λ = %v", minLam.Status, minLam.Objective)
+	}
+	spread := solveLockstep(t, campusProgram(insts, &minLam.Objective))
+	if spread.Status != Optimal {
+		t.Fatalf("spread program: %v", spread.Status)
+	}
+	t.Logf("min-λ %d pivots, spread %d pivots", minLam.Iterations, spread.Iterations)
+}
+
+func benchmarkSolve(b *testing.B, p *Problem) {
+	b.ResetTimer() // building p is not the solve
+	for i := 0; i < b.N; i++ {
+		sol, err := p.Solve()
+		if err != nil || sol.Status != Optimal {
+			b.Fatalf("%v %v", err, sol)
+		}
+	}
+}
+
+func BenchmarkSolveCampusMinLambda(b *testing.B) { benchmarkSolve(b, campusProgram(30, nil)) }
+
+func BenchmarkSolveCampusSpread(b *testing.B) {
+	minLam, err := campusProgram(30, nil).Solve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkSolve(b, campusProgram(30, &minLam.Objective))
 }
 
 func BenchmarkSimplexMedium(b *testing.B) {

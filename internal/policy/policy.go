@@ -10,6 +10,7 @@
 package policy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"strings"
@@ -243,6 +244,11 @@ func (d Descriptor) String() string {
 // Policy is one network-wide policy: descriptor plus ordered action list.
 // ID is unique across the network; Prio is the position in the global
 // ordered list (lower matches first).
+//
+// A Policy is never mutated in place once a Table, a plan or a node
+// configuration holds it: an edit (Table.Update) allocates a fresh value.
+// Plans and configurations share the pointers, so pointer equality means
+// "same rule" and the controller's diff skips the hash for it.
 type Policy struct {
 	ID      int
 	Prio    int
@@ -256,20 +262,27 @@ func (p *Policy) String() string {
 }
 
 // Hash is the rule's identity hash: FNV-1a over ID, priority, descriptor
-// and action list. Two Policy values hash equal iff they would install
-// identically, so plan compilation can detect edits without field-by-field
-// comparison and without trusting pointer identity across table edits.
+// and action list, each a fixed-width field. Two Policy values hash equal
+// iff they would install identically, so plan compilation can detect edits
+// without field-by-field comparison and without trusting pointer identity
+// across table edits. The value is compared in memory only and never
+// stored, so its encoding may change between versions.
 func (p *Policy) Hash() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d/%d|%d/%d|%d-%d|%d-%d|%d|",
-		p.ID, p.Prio,
-		uint32(p.Desc.Src.Addr()), p.Desc.Src.Bits(),
-		uint32(p.Desc.Dst.Addr()), p.Desc.Dst.Bits(),
-		p.Desc.SrcPort.Lo, p.Desc.SrcPort.Hi,
-		p.Desc.DstPort.Lo, p.Desc.DstPort.Hi, p.Desc.Proto)
-	for _, f := range p.Actions {
-		fmt.Fprintf(h, "%d,", int(f))
+	d := &p.Desc
+	b := make([]byte, 0, 64)
+	b = binary.BigEndian.AppendUint64(b, uint64(p.ID))
+	b = binary.BigEndian.AppendUint64(b, uint64(p.Prio))
+	b = binary.BigEndian.AppendUint32(b, uint32(d.Src.Addr()))
+	b = binary.BigEndian.AppendUint32(b, uint32(d.Dst.Addr()))
+	b = append(b, byte(d.Src.Bits()), byte(d.Dst.Bits()), d.Proto)
+	for _, port := range [...]uint16{d.SrcPort.Lo, d.SrcPort.Hi, d.DstPort.Lo, d.DstPort.Hi} {
+		b = binary.BigEndian.AppendUint16(b, port)
 	}
+	for _, f := range p.Actions {
+		b = binary.BigEndian.AppendUint32(b, uint32(f))
+	}
+	h := fnv.New64a()
+	h.Write(b)
 	return h.Sum64()
 }
 

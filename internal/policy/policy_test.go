@@ -229,6 +229,54 @@ func TestAddPolicyKeepsID(t *testing.T) {
 	}
 }
 
+// TestUpdateNeverMutatesInPlace pins the rule Policy's doc comment states
+// and the controller's diff relies on (pointer-equal means unchanged): an
+// edit leaves the value behind the old pointer as it was, and the rule's
+// hash follows every field.
+func TestUpdateNeverMutatesInPlace(t *testing.T) {
+	tbl := NewTable()
+	old := tbl.Add(NewDescriptor(), ActionList{FuncFW, FuncIDS})
+	before, beforeHash := *old, old.Hash()
+
+	d := NewDescriptor()
+	d.DstPort = netaddr.SinglePort(80)
+	edited := tbl.Update(old.ID, d, ActionList{FuncFW})
+	if edited == old || tbl.Get(old.ID) != edited {
+		t.Fatalf("Update returned %p for %p; the table holds %p", edited, old, tbl.Get(old.ID))
+	}
+	if old.ID != before.ID || old.Prio != before.Prio || old.Desc != before.Desc ||
+		len(old.Actions) != 2 || old.Actions[0] != FuncFW || old.Actions[1] != FuncIDS || old.Hash() != beforeHash {
+		t.Errorf("the old pointer's rule changed under its holders: %v, was %v", old, &before)
+	}
+	if edited.ID != old.ID || edited.Prio != old.Prio {
+		t.Errorf("edit moved the rule: id %d prio %d, was id %d prio %d", edited.ID, edited.Prio, old.ID, old.Prio)
+	}
+
+	// Every field moves the hash; an identical copy does not.
+	same := *edited
+	if same.Hash() != edited.Hash() {
+		t.Error("equal rules hash differently")
+	}
+	variants := map[string]func(p *Policy){
+		"id":       func(p *Policy) { p.ID++ },
+		"prio":     func(p *Policy) { p.Prio++ },
+		"src":      func(p *Policy) { p.Desc.Src = netaddr.MustParsePrefix("10.0.0.0/8") },
+		"dst":      func(p *Policy) { p.Desc.Dst = netaddr.MustParsePrefix("10.0.0.0/8") },
+		"src port": func(p *Policy) { p.Desc.SrcPort = netaddr.SinglePort(80) },
+		"dst port": func(p *Policy) { p.Desc.DstPort = netaddr.SinglePort(81) },
+		"proto":    func(p *Policy) { p.Desc.Proto = netaddr.ProtoUDP },
+		"actions":  func(p *Policy) { p.Actions = ActionList{FuncFW, FuncIDS} },
+		"order":    func(p *Policy) { p.Actions = ActionList{FuncIDS} },
+	}
+	for name, change := range variants {
+		v := *edited
+		change(&v)
+		if v.Hash() == edited.Hash() {
+			t.Errorf("changing %s leaves the hash at %x", name, v.Hash())
+		}
+	}
+}
+
 func randomDescriptor(rng *rand.Rand) Descriptor {
 	d := NewDescriptor()
 	if rng.Intn(2) == 0 {
