@@ -29,9 +29,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Fault-injection suite under the race detector, twice: reconnect
-# storms, ack loss, wedged devices, epoch-fenced rollout and the full
-# recovery-convergence schedule on both substrates. -count=2 defeats test
+# Fault-injection suite under the race detector, twice: the election and
+# replication fences (internal/ha), reconnect storms, ack loss, wedged
+# devices, epoch-fenced rollout and the full recovery-convergence
+# schedule on both substrates. -count=2 defeats test
 # caching and shakes out order-dependent flakes. The second block re-runs
 # the survivability experiments (local fast failover, controller
 # kill/restart, replicated-HA takeover) across a seed matrix so the
@@ -42,7 +43,7 @@ fmt:
 CHAOS_SEEDS ?= 7 23 41
 KILL_LEADER_AT ?= 150000 400000
 chaos:
-	$(GO) test -race -count=2 ./internal/faultinject/
+	$(GO) test -race -count=2 ./internal/faultinject/ ./internal/ha/
 	$(GO) test -race -count=2 -run 'Chaos|Recovery|Reconnect|Wedge|TwoPhase' \
 		./internal/mgmt/ ./internal/live/ ./internal/experiments/
 	@for seed in $(CHAOS_SEEDS); do \
@@ -67,6 +68,7 @@ fuzz:
 	$(GO) test ./internal/mgmt/ -run '^FuzzConfigDTO$$' -fuzz '^FuzzConfigDTO$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mgmt/ -run '^FuzzConfigDelta$$' -fuzz '^FuzzConfigDelta$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/controller/ -run '^FuzzJournalStream$$' -fuzz '^FuzzJournalStream$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/controller/ -run '^FuzzRestoreFromJournal$$' -fuzz '^FuzzRestoreFromJournal$$' -fuzztime $(FUZZTIME)
 
 # Coverage profile across all packages, with the per-function summary's
 # total line printed at the end.
@@ -119,7 +121,7 @@ race-flake:
 	@for p in 1 2; do \
 		echo "== GOMAXPROCS=$$p =="; \
 		GOMAXPROCS=$$p $(GO) test -p 1 -race -short -count=20 \
-			./internal/mgmt/ ./internal/controller/ ./internal/live/ || exit 1; \
+			./internal/mgmt/ ./internal/controller/ ./internal/ha/ ./internal/live/ || exit 1; \
 	done
 
 # Same behaviour, checked: regenerate the results into a temp dir and

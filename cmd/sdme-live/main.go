@@ -280,8 +280,7 @@ func run() error {
 		if err := j.LogEpoch(server.Epoch(), 0); err != nil {
 			return err
 		}
-		recs, bytes := j.Stats()
-		fmt.Printf("journal: %d records (%d bytes) appended this run\n", recs, bytes)
+		fmt.Printf("journal: %d records (%d bytes) on disk\n", j.Records(), j.Size())
 	}
 
 	fmt.Println("\nper-device dataplane counters:")

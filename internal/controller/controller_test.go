@@ -22,7 +22,7 @@ type bed struct {
 	tbl *policy.Table
 }
 
-func newBed(t *testing.T, seed int64, buildPolicies func(tbl *policy.Table)) *bed {
+func newBed(t testing.TB, seed int64, buildPolicies func(tbl *policy.Table)) *bed {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := topo.Campus(topo.CampusConfig{Gateways: 2, CoreRouters: 6, EdgeRouters: 4, WithProxies: true}, rng)

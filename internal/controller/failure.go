@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 
 	"sdme/internal/enforce"
 	"sdme/internal/policy"
@@ -44,14 +45,7 @@ func (e *NoLiveProviderError) Is(target error) bool { return target == ErrNoLive
 // next Recompute (pair it with Pipeline.NodeChanged); it does not touch
 // already-configured nodes.
 func (c *Controller) MarkFailed(mb topo.NodeID, down bool) error {
-	found := false
-	for _, id := range c.dep.MBNodes {
-		if id == mb {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(c.dep.MBNodes, mb) {
 		return fmt.Errorf("controller: node %v is not a middlebox", mb)
 	}
 	if c.failed == nil {

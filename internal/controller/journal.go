@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,18 +92,29 @@ type WeightsRecord struct {
 	Nodes  []NodeWeights `json:"nodes"`
 }
 
-// Journal is an append-only write-ahead log. Safe for concurrent use.
+// Journal is the write-ahead log file, open for the life of its owner.
+// A controller appends records to it (Append); a replica standing by
+// keeps it a copy of its leader's by applying streamed frames at exact
+// offsets (ApplyFrames) and cutting diverged tails (TruncateTo). Safe for
+// concurrent use.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
+	*journalFile
+	// closed marks this handle closed (guarded by mu): it never writes again.
+	closed bool
+}
+
+// journalFile is the open file and its running totals, shared by the
+// journal that opened it and the Writer handle it has lent out.
+type journalFile struct {
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	// records counts the intact records on disk (guarded by mu).
 	records int64
-	bytes   int64
-	// size is the absolute intact journal length on disk (existing records
-	// from earlier handles plus appends through this one) — the offset
-	// space the replication stream (replicate.go) addresses. Atomic so
-	// catch-up reads (ReadChunk) never contend with an Append blocked in
-	// its replication hook waiting for those very reads to finish.
+	// size is the intact journal length on disk — the offset space the
+	// replication stream addresses. Atomic so catch-up reads (ReadChunk)
+	// never contend with an Append blocked in its replication hook waiting
+	// for those very reads to finish.
 	size atomic.Int64
 	// runCRC is the running CRC-32 over the whole intact journal,
 	// advertised in leader heartbeats so standbys can detect a diverged
@@ -114,83 +127,79 @@ type Journal struct {
 	// fails the Append: a record the quorum refused must not be treated
 	// as logged.
 	onAppend func(offset int64, prefixCRC uint32, frame []byte) error
+	// writer is the handle Writer lent out and not yet closed: while it is
+	// set, it alone may write.
+	writer *Journal
 }
 
-// OpenJournal opens (creating if needed) a journal for appending. Any
-// torn tail (a partial record from a crash mid-append) is truncated
-// away so new appends extend the intact prefix rather than burying
-// themselves behind garbage replay would stop at. The parent directory
-// is fsynced after opening: without it a freshly created journal's
-// directory entry can vanish on host crash even though the file's own
-// appends were synced.
+// OpenJournal opens (creating if needed) a journal. Any torn tail (a
+// partial record from a crash mid-append) is truncated away so new
+// records extend the intact prefix rather than burying themselves behind
+// garbage replay would stop at. The parent directory is fsynced after
+// opening: without it a freshly created journal's directory entry can
+// vanish on host crash even though the file's own appends were synced.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("controller: open journal: %w", err)
 	}
-	intact, _, crc, torn, err := scanFrames(path, nil)
+	var st JournalState
+	err = walkFrames(f, &st)
+	if err == nil && st.Torn {
+		if err = f.Truncate(st.Bytes); err != nil {
+			err = fmt.Errorf("controller: truncate torn journal tail: %w", err)
+		}
+	}
+	if err == nil {
+		err = syncDir(path)
+	}
 	if err != nil {
 		_ = f.Close()
 		return nil, err
 	}
-	if torn {
-		if err := f.Truncate(intact); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("controller: truncate torn journal tail: %w", err)
-		}
-	}
-	if err := syncDir(path); err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	j := &Journal{f: f, path: path}
-	j.size.Store(intact)
-	j.runCRC.Store(uint32(crc))
+	j := &Journal{journalFile: &journalFile{f: f, path: path, records: int64(st.Records)}}
+	j.size.Store(st.Bytes)
+	j.runCRC.Store(st.crc)
 	return j, nil
 }
 
-// scanFrames walks a journal's framing (length + CRC) and returns the
-// intact prefix length, the record count, the running CRC-32 over the
-// intact prefix, and whether a torn/corrupt tail follows the prefix.
-// visit, when non-nil, sees each intact record's payload in order; a
-// false return ends the walk there (that record counts as the torn
-// tail), an error aborts it.
-func scanFrames(path string, visit func(payload []byte) (bool, error)) (intact int64, records int64, crc uint32, torn bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, false, fmt.Errorf("controller: open journal: %w", err)
-	}
-	defer f.Close() //nolint:errcheck // read-only handle
+// walkFrames is the one reader of the record format: it folds every
+// record of r into st, in order, and stops at the first frame that is not
+// an intact, well-formed record. A frame cut short, of an impossible
+// length, failing its CRC or not holding an envelope is a torn tail
+// (st.Torn; a clean end of input is not). An envelope of an unknown kind
+// or with a mis-shaped body is an error: CRC-valid bytes this code never
+// wrote. Either way st.Records, st.Bytes and st.crc describe the prefix
+// before it — so opening, replaying and a standby applying streamed
+// frames accept exactly the same records.
+func walkFrames(r io.Reader, st *JournalState) error {
 	var hdr [8]byte
+	var payload bytes.Buffer // grows with what r delivers, not with what a header claims
 	for {
-		if _, rerr := io.ReadFull(f, hdr[:]); rerr != nil {
-			return intact, records, crc, rerr != io.EOF, nil
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			st.Torn = err != io.EOF
+			return nil
 		}
+		st.Torn = true // until the frame proves whole
 		n := binary.BigEndian.Uint32(hdr[:4])
-		sum := binary.BigEndian.Uint32(hdr[4:8])
 		if n == 0 || n > 16<<20 {
-			return intact, records, crc, true, nil
+			return nil
 		}
-		buf := make([]byte, n)
-		if _, rerr := io.ReadFull(f, buf); rerr != nil {
-			return intact, records, crc, true, nil
+		payload.Reset()
+		if _, err := io.CopyN(&payload, r, int64(n)); err != nil || crc32.ChecksumIEEE(payload.Bytes()) != binary.BigEndian.Uint32(hdr[4:]) {
+			return nil
 		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			return intact, records, crc, true, nil
+		env, err := mgmt.DecodeEnvelope(payload.Bytes())
+		if err != nil {
+			return nil
 		}
-		if visit != nil {
-			ok, verr := visit(buf)
-			if verr != nil {
-				return intact, records, crc, false, verr
-			}
-			if !ok {
-				return intact, records, crc, true, nil
-			}
+		st.Torn = false
+		if err := st.apply(env); err != nil {
+			return fmt.Errorf("%w (record %d at offset %d)", err, st.Records, st.Bytes)
 		}
-		crc = crc32.Update(crc, crc32.IEEETable, hdr[:])
-		crc = crc32.Update(crc, crc32.IEEETable, buf)
-		intact += int64(8 + n)
-		records++
+		st.crc = crc32.Update(crc32.Update(st.crc, crc32.IEEETable, hdr[:]), crc32.IEEETable, payload.Bytes())
+		st.Bytes += int64(8 + n)
+		st.Records++
 	}
 }
 
@@ -211,20 +220,71 @@ func syncDir(path string) error {
 	return nil
 }
 
-// Close syncs and closes the journal file.
+// Writer lends the file to one handle: from now until that handle's
+// Close it alone may Append, and ApplyFrames and TruncateTo refuse. A
+// replica promoted to leader hands it to its controller and closes it at
+// deposition — that is the fence: however long a stale controller keeps
+// the handle, it never appends again, while j goes back to applying the
+// new leader's frames to the same open file.
+func (j *Journal) Writer() *Journal {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.writer != nil {
+		j.writer.closed = true
+	}
+	j.writer = &Journal{journalFile: j.journalFile}
+	return j.writer
+}
+
+// Close syncs and closes the journal file; on a Writer handle it gives
+// the file back instead.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.closed || j.f == nil {
 		return nil
 	}
-	//vet:ignore lockedblocking -- final fsync must serialize with in-flight appends on the same mutex
+	j.closed = true
+	if j.writer == j {
+		j.writer = nil
+		return nil
+	}
+	//vet:ignore lockedblocking -- final fsync must serialize with in-flight writes on the same mutex
 	err := j.f.Sync()
 	if cerr := j.f.Close(); err == nil {
 		err = cerr
 	}
 	j.f = nil
 	return err
+}
+
+// usableLocked refuses a closed handle, and any handle but the writer
+// while the file is lent (the writer itself may only append).
+func (j *Journal) usableLocked(appending bool) error {
+	switch {
+	case j.closed || j.f == nil:
+		return errors.New("controller: journal closed")
+	case j.writer != nil && !(appending && j.writer == j):
+		return errors.New("controller: journal is lent to a writer")
+	}
+	return nil
+}
+
+// writeLocked makes buf — whole frames holding the given number of
+// records — durable at the journal's end: one write, one fsync, then the
+// totals move.
+func (j *Journal) writeLocked(buf []byte, records int) error {
+	size := j.size.Load()
+	if _, err := j.f.WriteAt(buf, size); err != nil {
+		return fmt.Errorf("controller: journal write: %w", err)
+	}
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("controller: journal sync: %w", err)
+	}
+	j.records += int64(records)
+	j.size.Store(size + int64(len(buf)))
+	j.runCRC.Store(crc32.Update(j.runCRC.Load(), crc32.IEEETable, buf))
+	return nil
 }
 
 // Append writes one record durably (single write + fsync before
@@ -241,23 +301,14 @@ func (j *Journal) Append(kind string, v interface{}) error {
 	copy(buf[8:], env)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("controller: journal closed")
+	if err := j.usableLocked(true); err != nil {
+		return err
 	}
-	//vet:ignore lockedblocking -- WAL contract: record order IS the recovery order, so appends must serialize through the mutex
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("controller: journal append: %w", err)
+	offset, prefixCRC := j.size.Load(), j.runCRC.Load()
+	//vet:ignore lockedblocking -- WAL contract: record order IS the recovery order, so the write and the fsync that precedes the acknowledgement serialize through the mutex
+	if err := j.writeLocked(buf, 1); err != nil {
+		return err
 	}
-	//vet:ignore lockedblocking -- fsync must complete before the append is acknowledged, still under the append lock
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("controller: journal sync: %w", err)
-	}
-	offset := j.size.Load()
-	prefixCRC := j.runCRC.Load()
-	j.records++
-	j.bytes += int64(len(buf))
-	j.size.Add(int64(len(buf)))
-	j.runCRC.Store(crc32.Update(prefixCRC, crc32.IEEETable, buf))
 	if j.onAppend != nil {
 		// Replication hook: the record is durable locally; it must now be
 		// durable on a quorum before the append is acknowledged upstream.
@@ -266,6 +317,71 @@ func (j *Journal) Append(kind string, v interface{}) error {
 			return fmt.Errorf("controller: journal replicate: %w", err)
 		}
 	}
+	return nil
+}
+
+// ApplyFrames appends a batch of frames streamed from the leader's
+// journal and returns the journal length after the call. The batch is
+// applied only when offset equals the current length (a duplicate or a
+// gap otherwise — the caller decides), and of the batch only the prefix
+// walkFrames accepts is written: never a record past a bad CRC, and never
+// one replay would refuse.
+func (j *Journal) ApplyFrames(offset int64, frames []byte) (int64, error) {
+	var st JournalState
+	refused := walkFrames(bytes.NewReader(frames), &st)
+	if refused == nil && st.Torn {
+		refused = fmt.Errorf("controller: frame batch torn or corrupt at %d", st.Bytes)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	size := j.size.Load()
+	if err := j.usableLocked(false); err != nil {
+		return size, err
+	}
+	if offset != size {
+		return size, fmt.Errorf("controller: frame offset %d does not match journal length %d", offset, size)
+	}
+	if st.Bytes > 0 {
+		//vet:ignore lockedblocking -- prefix invariant: streamed records land at exact offsets, serialized by the journal lock, and the ack reports them durable
+		if err := j.writeLocked(frames[:st.Bytes], st.Records); err != nil {
+			return size, err
+		}
+	}
+	return j.size.Load(), refused
+}
+
+// TruncateTo discards everything at and past the given length — the
+// resync path when the leader's journal is shorter (this replica holds an
+// un-replicated tail from a dead leader) or diverged. The length comes off
+// the wire, so the kept prefix is walked again: the cut lands on its last
+// record boundary and the totals are the walk's.
+func (j *Journal) TruncateTo(n int64) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.usableLocked(false); err != nil {
+		return err
+	}
+	if size := j.size.Load(); n < 0 || n > size {
+		return fmt.Errorf("controller: truncate to %d out of range [0,%d]", n, size)
+	} else if n == size {
+		return nil
+	}
+	var st JournalState
+	//vet:ignore lockedblocking -- the rescan must complete before the next frame is judged against size/CRC
+	if err := walkFrames(io.NewSectionReader(j.f, 0, n), &st); err != nil {
+		return err
+	}
+	//vet:ignore lockedblocking -- resync truncation must serialize with frame applies
+	if err := j.f.Truncate(st.Bytes); err != nil {
+		return fmt.Errorf("controller: journal truncate: %w", err)
+	}
+	//vet:ignore lockedblocking -- durable before any post-resync frame is acked
+	if err := j.f.Sync(); err != nil {
+		return fmt.Errorf("controller: journal truncate sync: %w", err)
+	}
+	j.records = int64(st.Records)
+	j.size.Store(st.Bytes)
+	j.runCRC.Store(st.crc)
 	return nil
 }
 
@@ -279,11 +395,11 @@ func (j *Journal) SetOnAppend(fn func(offset int64, prefixCRC uint32, frame []by
 	j.onAppend = fn
 }
 
-// Stats reports records and bytes appended through this handle.
-func (j *Journal) Stats() (records, bytes int64) {
+// Records returns the number of intact records on disk.
+func (j *Journal) Records() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.records, j.bytes
+	return j.records
 }
 
 // Size returns the absolute intact journal length on disk — the offset
@@ -292,9 +408,6 @@ func (j *Journal) Size() int64 { return j.size.Load() }
 
 // CRC returns the running CRC-32 over the whole intact journal.
 func (j *Journal) CRC() uint32 { return j.runCRC.Load() }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // ReadChunk reads up to max raw bytes of intact journal starting at
 // offset — the leader side of standby catch-up. The returned slice ends
@@ -388,24 +501,23 @@ type JournalState struct {
 	Records int
 	Bytes   int64
 	Torn    bool
+	// crc is the running CRC-32 over the intact prefix.
+	crc uint32
 }
 
 // ReplayJournal reads a journal back, stopping cleanly at a torn tail (a
 // partial, corrupt or undecodable record: replay ends at the last intact
 // one before it).
 func ReplayJournal(path string) (*JournalState, error) {
-	st := &JournalState{}
-	intact, records, _, torn, err := scanFrames(path, func(payload []byte) (bool, error) {
-		env, err := mgmt.DecodeEnvelope(payload)
-		if err != nil {
-			return false, nil
-		}
-		return true, st.apply(env)
-	})
+	f, err := os.Open(path)
 	if err != nil {
+		return nil, fmt.Errorf("controller: open journal: %w", err)
+	}
+	defer f.Close() //nolint:errcheck // read-only handle
+	st := &JournalState{}
+	if err := walkFrames(f, st); err != nil {
 		return nil, err
 	}
-	st.Records, st.Bytes, st.Torn = int(records), intact, torn
 	return st, nil
 }
 
@@ -555,16 +667,21 @@ func (c *Controller) journalWeights(lambda float64, weights weightPlan) error {
 // starts from. BuildNodesFromPlan(pipe.Plan()) therefore reproduces the
 // pre-crash export, and the next Recompute is a full solve (no instance
 // loads were journaled, so nothing may be carried). It refuses a journal
-// whose deployment fingerprint does not match this controller's inputs.
+// whose deployment fingerprint does not match this controller's inputs, or
+// whose failed set names a node MarkFailed would refuse.
 func (c *Controller) RestoreFromJournal(st *JournalState) error {
 	if st.Fingerprint != c.Fingerprint() {
 		return fmt.Errorf("controller: journal fingerprint %#x does not match deployment %#x",
 			st.Fingerprint, c.Fingerprint())
 	}
-	c.failed = make(map[topo.NodeID]bool, len(st.Failed))
+	failed := make(map[topo.NodeID]bool, len(st.Failed))
 	for _, id := range st.Failed {
-		c.failed[id] = true
+		if !slices.Contains(c.dep.MBNodes, id) {
+			return fmt.Errorf("controller: journaled failed set names node %v, which is not a middlebox", id)
+		}
+		failed[id] = true
 	}
+	c.failed = failed
 	plan, err := c.CompilePlan(nil, false)
 	if errors.Is(err, ErrNoLiveProvider) {
 		// The journaled failed set starves a function: no plan exists to

@@ -38,9 +38,8 @@ func TestJournalAppendReplayRoundTrip(t *testing.T) {
 	if err := j.Append(controller.JournalFailed, controller.FailedRecord{Failed: []int{9}}); err != nil {
 		t.Fatal(err)
 	}
-	recs, bytes := j.Stats()
-	if recs != 4 || bytes == 0 {
-		t.Errorf("stats = %d records, %d bytes", recs, bytes)
+	if recs, bytes := j.Records(), j.Size(); recs != 4 || bytes == 0 {
+		t.Errorf("journal holds %d records, %d bytes", recs, bytes)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

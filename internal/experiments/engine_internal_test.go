@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"sdme/internal/controller"
@@ -86,43 +85,5 @@ func TestChaosRepairAbsorbsOnlyExpectedOutcomes(t *testing.T) {
 				t.Errorf("repairs=%d degraded=%d, want %d and %d", res.Repairs, res.Degraded, tc.repairs, tc.degraded)
 			}
 		})
-	}
-}
-
-// TestHAPromotionBookkeepingRace: spurious re-elections promote and demote
-// on elector goroutines while the story reads who leads. Run under -race;
-// every reader takes the lock the hooks write under.
-func TestHAPromotionBookkeepingRace(t *testing.T) {
-	bed, err := newFaultBed(7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := &haHarness{bed: bed}
-	cfg := HAConfig{Seed: 7}
-	cfg.fill(Live)
-	grp, err := newLiveGroup(bed.Site, cfg, t.TempDir(),
-		func(int, *controller.JournalState, *controller.Journal, uint64) error { return nil }, h.demote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer grp.Close()
-	g := grp.(*liveGroup)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for term := uint64(100); term < 300; term++ {
-			g.promoted(1, &controller.JournalState{}, term, errors.New("no controller behind this promotion"))
-			g.demoted(1, h.demote)
-		}
-	}()
-	for i := 0; i < 200; i++ {
-		g.AwaitLeader(0, 1)
-		_, _ = h.leader()
-		_ = g.Totals()
-	}
-	wg.Wait()
-	if !strings.Contains(g.Totals().Trace, "1@299@") {
-		t.Errorf("promotions lost: trace %q", g.Totals().Trace)
 	}
 }

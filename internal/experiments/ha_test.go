@@ -44,6 +44,17 @@ func TestChaosSimHATakeover(t *testing.T) {
 	if res.PushFailures >= res.PushAttempts {
 		t.Fatalf("no push ever succeeded (%d/%d)", res.PushFailures, res.PushAttempts)
 	}
+	assertHAMetrics(t, res)
+}
+
+// assertHAMetrics: a takeover run must show in the group's registry — at
+// least the two wins as role transitions, and journal bytes streamed.
+func assertHAMetrics(t *testing.T, res *experiments.HAResult) {
+	t.Helper()
+	if res.Transitions < 2 || res.StreamedBytes <= 0 {
+		t.Fatalf("HA metric families not fed: transitions_total %d (want >= 2), streamed_bytes_total %d (want > 0)",
+			res.Transitions, res.StreamedBytes)
+	}
 }
 
 // TestSimHADeterministic: the whole takeover history — election winners,
@@ -126,4 +137,5 @@ func TestChaosLiveHATakeover(t *testing.T) {
 	if res.Reconnects == 0 {
 		t.Fatal("no agent ever reconnected; the kill did not bite")
 	}
+	assertHAMetrics(t, res)
 }

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
+
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
 	"sdme/internal/faultinject"
+	"sdme/internal/ha"
 	"sdme/internal/netaddr"
 	"sdme/internal/topo"
 )
@@ -107,12 +111,30 @@ type (
 type GroupTotals struct {
 	// Trace is the promotion history "id@term@tUS;...".
 	Trace string
+	// Transitions sums the replicas' election role changes; StreamedBytes
+	// is what the leaders' journals sent their standbys (the group's
+	// sdme_election_transitions_total and
+	// sdme_replication_streamed_bytes_total).
+	Transitions, StreamedBytes int64
 	// Agents is the size of the fleet the group manages (zero without a
 	// management channel). Converged: every agent acked the leader's last
 	// commit. Redirects/Reconnects: the agents' re-homing effort.
 	Agents                int
 	Converged             bool
 	Redirects, Reconnects int64
+}
+
+// groupTotals reads the part of GroupTotals every backend takes from its
+// ha.Group: the promotion trace and the two metric sums.
+func groupTotals(g *ha.Group) GroupTotals {
+	t := GroupTotals{StreamedBytes: g.Metrics().Counter(ha.MetricReplStreamedBytes).Value()}
+	for _, p := range g.Promotions() {
+		t.Trace += fmt.Sprintf("%d@%d@%d;", p.ID, p.Term, p.AtUS)
+	}
+	for id := 0; id < g.N(); id++ {
+		t.Transitions += g.Metrics().Counter(ha.MetricElectionTransitions, "replica", strconv.Itoa(id)).Value()
+	}
+	return t
 }
 
 // group is a replicated controller: N replicas running the lease

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,12 +11,12 @@ import (
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
 	"sdme/internal/faultinject"
+	"sdme/internal/ha"
 	"sdme/internal/live"
 	"sdme/internal/metrics"
 	"sdme/internal/mgmt"
 	"sdme/internal/netaddr"
 	"sdme/internal/packet"
-	"sdme/internal/sim"
 	"sdme/internal/topo"
 )
 
@@ -39,12 +38,16 @@ var pushPol = mgmt.RetryPolicy{Attempts: 4, PerAttempt: 2 * time.Second, Backoff
 // that a dropped connection heals within a fault schedule's gaps.
 var agentBackoff = mgmt.AgentOptions{BackoffMin: 5 * time.Millisecond, BackoffMax: 100 * time.Millisecond}
 
-// wallClock is the time since a story began.
-type wallClock struct{ beganUS int64 }
+// wallClock is the time since a story began; its timers (AfterUS) are the
+// wall's.
+type wallClock struct {
+	ha.WallClock
+	beganUS int64
+}
 
-func newWallClock() wallClock { return wallClock{controller.WallClock{}.NowUS()} }
+func newWallClock() wallClock { return wallClock{beganUS: ha.WallClock{}.NowUS()} }
 
-func (c wallClock) NowUS() int64 { return controller.WallClock{}.NowUS() - c.beganUS }
+func (c wallClock) NowUS() int64 { return c.WallClock.NowUS() - c.beganUS }
 
 func (c wallClock) Sleep(us int64) { time.Sleep(time.Duration(us) * time.Microsecond) }
 
@@ -407,8 +410,8 @@ func (s *liveSubstrate) Close() {
 	}
 }
 
-// liveGroup is N controller replicas over real sockets — a peer bus and
-// a management server each — and the fleet whose agents know every
+// liveGroup is an ha.Group over real sockets — a peer bus and a
+// management server per replica — and the fleet whose agents know every
 // server's address. A server is gated shut until its replica wins an
 // election; the standbys bounce agents to the leader.
 type liveGroup struct {
@@ -418,15 +421,12 @@ type liveGroup struct {
 	buses   []*mgmt.PeerBus
 	fleet   *Fleet
 
-	// A bus can deliver before its replica is built; an empty slot drops
-	// the envelope.
-	reps []atomic.Pointer[controller.HAReplica]
-
-	// mu guards proms and leading; the promotion hooks fire on elector
-	// timer goroutines.
-	mu      sync.Mutex
-	proms   []sim.Promotion
-	leading int // -1 while no replica leads
+	// A bus can deliver before the group is built; until then it drops the
+	// envelope.
+	group atomic.Pointer[ha.Group]
+	// gates serializes the servers' leader-gate flips: the promotion hooks
+	// fire on elector timer goroutines.
+	gates sync.Mutex
 
 	// pushing is the one-at-a-time turn a plan push takes, held for the
 	// whole push: a probe's background epochs never race a commit's
@@ -437,8 +437,7 @@ type liveGroup struct {
 }
 
 func newLiveGroup(site Site, cfg HAConfig, dir string, promote promoteHook, demote demoteHook) (group, error) {
-	g := &liveGroup{wallClock: newWallClock(), site: site, leading: -1, pushing: make(chan struct{}, 1)}
-	g.reps = make([]atomic.Pointer[controller.HAReplica], cfg.Replicas)
+	g := &liveGroup{wallClock: newWallClock(), site: site, pushing: make(chan struct{}, 1)}
 	if err := g.start(cfg, dir, promote, demote); err != nil {
 		g.Close()
 		return nil, err
@@ -457,8 +456,8 @@ func (g *liveGroup) start(cfg HAConfig, dir string, promote promoteHook, demote 
 		g.servers = append(g.servers, srv)
 		i := i
 		bus, err := mgmt.NewPeerBus(i, "127.0.0.1:0", func(env *mgmt.Envelope) {
-			if rep := g.reps[i].Load(); rep != nil {
-				rep.Deliver(env)
+			if grp := g.group.Load(); grp != nil {
+				grp.Replica(i).Deliver(env)
 			}
 		})
 		if err != nil {
@@ -467,51 +466,38 @@ func (g *liveGroup) start(cfg HAConfig, dir string, promote promoteHook, demote 
 		g.buses = append(g.buses, bus)
 		busAddrs[i] = bus.Addr()
 	}
-	for i, b := range g.buses {
+	for _, b := range g.buses {
 		b.SetPeers(busAddrs)
-		var peers []int
-		for p := 0; p < cfg.Replicas; p++ {
-			if p != i {
-				peers = append(peers, p)
+	}
+	grp, err := ha.NewGroup(ha.GroupConfig{
+		N:         cfg.Replicas,
+		Dir:       dir,
+		LeaseUS:   cfg.leaseUS,
+		Seed:      cfg.Seed,
+		Clock:     g.wallClock,
+		Transport: func(id int) ha.PeerTransport { return g.buses[id] },
+		OnPromote: func(id int, st *controller.JournalState, j *controller.Journal, term uint64) {
+			if promote(id, st, j, term) == nil {
+				g.promoted(id, st.Epoch, term)
 			}
-		}
-		id := i
-		rep, err := controller.NewHAReplica(controller.HAReplicaConfig{
-			ID:          i,
-			Peers:       peers,
-			JournalPath: filepath.Join(dir, fmt.Sprintf("replica-%d.wal", i)),
-			Transport:   b,
-			LeaseUS:     cfg.leaseUS,
-			Seed:        cfg.Seed*1009 + int64(i) + 1,
-			OnPromote: func(st *controller.JournalState, j *controller.Journal, term uint64) {
-				g.promoted(id, st, term, promote(id, st, j, term))
-			},
-			OnDemote: func(uint64) { g.demoted(id, demote) },
-		})
-		if err != nil {
-			return err
-		}
-		g.reps[i].Store(rep)
+		},
+		OnDemote: func(id int, _ uint64) { g.demoted(id, demote) },
+	})
+	if err != nil {
+		return err
 	}
-	for i := range g.reps {
-		g.reps[i].Load().Start()
-	}
+	g.group.Store(grp)
 	return nil
 }
 
-// promoted records the win and, if the harness has a controller for it,
-// opens the winner's server under the new term — epochs resumed past the
-// replayed high-water — while every other server bounces agents to it.
-func (g *liveGroup) promoted(id int, st *controller.JournalState, term uint64, harnessErr error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.proms = append(g.proms, sim.Promotion{ID: id, Term: term, AtUS: g.NowUS()})
-	g.leading = id
-	if harnessErr != nil {
-		return
-	}
+// promoted opens the winner's server under the new term — epochs resumed
+// past the replayed high-water — while every other server bounces agents
+// to it.
+func (g *liveGroup) promoted(id int, epoch, term uint64) {
+	g.gates.Lock()
+	defer g.gates.Unlock()
 	srv := g.servers[id]
-	srv.ResumeEpoch(st.Epoch)
+	srv.ResumeEpoch(epoch)
 	srv.SetLeader(term)
 	for k, other := range g.servers {
 		if k != id {
@@ -523,28 +509,18 @@ func (g *liveGroup) promoted(id int, st *controller.JournalState, term uint64, h
 // demoted gates the deposed leader's server shut and sheds its agents —
 // they re-home to the new leader through rotation and redirects.
 func (g *liveGroup) demoted(id int, harness demoteHook) {
-	g.mu.Lock()
-	if g.leading == id {
-		g.leading = -1
-	}
-	g.mu.Unlock()
 	harness(id)
 	g.servers[id].SetNotLeader("")
 	g.servers[id].DropAllConns()
 }
 
 func (g *liveGroup) AwaitLeader(limitUS int64, minTerm uint64) (int, uint64, int64) {
-	var p sim.Promotion
-	ok := g.Await(limitUS, func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		if g.leading < 0 || len(g.proms) == 0 {
-			return false
-		}
-		p = g.proms[len(g.proms)-1]
-		return p.ID == g.leading && p.Term >= minTerm
-	})
-	if !ok {
+	var p ha.Promotion
+	var ok bool
+	if !g.Await(limitUS, func() bool {
+		p, ok = g.group.Load().Leader()
+		return ok && p.Term >= minTerm
+	}) {
 		return -1, 0, g.NowUS()
 	}
 	return p.ID, p.Term, p.AtUS
@@ -553,14 +529,7 @@ func (g *liveGroup) AwaitLeader(limitUS int64, minTerm uint64) (int, uint64, int
 // Kill partitions the replica from its peers by closing its bus. It still
 // believes it leads — until its lease starves and it deposes itself —
 // which is exactly the split-brain window the fences close.
-func (g *liveGroup) Kill(id int) {
-	g.mu.Lock()
-	if g.leading == id {
-		g.leading = -1
-	}
-	g.mu.Unlock()
-	g.buses[id].Close()
-}
+func (g *liveGroup) Kill(id int) { g.buses[id].Close() }
 
 func (g *liveGroup) Commit(l *leader, limitUS int64) (uint64, error) {
 	g.pushing <- struct{}{}
@@ -588,7 +557,7 @@ func (g *liveGroup) Commit(l *leader, limitUS int64) (uint64, error) {
 	if err := l.j.LogEpoch(srv.Epoch()+1, l.term); err != nil {
 		return 0, err
 	}
-	repl := g.reps[l.id].Load().Replicator()
+	repl := g.group.Load().Replica(l.id).Replicator()
 	if repl == nil {
 		return 0, fmt.Errorf("experiments: replica %d has no replicator", l.id)
 	}
@@ -629,13 +598,11 @@ func (g *liveGroup) Probe(l *leader) bool {
 // and the agent must refuse it. (This takes the current leader's server
 // out of service.)
 func (g *liveGroup) StaleRefused(old int, oldTerm uint64) (bool, error) {
-	g.mu.Lock()
-	cur := g.leading
-	g.mu.Unlock()
-	if cur < 0 || cur == old {
+	cur, ok := g.group.Load().Leader()
+	if !ok || cur.ID == old {
 		return false, fmt.Errorf("experiments: no successor to replica %d for the stale-push check", old)
 	}
-	zombie, leaderSrv := g.servers[old], g.servers[cur]
+	zombie, leaderSrv := g.servers[old], g.servers[cur.ID]
 	gated := live.WaitUntil(10*time.Second, func() bool {
 		return errors.Is(g.probe(zombie, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 100 * time.Millisecond}), mgmt.ErrNotLeader)
 	})
@@ -652,9 +619,8 @@ func (g *liveGroup) StaleRefused(old int, oldTerm uint64) (bool, error) {
 }
 
 func (g *liveGroup) Totals() GroupTotals {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	t := GroupTotals{Trace: traceOf(g.proms), Converged: g.converged}
+	t := groupTotals(g.group.Load())
+	t.Converged = g.converged
 	if g.fleet != nil {
 		t.Agents = len(g.fleet.IDs)
 		t.Reconnects, t.Redirects = g.fleet.agentStats()
@@ -663,10 +629,8 @@ func (g *liveGroup) Totals() GroupTotals {
 }
 
 func (g *liveGroup) Close() {
-	for i := range g.reps {
-		if rep := g.reps[i].Load(); rep != nil {
-			rep.Stop()
-		}
+	if grp := g.group.Load(); grp != nil {
+		grp.Close()
 	}
 	if g.fleet != nil {
 		g.fleet.Close()

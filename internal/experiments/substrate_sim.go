@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"sdme/internal/controller"
 	"sdme/internal/faultinject"
@@ -226,9 +225,9 @@ func (g *simGroup) Probe(l *leader) bool {
 // and reports whether the standby's journal stayed untouched.
 func (g *simGroup) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
 	sb := -1
-	curLeader, _ := g.group.Leader()
+	cur, _ := g.group.Leader()
 	for i := 0; i < g.group.N(); i++ {
-		if g.group.Alive(i) && i != curLeader {
+		if g.group.Alive(i) && i != cur.ID {
 			sb = i
 			break
 		}
@@ -267,15 +266,6 @@ func (g *simGroup) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
 	return standby.JournalBytes() == bytesBefore, nil
 }
 
-func (g *simGroup) Totals() GroupTotals { return GroupTotals{Trace: traceOf(g.group.Promotions())} }
-
-// traceOf renders a promotion history as "id@term@tUS;...".
-func traceOf(ps []sim.Promotion) string {
-	var b strings.Builder
-	for _, p := range ps {
-		fmt.Fprintf(&b, "%d@%d@%d;", p.ID, p.Term, p.AtUS)
-	}
-	return b.String()
-}
+func (g *simGroup) Totals() GroupTotals { return groupTotals(g.group.Group) }
 
 func (g *simGroup) Close() { g.group.Close() }

@@ -1,8 +1,7 @@
-package controller
+package ha
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -12,7 +11,15 @@ import (
 	"sdme/internal/mgmt"
 )
 
-// Lease-based leader election among N controller replicas (DESIGN §11).
+// Package ha replicates the controller (DESIGN §11): a lease election
+// among N replicas (this file), the leader's journal streamed to its
+// standbys (replicate.go), the replica that swaps between the two roles
+// over one journal file (replica.go) and a group of them on an injected
+// clock and transport (group.go). It sits under internal/controller,
+// which knows nothing of it: a leader's controller sees only the
+// *controller.Journal its promotion handed it.
+//
+// Lease-based leader election among N controller replicas.
 // Replicas exchange LeaseRequest / LeaseGrant / Heartbeat envelopes —
 // the same wire format the management channel uses — and at most one
 // replica holds the leadership lease for any given term:
@@ -45,18 +52,6 @@ const (
 	RoleCandidate
 	RoleLeader
 )
-
-func (r Role) String() string {
-	switch r {
-	case RoleFollower:
-		return "follower"
-	case RoleCandidate:
-		return "candidate"
-	case RoleLeader:
-		return "leader"
-	}
-	return fmt.Sprintf("Role(%d)", int32(r))
-}
 
 // Election metric family names, labeled by replica.
 const (
@@ -97,9 +92,6 @@ type ElectorConfig struct {
 	// ID is this replica's index; Peers lists the other replicas'.
 	ID    int
 	Peers []int
-	// Quorum is the number of lease grants (self included) needed to
-	// lead; 0 means a majority of len(Peers)+1.
-	Quorum int
 	// LeaseUS is the leadership lease in microseconds (default 150ms
 	// worth). Election timeouts are drawn uniformly from [LeaseUS,
 	// 2·LeaseUS); heartbeats fire every LeaseUS/3.
@@ -108,6 +100,9 @@ type ElectorConfig struct {
 	Seed      int64
 	Clock     ElectionClock
 	Transport PeerTransport
+	// Metrics receives the replica's role and term gauges and its
+	// role-transition counter, labeled by replica id.
+	Metrics *metrics.Registry
 	// JournalBytes reports this replica's intact journal length for the
 	// up-to-date check (nil = 0). JournalCRC reports the running CRC-32
 	// over that prefix; leader heartbeats carry both so standbys detect
@@ -129,9 +124,6 @@ type ElectorConfig struct {
 }
 
 func (c *ElectorConfig) fill() {
-	if c.Quorum <= 0 {
-		c.Quorum = (len(c.Peers)+1)/2 + 1
-	}
 	if c.LeaseUS <= 0 {
 		c.LeaseUS = 150_000
 	}
@@ -147,6 +139,8 @@ func (c *ElectorConfig) fill() {
 // every election envelope from the peer transport to Deliver.
 type Elector struct {
 	cfg ElectorConfig
+	// quorum is the number of lease grants (self included) needed to lead.
+	quorum int
 
 	mu     sync.Mutex
 	role   Role
@@ -172,31 +166,24 @@ type Elector struct {
 // timeout.
 func NewElector(cfg ElectorConfig) *Elector {
 	cfg.fill()
+	replica := strconv.Itoa(cfg.ID)
 	return &Elector{
 		cfg:    cfg,
+		quorum: majority(len(cfg.Peers)),
 		leader: -1,
 		votes:  make(map[int]bool),
 		ackAt:  make(map[int]int64),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
+
+		gRole:        cfg.Metrics.Gauge(MetricElectionRole, "replica", replica),
+		gTerm:        cfg.Metrics.Gauge(MetricElectionTerm, "replica", replica),
+		cTransitions: cfg.Metrics.Counter(MetricElectionTransitions, "replica", replica),
 	}
 }
 
-// SetMetrics exports the replica's role and term as gauges and its
-// role transitions as a counter, labeled by replica id.
-func (e *Elector) SetMetrics(reg *metrics.Registry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if reg == nil {
-		e.gRole, e.gTerm, e.cTransitions = nil, nil, nil
-		return
-	}
-	replica := strconv.Itoa(e.cfg.ID)
-	e.gRole = reg.Gauge(MetricElectionRole, "replica", replica)
-	e.gTerm = reg.Gauge(MetricElectionTerm, "replica", replica)
-	e.cTransitions = reg.Counter(MetricElectionTransitions, "replica", replica)
-	e.gRole.Set(float64(e.role))
-	e.gTerm.Set(float64(e.term))
-}
+// majority is the quorum of a group of peers+1 replicas: what an election
+// needs in lease grants and a record in durable copies, self included.
+func majority(peers int) int { return (peers+1)/2 + 1 }
 
 // Role returns the replica's current role.
 func (e *Elector) Role() Role {
@@ -279,14 +266,14 @@ func (e *Elector) resetTimerLocked() {
 	e.cancelTimer = e.cfg.Clock.AfterUS(d, e.onElectionTimeout)
 }
 
-// send queues one envelope to a peer, swallowing transport errors (the
-// protocol retries by timeout).
-func (e *Elector) send(to int, typ string, v interface{}) {
+// send queues one envelope to a peer, swallowing marshal and transport
+// errors: both protocols retry by timeout.
+func send(t PeerTransport, to int, typ string, v interface{}) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	_ = e.cfg.Transport.Send(to, &mgmt.Envelope{T: typ, Data: data})
+	_ = t.Send(to, &mgmt.Envelope{T: typ, Data: data})
 }
 
 // onElectionTimeout starts (or retries) an election.
@@ -304,7 +291,7 @@ func (e *Elector) onElectionTimeout() {
 	e.votes = map[int]bool{e.cfg.ID: true}
 	e.leader = -1
 	var after func()
-	if len(e.votes) >= e.cfg.Quorum {
+	if len(e.votes) >= e.quorum {
 		after = e.becomeLeaderLocked()
 		e.mu.Unlock()
 		if after != nil {
@@ -322,7 +309,7 @@ func (e *Elector) onElectionTimeout() {
 	peers := append([]int(nil), e.cfg.Peers...)
 	e.mu.Unlock()
 	for _, p := range peers {
-		e.send(p, mgmt.TypeLeaseRequest, req)
+		send(e.cfg.Transport, p, mgmt.TypeLeaseRequest, req)
 	}
 }
 
@@ -371,7 +358,7 @@ func (e *Elector) onHeartbeatTick() {
 			alive++
 		}
 	}
-	if alive < e.cfg.Quorum {
+	if alive < e.quorum {
 		// Lease lost: a partition separates this leader from its quorum.
 		// Self-depose before a newer term's leader and this one disagree at
 		// the agents.
@@ -387,7 +374,7 @@ func (e *Elector) onHeartbeatTick() {
 	peers := append([]int(nil), e.cfg.Peers...)
 	e.mu.Unlock()
 	for _, p := range peers {
-		e.send(p, mgmt.TypeHeartbeat, hb)
+		send(e.cfg.Transport, p, mgmt.TypeHeartbeat, hb)
 	}
 }
 
@@ -428,25 +415,21 @@ func (e *Elector) stepDownLockedIfNeeded(oldTerm uint64) func() {
 }
 
 func (e *Elector) setRoleLocked(r Role) {
-	if e.role != r && e.cTransitions != nil {
+	if e.role != r {
 		e.cTransitions.Inc()
 	}
 	e.role = r
-	if e.gRole != nil {
-		e.gRole.Set(float64(r))
-	}
+	e.gRole.Set(float64(r))
 }
 
 func (e *Elector) setTermLocked(t uint64) {
 	e.term = t
-	if e.gTerm != nil {
-		e.gTerm.Set(float64(t))
-	}
+	e.gTerm.Set(float64(t))
 }
 
 // Deliver feeds one election envelope from the peer transport.
 // Unknown envelope types are ignored (the caller routes replication
-// types to the Replicator / StandbyJournal instead).
+// types to the Replicator / Standby instead).
 func (e *Elector) Deliver(env *mgmt.Envelope) {
 	switch env.T {
 	case mgmt.TypeLeaseRequest:
@@ -501,7 +484,7 @@ func (e *Elector) handleLeaseRequest(req mgmt.LeaseRequest) {
 	if after != nil {
 		after()
 	}
-	e.send(req.Candidate, mgmt.TypeLeaseGrant, reply)
+	send(e.cfg.Transport, req.Candidate, mgmt.TypeLeaseGrant, reply)
 }
 
 func (e *Elector) handleLeaseGrant(g mgmt.LeaseGrant) {
@@ -516,7 +499,7 @@ func (e *Elector) handleLeaseGrant(g mgmt.LeaseGrant) {
 		after = e.adoptTermLocked(g.Term)
 	case g.Granted && g.Term == e.term && e.role == RoleCandidate:
 		e.votes[g.Voter] = true
-		if len(e.votes) >= e.cfg.Quorum {
+		if len(e.votes) >= e.quorum {
 			after = e.becomeLeaderLocked()
 		}
 	}
@@ -551,7 +534,7 @@ func (e *Elector) handleHeartbeat(hb mgmt.Heartbeat) {
 		// Stale leader: answer with our term so it learns it was deposed.
 		reply := mgmt.Heartbeat{Leader: e.cfg.ID, Term: e.term, Reply: true}
 		e.mu.Unlock()
-		e.send(hb.Leader, mgmt.TypeHeartbeat, reply)
+		send(e.cfg.Transport, hb.Leader, mgmt.TypeHeartbeat, reply)
 		return
 	}
 	if hb.Term == e.term && e.role == RoleLeader {
@@ -576,7 +559,7 @@ func (e *Elector) handleHeartbeat(hb mgmt.Heartbeat) {
 	if after != nil {
 		after()
 	}
-	e.send(hb.Leader, mgmt.TypeHeartbeat, reply)
+	send(e.cfg.Transport, hb.Leader, mgmt.TypeHeartbeat, reply)
 	if onHB != nil {
 		onHB(hb)
 	}

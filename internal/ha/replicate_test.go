@@ -1,11 +1,15 @@
-package controller
+package ha
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"sdme/internal/controller"
+	"sdme/internal/metrics"
 	"sdme/internal/mgmt"
 )
 
@@ -50,9 +54,10 @@ func (t *captureTransport) drain() []sentMsg {
 func TestLeaseUpToDateCheckComparesLastTerm(t *testing.T) {
 	tr := &captureTransport{}
 	e := NewElector(ElectorConfig{
-		ID: 0, Peers: []int{1}, Quorum: 2,
+		ID: 0, Peers: []int{1},
 		Clock:           stubClock{},
 		Transport:       tr,
+		Metrics:         metrics.NewRegistry(nil),
 		JournalBytes:    func() int64 { return 50 },
 		JournalLastTerm: func() uint64 { return 2 },
 	})
@@ -136,7 +141,7 @@ func pump(t *testing.T, tr *captureTransport, repl *Replicator, sb *Standby, max
 // trigger a full resync that converges to the leader's exact bytes.
 func TestStandbyShorterDivergedResyncs(t *testing.T) {
 	dir := t.TempDir()
-	lj, err := OpenJournal(filepath.Join(dir, "leader.wal"))
+	lj, err := controller.OpenJournal(filepath.Join(dir, "leader.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +154,7 @@ func TestStandbyShorterDivergedResyncs(t *testing.T) {
 	// Diverged standby: one record the leader never wrote — shorter than
 	// the leader's journal but not its prefix.
 	spath := filepath.Join(dir, "standby.wal")
-	dj, err := OpenJournal(spath)
+	dj, err := controller.OpenJournal(spath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,24 +164,24 @@ func TestStandbyShorterDivergedResyncs(t *testing.T) {
 	if err := dj.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sj, err := OpenStandbyJournal(spath)
+	sj, err := controller.OpenJournal(spath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sj.Close() //nolint:errcheck // test teardown
-	if sj.Bytes() >= lj.Size() {
-		t.Fatalf("test setup: standby (%d bytes) not shorter than leader (%d bytes)", sj.Bytes(), lj.Size())
+	if sj.Size() >= lj.Size() {
+		t.Fatalf("test setup: standby (%d bytes) not shorter than leader (%d bytes)", sj.Size(), lj.Size())
 	}
 
 	tr := &captureTransport{}
 	repl := NewReplicator(ReplicatorConfig{
-		ID: 0, Peers: []int{1}, Quorum: 2, Transport: tr,
+		ID: 0, Peers: []int{1}, Transport: tr, Metrics: metrics.NewRegistry(nil),
 		Term: func() uint64 { return 2 },
 	}, lj)
 	defer repl.Detach()
 	var lastTerm uint64
 	sb := NewStandby(StandbyConfig{
-		ID: 1, Transport: tr,
+		ID: 1, Transport: tr, Metrics: metrics.NewRegistry(nil),
 		Term:     func() uint64 { return 2 },
 		LastTerm: func() uint64 { return lastTerm },
 		OnVerified: func(term uint64) {
@@ -191,11 +196,11 @@ func TestStandbyShorterDivergedResyncs(t *testing.T) {
 	})
 	pump(t, tr, repl, sb, 50)
 
-	if sj.Bytes() != lj.Size() || sj.CRC() != lj.CRC() {
+	if sj.Size() != lj.Size() || sj.CRC() != lj.CRC() {
 		t.Fatalf("standby did not converge: %d bytes CRC %#x vs leader %d bytes CRC %#x",
-			sj.Bytes(), sj.CRC(), lj.Size(), lj.CRC())
+			sj.Size(), sj.CRC(), lj.Size(), lj.CRC())
 	}
-	if got := repl.AckedBytes(1); got != lj.Size() {
+	if got := repl.acked[1]; got != lj.Size() {
 		t.Fatalf("leader accounts %d acked bytes, want %d", got, lj.Size())
 	}
 	if lastTerm != 2 {
@@ -210,7 +215,7 @@ func TestStandbyShorterDivergedResyncs(t *testing.T) {
 // release records that are on no quorum.
 func TestHandleAckIgnoresOtherTermForQuorum(t *testing.T) {
 	dir := t.TempDir()
-	lj, err := OpenJournal(filepath.Join(dir, "leader.wal"))
+	lj, err := controller.OpenJournal(filepath.Join(dir, "leader.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +225,7 @@ func TestHandleAckIgnoresOtherTermForQuorum(t *testing.T) {
 	}
 	tr := &captureTransport{}
 	r := NewReplicator(ReplicatorConfig{
-		ID: 0, Peers: []int{1, 2}, Quorum: 2, Transport: tr,
+		ID: 0, Peers: []int{1, 2}, Transport: tr, Metrics: metrics.NewRegistry(nil),
 		Term: func() uint64 { return 2 },
 	}, lj)
 	defer r.Detach()
@@ -230,7 +235,7 @@ func TestHandleAckIgnoresOtherTermForQuorum(t *testing.T) {
 	if got := r.QuorumBytes(); got != 0 {
 		t.Fatalf("stale-term ack advanced the quorum mark to %d", got)
 	}
-	if got := r.AckedBytes(1); got != 0 {
+	if got := r.acked[1]; got != 0 {
 		t.Fatalf("stale-term ack recorded %d acked bytes", got)
 	}
 	r.HandleAck(mgmt.JournalAck{Standby: 1, Term: 3, Bytes: size})
@@ -243,33 +248,65 @@ func TestHandleAckIgnoresOtherTermForQuorum(t *testing.T) {
 	}
 }
 
-// TestJournalCRCAt: the prefix CRC a catch-up chunk carries must agree
-// with the running CRC the journal maintains incrementally.
-func TestJournalCRCAt(t *testing.T) {
+// TestStandbyAcksTrueLengthForUnreplayableRecord: a leader that streams a
+// CRC-valid record replay would refuse (an unknown kind, a mis-shaped
+// body) gets an ack for exactly what the standby made durable — the
+// records before it, not a byte of it — so it never counts toward a
+// quorum, and the standby's journal stays one it can take over from.
+func TestStandbyAcksTrueLengthForUnreplayableRecord(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(filepath.Join(dir, "j.wal"))
+	lj, err := controller.OpenJournal(filepath.Join(dir, "leader.wal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close() //nolint:errcheck // test teardown
-	if err := j.LogEpoch(1, 1); err != nil {
+	defer lj.Close() //nolint:errcheck // test teardown
+	if err := lj.LogEpoch(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	mid := j.Size()
-	midCRC := j.CRC()
-	if err := j.LogEpoch(2, 1); err != nil {
+	good, err := lj.ReadChunk(0, 1<<20)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if crc, err := j.CRCAt(0); err != nil || crc != 0 {
-		t.Fatalf("CRCAt(0) = %#x, %v; want 0, nil", crc, err)
+	spath := filepath.Join(dir, "standby.wal")
+	sj, err := controller.OpenJournal(spath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if crc, err := j.CRCAt(mid); err != nil || crc != midCRC {
-		t.Fatalf("CRCAt(%d) = %#x, %v; want %#x, nil", mid, crc, err, midCRC)
+	defer sj.Close() //nolint:errcheck // test teardown
+	tr := &captureTransport{}
+	sb := NewStandby(StandbyConfig{
+		ID: 1, Transport: tr, Metrics: metrics.NewRegistry(nil),
+		Term:       func() uint64 { return 2 },
+		LastTerm:   func() uint64 { return 0 },
+		OnVerified: func(uint64) {},
+	}, sj)
+	for _, payload := range []string{`{"t":"journal","data":{}}`, `{"t":"jrnl-epoch","data":"x"}`} {
+		bad := make([]byte, 8+len(payload))
+		binary.BigEndian.PutUint32(bad[:4], uint32(len(payload)))
+		binary.BigEndian.PutUint32(bad[4:8], crc32.ChecksumIEEE([]byte(payload)))
+		copy(bad[8:], payload)
+		before := sj.Size()
+		frames := bad
+		if before == 0 {
+			frames = append(append([]byte(nil), good...), bad...)
+		}
+		sb.HandleFrame(mgmt.JournalFrame{Leader: 0, Term: 2, Offset: before, PrefixCRC: sj.CRC(), Frames: frames})
+		if sj.Size() != int64(len(good)) {
+			t.Fatalf("%s: standby holds %d bytes, want the %d of the good record", payload, sj.Size(), len(good))
+		}
+		var ack mgmt.JournalAck
+		for _, m := range tr.drain() {
+			if m.env.T == mgmt.TypeJournalAck {
+				if err := json.Unmarshal(m.env.Data, &ack); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if ack.Bytes != sj.Size() || ack.Term != 2 {
+			t.Fatalf("%s: acked %d bytes at term %d, durable %d at term 2", payload, ack.Bytes, ack.Term, sj.Size())
+		}
 	}
-	if crc, err := j.CRCAt(j.Size()); err != nil || crc != j.CRC() {
-		t.Fatalf("CRCAt(size) = %#x, %v; want %#x, nil", crc, err, j.CRC())
-	}
-	if _, err := j.CRCAt(j.Size() + 1); err == nil {
-		t.Fatal("CRCAt past the journal end did not error")
+	if st, err := controller.ReplayJournal(spath); err != nil || st.Records != 1 {
+		t.Fatalf("the standby's journal no longer replays: %+v, %v", st, err)
 	}
 }

@@ -37,6 +37,7 @@ var goroutineLeakPkgs = []string{
 	"/internal/sim",
 	"/internal/metrics",
 	"/internal/controller",
+	"/internal/ha",
 }
 
 func runGoroutineLeak(pass *Pass) error {

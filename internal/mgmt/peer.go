@@ -66,7 +66,7 @@ func (b *PeerBus) SetPeers(addrs map[int]string) {
 }
 
 // Send carries one envelope to a peer replica, dialing lazily and
-// caching the connection. Implements controller.PeerTransport.
+// caching the connection. Implements ha.PeerTransport.
 func (b *PeerBus) Send(to int, env *Envelope) error {
 	b.mu.Lock()
 	if b.closed {
@@ -152,7 +152,7 @@ func (b *PeerBus) acceptLoop() {
 
 // readLoop delivers every envelope from one peer connection. Envelope
 // payloads are validated by the receiving handler (Elector.Deliver /
-// HAReplica.Deliver), not here — the bus is a dumb pipe.
+// ha.Replica.Deliver), not here — the bus is a dumb pipe.
 func (b *PeerBus) readLoop(conn net.Conn) {
 	defer b.wg.Done()
 	for {

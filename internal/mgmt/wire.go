@@ -59,7 +59,7 @@ const (
 	// unchanged.
 	TypePrepareDelta = "prepare-delta"
 	// TypeLeaseRequest / TypeLeaseGrant / TypeHeartbeat are the
-	// controller-replica election protocol (internal/controller/election.go):
+	// controller-replica election protocol (internal/ha/election.go):
 	// a candidate asks its peers for a term-scoped lease, peers grant at
 	// most one lease per term, and the winner refreshes its leadership with
 	// periodic heartbeats that double as replication progress reports.
@@ -71,7 +71,7 @@ const (
 	// management address, so it re-homes within one backoff cycle.
 	TypeNotLeader = "not-leader"
 	// TypeJournalFrame / TypeJournalFetch / TypeJournalAck stream the
-	// leader's write-ahead journal to standbys (controller/replicate.go):
+	// leader's write-ahead journal to standbys (ha/replicate.go):
 	// frames carry raw length+CRC32 journal records at an exact offset,
 	// fetch requests catch-up from a standby's current length, and acks
 	// report each standby's durable journal length back to the leader.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sdme/internal/controller"
+	"sdme/internal/ha"
 	"sdme/internal/sim"
 )
 
@@ -30,7 +31,7 @@ func TestControllerGroupElectsOneLeader(t *testing.T) {
 	}
 	leaders := 0
 	for i := 0; i < g.N(); i++ {
-		if g.Replica(i).Elector().Role() == controller.RoleLeader {
+		if g.Replica(i).Elector().Role() == ha.RoleLeader {
 			leaders++
 		}
 	}
@@ -171,7 +172,7 @@ func TestTakeoverRefusesLongerButStalerJournal(t *testing.T) {
 
 // electionHistory runs one seeded group through a kill and a healed
 // partition and returns its promotion trace.
-func electionHistory(t *testing.T, dir string, seed int64) []sim.Promotion {
+func electionHistory(t *testing.T, dir string, seed int64) []ha.Promotion {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -208,4 +209,81 @@ func electionHistory(t *testing.T, dir string, seed int64) []sim.Promotion {
 	g.SetPartitioned(id1, peer, false)
 	g.RunUntilLeader(eng.Now()+2_000_000, 1)
 	return g.Promotions()
+}
+
+// TestDeposedLeaderHandleCannotAppend: the *Journal a promotion hands the
+// harness is the fence on a deposed controller. Once its replica
+// self-deposes the handle refuses every Append, for good — while the
+// replica, standing by again, goes on applying the new leader's frames to
+// the very same file.
+func TestDeposedLeaderHandleCannotAppend(t *testing.T) {
+	dir := t.TempDir()
+	eng := sim.NewEngine()
+	handles := make(map[int]*controller.Journal)
+	g, err := sim.NewControllerGroup(eng, sim.ControllerGroupConfig{
+		Dir: dir, LeaseUS: 10_000, Seed: 11,
+		OnPromote: func(id int, _ *controller.JournalState, j *controller.Journal, _ uint64) { handles[id] = j },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	idA, termA, _ := g.RunUntilLeader(2_000_000, 1)
+	if idA < 0 {
+		t.Fatal("no first leader")
+	}
+	stale := handles[idA]
+	if err := stale.LogEpoch(1, termA); err != nil {
+		t.Fatalf("the leader's handle does not append: %v", err)
+	}
+	for p := 0; p < g.N(); p++ {
+		if p != idA {
+			g.SetPartitioned(idA, p, true)
+		}
+	}
+	if id, _, _ := g.RunUntilLeader(eng.Now()+2_000_000, termA+1); id < 0 || id == idA {
+		t.Fatalf("no takeover on the majority side (leader %d)", id)
+	}
+	eng.Run(eng.Now() + 100_000)
+	a := g.Replica(idA)
+	if a.Elector().Role() == ha.RoleLeader || a.Journal() != nil {
+		t.Fatal("the partitioned leader never deposed itself")
+	}
+	if err := stale.LogEpoch(2, termA); err == nil {
+		t.Fatal("the deposed leader's handle still appends")
+	}
+
+	// Heal; whoever leads the majority now extends its journal, and the
+	// deposed replica must follow on the same file its old handle wrote.
+	for p := 0; p < g.N(); p++ {
+		g.SetPartitioned(idA, p, false)
+	}
+	eng.Run(eng.Now() + 500_000)
+	cur, ok := g.Leader()
+	if !ok || cur.ID == idA {
+		t.Fatalf("test setup: leader %+v (ok %v) after the heal, scenario void", cur, ok)
+	}
+	before := a.JournalBytes()
+	for i := uint64(0); i < 3; i++ {
+		if err := handles[cur.ID].LogEpoch(700+i, cur.Term); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run(eng.Now() + 1_000_000)
+	l := g.Replica(cur.ID)
+	if a.JournalBytes() <= before || a.JournalBytes() != l.JournalBytes() || a.JournalCRC() != l.JournalCRC() {
+		t.Fatalf("the deposed replica did not follow: %d bytes CRC %#x (was %d) vs the leader's %d bytes CRC %#x",
+			a.JournalBytes(), a.JournalCRC(), before, l.JournalBytes(), l.JournalCRC())
+	}
+	st, err := controller.ReplayJournal(fmt.Sprintf("%s/replica-%d.wal", dir, idA))
+	if err != nil || st.Epoch != 702 || st.Bytes != a.JournalBytes() {
+		t.Fatalf("the deposed replica's file replays epoch %d over %d bytes (%v), want 702 over %d",
+			st.Epoch, st.Bytes, err, a.JournalBytes())
+	}
+	if err := stale.LogEpoch(3, termA); err == nil {
+		t.Fatal("the deposed leader's handle appends again after the replica caught up")
+	}
+	if a.JournalBytes() != st.Bytes {
+		t.Fatal("the refused append moved the journal")
+	}
 }
