@@ -35,8 +35,9 @@ fmt:
 # schedule on both substrates. -count=2 defeats test
 # caching and shakes out order-dependent flakes. The second block re-runs
 # the survivability experiments (local fast failover, controller
-# kill/restart, replicated-HA takeover) across a seed matrix so the
-# acceptance claims hold beyond one lucky seed. The third block is the
+# kill/restart, replicated-HA takeover, a re-election mid-commit, and the
+# composite of crash + leader kill + crash on both substrates) across a
+# seed matrix so the acceptance claims hold beyond one lucky seed. The third block is the
 # leader-kill matrix: every chaos seed crosses every -kill-leader-at
 # phase, so the assassination lands at different points of the lease
 # cycle (mid-heartbeat, mid-replication, right after a rollout).

@@ -201,17 +201,23 @@ func run() error {
 	// generations: every node stages, then all flip atomically (a single
 	// refusal rolls the whole batch back).
 	pushPol := mgmt.RetryPolicy{Attempts: 3, PerAttempt: 3 * time.Second, Backoff: 50 * time.Millisecond}
+	// Write-ahead: the epoch a push will mint is fenced in the journal
+	// first, so a restart never re-mints an epoch an agent has seen.
+	fence := func() error {
+		if j := ctl.Journal(); j != nil {
+			return j.LogEpoch(server.Epoch()+1, 0)
+		}
+		return nil
+	}
+	if err := fence(); err != nil {
+		return err
+	}
 	initial, _ := controller.DiffPlans(nil, pipe.Plan())
 	epoch, err := pipe.Rollout(server, initial, fallback, pushPol)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nconfiguration committed on %d nodes via prepare/commit (epoch %d)\n", len(nodes), epoch)
-	if j := ctl.Journal(); j != nil {
-		if err := j.LogEpoch(server.Epoch(), 0); err != nil {
-			return err
-		}
-	}
 
 	sink, err := rt.AddSink(topo.HostAddr(2, 1))
 	if err != nil {
@@ -270,6 +276,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	if err := fence(); err != nil {
+		return err
+	}
 	if _, err := pipe.Rollout(server, upd.Deltas, nil, pushPol); err != nil {
 		return err
 	}
@@ -277,9 +286,6 @@ func run() error {
 		sum(snapshot), upd.Plan.Lambda)
 	fmt.Printf("and rolled the reweight deltas out to %d nodes over the management channel.\n", len(upd.Deltas))
 	if j := ctl.Journal(); j != nil {
-		if err := j.LogEpoch(server.Epoch(), 0); err != nil {
-			return err
-		}
 		fmt.Printf("journal: %d records (%d bytes) on disk\n", j.Records(), j.Size())
 	}
 
@@ -347,11 +353,11 @@ func run() error {
 // the leader is partitioned away mid-run, and a standby takes over with
 // the agents re-homing via rotation and NotLeader redirects (DESIGN §11).
 func runLiveHA(peers int, seed int64) error {
-	res, err := experiments.RunHA(experiments.Live, experiments.HAConfig{Seed: seed, Replicas: peers})
+	res, err := experiments.Run(experiments.Live, experiments.Takeover(seed, peers, 1, 0))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("controller HA over real sockets: promotion trace %s\n\n%s", res.Trace, experiments.HATable([]experiments.HAResult{*res}).Markdown())
+	fmt.Printf("controller HA over real sockets: promotion trace %s\n\n%s", res.Trace, experiments.HATable([]experiments.Result{*res}).Markdown())
 	if !res.ExportIdentical || !res.StaleRejected || !res.Resumed || !res.Converged {
 		return fmt.Errorf("HA takeover degraded (see above)")
 	}

@@ -149,9 +149,7 @@ func run() error {
 	if *quick {
 		recovery.Flows, recovery.PacketsPerFlow = 20, 100
 	}
-	var recRes, failRes []experiments.FaultResult
-	var restRes []experiments.RestartResult
-	var haRes []experiments.HAResult
+	var recRes, failRes, restRes, haRes []experiments.Result
 	for _, on := range experiments.Backends {
 		rec, err := experiments.Run(on, recovery)
 		if err != nil {
@@ -161,11 +159,11 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("%v failover: %w", on, err)
 		}
-		rs, err := experiments.RunRestart(on, *seed)
+		rs, err := experiments.Run(on, experiments.Restart(*seed))
 		if err != nil {
 			return fmt.Errorf("%v restart: %w", on, err)
 		}
-		ha, err := experiments.RunHA(on, experiments.HAConfig{Seed: *seed})
+		ha, err := experiments.Run(on, experiments.Takeover(*seed, 3, 1, 0))
 		if err != nil {
 			return fmt.Errorf("%v controller HA: %w", on, err)
 		}

@@ -128,16 +128,11 @@ func run() error {
 // the elected leader(s) mid-history, and prints the takeover story — the
 // replicated-HA scenario (DESIGN §11), deterministic per seed.
 func runHATakeover(replicas, kills int, killLeaderAtUS, seed int64) error {
-	res, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{
-		Seed:      seed,
-		Replicas:  replicas,
-		Kills:     kills,
-		KillGapUS: killLeaderAtUS,
-	})
+	res, err := experiments.Run(experiments.Sim, experiments.Takeover(seed, replicas, kills, killLeaderAtUS))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("controller HA: promotion trace %s\n\n%s", res.Trace, experiments.HATable([]experiments.HAResult{*res}).Markdown())
+	fmt.Printf("controller HA: promotion trace %s\n\n%s", res.Trace, experiments.HATable([]experiments.Result{*res}).Markdown())
 	if !res.ExportIdentical || !res.StaleRejected || !res.Resumed {
 		return fmt.Errorf("HA takeover degraded (see above)")
 	}
@@ -248,11 +243,7 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 	if strategy == enforce.LoadBalanced {
 		demands := bed.GenerateDemands(traffic)
 		meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands)
-		upd, err := pipe.Recompute(meas)
-		if err != nil {
-			return err
-		}
-		if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
+		if _, err := sub.Rebalance(experiments.Plane{Ctl: ctl, Pipe: pipe}, meas); err != nil {
 			return err
 		}
 	}
@@ -278,7 +269,9 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 			bed.Graph.Node(victim).Name, killAt)
 		sub.Play(&faultinject.Schedule{Events: []faultinject.Event{
 			{AtUS: killAt, Kind: faultinject.KindCrash, Target: victim},
-		}}, sub.Apply)
+		}}, func(ev faultinject.Event) {
+			_ = sub.Apply(ev) // a crash always stages; only a controller fault can fail to
+		})
 	}
 	sub.Drain()
 	s := nw.Stats()

@@ -474,9 +474,10 @@ func (j *Journal) CRCAt(offset int64) (uint32, error) {
 	return crc, nil
 }
 
-// LogEpoch records the epoch high-water after a successful push, fenced
-// by the pushing leader's term (0 in single-controller deployments);
-// callers invoke it with mgmt.Server.Epoch() once a plan round lands.
+// LogEpoch records the epoch high-water, fenced by the pushing leader's
+// term (0 in single-controller deployments). It is write-ahead: callers
+// invoke it with mgmt.Server.Epoch()+1 before the push that mints that
+// epoch, so a restart resumes past every epoch an agent may have seen.
 func (j *Journal) LogEpoch(epoch, term uint64) error {
 	return j.Append(JournalEpoch, EpochRecord{Epoch: epoch, Term: term})
 }

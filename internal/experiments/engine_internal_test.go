@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sdme/internal/controller"
+	"sdme/internal/enforce"
 	"sdme/internal/faultinject"
 	"sdme/internal/mgmt"
 	"sdme/internal/topo"
@@ -28,7 +29,7 @@ func (f failingRollout) Rollout(p Plane, upd *controller.PlanUpdate) error {
 
 func simFailing(err error) Backend {
 	on := Sim
-	on.newSubstrate = func(site Site) (Substrate, error) {
+	on.newSubstrate = func(site Site, _ Scenario, _ string) (Substrate, error) {
 		return failingRollout{NewSim(site), err}, nil
 	}
 	return on
@@ -85,5 +86,51 @@ func TestChaosRepairAbsorbsOnlyExpectedOutcomes(t *testing.T) {
 				t.Errorf("repairs=%d degraded=%d, want %d and %d", res.Repairs, res.Degraded, tc.repairs, tc.degraded)
 			}
 		})
+	}
+}
+
+// TestRolloutIsWriteAhead: the epoch fence is journaled before the push it
+// fences. A rollout whose journal append fails must therefore reach no
+// agent and mint no epoch — with the fence after the push, the plan landed
+// and a restart then re-minted the epoch it never recorded.
+func TestRolloutIsWriteAhead(t *testing.T) {
+	bed, err := newFaultBed(11, enforce.HotPotato)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := newLive(bed.Site, Scenario{}, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	s := sub.(*liveSubstrate)
+	lead, _ := s.leader()
+	if err := bed.Ctl.ResumeJournal(lead.State, lead.Journal); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rollout(bed.Plane, nil); err != nil {
+		t.Fatal(err)
+	}
+	applies := func() (n int64) {
+		for _, a := range s.fleet.Agents {
+			n += a.Stats().Applies
+		}
+		return n
+	}
+	epoch, applied := s.leaderServer().Epoch(), applies()
+	if epoch != 1 || applied != int64(len(s.fleet.IDs)) {
+		t.Fatalf("first rollout: epoch %d, %d applies, want 1 and one per agent", epoch, applied)
+	}
+	if err := lead.Journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rollout(bed.Plane, nil); err == nil {
+		t.Fatal("a rollout whose fence could not be journaled succeeded")
+	}
+	if got := s.leaderServer().Epoch(); got != epoch {
+		t.Errorf("the unfenced rollout minted epoch %d", got)
+	}
+	if got := applies(); got != applied {
+		t.Errorf("the unfenced rollout reached the agents: %d applies, had %d", got, applied)
 	}
 }

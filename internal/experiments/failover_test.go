@@ -91,7 +91,7 @@ func TestChaosLiveFailoverZeroRoundTrips(t *testing.T) {
 // solve and a failure, replay the journal into a fresh controller, and
 // require the byte-identical exported plan.
 func TestChaosSimRestartByteIdenticalPlan(t *testing.T) {
-	res, err := experiments.RunRestart(experiments.Sim, chaosSeed(11))
+	res, err := experiments.Run(experiments.Sim, experiments.Restart(chaosSeed(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestChaosLiveRestartResumesEpoch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live restart run in short mode")
 	}
-	res, err := experiments.RunRestart(experiments.Live, chaosSeed(11))
+	res, err := experiments.Run(experiments.Live, experiments.Restart(chaosSeed(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +135,12 @@ func TestChaosLiveRestartResumesEpoch(t *testing.T) {
 }
 
 func TestSurvivabilityRenderers(t *testing.T) {
-	fo := []experiments.FaultResult{{
+	fo := []experiments.Result{{
 		Substrate: "sim", Seed: 1,
 		Totals:            experiments.Totals{Injected: 100, Delivered: 90, Failovers: 3, Invalidated: 2},
 		DeliveredPreFault: 40, DeliveredPostFault: 50, Resumed: true,
 	}}
-	rs := []experiments.RestartResult{{
+	rs := []experiments.Result{{
 		Substrate: "live", Seed: 1, Records: 5,
 		EpochBefore: 3, EpochAfter: 4,
 		ExportIdentical: true, Resumed: true, Converged: true,

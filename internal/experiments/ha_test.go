@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sdme/internal/experiments"
+	"sdme/internal/faultinject"
 )
 
 // TestChaosSimHATakeover: kill the elected leader mid-history; a standby
@@ -12,7 +13,7 @@ import (
 // byte-identical plan, resume fenced epoch numbering, and refuse the
 // dead leader's stale-term frames.
 func TestChaosSimHATakeover(t *testing.T) {
-	res, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{Seed: chaosSeed(7)})
+	res, err := experiments.Run(experiments.Sim, experiments.Takeover(chaosSeed(7), 3, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestChaosSimHATakeover(t *testing.T) {
 
 // assertHAMetrics: a takeover run must show in the group's registry — at
 // least the two wins as role transitions, and journal bytes streamed.
-func assertHAMetrics(t *testing.T, res *experiments.HAResult) {
+func assertHAMetrics(t *testing.T, res *experiments.Result) {
 	t.Helper()
 	if res.Transitions < 2 || res.StreamedBytes <= 0 {
 		t.Fatalf("HA metric families not fed: transitions_total %d (want >= 2), streamed_bytes_total %d (want > 0)",
@@ -60,12 +61,12 @@ func assertHAMetrics(t *testing.T, res *experiments.HAResult) {
 // TestSimHADeterministic: the whole takeover history — election winners,
 // terms, promotion times — is a function of the seed.
 func TestSimHADeterministic(t *testing.T) {
-	cfg := experiments.HAConfig{Seed: 21}
-	a, err := experiments.RunHA(experiments.Sim, cfg)
+	sc := experiments.Takeover(21, 3, 1, 0)
+	a, err := experiments.Run(experiments.Sim, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := experiments.RunHA(experiments.Sim, cfg)
+	b, err := experiments.Run(experiments.Sim, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSimHADeterministic(t *testing.T) {
 	if a.TakeoverMaxUS != b.TakeoverMaxUS || a.PushAttempts != b.PushAttempts || a.PushFailures != b.PushFailures {
 		t.Fatalf("same seed, different measurements: %+v vs %+v", a, b)
 	}
-	c, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{Seed: 22})
+	c, err := experiments.Run(experiments.Sim, experiments.Takeover(22, 3, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestSimHARepeatedKills(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-kill HA run is not short")
 	}
-	res, err := experiments.RunHA(experiments.Sim, experiments.HAConfig{Seed: chaosSeed(13), Replicas: 5, Kills: 2})
+	res, err := experiments.Run(experiments.Sim, experiments.Takeover(chaosSeed(13), 5, 2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestChaosLiveHATakeover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live HA run is not short")
 	}
-	res, err := experiments.RunHA(experiments.Live, experiments.HAConfig{Seed: chaosSeed(7)})
+	res, err := experiments.Run(experiments.Live, experiments.Takeover(chaosSeed(7), 3, 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,4 +139,42 @@ func TestChaosLiveHATakeover(t *testing.T) {
 		t.Fatal("no agent ever reconnected; the kill did not bite")
 	}
 	assertHAMetrics(t, res)
+}
+
+// TestSimHAReelectionDuringCommit: the second kill lands while the first
+// successor is still waiting for the quorum to hold its epoch fence — a
+// re-election between takeover and commit. The interrupted rollout is
+// the deposition's doing, not a failure: the next leader's report redoes
+// it, and the verdicts are read from whoever leads at the end.
+func TestSimHAReelectionDuringCommit(t *testing.T) {
+	const killUS = 200_000
+	seed := chaosSeed(13)
+	kills := func(atUS ...int64) experiments.Scenario {
+		sc := experiments.Takeover(seed, 5, 0, 0)
+		for _, at := range atUS {
+			sc.Schedule.Events = append(sc.Schedule.Events, faultinject.Event{AtUS: at, Kind: faultinject.KindLeaderKill})
+		}
+		return sc
+	}
+	// One kill measures when its successor wins; the quorum wait that
+	// follows takes at least one peer round trip (400us).
+	one, err := experiments.Run(experiments.Sim, kills(killUS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := experiments.Run(experiments.Sim, kills(killUS, killUS+one.TakeoverMaxUS+200))
+	if err != nil {
+		t.Fatalf("a re-election during the successor's commit failed the run: %v", err)
+	}
+	proms := strings.Split(strings.TrimSuffix(res.Trace, ";"), ";")
+	if res.Kills != 2 || len(proms) < 3 || !strings.HasPrefix(res.Trace, one.Trace) {
+		t.Fatalf("want the one-kill history %q, then a second kill and a third leader: kills=%d trace %q", one.Trace, res.Kills, res.Trace)
+	}
+	if !res.Resumed || !res.ExportIdentical || !res.StaleRejected {
+		t.Fatalf("verdicts after the double kill: %+v", res)
+	}
+	if res.FinalTerm <= one.FinalTerm || res.FinalLeader == one.FinalLeader {
+		t.Fatalf("final leader %d at term %d is the first successor (%d at %d): the second kill missed it",
+			res.FinalLeader, res.FinalTerm, one.FinalLeader, one.FinalTerm)
+	}
 }

@@ -133,7 +133,8 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 		return nil, err
 	}
 
-	nw := NewSim(Site{Graph: b.Graph, Dep: b.Dep, Nodes: nodes}).Network
+	sub := NewSim(Site{Graph: b.Graph, Dep: b.Dep, Nodes: nodes})
+	nw := sub.Network
 
 	reg := nw.NewRegistry()
 	nw.AttachMetrics(reg)
@@ -159,11 +160,8 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 			demands[i] = enforce.FlowDemand{Tuple: ft, Packets: int64(cfg.PacketsPerFlow)}
 		}
 		meas := controller.MeasurementsFromFlows(b.Dep, b.Table, demands)
-		upd, err := pipe.Recompute(meas)
+		upd, err := sub.Rebalance(Plane{Ctl: ctl, Pipe: pipe}, meas)
 		if err != nil {
-			return nil, err
-		}
-		if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
 			return nil, err
 		}
 		run.Lambda = upd.Plan.Lambda

@@ -91,7 +91,7 @@ func TestChaosLiveRecoveryConverges(t *testing.T) {
 }
 
 func TestRecoveryRenderers(t *testing.T) {
-	tbl := experiments.RecoveryTable([]experiments.FaultResult{
+	tbl := experiments.RecoveryTable([]experiments.Result{
 		{Substrate: "sim", Seed: 1, Totals: experiments.Totals{Injected: 100, Delivered: 90, DroppedDown: 10},
 			ConvergeUS: 20500, Repairs: 3, VerifyOK: true, Converged: true},
 		{Substrate: "live", Seed: 1, Totals: experiments.Totals{Injected: 80, Delivered: 70, DroppedDown: 10, Reconnects: 1, Epoch: 42},

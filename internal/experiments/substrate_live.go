@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,10 +27,13 @@ import (
 // exact.
 var Live = Backend{
 	name:         "live",
-	leaseUS:      60_000, // what wall-clock timers can keep on a busy host
+	leaseUS:      liveLeaseUS,
 	newSubstrate: newLive,
-	newGroup:     newLiveGroup,
 }
+
+// liveLeaseUS is the election lease wall-clock timers can keep on a busy
+// host.
+const liveLeaseUS = 60_000
 
 // pushPol is how hard a story's rollouts try before giving a node up.
 var pushPol = mgmt.RetryPolicy{Attempts: 4, PerAttempt: 2 * time.Second, Backoff: 25 * time.Millisecond}
@@ -48,8 +52,6 @@ type wallClock struct {
 func newWallClock() wallClock { return wallClock{beganUS: ha.WallClock{}.NowUS()} }
 
 func (c wallClock) NowUS() int64 { return c.WallClock.NowUS() - c.beganUS }
-
-func (c wallClock) Sleep(us int64) { time.Sleep(time.Duration(us) * time.Microsecond) }
 
 func (c wallClock) Await(limitUS int64, cond func() bool) bool {
 	return live.WaitUntil(time.Duration(limitUS)*time.Microsecond, cond)
@@ -151,103 +153,225 @@ func FullConfigs(nodes map[topo.NodeID]*enforce.Node) map[topo.NodeID]mgmt.Confi
 	return out
 }
 
-// rolloutPlan pushes the plane's whole current plan to a fleet whose
-// server holds no base yet: a delta against the empty plan, carried by
-// the full-configuration fallback, which it returns.
-func rolloutPlan(srv *mgmt.Server, p Plane) (map[topo.NodeID]mgmt.ConfigDTO, error) {
-	nodes, err := p.Ctl.BuildNodesFromPlan(p.Pipe.Plan())
-	if err != nil {
-		return nil, err
-	}
-	full := FullConfigs(nodes)
-	deltas, _ := controller.DiffPlans(nil, p.Pipe.Plan())
-	_, err = p.Pipe.Rollout(srv, deltas, full, pushPol)
-	return full, err
-}
-
-// startFleet brings a fleet up under srv: a device per node, an agent per
-// device, every agent connected.
-func startFleet(nodes map[topo.NodeID]*enforce.Node, srv *mgmt.Server, opts mgmt.AgentOptions, limit time.Duration) (*Fleet, error) {
-	f := NewFleet()
-	err := f.Add(nodes)
-	if err == nil {
-		err = f.Connect(srv.Addr(), opts)
-	}
-	if err == nil {
-		err = waitConnected(srv, limit, f.IDs)
-	}
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
-}
-
-// waitConnected bounds the wait for a fleet's agents to reach a server.
-func waitConnected(srv *mgmt.Server, limit time.Duration, ids []topo.NodeID) error {
-	if !srv.WaitConnected(limit, ids...) {
-		return fmt.Errorf("experiments: agents did not reach %s: connected %v", srv.Addr(), srv.Connected())
-	}
-	return nil
-}
-
-// liveSubstrate is a Site on real sockets: a fleet, one management
-// server, and a health monitor feeding the dataplane's liveness view.
+// liveSubstrate is a Site on real sockets: a fleet, a health monitor
+// feeding the dataplane's liveness view, and the control plane — one
+// management server per controller replica, and with a replica group a
+// peer bus each. A group's servers are gated shut until their replica wins
+// an election; the standbys bounce agents to the leader.
 type liveSubstrate struct {
 	wallClock
+	leadership
 	site    Site
 	fleet   *Fleet
-	server  *mgmt.Server
+	buses   []*mgmt.PeerBus
 	reg     *metrics.Registry
 	monitor *live.HealthMonitor
 	sink    *live.Sink
+	// path is where an unreplicated controller keeps its journal ("": it
+	// keeps none, or there is a replica group).
+	path string
+
+	// reports counts the leadership reports being answered: each runs on a
+	// goroutine of its own, off the elector's.
+	reports sync.WaitGroup
 
 	injected    atomic.Int64
 	stopTraffic func()
 
 	report atomic.Pointer[func(id topo.NodeID, down bool)]
 
-	// mu guards the fault bookkeeping. It is never held across a call that
-	// waits on a device: a repair can spend seconds awaiting an ack only
-	// the unwedge event can release.
+	// servers holds one per replica, one for an unreplicated controller
+	// (replaced when it restarts).
+	servers []atomic.Pointer[mgmt.Server]
+	// gates serializes the servers' leader-gate flips: the promotion hooks
+	// fire on elector timer goroutines.
+	gates sync.Mutex
+
+	// mu guards the rest. It is never held across a call that waits on a
+	// device: a repair can spend seconds awaiting an ack only the unwedge
+	// event can release.
 	mu       sync.Mutex
 	crashed  map[topo.NodeID]bool
 	releases map[topo.NodeID]func()
+	// full is the latest whole plan in wire form, the fallback a probe
+	// through a server that holds no base needs.
+	full map[topo.NodeID]mgmt.ConfigDTO
 }
 
-func newLive(site Site) (Substrate, error) {
+func newLive(site Site, sc Scenario, dir string) (Substrate, error) {
 	s := &liveSubstrate{
 		wallClock:   newWallClock(),
 		site:        site,
 		stopTraffic: func() {},
+		servers:     make([]atomic.Pointer[mgmt.Server], max(sc.Replicas, 1)),
 		crashed:     make(map[topo.NodeID]bool),
 		releases:    make(map[topo.NodeID]func()),
 	}
-	s.reg = metrics.NewRegistry(s.NowUS)
-	err := s.listen("127.0.0.1:0")
-	if err == nil {
-		s.fleet, err = startFleet(site.Nodes, s.server, agentBackoff, 5*time.Second)
+	s.leadership = leadership{
+		now:  s.NowUS,
+		kill: func(id int) { s.buses[id].Close() },
+		raise: func(report func()) {
+			s.reports.Add(1)
+			go func() {
+				defer s.reports.Done()
+				report()
+			}()
+		},
 	}
-	if err != nil {
+	s.reg = metrics.NewRegistry(s.NowUS)
+	if err := s.start(sc, dir); err != nil {
 		s.Close()
 		return nil, err
+	}
+	return s, nil
+}
+
+// start is the one bring-up: the servers, the controller or the replica
+// group behind them, then the fleet under whoever leads first — an agent's
+// first dial must reach a server whose gate is open.
+func (s *liveSubstrate) start(sc Scenario, dir string) error {
+	opts := agentBackoff
+	for id := range s.servers {
+		if err := s.listen(id, "127.0.0.1:0"); err != nil {
+			return err
+		}
+	}
+	var err error
+	switch {
+	case sc.Replicas > 0:
+		// Every agent knows every replica's server.
+		opts.HealthyPeriod = 250 * time.Millisecond
+		for id := range s.servers {
+			opts.Addrs = append(opts.Addrs, s.servers[id].Load().Addr())
+		}
+		err = s.startGroup(sc, dir)
+	case dir != "":
+		s.path = filepath.Join(dir, "controller.wal")
+		err = s.reopen(s.path)
+	default:
+		s.promoted(Lead{State: &controller.JournalState{}})
+	}
+	if err != nil {
+		return err
+	}
+	var first Lead
+	if !s.Await(awaitUS, func() (ok bool) { first, ok = s.leader(); return ok }) {
+		return fmt.Errorf("experiments: no replica won the first election")
+	}
+	s.fleet = NewFleet()
+	if err := s.fleet.Add(s.site.Nodes); err != nil {
+		return err
+	}
+	if err := s.fleet.Connect(s.servers[first.ID].Load().Addr(), opts); err != nil {
+		return err
 	}
 	s.monitor = s.fleet.Runtime.NewHealthMonitor(10*time.Millisecond, 2,
 		func(id topo.NodeID) { s.health(id, true) },
 		func(id topo.NodeID) { s.health(id, false) })
 	s.monitor.Start()
-	return s, nil
+	return nil
 }
 
-// listen starts the management server on addr.
-func (s *liveSubstrate) listen(addr string) error {
+// listen starts replica id's management server on addr.
+func (s *liveSubstrate) listen(id int, addr string) error {
 	srv, err := mgmt.NewServer(addr, nil)
 	if err != nil {
 		return err
 	}
 	srv.SetMetrics(s.reg)
 	srv.SetRepushPolicy(pushPol)
-	s.server = srv
+	s.servers[id].Store(srv)
+	return nil
+}
+
+// startGroup gates every server shut and puts an ha.Group behind them, a
+// peer bus per replica.
+func (s *liveSubstrate) startGroup(sc Scenario, dir string) error {
+	busAddrs := make(map[int]string, sc.Replicas)
+	for id := range s.servers {
+		s.servers[id].Load().SetNotLeader("")
+		// A bus can deliver before the group is built; until then it drops
+		// the envelope.
+		bus, err := mgmt.NewPeerBus(id, "127.0.0.1:0", func(env *mgmt.Envelope) {
+			if g := s.group.Load(); g != nil {
+				g.Replica(id).Deliver(env)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		s.buses = append(s.buses, bus)
+		busAddrs[id] = bus.Addr()
+	}
+	for _, b := range s.buses {
+		b.SetPeers(busAddrs)
+	}
+	g, err := ha.NewGroup(ha.GroupConfig{
+		N: sc.Replicas, Dir: dir, LeaseUS: liveLeaseUS, Seed: sc.Seed,
+		Clock:     s.wallClock,
+		Transport: func(id int) ha.PeerTransport { return s.buses[id] },
+		OnPromote: s.opened,
+		OnDemote:  s.shut,
+	})
+	if err != nil {
+		return err
+	}
+	s.group.Store(g)
+	return nil
+}
+
+// opened opens the winner's server under the new term — epochs resumed
+// past the replayed high-water — while every other server bounces agents
+// to it.
+func (s *liveSubstrate) opened(id int, st *controller.JournalState, j *controller.Journal, term uint64) {
+	s.gates.Lock()
+	srv := s.servers[id].Load()
+	srv.ResumeEpoch(st.Epoch)
+	srv.SetLeader(term)
+	for k := range s.servers {
+		if k != id {
+			s.servers[k].Load().SetNotLeader(srv.Addr())
+		}
+	}
+	s.gates.Unlock()
+	s.promoted(Lead{ID: id, Term: term, State: st, Journal: j})
+}
+
+// shut gates the deposed leader's server and sheds its agents — they
+// re-home to the new leader through rotation and redirects.
+func (s *liveSubstrate) shut(id int, term uint64) {
+	s.demoted(id, term)
+	s.servers[id].Load().SetNotLeader("")
+	s.servers[id].Load().DropAllConns()
+}
+
+// restart kills the unreplicated controller's management endpoint under
+// the agents it serves — no state survives but the journal file — and
+// brings a new one up that numbers its epochs past the journal's
+// high-water.
+func (s *liveSubstrate) restart(old Lead) error {
+	if err := old.Journal.Close(); err != nil {
+		return err
+	}
+	addr := s.servers[0].Load().Addr()
+	s.servers[0].Load().Close()
+	// The old listener's port can linger briefly; retry the bind. The
+	// surviving agents' reconnect loops find the new server there.
+	var err error
+	for i := 0; i < 50; i++ {
+		if err = s.listen(0, addr); err == nil {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err != nil {
+		return fmt.Errorf("experiments: rebind %s: %w", addr, err)
+	}
+	if err := s.reopen(s.path); err != nil {
+		return err
+	}
+	l, _ := s.leader()
+	s.servers[0].Load().ResumeEpoch(l.State.Epoch)
 	return nil
 }
 
@@ -264,7 +388,7 @@ func (s *liveSubstrate) Offer(flows []netaddr.FiveTuple, _ int) error {
 		dsts[i] = ft.Dst
 	}
 	var err error
-	if s.sink, err = s.fleet.Runtime.AddSink(dsts...); err != nil {
+	if s.sink, err = s.fleet.Runtime.AddSink(dsts...); err != nil || len(flows) == 0 {
 		return err
 	}
 	next := 0
@@ -281,7 +405,7 @@ func (s *liveSubstrate) Offer(flows []netaddr.FiveTuple, _ int) error {
 
 func (s *liveSubstrate) OnHealth(report func(id topo.NodeID, down bool)) { s.report.Store(&report) }
 
-func (s *liveSubstrate) Apply(ev faultinject.Event) {
+func (s *liveSubstrate) Apply(ev faultinject.Event) error {
 	switch ev.Kind {
 	case faultinject.KindCrash:
 		s.mu.Lock()
@@ -302,14 +426,25 @@ func (s *liveSubstrate) Apply(ev faultinject.Event) {
 			release()
 		}
 	case faultinject.KindConnDrop:
-		s.server.DropConn(ev.Target)
+		s.leaderServer().DropConn(ev.Target)
 	case faultinject.KindPartition:
 		// A network partition between a node pair, seen from the
 		// controller: both ends lose their management connection at once.
 		// The agents' reconnect machinery heals both sides.
-		s.server.DropConn(ev.Target)
-		s.server.DropConn(topo.NodeID(ev.Param))
+		s.leaderServer().DropConn(ev.Target)
+		s.leaderServer().DropConn(topo.NodeID(ev.Param))
+	case faultinject.KindLeaderKill:
+		// The kill partitions the replica from its peers by closing its
+		// bus. It still believes it leads — until its lease starves and it
+		// deposes itself — which is exactly the split-brain window the
+		// fences close.
+		s.killLeader()
+	case faultinject.KindControllerRestart:
+		if old, ok := s.depose(); ok && old.Journal != nil {
+			return s.restart(old)
+		}
 	}
+	return nil
 }
 
 func (s *liveSubstrate) Play(sched *faultinject.Schedule, apply func(faultinject.Event)) {
@@ -318,39 +453,61 @@ func (s *liveSubstrate) Play(sched *faultinject.Schedule, apply func(faultinject
 	driver.Wait()
 }
 
-// Rollout pushes the update through the epoch-fenced two-phase protocol
-// and, when the controller keeps a journal, fences the epoch it minted
-// there.
-func (s *liveSubstrate) Rollout(p Plane, upd *controller.PlanUpdate) error {
-	var err error
-	if upd == nil {
-		_, err = rolloutPlan(s.server, p)
-	} else {
-		_, err = p.Pipe.Rollout(s.server, upd.Deltas, nil, pushPol)
-	}
-	if j := p.Ctl.Journal(); j != nil && (err == nil || errors.Is(err, mgmt.ErrCommitStraggler)) {
-		err = errors.Join(err, j.LogEpoch(s.server.Epoch(), 0))
-	}
-	return err
+// leaderServer is the server of whoever led last.
+func (s *liveSubstrate) leaderServer() *mgmt.Server {
+	l, _ := s.leader()
+	return s.servers[l.ID].Load()
 }
 
-func (s *liveSubstrate) RestartController(resumeEpoch uint64) error {
-	addr := s.server.Addr()
-	s.server.Close()
-	// The old listener's port can linger briefly; retry the bind. The
-	// surviving agents' reconnect loops find the new server there.
-	var err error
-	for i := 0; i < 50; i++ {
-		if err = s.listen(addr); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+// Rollout pushes through the leader's server, under the epoch-fenced
+// two-phase protocol.
+func (s *liveSubstrate) Rollout(p Plane, upd *controller.PlanUpdate) (err error) {
+	l, err := s.leadOf(p)
 	if err != nil {
-		return fmt.Errorf("experiments: rebind %s: %w", addr, err)
+		return err
 	}
-	s.server.ResumeEpoch(resumeEpoch)
-	return waitConnected(s.server, 10*time.Second, s.fleet.IDs)
+	defer func() {
+		// Whatever a controller hits after it was killed or voted out is
+		// the deposition's doing.
+		if err != nil {
+			if _, lost := s.leadOf(p); lost != nil {
+				err = errors.Join(lost, err)
+			}
+		}
+	}()
+	srv := s.servers[l.ID].Load()
+	if j := p.Ctl.Journal(); j != nil {
+		if err := j.LogEpoch(srv.Epoch()+1, l.Term); err != nil {
+			return err
+		}
+		if s.group.Load() != nil {
+			if err := s.awaitQuorum(s, l); err != nil {
+				return err
+			}
+		}
+	}
+	if upd != nil {
+		_, err := p.Pipe.Rollout(srv, upd.Deltas, nil, pushPol)
+		return err
+	}
+	// The whole plan goes to a server that holds no base yet, while the
+	// fleet may still be re-homing: a delta against the empty plan, carried
+	// by the full-configuration fallback, once every agent is there (a
+	// stopped device's agent lives on, stages, and straggles at commit).
+	if !srv.WaitConnected(10*time.Second, s.fleet.IDs...) {
+		return fmt.Errorf("experiments: agents did not reach %s: connected %v", srv.Addr(), srv.Connected())
+	}
+	built, err := p.Ctl.BuildNodesFromPlan(p.Pipe.Plan())
+	if err != nil {
+		return err
+	}
+	full := FullConfigs(built)
+	s.mu.Lock()
+	s.full = full
+	s.mu.Unlock()
+	deltas, _ := controller.DiffPlans(nil, p.Pipe.Plan())
+	_, err = p.Pipe.Rollout(srv, deltas, full, pushPol)
+	return err
 }
 
 func (s *liveSubstrate) Drain() {
@@ -359,7 +516,8 @@ func (s *liveSubstrate) Drain() {
 }
 
 func (s *liveSubstrate) Totals() Totals {
-	t := Totals{Injected: s.injected.Load(), Epoch: s.server.Epoch()}
+	srv := s.leaderServer()
+	t := Totals{Injected: s.injected.Load(), Epoch: srv.Epoch(), Agents: len(s.fleet.IDs)}
 	if s.sink != nil {
 		t.Delivered = int64(s.sink.Received())
 	}
@@ -383,17 +541,18 @@ func (s *liveSubstrate) Totals() Totals {
 		t.Invalidated += c.Invalidated
 	}
 	t.Pushes = s.reg.Counter(mgmt.MetricPushes).Value() + s.reg.Counter(mgmt.MetricPushAttempts).Value()
-	t.Reconnects, _ = s.fleet.agentStats()
+	t.Reconnects, t.Redirects = s.fleet.agentStats()
 	// In sync: every survivor is connected and has acked the latest epoch
 	// pushed to it.
 	connected := make(map[topo.NodeID]bool)
-	for _, id := range s.server.Connected() {
+	for _, id := range srv.Connected() {
 		connected[id] = true
 	}
-	t.InSync = s.server.Converged(survivors...)
+	t.InSync = srv.Converged(survivors...)
 	for _, id := range survivors {
 		t.InSync = t.InSync && connected[id]
 	}
+	s.count(&t)
 	return t
 }
 
@@ -402,192 +561,36 @@ func (s *liveSubstrate) Close() {
 	if s.monitor != nil {
 		s.monitor.Stop()
 	}
-	if s.server != nil {
-		s.server.Close()
+	if g := s.group.Load(); g != nil {
+		g.Close()
 	}
+	// With the servers gone a rollout still being answered fails fast.
+	for id := range s.servers {
+		if srv := s.servers[id].Load(); srv != nil {
+			srv.Close()
+		}
+	}
+	s.reports.Wait()
 	if s.fleet != nil {
 		s.fleet.Close()
 	}
-}
-
-// liveGroup is an ha.Group over real sockets — a peer bus and a
-// management server per replica — and the fleet whose agents know every
-// server's address. A server is gated shut until its replica wins an
-// election; the standbys bounce agents to the leader.
-type liveGroup struct {
-	wallClock
-	site    Site
-	servers []*mgmt.Server
-	buses   []*mgmt.PeerBus
-	fleet   *Fleet
-
-	// A bus can deliver before the group is built; until then it drops the
-	// envelope.
-	group atomic.Pointer[ha.Group]
-	// gates serializes the servers' leader-gate flips: the promotion hooks
-	// fire on elector timer goroutines.
-	gates sync.Mutex
-
-	// pushing is the one-at-a-time turn a plan push takes, held for the
-	// whole push: a probe's background epochs never race a commit's
-	// two-phase accounting.
-	pushing   chan struct{}
-	full      map[topo.NodeID]mgmt.ConfigDTO
-	converged bool
-}
-
-func newLiveGroup(site Site, cfg HAConfig, dir string, promote promoteHook, demote demoteHook) (group, error) {
-	g := &liveGroup{wallClock: newWallClock(), site: site, pushing: make(chan struct{}, 1)}
-	if err := g.start(cfg, dir, promote, demote); err != nil {
-		g.Close()
-		return nil, err
+	for _, b := range s.buses {
+		b.Close()
 	}
-	return g, nil
-}
-
-func (g *liveGroup) start(cfg HAConfig, dir string, promote promoteHook, demote demoteHook) error {
-	busAddrs := make(map[int]string, cfg.Replicas)
-	for i := 0; i < cfg.Replicas; i++ {
-		srv, err := mgmt.NewServer("127.0.0.1:0", nil)
-		if err != nil {
-			return err
-		}
-		srv.SetNotLeader("")
-		g.servers = append(g.servers, srv)
-		i := i
-		bus, err := mgmt.NewPeerBus(i, "127.0.0.1:0", func(env *mgmt.Envelope) {
-			if grp := g.group.Load(); grp != nil {
-				grp.Replica(i).Deliver(env)
-			}
-		})
-		if err != nil {
-			return err
-		}
-		g.buses = append(g.buses, bus)
-		busAddrs[i] = bus.Addr()
+	if l, ok := s.depose(); ok && l.Journal != nil && s.path != "" {
+		_ = l.Journal.Close()
 	}
-	for _, b := range g.buses {
-		b.SetPeers(busAddrs)
-	}
-	grp, err := ha.NewGroup(ha.GroupConfig{
-		N:         cfg.Replicas,
-		Dir:       dir,
-		LeaseUS:   cfg.leaseUS,
-		Seed:      cfg.Seed,
-		Clock:     g.wallClock,
-		Transport: func(id int) ha.PeerTransport { return g.buses[id] },
-		OnPromote: func(id int, st *controller.JournalState, j *controller.Journal, term uint64) {
-			if promote(id, st, j, term) == nil {
-				g.promoted(id, st.Epoch, term)
-			}
-		},
-		OnDemote: func(id int, _ uint64) { g.demoted(id, demote) },
-	})
-	if err != nil {
-		return err
-	}
-	g.group.Store(grp)
-	return nil
-}
-
-// promoted opens the winner's server under the new term — epochs resumed
-// past the replayed high-water — while every other server bounces agents
-// to it.
-func (g *liveGroup) promoted(id int, epoch, term uint64) {
-	g.gates.Lock()
-	defer g.gates.Unlock()
-	srv := g.servers[id]
-	srv.ResumeEpoch(epoch)
-	srv.SetLeader(term)
-	for k, other := range g.servers {
-		if k != id {
-			other.SetNotLeader(srv.Addr())
-		}
-	}
-}
-
-// demoted gates the deposed leader's server shut and sheds its agents —
-// they re-home to the new leader through rotation and redirects.
-func (g *liveGroup) demoted(id int, harness demoteHook) {
-	harness(id)
-	g.servers[id].SetNotLeader("")
-	g.servers[id].DropAllConns()
-}
-
-func (g *liveGroup) AwaitLeader(limitUS int64, minTerm uint64) (int, uint64, int64) {
-	var p ha.Promotion
-	var ok bool
-	if !g.Await(limitUS, func() bool {
-		p, ok = g.group.Load().Leader()
-		return ok && p.Term >= minTerm
-	}) {
-		return -1, 0, g.NowUS()
-	}
-	return p.ID, p.Term, p.AtUS
-}
-
-// Kill partitions the replica from its peers by closing its bus. It still
-// believes it leads — until its lease starves and it deposes itself —
-// which is exactly the split-brain window the fences close.
-func (g *liveGroup) Kill(id int) { g.buses[id].Close() }
-
-func (g *liveGroup) Commit(l *leader, limitUS int64) (uint64, error) {
-	g.pushing <- struct{}{}
-	defer func() { <-g.pushing }()
-	limit := time.Duration(limitUS) * time.Microsecond
-	srv := g.servers[l.id]
-	var err error
-	if g.fleet == nil {
-		// The fleet comes up under the first leader: an agent's first dial
-		// must reach a server whose gate is open. Every agent knows every
-		// replica's server address; the gated standbys bounce it to the
-		// leader.
-		opts := agentBackoff
-		opts.HealthyPeriod = 250 * time.Millisecond
-		for _, s := range g.servers {
-			opts.Addrs = append(opts.Addrs, s.Addr())
-		}
-		g.fleet, err = startFleet(g.site.Nodes, srv, opts, limit)
-	} else {
-		err = waitConnected(srv, limit, g.fleet.IDs)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if err := l.j.LogEpoch(srv.Epoch()+1, l.term); err != nil {
-		return 0, err
-	}
-	repl := g.group.Load().Replica(l.id).Replicator()
-	if repl == nil {
-		return 0, fmt.Errorf("experiments: replica %d has no replicator", l.id)
-	}
-	if err := repl.WaitQuorum(l.j.Size(), limit); err != nil {
-		return 0, fmt.Errorf("experiments: pre-rollout quorum: %w", err)
-	}
-	if g.full, err = rolloutPlan(srv, l.Plane); err != nil {
-		return 0, err
-	}
-	g.converged = srv.Converged(g.fleet.IDs...)
-	return srv.Epoch(), nil
 }
 
 // probe pushes an empty delta for one node through srv: an epoch
 // heartbeat through the full prepare/commit path. A server that holds no
-// base for the node yet (a new leader before its takeover rollout) stages
-// the fallback instead.
-func (g *liveGroup) probe(srv *mgmt.Server, pol mgmt.RetryPolicy) error {
-	node := g.fleet.IDs[0]
-	_, err := srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{node: {}},
-		map[topo.NodeID]mgmt.ConfigDTO{node: g.full[node]}, pol)
+// base for the node stages the fallback instead.
+func (s *liveSubstrate) probe(srv *mgmt.Server, node topo.NodeID, pol mgmt.RetryPolicy) error {
+	s.mu.Lock()
+	fallback := map[topo.NodeID]mgmt.ConfigDTO{node: s.full[node]}
+	s.mu.Unlock()
+	_, err := srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{node: {}}, fallback, pol)
 	return err
-}
-
-func (g *liveGroup) Probe(l *leader) bool {
-	g.pushing <- struct{}{}
-	defer func() { <-g.pushing }()
-	srv := g.servers[l.id]
-	return l.j.LogEpoch(srv.Epoch()+1, l.term) == nil &&
-		g.probe(srv, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 250 * time.Millisecond}) == nil
 }
 
 // StaleRefused checks both term fences. The deposed leader's own server
@@ -597,16 +600,16 @@ func (g *liveGroup) Probe(l *leader) bool {
 // plan the zombie rolls out reaches that agent over a real connection,
 // and the agent must refuse it. (This takes the current leader's server
 // out of service.)
-func (g *liveGroup) StaleRefused(old int, oldTerm uint64) (bool, error) {
-	cur, ok := g.group.Load().Leader()
+func (s *liveSubstrate) StaleRefused(old int, oldTerm uint64) (bool, error) {
+	cur, ok := s.leader()
 	if !ok || cur.ID == old {
 		return false, fmt.Errorf("experiments: no successor to replica %d for the stale-push check", old)
 	}
-	zombie, leaderSrv := g.servers[old], g.servers[cur.ID]
+	zombie, leaderSrv := s.servers[old].Load(), s.servers[cur.ID].Load()
+	node := s.fleet.IDs[0]
 	gated := live.WaitUntil(10*time.Second, func() bool {
-		return errors.Is(g.probe(zombie, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 100 * time.Millisecond}), mgmt.ErrNotLeader)
+		return errors.Is(s.probe(zombie, node, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 100 * time.Millisecond}), mgmt.ErrNotLeader)
 	})
-	node := g.fleet.IDs[0]
 	zombie.SetLeader(oldTerm)
 	leaderSrv.SetNotLeader(zombie.Addr())
 	leaderSrv.DropConn(node)
@@ -614,31 +617,6 @@ func (g *liveGroup) StaleRefused(old int, oldTerm uint64) (bool, error) {
 		return false, nil
 	}
 	var refused *mgmt.RefusedError
-	fenced := errors.As(g.probe(zombie, pushPol), &refused) && strings.Contains(refused.Reason, "stale term")
+	fenced := errors.As(s.probe(zombie, node, pushPol), &refused) && strings.Contains(refused.Reason, "stale term")
 	return gated && fenced, nil
-}
-
-func (g *liveGroup) Totals() GroupTotals {
-	t := groupTotals(g.group.Load())
-	t.Converged = g.converged
-	if g.fleet != nil {
-		t.Agents = len(g.fleet.IDs)
-		t.Reconnects, t.Redirects = g.fleet.agentStats()
-	}
-	return t
-}
-
-func (g *liveGroup) Close() {
-	if grp := g.group.Load(); grp != nil {
-		grp.Close()
-	}
-	if g.fleet != nil {
-		g.fleet.Close()
-	}
-	for _, b := range g.buses {
-		b.Close()
-	}
-	for _, s := range g.servers {
-		s.Close()
-	}
 }

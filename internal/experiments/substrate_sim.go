@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -17,31 +18,42 @@ import (
 // Sim runs a story on the discrete-event simulator: virtual time, exact
 // drop accounting, no management channel — the same seed gives the same
 // numbers.
-var Sim = Backend{
-	name:         "sim",
-	leaseUS:      20_000,
-	newSubstrate: func(site Site) (Substrate, error) { return NewSim(site), nil },
-	newGroup:     newSimGroup,
-}
+var Sim = Backend{name: "sim", leaseUS: simLeaseUS, newSubstrate: newSim}
+
+const simLeaseUS = 20_000
 
 // simDetectUS is the failure-detection latency the simulator models (the
 // live backend detects with a real health monitor).
 const simDetectUS = 20_000
 
-// simClock is an event engine as a story's clock.
-type simClock struct{ eng *sim.Engine }
+// simClock is an event engine as a story's clock. A report is answered
+// inside the event that raised it, and may wait on the clock there (the
+// engine runs re-entrantly); the reports that raises queue up behind it,
+// so one is answered at a time.
+type simClock struct {
+	eng        *sim.Engine
+	pending    []func()
+	delivering bool
+}
 
-func (c simClock) NowUS() int64 { return c.eng.Now() }
+func (c *simClock) NowUS() int64 { return c.eng.Now() }
 
-func (c simClock) Sleep(us int64) {
-	if us > 0 {
-		c.eng.Run(c.eng.Now() + us)
+func (c *simClock) post(report func()) {
+	c.pending = append(c.pending, report)
+	if c.delivering {
+		return
 	}
+	c.delivering = true
+	for len(c.pending) > 0 {
+		report, c.pending = c.pending[0], c.pending[1:]
+		report()
+	}
+	c.delivering = false
 }
 
 // Await looks at cond every 500 virtual µs, and gives up early once
 // nothing is left to happen.
-func (c simClock) Await(limitUS int64, cond func() bool) bool {
+func (c *simClock) Await(limitUS int64, cond func() bool) bool {
 	// Walk a cursor, not the clock: Run only advances the clock to the
 	// last processed event.
 	cursor := c.eng.Now()
@@ -56,42 +68,89 @@ func (c simClock) Await(limitUS int64, cond func() bool) bool {
 	return true
 }
 
-func (c simClock) Every(gapUS int64, fn func()) (stop func()) {
+func (c *simClock) Every(gapUS int64, report func()) (stop func()) {
 	stopped := false
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		c.eng.After(gapUS, tick)
+		c.post(func() {
+			if !stopped {
+				report()
+				c.eng.After(gapUS, tick)
+			}
+		})
 	}
 	c.eng.After(gapUS, tick)
 	return func() { stopped = true }
 }
 
 // SimSubstrate is a Site on the simulator: an OSPF-routed network of the
-// site's nodes on one event engine.
+// site's nodes and the controller that plans for them — a replica group,
+// when there is one — on one event engine.
 type SimSubstrate struct {
 	simClock
+	leadership
+	Site
 	Network *sim.Network
 	// Flooding is what converging the routing domain cost.
 	Flooding ospf.FloodStats
 
-	site   Site
 	report func(id topo.NodeID, down bool)
+
+	// dir holds the journals. Without a management channel an epoch is a
+	// number a replica group fences in its leader's journal.
+	dir   string
+	epoch uint64
+	// offeredUS is when the workload's last packet enters the network.
+	offeredUS int64
 }
 
 // NewSim converges routing over the site's graph and assembles the
-// simulation.
+// simulation, planned for by one controller that keeps no journal.
 func NewSim(site Site) *SimSubstrate {
+	s, _ := newSim(site, Scenario{}, "") // only a journal can fail to come up
+	return s.(*SimSubstrate)
+}
+
+func newSim(site Site, sc Scenario, dir string) (Substrate, error) {
 	dom := ospf.NewDomain(site.Graph)
 	flooding := dom.Converge()
 	nw := sim.New(site.Graph, dom, site.Dep, site.Nodes)
-	return &SimSubstrate{simClock: simClock{nw.Engine}, Network: nw, Flooding: flooding, site: site}
+	s := &SimSubstrate{simClock: simClock{eng: nw.Engine}, Network: nw, Flooding: flooding, Site: site, dir: dir}
+	s.leadership = leadership{
+		now:  s.NowUS,
+		kill: func(id int) { s.group.Load().Kill(id) },
+		// An event of its own, at the same instant: the election hook that
+		// raised the report returns before the report is answered.
+		raise: func(report func()) { s.eng.After(0, func() { s.post(report) }) },
+	}
+	switch {
+	case sc.Replicas > 0:
+		// The group rides the network's engine: one clock, one event order.
+		g, err := sim.NewControllerGroup(s.eng, sim.ControllerGroupConfig{
+			N: sc.Replicas, Dir: dir, LeaseUS: simLeaseUS, Seed: sc.Seed,
+			OnPromote: func(id int, st *controller.JournalState, j *controller.Journal, term uint64) {
+				s.epoch = max(s.epoch, st.Epoch)
+				s.promoted(Lead{ID: id, Term: term, State: st, Journal: j})
+			},
+			OnDemote: s.demoted,
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.group.Store(g.Group)
+	case dir != "":
+		return s, s.reopen(s.path())
+	default:
+		s.promoted(Lead{State: &controller.JournalState{}})
+	}
+	return s, nil
 }
 
+// path is where an unreplicated controller keeps its journal.
+func (s *SimSubstrate) path() string { return filepath.Join(s.dir, "controller.wal") }
+
 func (s *SimSubstrate) Offer(flows []netaddr.FiveTuple, packetsPerFlow int) error {
+	s.offeredUS = s.eng.Now() + int64(len(flows))*97 + int64(packetsPerFlow)*trafficGapUS
 	for i, ft := range flows {
 		if err := s.Network.InjectFlow(ft, packetsPerFlow, 256, int64(i)*97, trafficGapUS); err != nil {
 			return err
@@ -102,22 +161,32 @@ func (s *SimSubstrate) Offer(flows []netaddr.FiveTuple, packetsPerFlow int) erro
 
 func (s *SimSubstrate) OnHealth(report func(id topo.NodeID, down bool)) { s.report = report }
 
-// Apply models the dataplane faults. A wedged device is indistinguishable
-// from a crashed one here: both blackhole until repaired. Management-
-// channel faults have nothing to act on.
-func (s *SimSubstrate) Apply(ev faultinject.Event) {
+// Apply models the dataplane faults and the controller's. A wedged device
+// is indistinguishable from a crashed one here: both blackhole until
+// repaired. Management-channel faults have nothing to act on.
+func (s *SimSubstrate) Apply(ev faultinject.Event) error {
 	var down bool
 	switch ev.Kind {
 	case faultinject.KindCrash, faultinject.KindWedge:
 		down = true
 	case faultinject.KindRecover, faultinject.KindUnwedge:
+	case faultinject.KindLeaderKill:
+		s.killLeader()
+		return nil
+	case faultinject.KindControllerRestart:
+		// The kill: no state survives but the file.
+		if l, ok := s.depose(); ok && l.Journal != nil {
+			return errors.Join(l.Journal.Close(), s.reopen(s.path()))
+		}
+		return nil
 	default:
-		return
+		return nil
 	}
 	s.Network.SetNodeDown(ev.Target, down)
 	if s.report != nil {
-		s.eng.After(simDetectUS, func() { s.report(ev.Target, down) })
+		s.eng.After(simDetectUS, func() { s.post(func() { s.report(ev.Target, down) }) })
 	}
+	return nil
 }
 
 func (s *SimSubstrate) Play(sched *faultinject.Schedule, apply func(faultinject.Event)) {
@@ -126,108 +195,97 @@ func (s *SimSubstrate) Play(sched *faultinject.Schedule, apply func(faultinject.
 		lastUS = ev.AtUS
 	}
 	faultinject.DriveSim(sched, s.eng, apply)
-	s.Sleep(lastUS)
-}
-
-// Rollout applies the update's deltas in place; the engine is
-// single-threaded, so mutating nodes between events is safe. The site's
-// nodes were built from the plane's plan, so there is no whole plan to
-// establish.
-func (s *SimSubstrate) Rollout(_ Plane, upd *controller.PlanUpdate) error {
-	if upd == nil {
-		return nil
+	if lastUS > 0 {
+		s.eng.Run(s.eng.Now() + lastUS)
 	}
-	return controller.ApplyDeltas(s.site.Nodes, upd.Deltas)
 }
 
-// RestartController has no endpoint to restart: plans reach the nodes in
-// process.
-func (s *SimSubstrate) RestartController(uint64) error { return nil }
+// Rollout applies the update in place — the one place a plan meets the
+// simulated nodes; the engine is single-threaded, so mutating nodes
+// between events is safe. A whole plan is installed as the
+// configurations a fresh build from it gives.
+func (s *SimSubstrate) Rollout(p Plane, upd *controller.PlanUpdate) error {
+	l, err := s.leadOf(p)
+	if err != nil {
+		return err
+	}
+	if s.group.Load() != nil {
+		s.epoch++
+		if err := l.Journal.LogEpoch(s.epoch, l.Term); err != nil {
+			return err
+		}
+		if err := s.awaitQuorum(s, l); err != nil {
+			return err
+		}
+	}
+	if upd != nil {
+		return controller.ApplyDeltas(s.Nodes, upd.Deltas)
+	}
+	built, err := p.Ctl.BuildNodesFromPlan(p.Pipe.Plan())
+	if err != nil {
+		return err
+	}
+	for id, n := range built {
+		if err := s.Nodes[id].Install(n.Config()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-func (s *SimSubstrate) Drain() { s.Network.Run(0) }
+// Rebalance is one turn of the §III-C loop on the simulator: the plane
+// re-solves over meas and the update is rolled out.
+func (s *SimSubstrate) Rebalance(p Plane, meas controller.Measurements) (*controller.PlanUpdate, error) {
+	upd, err := p.Pipe.Recompute(meas)
+	if err != nil {
+		return nil, err
+	}
+	return upd, s.Rollout(p, upd)
+}
+
+// Drain runs the network dry. A replica group's timers never let the
+// event queue drain: there the run ends a second after the last packet
+// was offered.
+func (s *SimSubstrate) Drain() {
+	if s.group.Load() == nil {
+		s.eng.Run(0)
+	} else {
+		s.eng.Run(max(s.eng.Now(), s.offeredUS) + 1_000_000)
+	}
+}
 
 func (s *SimSubstrate) Totals() Totals {
 	st := s.Network.Stats()
 	t := Totals{
 		Injected: st.PacketsInjected, Delivered: st.Delivered, DroppedDown: st.DroppedDown,
-		InSync: true, // deltas are applied synchronously
+		Epoch:  s.epoch,
+		InSync: true, // updates are applied synchronously
 	}
-	for _, n := range s.site.Nodes {
+	for _, n := range s.Nodes {
 		t.Failovers += n.Counters.Failovers
 		t.Invalidated += n.Counters.Invalidated
 	}
+	s.count(&t)
 	return t
 }
 
-func (s *SimSubstrate) Close() {}
-
-// simGroup is a sim.ControllerGroup on its own engine. It has no
-// management channel, so an epoch is a number it fences in the leader's
-// journal.
-type simGroup struct {
-	simClock
-	group     *sim.ControllerGroup
-	dir       string
-	nextEpoch uint64
-}
-
-func newSimGroup(_ Site, cfg HAConfig, dir string, promote promoteHook, demote demoteHook) (group, error) {
-	g := &simGroup{simClock: simClock{sim.NewEngine()}, dir: dir}
-	var err error
-	g.group, err = sim.NewControllerGroup(g.eng, sim.ControllerGroupConfig{
-		N:       cfg.Replicas,
-		Dir:     dir,
-		LeaseUS: cfg.leaseUS,
-		Seed:    cfg.Seed,
-		OnPromote: func(id int, st *controller.JournalState, j *controller.Journal, term uint64) {
-			if promote(id, st, j, term) == nil && st.Epoch > g.nextEpoch {
-				g.nextEpoch = st.Epoch
-			}
-		},
-		OnDemote: func(id int, _ uint64) { demote(id) },
-	})
-	if err != nil {
-		return nil, err
+func (s *SimSubstrate) Close() {
+	if g := s.group.Load(); g != nil {
+		g.Close()
+	} else if l, ok := s.depose(); ok && l.Journal != nil {
+		_ = l.Journal.Close()
 	}
-	return g, nil
-}
-
-func (g *simGroup) AwaitLeader(limitUS int64, minTerm uint64) (int, uint64, int64) {
-	return g.group.RunUntilLeader(g.eng.Now()+limitUS, minTerm)
-}
-
-func (g *simGroup) Kill(id int) { g.group.Kill(id) }
-
-func (g *simGroup) Commit(l *leader, limitUS int64) (uint64, error) {
-	g.nextEpoch++
-	if err := l.j.LogEpoch(g.nextEpoch, l.term); err != nil {
-		return 0, err
-	}
-	// Stream-before-ack: the plan counts as durable once a quorum of
-	// replicas holds the leader's whole journal.
-	if !g.Await(limitUS, func() bool {
-		repl := g.group.Replica(l.id).Replicator()
-		return repl != nil && repl.QuorumBytes() >= l.j.Size()
-	}) {
-		return 0, fmt.Errorf("experiments: replica %d's journal never reached quorum", l.id)
-	}
-	return g.nextEpoch, nil
-}
-
-func (g *simGroup) Probe(l *leader) bool {
-	g.nextEpoch++
-	return l.j.LogEpoch(g.nextEpoch, l.term) == nil
 }
 
 // StaleRefused delivers a well-formed journal frame stamped with the
 // deposed leader's term to a live standby, at exactly the offset the
 // standby would otherwise append at — only the term fence can refuse it —
 // and reports whether the standby's journal stayed untouched.
-func (g *simGroup) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
-	sb := -1
-	cur, _ := g.group.Leader()
-	for i := 0; i < g.group.N(); i++ {
-		if g.group.Alive(i) && i != cur.ID {
+func (s *SimSubstrate) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
+	sb, g := -1, s.group.Load()
+	cur, _ := g.Leader()
+	for i := 0; i < g.N(); i++ {
+		if g.Alive(i) && i != cur.ID {
 			sb = i
 			break
 		}
@@ -237,7 +295,7 @@ func (g *simGroup) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
 	}
 	// Fresh, CRC-valid frame bytes from a scratch journal: everything
 	// about the frame is legitimate except the term it rode in under.
-	sj, err := controller.OpenJournal(filepath.Join(g.dir, "stale-scratch.wal"))
+	sj, err := controller.OpenJournal(filepath.Join(s.dir, "stale-scratch.wal"))
 	if err != nil {
 		return false, err
 	}
@@ -251,7 +309,7 @@ func (g *simGroup) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
 	if err := sj.Close(); err != nil {
 		return false, err
 	}
-	standby := g.group.Replica(sb)
+	standby := g.Replica(sb)
 	bytesBefore := standby.JournalBytes()
 	data, err := json.Marshal(mgmt.JournalFrame{
 		Leader: oldLeader,
@@ -265,7 +323,3 @@ func (g *simGroup) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
 	standby.Deliver(&mgmt.Envelope{T: mgmt.TypeJournalFrame, Data: data})
 	return standby.JournalBytes() == bytesBefore, nil
 }
-
-func (g *simGroup) Totals() GroupTotals { return groupTotals(g.group.Group) }
-
-func (g *simGroup) Close() { g.group.Close() }

@@ -60,23 +60,28 @@ const (
 	// as down). Schedule a second partition event with the same pair after
 	// the outage window to model healing, or rely on agent reconnects.
 	KindPartition
-	// KindLeaderKill crashes whichever controller replica currently
-	// leads (Target is ignored — the leader is resolved at fire time).
-	// The replicated-controller story (experiments.RunHA) scripts its
-	// leader kills with it; single-controller drivers treat it as a no-op.
+	// KindLeaderKill takes whichever controller replica currently leads
+	// away from its peers (Target is ignored — the leader is resolved at
+	// fire time). It has nothing to kill mid-election, or where one
+	// unreplicated controller is all there is.
 	KindLeaderKill
+	// KindControllerRestart kills an unreplicated controller and its
+	// management endpoint and brings a new one up from what the journal
+	// kept (Target is ignored).
+	KindControllerRestart
 )
 
 var kindNames = map[Kind]string{
-	KindCrash:      "crash",
-	KindRecover:    "recover",
-	KindWedge:      "wedge",
-	KindUnwedge:    "unwedge",
-	KindConnDrop:   "conn-drop",
-	KindConnDelay:  "conn-delay",
-	KindAckLoss:    "ack-loss",
-	KindPartition:  "partition",
-	KindLeaderKill: "leaderkill",
+	KindCrash:             "crash",
+	KindRecover:           "recover",
+	KindWedge:             "wedge",
+	KindUnwedge:           "unwedge",
+	KindConnDrop:          "conn-drop",
+	KindConnDelay:         "conn-delay",
+	KindAckLoss:           "ack-loss",
+	KindPartition:         "partition",
+	KindLeaderKill:        "leaderkill",
+	KindControllerRestart: "ctl-restart",
 }
 
 var kindByName = func() map[string]Kind {
