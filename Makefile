@@ -65,6 +65,7 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/packet/ -run '^FuzzUnmarshal$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packet/ -run '^FuzzFragmentReassemble$$' -fuzz '^FuzzFragmentReassemble$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/live/ -run '^FuzzDispatchFrame$$' -fuzz '^FuzzDispatchFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mgmt/ -run '^FuzzWire$$' -fuzz '^FuzzWire$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mgmt/ -run '^FuzzConfigDTO$$' -fuzz '^FuzzConfigDTO$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mgmt/ -run '^FuzzConfigDelta$$' -fuzz '^FuzzConfigDelta$$' -fuzztime $(FUZZTIME)
@@ -106,10 +107,13 @@ bench-compare:
 
 # Concurrency stress under the race detector: 8 writer goroutines + a
 # sweeper on the sharded tables (duplicate tunnel-ID and resurrection
-# invariants), plus the live worker-pool ordering/shutdown suite.
-# -count=5 shakes out schedule-dependent interleavings.
+# invariants), plus the live worker-pool ordering/shutdown suite and the
+# live send path's guards (concurrent injectors on the one socket, inject
+# after close, the allocation counts). -count=5 shakes out
+# schedule-dependent interleavings.
 race-stress:
-	$(GO) test -race -count=5 -run 'Stress|WorkerPool|FlowWorkerHash' \
+	$(GO) test -race -count=5 \
+		-run 'Stress|WorkerPool|FlowWorkerHash|Inject|ForwarderAllocFree|SinkAllocs' \
 		./internal/flowtable/ ./internal/live/
 
 # Flake hunt for the packages that cross a wire or a clock: 20 passes

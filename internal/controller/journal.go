@@ -258,12 +258,16 @@ func (j *Journal) Close() error {
 	return err
 }
 
+// ErrJournalClosed refuses every use of a closed handle. On a lent writer
+// it means the replica that lent it was voted out or stopped.
+var ErrJournalClosed = errors.New("controller: journal closed")
+
 // usableLocked refuses a closed handle, and any handle but the writer
 // while the file is lent (the writer itself may only append).
 func (j *Journal) usableLocked(appending bool) error {
 	switch {
 	case j.closed || j.f == nil:
-		return errors.New("controller: journal closed")
+		return ErrJournalClosed
 	case j.writer != nil && !(appending && j.writer == j):
 		return errors.New("controller: journal is lent to a writer")
 	}

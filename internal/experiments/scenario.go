@@ -299,7 +299,11 @@ func (c *control) onLead(l Lead) {
 	c.Plane, c.lead, c.rolled = c.bed.Plane, l, false
 	if l.Journal != nil {
 		ctl := c.bed.newController()
-		if err := ctl.ResumeJournal(l.State, l.Journal); err != nil {
+		if err := ctl.ResumeJournal(l.State, l.Journal); errors.Is(err, controller.ErrJournalClosed) {
+			// Voted out or killed before it could resume: the successor's
+			// report redoes it, as for a rollout that finds it deposed.
+			return
+		} else if err != nil {
 			c.err = fmt.Errorf("experiments: replica %d taking over at term %d: %w", l.ID, l.Term, err)
 			return
 		}

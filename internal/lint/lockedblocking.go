@@ -374,6 +374,9 @@ var netBlockingMethods = map[string]bool{
 	"Read": true, "Write": true, "ReadFrom": true, "WriteTo": true,
 	"ReadFromUDP": true, "WriteToUDP": true, "ReadMsgUDP": true,
 	"WriteMsgUDP": true, "Accept": true, "AcceptTCP": true,
+	// the allocation-free netip forms the live fabric uses
+	"ReadFromUDPAddrPort": true, "WriteToUDPAddrPort": true,
+	"ReadMsgUDPAddrPort": true, "WriteMsgUDPAddrPort": true,
 }
 
 // ioBlockingMethods are the io interface methods that can block (the

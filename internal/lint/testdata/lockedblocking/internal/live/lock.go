@@ -6,6 +6,8 @@ package live
 
 import (
 	"io"
+	"net"
+	"net/netip"
 	"sync"
 )
 
@@ -80,4 +82,19 @@ func (s *S) DirectSend() {
 	s.mu.Lock()
 	s.ch <- 2 // want:lockedblocking
 	s.mu.Unlock()
+}
+
+// Fabric sends datagrams through one socket.
+type Fabric struct {
+	mu   sync.Mutex
+	conn *net.UDPConn
+}
+
+// Send holds the mutex across the netip form of a UDP write: positive,
+// as for WriteToUDP.
+func (f *Fabric) Send(b []byte, to netip.AddrPort) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, err := f.conn.WriteToUDPAddrPort(b, to) // want:lockedblocking
+	return err
 }

@@ -14,7 +14,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -32,16 +34,15 @@ const (
 	frameControl = 0x02
 )
 
-// marshalControl encodes a §III-E control message: the flow 5-tuple.
-func marshalControl(flow netaddr.FiveTuple) []byte {
-	out := make([]byte, 1+13)
-	out[0] = frameControl
-	binary.BigEndian.PutUint32(out[1:], uint32(flow.Src))
-	binary.BigEndian.PutUint32(out[5:], uint32(flow.Dst))
-	binary.BigEndian.PutUint16(out[9:], flow.SrcPort)
-	binary.BigEndian.PutUint16(out[11:], flow.DstPort)
-	out[13] = flow.Proto
-	return out
+// appendControl appends a §III-E control frame to dst: the type byte and
+// the flow 5-tuple.
+func appendControl(dst []byte, flow netaddr.FiveTuple) []byte {
+	dst = append(dst, frameControl)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(flow.Src))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(flow.Dst))
+	dst = binary.BigEndian.AppendUint16(dst, flow.SrcPort)
+	dst = binary.BigEndian.AppendUint16(dst, flow.DstPort)
+	return append(dst, flow.Proto)
 }
 
 func unmarshalControl(b []byte) (netaddr.FiveTuple, error) {
@@ -59,11 +60,24 @@ func unmarshalControl(b []byte) (netaddr.FiveTuple, error) {
 
 // Runtime owns the fabric (address → UDP endpoint map) and the devices.
 type Runtime struct {
-	mu        sync.RWMutex
-	endpoints map[netaddr.Addr]*net.UDPAddr
+	mu sync.RWMutex
+	// endpoints is the fabric table: an immutable map that register
+	// replaces under mu and every send loads without a lock. A send may
+	// resolve against the table from just before a concurrent AddDevice.
+	endpoints atomic.Pointer[map[netaddr.Addr]netip.AddrPort]
 	devices   []*Device
 	sinks     []*Sink
 	start     time.Time
+	// injector is the one socket Inject writes through, opened by the
+	// first Inject and closed by Close, and the scratch its frames are
+	// built in. Its mutex is held across the write: the frame must stay
+	// whole until the kernel has copied it.
+	injector struct {
+		mu     sync.Mutex
+		conn   *net.UDPConn
+		frame  []byte
+		closed bool
+	}
 	// Blackholed counts datagrams addressed to unmapped addresses.
 	Blackholed atomic.Int64
 	// Dropped counts datagrams discarded by injected loss.
@@ -81,10 +95,9 @@ type Runtime struct {
 
 // NewRuntime creates an empty runtime.
 func NewRuntime() *Runtime {
-	return &Runtime{
-		endpoints: make(map[netaddr.Addr]*net.UDPAddr),
-		start:     time.Now(),
-	}
+	r := &Runtime{start: time.Now()}
+	r.endpoints.Store(&map[netaddr.Addr]netip.AddrPort{})
+	return r
 }
 
 // SetDefaultWorkers sets the worker-pool size used by subsequent AddDevice
@@ -103,11 +116,17 @@ func (r *Runtime) now() int64 { return time.Since(r.start).Microseconds() }
 // convergence on the same axis in both substrates.
 func (r *Runtime) NowUS() int64 { return r.now() }
 
-// register maps a model address to a UDP endpoint.
-func (r *Runtime) register(a netaddr.Addr, ep *net.UDPAddr) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.endpoints[a] = ep
+// register maps model addresses to the UDP endpoint conn listens on: one
+// new table per call, published whole. The caller holds r.mu, which is
+// what keeps two registrations from losing each other's entries.
+func (r *Runtime) register(conn *net.UDPConn, addrs ...netaddr.Addr) {
+	ap := conn.LocalAddr().(*net.UDPAddr).AddrPort()
+	ep := netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()) // a udp4 socket writes to 4-byte addresses only
+	next := maps.Clone(*r.endpoints.Load())
+	for _, a := range addrs {
+		next[a] = ep
+	}
+	r.endpoints.Store(&next)
 }
 
 // Devices returns a snapshot of the runtime's devices. The health
@@ -120,18 +139,22 @@ func (r *Runtime) Devices() []*Device {
 }
 
 // lookup resolves a model address.
-func (r *Runtime) lookup(a netaddr.Addr) (*net.UDPAddr, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ep, ok := r.endpoints[a]
+func (r *Runtime) lookup(a netaddr.Addr) (netip.AddrPort, bool) {
+	ep, ok := (*r.endpoints.Load())[a]
 	return ep, ok
 }
 
-// Close stops every device and sink. Devices and sinks are snapshotted
-// under the lock, then stopped outside it: stop() waits on each loop
-// goroutine, and blocking on that with the runtime lock held would stall
-// any dataplane send still resolving an endpoint.
+// Close stops every device and sink and closes the injector socket; an
+// Inject after it fails. Devices and sinks are snapshotted under the
+// lock, then stopped outside it: stop() waits on each loop goroutine,
+// which is too long to keep AddDevice and Devices out.
 func (r *Runtime) Close() {
+	r.injector.mu.Lock()
+	r.injector.closed = true
+	if r.injector.conn != nil {
+		_ = r.injector.conn.Close()
+	}
+	r.injector.mu.Unlock()
 	r.mu.RLock()
 	devices := append([]*Device(nil), r.devices...)
 	sinks := append([]*Sink(nil), r.sinks...)
@@ -209,8 +232,8 @@ func (r *Runtime) AddDeviceWorkers(n *enforce.Node, workers int) (*Device, error
 		commands: make(chan func()),
 	}
 	d.startWorkers(workers)
-	r.register(n.Addr, conn.LocalAddr().(*net.UDPAddr))
 	r.mu.Lock()
+	r.register(conn, n.Addr)
 	r.devices = append(r.devices, d)
 	r.mu.Unlock()
 	d.wg.Add(1)
@@ -251,7 +274,7 @@ func (d *Device) Do(fn func(n *enforce.Node)) bool {
 
 // submit hands the dispatcher one request on one of its channels and
 // reports whether the loop took it (false: the device stopped, or giveUp,
-// if not nil, fired first). The dispatcher blocks in ReadFromUDP with no
+// if not nil, fired first). The dispatcher blocks in its socket read with no
 // deadline, so the submitter wakes it: it counts itself in pending, then
 // expires the read deadline, which makes a blocked (or the next) read
 // return at once. The loop clears the deadline and then looks at pending
@@ -311,7 +334,7 @@ func (d *Device) loop() {
 			runtime.Gosched()
 			continue
 		}
-		n, _, err := d.conn.ReadFromUDP(buf)
+		n, _, err := d.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {
@@ -325,35 +348,30 @@ func (d *Device) loop() {
 			}
 			return // socket closed
 		}
-		if n < 1 {
-			continue
-		}
 		d.dispatch(buf[:n])
 	}
 }
 
-// udpForwarder sends dataplane output onto the fabric. Workers share the
-// device's own socket (conn) so the hot path never dials; conn may be nil
-// (runtime-level sends), which falls back to an ephemeral socket.
+// udpForwarder sends one worker's dataplane output onto the fabric. The
+// device's workers share its socket (conn); each has a forwarder of its
+// own, so frame, the buffer every datagram is built in, has one writer. It
+// grows to the largest frame the worker has sent and is never pre-sized.
 type udpForwarder struct {
-	rt   *Runtime
-	conn *net.UDPConn
+	rt    *Runtime
+	conn  *net.UDPConn
+	frame []byte
 }
 
 var _ enforce.Forwarder = (*udpForwarder)(nil)
 
 func (f *udpForwarder) Send(from *enforce.Node, pkt *packet.Packet) {
-	dst := pkt.OutermostDst()
-	ep, ok := f.rt.lookup(dst)
+	ep, ok := f.rt.lookup(pkt.OutermostDst())
 	if !ok {
 		f.rt.blackhole()
 		return
 	}
-	frame := packet.GetBuffer()
-	frame = append(frame, frameData)
-	frame = pkt.AppendMarshal(frame)
-	f.rt.sendVia(f.conn, ep, frame)
-	packet.PutBuffer(frame)
+	f.frame = pkt.AppendMarshal(append(f.frame[:0], frameData))
+	_ = f.rt.sendVia(f.conn, ep, f.frame) // counted in Blackholed; a Forwarder has nobody to return it to
 }
 
 func (f *udpForwarder) SendControl(from *enforce.Node, to netaddr.Addr, flow netaddr.FiveTuple) {
@@ -362,7 +380,8 @@ func (f *udpForwarder) SendControl(from *enforce.Node, to netaddr.Addr, flow net
 		f.rt.blackhole()
 		return
 	}
-	f.rt.sendVia(f.conn, ep, marshalControl(flow))
+	f.frame = appendControl(f.frame[:0], flow)
+	_ = f.rt.sendVia(f.conn, ep, f.frame) // as in Send
 }
 
 // SetLossRate makes the fabric drop approximately num/den of data
@@ -389,39 +408,26 @@ func (r *Runtime) shouldDrop() bool {
 	return seq%den < num
 }
 
-// sendTo fires one datagram from an ephemeral socket.
-func (r *Runtime) sendTo(ep *net.UDPAddr, frame []byte) { r.sendVia(nil, ep, frame) }
-
-// sendVia transmits one datagram, honoring injected loss. With a non-nil
-// conn it writes through it (a *net.UDPConn is safe for concurrent use,
-// so a device's workers all share the device socket); with nil it dials
-// an ephemeral socket (Inject, sink-less sends).
-func (r *Runtime) sendVia(conn *net.UDPConn, ep *net.UDPAddr, frame []byte) {
+// sendVia transmits one datagram through conn, honoring injected loss (a
+// *net.UDPConn is safe for concurrent use, so a device's workers all
+// share the device socket). A datagram the fabric drops on purpose is not
+// an error; one the socket refuses is counted in Blackholed and returned.
+func (r *Runtime) sendVia(conn *net.UDPConn, ep netip.AddrPort, frame []byte) error {
 	if r.shouldDrop() {
 		r.Dropped.Add(1)
 		if m := r.lm.Load(); m != nil {
 			m.dropped.Inc()
 		}
-		return
+		return nil
 	}
-	if conn == nil {
-		c, err := net.DialUDP("udp4", nil, ep)
-		if err != nil {
-			r.blackhole()
-			return
-		}
-		defer c.Close()
-		if _, err := c.Write(frame); err != nil {
-			r.blackhole()
-			return
-		}
-	} else if _, err := conn.WriteToUDP(frame, ep); err != nil {
+	if _, err := conn.WriteToUDPAddrPort(frame, ep); err != nil {
 		r.blackhole()
-		return
+		return err
 	}
 	if m := r.lm.Load(); m != nil {
 		m.sent.Inc()
 	}
+	return nil
 }
 
 // Sink is a destination endpoint: it accepts data frames for one or more
@@ -431,12 +437,15 @@ type Sink struct {
 	conn *net.UDPConn
 	wg   sync.WaitGroup
 
-	mu       sync.Mutex
-	byFlow   map[netaddr.FiveTuple]int
-	byAddr   map[netaddr.Addr]int
-	received int
-	encaps   int
-	labeled  int
+	// received is advanced last, inside mu: a reader that has seen a
+	// count finds every per-flow figure of those packets behind the lock.
+	received atomic.Int64
+
+	mu      sync.Mutex
+	byFlow  map[netaddr.FiveTuple]int
+	byAddr  map[netaddr.Addr]int
+	encaps  int
+	labeled int
 }
 
 // AddSink opens a sink socket serving the given model addresses.
@@ -450,10 +459,8 @@ func (r *Runtime) AddSink(addrs ...netaddr.Addr) (*Sink, error) {
 		byFlow: make(map[netaddr.FiveTuple]int),
 		byAddr: make(map[netaddr.Addr]int),
 	}
-	for _, a := range addrs {
-		r.register(a, conn.LocalAddr().(*net.UDPAddr))
-	}
 	r.mu.Lock()
+	r.register(conn, addrs...)
 	r.sinks = append(r.sinks, s)
 	r.mu.Unlock()
 	s.wg.Add(1)
@@ -470,20 +477,19 @@ func (s *Sink) stop() {
 func (s *Sink) loop() {
 	defer s.wg.Done()
 	buf := make([]byte, 64*1024)
+	var pkt packet.Packet // decoded into over and over; nothing keeps it
 	for {
-		n, _, err := s.conn.ReadFromUDP(buf)
+		n, _, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed by stop
 		}
 		if n < 1 || buf[0] != frameData {
 			continue
 		}
-		pkt, err := packet.Unmarshal(buf[1:n])
-		if err != nil {
+		if err := packet.UnmarshalInto(&pkt, buf[1:n]); err != nil {
 			continue
 		}
 		s.mu.Lock()
-		s.received++
 		s.byFlow[pkt.FiveTuple()]++
 		s.byAddr[pkt.Inner.Dst]++
 		if pkt.IsEncapsulated() {
@@ -492,16 +498,14 @@ func (s *Sink) loop() {
 		if pkt.Label() != 0 {
 			s.labeled++
 		}
+		s.received.Add(1)
 		s.mu.Unlock()
 	}
 }
 
-// Received returns the total packets the sink accepted.
-func (s *Sink) Received() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.received
-}
+// Received returns the total packets the sink accepted. It takes no lock,
+// so a caller polling it does not contend with the sink's loop.
+func (s *Sink) Received() int { return int(s.received.Load()) }
 
 // FlowCount returns packets received for one flow tuple.
 func (s *Sink) FlowCount(ft netaddr.FiveTuple) int {
@@ -519,13 +523,33 @@ func (s *Sink) Anomalies() (encapsulated, labeled int) {
 }
 
 // Inject sends a data packet into the fabric addressed to `via` (usually
-// the source subnet's proxy), as a host on the stub network would.
+// the source subnet's proxy), as a host on the stub network would. Every
+// call writes through the runtime's one injector socket; a send the
+// socket refuses is counted in Blackholed and returned.
 func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 	ep, ok := r.lookup(via)
 	if !ok {
 		return fmt.Errorf("live: no endpoint for %v", via)
 	}
-	r.sendTo(ep, append([]byte{frameData}, pkt.Marshal()...))
+	in := &r.injector
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.closed {
+		return errors.New("live: runtime closed")
+	}
+	if in.conn == nil {
+		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			r.blackhole()
+			return fmt.Errorf("live: open injector socket: %w", err)
+		}
+		in.conn = conn
+	}
+	in.frame = pkt.AppendMarshal(append(in.frame[:0], frameData))
+	//vet:ignore lockedblocking -- the mutex owns the scratch frame the write reads, and the socket's write lock would queue concurrent injectors anyway
+	if err := r.sendVia(in.conn, ep, in.frame); err != nil {
+		return fmt.Errorf("live: inject via %v: %w", via, err)
+	}
 	return nil
 }
 

@@ -76,9 +76,14 @@ func (d *Device) workerFor(src netaddr.Addr, srcPort, dstPort uint16, proto uint
 	return d.workers[flowWorkerHash(src, srcPort, dstPort, proto)%uint64(len(d.workers))]
 }
 
-// dispatch parses one received frame and enqueues it on its flow's worker.
+// dispatch parses one received frame and enqueues it on its flow's worker;
+// a frame it cannot parse, the empty datagram included, counts in Errors.
 // Runs only on the dispatcher goroutine.
 func (d *Device) dispatch(frame []byte) {
+	if len(frame) == 0 {
+		d.Errors.Add(1)
+		return
+	}
 	now := d.rt.now()
 	switch frame[0] {
 	case frameData:

@@ -78,7 +78,7 @@ type workerBed struct {
 	rec       *recorderNF
 }
 
-func newWorkerBed(t *testing.T, workers int) *workerBed {
+func newWorkerBed(t testing.TB, workers int) *workerBed {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	g := topo.Campus(topo.CampusConfig{Gateways: 1, CoreRouters: 2, EdgeRouters: 1, WithProxies: true}, rng)

@@ -402,8 +402,9 @@ func (p *Packet) WireSize() int {
 }
 
 // AppendMarshal appends the wire encoding to dst and returns the extended
-// slice. The hot path hands it a pooled buffer so steady-state sends
-// allocate nothing; Marshal wraps it for callers that want a fresh slice.
+// slice. The hot path hands it a buffer the sender keeps, so steady-state
+// sends allocate nothing; Marshal wraps it for callers that want a fresh
+// slice.
 func (p *Packet) AppendMarshal(dst []byte) []byte {
 	start := len(dst)
 	n := p.WireSize()

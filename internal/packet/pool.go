@@ -1,7 +1,7 @@
-// Pooled packet and wire-buffer lifecycles for the live hot path. The
-// receive→classify→tunnel→send path reuses one Packet and one wire buffer
-// per datagram, so in steady state the dataplane performs no heap
-// allocation per packet.
+// Pooled packet lifecycle for the live hot path. The
+// receive→classify→tunnel→send path reuses one pooled Packet per datagram
+// and marshals into a buffer its sender owns (AppendMarshal), so in steady
+// state the dataplane performs no heap allocation per packet.
 //
 // Lifecycle rules (DESIGN §12): a pooled Packet is owned by exactly one
 // worker from Get to Put; nothing reached through a Forwarder may retain
@@ -12,37 +12,26 @@ package packet
 
 import "sync/atomic"
 
-// poolCounters tracks Get outcomes: a hit reused a pooled object, a miss
-// allocated a fresh one. The live runtime mirrors these into its metrics
-// registry (pool effectiveness is a first-class dataplane signal: a
-// sustained miss rate means the path is not allocation-free).
-type poolCounters struct {
+// pktPool counts Get outcomes beside the free list: a hit reused a pooled
+// object, a miss allocated a fresh one. The live runtime mirrors these
+// into its metrics registry (pool effectiveness is a first-class dataplane
+// signal: a sustained miss rate means the path is not allocation-free).
+var pktPool struct {
+	free   chan *Packet
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-var (
-	pktPool struct {
-		free chan *Packet
-		poolCounters
-	}
-	bufPool struct {
-		free chan []byte
-		poolCounters
-	}
-)
-
-// WireBufferSize is the capacity of pooled wire buffers: one UDP datagram
-// on the loopback fabric never exceeds 64 KiB.
+// WireBufferSize bounds a frame on the wire: one UDP datagram on the
+// loopback fabric never exceeds 64 KiB.
 const WireBufferSize = 64 * 1024
 
 func init() {
-	// Fixed-capacity free lists instead of sync.Pool: the dataplane wants
+	// A fixed-capacity free list instead of sync.Pool: the dataplane wants
 	// deterministic reuse (sync.Pool drops its content on GC, turning
 	// steady state back into an allocation storm after every cycle) and
 	// the channel doubles as the bound on retained memory.
 	pktPool.free = make(chan *Packet, 4096)
-	bufPool.free = make(chan []byte, 1024)
 }
 
 // Get returns a reset Packet from the pool, allocating if the pool is
@@ -72,34 +61,8 @@ func Put(p *Packet) {
 	}
 }
 
-// GetBuffer returns a zero-length wire buffer with at least WireBufferSize
-// capacity.
-func GetBuffer() []byte {
-	select {
-	case b := <-bufPool.free:
-		bufPool.hits.Add(1)
-		return b[:0]
-	default:
-		bufPool.misses.Add(1)
-		return make([]byte, 0, WireBufferSize)
-	}
-}
-
-// PutBuffer returns a wire buffer to the pool. Undersized buffers (from a
-// caller that grew past capacity elsewhere) are dropped.
-func PutBuffer(b []byte) {
-	if cap(b) < WireBufferSize {
-		return
-	}
-	select {
-	case bufPool.free <- b[:0]:
-	default:
-	}
-}
-
-// PoolStats reports cumulative pool activity across both pools:
-// hits (Get served from the pool) and misses (Get allocated).
+// PoolStats reports cumulative pool activity: hits (Get served from the
+// pool) and misses (Get allocated).
 func PoolStats() (hits, misses int64) {
-	return pktPool.hits.Load() + bufPool.hits.Load(),
-		pktPool.misses.Load() + bufPool.misses.Load()
+	return pktPool.hits.Load(), pktPool.misses.Load()
 }
