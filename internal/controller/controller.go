@@ -197,8 +197,9 @@ func MeasurementsFromFlows(dep *enforce.Deployment, tbl *policy.Table, flows []e
 }
 
 // ApplyDeltas is the in-process rollout: it applies a plan update's
-// per-node deltas in place, preserving flow/label soft state (the wire
-// rollout is Pipeline.Rollout). The caller must own the nodes.
+// per-node deltas, which Node.Install's rule turns into purging only what
+// they change (the wire rollout is Pipeline.Rollout). The caller must own
+// the nodes.
 func ApplyDeltas(nodes map[topo.NodeID]*enforce.Node, deltas map[topo.NodeID]enforce.ConfigDelta) error {
 	for id, d := range deltas {
 		n, ok := nodes[id]

@@ -74,35 +74,11 @@ func unionNodes(old, cur *Plan) []topo.NodeID {
 }
 
 func diffPolicies(old, cur []*policy.Policy, d *enforce.ConfigDelta, stats *DeltaStats) {
-	oldByID := make(map[int]*policy.Policy, len(old))
-	for _, p := range old {
-		oldByID[p.ID] = p
-	}
-	curIDs := make(map[int]bool, len(cur))
-	for _, p := range cur {
-		curIDs[p.ID] = true
-		if prev, ok := oldByID[p.ID]; !ok {
-			d.Upserts = append(d.Upserts, p)
-			stats.Added++
-		} else if prev != p && prev.Hash() != p.Hash() {
-			d.Upserts = append(d.Upserts, p)
-			stats.Reweighted++
-		}
-	}
-	for _, p := range old {
-		if !curIDs[p.ID] {
-			d.Removes = append(d.Removes, p.ID)
-			stats.Removed++
-		}
-	}
-	sort.Slice(d.Upserts, func(i, j int) bool {
-		a, b := d.Upserts[i], d.Upserts[j]
-		if a.Prio != b.Prio {
-			return a.Prio < b.Prio
-		}
-		return a.ID < b.ID
-	})
-	sort.Ints(d.Removes)
+	var added int
+	d.Upserts, d.Removes, added = enforce.DiffPolicies(old, cur)
+	stats.Added += added
+	stats.Reweighted += len(d.Upserts) - added
+	stats.Removed += len(d.Removes)
 }
 
 func diffCandidates(old, cur map[policy.FuncType][]topo.NodeID, d *enforce.ConfigDelta, stats *DeltaStats) {

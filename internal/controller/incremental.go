@@ -147,12 +147,16 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	stats.Delta = dstats
 	p.version++
 	plan.Version = p.version
-	if sol != nil {
-		// Write-ahead: journal the merged plan and record solve metrics
-		// before the caller can push anything.
+	if sol != nil || reweighted(deltas) {
+		// Write-ahead: journal the merged plan before the caller can push
+		// anything — after every solve, and whenever the weights moved
+		// without one (a carried-forward plan that dropped vectors, a
+		// plan left with no demand), or a restore would resurrect them.
 		if err := c.journalWeights(plan.Lambda, plan.Weights); err != nil {
 			return nil, err
 		}
+	}
+	if sol != nil {
 		c.observeSolveStats(sol, startUS)
 	}
 	c.observePlanDelta(stats.Delta)
@@ -162,6 +166,16 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	p.dirtyNodes = make(map[topo.NodeID]bool)
 
 	return &PlanUpdate{Plan: plan, Solution: sol, Deltas: deltas, Stats: stats}, nil
+}
+
+// reweighted reports whether any delta sets or drops a weight vector.
+func reweighted(deltas map[topo.NodeID]enforce.ConfigDelta) bool {
+	for _, d := range deltas {
+		if len(d.SetWeights) > 0 || len(d.DropWeights) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Rollback undoes the last Recompute after the fleet refused its rollout

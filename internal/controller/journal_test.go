@@ -10,6 +10,7 @@ import (
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
+	"sdme/internal/netaddr"
 	"sdme/internal/policy"
 	"sdme/internal/topo"
 )
@@ -444,4 +445,111 @@ func TestRestoreWithStarvedFunction(t *testing.T) {
 	if _, err := pipe.Recompute(nil); !errors.Is(err, controller.ErrNoLiveProvider) {
 		t.Errorf("Recompute: %v, want ErrNoLiveProvider", err)
 	}
+}
+
+// requireJournalMatchesPipeline closes the journal at path, restores a
+// twin of ctl (same inputs as ctl has now) from it and requires a build
+// from the restored plan to export the bytes the pipeline's nodes do: the
+// journal's last weights record is the plan the fleet runs.
+func requireJournalMatchesPipeline(t *testing.T, b *bed, opts controller.Options, ctl *controller.Controller, j *controller.Journal, path string, nodes map[topo.NodeID]*enforce.Node) {
+	t.Helper()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := controller.ReplayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := controller.New(b.dep, b.ap, b.tbl, opts)
+	if err := twin.RestoreFromJournal(st); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := twin.BuildNodesFromPlan(twin.NewPipeline(controller.PipelineOptions{}).Plan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := exportBytes(t, ctl, nodes), exportBytes(t, twin, restored); !bytes.Equal(a, b) {
+		t.Errorf("the journal restores another plan than the pipeline runs (restored export %d bytes, pipeline's %d)", len(b), len(a))
+	}
+}
+
+// TestRecomputeWithoutDemandJournalsDroppedWeights: a Recompute with no
+// measurements after a solved plan runs no LP and drops every weight
+// vector. The journal must say so, or a restore resurrects the old ones.
+func TestRecomputeWithoutDemandJournalsDroppedWeights(t *testing.T) {
+	b := newBed(t, 65, webPolicy)
+	opts := controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
+	}
+	ctl := controller.New(b.dep, b.ap, b.tbl, opts)
+	path := journalPath(t)
+	j, err := controller.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.SetJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	pid := b.tbl.All()[0].ID
+	pipe, nodes, _ := deploy(t, ctl, controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 500})
+	if len(pipe.Plan().Weights) == 0 {
+		t.Fatal("the solved plan has no weights; the test proves nothing")
+	}
+	if upd := recompute(t, pipe, nodes, nil); upd.Solution != nil || len(upd.Plan.Weights) != 0 {
+		t.Fatalf("Recompute(nil) solved %v and kept %d weighted nodes", upd.Solution != nil, len(upd.Plan.Weights))
+	}
+	requireJournalMatchesPipeline(t, b, opts, ctl, j, path, nodes)
+}
+
+// TestRemovingMeasuredPolicyJournalsDroppedWeights: removing a measured
+// policy leaves no instance dirty, so the pipeline carries the other
+// policies' weights forward without an LP and drops the removed one's
+// vectors. The journal must record that plan too.
+func TestRemovingMeasuredPolicyJournalsDroppedWeights(t *testing.T) {
+	b := newBed(t, 66, func(tbl *policy.Table) {
+		webPolicy(tbl)
+		d := policy.NewDescriptor()
+		d.DstPort = netaddr.SinglePort(443)
+		tbl.Add(d, policy.ActionList{policy.FuncFW})
+	})
+	opts := controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
+	}
+	ctl := controller.New(b.dep, b.ap, b.tbl, opts)
+	path := journalPath(t)
+	j, err := controller.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.SetJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	web, tls := b.tbl.All()[0].ID, b.tbl.All()[1].ID
+	meas := controller.Measurements{
+		{PolicyID: web, SrcSubnet: 1, DstSubnet: 2}: 500,
+		{PolicyID: tls, SrcSubnet: 2, DstSubnet: 3}: 300,
+	}
+	pipe, nodes, _ := deploy(t, ctl, meas)
+
+	b.tbl.Remove(tls)
+	pipe.PolicyChanged(tls)
+	delete(meas, enforce.MeasKey{PolicyID: tls, SrcSubnet: 2, DstSubnet: 3})
+	// The policy table is a static input: record the edited one.
+	if err := ctl.SetJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	upd := recompute(t, pipe, nodes, meas)
+	if upd.Solution != nil || upd.Stats.Dirty != 0 {
+		t.Fatalf("removal re-solved (solution %v, %d dirty); the test proves nothing", upd.Solution != nil, upd.Stats.Dirty)
+	}
+	dropped := 0
+	for _, d := range upd.Deltas {
+		dropped += len(d.DropWeights)
+	}
+	if dropped == 0 {
+		t.Fatal("the removal dropped no weight vector; the test proves nothing")
+	}
+	requireJournalMatchesPipeline(t, b, opts, ctl, j, path, nodes)
 }

@@ -1,7 +1,6 @@
 package enforce
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -14,8 +13,8 @@ import (
 // staged compilation pipeline pushes when only part of the plan changed.
 // Applying a delta on top of the base configuration it was diffed against
 // yields exactly the full configuration the controller would otherwise
-// have pushed — ApplyToConfig is pure, and Node.ApplyDelta additionally
-// preserves flow/label soft state for flows the delta does not touch.
+// have pushed — ApplyToConfig is pure, and Node.ApplyDelta installs its
+// result.
 type ConfigDelta struct {
 	// Upserts are policies to add or replace (matched by ID). They carry
 	// the global priority, so insertion position is implied.
@@ -70,13 +69,7 @@ func (d *ConfigDelta) ApplyToConfig(base Config) Config {
 			}
 		}
 		merged = append(merged, d.Upserts...)
-		sort.SliceStable(merged, func(i, j int) bool {
-			a, b := merged[i], merged[j]
-			if a.Prio != b.Prio {
-				return a.Prio < b.Prio
-			}
-			return a.ID < b.ID
-		})
+		sort.SliceStable(merged, func(i, j int) bool { return matchOrder(merged[i], merged[j]) })
 		out.Policies = merged
 	}
 
@@ -116,45 +109,71 @@ func (d *ConfigDelta) ApplyToConfig(base Config) Config {
 	return out
 }
 
-// ApplyDelta applies an incremental configuration edit in place. Unlike
-// Install it does NOT rebuild the flow/label soft-state tables: only
-// entries the delta can affect are invalidated, so untouched flows keep
-// their fast-path state across the reconfiguration. Invalidation rules:
-//
-//   - flow/label entries of removed or replaced policies are purged (their
-//     cached action chains are stale);
-//   - when a policy is inserted or replaced, null entries and entries of
-//     policies with a priority below it in match order (numerically above
-//     its Prio) are purged, because the new rule may now shadow them;
-//   - pinned entries whose next hop drops out of every candidate list are
-//     purged, mirroring InvalidateProvider;
-//   - pure weight changes purge nothing (the §III-C periodic rebalance).
-//
-// This is a configuration mutator under the Node concurrency contract:
-// serialize it with packet handling.
-func (n *Node) ApplyDelta(d ConfigDelta) error {
-	for _, p := range d.Upserts {
-		seen := map[policy.FuncType]bool{}
-		for _, f := range p.Actions {
-			if seen[f] {
-				return fmt.Errorf("enforce: %v repeats function %v; unsupported", p, f)
-			}
-			seen[f] = true
+// ApplyDelta installs the configuration the delta yields on top of the
+// installed one: a delta is only a shorter way to name it.
+func (n *Node) ApplyDelta(d ConfigDelta) error { return n.Install(d.ApplyToConfig(n.cfg)) }
+
+// DiffPolicies is the policy half of a configuration diff, the one the
+// controller's plan diff and Install share: the policies of cur that are
+// new or changed against old (changed: another rule under the same ID, by
+// identity hash), sorted by (Prio, ID); the IDs of old's policies cur
+// lacks, sorted; and how many of the upserts are new.
+func DiffPolicies(old, cur []*policy.Policy) (upserts []*policy.Policy, removes []int, added int) {
+	oldByID := make(map[int]*policy.Policy, len(old))
+	for _, p := range old {
+		oldByID[p.ID] = p
+	}
+	curIDs := make(map[int]bool, len(cur))
+	for _, p := range cur {
+		curIDs[p.ID] = true
+		if prev, ok := oldByID[p.ID]; !ok {
+			upserts = append(upserts, p)
+			added++
+		} else if prev != p && prev.Hash() != p.Hash() {
+			upserts = append(upserts, p)
 		}
 	}
-	old := n.cfg
-	cfg := d.ApplyToConfig(old)
+	for _, p := range old {
+		if !curIDs[p.ID] {
+			removes = append(removes, p.ID)
+		}
+	}
+	sort.Slice(upserts, func(i, j int) bool { return matchOrder(upserts[i], upserts[j]) })
+	sort.Ints(removes)
+	return upserts, removes, added
+}
 
-	policiesChanged := len(d.Upserts) > 0 || len(d.Removes) > 0
-	if policiesChanged {
-		// Identify what the delta touches, against the OLD install: the
-		// soft-state entries reference policies by their pre-edit identity.
-		changed := make(map[int]bool, len(d.Removes)+len(d.Upserts))
-		for _, id := range d.Removes {
+// matchOrder is first-match classification order: by priority, then ID.
+func matchOrder(a, b *policy.Policy) bool {
+	if a.Prio != b.Prio {
+		return a.Prio < b.Prio
+	}
+	return a.ID < b.ID
+}
+
+// purge drops the soft state a configuration change made wrong, judged
+// against the configuration it replaced (n.cfg is already the new one;
+// upserts and removes are the DiffPolicies of the two policy lists):
+//
+//   - flow/label entries of removed or replaced policies (their cached
+//     action chains are stale);
+//   - when a policy is inserted or replaced, null entries and entries of
+//     policies with a priority below it in match order (numerically above
+//     its Prio), because the new rule may now shadow them;
+//   - pinned entries whose next hop dropped out of every candidate list,
+//     through InvalidateProvider.
+//
+// Pure weight changes purge nothing (the §III-C periodic rebalance).
+func (n *Node) purge(old Config, upserts []*policy.Policy, removes []int) {
+	if len(upserts) > 0 || len(removes) > 0 {
+		// The soft-state entries reference policies by their pre-edit
+		// identity, so judge them against the OLD install.
+		changed := make(map[int]bool, len(removes)+len(upserts))
+		for _, id := range removes {
 			changed[id] = true
 		}
 		minUpsertPrio := -1
-		for _, p := range d.Upserts {
+		for _, p := range upserts {
 			changed[p.ID] = true
 			if minUpsertPrio < 0 || p.Prio < minUpsertPrio {
 				minUpsertPrio = p.Prio
@@ -171,46 +190,34 @@ func (n *Node) ApplyDelta(d ConfigDelta) error {
 			prio, ok := oldPrio[policyID]
 			return !ok || prio > minUpsertPrio
 		}
-		total := 0
-		if n.flows != nil {
-			total += n.flows.InvalidateIf(func(e *flowtable.Entry) bool {
-				if e.Null {
-					return minUpsertPrio >= 0
-				}
-				return changed[e.PolicyID] || shadowed(e.PolicyID)
-			})
-		}
+		total := n.flows.InvalidateIf(func(e *flowtable.Entry) bool {
+			if e.Null {
+				return minUpsertPrio >= 0
+			}
+			return changed[e.PolicyID] || shadowed(e.PolicyID)
+		})
 		if n.labels != nil {
 			total += n.labels.InvalidateIf(func(e *flowtable.LabelEntry) bool {
 				return changed[e.PolicyID] || shadowed(e.PolicyID)
 			})
 		}
 		atomic.AddInt64(&n.Counters.Invalidated, int64(total))
-
-		n.classifier = policy.NewClassifier(cfg.Policies)
 	}
 
-	if len(d.SetCandidates) > 0 || len(d.DropCandidates) > 0 {
-		// Providers that dropped out of every candidate list can no longer
-		// be selected; purge soft state pinned to them so those flows
-		// re-enter the slow path against the new lists.
-		still := make(map[topo.NodeID]bool)
-		for _, cands := range cfg.Candidates {
-			for _, mb := range cands {
-				still[mb] = true
-			}
+	// Providers that dropped out of every candidate list can no longer be
+	// selected; InvalidateProvider consults the new lists.
+	still := make(map[topo.NodeID]bool)
+	for _, cands := range n.cfg.Candidates {
+		for _, mb := range cands {
+			still[mb] = true
 		}
-		n.cfg = cfg // InvalidateProvider consults the new candidate lists
-		purged := make(map[topo.NodeID]bool)
-		for _, cands := range old.Candidates {
-			for _, mb := range cands {
-				if !still[mb] && !purged[mb] {
-					purged[mb] = true
-					n.InvalidateProvider(mb)
-				}
+	}
+	for _, cands := range old.Candidates {
+		for _, mb := range cands {
+			if !still[mb] {
+				still[mb] = true // once per provider
+				n.InvalidateProvider(mb)
 			}
 		}
 	}
-	n.cfg = cfg
-	return nil
 }

@@ -177,3 +177,133 @@ func TestApplyDeltaCrossesClassifierThreshold(t *testing.T) {
 	}
 	check("shrunk", false)
 }
+
+// ruleBed is a proxy with one policy per priority 0..3, each matching one
+// destination port (rule i: port 1000+i), and one cached flow per policy
+// plus one null flow (port 999, no rule).
+func ruleBed(t *testing.T) (*Node, []netaddr.FiveTuple, netaddr.FiveTuple) {
+	t.Helper()
+	g := topo.Campus(topo.CampusConfig{Gateways: 1, CoreRouters: 2, EdgeRouters: 1, WithProxies: true}, rand.New(rand.NewSource(7)))
+	dep, err := NewDeployment(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := dep.AddMiddlebox(g.NodesOfKind(topo.KindCoreRouter)[0], "fw1", policy.FuncFW)
+	proxyID, _ := dep.ProxyFor(1)
+	var rules []*policy.Policy
+	var flows []netaddr.FiveTuple
+	flowTo := func(port int) netaddr.FiveTuple {
+		return netaddr.FiveTuple{Src: topo.HostAddr(1, 1), Dst: topo.HostAddr(1, 9), SrcPort: 30000, DstPort: uint16(port), Proto: netaddr.ProtoTCP}
+	}
+	for i := 0; i < 4; i++ {
+		p := &policy.Policy{ID: i + 1, Prio: i, Desc: policy.NewDescriptor(), Actions: policy.ActionList{policy.FuncFW}}
+		p.Desc.DstPort = netaddr.SinglePort(uint16(1000 + i))
+		rules = append(rules, p)
+		flows = append(flows, flowTo(1000+i))
+	}
+	node := NewProxy(dep, proxyID)
+	if err := node.Install(Config{
+		Policies:   rules,
+		Candidates: map[policy.FuncType][]topo.NodeID{policy.FuncFW: {fw}},
+		Strategy:   LoadBalanced,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	null := flowTo(999)
+	for _, ft := range append(flows, null) {
+		if err := node.HandleOutbound(packet.New(ft, 10), 0, dropForwarder{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if node.flows.Len() != 5 {
+		t.Fatalf("seeded %d flow entries, want 5", node.flows.Len())
+	}
+	return node, flows, null
+}
+
+// cached reports which of the flows still have a flow-table entry.
+func cached(n *Node, flows ...netaddr.FiveTuple) []bool {
+	out := make([]bool, len(flows))
+	for i, ft := range flows {
+		_, out[i] = n.flows.Lookup(ft, 0)
+	}
+	return out
+}
+
+func TestInstallWeightsOnlyKeepsEveryEntry(t *testing.T) {
+	node, flows, null := ruleBed(t)
+	classifier, table := node.classifier, node.flows
+	cfg := node.Config()
+	cfg.Weights = map[WeightKey][]float64{{PolicyID: 2, Func: policy.FuncFW}: {1}}
+	if err := node.Install(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if node.flows != table || node.classifier != classifier {
+		t.Error("a weights-only install rebuilt the flow table or the classifier")
+	}
+	for i, ok := range cached(node, append(flows, null)...) {
+		if !ok {
+			t.Errorf("flow %d purged by a weights-only install", i)
+		}
+	}
+	if node.Counters.Invalidated != 0 {
+		t.Errorf("Invalidated = %d, want 0", node.Counters.Invalidated)
+	}
+}
+
+func TestInstallChangedPolicyPurgesItsOwnAndShadowed(t *testing.T) {
+	node, flows, null := ruleBed(t)
+	// Rule prio 1 changes its action list: its own entry is stale, and
+	// entries of rules after it in match order (prio 2, 3) and the null
+	// entry may now be shadowed. The entry of prio 0 survives.
+	cfg := node.Config()
+	cfg.Policies = append([]*policy.Policy(nil), cfg.Policies...)
+	changed := *cfg.Policies[1]
+	changed.Actions = nil
+	cfg.Policies[1] = &changed
+	if err := node.Install(cfg); err != nil {
+		t.Fatal(err)
+	}
+	got := cached(node, append(flows, null)...)
+	want := []bool{true, false, false, false, false}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("flow %d cached = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if node.Counters.Invalidated != 4 {
+		t.Errorf("Invalidated = %d, want 4", node.Counters.Invalidated)
+	}
+	if p := node.classifier.Match(flows[1]); p != &changed {
+		t.Errorf("classifier matched %v, want the changed rule", p)
+	}
+}
+
+func TestInstallSettingOrShardChangeRebuildsTables(t *testing.T) {
+	node, _, _ := ruleBed(t)
+	table := node.flows
+	cfg := node.Config()
+	cfg.FlowTTL = 500
+	if err := node.Install(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if node.flows == table || node.flows.Len() != 0 {
+		t.Error("a TTL change kept the old flow table")
+	}
+
+	node, _, _ = ruleBed(t)
+	node.SetShardTuning(4, 4)
+	if err := node.Install(node.Config()); err != nil {
+		t.Fatal(err)
+	}
+	if node.flows.Shards() != 4 || node.flows.Len() != 0 {
+		t.Errorf("after SetShardTuning(4, 4) + Install: %d shards, %d entries", node.flows.Shards(), node.flows.Len())
+	}
+	table = node.flows
+	if err := node.Install(node.Config()); err != nil {
+		t.Fatal(err)
+	}
+	if node.flows != table {
+		t.Error("a second install with unchanged tuning rebuilt the tables")
+	}
+}

@@ -828,3 +828,57 @@ func TestNodeSweepExpiresSoftState(t *testing.T) {
 		}
 	}
 }
+
+// TestReinstallKeepsLabelPaths re-installs, mid-flow, the configuration
+// the middleboxes of a label-switched chain already run — what a
+// reconnect catch-up or a base-mismatch full prepare does — as a decoded
+// copy (new policy pointers, equal rules). Nothing changed, so nothing may
+// be purged: every later packet is label-switched along the same path and
+// delivered. A reinstall that wiped the label tables stranded the flow,
+// because the proxy keeps label-switching it (with FlowTTL 0 it never
+// re-tunnels) and every middlebox label lookup missed.
+func TestReinstallKeepsLabelPaths(t *testing.T) {
+	tb := newTestbed(t, controller.Options{Strategy: enforce.HotPotato, LabelSwitching: true}, webPolicy)
+	f := newFabric(t, tb.nodes)
+	proxy := tb.proxy(t, 1)
+	ft := flowFromSubnet(1, 2, 80)
+	for i := 0; i < 2; i++ { // tunneled, then label-switched
+		if err := proxy.HandleOutbound(packet.New(ft, 50), int64(i), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := append([]topo.NodeID(nil), f.visits[flowKeyOf(packet.New(ft, 0))]...)
+	if len(f.delivered) != 2 || proxy.Counters.LabelTx != 1 || len(path) != 4 {
+		t.Fatalf("chain not label-switched before the reinstall: delivered %d, %+v, visits %v",
+			len(f.delivered), proxy.Counters, path)
+	}
+	for _, id := range path[:2] {
+		cfg := tb.nodes[id].Config()
+		cfg.Policies = nil
+		for _, p := range tb.nodes[id].Config().Policies {
+			cp := *p
+			cfg.Policies = append(cfg.Policies, &cp)
+		}
+		if err := tb.nodes[id].Install(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const later = 8
+	for i := 0; i < later; i++ {
+		if err := proxy.HandleOutbound(packet.New(ft, 50), int64(2+i), f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(f.delivered) - 2; got != later {
+		t.Errorf("delivered %d of the %d packets after the reinstall", got, later)
+	}
+	for _, id := range path[:2] {
+		if c := tb.nodes[id].Counters; c.LabelMiss != 0 || c.Invalidated != 0 {
+			t.Errorf("middlebox %v after reinstall: LabelMiss %d, Invalidated %d", id, c.LabelMiss, c.Invalidated)
+		}
+	}
+	if proxy.Counters.TunnelTx != 1 || proxy.Counters.LabelTx != 1+later {
+		t.Errorf("proxy: TunnelTx %d LabelTx %d, want 1 and %d", proxy.Counters.TunnelTx, proxy.Counters.LabelTx, 1+later)
+	}
+}

@@ -71,7 +71,11 @@ func TestAllProvidersDownSurfacesErrNoLiveProvider(t *testing.T) {
 	}
 
 	for _, s := range []enforce.Strategy{enforce.HotPotato, enforce.Random, enforce.LoadBalanced} {
-		proxy.SetStrategy(s)
+		cfg := proxy.Config()
+		cfg.Strategy = s
+		if err := proxy.Install(cfg); err != nil {
+			t.Fatal(err)
+		}
 		_, err := proxy.SelectNext(pid, policy.FuncFW, ft)
 		if err == nil {
 			t.Fatalf("%v: SelectNext picked a dead provider", s)

@@ -2,6 +2,7 @@ package enforce
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -114,7 +115,7 @@ type MeasKey struct {
 // Node is one software-defined device: a policy proxy or a middlebox.
 //
 // Concurrency contract: configuration mutators (Install, ApplyDelta,
-// SetStrategy, SetMetrics, SetTracer, ResetMeasurements) must be
+// SetShardTuning, SetMetrics, SetTracer, ResetMeasurements) must be
 // serialized with packet handling — the live runtime quiesces its
 // worker pool around them, the simulator is single-threaded. Packet
 // handlers (HandleOutbound/HandleArrival/HandleControl) may run
@@ -159,8 +160,10 @@ type Node struct {
 	// soft-state tables Install builds, set by SetShardTuning (rounded to a
 	// power of two; 0 and 1 both mean unsharded). Striping is local
 	// capacity tuning — the right value depends on the device's worker
-	// count, not on policy — so it is no part of Config.
+	// count, not on policy — so it is no part of Config. tableShards is
+	// the pair the current tables were built with.
 	flowShards, labelShards int
+	tableShards             [2]int
 
 	// Counters is exported for inspection; treat as read-only outside
 	// the node's owner, and use CountersSnapshot instead while dataplane
@@ -242,22 +245,52 @@ func NewMiddleboxWith(dep *Deployment, id topo.NodeID, factory FunctionFactory) 
 	}, nil
 }
 
-// Install applies a controller-computed configuration, (re)building the
-// classifier and soft-state tables. Action lists with repeated function
-// types are rejected: the dataplane infers a packet's chain position from
-// which of its functions appears in the list, which requires uniqueness.
+// Install is the one way a node's configuration changes; ApplyDelta is
+// Install of the merged configuration. One rule, computed from the
+// installed and the new configuration, decides what soft state survives:
+// the tables are built fresh when none exist, when a setting outside
+// Policies, Candidates and Weights differs (strategy, hash seed, label
+// switching, TTLs) or when SetShardTuning changed the striping; otherwise
+// only what the change can make wrong is purged (purge). Re-installing the
+// running configuration purges nothing, so label-switched flows keep their
+// paths through it. The classifier is rebuilt only when the policy list is
+// not the installed one.
+//
+// Action lists with repeated function types are rejected, leaving the node
+// untouched: the dataplane infers a packet's chain position from which of
+// its functions appears in the list, which requires uniqueness.
 func (n *Node) Install(cfg Config) error {
-	for _, p := range cfg.Policies {
-		seen := map[policy.FuncType]bool{}
-		for _, f := range p.Actions {
-			if seen[f] {
-				return fmt.Errorf("enforce: %v repeats function %v; unsupported", p, f)
+	old := n.cfg
+	samePolicies := n.classifier != nil && slices.Equal(old.Policies, cfg.Policies)
+	var upserts []*policy.Policy
+	var removes []int
+	if !samePolicies {
+		upserts, removes, _ = DiffPolicies(old.Policies, cfg.Policies)
+		for _, p := range upserts { // the others passed when installed
+			seen := map[policy.FuncType]bool{}
+			for _, f := range p.Actions {
+				if seen[f] {
+					return fmt.Errorf("enforce: %v repeats function %v; unsupported", p, f)
+				}
+				seen[f] = true
 			}
-			seen[f] = true
 		}
 	}
+	shards := [2]int{n.flowShards, n.labelShards}
+	fresh := n.flows == nil || n.tableShards != shards ||
+		old.Strategy != cfg.Strategy || old.HashSeed != cfg.HashSeed ||
+		old.LabelSwitching != cfg.LabelSwitching ||
+		old.FlowTTL != cfg.FlowTTL || old.LabelTTL != cfg.LabelTTL
+
 	n.cfg = cfg
-	n.classifier = policy.NewClassifier(cfg.Policies)
+	if !samePolicies {
+		n.classifier = policy.NewClassifier(cfg.Policies)
+	}
+	if !fresh {
+		n.purge(old, upserts, removes)
+		return nil
+	}
+	n.tableShards = shards
 	n.flows = flowtable.NewTableSharded(cfg.FlowTTL, n.flowShards)
 	if !n.IsProxy {
 		n.labels = flowtable.NewLabelTableSharded(cfg.LabelTTL, n.labelShards)
@@ -266,19 +299,16 @@ func (n *Node) Install(cfg Config) error {
 }
 
 // SetShardTuning sets the node's table striping. It applies on the next
-// Install — call it before installing, alongside SetMetrics/SetTracer.
-// Zero keeps single-shard tables. This is a configuration mutator under
-// the Node concurrency contract.
+// Install, which rebuilds the tables when the striping differs from the
+// one they were built with — call it before installing, alongside
+// SetMetrics/SetTracer. Zero keeps single-shard tables. This is a
+// configuration mutator under the Node concurrency contract.
 func (n *Node) SetShardTuning(flowShards, labelShards int) {
 	n.flowShards, n.labelShards = flowShards, labelShards
 }
 
 // Config returns the installed configuration.
 func (n *Node) Config() Config { return n.cfg }
-
-// SetStrategy switches the selection strategy in place (used by
-// experiments comparing HP/Rand/LB on identical state).
-func (n *Node) SetStrategy(s Strategy) { n.cfg.Strategy = s }
 
 // FlowTable exposes the node's flow hash table (for tests and stats).
 func (n *Node) FlowTable() *flowtable.Table { return n.flows }

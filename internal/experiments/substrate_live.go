@@ -599,10 +599,11 @@ func (s *liveSubstrate) probe(srv *mgmt.Server, node topo.NodeID, pol mgmt.Retry
 // its dead term — and one agent is steered onto it by a redirect; the
 // plan the zombie rolls out reaches that agent over a real connection,
 // and the agent must refuse it. (This takes the current leader's server
-// out of service.)
+// out of service.) The lease may churn between "settled" and this check,
+// so it first waits for a leader other than old.
 func (s *liveSubstrate) StaleRefused(old int, oldTerm uint64) (bool, error) {
-	cur, ok := s.leader()
-	if !ok || cur.ID == old {
+	var cur Lead
+	if !s.Await(awaitUS, func() (ok bool) { cur, ok = s.leader(); return ok && cur.ID != old }) {
 		return false, fmt.Errorf("experiments: no successor to replica %d for the stale-push check", old)
 	}
 	zombie, leaderSrv := s.servers[old].Load(), s.servers[cur.ID].Load()

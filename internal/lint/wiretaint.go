@@ -38,7 +38,7 @@ var WireTaintDepth = 3
 // Matching by suffix keeps the table valid for the fixture modules the
 // golden tests load (their packages end in the same suffixes).
 var wireSinkMethods = map[string][]string{
-	"internal/enforce":   {"Install", "SetStrategy", "ApplyDelta"},
+	"internal/enforce":   {"Install", "ApplyDelta"},
 	"internal/flowtable": {"Insert", "Install", "Set", "Add"},
 	// The control loop's inputs: measurements (Recompute), dirty marks and
 	// the failed set. A wire-decoded report must be validated before the

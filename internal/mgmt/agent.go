@@ -46,8 +46,10 @@ type AgentOptions struct {
 	// a fleet of agents created together de-synchronizes its retries
 	// deterministically).
 	Seed int64
-	// Metrics, when non-nil, records the agent's self-healing activity
-	// (reconnects, applies, epoch rejects, reports) under a node label.
+	// Metrics, when non-nil, is the registry the agent counts its
+	// self-healing activity in (reconnects, applies, epoch rejects,
+	// reports) under a node label; nil gives the agent a private one.
+	// Stats reads the same counters either way.
 	Metrics *metrics.Registry
 }
 
@@ -73,9 +75,14 @@ func (o *AgentOptions) fill(dev *live.Device, serverAddr string) {
 	if o.Seed == 0 {
 		o.Seed = int64(dev.Node.ID) + 1
 	}
+	if o.Metrics == nil {
+		o.Metrics = metrics.NewRegistry(nil)
+	}
 }
 
-// AgentStats counts the agent's self-healing activity.
+// AgentStats counts the agent's self-healing activity: a snapshot of its
+// registry counters (two agents of one node sharing a registry share
+// them).
 type AgentStats struct {
 	// Reconnects counts re-dials after the initial connect that reached a
 	// replica. It moves before the re-HELLO is sent, so whoever sees the
@@ -83,11 +90,9 @@ type AgentStats struct {
 	Reconnects int64
 	// Applies counts configurations actually installed on the device.
 	Applies int64
-	// DeltaApplies counts the subset of Applies that were in-place
-	// configuration deltas (soft state preserved for untouched flows).
-	DeltaApplies int64
-	// StaleConfigs counts configs acked idempotently because their epoch
-	// was already applied (reconnect re-pushes crossing an earlier ack).
+	// StaleConfigs counts plans and commits acked idempotently because
+	// their epoch was already applied (reconnect re-pushes and commit
+	// retries crossing an earlier ack).
 	StaleConfigs int64
 	// ReportsSent counts measurement reports shipped to the controller.
 	ReportsSent int64
@@ -122,30 +127,23 @@ type Agent struct {
 	writeMu sync.Mutex
 	conn    net.Conn
 
-	epoch        atomic.Uint64 // last applied config epoch
-	term         atomic.Uint64 // highest leadership term seen on any push
-	reconnects   atomic.Int64
-	applies      atomic.Int64
-	deltaApplies atomic.Int64
-	stale        atomic.Int64
-	staleTerms   atomic.Int64
-	redirects    atomic.Int64
-	reports      atomic.Int64
-	prepared     atomic.Int64
-	committed    atomic.Int64
-	aborted      atomic.Int64
-	am           *agentMetrics // nil unless AgentOptions.Metrics was set
+	epoch atomic.Uint64 // last applied config epoch
+	term  atomic.Uint64 // highest leadership term seen on any push
+	m     *agentMetrics // the counters Stats reads
 
 	// addrMu guards the replica-address rotation: which of opts.Addrs
 	// the next dial targets.
 	addrMu  sync.Mutex
 	addrIdx int
 
-	// stagedMu guards staged: the one prepared-but-uncommitted plan of the
-	// two-phase rollout (twophase.go). It survives reconnects — the commit
-	// may arrive on a different connection than the prepare did.
-	stagedMu sync.Mutex
-	staged   *stagedPlan
+	// planMu guards the agent's two plans: applied, the configuration it
+	// last installed on the device (at epoch, which every prepare-delta's
+	// base must name), and staged, the one prepared-but-uncommitted plan of
+	// the two-phase rollout (twophase.go). Both survive reconnects — the
+	// commit may arrive on a different connection than the prepare did.
+	planMu  sync.Mutex
+	applied enforce.Config
+	staged  *stagedPlan
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -167,7 +165,7 @@ func NewAgent(dev *live.Device, serverAddr string, reportEvery time.Duration) (*
 func NewAgentWith(dev *live.Device, serverAddr string, opts AgentOptions) (*Agent, error) {
 	opts.fill(dev, serverAddr)
 	a := &Agent{dev: dev, opts: opts, stop: make(chan struct{})}
-	a.am = newAgentMetrics(opts.Metrics, int(dev.Node.ID))
+	a.m = newAgentMetrics(opts.Metrics, int(dev.Node.ID))
 	var conn net.Conn
 	var err error
 	for try := 0; try < 2*len(opts.Addrs); try++ {
@@ -204,17 +202,17 @@ func (a *Agent) LastEpoch() uint64 { return a.epoch.Load() }
 
 // Stats snapshots the agent's self-healing counters.
 func (a *Agent) Stats() AgentStats {
+	m := a.m
 	return AgentStats{
-		Reconnects:   a.reconnects.Load(),
-		Applies:      a.applies.Load(),
-		DeltaApplies: a.deltaApplies.Load(),
-		StaleConfigs: a.stale.Load(),
-		ReportsSent:  a.reports.Load(),
-		Prepared:     a.prepared.Load(),
-		Committed:    a.committed.Load(),
-		Aborted:      a.aborted.Load(),
-		StaleTerms:   a.staleTerms.Load(),
-		Redirects:    a.redirects.Load(),
+		Reconnects:   m.reconnects.Value(),
+		Applies:      m.applies.Value(),
+		StaleConfigs: m.epochRejects.Value(),
+		ReportsSent:  m.reports.Value(),
+		Prepared:     m.prepares.Value(),
+		Committed:    m.commits.Value(),
+		Aborted:      m.aborts.Value(),
+		StaleTerms:   m.termRejects.Value(),
+		Redirects:    m.redirects.Value(),
 	}
 }
 
@@ -272,10 +270,7 @@ func (a *Agent) connect(redial bool) (net.Conn, error) {
 		return nil, err
 	}
 	if redial {
-		a.reconnects.Add(1)
-		if a.am != nil {
-			a.am.reconnects.Inc()
-		}
+		a.m.reconnects.Inc()
 	}
 	a.writeMu.Lock()
 	a.conn = conn
@@ -312,10 +307,7 @@ func (a *Agent) connect(redial bool) (net.Conn, error) {
 			// the next replica in the rotation) and redial.
 			var nl NotLeader
 			if json.Unmarshal(env.Data, &nl) == nil && nl.Validate() == nil {
-				a.redirects.Add(1)
-				if a.am != nil {
-					a.am.redirects.Inc()
-				}
+				a.m.redirects.Inc()
 				a.followRedirect(nl.LeaderAddr)
 			} else {
 				a.rotateAddr()
@@ -452,10 +444,7 @@ func (a *Agent) fenceTerm(term uint64) string {
 	for {
 		cur := a.term.Load()
 		if term < cur {
-			a.staleTerms.Add(1)
-			if a.am != nil {
-				a.am.termRejects.Inc()
-			}
+			a.m.termRejects.Inc()
 			return fmt.Sprintf("stale term %d (current %d)", term, cur)
 		}
 		if term == cur || a.term.CompareAndSwap(cur, term) {
@@ -487,10 +476,7 @@ func (a *Agent) admit(seq, epoch, term uint64, invalid error, prepared bool) boo
 		return false
 	}
 	if epoch != 0 && epoch <= a.epoch.Load() {
-		a.stale.Add(1)
-		if a.am != nil {
-			a.am.epochRejects.Inc()
-		}
+		a.m.epochRejects.Inc()
 		_ = a.write(TypeAck, Ack{Seq: seq, Epoch: epoch, Prepared: prepared})
 		return false
 	}
@@ -502,17 +488,14 @@ func (a *Agent) admit(seq, epoch, term uint64, invalid error, prepared bool) boo
 // win: its quorum failed or this one would not have been issued). The ack
 // carries Prepared so the server never mistakes "staged" for "running".
 func (a *Agent) stage(seq uint64, st *stagedPlan) {
-	a.stagedMu.Lock()
+	a.planMu.Lock()
 	a.staged = st
-	a.stagedMu.Unlock()
-	a.prepared.Add(1)
-	if a.am != nil {
-		a.am.prepares.Inc()
-	}
+	a.planMu.Unlock()
+	a.m.prepares.Inc()
 	_ = a.write(TypeAck, Ack{Seq: seq, Epoch: st.epoch, Prepared: true})
 }
 
-// handleConfig applies one directly pushed full configuration — the
+// handleConfig installs one directly pushed full configuration — the
 // server's reconnect catch-up — and acks it.
 func (a *Agent) handleConfig(data []byte) {
 	var dto ConfigDTO
@@ -523,7 +506,12 @@ func (a *Agent) handleConfig(data []byte) {
 	if !a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), false) {
 		return
 	}
-	errStr := a.applyDTO(dto)
+	errStr := ""
+	if cfg, err := ConfigFromDTO(dto); err != nil {
+		errStr = err.Error()
+	} else {
+		errStr = a.install(dto.Epoch, cfg)
+	}
 	_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: errStr})
 }
 
@@ -564,10 +552,7 @@ func (a *Agent) reportLoop(every time.Duration) {
 				carry = compactRows(rows)
 				continue
 			}
-			a.reports.Add(1)
-			if a.am != nil {
-				a.am.reports.Inc()
-			}
+			a.m.reports.Inc()
 			carry = nil
 		}
 	}

@@ -81,35 +81,13 @@ func DeltaToDTO(seq uint64, d enforce.ConfigDelta) DeltaDTO {
 	dto.Removes = append(dto.Removes, d.Removes...)
 	sort.Ints(dto.Removes)
 
-	funcs := make([]policy.FuncType, 0, len(d.SetCandidates))
-	for f := range d.SetCandidates {
-		funcs = append(funcs, f)
-	}
-	sort.Slice(funcs, func(i, j int) bool { return funcs[i] < funcs[j] })
-	for _, f := range funcs {
-		cd := CandidateDTO{Func: int(f)}
-		for _, n := range d.SetCandidates[f] {
-			cd.Nodes = append(cd.Nodes, int(n))
-		}
-		dto.SetCandidates = append(dto.SetCandidates, cd)
-	}
+	dto.SetCandidates = candidatesToDTO(d.SetCandidates)
 	for _, f := range d.DropCandidates {
 		dto.DropCandidates = append(dto.DropCandidates, int(f))
 	}
 	sort.Ints(dto.DropCandidates)
 
-	keys := make([]enforce.WeightKey, 0, len(d.SetWeights))
-	for k := range d.SetWeights {
-		keys = append(keys, k)
-	}
-	SortWeightKeys(keys)
-	for _, k := range keys {
-		dto.SetWeights = append(dto.SetWeights, WeightDTO{
-			PolicyID: k.PolicyID, Func: int(k.Func),
-			SrcSubnet: k.SrcSubnet, DstSubnet: k.DstSubnet,
-			Weights: d.SetWeights[k],
-		})
-	}
+	dto.SetWeights = weightsToDTO(d.SetWeights)
 	drops := append([]enforce.WeightKey(nil), d.DropWeights...)
 	SortWeightKeys(drops)
 	for _, k := range drops {

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"sdme/internal/enforce"
+	"sdme/internal/flowtable"
+	"sdme/internal/netaddr"
 	"sdme/internal/policy"
 	"sdme/internal/topo"
 )
@@ -27,10 +29,11 @@ func seedDelta() enforce.ConfigDelta {
 	}
 }
 
-// fuzzProxyDeployment builds one small deployment the apply-never-panics
-// check creates fresh nodes from (a node per fuzz input: ApplyDelta
-// mutates node state and fuzz workers run in parallel).
-func fuzzProxyDeployment(f *testing.F) (*enforce.Deployment, topo.NodeID) {
+// fuzzDeployment builds one small deployment the apply checks create
+// fresh nodes from (nodes per fuzz input: applying mutates node state and
+// fuzz workers run in parallel), with a proxy and a FW+IDS middlebox —
+// the node kind that holds label entries too.
+func fuzzDeployment(f *testing.F) (dep *enforce.Deployment, proxy, mb topo.NodeID) {
 	f.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g := topo.Campus(topo.CampusConfig{Gateways: 1, CoreRouters: 2, EdgeRouters: 1, WithProxies: true}, rng)
@@ -38,14 +41,36 @@ func fuzzProxyDeployment(f *testing.F) (*enforce.Deployment, topo.NodeID) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return dep, dep.ProxyNodes[0]
+	mb = dep.AddMiddlebox(g.NodesOfKind(topo.KindCoreRouter)[0], "fw-ids", policy.FuncFW, policy.FuncIDS)
+	return dep, dep.ProxyNodes[0], mb
+}
+
+// seedSoftState gives a node the same flow and label entries on every
+// call: per policy ID 1–3 (installed or not), a flow entry pinned to a
+// candidate and a label entry chained on to one, plus a null flow entry.
+func seedSoftState(n *enforce.Node) (flows []netaddr.FiveTuple, labels []flowtable.LabelKey) {
+	for id := 1; id <= 3; id++ {
+		ft := netaddr.FiveTuple{Src: topo.HostAddr(1, id), Dst: topo.HostAddr(2, 1), SrcPort: 40000, DstPort: 80, Proto: netaddr.ProtoTCP}
+		e := n.FlowTable().Insert(ft, id, policy.ActionList{policy.FuncFW, policy.FuncIDS}, 0)
+		e.Pin(topo.NodeID(9 + id))
+		flows = append(flows, ft)
+		k := flowtable.LabelKey{Src: ft.Src, Label: uint16(id)}
+		n.LabelTable().Insert(k, id, policy.ActionList{policy.FuncIDS}, ft, 0).Pin(topo.NodeID(9 + id))
+		labels = append(labels, k)
+	}
+	null := netaddr.FiveTuple{Src: topo.HostAddr(1, 9), Dst: topo.HostAddr(2, 1), SrcPort: 40000, DstPort: 9, Proto: netaddr.ProtoTCP}
+	n.FlowTable().InsertNull(null, 0)
+	return append(flows, null), labels
 }
 
 // FuzzConfigDelta hardens the delta wire path end to end: any DeltaDTO
 // that decodes from JSON must (1) have a stable canonical wire form —
-// DeltaToDTO∘DeltaFromDTO is a fixed point — and (2) never panic the
-// apply path: a validated delta applied to a pure Config copy and to a
-// live Node may be refused with an error, but must not crash either.
+// DeltaToDTO∘DeltaFromDTO is a fixed point — (2) never panic the apply
+// path: a validated delta applied to a pure Config copy and to a live Node
+// may be refused with an error, but must not crash either — and (3) mean
+// the same as its merged configuration: a node after ApplyDelta and a twin
+// after Install(d.ApplyToConfig(base)), seeded with the same soft state,
+// end with equal configurations and equal table contents.
 func FuzzConfigDelta(f *testing.F) {
 	for _, dto := range []DeltaDTO{
 		DeltaToDTO(1, seedDelta()),
@@ -60,7 +85,7 @@ func FuzzConfigDelta(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	dep, proxyID := fuzzProxyDeployment(f)
+	dep, proxyID, mbID := fuzzDeployment(f)
 	base := seedConfig()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -82,11 +107,55 @@ func FuzzConfigDelta(f *testing.F) {
 			return
 		}
 		dv := DeltaFromDTO(dto)
-		_ = dv.ApplyToConfig(base)
+		merged := dv.ApplyToConfig(base)
 		n := enforce.NewProxy(dep, proxyID)
 		if err := n.Install(base); err != nil {
 			t.Fatalf("install seed config: %v", err)
 		}
 		_ = n.ApplyDelta(dv)
+
+		// One rule: the delta and its merged configuration do the same.
+		var nodes [2]*enforce.Node
+		var errs [2]error
+		var flows []netaddr.FiveTuple
+		var labels []flowtable.LabelKey
+		for i := range nodes {
+			mb, err := enforce.NewMiddlebox(dep, mbID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mb.Install(base); err != nil {
+				t.Fatalf("install seed config: %v", err)
+			}
+			flows, labels = seedSoftState(mb)
+			nodes[i] = mb
+		}
+		errs[0] = nodes[0].ApplyDelta(dv)
+		errs[1] = nodes[1].Install(merged)
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("ApplyDelta: %v, Install of the merged config: %v", errs[0], errs[1])
+		}
+		if !reflect.DeepEqual(nodes[0].Config(), nodes[1].Config()) {
+			t.Fatalf("configs differ:\n%#v\nvs\n%#v", nodes[0].Config(), nodes[1].Config())
+		}
+		a, b := nodes[0], nodes[1]
+		if a.FlowTable().Len() != b.FlowTable().Len() || a.LabelTable().Len() != b.LabelTable().Len() {
+			t.Fatalf("table sizes differ: flows %d vs %d, labels %d vs %d",
+				a.FlowTable().Len(), b.FlowTable().Len(), a.LabelTable().Len(), b.LabelTable().Len())
+		}
+		for _, ft := range flows {
+			ea, okA := a.FlowTable().Lookup(ft, 0)
+			eb, okB := b.FlowTable().Lookup(ft, 0)
+			if okA != okB || okA && (ea.PolicyID != eb.PolicyID || ea.Null != eb.Null || ea.NextHop != eb.NextHop) {
+				t.Fatalf("flow %v: %+v (%v) vs %+v (%v)", ft, ea, okA, eb, okB)
+			}
+		}
+		for _, k := range labels {
+			ea, okA := a.LabelTable().Lookup(k, 0)
+			eb, okB := b.LabelTable().Lookup(k, 0)
+			if okA != okB || okA && (ea.PolicyID != eb.PolicyID || ea.NextHop != eb.NextHop) {
+				t.Fatalf("label %v: %+v (%v) vs %+v (%v)", k, ea, okA, eb, okB)
+			}
+		}
 	})
 }

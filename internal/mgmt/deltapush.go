@@ -13,13 +13,14 @@ import (
 
 // Delta rollout (controller pipeline Stage 3 on the wire). A rollout
 // carries only what changed since each node's current epoch; the agent
-// applies it in place, preserving flowtable soft state for untouched
-// flows. Safety rests on two rules:
+// merges it into the configuration it applied and stages the result, and
+// Node.Install's one rule keeps the soft state of flows the change does not
+// touch. Safety rests on two rules:
 //
 //  1. Base fencing. Every delta names the epoch it was diffed against
 //     (BaseEpoch). An agent on any other epoch refuses it at prepare
 //     time, and the server stages the merged full configuration at the
-//     same epoch instead — a delta is never applied to a base it does not
+//     same epoch instead — a delta is never merged into a base it does not
 //     match.
 //  2. Merge-at-store. At the commit decision the server records, per
 //     node, the delta merged into the node's previous latest FULL
@@ -68,24 +69,24 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 	term := s.term
 
 	// Decide per node, under the lock, whether a delta can apply (a full
-	// base is recorded) and precompute the merged full config either way:
-	// it is stored as the node's latest at the commit decision and doubles
-	// as the prepare fallback.
+	// base is recorded) and compute the configuration the node runs after
+	// the commit either way: the delta merged into the recorded base, or
+	// the caller's fallback, decoded once. It is stored as the node's latest
+	// at the commit decision. A full ConfigDTO exists only for what goes on
+	// the wire: the fallback as given, or one built on a base refusal.
 	type nodePlan struct {
-		delta *DeltaDTO
+		delta *DeltaDTO // nil: no recorded base, full carries the plan
 		full  ConfigDTO
+		next  nodeConfig
 	}
 	plans := make(map[topo.NodeID]*nodePlan, len(deltas))
 	for node, d := range deltas {
+		next := nodeConfig{epoch: epoch, term: term}
 		if base, ok := s.latest[node]; ok {
 			ddto := DeltaToDTO(0, d)
-			ddto.Epoch, ddto.Term, ddto.BaseEpoch = epoch, term, base.Epoch
-			merged, err := mergeDelta(base, ddto)
-			if err != nil {
-				s.mu.Unlock()
-				return 0, fmt.Errorf("mgmt: 2pc delta push: merge for %v: %w", node, err)
-			}
-			plans[node] = &nodePlan{delta: &ddto, full: merged}
+			ddto.Epoch, ddto.Term, ddto.BaseEpoch = epoch, term, base.epoch
+			next.cfg = d.ApplyToConfig(base.cfg)
+			plans[node] = &nodePlan{delta: &ddto, next: next}
 			continue
 		}
 		fb, ok := fallback[node]
@@ -94,7 +95,13 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 			return 0, fmt.Errorf("mgmt: 2pc delta push to %v: %w", node, ErrNoBase)
 		}
 		fb.Epoch, fb.Term = epoch, term
-		plans[node] = &nodePlan{full: fb}
+		cfg, err := ConfigFromDTO(fb)
+		if err != nil {
+			s.mu.Unlock()
+			return 0, fmt.Errorf("mgmt: 2pc delta push: fallback for %v: %w", node, err)
+		}
+		next.cfg = cfg
+		plans[node] = &nodePlan{full: fb, next: next}
 	}
 	s.mu.Unlock()
 
@@ -127,6 +134,7 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 					return
 				}
 				s.smInc(func(m *serverMetrics) *metrics.Counter { return m.deltaFallbacks })
+				np.full = np.next.wire()
 			}
 			dto := np.full
 			s.observePushBytes(TypePrepare, dto, false)
@@ -158,7 +166,7 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 	// node's latest first — reconnect catch-up must never replay deltas.
 	s.mu.Lock()
 	for _, node := range nodes {
-		s.latest[node] = plans[node].full
+		s.latest[node] = plans[node].next
 	}
 	s.mu.Unlock()
 
@@ -183,25 +191,12 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 	return epoch, nil
 }
 
-// mergeDelta computes the full configuration that base + delta yields,
-// at the delta's epoch: what the node's latest becomes at the commit
-// decision, and the prepare fallback when the agent refuses the delta.
-func mergeDelta(base ConfigDTO, ddto DeltaDTO) (ConfigDTO, error) {
-	cfg, err := ConfigFromDTO(base)
-	if err != nil {
-		return ConfigDTO{}, err
-	}
-	d := DeltaFromDTO(ddto)
-	out := ConfigToDTO(0, d.ApplyToConfig(cfg))
-	out.Epoch = ddto.Epoch
-	out.Term = ddto.Term
-	return out, nil
-}
-
-// handlePrepareDelta stages a delta without applying it. The base epoch
-// is checked at stage time so a mismatch fails the prepare immediately
-// and the server substitutes a full prepare — by commit time the fleet
-// must already hold plans that can all flip.
+// handlePrepareDelta stages the configuration a delta yields on top of the
+// one the agent applied. The base epoch is checked here, once: a mismatch
+// fails the prepare immediately and the server substitutes a full prepare,
+// so by commit time the fleet holds plans that can all flip. The staged
+// configuration is the complete target, so nothing is re-checked at
+// commit.
 func (a *Agent) handlePrepareDelta(data []byte) {
 	var dto DeltaDTO
 	if err := json.Unmarshal(data, &dto); err != nil {
@@ -211,46 +206,14 @@ func (a *Agent) handlePrepareDelta(data []byte) {
 	if !a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), true) {
 		return
 	}
-	if cur := a.epoch.Load(); cur != dto.BaseEpoch {
+	a.planMu.Lock()
+	cur, base := a.epoch.Load(), a.applied
+	a.planMu.Unlock()
+	if cur != dto.BaseEpoch {
 		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch,
 			Error: fmt.Sprintf("%s: applied epoch %d, delta base %d", RefuseDeltaBase, cur, dto.BaseEpoch), Prepared: true})
 		return
 	}
-	a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, delta: &dto})
-}
-
-// applyDeltaDTO validates and applies a staged delta to the device at
-// commit, returning an error string for the ack ("" on success) and
-// advancing the applied epoch. The base check is repeated here because
-// the staged copy crossed goroutines (and epochs may have advanced) since
-// its prepare-time check.
-func (a *Agent) applyDeltaDTO(dto DeltaDTO) string {
-	if err := dto.Validate(); err != nil {
-		return err.Error()
-	}
-	if cur := a.epoch.Load(); cur != dto.BaseEpoch {
-		return fmt.Sprintf("%s: applied epoch %d, delta base %d", RefuseDeltaBase, cur, dto.BaseEpoch)
-	}
 	d := DeltaFromDTO(dto)
-	errStr := ""
-	applied := a.dev.Do(func(n *enforce.Node) {
-		if err := n.ApplyDelta(d); err != nil {
-			errStr = err.Error()
-		}
-	})
-	if !applied {
-		errStr = "device stopped"
-	}
-	if errStr == "" {
-		a.applies.Add(1)
-		a.deltaApplies.Add(1)
-		if a.am != nil {
-			a.am.applies.Inc()
-			a.am.deltaApplies.Inc()
-		}
-		if dto.Epoch > a.epoch.Load() {
-			a.epoch.Store(dto.Epoch)
-		}
-	}
-	return errStr
+	a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, cfg: d.ApplyToConfig(base)})
 }

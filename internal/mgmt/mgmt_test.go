@@ -1,6 +1,7 @@
 package mgmt_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -87,6 +88,41 @@ func TestConfigDTORoundTrip(t *testing.T) {
 	}
 }
 
+// TestConfigDTOCanonicalBytes: equal configurations encode to identical
+// wire and journal bytes — candidate lists and weight rows come out in a
+// fixed order, not in map order.
+func TestConfigDTOCanonicalBytes(t *testing.T) {
+	cfg := enforce.Config{
+		Candidates: map[policy.FuncType][]topo.NodeID{
+			policy.FuncFW: {11, 12}, policy.FuncIDS: {13}, policy.FuncWP: {14, 15},
+		},
+		Weights: map[enforce.WeightKey][]float64{},
+	}
+	for pid := 1; pid <= 3; pid++ {
+		for _, f := range []policy.FuncType{policy.FuncFW, policy.FuncIDS, policy.FuncWP} {
+			cfg.Weights[enforce.WeightKey{PolicyID: pid, Func: f}] = []float64{float64(pid), 1}
+			cfg.Weights[enforce.WeightKey{PolicyID: pid, Func: f, SrcSubnet: 2, DstSubnet: 1}] = []float64{1, float64(pid)}
+		}
+	}
+	encode := func() []byte {
+		wire, err := mgmt.EncodeEnvelope(mgmt.TypeConfig, mgmt.ConfigToDTO(0, cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal, err := json.Marshal(mgmt.WeightsToDTO(0, cfg.Weights).Weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(wire, journal...)
+	}
+	first := encode()
+	for i := 1; i < 20; i++ {
+		if got := encode(); !bytes.Equal(got, first) {
+			t.Fatalf("encoding %d differs from the first:\n%s\n%s", i, got, first)
+		}
+	}
+}
+
 // mgmtBed: a live runtime whose devices are configured ONLY via the
 // management channel.
 type mgmtBed struct {
@@ -110,6 +146,15 @@ type mgmtBed struct {
 
 func newMgmtBed(t *testing.T, reportEvery time.Duration) *mgmtBed {
 	t.Helper()
+	return newMgmtBedWith(t, reportEvery, controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1},
+	})
+}
+
+// newMgmtBedWith is newMgmtBed with explicit controller options.
+func newMgmtBedWith(t *testing.T, reportEvery time.Duration, opts controller.Options) *mgmtBed {
+	t.Helper()
 	rng := rand.New(rand.NewSource(6))
 	g := topo.Campus(topo.CampusConfig{Gateways: 2, CoreRouters: 4, EdgeRouters: 2, WithProxies: true}, rng)
 	dep, err := enforce.NewDeployment(g)
@@ -127,10 +172,7 @@ func newMgmtBed(t *testing.T, reportEvery time.Duration) *mgmtBed {
 	tbl.Add(d, policy.ActionList{policy.FuncFW, policy.FuncIDS})
 
 	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))
-	ctl := controller.New(dep, ap, tbl, controller.Options{
-		Strategy: enforce.LoadBalanced,
-		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1},
-	})
+	ctl := controller.New(dep, ap, tbl, opts)
 	// Compile the first plan and build the nodes from it; the management
 	// channel must still deliver the configuration (agents start at epoch
 	// 0 and the server holds no base).

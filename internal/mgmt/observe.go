@@ -39,7 +39,6 @@ const (
 	MetricAgentPrepares     = "sdme_agent_prepares_total"
 	MetricAgentCommits      = "sdme_agent_commits_total"
 	MetricAgentAborts       = "sdme_agent_aborts_total"
-	MetricAgentDeltaApplies = "sdme_agent_delta_applies_total"
 )
 
 // serverMetrics caches the server's registry handles.
@@ -107,18 +106,15 @@ func (s *Server) observePushBytes(typ string, v interface{}, delta bool) {
 	}
 }
 
-// agentMetrics caches an agent's per-node registry handles.
+// agentMetrics holds an agent's per-node counters: the only record of its
+// activity, which Agent.Stats reads back.
 type agentMetrics struct {
 	reconnects, applies, epochRejects, reports *metrics.Counter
 	termRejects, redirects                     *metrics.Counter
 	prepares, commits, aborts                  *metrics.Counter
-	deltaApplies                               *metrics.Counter
 }
 
 func newAgentMetrics(reg *metrics.Registry, nodeID int) *agentMetrics {
-	if reg == nil {
-		return nil
-	}
 	node := strconv.Itoa(nodeID)
 	return &agentMetrics{
 		reconnects:   reg.Counter(MetricAgentReconnects, "node", node),
@@ -130,7 +126,6 @@ func newAgentMetrics(reg *metrics.Registry, nodeID int) *agentMetrics {
 		prepares:     reg.Counter(MetricAgentPrepares, "node", node),
 		commits:      reg.Counter(MetricAgentCommits, "node", node),
 		aborts:       reg.Counter(MetricAgentAborts, "node", node),
-		deltaApplies: reg.Counter(MetricAgentDeltaApplies, "node", node),
 	}
 }
 

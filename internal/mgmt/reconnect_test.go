@@ -3,15 +3,19 @@ package mgmt_test
 import (
 	"errors"
 	"net"
+	"strconv"
 	"testing"
 	"time"
 
 	"sdme/internal/controller"
+	"sdme/internal/enforce"
 	"sdme/internal/faultinject"
 	"sdme/internal/live"
+	"sdme/internal/metrics"
 	"sdme/internal/mgmt"
 	"sdme/internal/netaddr"
 	"sdme/internal/packet"
+	"sdme/internal/policy"
 	"sdme/internal/topo"
 )
 
@@ -143,6 +147,120 @@ func TestChaosPushRetryHealsAckLoss(t *testing.T) {
 	}
 	if dropped, _ := currentConnStats(tap); dropped < 1 {
 		t.Errorf("fault conn dropped %d frames, want >= 1", dropped)
+	}
+}
+
+// TestChaosDuplicateCommitCountsOneEpochReject: the agent counts each
+// event once, in its registry, and Stats reads the same counters. A commit
+// retry that finds its epoch applied is an epoch reject like an
+// idempotently acked plan, so StaleConfigs and the node's
+// sdme_agent_epoch_rejects_total agree.
+func TestChaosDuplicateCommitCountsOneEpochReject(t *testing.T) {
+	b := newMgmtBed(t, 0)
+	node := b.dep.MBNodes[0]
+	reg := metrics.NewRegistry(nil)
+	agent, tap := b.tapAgent(t, node, mgmt.AgentOptions{Metrics: reg})
+
+	// The commit ack vanishes, so the server retries a commit the agent
+	// already applied.
+	tap.AfterFrames(1, func(c *faultinject.Conn) { c.DropFrames(1) })
+	if err := b.pushOne(node, mgmt.RetryPolicy{Attempts: 3, PerAttempt: 300 * time.Millisecond, Backoff: 20 * time.Millisecond}); err != nil {
+		t.Fatalf("rollout never survived ack loss: %v", err)
+	}
+	st := agent.Stats()
+	rejects := reg.Counter(mgmt.MetricAgentEpochRejects, "node", strconv.Itoa(int(node))).Value()
+	if st.StaleConfigs < 1 || st.StaleConfigs != rejects {
+		t.Errorf("StaleConfigs = %d, %s = %d: want equal and ≥ 1", st.StaleConfigs, mgmt.MetricAgentEpochRejects, rejects)
+	}
+	if applies := reg.Counter(mgmt.MetricAgentApplies, "node", strconv.Itoa(int(node))).Value(); applies != st.Applies {
+		t.Errorf("Applies = %d, %s = %d", st.Applies, mgmt.MetricAgentApplies, applies)
+	}
+}
+
+// TestReconnectCatchupKeepsLabelSwitchedFlow: a middlebox's agent dies
+// between prepare and commit of an empty-delta probe, so the reconnect
+// catch-up re-installs, as a full configuration, the plan the middlebox
+// already runs. The label path of a flow the proxy already label-switches
+// must survive it: every later packet is delivered and no label lookup
+// misses. A catch-up that wiped the label table blackholed the flow for
+// good (FlowTTL 0: the proxy never re-tunnels it).
+func TestReconnectCatchupKeepsLabelSwitchedFlow(t *testing.T) {
+	b := newMgmtBedWith(t, 0, controller.Options{
+		Strategy:       enforce.HotPotato,
+		K:              map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1},
+		LabelSwitching: true,
+	})
+	b.server.SetRepushPolicy(mgmt.RetryPolicy{Attempts: 5, PerAttempt: time.Second, Backoff: 20 * time.Millisecond})
+	proxyID, _ := b.dep.ProxyFor(1)
+	// Tap every middlebox's agent (a re-dial 0.3–0.6s after a drop keeps
+	// the node dark through the commit phase), then deploy.
+	taps := make(map[topo.NodeID]*faultinject.ConnTap)
+	for _, mb := range b.dep.MBNodes {
+		_, taps[mb] = b.tapAgent(t, mb, mgmt.AgentOptions{BackoffMin: 600 * time.Millisecond})
+	}
+	b.pushAll(t)
+
+	ft := netaddr.FiveTuple{
+		Src: topo.HostAddr(1, 1), Dst: topo.HostAddr(2, 1),
+		SrcPort: 47300, DstPort: 80, Proto: netaddr.ProtoTCP,
+	}
+	// send injects n packets of the flow one at a time — the first packet's
+	// control message must set up the label path before the next leaves
+	// the proxy — and returns how many reached the sink.
+	send := func(n int) int {
+		t.Helper()
+		delivered := 0
+		for i := 0; i < n; i++ {
+			want := b.sink.Received() + 1
+			if err := b.rt.Inject(b.dep.AddrOf(proxyID), packet.New(ft, 24)); err != nil {
+				t.Fatal(err)
+			}
+			if live.WaitUntil(2*time.Second, func() bool { return b.sink.Received() >= want }) {
+				delivered++
+			}
+		}
+		return delivered
+	}
+	if got := send(2); got != 2 { // tunneled, then label-switched
+		t.Fatalf("delivered %d of the first 2 packets", got)
+	}
+	if c := b.devices[proxyID].Counters(); c.TunnelTx != 1 || c.LabelTx != 1 {
+		t.Fatalf("flow not label-switched before the catch-up: %+v", c)
+	}
+	victim := topo.InvalidNode
+	for _, mb := range b.dep.MBNodes {
+		if b.devices[mb].Counters().Load > 0 {
+			victim = mb
+			break
+		}
+	}
+	if victim == topo.InvalidNode {
+		t.Fatal("no middlebox on the flow's path")
+	}
+
+	dropAfterNextAck(t, taps[victim])
+	before := b.agents[victim].Stats().Applies
+	err := b.pushOne(victim, testPol)
+	if !errors.Is(err, mgmt.ErrCommitStraggler) {
+		t.Fatalf("probe with the victim dark at commit: err = %v, want ErrCommitStraggler", err)
+	}
+	epoch := b.server.Epoch()
+	if !live.WaitUntil(5*time.Second, func() bool { return b.server.AckedEpoch(victim) == epoch }) {
+		t.Fatalf("catch-up never acked: acked %d, want %d", b.server.AckedEpoch(victim), epoch)
+	}
+	if got := b.agents[victim].Stats().Applies - before; got != 1 {
+		t.Fatalf("victim installed %d configurations, want the one catch-up", got)
+	}
+
+	const later = 8
+	if got := send(later); got != later {
+		t.Errorf("delivered %d of the %d packets after the catch-up", got, later)
+	}
+	if c := b.devices[victim].Counters(); c.LabelMiss != 0 {
+		t.Errorf("middlebox %v after the catch-up: LabelMiss %d", victim, c.LabelMiss)
+	}
+	if c := b.devices[proxyID].Counters(); c.TunnelTx != 1 || c.LabelTx != 1+later {
+		t.Errorf("proxy: TunnelTx %d LabelTx %d, want 1 and %d", c.TunnelTx, c.LabelTx, 1+later)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"sdme/internal/enforce"
 	"sdme/internal/metrics"
 	"sdme/internal/topo"
 )
@@ -87,7 +88,7 @@ type Server struct {
 	conns   map[topo.NodeID]*serverConn
 	nextSeq uint64
 	epoch   uint64
-	latest  map[topo.NodeID]ConfigDTO
+	latest  map[topo.NodeID]nodeConfig
 	acked   map[topo.NodeID]uint64
 	onMeas  func(topo.NodeID, []MeasureRow)
 	closed  bool
@@ -108,6 +109,21 @@ type Server struct {
 
 	stop chan struct{}
 	wg   sync.WaitGroup
+}
+
+// nodeConfig is a node's latest decided plan: the full configuration it
+// runs from epoch on, decided under term.
+type nodeConfig struct {
+	epoch, term uint64
+	cfg         enforce.Config
+}
+
+// wire is the plan's full wire form, built only when it goes out whole: a
+// fallback prepare after a base refusal, or the reconnect catch-up.
+func (p nodeConfig) wire() ConfigDTO {
+	dto := ConfigToDTO(0, p.cfg)
+	dto.Epoch, dto.Term = p.epoch, p.term
+	return dto
 }
 
 type serverConn struct {
@@ -133,7 +149,7 @@ func NewServer(addr string, onMeasure func(topo.NodeID, []MeasureRow)) (*Server,
 	s := &Server{
 		l:      l,
 		conns:  make(map[topo.NodeID]*serverConn),
-		latest: make(map[topo.NodeID]ConfigDTO),
+		latest: make(map[topo.NodeID]nodeConfig),
 		acked:  make(map[topo.NodeID]uint64),
 		onMeas: onMeasure,
 		repush: DefaultRepushPolicy,
@@ -310,7 +326,7 @@ func (s *Server) Converged(nodes ...topo.NodeID) bool {
 		if !ok {
 			continue
 		}
-		if s.acked[id] < latest.Epoch {
+		if s.acked[id] < latest.epoch {
 			return false
 		}
 	}
@@ -321,7 +337,7 @@ func (s *Server) Converged(nodes ...topo.NodeID) bool {
 // latest FULL configuration (same epoch, fresh seq per attempt) to an
 // agent whose hello reported an older epoch. It is the only direct
 // TypeConfig sender; every new plan goes through PushAllDelta2PC.
-func (s *Server) repushLatest(node topo.NodeID, dto ConfigDTO, pol RetryPolicy) error {
+func (s *Server) repushLatest(node topo.NodeID, latest nodeConfig, pol RetryPolicy) error {
 	s.mu.Lock()
 	closed, notLeader := s.closed, s.notLeader
 	s.mu.Unlock()
@@ -333,6 +349,7 @@ func (s *Server) repushLatest(node topo.NodeID, dto ConfigDTO, pol RetryPolicy) 
 		// could race the current leader's pushes at any agent.
 		return fmt.Errorf("mgmt: re-push to %v: %w", node, ErrNotLeader)
 	}
+	dto := latest.wire()
 	s.smInc(func(m *serverMetrics) *metrics.Counter { return m.pushes })
 	s.observePushBytes(TypeConfig, dto, false)
 	return s.callRetry(node, TypeConfig, func(seq uint64) interface{} {
@@ -531,7 +548,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// latest plan recorded for it, re-push that plan (same epoch, fresh
 	// seq). An agent already at the latest epoch gets nothing — the push
 	// is idempotent, not periodic.
-	if haveLatest && latest.Epoch > hello.Epoch {
+	if haveLatest && latest.epoch > hello.Epoch {
 		s.smInc(func(m *serverMetrics) *metrics.Counter { return m.repush })
 		s.wg.Add(1)
 		go func() {

@@ -20,13 +20,13 @@ import (
 // the plan as each node's latest, so a rejoining agent is re-pushed the
 // committed plan idempotently.
 
-// stagedPlan is an agent's prepared-but-not-applied configuration: a
-// full ConfigDTO from a TypePrepare, or a DeltaDTO from a
-// TypePrepareDelta (delta non-nil wins).
+// stagedPlan is an agent's prepared-but-not-applied configuration, always
+// the complete target: a TypePrepare's decoded configuration, or a
+// TypePrepareDelta merged into the configuration the agent had applied
+// when it staged it.
 type stagedPlan struct {
 	epoch uint64
-	dto   ConfigDTO
-	delta *DeltaDTO
+	cfg   enforce.Config
 }
 
 // handlePrepare validates and stages a full configuration without
@@ -37,9 +37,15 @@ func (a *Agent) handlePrepare(data []byte) {
 		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Error: "bad prepare: " + err.Error(), Prepared: true})
 		return
 	}
-	if a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), true) {
-		a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, dto: dto})
+	if !a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), true) {
+		return
 	}
+	cfg, err := ConfigFromDTO(dto)
+	if err != nil {
+		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: err.Error(), Prepared: true})
+		return
+	}
+	a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, cfg: cfg})
 }
 
 // handleCommit atomically applies the staged plan for the named epoch.
@@ -60,37 +66,27 @@ func (a *Agent) handleCommit(data []byte) {
 	}
 	if cm.Epoch <= a.epoch.Load() {
 		// Duplicate commit (retry crossing an earlier ack): idempotent.
-		a.stale.Add(1)
+		a.m.epochRejects.Inc()
 		_ = a.write(TypeAck, Ack{Seq: cm.Seq, Epoch: cm.Epoch})
 		return
 	}
-	a.stagedMu.Lock()
+	a.planMu.Lock()
 	st := a.staged
 	if st != nil && st.epoch == cm.Epoch {
 		a.staged = nil
 	}
-	a.stagedMu.Unlock()
+	a.planMu.Unlock()
 	if st == nil || st.epoch != cm.Epoch {
 		_ = a.write(TypeAck, Ack{Seq: cm.Seq, Epoch: cm.Epoch,
 			Error: fmt.Sprintf("no staged plan for epoch %d", cm.Epoch)})
 		return
 	}
-	// applyDTO / applyDeltaDTO re-validate before installing (defense in
-	// depth at the wire trust boundary; the staged copy crossed goroutines
-	// since its prepare-time check).
-	var errStr string
-	if st.delta != nil {
-		errStr = a.applyDeltaDTO(*st.delta)
-	} else {
-		dto := st.dto
-		dto.Seq = cm.Seq
-		errStr = a.applyDTO(dto)
-	}
+	// The staged plan is the whole target configuration, validated and
+	// base-checked at prepare: whatever the device ran since, installing
+	// it yields exactly the plan the server recorded for this epoch.
+	errStr := a.install(st.epoch, st.cfg)
 	if errStr == "" {
-		a.committed.Add(1)
-		if a.am != nil {
-			a.am.commits.Inc()
-		}
+		a.m.commits.Inc()
 	}
 	_ = a.write(TypeAck, Ack{Seq: cm.Seq, Epoch: cm.Epoch, Error: errStr})
 }
@@ -108,55 +104,49 @@ func (a *Agent) handleAbort(data []byte) {
 		_ = a.write(TypeAck, Ack{Seq: cm.Seq, Error: err.Error()})
 		return
 	}
-	a.stagedMu.Lock()
+	a.planMu.Lock()
 	if a.staged != nil && a.staged.epoch == cm.Epoch {
 		a.staged = nil
-		a.aborted.Add(1)
-		if a.am != nil {
-			a.am.aborts.Inc()
-		}
+		a.m.aborts.Inc()
 	}
-	a.stagedMu.Unlock()
+	a.planMu.Unlock()
 	_ = a.write(TypeAck, Ack{Seq: cm.Seq, Epoch: cm.Epoch})
 }
 
 // StagedEpoch returns the epoch of the currently staged (uncommitted)
 // plan, 0 if none — test and conformance hook.
 func (a *Agent) StagedEpoch() uint64 {
-	a.stagedMu.Lock()
-	defer a.stagedMu.Unlock()
+	a.planMu.Lock()
+	defer a.planMu.Unlock()
 	if a.staged == nil {
 		return 0
 	}
 	return a.staged.epoch
 }
 
-// applyDTO validates and applies a configuration to the device, returning
-// an error string for the ack ("" on success) and advancing the agent's
-// applied epoch. Shared by the catch-up config path and the commit path.
-func (a *Agent) applyDTO(dto ConfigDTO) string {
-	if err := dto.Validate(); err != nil {
-		return err.Error()
-	}
+// install is the agent's one way to change the device's configuration,
+// shared by the catch-up config path and the commit path: Node.Install on
+// the device goroutine, then, on success, cfg becomes the applied
+// configuration at epoch. It returns an error string for the ack ("" on
+// success).
+func (a *Agent) install(epoch uint64, cfg enforce.Config) string {
 	errStr := ""
-	cfg, err := ConfigFromDTO(dto)
-	if err != nil {
-		errStr = err.Error()
-	} else if !a.dev.Do(func(n *enforce.Node) {
-		if ierr := n.Install(cfg); ierr != nil {
-			errStr = ierr.Error()
+	if !a.dev.Do(func(n *enforce.Node) {
+		if err := n.Install(cfg); err != nil {
+			errStr = err.Error()
 		}
 	}) {
 		errStr = "device stopped"
 	}
-	if errStr == "" {
-		a.applies.Add(1)
-		if a.am != nil {
-			a.am.applies.Inc()
-		}
-		if dto.Epoch > a.epoch.Load() {
-			a.epoch.Store(dto.Epoch)
-		}
+	if errStr != "" {
+		return errStr
 	}
-	return errStr
+	a.m.applies.Inc()
+	a.planMu.Lock()
+	a.applied = cfg
+	if epoch > a.epoch.Load() {
+		a.epoch.Store(epoch)
+	}
+	a.planMu.Unlock()
+	return ""
 }

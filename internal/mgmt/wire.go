@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"sdme/internal/enforce"
 	"sdme/internal/netaddr"
@@ -53,10 +54,9 @@ const (
 	TypeCommit  = "commit"
 	TypeAbort   = "abort"
 	// TypePrepareDelta carries a DeltaDTO — the incremental pipeline's
-	// per-node edit script — staged under the two-phase rollout and
-	// applied in place at commit, without reinstalling the untouched
-	// parts of the configuration. Commit/abort reuse TypeCommit/TypeAbort
-	// unchanged.
+	// per-node edit script — which the agent merges into the configuration
+	// it applied and stages under the two-phase rollout like a full
+	// prepare. Commit/abort reuse TypeCommit/TypeAbort unchanged.
 	TypePrepareDelta = "prepare-delta"
 	// TypeLeaseRequest / TypeLeaseGrant / TypeHeartbeat are the
 	// controller-replica election protocol (internal/ha/election.go):
@@ -335,7 +335,10 @@ func readMsg(r io.Reader) (*Envelope, error) {
 	return DecodeEnvelope(buf)
 }
 
-// ConfigToDTO serializes an enforce.Config for the wire.
+// ConfigToDTO serializes an enforce.Config for the wire. Output order is
+// canonical (policies as installed, candidate lists by function code,
+// weight rows by key), so equal configurations encode to identical wire
+// and journal bytes.
 func ConfigToDTO(seq uint64, cfg enforce.Config) ConfigDTO {
 	dto := ConfigDTO{
 		Seq:            seq,
@@ -348,24 +351,42 @@ func ConfigToDTO(seq uint64, cfg enforce.Config) ConfigDTO {
 	for _, p := range cfg.Policies {
 		dto.Policies = append(dto.Policies, policyToDTO(p))
 	}
-	for f, nodes := range cfg.Candidates {
-		cd := CandidateDTO{Func: int(f)}
-		for _, n := range nodes {
-			cd.Nodes = append(cd.Nodes, int(n))
-		}
-		dto.Candidates = append(dto.Candidates, cd)
-	}
+	dto.Candidates = candidatesToDTO(cfg.Candidates)
 	dto.Weights = weightsToDTO(cfg.Weights)
 	return dto
 }
 
+// candidatesToDTO lists candidate sets by function code.
+func candidatesToDTO(c map[policy.FuncType][]topo.NodeID) []CandidateDTO {
+	funcs := make([]policy.FuncType, 0, len(c))
+	for f := range c {
+		funcs = append(funcs, f)
+	}
+	slices.Sort(funcs)
+	var out []CandidateDTO
+	for _, f := range funcs {
+		cd := CandidateDTO{Func: int(f)}
+		for _, n := range c[f] {
+			cd.Nodes = append(cd.Nodes, int(n))
+		}
+		out = append(out, cd)
+	}
+	return out
+}
+
+// weightsToDTO lists weight rows in SortWeightKeys order.
 func weightsToDTO(w map[enforce.WeightKey][]float64) []WeightDTO {
+	keys := make([]enforce.WeightKey, 0, len(w))
+	for k := range w {
+		keys = append(keys, k)
+	}
+	SortWeightKeys(keys)
 	var out []WeightDTO
-	for k, v := range w {
+	for _, k := range keys {
 		out = append(out, WeightDTO{
 			PolicyID: k.PolicyID, Func: int(k.Func),
 			SrcSubnet: k.SrcSubnet, DstSubnet: k.DstSubnet,
-			Weights: v,
+			Weights: w[k],
 		})
 	}
 	return out
