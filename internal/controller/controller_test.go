@@ -235,6 +235,41 @@ func TestSolveLBBalancesTwoFirewalls(t *testing.T) {
 	}
 }
 
+// TestSolveLBSpreadsEachLoadedType: web traffic runs FW then IDS, so WP
+// and TM stay idle, and only IDS (two boxes against three firewalls) is
+// the bottleneck λ pins. Every proxy reaches all three firewalls and every
+// firewall both IDS, so the λ-optimal face holds the point where each
+// firewall carries a third of the traffic and each IDS half; the spread
+// objective must reach it for the non-bottleneck type too. When spread
+// variables existed for the idle types as well, their floors were
+// unbounded, the spread stage failed and the min-λ vertex was kept.
+func TestSolveLBSpreadsEachLoadedType(t *testing.T) {
+	b := newBed(t, 61, webPolicy)
+	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 3, policy.FuncIDS: 2},
+	})
+	pid := b.tbl.All()[0].ID
+	meas := controller.Measurements{
+		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 500,
+		{PolicyID: pid, SrcSubnet: 2, DstSubnet: 3}: 300,
+		{PolicyID: pid, SrcSubnet: 4, DstSubnet: 1}: 100,
+	}
+	sol := solveLB(t, ctl, meas, false)
+	if math.Abs(sol.Lambda-450) > 1e-6 {
+		t.Errorf("λ = %v, want 450 (900 packets over two IDS)", sol.Lambda)
+	}
+	for _, f := range []policy.FuncType{policy.FuncFW, policy.FuncIDS} {
+		providers := b.dep.Providers(f)
+		want := 900 / float64(len(providers))
+		for _, x := range providers {
+			if got := sol.ExpectedLoads[x]; math.Abs(got-want) > 1e-6*want {
+				t.Errorf("%v %v carries %v, want an even %v", f, x, got, want)
+			}
+		}
+	}
+}
+
 func TestSolveLBChainConservation(t *testing.T) {
 	// FW -> IDS chain: total load on FWs == total on IDSes == demand.
 	b := newBed(t, 4, webPolicy)
@@ -262,8 +297,7 @@ func TestSolveLBChainConservation(t *testing.T) {
 	if math.Abs(sum(policy.FuncIDS)-1000) > 1e-6 {
 		t.Errorf("IDS total = %v, want 1000", sum(policy.FuncIDS))
 	}
-	// λ is the max expected load under unit capacities (the phase-two
-	// spread pass allows a ~1e-7 relative slack above λ*).
+	// λ is the max expected load under unit capacities.
 	var maxLoad float64
 	for _, l := range sol.ExpectedLoads {
 		if l > maxLoad {

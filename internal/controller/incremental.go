@@ -41,6 +41,7 @@ type pipelineUndo struct {
 	plan          *Plan
 	dirtyPolicies map[int]bool
 	dirtyNodes    map[topo.NodeID]bool
+	journaled     bool // the undone Recompute wrote a weights record
 }
 
 // PipelineOptions configures a Pipeline.
@@ -147,7 +148,8 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	stats.Delta = dstats
 	p.version++
 	plan.Version = p.version
-	if sol != nil || reweighted(deltas) {
+	journaled := sol != nil || reweighted(deltas)
+	if journaled {
 		// Write-ahead: journal the merged plan before the caller can push
 		// anything — after every solve, and whenever the weights moved
 		// without one (a carried-forward plan that dropped vectors, a
@@ -160,7 +162,7 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 		c.observeSolveStats(sol, startUS)
 	}
 	c.observePlanDelta(stats.Delta)
-	p.undo = &pipelineUndo{plan: p.plan, dirtyPolicies: p.dirtyPolicies, dirtyNodes: p.dirtyNodes}
+	p.undo = &pipelineUndo{plan: p.plan, dirtyPolicies: p.dirtyPolicies, dirtyNodes: p.dirtyNodes, journaled: journaled}
 	p.plan = plan
 	p.dirtyPolicies = make(map[int]bool)
 	p.dirtyNodes = make(map[topo.NodeID]bool)
@@ -181,9 +183,10 @@ func reweighted(deltas map[topo.NodeID]enforce.ConfigDelta) bool {
 // Rollback undoes the last Recompute after the fleet refused its rollout
 // (an aborted 2PC: no node holds the plan). The next Recompute then diffs
 // against the plan the nodes still run, with the dirty marks the refused
-// plan had consumed pending again; the restored weights are journaled
-// anew so a restart reproduces what the fleet holds, not what it refused.
-// Without a Recompute to undo it is a no-op.
+// plan had consumed pending again. If the refused plan was journaled, the
+// restored one is journaled anew — without weights, if it has none — so a
+// restart reproduces what the fleet holds, not what it refused. Without a
+// Recompute to undo it is a no-op.
 func (p *Pipeline) Rollback() error {
 	u := p.undo
 	if u == nil {
@@ -197,8 +200,11 @@ func (p *Pipeline) Rollback() error {
 	for id := range u.dirtyNodes {
 		p.dirtyNodes[id] = true
 	}
-	if p.plan == nil || p.plan.Weights == nil {
+	switch {
+	case !u.journaled: // the last weights record is still the restored plan's
 		return nil
+	case p.plan == nil:
+		return p.c.journalWeights(0, nil)
 	}
 	return p.c.journalWeights(p.plan.Lambda, p.plan.Weights)
 }

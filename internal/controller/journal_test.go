@@ -424,6 +424,39 @@ func TestRollbackRejournalsTheRestoredPlan(t *testing.T) {
 	}
 }
 
+// TestRollbackToWeightlessPlanJournalsIt: the fleet runs a plan without
+// weights (no demand measured yet), the next plan is solved, journaled
+// write-ahead and refused. Rollback must journal the weightless plan too,
+// or a restore brings back the refused plan's weights.
+func TestRollbackToWeightlessPlanJournalsIt(t *testing.T) {
+	b := newBed(t, 67, webPolicy)
+	opts := controller.Options{
+		Strategy: enforce.LoadBalanced,
+		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
+	}
+	ctl := controller.New(b.dep, b.ap, b.tbl, opts)
+	path := journalPath(t)
+	j, err := controller.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.SetJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	pipe, nodes, _ := deploy(t, ctl, nil)
+	if len(pipe.Plan().Weights) != 0 {
+		t.Fatal("the first plan has weights; the test proves nothing")
+	}
+	pid := b.tbl.All()[0].ID
+	if _, err := pipe.Recompute(controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipe.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	requireJournalMatchesPipeline(t, b, opts, ctl, j, path, nodes)
+}
+
 // TestRestoreWithStarvedFunction: a journal whose failed set leaves a
 // function without a live provider still restores (the failed set is
 // state the controller must not lose); there is just no plan to start

@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"sdme/internal/enforce"
 	"sdme/internal/lp"
@@ -26,9 +27,12 @@ type LBSolution struct {
 	// ExpectedLoads is the LP's per-middlebox load (same units as the
 	// measurements, i.e. packets).
 	ExpectedLoads map[topo.NodeID]float64
-	// Vars / Constraints / Iterations describe the solved program; the
-	// Eq. (1) vs Eq. (2) ablation reports these.
+	// Vars / Constraints / Iterations describe the solved program, both
+	// objectives; the Eq. (1) vs Eq. (2) ablation reports these and
+	// SolveTime, the wall time spent building and solving it (the
+	// uncapped retry included).
 	Vars, Constraints, Iterations int
+	SolveTime                     time.Duration
 	// InstanceLoads attributes the expected load to the chain instance
 	// producing it, so the incremental pipeline can carry unaffected
 	// instances into later scoped solves as constant base loads.
@@ -51,19 +55,21 @@ type wRef struct {
 	vars  []int
 }
 
-// solveChainLP builds and solves the min-λ program over the given chain
-// instances, then extracts weights and expected loads. It is the bare
-// solve: the pipeline verifies, journals and observes the merged plan.
+// solveChainLP builds and solves the load-balancing program over the given
+// chain instances, then extracts weights and expected loads. It is the
+// bare solve: the pipeline verifies, journals and observes the merged
+// plan.
 //
 // The optimization is lexicographic, mirroring the evenly spread
-// solutions the paper reports: phase one minimizes the maximum load
-// factor λ (the paper's objective); phase two fixes λ* and then balances
-// within each middlebox type — it minimizes Σ_f λ_f and maximizes Σ_f μ_f
-// where λ_f/μ_f bound the loads of function f's providers. Any phase-two
-// point is still λ-optimal, but a plain simplex vertex of phase one may
-// park some middleboxes at zero load while only the bottleneck type is
-// actually constrained; phase two removes both artifacts (cf. the tight
-// per-type spreads of the paper's Table III).
+// solutions the paper reports: the first objective minimizes the maximum
+// load factor λ (the paper's objective); the second balances within each
+// middlebox type over the λ-optimal face — it minimizes Σ_f λ_f and
+// maximizes Σ_f μ_f where λ_f/μ_f bound the load factors of function f's
+// providers. A plain simplex vertex of the first objective may park some
+// middleboxes at zero load while only the bottleneck type is actually
+// constrained; the second objective removes both artifacts (cf. the
+// tight per-type spreads of the paper's Table III). Both objectives share
+// one program and one tableau (lp.Problem.SetSecondObjective).
 //
 // base, when non-nil, carries constant per-middlebox load offsets: the
 // expected loads of carried-forward instances that are NOT re-entering
@@ -71,59 +77,33 @@ type wRef struct {
 // spread constraint is shifted by the offsets, and reported loads include
 // them.
 func (c *Controller) solveChainLP(insts []*ChainInstance, base map[topo.NodeID]float64) (*LBSolution, error) {
-	sol, err := c.buildAndSolve(insts, c.opts.CapLambda, nil, base)
+	start := time.Now()
+	sol, err := c.buildAndSolve(insts, c.opts.CapLambda, base)
 	if err != nil {
 		return nil, err
 	}
 	if sol == nil && c.opts.CapLambda {
 		// Infeasible under λ <= 1: overloaded network. Resolve uncapped.
-		sol, err = c.buildAndSolve(insts, false, nil, base)
+		sol, err = c.buildAndSolve(insts, false, base)
 		if err != nil {
 			return nil, err
-		}
-		if sol != nil {
-			sol.Capped = false
 		}
 	}
 	if sol == nil {
 		return nil, fmt.Errorf("controller: load-balancing LP infeasible even without the λ cap")
 	}
-	// Phase two: spread. Failure here is tolerable (numerical edge);
-	// keep the phase-one solution in that case.
-	lambdaStar := sol.Lambda
-	if spread, err := c.buildAndSolve(insts, false, &lambdaStar, base); err == nil && spread != nil {
-		spread.Lambda = lambdaStar
-		spread.Capped = sol.Capped
-		sol = spread
-	}
+	sol.SolveTime = time.Since(start)
 	return sol, nil
 }
 
-// buildAndSolve constructs one LP and solves it. It returns (nil, nil)
-// when the program is infeasible, so the caller can retry uncapped.
-// When maxMinAt is non-nil the program is the phase-two spread problem:
-// every middlebox load is capped at λ*·C(x), and per function type f the
-// objective minimizes its maximum load factor λ_f and maximizes its
-// minimum load factor μ_f. base shifts every load expression by constant
-// carried-forward loads (see solveChainLP).
-func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, maxMinAt *float64, base map[topo.NodeID]float64) (*LBSolution, error) {
+// buildAndSolve constructs the program and solves it. It returns (nil,
+// nil) when the program is infeasible, so the caller can retry uncapped.
+// base shifts every load expression by constant carried-forward loads
+// (see solveChainLP).
+func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base map[topo.NodeID]float64) (*LBSolution, error) {
 	prob := lp.NewProblem()
 	lam := prob.AddVar("lambda")
-	lamF := make(map[policy.FuncType]int)
-	muF := make(map[policy.FuncType]int)
-	if maxMinAt == nil {
-		prob.SetObjective(lam, 1)
-	} else {
-		for _, f := range c.dep.Functions() {
-			lamF[f] = prob.AddVar(fmt.Sprintf("lambda_%v", f))
-			prob.SetObjective(lamF[f], 1)
-			muF[f] = prob.AddVar(fmt.Sprintf("mu_%v", f))
-			// The spread term carries a small weight so that raising a
-			// type's minimum can never buy an increase of another type's
-			// maximum — per-type maxima stay lexicographically first.
-			prob.SetObjective(muF[f], -0.01)
-		}
-	}
+	prob.SetObjective(lam, 1)
 
 	loadTerms := make(map[topo.NodeID][]lp.Term)
 	instTerms := make(map[InstanceKey]map[topo.NodeID][]lp.Term, len(insts))
@@ -135,13 +115,9 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, maxMi
 		}
 	}
 
-	// Capacity constraints: Σ load(x) + base(x) - λ·C(x) <= 0 for every
-	// middlebox that can receive traffic (the paper's fifth/sixth
-	// constraint; base(x) is zero outside scoped re-solves). In phase two
-	// the global cap is the fixed λ* and per-type bounds
-	// μ_f·C(x) <= load(x) <= λ_f·C(x) are added. Middleboxes carrying only
-	// base load still constrain λ and the per-type bounds, so a scoped
-	// solve can never under-report the network-wide load factor.
+	// Middleboxes that can receive traffic. Those carrying only base load
+	// still constrain λ and the per-type bounds, so a scoped solve can
+	// never under-report the network-wide load factor.
 	loaded := make(map[topo.NodeID]bool, len(loadTerms)+len(base))
 	for x := range loadTerms {
 		loaded[x] = true
@@ -149,24 +125,62 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, maxMi
 	for x := range base {
 		loaded[x] = true
 	}
-	for _, x := range sortedNodeKeys(loaded) {
-		if maxMinAt == nil {
-			terms := append([]lp.Term{{Var: lam, Coef: -c.capacityOf(x)}}, loadTerms[x]...)
-			prob.AddConstraint(lp.Le, -base[x], terms...)
-			continue
-		}
-		hardCap := (*maxMinAt + 1e-7**maxMinAt + 1e-9) * c.capacityOf(x)
-		if len(loadTerms[x]) > 0 {
-			prob.AddConstraint(lp.Le, hardCap-base[x], loadTerms[x]...)
-		}
-		for _, f := range c.dep.FuncsOf(x) {
-			ceil := append([]lp.Term{{Var: lamF[f], Coef: -c.capacityOf(x)}}, loadTerms[x]...)
-			prob.AddConstraint(lp.Le, -base[x], ceil...)
-			floor := append([]lp.Term{{Var: muF[f], Coef: -c.capacityOf(x)}}, loadTerms[x]...)
-			prob.AddConstraint(lp.Ge, -base[x], floor...)
+	xs := sortedNodeKeys(loaded)
+
+	// A chain instance of volume V and length L loads a middlebox with at
+	// most V·L, so no load factor can exceed U.
+	var vl, U float64
+	for _, inst := range insts {
+		for _, v := range inst.SrcVols {
+			vl += float64(v) * float64(len(inst.Pol.Actions))
 		}
 	}
-	if capLambda && maxMinAt == nil {
+	for _, x := range xs {
+		U = max(U, (vl+base[x])/c.capacityOf(x))
+	}
+
+	// The spread variables exist only for types with a loaded provider:
+	// every one of them is then bounded by that provider's rows. Per type
+	// f, μ_f is the minimum load factor and h_f = U − λ_f the headroom
+	// under the maximum λ_f.
+	headF := make(map[policy.FuncType]int)
+	muF := make(map[policy.FuncType]int)
+	for _, x := range xs {
+		for _, f := range c.dep.FuncsOf(x) {
+			if _, ok := headF[f]; ok {
+				continue
+			}
+			headF[f] = prob.AddVar(fmt.Sprintf("headroom_%v", f))
+			prob.SetSecondObjective(headF[f], -1)
+			muF[f] = prob.AddVar(fmt.Sprintf("mu_%v", f))
+			// The spread term carries a small weight so that raising a
+			// type's minimum can never buy an increase of another type's
+			// maximum — per-type maxima stay lexicographically first.
+			prob.SetSecondObjective(muF[f], -0.01)
+		}
+	}
+
+	// Capacity constraints: Σ load(x) + base(x) - λ·C(x) <= 0 (the
+	// paper's fifth/sixth constraint; base(x) is zero outside scoped
+	// re-solves), and per implemented type f the bounds
+	// μ_f·C(x) <= load(x) + base(x) <= λ_f·C(x), written with non-negative
+	// right-hand sides so that each starts basic on its slack instead of
+	// needing an artificial: μ_f·C(x) - load(x) <= base(x) and
+	// load(x) + h_f·C(x) <= U·C(x) - base(x). The ceiling's slack is then
+	// also far from zero, so it does not block the λ stage's pivots.
+	for _, x := range xs {
+		capX := c.capacityOf(x)
+		prob.AddConstraint(lp.Le, -base[x], append([]lp.Term{{Var: lam, Coef: -capX}}, loadTerms[x]...)...)
+		for _, f := range c.dep.FuncsOf(x) {
+			prob.AddConstraint(lp.Le, U*capX-base[x], append([]lp.Term{{Var: headF[f], Coef: capX}}, loadTerms[x]...)...)
+			floor := []lp.Term{{Var: muF[f], Coef: capX}}
+			for _, t := range loadTerms[x] {
+				floor = append(floor, lp.Term{Var: t.Var, Coef: -t.Coef})
+			}
+			prob.AddConstraint(lp.Le, base[x], floor...)
+		}
+	}
+	if capLambda {
 		prob.AddConstraint(lp.Le, 1, lp.Term{Var: lam, Coef: 1})
 	}
 

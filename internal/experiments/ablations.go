@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
@@ -152,12 +153,15 @@ func StateAblationTable(off, on *StateAblation) *Table {
 	return t
 }
 
-// FormulationComparison reports Eq. (1) vs Eq. (2) on one instance.
+// FormulationComparison reports Eq. (1) vs Eq. (2) on one instance: the
+// size of each program and what solving it took, both objectives of the
+// lexicographic solve included.
 type FormulationComparison struct {
 	AggLambda, FineLambda           float64
 	AggVars, FineVars               int
 	AggConstraints, FineConstraints int
 	AggIterations, FineIterations   int
+	AggSolve, FineSolve             time.Duration
 }
 
 // RunEq1VsEq2 solves both LP formulations on a reduced topology and
@@ -193,6 +197,7 @@ func RunEq1VsEq2(cfg Config, traffic int) (*FormulationComparison, error) {
 		AggVars: agg.Vars, FineVars: fine.Vars,
 		AggConstraints: agg.Constraints, FineConstraints: fine.Constraints,
 		AggIterations: agg.Iterations, FineIterations: fine.Iterations,
+		AggSolve: agg.SolveTime, FineSolve: fine.SolveTime,
 	}, nil
 }
 
@@ -203,6 +208,8 @@ func (c *FormulationComparison) Table() *Table {
 	t.Add("variables", c.AggVars, c.FineVars)
 	t.Add("constraints", c.AggConstraints, c.FineConstraints)
 	t.Add("simplex iterations", c.AggIterations, c.FineIterations)
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond)) }
+	t.Add("solve time (ms, wall)", ms(c.AggSolve), ms(c.FineSolve))
 	return t
 }
 

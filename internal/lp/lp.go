@@ -6,7 +6,7 @@
 //
 // Problems are stated as
 //
-//	minimize    c·x
+//	minimize    c·x  (then, optionally, c2·x over the minimizers of c·x)
 //	subject to  a_i·x (<=|=|>=) b_i   for each constraint i
 //	            x >= 0
 //
@@ -19,10 +19,16 @@
 // phases. Controller-built instances (after the exact reductions
 // described in DESIGN.md) stay small enough for a dense tableau.
 //
+// One problem is one tableau. Phase 1 finds a feasible basis and phase 2
+// optimizes c·x. A second objective (the controller's per-type load
+// spread at the optimal λ) continues from that basis: columns with a
+// positive reduced cost are fixed at zero, confining the pivots to the
+// optimal face, and c2 is priced out against the basis in hand — there
+// is no second phase 1.
+//
 // The tableau is stored densely but pivoted sparsely: the controller's
 // programs are block-angular (one block per chain, coupled only through
-// the per-middlebox load rows), so a pivot row is mostly zeros (12 %
-// non-zero on the campus min-λ program, 41 % on its spread program) and
+// the per-middlebox load rows), so a pivot row is mostly zeros and
 // tableau.pivot updates the other rows only where it is not. The contract
 // is bit-identity with a full sweep up to the sign of zero, because plans,
 // journals and the committed result CSVs are compared byte for byte
@@ -76,6 +82,8 @@ type constraint struct {
 type Problem struct {
 	names       []string
 	objective   []float64
+	second      []float64 // parallel to objective; used iff hasSecond
+	hasSecond   bool
 	constraints []constraint
 }
 
@@ -87,6 +95,7 @@ func NewProblem() *Problem { return &Problem{} }
 func (p *Problem) AddVar(name string) int {
 	p.names = append(p.names, name)
 	p.objective = append(p.objective, 0)
+	p.second = append(p.second, 0)
 	return len(p.names) - 1
 }
 
@@ -99,6 +108,15 @@ func (p *Problem) NumConstraints() int { return len(p.constraints) }
 // SetObjective sets the cost coefficient of a variable (minimization).
 func (p *Problem) SetObjective(v int, coef float64) {
 	p.objective[v] = coef
+}
+
+// SetSecondObjective sets the coefficient of a variable in the second
+// objective (minimization). A problem with a second objective is solved
+// lexicographically: among the optima of the first objective, Solve
+// returns one that minimizes the second.
+func (p *Problem) SetSecondObjective(v int, coef float64) {
+	p.second[v] = coef
+	p.hasSecond = true
 }
 
 // AddConstraint adds a constraint Σ terms (op) rhs. Terms may repeat a
@@ -142,11 +160,13 @@ func (s Status) String() string {
 
 // Solution is the result of Solve.
 type Solution struct {
-	Status    Status
+	Status Status
+	// Objective is the optimum of the first objective.
 	Objective float64
 	// X holds one value per variable added with AddVar.
 	X []float64
-	// Iterations counts simplex pivots across both phases.
+	// Iterations counts simplex pivots across both phases and, with a
+	// second objective, the stage that optimizes it.
 	Iterations int
 }
 
@@ -168,7 +188,6 @@ type tableau struct {
 	rows, cols int // excludes objective row / rhs col in naming below
 	a          [][]float64
 	basis      []int // basis[r] = column basic in row r
-	nArt       int
 	artStart   int
 	iterations int
 	// nz, nzv: pivot's scratch, the scaled pivot row's non-zero columns
@@ -252,25 +271,14 @@ func (p *Problem) solve(trace func(t *tableau, leave, enter int, done bool)) (*S
 			artIdx++
 		}
 	}
-	t.nArt = artIdx - artStart
 
 	// Phase 1: minimize the sum of artificial variables.
-	if t.nArt > 0 {
-		obj := t.a[m]
-		for j := range obj {
-			obj[j] = 0
-		}
+	if artIdx > artStart {
+		sum := make([]float64, artIdx)
 		for j := artStart; j < artIdx; j++ {
-			obj[j] = 1
+			sum[j] = 1
 		}
-		// Price out the basic artificial columns.
-		for i := 0; i < m; i++ {
-			if t.basis[i] >= artStart {
-				for j := 0; j <= cols; j++ {
-					obj[j] -= t.a[i][j]
-				}
-			}
-		}
+		t.price(sum)
 		if err := t.iterate(artIdx); err != nil {
 			return nil, err
 		}
@@ -281,32 +289,23 @@ func (p *Problem) solve(trace func(t *tableau, leave, enter int, done bool)) (*S
 	}
 
 	// Phase 2: original objective over non-artificial columns.
-	obj := t.a[m]
-	for j := range obj {
-		obj[j] = 0
+	t.price(p.objective)
+	err := t.iterate(artStart)
+	objective := -t.a[m][cols]
+	if err == nil && p.hasSecond {
+		t.priceOnFace(p.second)
+		err = t.iterate(artStart)
 	}
-	for j := 0; j < n; j++ {
-		obj[j] = p.objective[j]
+	if errors.Is(err, errUnbounded) {
+		return &Solution{Status: Unbounded, Iterations: t.iterations}, nil
 	}
-	for i := 0; i < m; i++ {
-		b := t.basis[i]
-		if b < artStart && obj[b] != 0 {
-			coef := obj[b]
-			for j := 0; j <= cols; j++ {
-				obj[j] -= coef * t.a[i][j]
-			}
-		}
-	}
-	if err := t.iterate(artStart); err != nil {
-		if errors.Is(err, errUnbounded) {
-			return &Solution{Status: Unbounded, Iterations: t.iterations}, nil
-		}
+	if err != nil {
 		return nil, err
 	}
 
 	sol := &Solution{
 		Status:     Optimal,
-		Objective:  -t.a[m][cols],
+		Objective:  objective,
 		X:          make([]float64, n),
 		Iterations: t.iterations,
 	}
@@ -322,6 +321,42 @@ func (p *Problem) solve(trace func(t *tableau, leave, enter int, done bool)) (*S
 }
 
 var errUnbounded = errors.New("lp: unbounded")
+
+// price loads cost c (indexed by column, zero past its end) into the
+// objective row and prices out the basic columns, leaving the reduced
+// costs against the current basis.
+func (t *tableau) price(c []float64) {
+	obj := t.a[t.rows]
+	clear(obj)
+	copy(obj, c)
+	for i, row := range t.a[:t.rows] {
+		if coef := obj[t.basis[i]]; coef != 0 {
+			for j := range row {
+				obj[j] -= coef * row[j]
+			}
+		}
+	}
+}
+
+// priceOnFace prices cost c over the optimal face of the objective just
+// optimized: a column with a positive reduced cost there would leave the
+// face if raised, so it is fixed at zero, zeroed in every row. A pivot on
+// a column left (reduced cost zero within eps) keeps the others' as they
+// were, so no later pivot leaves the face, and fixed columns cost none.
+func (t *tableau) priceOnFace(c []float64) {
+	var off []int
+	for j, d := range t.a[t.rows][:t.artStart] {
+		if d > eps {
+			off = append(off, j)
+		}
+	}
+	t.price(c)
+	for _, row := range t.a {
+		for _, j := range off {
+			row[j] = 0
+		}
+	}
+}
 
 // iterate runs simplex pivots until optimality, considering entering
 // columns in [0, colLimit). Dantzig pricing normally; pure Bland's rule
@@ -386,10 +421,16 @@ func (t *tableau) iterate(colLimit int) error {
 // into +0), so every entry that changes is computed by the same operations
 // and the pivot sequence and solution are the same bits up to that sign.
 func (t *tableau) pivot(leave, enter int) {
+	prow := t.a[leave]
+	if left := t.basis[leave]; left >= t.artStart {
+		// An artificial leaving the basis is never needed again. Basic,
+		// its column is zero outside this row, so zeroing the one entry
+		// drops the column from the tableau and from every later pivot.
+		prow[left] = 0
+	}
 	if t.trace != nil {
 		t.trace(t, leave, enter, false)
 	}
-	prow := t.a[leave]
 	inv := 1 / prow[enter]
 	nz, nzv := t.nz[:0], t.nzv[:0]
 	for j, v := range prow {
@@ -433,8 +474,8 @@ func (t *tableau) pivot(leave, enter int) {
 
 // subScaled2 is pivot's inner loop, row[nz[k]] -= f*nzv[k] for every k, on
 // two rows of equal length at once: the pair shares the loads of nz and
-// nzv, a quarter of the loop's instructions (BenchmarkSolveCampusSpread
-// 68 → 52 ms). Not inlined: inside pivot the loop spills its counter.
+// nzv, a quarter of the loop's instructions (52 against 68 ms on the
+// campus spread solve). Not inlined: inside pivot the loop spills its counter.
 //
 //go:noinline
 func subScaled2(a []float64, fa float64, b []float64, fb float64, nz []int, nzv []float64) {
@@ -451,25 +492,20 @@ func subScaled2(a []float64, fa float64, b []float64, fb float64, nz []int, nzv 
 // level after a feasible phase 1) out of the basis, or neutralizes its
 // redundant row.
 func (t *tableau) evictArtificials() {
-	for i := 0; i < t.rows; i++ {
+rows:
+	for i, row := range t.a[:t.rows] {
 		if t.basis[i] < t.artStart {
 			continue
 		}
-		pivoted := false
-		for j := 0; j < t.artStart; j++ {
-			if math.Abs(t.a[i][j]) > eps {
+		for j, v := range row[:t.artStart] {
+			if math.Abs(v) > eps {
 				t.pivot(i, j)
-				pivoted = true
-				break
+				continue rows
 			}
 		}
-		if !pivoted {
-			// Redundant row: zero it so it can never constrain phase 2.
-			for j := 0; j <= t.cols; j++ {
-				t.a[i][j] = 0
-			}
-			// Keep the artificial in the basis of the zero row; it stays
-			// at level 0 and no column prices against it.
-		}
+		// Redundant row: zero it so it can never constrain phase 2. The
+		// artificial stays basic in the zero row at level 0, and no column
+		// prices against it.
+		clear(row)
 	}
 }

@@ -488,27 +488,39 @@ func solveLockstep(t *testing.T, p *Problem) *Solution {
 // campusProgram builds a program with the block structure of the
 // controller's campus rebalance (controller/lb.go): chain instances of
 // one to three functions, source groups and providers each splitting over
-// three or four candidates (an Eq row per split), coupled only through one
-// load row per middlebox. At 30 instances it has the size of the
-// rebalance bench's control_loop solves (845 variables, 243 Eq rows, 22
-// middleboxes there). With lambdaStar nil it is the min-λ program; otherwise
-// the spread program at that λ*: a hard cap per middlebox plus a ceiling
-// (λ_f) and a floor (μ_f, a Ge row) per function type.
-func campusProgram(insts int, lambdaStar *float64) *Problem {
+// three or four candidates (an Eq row per split), coupled only through the
+// rows of each middlebox. At 30 instances it has the size of the
+// rebalance bench's control_loop solves (845 split variables, 243 Eq rows,
+// 22 middleboxes there). With lambdaStar nil it is the rebalance as the
+// controller solves it: min λ over one capacity row, one ceiling row
+// (load + h_f·C ≤ U·C, h_f = U − λ_f the headroom under the type's
+// maximum λ_f) and one floor row (μ_f·C − load ≤ 0) per middlebox, with
+// the per-type spread as the second objective. Otherwise it is the reference
+// the controller solved before the two objectives shared a tableau: the
+// spread program as a separate LP at that λ*, with a hard cap per
+// middlebox and the floor as a Ge row. The second result is U, the
+// headroom's origin.
+func campusProgram(insts int, lambdaStar *float64) (*Problem, float64) {
 	rng := rand.New(rand.NewSource(20))
 	const nFuncs, perFunc, capacity = 4, 6, 1000
 	p := NewProblem()
 	lam := p.AddVar("lambda")
-	var lamF, muF [nFuncs]int
-	if lambdaStar == nil {
-		p.SetObjective(lam, 1)
-	} else {
-		for f := range lamF {
-			lamF[f], muF[f] = p.AddVar("lambda_f"), p.AddVar("mu_f")
-			p.SetObjective(lamF[f], 1)
+	// ceil[f] is the headroom h_f in the rebalance and λ_f in the reference.
+	var ceil, muF [nFuncs]int
+	for f := range ceil {
+		ceil[f], muF[f] = p.AddVar("ceiling_f"), p.AddVar("mu_f")
+		if lambdaStar == nil {
+			p.SetSecondObjective(ceil[f], -1)
+			p.SetSecondObjective(muF[f], -0.01)
+		} else {
+			p.SetObjective(ceil[f], 1)
 			p.SetObjective(muF[f], -0.01)
 		}
 	}
+	if lambdaStar == nil {
+		p.SetObjective(lam, 1)
+	}
+	u := 0.0                                // Σ volume × chain length: no load exceeds it
 	loads := make([][]Term, nFuncs*perFunc) // middlebox f*perFunc+k implements f
 	split := func(f int, inflow []Term, rhs float64) map[int][]Term {
 		out := make(map[int][]Term)
@@ -533,7 +545,9 @@ func campusProgram(insts int, lambdaStar *float64) *Problem {
 		chain := rng.Perm(nFuncs)[:1+rng.Intn(3)]
 		inflow := make(map[int][]Term)
 		for g := 2 + rng.Intn(4); g > 0; g-- {
-			merge(inflow, split(chain[0], nil, float64(20+rng.Intn(200))))
+			vol := float64(20 + rng.Intn(200))
+			u += vol * float64(len(chain))
+			merge(inflow, split(chain[0], nil, vol))
 		}
 		for _, f := range chain[1:] {
 			next := make(map[int][]Term)
@@ -553,13 +567,19 @@ func campusProgram(insts int, lambdaStar *float64) *Problem {
 		with := func(v int) []Term { return append([]Term{{v, -capacity}}, terms...) }
 		if lambdaStar == nil {
 			p.AddConstraint(Le, 0, with(lam)...)
+			p.AddConstraint(Le, u, append([]Term{{ceil[x/perFunc], capacity}}, terms...)...)
+			floor := []Term{{muF[x/perFunc], capacity}}
+			for _, t := range terms {
+				floor = append(floor, Term{t.Var, -t.Coef})
+			}
+			p.AddConstraint(Le, 0, floor...)
 			continue
 		}
 		p.AddConstraint(Le, (*lambdaStar+1e-7**lambdaStar+1e-9)*capacity, terms...)
-		p.AddConstraint(Le, 0, with(lamF[x/perFunc])...)
+		p.AddConstraint(Le, 0, with(ceil[x/perFunc])...)
 		p.AddConstraint(Ge, 0, with(muF[x/perFunc])...)
 	}
-	return p
+	return p, u / capacity
 }
 
 func TestSparsePivotMatchesDense(t *testing.T) {
@@ -567,15 +587,143 @@ func TestSparsePivotMatchesDense(t *testing.T) {
 	if testing.Short() {
 		insts = 10
 	}
-	minLam := solveLockstep(t, campusProgram(insts, nil))
-	if minLam.Status != Optimal || minLam.Objective <= 0 {
-		t.Fatalf("min-λ program: %v, λ = %v", minLam.Status, minLam.Objective)
+	p, _ := campusProgram(insts, nil)
+	sol := solveLockstep(t, p)
+	if sol.Status != Optimal || sol.Objective <= 0 {
+		t.Fatalf("rebalance program: %v, λ = %v", sol.Status, sol.Objective)
 	}
-	spread := solveLockstep(t, campusProgram(insts, &minLam.Objective))
-	if spread.Status != Optimal {
-		t.Fatalf("spread program: %v", spread.Status)
+	t.Logf("rebalance: %d pivots", sol.Iterations)
+}
+
+// TestCampusRebalancePivotBudget pins what the second objective costs on
+// the campus rebalance: the pivots after the first objective's optimum.
+// Solved as two programs, before they shared a tableau, min-λ took 423
+// pivots and the separate spread program 679, 654 of them in its own
+// phase 1 from an all-artificial basis. On one tableau the rebalance
+// takes 502: 423 to the min-λ optimum, as many as the min-λ program alone
+// (the ceiling and floor rows start on their slacks, far from binding),
+// and 79 for the spread. The counts are deterministic; a second stage that
+// searched for a feasible basis again would cost hundreds more. The
+// spread optimum must be the reference's.
+func TestCampusRebalancePivotBudget(t *testing.T) {
+	const stage2Budget = 200
+	p, u := campusProgram(30, nil)
+	lex := solveOK(t, p)
+	p.hasSecond = false
+	first := solveOK(t, p)
+	if lex.Objective != first.Objective {
+		t.Fatalf("λ = %v with the spread stage, %v without", lex.Objective, first.Objective)
 	}
-	t.Logf("min-λ %d pivots, spread %d pivots", minLam.Iterations, spread.Iterations)
+	stage2 := lex.Iterations - first.Iterations
+	t.Logf("min-λ %d pivots, spread stage %d", first.Iterations, stage2)
+	if stage2 > stage2Budget {
+		t.Errorf("the spread stage took %d pivots, budget %d: does it search for a feasible basis again?", stage2, stage2Budget)
+	}
+
+	// The reference minimizes Σ λ_f − 0.01·Σ μ_f; the rebalance the same
+	// with each λ_f as U − h_f, four types.
+	ref, _ := campusProgram(30, &lex.Objective)
+	want := solveOK(t, ref).Objective
+	if got := dot(p.second, lex.X) + 4*u; math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
+		t.Errorf("spread objective %v, the two-program reference reaches %v", got, want)
+	}
+}
+
+func dot(c, x []float64) float64 {
+	var s float64
+	for j := range c {
+		s += c[j] * x[j]
+	}
+	return s
+}
+
+// TestRandomLexicographicLPs is the second objective's property on random
+// small programs with tied first-objective costs (so the optimal faces
+// are not single vertices): the second stage never moves the first
+// objective off its optimum, and it reaches the optimum of the
+// two-program reference — minimize the first objective, then the second
+// with the first capped at its optimum.
+func TestRandomLexicographicLPs(t *testing.T) {
+	type row struct {
+		op    Op
+		rhs   float64
+		coefs []float64
+	}
+	rng := rand.New(rand.NewSource(27))
+	solved, moved := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(5)
+		c1, c2 := make([]float64, n), make([]float64, n)
+		budget := row{op: Le, rhs: 20, coefs: make([]float64, n)}
+		for j := range c1 {
+			c1[j] = float64(rng.Intn(3))
+			c2[j] = float64(rng.Intn(7) - 3)
+			budget.coefs[j] = 1
+		}
+		rows := []row{budget} // bounds both objectives
+		for i := 1 + rng.Intn(3); i > 0; i-- {
+			r := row{op: Op(1 + rng.Intn(3)), rhs: float64(rng.Intn(10)), coefs: make([]float64, n)}
+			for j := range r.coefs {
+				r.coefs[j] = float64(rng.Intn(4))
+			}
+			rows = append(rows, r)
+		}
+		build := func(first, second []float64, extra ...row) *Problem {
+			p := NewProblem()
+			for j := 0; j < n; j++ {
+				v := p.AddVar("")
+				p.SetObjective(v, first[j])
+				if second != nil {
+					p.SetSecondObjective(v, second[j])
+				}
+			}
+			for _, r := range append(rows[:len(rows):len(rows)], extra...) {
+				var terms []Term
+				for j, a := range r.coefs {
+					if a != 0 {
+						terms = append(terms, Term{j, a})
+					}
+				}
+				p.AddConstraint(r.op, r.rhs, terms...)
+			}
+			return p
+		}
+
+		lex := solveLockstep(t, build(c1, c2))
+		z1 := solveLockstep(t, build(c1, nil))
+		if lex.Status != z1.Status {
+			t.Fatalf("trial %d: status %v with a second objective, %v without", trial, lex.Status, z1.Status)
+		}
+		if z1.Status != Optimal {
+			continue
+		}
+		solved++
+		if lex.Iterations > z1.Iterations {
+			moved++
+		}
+		for i, r := range rows {
+			lhs := dot(r.coefs, lex.X)
+			if (r.op == Le && lhs > r.rhs+1e-6) || (r.op == Ge && lhs < r.rhs-1e-6) ||
+				(r.op == Eq && math.Abs(lhs-r.rhs) > 1e-6) {
+				t.Fatalf("trial %d: row %d violated: %v %v %v", trial, i, lhs, r.op, r.rhs)
+			}
+		}
+		tol := 1e-9 * math.Max(1, math.Abs(z1.Objective))
+		if lex.Objective != z1.Objective || math.Abs(dot(c1, lex.X)-z1.Objective) > tol {
+			t.Fatalf("trial %d: first objective %v (reported %v), optimum %v",
+				trial, dot(c1, lex.X), lex.Objective, z1.Objective)
+		}
+		ref := solveOK(t, build(c2, nil, row{op: Le, rhs: z1.Objective + tol, coefs: c1}))
+		if got := dot(c2, lex.X); math.Abs(got-ref.Objective) > 1e-6*math.Max(1, math.Abs(ref.Objective)) {
+			t.Fatalf("trial %d: second objective %v, two-program reference %v", trial, got, ref.Objective)
+		}
+	}
+	// The property means something only if the optima were common and the
+	// second stage often had somewhere to go.
+	if solved < 100 || moved < 30 {
+		t.Fatalf("%d of 300 trials optimal, %d with second-stage pivots", solved, moved)
+	}
+	t.Logf("%d of 300 trials optimal, %d with second-stage pivots", solved, moved)
 }
 
 func benchmarkSolve(b *testing.B, p *Problem) {
@@ -588,14 +736,10 @@ func benchmarkSolve(b *testing.B, p *Problem) {
 	}
 }
 
-func BenchmarkSolveCampusMinLambda(b *testing.B) { benchmarkSolve(b, campusProgram(30, nil)) }
-
-func BenchmarkSolveCampusSpread(b *testing.B) {
-	minLam, err := campusProgram(30, nil).Solve()
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchmarkSolve(b, campusProgram(30, &minLam.Objective))
+// BenchmarkSolveCampusRebalance is one rebalance's solve, both objectives.
+func BenchmarkSolveCampusRebalance(b *testing.B) {
+	p, _ := campusProgram(30, nil)
+	benchmarkSolve(b, p)
 }
 
 func BenchmarkSimplexMedium(b *testing.B) {
