@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build test race vet fmt verify-examples chaos fuzz cover check \
-	bench bench-smoke bench-compare race-stress race-flake results-check loc
+	bench bench-smoke bench-compare race-stress race-flake results-check loc cross
 
 all: build
 
@@ -111,11 +111,13 @@ bench-compare:
 # insert/label/sweep cycles, probe clusters under removal), plus the live
 # worker-pool ordering/shutdown suite, a device's own sweep running beside
 # its workers, and the live send path's guards (concurrent injectors on
-# the one socket, inject after close, the allocation counts). -count=5
-# shakes out schedule-dependent interleavings.
+# the one socket, inject after close, the allocation counts, the batch
+# edge cases: a refused or oversize frame mid-batch, a cut datagram, a
+# command after a burst, a sink's errors). -count=5 shakes out
+# schedule-dependent interleavings.
 race-stress:
 	$(GO) test -race -count=5 \
-		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire' \
+		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire|Batch|SinkCountsErrors' \
 		./internal/flowtable/ ./internal/live/
 
 # Flake hunt for the packages that cross a wire or a clock: 20 passes
@@ -147,6 +149,18 @@ results-check:
 		grep -v '^live,\|,live,' "results/$$f" | cmp - "$$tmp/$$f.sim" || exit 1; \
 	done; \
 	echo "results-check: paper CSVs and the sim rows of recovery.csv failover.csv ha.csv identical"
+
+# Cross-builds. The live fabric batches datagrams with recvmmsg/sendmmsg
+# on Linux (sendmmsg's number is per arch) and reads and writes one
+# datagram per call elsewhere; building for other systems and arches
+# keeps both halves compiling. bench/ stays out: it calls syscall.Uname,
+# which only Linux has.
+CROSS_PKGS = ./internal/... ./cmd/... ./examples/... .
+cross:
+	GOOS=darwin GOARCH=amd64 $(GO) build $(CROSS_PKGS)
+	GOOS=windows GOARCH=amd64 $(GO) build $(CROSS_PKGS)
+	GOOS=linux GOARCH=arm64 $(GO) build $(CROSS_PKGS)
+	GOOS=linux GOARCH=386 $(GO) build $(CROSS_PKGS)
 
 # The size figure every PR reports (ROADMAP north star): non-test Go lines
 # outside the benchmark and the analyzers' fixtures.

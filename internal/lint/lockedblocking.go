@@ -365,6 +365,13 @@ func directBlockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 		if isNamedIn(recv, "os", "File") && osFileBlockingMethods[sel.Sel.Name] {
 			return "os.File." + sel.Sel.Name, true
 		}
+	case "syscall":
+		// A RawConn read or write calls back until the socket is ready,
+		// waiting on the netpoller in between (the live fabric's batched
+		// recvmmsg/sendmmsg path); Control does not wait.
+		if isNamedIn(recv, "syscall", "RawConn") && (sel.Sel.Name == "Read" || sel.Sel.Name == "Write") {
+			return "syscall.RawConn." + sel.Sel.Name, true
+		}
 	}
 	return "", false
 }

@@ -99,7 +99,7 @@ func FuzzDispatchFrame(f *testing.F) {
 			var errs int64
 			ok := d.Do(func(*enforce.Node) {
 				before, errs = viewPool(), d.Errors.Load()
-				d.dispatch(frame)
+				d.dispatch(frame, d.rt.now())
 			}) && d.Do(func(*enforce.Node) {
 				after, errs = viewPool(), d.Errors.Load()-errs
 			})

@@ -5,7 +5,6 @@ package live
 // mixing their frames, and a send that fails is reported.
 
 import (
-	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -71,15 +70,16 @@ func TestInjectAllocFree(t *testing.T) {
 }
 
 // TestForwarderAllocFree: a worker's forwarder builds every frame shape
-// in the one buffer it keeps.
+// in the slots it keeps, and staging and flushing them, one at a time or
+// a full batch, allocates nothing.
 func TestForwarderAllocFree(t *testing.T) {
 	rt, sink, addr := sinkBed(t)
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, raw, err := listen()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fwd := &udpForwarder{rt: rt, conn: conn}
+	fwd := newForwarder(rt, conn, raw)
 
 	tunnelled := payloadPacket(workerFlow(1), 64)
 	if err := tunnelled.Encapsulate(topo.HostAddr(1, 1), addr); err != nil {
@@ -98,9 +98,17 @@ func TestForwarderAllocFree(t *testing.T) {
 		{"labelled", func() { fwd.Send(nil, labelled); sent++ }},
 		// The sink reads a control frame and ignores it.
 		{"control", func() { fwd.SendControl(nil, addr, workerFlow(3)) }},
+		// A full batch flushes itself; the flush after it finds none staged.
+		{"batch", func() {
+			for range batchSlots {
+				fwd.Send(nil, tunnelled)
+			}
+			sent += batchSlots
+		}},
 	} {
 		avg := testing.AllocsPerRun(200, func() {
 			tc.send()
+			fwd.flush()
 			awaitReceived(t, sink, sent)
 		})
 		if avg != 0 {
@@ -203,8 +211,8 @@ func TestInjectAfterClose(t *testing.T) {
 	}
 }
 
-// TestInjectReportsSendFailure: a datagram the socket refuses (here one
-// past UDP's size limit) is an error to the caller as well as a count.
+// TestInjectReportsSendFailure: a frame the fabric does not carry (here
+// one past UDP's size limit) is an error to the caller as well as a count.
 func TestInjectReportsSendFailure(t *testing.T) {
 	rt, sink, addr := sinkBed(t)
 	if err := rt.Inject(addr, payloadPacket(workerFlow(0), 70_000)); err == nil {

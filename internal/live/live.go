@@ -20,6 +20,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"sdme/internal/enforce"
@@ -33,6 +34,27 @@ const (
 	frameData    = 0x01
 	frameControl = 0x02
 )
+
+// maxFrame is the largest frame the fabric carries: a 1500-byte MTU
+// packet with a tunnel's outer header and the type byte fits. Every read
+// slot is this long; Inject refuses a longer frame, a forwarder counts one
+// in Blackholed, and a reader counts one cut by its slot in Errors.
+const maxFrame = 2 << 10
+
+// listen opens a loopback UDP socket and the raw handle its batched reads
+// and writes go through (batch_linux.go).
+func listen() (*net.UDPConn, syscall.RawConn, error) {
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		return nil, nil, err
+	}
+	raw, err := conn.SyscallConn()
+	if err != nil {
+		_ = conn.Close()
+		return nil, nil, err
+	}
+	return conn, raw, nil
+}
 
 // appendControl appends a §III-E control frame to dst: the type byte and
 // the flow 5-tuple.
@@ -189,8 +211,10 @@ type Device struct {
 	Errors atomic.Int64
 
 	// workers are the per-flow FIFO queues; closed by the dispatcher on
-	// shutdown, fully drained by the workers before they exit.
+	// shutdown, fully drained by the workers before they exit. fwds[i] is
+	// worker i's forwarder.
 	workers []chan workItem
+	fwds    []*udpForwarder
 	// dispLM / queueDepth are the dispatcher goroutine's cached metric
 	// handles (workers.go); no other goroutine touches them.
 	dispLM     *liveMetrics
@@ -216,7 +240,7 @@ func (r *Runtime) AddDeviceWorkers(n *enforce.Node, workers int) (*Device, error
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, raw, err := listen()
 	if err != nil {
 		return nil, fmt.Errorf("live: listen for node %v: %w", n.ID, err)
 	}
@@ -231,13 +255,13 @@ func (r *Runtime) AddDeviceWorkers(n *enforce.Node, workers int) (*Device, error
 		health:   make(chan chan struct{}),
 		commands: make(chan func()),
 	}
-	d.startWorkers(workers)
+	d.startWorkers(workers, raw)
 	r.mu.Lock()
 	r.register(conn, n.Addr)
 	r.devices = append(r.devices, d)
 	r.mu.Unlock()
 	d.wg.Add(1)
-	go d.loop()
+	go d.loop(newReader(conn, raw))
 	return d, nil
 }
 
@@ -304,21 +328,21 @@ func (d *Device) stop() {
 }
 
 // loop is the dispatcher: the device's single-producer receive loop. It
-// parses frames into pooled packets, enqueues them on per-flow workers,
-// and services the health and command channels between reads — quiescing
-// the pool before a command, so it observes a consistent node. When the
+// reads up to batchSlots datagrams at a time, parses them into pooled
+// packets, enqueues them on per-flow workers, and services the health and
+// command channels between reads — quiescing the pool before a command,
+// so it observes a consistent node. When the
 // installed configuration has a TTL the read's deadline is the next soft
 // state sweep (rearm); otherwise it has none. Either way submit interrupts
 // it. On exit the loop closes the worker queues; workers drain them fully
 // before stopping.
-func (d *Device) loop() {
+func (d *Device) loop(rd *reader) {
 	defer d.wg.Done()
 	defer func() {
 		for _, ch := range d.workers {
 			close(ch)
 		}
 	}()
-	buf := make([]byte, 64*1024)
 	nextSweep, err := d.rearm(time.Time{})
 	if err != nil {
 		return
@@ -345,7 +369,7 @@ func (d *Device) loop() {
 			runtime.Gosched()
 			continue
 		}
-		n, _, err := d.conn.ReadFromUDPAddrPort(buf)
+		n, err := rd.read()
 		if err != nil {
 			var nerr net.Error
 			if errors.As(err, &nerr) && nerr.Timeout() {
@@ -360,7 +384,14 @@ func (d *Device) loop() {
 			}
 			return // socket closed
 		}
-		d.dispatch(buf[:n])
+		now := d.rt.now() // one clock read per batch
+		for i := range n {
+			if frame, whole := rd.frame(i); whole {
+				d.dispatch(frame, now)
+			} else {
+				d.Errors.Add(1)
+			}
+		}
 	}
 }
 
@@ -399,16 +430,27 @@ func (d *Device) rearm(next time.Time) (time.Time, error) {
 const minSweepEvery = time.Millisecond
 
 // udpForwarder sends one worker's dataplane output onto the fabric. The
-// device's workers share its socket (conn); each has a forwarder of its
-// own, so frame, the buffer every datagram is built in, has one writer. It
-// grows to the largest frame the worker has sent and is never pre-sized.
+// device's workers share its socket; each has a forwarder of its own, so
+// its slots have one writer. Send and SendControl build a frame in the
+// next slot and stage it; flush hands every staged frame to the kernel in
+// one batch. A full batch flushes itself, and workerLoop flushes the
+// rest. A slot grows to the largest frame built in it and is never
+// pre-sized.
 type udpForwarder struct {
-	rt    *Runtime
-	conn  *net.UDPConn
-	frame []byte
+	rt     *Runtime
+	out    sender
+	staged int
+	frames [batchSlots][]byte
+	eps    [batchSlots]netip.AddrPort
 }
 
 var _ enforce.Forwarder = (*udpForwarder)(nil)
+
+func newForwarder(rt *Runtime, conn *net.UDPConn, raw syscall.RawConn) *udpForwarder {
+	f := &udpForwarder{rt: rt}
+	f.out.init(conn, raw)
+	return f
+}
 
 func (f *udpForwarder) Send(from *enforce.Node, pkt *packet.Packet) {
 	ep, ok := f.rt.lookup(pkt.OutermostDst())
@@ -416,8 +458,8 @@ func (f *udpForwarder) Send(from *enforce.Node, pkt *packet.Packet) {
 		f.rt.blackhole()
 		return
 	}
-	f.frame = pkt.AppendMarshal(append(f.frame[:0], frameData))
-	_ = f.rt.sendVia(f.conn, ep, f.frame) // counted in Blackholed; a Forwarder has nobody to return it to
+	f.frames[f.staged] = pkt.AppendMarshal(append(f.frames[f.staged][:0], frameData))
+	f.stage(ep)
 }
 
 func (f *udpForwarder) SendControl(from *enforce.Node, to netaddr.Addr, flow netaddr.FiveTuple) {
@@ -426,8 +468,42 @@ func (f *udpForwarder) SendControl(from *enforce.Node, to netaddr.Addr, flow net
 		f.rt.blackhole()
 		return
 	}
-	f.frame = appendControl(f.frame[:0], flow)
-	_ = f.rt.sendVia(f.conn, ep, f.frame) // as in Send
+	f.frames[f.staged] = appendControl(f.frames[f.staged][:0], flow)
+	f.stage(ep)
+}
+
+// stage commits the frame just built in the next slot, bound for ep,
+// unless it is too long for the fabric (Blackholed) or injected loss
+// takes it (Dropped).
+func (f *udpForwarder) stage(ep netip.AddrPort) {
+	if len(f.frames[f.staged]) > maxFrame {
+		f.rt.blackhole()
+		return
+	}
+	if f.rt.lose() {
+		return
+	}
+	f.eps[f.staged] = ep
+	f.staged++
+	if f.staged == batchSlots {
+		f.flush()
+	}
+}
+
+// flush sends every staged frame; each one the socket refuses counts in
+// Blackholed, as a Forwarder has nobody to return the error to.
+func (f *udpForwarder) flush() {
+	if f.staged == 0 {
+		return
+	}
+	refused := f.out.write(f.frames[:f.staged], f.eps[:f.staged])
+	for range refused {
+		f.rt.blackhole()
+	}
+	if m := f.rt.lm.Load(); m != nil {
+		m.sent.Add(int64(f.staged - refused))
+	}
+	f.staged = 0
 }
 
 // SetLossRate makes the fabric drop approximately num/den of data
@@ -442,38 +518,19 @@ func (r *Runtime) SetLossRate(num, den int64) {
 	r.lossDen.Store(den)
 }
 
-// shouldDrop implements the deterministic loss sequence: of every `den`
-// consecutive sends, the first `num` are dropped.
-func (r *Runtime) shouldDrop() bool {
-	den := r.lossDen.Load()
-	num := r.lossNum.Load()
-	if num == 0 || den <= 0 {
+// lose reports whether injected loss takes the next datagram, counting
+// it in Dropped if so: of every `den` consecutive datagrams the first
+// `num` are lost. A datagram the fabric drops on purpose is not an error.
+func (r *Runtime) lose() bool {
+	den, num := r.lossDen.Load(), r.lossNum.Load()
+	if num == 0 || den <= 0 || r.lossSeq.Add(1)%den >= num {
 		return false
 	}
-	seq := r.lossSeq.Add(1)
-	return seq%den < num
-}
-
-// sendVia transmits one datagram through conn, honoring injected loss (a
-// *net.UDPConn is safe for concurrent use, so a device's workers all
-// share the device socket). A datagram the fabric drops on purpose is not
-// an error; one the socket refuses is counted in Blackholed and returned.
-func (r *Runtime) sendVia(conn *net.UDPConn, ep netip.AddrPort, frame []byte) error {
-	if r.shouldDrop() {
-		r.Dropped.Add(1)
-		if m := r.lm.Load(); m != nil {
-			m.dropped.Inc()
-		}
-		return nil
-	}
-	if _, err := conn.WriteToUDPAddrPort(frame, ep); err != nil {
-		r.blackhole()
-		return err
-	}
+	r.Dropped.Add(1)
 	if m := r.lm.Load(); m != nil {
-		m.sent.Inc()
+		m.dropped.Inc()
 	}
-	return nil
+	return true
 }
 
 // Sink is a destination endpoint: it accepts data frames for one or more
@@ -486,6 +543,10 @@ type Sink struct {
 	// received is advanced last, inside mu: a reader that has seen a
 	// count finds every per-flow figure of those packets behind the lock.
 	received atomic.Int64
+	// Errors counts datagrams the sink could not take: empty, of an
+	// unknown type, unparseable, or cut by its read slot. Control frames
+	// are not for sinks and are ignored, not counted.
+	Errors atomic.Int64
 
 	mu      sync.Mutex
 	byFlow  map[netaddr.FiveTuple]int
@@ -496,7 +557,7 @@ type Sink struct {
 
 // AddSink opens a sink socket serving the given model addresses.
 func (r *Runtime) AddSink(addrs ...netaddr.Addr) (*Sink, error) {
-	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	conn, raw, err := listen()
 	if err != nil {
 		return nil, fmt.Errorf("live: listen sink: %w", err)
 	}
@@ -510,7 +571,7 @@ func (r *Runtime) AddSink(addrs ...netaddr.Addr) (*Sink, error) {
 	r.sinks = append(r.sinks, s)
 	r.mu.Unlock()
 	s.wg.Add(1)
-	go s.loop()
+	go s.loop(newReader(conn, raw))
 	return s, nil
 }
 
@@ -520,31 +581,37 @@ func (s *Sink) stop() {
 	s.wg.Wait()
 }
 
-func (s *Sink) loop() {
+// loop counts what arrives, one batch of datagrams per lock.
+func (s *Sink) loop(rd *reader) {
 	defer s.wg.Done()
-	buf := make([]byte, 64*1024)
 	var pkt packet.Packet // decoded into over and over; nothing keeps it
 	for {
-		n, _, err := s.conn.ReadFromUDPAddrPort(buf)
+		n, err := rd.read()
 		if err != nil {
 			return // socket closed by stop
 		}
-		if n < 1 || buf[0] != frameData {
-			continue
-		}
-		if err := packet.UnmarshalInto(&pkt, buf[1:n]); err != nil {
-			continue
-		}
+		got := 0
 		s.mu.Lock()
-		s.byFlow[pkt.FiveTuple()]++
-		s.byAddr[pkt.Inner.Dst]++
-		if pkt.IsEncapsulated() {
-			s.encaps++
+		for i := range n {
+			frame, whole := rd.frame(i)
+			if whole && len(frame) > 0 && frame[0] == frameControl {
+				continue
+			}
+			if !whole || len(frame) == 0 || frame[0] != frameData || packet.UnmarshalInto(&pkt, frame[1:]) != nil {
+				s.Errors.Add(1)
+				continue
+			}
+			s.byFlow[pkt.FiveTuple()]++
+			s.byAddr[pkt.Inner.Dst]++
+			if pkt.IsEncapsulated() {
+				s.encaps++
+			}
+			if pkt.Label() != 0 {
+				s.labeled++
+			}
+			got++
 		}
-		if pkt.Label() != 0 {
-			s.labeled++
-		}
-		s.received.Add(1)
+		s.received.Add(int64(got))
 		s.mu.Unlock()
 	}
 }
@@ -570,8 +637,9 @@ func (s *Sink) Anomalies() (encapsulated, labeled int) {
 
 // Inject sends a data packet into the fabric addressed to `via` (usually
 // the source subnet's proxy), as a host on the stub network would. Every
-// call writes through the runtime's one injector socket; a send the
-// socket refuses is counted in Blackholed and returned.
+// call writes one datagram through the runtime's one injector socket; a
+// frame longer than the fabric carries, or a send the socket refuses, is
+// counted in Blackholed and returned.
 func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 	ep, ok := r.lookup(via)
 	if !ok {
@@ -584,7 +652,7 @@ func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 		return errors.New("live: runtime closed")
 	}
 	if in.conn == nil {
-		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		conn, _, err := listen()
 		if err != nil {
 			r.blackhole()
 			return fmt.Errorf("live: open injector socket: %w", err)
@@ -592,9 +660,20 @@ func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 		in.conn = conn
 	}
 	in.frame = pkt.AppendMarshal(append(in.frame[:0], frameData))
+	if len(in.frame) > maxFrame {
+		r.blackhole()
+		return fmt.Errorf("live: inject via %v: %d-byte frame exceeds the fabric's %d", via, len(in.frame), maxFrame)
+	}
+	if r.lose() {
+		return nil
+	}
 	//vet:ignore lockedblocking -- the mutex owns the scratch frame the write reads, and the socket's write lock would queue concurrent injectors anyway
-	if err := r.sendVia(in.conn, ep, in.frame); err != nil {
+	if _, err := in.conn.WriteToUDPAddrPort(in.frame, ep); err != nil {
+		r.blackhole()
 		return fmt.Errorf("live: inject via %v: %w", via, err)
+	}
+	if m := r.lm.Load(); m != nil {
+		m.sent.Inc()
 	}
 	return nil
 }

@@ -251,7 +251,7 @@ func TestLossyFabricDegradesGracefully(t *testing.T) {
 	// nothing vanishes: every packet is delivered, or was dropped once by
 	// the fabric, or was refused at a node for a label the lossy control
 	// channel never set up. That is conservation, not a floor on
-	// deliveries: shouldDrop drops the first datagram of every four sent,
+	// deliveries: lose drops the first datagram of every four sent,
 	// this flow costs four datagrams a packet and the loop above sends in
 	// lockstep, so which hop loses is a fixed phase — 20 of 40 arrive in
 	// step, none at 1-in-3 — and a scheduling hiccup that shifts the phase
