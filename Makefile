@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/mgmt/ -run '^FuzzConfigDelta$$' -fuzz '^FuzzConfigDelta$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/controller/ -run '^FuzzJournalStream$$' -fuzz '^FuzzJournalStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/controller/ -run '^FuzzRestoreFromJournal$$' -fuzz '^FuzzRestoreFromJournal$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lp/ -run '^FuzzWarmStart$$' -fuzz '^FuzzWarmStart$$' -fuzztime $(FUZZTIME)
 
 # Coverage profile across all packages, with the per-function summary's
 # total line printed at the end.

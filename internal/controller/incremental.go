@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"sdme/internal/enforce"
+	"sdme/internal/lp"
 	"sdme/internal/mgmt"
 	"sdme/internal/topo"
 )
@@ -32,6 +33,11 @@ type Pipeline struct {
 	dirtyPolicies map[int]bool
 	dirtyNodes    map[topo.NodeID]bool
 
+	// basis is the optimal basis of the last full solve, the next one's
+	// start (lp.Problem.SolveFrom). It lives in memory only: a restart or
+	// a takeover solves cold.
+	basis *lp.Basis
+
 	// undo is what the last Recompute replaced; Rollback restores it when
 	// the fleet refused that plan's rollout.
 	undo *pipelineUndo
@@ -39,6 +45,7 @@ type Pipeline struct {
 
 type pipelineUndo struct {
 	plan          *Plan
+	basis         *lp.Basis
 	dirtyPolicies map[int]bool
 	dirtyNodes    map[topo.NodeID]bool
 	journaled     bool // the undone Recompute wrote a weights record
@@ -124,7 +131,7 @@ func (p *Pipeline) NodeChanged(id topo.NodeID) { p.dirtyNodes[id] = true }
 // "everything dirty", a failure repair MarkFailed + NodeChanged + Recompute.
 func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	c := p.c
-	startUS := c.solveStart()
+	startUS := c.clockUS()
 	plan, err := c.CompilePlan(meas, p.opts.Fine)
 	if err != nil {
 		return nil, err
@@ -159,14 +166,18 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 		}
 	}
 	if sol != nil {
-		c.observeSolveStats(sol, startUS)
+		c.observeSolveStats(sol)
 	}
 	c.observePlanDelta(stats.Delta)
-	p.undo = &pipelineUndo{plan: p.plan, dirtyPolicies: p.dirtyPolicies, dirtyNodes: p.dirtyNodes, journaled: journaled}
+	p.undo = &pipelineUndo{plan: p.plan, basis: p.basis, dirtyPolicies: p.dirtyPolicies, dirtyNodes: p.dirtyNodes, journaled: journaled}
 	p.plan = plan
+	if stats.FullSolve {
+		p.basis = sol.basis
+	}
 	p.dirtyPolicies = make(map[int]bool)
 	p.dirtyNodes = make(map[topo.NodeID]bool)
 
+	c.observeRecompute(startUS)
 	return &PlanUpdate{Plan: plan, Solution: sol, Deltas: deltas, Stats: stats}, nil
 }
 
@@ -193,7 +204,7 @@ func (p *Pipeline) Rollback() error {
 		return nil
 	}
 	p.undo = nil
-	p.plan = u.plan
+	p.plan, p.basis = u.plan, u.basis
 	for id := range u.dirtyPolicies {
 		p.dirtyPolicies[id] = true
 	}
@@ -274,7 +285,7 @@ func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStat
 	}
 
 	if full {
-		sol, err := c.solveChainLP(orderedInstances(plan, nil), nil)
+		sol, err := c.solveChainLP(orderedInstances(plan, nil), nil, p.basis)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +308,7 @@ func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStat
 			base[x] += l
 		}
 	}
-	sol, err := c.solveChainLP(orderedInstances(plan, dirty), base)
+	sol, err := c.solveChainLP(orderedInstances(plan, dirty), base, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"sdme/internal/enforce"
@@ -33,6 +34,15 @@ type LBSolution struct {
 	// uncapped retry included).
 	Vars, Constraints, Iterations int
 	SolveTime                     time.Duration
+	// Start is the path the solve took: cold, warm from the basis of
+	// the previous full solve, or a refused start (lp.Start).
+	Start lp.Start
+	// basis is the solved program's optimal basis, the next full
+	// solve's start (Pipeline keeps it; nil when lp kept none).
+	basis *lp.Basis
+	// clockUS is SolveTime per the controller's clock (virtual under
+	// the simulator), what MetricSolveUS records.
+	clockUS int64
 	// InstanceLoads attributes the expected load to the chain instance
 	// producing it, so the incremental pipeline can carry unaffected
 	// instances into later scoped solves as constant base loads.
@@ -69,22 +79,26 @@ type wRef struct {
 // middleboxes at zero load while only the bottleneck type is actually
 // constrained; the second objective removes both artifacts (cf. the
 // tight per-type spreads of the paper's Table III). Both objectives share
-// one program and one tableau (lp.Problem.SetSecondObjective).
+// one program and one solve (lp.Problem.SetSecondObjective).
 //
 // base, when non-nil, carries constant per-middlebox load offsets: the
 // expected loads of carried-forward instances that are NOT re-entering
 // the LP. Their traffic still consumes capacity, so every capacity and
 // spread constraint is shifted by the offsets, and reported loads include
 // them.
-func (c *Controller) solveChainLP(insts []*ChainInstance, base map[topo.NodeID]float64) (*LBSolution, error) {
-	start := time.Now()
-	sol, err := c.buildAndSolve(insts, c.opts.CapLambda, base)
+//
+// start, when non-nil, is the optimal basis of an earlier solve: the LP
+// starts from it when the program has the same rows and terms and falls
+// back to a cold solve otherwise (lp.Problem.SolveFrom).
+func (c *Controller) solveChainLP(insts []*ChainInstance, base map[topo.NodeID]float64, start *lp.Basis) (*LBSolution, error) {
+	t0, t0US := time.Now(), c.clockUS()
+	sol, err := c.buildAndSolve(insts, c.opts.CapLambda, base, start)
 	if err != nil {
 		return nil, err
 	}
 	if sol == nil && c.opts.CapLambda {
 		// Infeasible under λ <= 1: overloaded network. Resolve uncapped.
-		sol, err = c.buildAndSolve(insts, false, base)
+		sol, err = c.buildAndSolve(insts, false, base, start)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +106,7 @@ func (c *Controller) solveChainLP(insts []*ChainInstance, base map[topo.NodeID]f
 	if sol == nil {
 		return nil, fmt.Errorf("controller: load-balancing LP infeasible even without the λ cap")
 	}
-	sol.SolveTime = time.Since(start)
+	sol.SolveTime, sol.clockUS = time.Since(t0), c.clockUS()-t0US
 	return sol, nil
 }
 
@@ -100,7 +114,7 @@ func (c *Controller) solveChainLP(insts []*ChainInstance, base map[topo.NodeID]f
 // nil) when the program is infeasible, so the caller can retry uncapped.
 // base shifts every load expression by constant carried-forward loads
 // (see solveChainLP).
-func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base map[topo.NodeID]float64) (*LBSolution, error) {
+func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base map[topo.NodeID]float64, start *lp.Basis) (*LBSolution, error) {
 	prob := lp.NewProblem()
 	lam := prob.AddVar("lambda")
 	prob.SetObjective(lam, 1)
@@ -184,10 +198,11 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base 
 		prob.AddConstraint(lp.Le, 1, lp.Term{Var: lam, Coef: 1})
 	}
 
-	solved, err := prob.Solve()
+	solved, err := prob.SolveFrom(start)
 	if err != nil {
 		return nil, err
 	}
+	c.observeLP(solved)
 	switch solved.Status {
 	case lp.Infeasible:
 		return nil, nil
@@ -202,6 +217,8 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base 
 		Vars:          prob.NumVars(),
 		Constraints:   prob.NumConstraints(),
 		Iterations:    solved.Iterations,
+		Start:         solved.Start,
+		basis:         solved.Basis,
 		InstanceLoads: make(map[InstanceKey]map[topo.NodeID]float64, len(insts)),
 	}
 	out.Weights = extractWeights(refs, solved.Value)
@@ -264,7 +281,7 @@ func (c *Controller) buildChain(prob *lp.Problem, inst *ChainInstance, loadTerms
 		if len(cands) == 0 {
 			return fmt.Errorf("controller: proxy %v has no candidates for %v", s, e1)
 		}
-		key := fmt.Sprint(cands)
+		key := groupKey(cands)
 		g := groups[key]
 		if g == nil {
 			g = &group{cands: cands}
@@ -285,7 +302,9 @@ func (c *Controller) buildChain(prob *lp.Problem, inst *ChainInstance, loadTerms
 		terms := make([]lp.Term, len(g.cands))
 		vars := make([]int, len(g.cands))
 		for j, y := range g.cands {
-			v := prob.AddVar(fmt.Sprintf("p%d.s0.g%s.%d", inst.Pol.ID, gk, j))
+			// Split variables go unnamed: nothing reads the names, and
+			// formatting hundreds per solve was a twentieth of it.
+			v := prob.AddVar("")
 			vars[j] = v
 			terms[j] = lp.Term{Var: v, Coef: 1}
 			inflow[y] = append(inflow[y], lp.Term{Var: v, Coef: 1})
@@ -317,7 +336,7 @@ func (c *Controller) buildChain(prob *lp.Problem, inst *ChainInstance, loadTerms
 			cons := make([]lp.Term, 0, len(cands)+len(inflow[x]))
 			vars := make([]int, len(cands))
 			for j, y := range cands {
-				v := prob.AddVar(fmt.Sprintf("p%d.s%d.x%d.%d", inst.Pol.ID, i, x, j))
+				v := prob.AddVar("")
 				vars[j] = v
 				cons = append(cons, lp.Term{Var: v, Coef: 1})
 				newInflow[y] = append(newInflow[y], lp.Term{Var: v, Coef: 1})
@@ -345,6 +364,20 @@ func (c *Controller) buildChain(prob *lp.Problem, inst *ChainInstance, loadTerms
 		addLoad(x, inflow[x]...)
 	}
 	return nil
+}
+
+// groupKey renders a candidate tuple as fmt.Sprint does ("[3 12]"), the
+// key source groups are merged and ordered by.
+func groupKey(cands []topo.NodeID) string {
+	b := make([]byte, 0, 4*len(cands)+2)
+	b = append(b, '[')
+	for i, y := range cands {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(y), 10)
+	}
+	return string(append(b, ']'))
 }
 
 // extractWeights copies the solved LP variables into the per-node weight

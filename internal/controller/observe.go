@@ -2,14 +2,25 @@ package controller
 
 import (
 	"sdme/internal/enforce"
+	"sdme/internal/lp"
 	"sdme/internal/metrics"
 	"sdme/internal/topo"
 )
 
 // Controller metric family names.
 const (
-	MetricSolves     = "sdme_controller_solves_total"
-	MetricSolveUS    = "sdme_controller_solve_us"
+	MetricSolves = "sdme_controller_solves_total"
+	// MetricSolveUS times one load-balancing LP, built and solved (what
+	// LBSolution.SolveTime measures), MetricRecomputeUS a whole Recompute:
+	// compile, LP, diff and the journal append. Both read the
+	// controller's clock, virtual under the simulator.
+	MetricSolveUS     = "sdme_controller_solve_us"
+	MetricRecomputeUS = "sdme_controller_recompute_us"
+	// MetricLPStarts counts LP solves by path, label kind=cold|warm|
+	// fallback (lp.Start); MetricLPPivots their pivots by stage, label
+	// stage=phase1|lambda|dual|spread.
+	MetricLPStarts   = "sdme_controller_lp_starts_total"
+	MetricLPPivots   = "sdme_controller_lp_pivots_total"
 	MetricLambda     = "sdme_controller_lambda"
 	MetricLPVars     = "sdme_controller_lp_vars"
 	MetricLPIters    = "sdme_controller_lp_iterations"
@@ -27,10 +38,10 @@ const (
 )
 
 // SetMetrics attaches a registry and clock to the controller: every LB
-// solve then records its duration (per the clock — virtual in sim-driven
-// tests, wall in live deployments), the resulting λ and the program size,
-// and every Recompute the size of its delta versus the previous plan. nil
-// detaches.
+// solve then records its duration, path and pivots, the resulting λ and
+// the program size, and every Recompute its duration (per the clock —
+// virtual in sim-driven tests, wall in live deployments) and the size of
+// its delta versus the previous plan. nil detaches.
 func (c *Controller) SetMetrics(reg *metrics.Registry, clock metrics.Clock) {
 	c.metrics = reg
 	c.clock = clock
@@ -39,14 +50,14 @@ func (c *Controller) SetMetrics(reg *metrics.Registry, clock metrics.Clock) {
 // observeSolveStats records solve count, duration, λ and program size
 // (plan churn is reported separately, as exact delta sizes, by
 // observePlanDelta).
-func (c *Controller) observeSolveStats(sol *LBSolution, startUS int64) {
+func (c *Controller) observeSolveStats(sol *LBSolution) {
 	reg := c.metrics
 	if reg == nil {
 		return
 	}
 	reg.Counter(MetricSolves).Inc()
 	if c.clock != nil {
-		reg.Histogram(MetricSolveUS, metrics.LatencyBucketsUS).Observe(c.clock() - startUS)
+		reg.Histogram(MetricSolveUS, metrics.LatencyBucketsUS).Observe(sol.clockUS)
 	}
 	reg.Gauge(MetricLambda).Set(sol.Lambda)
 	reg.Gauge(MetricLPVars).Set(float64(sol.Vars))
@@ -69,12 +80,40 @@ func (c *Controller) observePlanDelta(d DeltaStats) {
 	reg.Gauge(MetricPlanDeltaSize).Set(float64(d.Total()))
 }
 
-// solveStart returns the clock reading to time a solve from.
-func (c *Controller) solveStart() int64 {
+// lpStages names lp.Solution.Pivots' stages for MetricLPPivots.
+var lpStages = [...]string{
+	lp.StagePhase1: "phase1",
+	lp.StageFirst:  "lambda",
+	lp.StageDual:   "dual",
+	lp.StageSecond: "spread",
+}
+
+// observeLP records one LP solve's path and its pivots per stage.
+func (c *Controller) observeLP(sol *lp.Solution) {
+	reg := c.metrics
+	if reg == nil {
+		return
+	}
+	reg.Counter(MetricLPStarts, "kind", sol.Start.String()).Inc()
+	for stage, n := range sol.Pivots {
+		reg.Counter(MetricLPPivots, "stage", lpStages[stage]).Add(int64(n))
+	}
+}
+
+// clockUS reads the controller's clock (0 without metrics).
+func (c *Controller) clockUS() int64 {
 	if c.metrics == nil || c.clock == nil {
 		return 0
 	}
 	return c.clock()
+}
+
+// observeRecompute records one Recompute's duration.
+func (c *Controller) observeRecompute(startUS int64) {
+	if c.metrics == nil || c.clock == nil {
+		return
+	}
+	c.metrics.Histogram(MetricRecomputeUS, metrics.LatencyBucketsUS).Observe(c.clock() - startUS)
 }
 
 // Aliases keep controller.go's struct free of a direct metrics import.

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -193,15 +194,22 @@ func lessInstanceKey(a, b InstanceKey) bool {
 // walking the chain stages exactly as buildChain will: sources pick the
 // first function's candidates, each stage's providers pick the next
 // function's. A missing candidate list is the same error the LP builder
-// would raise.
+// would raise. The hash is compared only in memory (dirtySet), so it
+// takes the fields as fixed-width words, each list after its length.
 func (c *Controller) indexInstance(inst *ChainInstance) error {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%x|", inst.Key.PolicyID, inst.Key.SrcSubnet, inst.Key.DstSubnet, inst.Pol.Hash())
+	buf := make([]byte, 0, 256)
+	put := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
+	put(int64(inst.Key.PolicyID))
+	put(int64(inst.Key.SrcSubnet))
+	put(int64(inst.Key.DstSubnet))
+	put(int64(inst.Pol.Hash()))
 	touched := make(map[topo.NodeID]bool)
 	cur := sortedNodeKeys(inst.SrcVols)
+	put(int64(len(cur)))
 	for _, s := range cur {
 		touched[s] = true
-		fmt.Fprintf(h, "s%d=%d,", s, inst.SrcVols[s])
+		put(int64(s))
+		put(inst.SrcVols[s])
 	}
 	for i, e := range inst.Pol.Actions {
 		next := make(map[topo.NodeID]bool)
@@ -214,9 +222,11 @@ func (c *Controller) indexInstance(inst *ChainInstance) error {
 				}
 				return fmt.Errorf("controller: %s %v has no candidates for %v", kind, x, e)
 			}
-			fmt.Fprintf(h, "|%d:%d:", i, x)
+			put(int64(i))
+			put(int64(x))
+			put(int64(len(cands)))
 			for _, y := range cands {
-				fmt.Fprintf(h, "%d,", y)
+				put(int64(y))
 				next[y] = true
 				touched[y] = true
 			}
@@ -224,6 +234,8 @@ func (c *Controller) indexInstance(inst *ChainInstance) error {
 		cur = sortedNodeKeys(next)
 	}
 	inst.Touched = sortedNodeKeys(touched)
+	h := fnv.New64a()
+	h.Write(buf)
 	inst.Hash = h.Sum64()
 	return nil
 }

@@ -26,6 +26,12 @@ const (
 	// sampled view, not an event stream).
 	MetricFlowShardEntries  = "sdme_flowtable_shard_entries"
 	MetricLabelShardEntries = "sdme_labeltable_shard_entries"
+	// MetricFlowTableEvents is a node's flow-table activity since it was
+	// built (flowtable.Stats), label event=hit|miss|null_hit|inserted|
+	// expired, refreshed with the shard gauges. A miss is a §III-D
+	// classification, so miss over inserted+null-inserted is the
+	// classifications per flow.
+	MetricFlowTableEvents = "sdme_flowtable_events"
 )
 
 // funcMetrics caches one (node, func) series triple so the hot path
@@ -72,8 +78,9 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 }
 
 // SyncShardGauges refreshes the per-shard occupancy gauges of the node's
-// soft-state tables into the attached registry. No-op without metrics.
-// Safe to call from any goroutine (table lengths are read shard-locked).
+// soft-state tables and its flow-table activity gauges into the attached
+// registry. No-op without metrics. Safe to call from any goroutine
+// (table lengths and counters are read shard-locked).
 func (n *Node) SyncShardGauges() {
 	nm := n.nm
 	if nm == nil {
@@ -83,6 +90,13 @@ func (n *Node) SyncShardGauges() {
 		for i := 0; i < t.Shards(); i++ {
 			nm.reg.Gauge(MetricFlowShardEntries, "node", nm.nodeLabel, "shard", strconv.Itoa(i)).
 				Set(float64(t.ShardLen(i)))
+		}
+		st := t.Stats()
+		for _, ev := range [...]struct {
+			name string
+			n    int
+		}{{"hit", st.Hits}, {"miss", st.Misses}, {"null_hit", st.NullHits}, {"inserted", st.Inserted}, {"expired", st.Expired}} {
+			nm.reg.Gauge(MetricFlowTableEvents, "node", nm.nodeLabel, "event", ev.name).Set(float64(ev.n))
 		}
 	}
 	if t := n.labels; t != nil {

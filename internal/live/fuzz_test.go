@@ -2,7 +2,9 @@ package live
 
 import (
 	"net/netip"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sdme/internal/enforce"
 	"sdme/internal/netaddr"
@@ -119,4 +121,84 @@ func FuzzDispatchFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestHostileDatagrams is FuzzDispatchFrame's named cases on real
+// sockets: each hostile datagram is dropped where it enters, nothing it
+// carries reaches the middlebox's function or the sink, and exactly one
+// counter says so — the receiving device's Errors, or the runtime's
+// Blackholed for a frame the fabric refuses to carry.
+func TestHostileDatagrams(t *testing.T) {
+	b := newWorkerBed(t, 1)
+	flow := workerFlow(0)
+	sink, err := b.rt.AddSink(flow.Dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelled := seqPacket(flow, 1)
+	if err := labelled.EmbedLabel(7); err != nil {
+		t.Fatal(err)
+	}
+	oversize := seqPacket(flow, 4)
+	oversize.Payload = make([]byte, maxFrame)
+
+	cases := []struct {
+		name string
+		at   *Device // receives frame over a socket; nil injects pkt
+		// frame is the datagram sent to at; pkt the packet injected.
+		frame   []byte
+		pkt     *packet.Packet
+		counter func() *atomic.Int64
+	}{
+		{name: "empty frame", at: b.proxy, frame: []byte{}},
+		{name: "cut frame", at: b.proxy, frame: cutFrame(seqPacket(flow, 2))},
+		{name: "oversize Inject", pkt: oversize, counter: func() *atomic.Int64 { return &b.rt.Blackholed }},
+		{name: "truncated header", at: b.proxy, frame: dataFrame(seqPacket(flow, 3))[:12]},
+		{name: "unknown type", at: b.proxy, frame: []byte{0x7f, 0, 0}},
+		// The middlebox switches no labels, so it holds no label state: a
+		// labelled packet is misdirected.
+		{name: "label with no state", at: b.mb, frame: dataFrame(labelled)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			counter := c.counter
+			if counter == nil {
+				counter = func() *atomic.Int64 { return &c.at.Errors }
+			}
+			others := []*atomic.Int64{&b.rt.Blackholed, &b.proxy.Errors, &b.mb.Errors}
+			before := make([]int64, len(others))
+			for i, o := range others {
+				before[i] = o.Load()
+			}
+			want := counter().Load() + 1
+			processed, received := b.rec.Processed(), sink.Received()
+			proxyIn := b.proxy.Counters().PacketsIn
+
+			if c.at == nil {
+				if err := b.rt.Inject(b.proxyAddr, c.pkt); err == nil {
+					t.Fatal("Inject took the frame")
+				}
+			} else {
+				rawSend(t, b.rt, c.at.Node.Addr)(c.frame)
+			}
+			if !WaitUntil(5*time.Second, func() bool { return counter().Load() == want }) {
+				t.Fatalf("counter = %d, want %d", counter().Load(), want)
+			}
+			// Both devices' workers have finished whatever came in.
+			b.proxy.Counters()
+			b.mb.Counters()
+			for i, o := range others {
+				if o != counter() && o.Load() != before[i] {
+					t.Errorf("another counter moved: %d → %d", before[i], o.Load())
+				}
+			}
+			if b.rec.Processed() != processed || sink.Received() != received {
+				t.Errorf("the datagram went on: function %d → %d, sink %d → %d",
+					processed, b.rec.Processed(), received, sink.Received())
+			}
+			if c.at != b.mb && b.proxy.Counters().PacketsIn != proxyIn {
+				t.Errorf("the proxy handled the datagram: PacketsIn %d → %d", proxyIn, b.proxy.Counters().PacketsIn)
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -211,5 +212,47 @@ func TestLiveSimMetricNameParity(t *testing.T) {
 		if !simFams[name] {
 			t.Errorf("family %s present in live, missing in sim", name)
 		}
+	}
+}
+
+// TestLiveFlowTableEvents reads §III-D's classifications per flow off a
+// live device's registry: 20 flows of 3 packets each enter at a proxy,
+// so its flow table classifies each flow once (a miss and an insert)
+// and looks the other two packets up (hits). The device loop publishes
+// the table's counters with the shard gauges whenever it is woken.
+func TestLiveFlowTableEvents(t *testing.T) {
+	b := newObservedLiveBed(t, enforce.HotPotato)
+	proxyID, _ := b.dep.ProxyFor(1)
+	proxyAddr := b.dep.AddrOf(proxyID)
+	const flows, perFlow = 20, 3
+	for p := 0; p < perFlow; p++ {
+		for i := 0; i < flows; i++ {
+			if err := b.rt.Inject(proxyAddr, packet.New(observedLiveFlow(i), 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Each round lands before the next: its packets hit what the
+		// previous round inserted.
+		if !live.WaitUntil(3*time.Second, func() bool { return b.sink.Received() >= (p+1)*flows }) {
+			t.Fatalf("sink received %d of %d", b.sink.Received(), (p+1)*flows)
+		}
+	}
+	node := strconv.Itoa(int(proxyID))
+	event := func(name string) float64 {
+		return b.reg.Gauge(enforce.MetricFlowTableEvents, "node", node, "event", name).Value()
+	}
+	dev := b.devices[proxyID]
+	if !live.WaitUntil(3*time.Second, func() bool {
+		dev.Counters() // wakes the loop, which refreshes the sampled gauges
+		return event("hit") == flows*(perFlow-1)
+	}) {
+		t.Fatalf("hit = %v, want %d", event("hit"), flows*(perFlow-1))
+	}
+	if event("miss") != flows || event("inserted") != flows || event("null_hit") != 0 || event("expired") != 0 {
+		t.Fatalf("miss/inserted/null_hit/expired = %v/%v/%v/%v, want %d/%d/0/0",
+			event("miss"), event("inserted"), event("null_hit"), event("expired"), flows, flows)
+	}
+	if got := event("miss") / event("inserted"); got != 1 {
+		t.Fatalf("classifications per flow = %v, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -423,17 +424,213 @@ func TestOpAndStatusStrings(t *testing.T) {
 	}
 }
 
-// densePivot is the pivot this package used before the sparse one (every
-// column of every touched row), kept as the reference the production
-// kernel is compared against.
-func densePivot(a [][]float64, leave, enter int) {
-	prow := a[leave]
+// tableau is the dense two-phase simplex this package used before the
+// revised one, kept as the reference the production solver is compared
+// against: every pivot rewrites the whole tableau. Its rules are the
+// production's (Dantzig pricing, Bland after a stall, ratio ties to the
+// smallest basic column, artificial eviction, the optimal-face fixing),
+// so the two walk the same bases wherever floating point allows. pick,
+// when set, sees every pivot the reference is about to make and returns
+// the one to make instead (solveLockstep makes it follow the production
+// solver through floating-point ties).
+type tableau struct {
+	rows, cols int
+	a          [][]float64
+	basis      []int
+	artStart   int
+	iterations int
+	pick       func(t *tableau, stage Stage, leave, enter int, evict bool) (int, int)
+}
+
+func denseSolve(p *Problem, pick func(t *tableau, stage Stage, leave, enter int, evict bool) (int, int)) (*Solution, error) {
+	n := len(p.names)
+	m := len(p.constraints)
+	nSlack := 0
+	for _, c := range p.constraints {
+		if c.op != Eq {
+			nSlack++
+		}
+	}
+	artStart := n + nSlack
+	cols := artStart + m
+	t := &tableau{rows: m, cols: cols, artStart: artStart, basis: make([]int, m), pick: pick}
+	t.a = make([][]float64, m+1)
+	for i := range t.a {
+		t.a[i] = make([]float64, cols+1)
+	}
+	slackIdx, artIdx := artStart-nSlack, artStart
+	for i, c := range p.constraints {
+		row := t.a[i]
+		for _, term := range c.terms {
+			row[term.Var] += term.Coef
+		}
+		row[cols] = c.rhs
+		op := c.op
+		if row[cols] < 0 {
+			for j := range row {
+				row[j] = -row[j]
+			}
+			switch op {
+			case Le:
+				op = Ge
+			case Ge:
+				op = Le
+			}
+		}
+		switch op {
+		case Le:
+			row[slackIdx] = 1
+			t.basis[i] = slackIdx
+			slackIdx++
+		case Ge:
+			row[slackIdx] = -1
+			slackIdx++
+			row[artIdx] = 1
+			t.basis[i] = artIdx
+			artIdx++
+		case Eq:
+			row[artIdx] = 1
+			t.basis[i] = artIdx
+			artIdx++
+		}
+	}
+	if artIdx > artStart {
+		sum := make([]float64, artIdx)
+		for j := artStart; j < artIdx; j++ {
+			sum[j] = 1
+		}
+		t.price(sum)
+		if err := t.iterate(artIdx, StagePhase1); err != nil {
+			return nil, err
+		}
+		if -t.a[m][cols] > 1e-7 {
+			return &Solution{Status: Infeasible, Iterations: t.iterations}, nil
+		}
+		t.evictArtificials()
+	}
+	t.price(p.objective)
+	err := t.iterate(artStart, StageFirst)
+	objective := -t.a[m][cols]
+	if err == nil && p.hasSecond {
+		t.priceOnFace(p.second)
+		err = t.iterate(artStart, StageSecond)
+	}
+	if errors.Is(err, errUnbounded) {
+		return &Solution{Status: Unbounded, Iterations: t.iterations}, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	sol := &Solution{Status: Optimal, Objective: objective, X: make([]float64, n), Iterations: t.iterations}
+	for i := 0; i < m; i++ {
+		if b := t.basis[i]; b < n {
+			sol.X[b] = t.a[i][cols]
+		}
+	}
+	return sol, nil
+}
+
+func (t *tableau) price(c []float64) {
+	obj := t.a[t.rows]
+	clear(obj)
+	copy(obj, c)
+	for i, row := range t.a[:t.rows] {
+		if coef := obj[t.basis[i]]; coef != 0 {
+			for j := range row {
+				obj[j] -= coef * row[j]
+			}
+		}
+	}
+}
+
+func (t *tableau) priceOnFace(c []float64) {
+	var off []int
+	for j, d := range t.a[t.rows][:t.artStart] {
+		if d > eps {
+			off = append(off, j)
+		}
+	}
+	t.price(c)
+	for _, row := range t.a {
+		for _, j := range off {
+			row[j] = 0
+		}
+	}
+}
+
+// choose is the production solver's pricing and ratio rule on the tableau.
+func (t *tableau) choose(colLimit int, bland bool) (leave, enter int) {
+	obj := t.a[t.rows]
+	enter = -1
+	best := -eps
+	for j := 0; j < colLimit; j++ {
+		if obj[j] < -eps {
+			if bland {
+				enter = j
+				break
+			}
+			if obj[j] < best {
+				best = obj[j]
+				enter = j
+			}
+		}
+	}
+	if enter < 0 {
+		return -1, -1
+	}
+	leave = -1
+	var bestRatio float64
+	for i := 0; i < t.rows; i++ {
+		aij := t.a[i][enter]
+		if aij <= eps {
+			continue
+		}
+		ratio := t.a[i][t.cols] / aij
+		if leave < 0 || ratio < bestRatio-eps ||
+			(math.Abs(ratio-bestRatio) <= eps && t.basis[i] < t.basis[leave]) {
+			leave = i
+			bestRatio = ratio
+		}
+	}
+	return leave, enter
+}
+
+func (t *tableau) iterate(colLimit int, stage Stage) error {
+	m := t.rows
+	maxIter := 200*(m+colLimit) + 2000
+	blandAfter := 20*(m+colLimit) + 500
+	for iter := 0; ; iter++ {
+		if iter > maxIter {
+			return ErrIterationLimit
+		}
+		leave, enter := t.choose(colLimit, iter > blandAfter)
+		if enter < 0 {
+			if t.pick != nil {
+				t.pick(t, stage, -1, -1, false)
+			}
+			return nil
+		}
+		if leave < 0 {
+			return errUnbounded
+		}
+		if t.pick != nil {
+			leave, enter = t.pick(t, stage, leave, enter, false)
+		}
+		t.pivot(leave, enter)
+	}
+}
+
+func (t *tableau) pivot(leave, enter int) {
+	if left := t.basis[leave]; left >= t.artStart {
+		t.a[leave][left] = 0
+	}
+	prow := t.a[leave]
 	inv := 1 / prow[enter]
 	for j := range prow {
 		prow[j] *= inv
 	}
 	prow[enter] = 1
-	for i, row := range a {
+	for i, row := range t.a {
 		f := row[enter]
 		if i == leave || f == 0 {
 			continue
@@ -443,44 +640,143 @@ func densePivot(a [][]float64, leave, enter int) {
 		}
 		row[enter] = 0
 	}
+	t.basis[leave] = enter
+	t.iterations++
 }
 
-// solveLockstep solves p with the production kernel and, bracketing every
-// pivot, applies densePivot to a copy of the tableau as it was before the
-// pivot: the two results must be == entry for entry (which treats -0 and
-// +0 as equal, the one difference the sparse kernel is allowed). Every
-// decision of the simplex reads tableau values through comparisons only,
-// so entrywise-equal tableaux after every pivot mean a dense solver walks
-// the same pivot sequence; the count of checked pivots must therefore be
-// the solution's Iterations.
+func (t *tableau) evictArtificials() {
+rows:
+	for i, row := range t.a[:t.rows] {
+		if t.basis[i] < t.artStart {
+			continue
+		}
+		for j, v := range row[:t.artStart] {
+			if math.Abs(v) > eps {
+				if t.pick != nil {
+					_, j = t.pick(t, StagePhase1, i, j, true)
+				}
+				t.pivot(i, j)
+				continue rows
+			}
+		}
+		if t.pick != nil {
+			t.pick(t, StagePhase1, i, -1, true)
+		}
+		clear(row)
+	}
+}
+
+// solveLockstep solves p with the production solver, recording every
+// pivot, then replays the dense reference tableau beside the record: at
+// each of its pivots the reference must find the production's pivot
+// admissible by its own rule — the same column and row, or one tied with
+// them within the tolerance floating point leaves (the entering reduced
+// cost within 1e-9 of the most negative, the ratio within 1e-9 of the
+// smallest) — and then takes it; it must also end each stage where the
+// production did. Both must report the same status and, optimal, the same
+// objective and solution within 1e-9.
 func solveLockstep(t *testing.T, p *Problem) *Solution {
 	t.Helper()
-	var want [][]float64
-	pivots := 0
-	sol, err := p.solve(func(tb *tableau, leave, enter int, done bool) {
-		if !done {
-			want = want[:0]
-			for _, row := range tb.a {
-				want = append(want, append([]float64(nil), row...))
-			}
-			densePivot(want, leave, enter)
-			return
-		}
-		pivots++
-		for i, row := range tb.a {
-			for j, v := range row {
-				if v != want[i][j] {
-					t.Fatalf("pivot %d (row %d, col %d): entry [%d][%d] = %v, dense pivot gives %v",
-						pivots, leave, enter, i, j, v, want[i][j])
-				}
-			}
-		}
+	type step struct {
+		stage        Stage
+		leave, enter int
+		evict        bool
+	}
+	var steps []step
+	sol, err := p.solve(nil, func(s *solver, stage Stage, leave, enter int) {
+		steps = append(steps, step{stage, leave, enter, s.evicting})
 	})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if sol.Iterations != pivots {
-		t.Fatalf("Iterations = %d, %d pivots checked", sol.Iterations, pivots)
+	if sol.Iterations != len(steps) {
+		t.Fatalf("Iterations = %d, %d pivots traced", sol.Iterations, len(steps))
+	}
+	k, ties := 0, 0
+	tol := func(x float64) float64 { return 1e-9 * math.Max(1, math.Abs(x)) }
+	ref, err := denseSolve(p, func(tb *tableau, stage Stage, leave, enter int, evict bool) (int, int) {
+		next := func() (step, bool) {
+			if k < len(steps) && steps[k].stage == stage && steps[k].evict == evict {
+				k++
+				return steps[k-1], true
+			}
+			return step{}, false
+		}
+		if enter < 0 && !evict { // the reference found the stage optimal
+			if k < len(steps) && steps[k].stage == stage && !steps[k].evict {
+				st := steps[k]
+				if d := tb.a[tb.rows][st.enter]; d < -eps-tol(d) {
+					t.Fatalf("pivot %d: the reference is optimal in %v, the solver pivots on column %d (reduced cost %v)", k, stage, st.enter, d)
+				}
+				t.Fatalf("pivot %d: the reference is optimal in %v, the solver pivots on (%d, %d)", k, stage, st.leave, st.enter)
+			}
+			return -1, -1
+		}
+		if evict && enter < 0 { // the reference found row leave redundant
+			if k < len(steps) && steps[k].stage == stage && steps[k].leave == leave {
+				t.Fatalf("pivot %d: row %d is redundant in the reference, the solver pivots on column %d", k, leave, steps[k].enter)
+			}
+			return -1, -1
+		}
+		st, ok := next()
+		if !ok {
+			t.Fatalf("pivot %d: the reference pivots on (%d, %d) in %v, the solver had ended that stage", k, leave, enter, stage)
+		}
+		if st.leave == leave && st.enter == enter {
+			return leave, enter
+		}
+		ties++
+		obj := tb.a[tb.rows]
+		if evict {
+			if st.leave != leave || math.Abs(tb.a[leave][st.enter]) <= eps/2 {
+				t.Fatalf("pivot %d: eviction of row %d: reference column %d, solver (%d, %d)", k, leave, enter, st.leave, st.enter)
+			}
+			for j := 0; j < st.enter; j++ {
+				if math.Abs(tb.a[leave][j]) > 2*eps {
+					t.Fatalf("pivot %d: eviction of row %d: the solver passed column %d (%v)", k, leave, j, tb.a[leave][j])
+				}
+			}
+			return st.leave, st.enter
+		}
+		if d, best := obj[st.enter], obj[enter]; d >= -eps+tol(d) || d > best+tol(best) {
+			t.Fatalf("pivot %d (%v): the solver enters column %d, reduced cost %v; the reference's best is column %d, %v",
+				k, stage, st.enter, d, enter, best)
+		}
+		a := tb.a[st.leave][st.enter]
+		if a <= eps/2 {
+			t.Fatalf("pivot %d (%v): the solver leaves row %d on entry %v", k, stage, st.leave, a)
+		}
+		ratio := tb.a[st.leave][tb.cols] / a
+		for i := 0; i < tb.rows; i++ {
+			if ai := tb.a[i][st.enter]; ai > eps {
+				if r := tb.a[i][tb.cols] / ai; r < ratio-tol(ratio)-eps {
+					t.Fatalf("pivot %d (%v): the solver leaves row %d at ratio %v, row %d has %v", k, stage, st.leave, ratio, i, r)
+				}
+			}
+		}
+		return st.leave, st.enter
+	})
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	if k != len(steps) {
+		t.Fatalf("the solver made %d pivots, the reference followed %d", len(steps), k)
+	}
+	if ref.Status != sol.Status {
+		t.Fatalf("status %v, reference %v", sol.Status, ref.Status)
+	}
+	if sol.Status == Optimal {
+		if math.Abs(sol.Objective-ref.Objective) > tol(ref.Objective) {
+			t.Fatalf("objective %v, reference %v", sol.Objective, ref.Objective)
+		}
+		for j, x := range sol.X {
+			if math.Abs(x-ref.X[j]) > 1e-9*math.Max(1, math.Abs(ref.X[j])) {
+				t.Fatalf("x[%d] = %v, reference %v", j, x, ref.X[j])
+			}
+		}
+	}
+	if ties > 0 {
+		t.Logf("%d of %d pivots broke a floating-point tie the other way", ties, len(steps))
 	}
 	return sol
 }
@@ -726,6 +1022,128 @@ func TestRandomLexicographicLPs(t *testing.T) {
 	t.Logf("%d of 300 trials optimal, %d with second-stage pivots", solved, moved)
 }
 
+// randomLexProgram is a random two-objective program of n variables: a
+// budget row bounds both objectives, and one to three random rows of
+// every relation shape the feasible set. Integer data keeps ties exact,
+// so the optimal faces are often more than a vertex.
+func randomLexProgram(rng *rand.Rand, n int) *Problem {
+	p := NewProblem()
+	budget := make([]Term, n)
+	for j := 0; j < n; j++ {
+		v := p.AddVar("")
+		p.SetObjective(v, float64(rng.Intn(3)))
+		p.SetSecondObjective(v, float64(rng.Intn(7)-3))
+		budget[j] = Term{v, 1}
+	}
+	p.AddConstraint(Le, 20, budget...)
+	for i := 1 + rng.Intn(3); i > 0; i-- {
+		var terms []Term
+		for j := 0; j < n; j++ {
+			if a := float64(rng.Intn(4)); a != 0 {
+				terms = append(terms, Term{j, a})
+			}
+		}
+		p.AddConstraint(Op(1+rng.Intn(3)), float64(rng.Intn(10)), terms...)
+	}
+	return p
+}
+
+// FuzzWarmStart: a program solved from a start basis agrees with its cold
+// solve — status, first objective within 1e-9 relative, second within
+// 1e-6 — whatever the start: the optimal basis before the right-hand
+// sides moved, a random set of columns, or a basis of another program.
+func FuzzWarmStart(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed%3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, kind uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(6)
+		p := randomLexProgram(rng, n)
+		prev, err := p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range p.constraints {
+			c := &p.constraints[i]
+			c.rhs = math.Max(0, c.rhs+float64(rng.Intn(7)-3))
+		}
+		var start *Basis
+		switch kind % 3 {
+		case 0:
+			if start = prev.Basis; start == nil {
+				return // the first program was not optimal
+			}
+		case 1:
+			s := p.newSolver()
+			start = &Basis{key: p.key(), cols: rng.Perm(s.artStart)[:min(s.m, s.artStart)]}
+		case 2:
+			other, err := randomLexProgram(rng, n).Solve()
+			if err != nil || other.Basis == nil {
+				return
+			}
+			start = other.Basis
+		}
+		cold, err := p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := p.SolveFrom(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("status %v from the start (%v), %v cold", warm.Status, warm.Start, cold.Status)
+		}
+		if cold.Status != Optimal {
+			return
+		}
+		if math.Abs(warm.Objective-cold.Objective) > 1e-9*math.Max(1, math.Abs(cold.Objective)) {
+			t.Fatalf("first objective %v from the start (%v), %v cold", warm.Objective, warm.Start, cold.Objective)
+		}
+		if got, want := dot(p.second, warm.X), dot(p.second, cold.X); math.Abs(got-want) > 1e-6*math.Max(1, math.Abs(want)) {
+			t.Fatalf("second objective %v from the start (%v), %v cold", got, warm.Start, want)
+		}
+	})
+}
+
+// TestWarmStartFallback pins the paths: the previous optimum of the same
+// program starts warm, a basis of another program or a singular one
+// falls back, and a start without changes needs no pivot.
+func TestWarmStartFallback(t *testing.T) {
+	same := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	prev, err := perturbed(1).Solve()
+	if err != nil || prev.Basis == nil {
+		t.Fatalf("cold solve: %v", err)
+	}
+	again, err := perturbed(1).SolveFrom(prev.Basis)
+	if err != nil || again.Start != Warm || again.Iterations != 0 || !same(again.Objective, prev.Objective) {
+		t.Fatalf("re-solve from its own optimum: %v, %v, %d pivots, λ %v (cold %v)",
+			err, again.Start, again.Iterations, again.Objective, prev.Objective)
+	}
+	// With the volumes moved, dual pivots alone restore the optimum: a
+	// dual ratio test that left a negative reduced cost behind would show
+	// as primal pivots after it.
+	var moved *Solution
+	for seed := int64(7); seed > 1; seed-- {
+		moved, err = perturbed(seed).SolveFrom(prev.Basis)
+		if err != nil || moved.Start != Warm || moved.Pivots[StageDual] == 0 ||
+			moved.Pivots[StagePhase1]+moved.Pivots[StageFirst] != 0 {
+			t.Fatalf("moved volumes (%d): %v, %v, pivots %v", seed, err, moved.Start, moved.Pivots)
+		}
+	}
+	other, _ := campusProgram(10, nil)
+	if sol, err := other.SolveFrom(prev.Basis); err != nil || sol.Start != Fallback || sol.Status != Optimal {
+		t.Fatalf("another program's basis: %v, %v, %v", err, sol.Start, sol.Status)
+	}
+	p := perturbed(2)
+	singular := &Basis{key: p.key(), cols: append([]int(nil), prev.Basis.cols...)}
+	singular.cols[1] = singular.cols[0]
+	if sol, err := p.SolveFrom(singular); err != nil || sol.Start != Fallback || !same(sol.Objective, moved.Objective) {
+		t.Fatalf("singular start: %v, %v, λ %v (warm %v)", err, sol.Start, sol.Objective, moved.Objective)
+	}
+}
+
 func benchmarkSolve(b *testing.B, p *Problem) {
 	b.ResetTimer() // building p is not the solve
 	for i := 0; i < b.N; i++ {
@@ -775,6 +1193,41 @@ func BenchmarkSimplexMedium(b *testing.B) {
 		sol, err := build().Solve()
 		if err != nil || sol.Status != Optimal {
 			b.Fatalf("%v %v", err, sol)
+		}
+	}
+}
+
+// perturbed is campusProgram(30)'s rebalance with every source volume
+// scaled by a factor in [0.7, 1] (the ceiling rows' U stays an upper
+// bound): the next rebalance of the same shape, as the controller's
+// measurements move.
+func perturbed(seed int64) *Problem {
+	p, _ := campusProgram(30, nil)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range p.constraints {
+		if c := &p.constraints[i]; c.op == Eq && c.rhs > 0 {
+			c.rhs *= 0.7 + 0.3*rng.Float64()
+		}
+	}
+	return p
+}
+
+// BenchmarkSolveCampusRebalanceWarm is the rebalance after it: the same
+// program with moved volumes, started from the previous optimal basis.
+func BenchmarkSolveCampusRebalanceWarm(b *testing.B) {
+	prev, err := perturbed(1).Solve()
+	if err != nil || prev.Basis == nil {
+		b.Fatalf("%v %v", err, prev)
+	}
+	p := perturbed(2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := p.SolveFrom(prev.Basis)
+		if err != nil || sol.Status != Optimal || sol.Start != Warm {
+			b.Fatalf("%v %v", err, sol)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(sol.Iterations), "pivots")
 		}
 	}
 }

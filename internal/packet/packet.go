@@ -303,9 +303,10 @@ type FragKey struct {
 	ID       uint16
 }
 
-// Reassembler regroups fragments. It is deliberately minimal: the
-// simulator uses it at flow destinations to count reassembly work; it is
-// not a hardened real-world reassembly queue.
+// Reassembler regroups fragments. It is deliberately minimal, the
+// reference FuzzFragmentReassemble holds Fragment to; it is not a
+// hardened real-world reassembly queue. The simulator does not use it: it
+// counts fragments by arithmetic on the link MTU.
 type Reassembler struct {
 	pending map[FragKey]*fragState
 	// Completed counts fully reassembled packets.
