@@ -59,19 +59,18 @@ chaos:
 		done; \
 	done
 
-# Fuzz smoke: every native fuzz target gets a short budget. The go tool
-# accepts exactly one -fuzz target per invocation, hence one line each.
+# Fuzz smoke: every native fuzz target gets a short budget. The targets are
+# read from the tree (each `func Fuzz...` in a _test.go file outside
+# testdata), so a new or deleted target needs no edit here. The go tool
+# accepts exactly one -fuzz target per invocation, hence the loop.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/packet/ -run '^FuzzUnmarshal$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/packet/ -run '^FuzzFragmentReassemble$$' -fuzz '^FuzzFragmentReassemble$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/live/ -run '^FuzzDispatchFrame$$' -fuzz '^FuzzDispatchFrame$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mgmt/ -run '^FuzzWire$$' -fuzz '^FuzzWire$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mgmt/ -run '^FuzzConfigDTO$$' -fuzz '^FuzzConfigDTO$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/mgmt/ -run '^FuzzConfigDelta$$' -fuzz '^FuzzConfigDelta$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/controller/ -run '^FuzzJournalStream$$' -fuzz '^FuzzJournalStream$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/controller/ -run '^FuzzRestoreFromJournal$$' -fuzz '^FuzzRestoreFromJournal$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/lp/ -run '^FuzzWarmStart$$' -fuzz '^FuzzWarmStart$$' -fuzztime $(FUZZTIME)
+	@grep -rHo --include='*_test.go' --exclude-dir=testdata '^func Fuzz[A-Za-z0-9_]*' . | sort | \
+	while IFS=: read -r file fn; do \
+		name=$${fn#func }; pkg=$${file%/*}; \
+		echo "== $$pkg $$name =="; \
+		$(GO) test "$$pkg" -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) || exit 1; \
+	done
 
 # Coverage profile across all packages, with the per-function summary's
 # total line printed at the end.

@@ -30,10 +30,11 @@ func TestAuditFullCampusWorkloadPolicies(t *testing.T) {
 	// policies × 10 subnets, all three strategies.
 	rng := rand.New(rand.NewSource(20))
 	g := topo.Campus(topo.CampusConfig{WithProxies: true}, rng)
-	dep, err := controller.RandomDeployment(g, rng)
+	dep, err := enforce.NewDeployment(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dep.PlaceRandom(controller.DefaultCounts(), rng)
 	tbl := policy.NewTable()
 	workload.GeneratePolicies(workload.GenConfig{Subnets: dep.NumSubnets(), PoliciesPerClass: 10}, tbl, rng)
 	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))

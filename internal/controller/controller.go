@@ -14,7 +14,6 @@ package controller
 
 import (
 	"fmt"
-	"math/rand"
 
 	"sdme/internal/enforce"
 	"sdme/internal/policy"
@@ -65,8 +64,8 @@ type Options struct {
 	// HashSeed seeds flow-hash selection.
 	HashSeed uint64
 	// FunctionFactory overrides middlebox function construction; nil
-	// uses the built-in implementations (nf.New). Required when policies
-	// reference function types registered beyond the built-in four.
+	// uses the built-in implementations (nf.New). A factory may wrap
+	// them, as the benchmark's timing decorator does.
 	FunctionFactory enforce.FunctionFactory
 	// Verify makes the pipeline statically verify every plan it compiles
 	// (internal/verify), full and scoped, and refuse to diff or build one
@@ -211,16 +210,4 @@ func ApplyDeltas(nodes map[topo.NodeID]*enforce.Node, deltas map[topo.NodeID]enf
 		}
 	}
 	return nil
-}
-
-// RandomDeployment is a convenience that builds the paper's §IV-A
-// deployment on a graph: the default middlebox population placed on
-// random core routers.
-func RandomDeployment(g *topo.Graph, rng *rand.Rand) (*enforce.Deployment, error) {
-	dep, err := enforce.NewDeployment(g)
-	if err != nil {
-		return nil, err
-	}
-	dep.PlaceRandom(DefaultCounts(), rng)
-	return dep, nil
 }

@@ -486,10 +486,11 @@ func TestRandomDeploymentAndFullCampusSolve(t *testing.T) {
 	// workload generator: LB must beat HP's max load on IDS.
 	rng := rand.New(rand.NewSource(10))
 	g := topo.Campus(topo.CampusConfig{WithProxies: true}, rng)
-	dep, err := controller.RandomDeployment(g, rng)
+	dep, err := enforce.NewDeployment(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dep.PlaceRandom(controller.DefaultCounts(), rng)
 	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))
 
 	tbl := policy.NewTable()

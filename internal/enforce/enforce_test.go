@@ -683,31 +683,26 @@ func TestTraceFlowUnknownSubnet(t *testing.T) {
 	}
 }
 
-// rateLimiter is a custom network function used to prove the system is
-// extensible beyond the paper's four built-ins: it drops every packet
-// past a per-flow budget.
-type rateLimiter struct {
-	funcType  policy.FuncType
-	budget    int
-	perFlow   map[netaddr.FiveTuple]int
-	processed int64
+// budgetFW wraps a built-in firewall the way a custom FunctionFactory
+// decorates the four functions: it counts the packets it sees per flow
+// and drops every packet past a per-flow budget, otherwise deferring to
+// the firewall it wraps.
+type budgetFW struct {
+	nf.Function
+	budget  int
+	perFlow map[netaddr.FiveTuple]int
 }
 
-func (r *rateLimiter) Type() policy.FuncType { return r.funcType }
-func (r *rateLimiter) Processed() int64      { return r.processed }
-func (r *rateLimiter) Process(pkt *packet.Packet, _ int64) nf.Verdict {
-	r.processed++
+func (b *budgetFW) Process(pkt *packet.Packet, now int64) nf.Verdict {
 	ft := pkt.FiveTuple()
-	r.perFlow[ft]++
-	if r.perFlow[ft] > r.budget {
+	b.perFlow[ft]++
+	if b.perFlow[ft] > b.budget {
 		return nf.VerdictDrop
 	}
-	return nf.VerdictPass
+	return b.Function.Process(pkt, now)
 }
 
 func TestCustomFunctionTypeEndToEnd(t *testing.T) {
-	rlType := policy.RegisterFunc("RATELIMIT")
-
 	rng := rand.New(rand.NewSource(77))
 	g := topo.Campus(topo.CampusConfig{Gateways: 2, CoreRouters: 3, EdgeRouters: 2, WithProxies: true}, rng)
 	dep, err := enforce.NewDeployment(g)
@@ -715,26 +710,33 @@ func TestCustomFunctionTypeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cores := g.NodesOfKind(topo.KindCoreRouter)
-	dep.AddMiddlebox(cores[0], "rl1", rlType)
+	dep.AddMiddlebox(cores[0], "fw1", policy.FuncFW)
 	dep.AddMiddlebox(cores[1], "ids1", policy.FuncIDS)
 
 	tbl := policy.NewTable()
 	d := policy.NewDescriptor()
 	d.DstPort = netaddr.SinglePort(80)
-	tbl.Add(d, policy.ActionList{rlType, policy.FuncIDS})
+	tbl.Add(d, policy.ActionList{policy.FuncFW, policy.FuncIDS})
 
+	var wrapped []*budgetFW
 	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))
 	ctl := controller.New(dep, ap, tbl, controller.Options{
 		Strategy: enforce.HotPotato,
 		FunctionFactory: func(ft policy.FuncType) (nf.Function, error) {
-			if ft == rlType {
-				return &rateLimiter{funcType: rlType, budget: 3, perFlow: map[netaddr.FiveTuple]int{}}, nil
+			f, err := nf.New(ft)
+			if err != nil || ft != policy.FuncFW {
+				return f, err
 			}
-			return nf.New(ft)
+			w := &budgetFW{Function: f, budget: 3, perFlow: map[netaddr.FiveTuple]int{}}
+			wrapped = append(wrapped, w)
+			return w, nil
 		},
 	})
 	nodes := buildNodes(t, ctl)
 	f := newFabric(t, nodes)
+	if len(wrapped) != 1 {
+		t.Fatalf("factory wrapped %d firewalls, want 1", len(wrapped))
+	}
 
 	proxyID, _ := dep.ProxyFor(1)
 	ft := flowFromSubnet(1, 2, 80)
@@ -743,21 +745,25 @@ func TestCustomFunctionTypeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Budget 3: first three delivered, the rest rate-limited.
+	// Budget 3: first three delivered, the rest dropped by the wrapper.
 	if len(f.delivered) != 3 {
 		t.Errorf("delivered = %d, want 3", len(f.delivered))
 	}
-	var rlNode *enforce.Node
-	for _, id := range dep.Providers(rlType) {
-		rlNode = nodes[id]
+	if got := wrapped[0].perFlow[ft]; got != 5 {
+		t.Errorf("wrapper saw %d packets of the flow, want 5", got)
 	}
-	if rlNode == nil || rlNode.Counters.Dropped != 2 {
-		t.Errorf("rate limiter drops = %+v", rlNode.Counters)
+	// The wrapped firewall ran for the packets within budget only.
+	if got := wrapped[0].Processed(); got != 3 {
+		t.Errorf("wrapped firewall processed %d packets, want 3", got)
 	}
-	// The custom function sits in a chain with a built-in one.
+	fwNode := nodes[dep.Providers(policy.FuncFW)[0]]
+	if fwNode.Counters.Dropped != 2 {
+		t.Errorf("firewall node drops = %+v", fwNode.Counters)
+	}
+	// The wrapped function sits in a chain with an unwrapped one.
 	ids := nodes[dep.Providers(policy.FuncIDS)[0]]
 	if ids.Counters.Load != 3 {
-		t.Errorf("IDS saw %d packets, want 3 (only those the limiter passed)", ids.Counters.Load)
+		t.Errorf("IDS saw %d packets, want 3 (only those the wrapper passed)", ids.Counters.Load)
 	}
 }
 

@@ -212,9 +212,8 @@ func NewProxy(dep *Deployment, id topo.NodeID) *Node {
 }
 
 // FunctionFactory constructs a function instance for a middlebox;
-// nf.New is the default. Custom deployments supply their own to add
-// function types beyond the built-in four (register the type with
-// policy.RegisterFunc first).
+// nf.New is the default. A custom factory wraps or replaces the instances
+// of the four functions (the benchmark times each one this way).
 type FunctionFactory func(policy.FuncType) (nf.Function, error)
 
 // NewMiddlebox creates a middlebox node, materializing default function
@@ -258,9 +257,8 @@ func NewMiddleboxWith(dep *Deployment, id topo.NodeID, factory FunctionFactory) 
 // paths through it. The classifier is rebuilt only when the policy list is
 // not the installed one.
 //
-// Action lists with repeated function types are rejected, leaving the node
-// untouched: the dataplane infers a packet's chain position from which of
-// its functions appears in the list, which requires uniqueness.
+// An action list that fails policy.CheckActions (a code outside the four
+// functions, or a repeated one) is rejected, leaving the node untouched.
 func (n *Node) Install(cfg Config) error {
 	old := n.cfg
 	samePolicies := n.classifier != nil && slices.Equal(old.Policies, cfg.Policies)
@@ -269,12 +267,8 @@ func (n *Node) Install(cfg Config) error {
 	if !samePolicies {
 		upserts, removes, _ = DiffPolicies(old.Policies, cfg.Policies)
 		for _, p := range upserts { // the others passed when installed
-			seen := map[policy.FuncType]bool{}
-			for _, f := range p.Actions {
-				if seen[f] {
-					return fmt.Errorf("enforce: %v repeats function %v; unsupported", p, f)
-				}
-				seen[f] = true
+			if err := policy.CheckActions(p.Actions); err != nil {
+				return fmt.Errorf("enforce: %v: %w", p, err)
 			}
 		}
 	}

@@ -25,12 +25,9 @@ type ObserveConfig struct {
 	// packet the HopProcess sequence is exactly the chain, so the
 	// conformance predicate is SamePath; more packets interleave).
 	PacketsPerFlow int
-	// TraceOneIn is the tracer sampling rate (default 1: every flow).
-	TraceOneIn uint64
-	// SnapshotEveryUS > 0 takes periodic virtual-time registry snapshots.
+	// SnapshotEveryUS > 0 takes periodic virtual-time registry snapshots
+	// until observeSnapshotUntilUS.
 	SnapshotEveryUS int64
-	// SnapshotUntilUS bounds the snapshot schedule (default 2s virtual).
-	SnapshotUntilUS int64
 	// LabelSwitching enables §III-E during the run.
 	LabelSwitching bool
 }
@@ -42,13 +39,14 @@ func (c *ObserveConfig) fill() {
 	if c.PacketsPerFlow == 0 {
 		c.PacketsPerFlow = 1
 	}
-	if c.TraceOneIn == 0 {
-		c.TraceOneIn = 1
-	}
-	if c.SnapshotUntilUS == 0 {
-		c.SnapshotUntilUS = 2_000_000
-	}
 }
+
+// An observed run traces every flow and bounds its snapshot schedule at
+// 2 s of virtual time.
+const (
+	observeTraceOneIn      = 1
+	observeSnapshotUntilUS = 2_000_000
+)
 
 // TraceMismatch is one plan/runtime divergence found by an observed run.
 type TraceMismatch struct {
@@ -168,10 +166,10 @@ func (b *Bed) RunObserved(cfg ObserveConfig) (*ObservedRun, error) {
 	}
 
 	capacity := cfg.Flows*cfg.PacketsPerFlow*8 + 64
-	run.Tracer = enforce.NewRuntimeTracer(capacity, cfg.TraceOneIn, uint64(b.Cfg.Seed))
+	run.Tracer = enforce.NewRuntimeTracer(capacity, observeTraceOneIn, uint64(b.Cfg.Seed))
 	nw.SetTracer(run.Tracer)
 	if cfg.SnapshotEveryUS > 0 {
-		nw.SnapshotEvery(cfg.SnapshotEveryUS, cfg.SnapshotUntilUS)
+		nw.SnapshotEvery(cfg.SnapshotEveryUS, observeSnapshotUntilUS)
 	}
 
 	// The static plan, computed with the exact selector state the packets

@@ -1,10 +1,8 @@
 package ha
 
 import (
-	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"sdme/internal/controller"
 	"sdme/internal/metrics"
@@ -195,21 +193,15 @@ type Replicator struct {
 	cfg ReplicatorConfig
 	j   *controller.Journal
 
-	mu      sync.Mutex
-	acked   map[int]int64
-	waiters []repWaiter
+	mu    sync.Mutex
+	acked map[int]int64
 
 	cStreamed, cCatchups *metrics.Counter
 }
 
-type repWaiter struct {
-	offset int64
-	ch     chan struct{}
-}
-
 // NewReplicator attaches a replicator to the leader's journal: every
 // subsequent Append streams its frame to the standbys before returning
-// (without blocking on acks — call WaitQuorum to gate a rollout).
+// (without blocking on acks — a rollout is gated by polling QuorumBytes).
 func NewReplicator(cfg ReplicatorConfig, j *controller.Journal) *Replicator {
 	r := &Replicator{
 		cfg: cfg, j: j, acked: make(map[int]int64),
@@ -236,15 +228,14 @@ func (r *Replicator) onAppend(offset int64, prefixCRC uint32, frame []byte) erro
 	return nil
 }
 
-// HandleAck folds a standby's durable-length report in, wakes rollouts
-// whose quorum it completes, and starts catch-up for a standby that is
-// behind (unless the ack's term says this leader was deposed — a newer
-// leader owns that standby now). Only acks fenced with THIS leader's
-// term enter the quorum accounting: a standby that refused a stale
-// frame, or one still verified against an older leader, still acks with
-// its current length, and under a different term that length can name
-// different bytes — counting it would let WaitQuorum release a record
-// that is on no quorum.
+// HandleAck folds a standby's durable-length report in and starts
+// catch-up for a standby that is behind (unless the ack's term says this
+// leader was deposed — a newer leader owns that standby now). Only acks
+// fenced with THIS leader's term enter the quorum accounting: a standby
+// that refused a stale frame, or one still verified against an older
+// leader, still acks with its current length, and under a different term
+// that length can name different bytes — counting it would let
+// QuorumBytes release a record that is on no quorum.
 func (r *Replicator) HandleAck(a mgmt.JournalAck) {
 	term := r.cfg.Term()
 	behind := a.Bytes
@@ -253,24 +244,8 @@ func (r *Replicator) HandleAck(a mgmt.JournalAck) {
 		if a.Bytes > r.acked[a.Standby] {
 			r.acked[a.Standby] = a.Bytes
 		}
-		var wake []chan struct{}
-		if len(r.waiters) > 0 {
-			q := r.quorumBytesLocked()
-			kept := r.waiters[:0]
-			for _, w := range r.waiters {
-				if q >= w.offset {
-					wake = append(wake, w.ch)
-				} else {
-					kept = append(kept, w)
-				}
-			}
-			r.waiters = kept
-		}
 		behind = r.acked[a.Standby]
 		r.mu.Unlock()
-		for _, ch := range wake {
-			close(ch)
-		}
 	}
 	if a.Term <= term && behind < r.j.Size() {
 		r.sendChunk(a.Standby, behind)
@@ -305,10 +280,6 @@ func (r *Replicator) sendChunk(to int, from int64) {
 func (r *Replicator) QuorumBytes() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.quorumBytesLocked()
-}
-
-func (r *Replicator) quorumBytesLocked() int64 {
 	lens := make([]int64, 0, len(r.cfg.Peers)+1)
 	lens = append(lens, r.j.Size())
 	for _, p := range r.cfg.Peers {
@@ -316,28 +287,4 @@ func (r *Replicator) quorumBytesLocked() int64 {
 	}
 	sort.Slice(lens, func(i, j int) bool { return lens[i] > lens[j] })
 	return lens[majority(len(r.cfg.Peers))-1]
-}
-
-// WaitQuorum blocks until the journal prefix up to offset is durable on
-// a quorum, or the timeout passes. This is the "stream before acking a
-// rollout" gate: call it with Journal.Size() after the last append of a
-// plan round, before pushing the round to any agent. Live substrate
-// only — the sim harness polls QuorumBytes on virtual time instead.
-func (r *Replicator) WaitQuorum(offset int64, timeout time.Duration) error {
-	r.mu.Lock()
-	if r.quorumBytesLocked() >= offset {
-		r.mu.Unlock()
-		return nil
-	}
-	ch := make(chan struct{})
-	r.waiters = append(r.waiters, repWaiter{offset: offset, ch: ch})
-	r.mu.Unlock()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-		return nil
-	case <-timer.C:
-		return fmt.Errorf("ha: replication quorum not reached for offset %d within %v", offset, timeout)
-	}
 }

@@ -211,7 +211,7 @@ func TestStandbyShorterDivergedResyncs(t *testing.T) {
 // TestHandleAckIgnoresOtherTermForQuorum: an ack fenced with a term
 // other than the replicator's reports a length that can name different
 // bytes (a refused stale frame still acks, and a diverged journal can be
-// long); folding it into the quorum accounting would let WaitQuorum
+// long); folding it into the quorum accounting would let QuorumBytes
 // release records that are on no quorum.
 func TestHandleAckIgnoresOtherTermForQuorum(t *testing.T) {
 	dir := t.TempDir()

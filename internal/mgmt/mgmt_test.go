@@ -403,8 +403,8 @@ func TestServerRejectsMalformedClients(t *testing.T) {
 func TestAgentRejectsBadConfig(t *testing.T) {
 	b := newMgmtBed(t, 0)
 	node := b.dep.MBNodes[0]
-	// A config whose policy repeats a function type: the node's Install
-	// refuses it and the refusal travels back as the ack error.
+	// A config whose policy repeats a function type: the agent's
+	// validation refuses it and the refusal travels back as the ack error.
 	dto := mgmt.ConfigDTO{
 		Strategy: int(enforce.HotPotato),
 		Policies: []mgmt.PolicyDTO{{

@@ -66,50 +66,80 @@ func TestTwoPhasePushAllCommits(t *testing.T) {
 // the failed epoch is rolled back, nothing is half-deployed, and no two
 // nodes disagree about the running epoch.
 func TestTwoPhaseAbortOnPrepareFailureNeverMixesPlans(t *testing.T) {
-	b := newMgmtBed(t, 0)
+	// Each case garbles one node's share of the next generation so that
+	// its prepare must be refused and the whole batch rolled back.
+	upsert := func(b *mgmtBed, actions ...policy.FuncType) enforce.ConfigDelta {
+		p := *b.tbl.All()[0]
+		p.Actions = actions
+		return enforce.ConfigDelta{Upserts: []*policy.Policy{&p}}
+	}
+	proxy := func(b *mgmtBed) topo.NodeID {
+		id, _ := b.dep.ProxyFor(1)
+		return id
+	}
+	for _, tc := range []struct {
+		name   string
+		victim func(*mgmtBed) topo.NodeID
+		delta  func(*mgmtBed) enforce.ConfigDelta
+	}{
+		// A negative weight — what LP round-off used to produce.
+		{"negative-weight", func(b *mgmtBed) topo.NodeID { return b.dep.MBNodes[0] },
+			func(*mgmtBed) enforce.ConfigDelta {
+				return enforce.ConfigDelta{SetWeights: map[enforce.WeightKey][]float64{
+					{PolicyID: 1, Func: policy.FuncIDS}: {-1e-3},
+				}}
+			}},
+		// A chain that visits the firewall twice: only Install refused it,
+		// at commit, after the other nodes had already committed.
+		{"repeated-function", proxy, func(b *mgmtBed) enforce.ConfigDelta {
+			return upsert(b, policy.FuncFW, policy.FuncIDS, policy.FuncFW)
+		}},
+		// A code that names none of the four functions.
+		{"unknown-function", proxy, func(b *mgmtBed) enforce.ConfigDelta {
+			return upsert(b, policy.FuncFW, policy.FuncType(9))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := newMgmtBed(t, 0)
 
-	// Establish a committed baseline epoch first.
-	base := b.pushAll(t)
+			// Establish a committed baseline epoch first.
+			base := b.pushAll(t)
 
-	// Next generation: one node's plan is garbage (a negative weight — what
-	// LP round-off used to produce), so its prepare is refused and the
-	// whole batch must roll back.
-	deltas := make(map[topo.NodeID]enforce.ConfigDelta, len(b.nodes))
-	for id := range b.nodes {
-		deltas[id] = enforce.ConfigDelta{}
-	}
-	victim := b.dep.MBNodes[0]
-	deltas[victim] = enforce.ConfigDelta{SetWeights: map[enforce.WeightKey][]float64{
-		{PolicyID: 1, Func: policy.FuncIDS}: {-1e-3},
-	}}
+			deltas := make(map[topo.NodeID]enforce.ConfigDelta, len(b.nodes))
+			for id := range b.nodes {
+				deltas[id] = enforce.ConfigDelta{}
+			}
+			deltas[tc.victim(b)] = tc.delta(b)
 
-	_, err := b.server.PushAllDelta2PC(deltas, nil, mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
-	if err == nil {
-		t.Fatal("2pc with an invalid plan committed")
-	}
-	if errors.Is(err, mgmt.ErrCommitStraggler) {
-		t.Errorf("a refused prepare reported as a commit straggler: %v", err)
-	}
-	var refused *mgmt.RefusedError
-	if !errors.As(err, &refused) {
-		t.Errorf("prepare failure should surface the agent's refusal, got %v", err)
-	}
+			_, err := b.server.PushAllDelta2PC(deltas, nil, mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second})
+			if err == nil {
+				t.Fatal("2pc with an invalid plan committed")
+			}
+			if errors.Is(err, mgmt.ErrCommitStraggler) {
+				t.Errorf("a refused prepare reported as a commit straggler: %v", err)
+			}
+			var refused *mgmt.RefusedError
+			if !errors.As(err, &refused) {
+				t.Errorf("prepare failure should surface the agent's refusal, got %v", err)
+			}
 
-	for id, a := range b.agents {
-		if got := a.LastEpoch(); got != base {
-			t.Errorf("node %v on epoch %d after rollback, want baseline %d", id, got, base)
-		}
-		if se := a.StagedEpoch(); se != 0 {
-			t.Errorf("node %v kept staged epoch %d after abort", id, se)
-		}
-	}
-	// At least one healthy node staged and then discarded the plan.
-	var aborted int64
-	for _, a := range b.agents {
-		aborted += a.Stats().Aborted
-	}
-	if aborted == 0 {
-		t.Error("no agent recorded an abort — rollback never reached the staged nodes")
+			for id, a := range b.agents {
+				if got := a.LastEpoch(); got != base {
+					t.Errorf("node %v on epoch %d after rollback, want baseline %d", id, got, base)
+				}
+				if se := a.StagedEpoch(); se != 0 {
+					t.Errorf("node %v kept staged epoch %d after abort", id, se)
+				}
+			}
+			// At least one healthy node staged and then discarded the plan.
+			var aborted int64
+			for _, a := range b.agents {
+				aborted += a.Stats().Aborted
+			}
+			if aborted == 0 {
+				t.Error("no agent recorded an abort — rollback never reached the staged nodes")
+			}
+		})
 	}
 }
 

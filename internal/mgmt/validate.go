@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sdme/internal/enforce"
+	"sdme/internal/policy"
 )
 
 // This file is the trust boundary of the management channel. Every DTO
@@ -22,8 +23,8 @@ const maxNameLen = 256
 
 // Validate checks a configuration push for structural sanity: strategy
 // in range, prefix bits within IPv4 width, port ranges ordered, action
-// and function codes positive, TTLs non-negative, weights finite and
-// non-negative.
+// lists and function codes passing policy.CheckActions, TTLs
+// non-negative, weights finite and non-negative.
 func (d *ConfigDTO) Validate() error {
 	switch enforce.Strategy(d.Strategy) {
 	case enforce.HotPotato, enforce.Random, enforce.LoadBalanced:
@@ -39,8 +40,8 @@ func (d *ConfigDTO) Validate() error {
 		}
 	}
 	for i, c := range d.Candidates {
-		if c.Func <= 0 {
-			return fmt.Errorf("mgmt: config seq %d: candidates[%d]: function code %d out of range", d.Seq, i, c.Func)
+		if err := policy.CheckActions([]int{c.Func}); err != nil {
+			return fmt.Errorf("mgmt: config seq %d: candidates[%d]: %w", d.Seq, i, err)
 		}
 		for _, n := range c.Nodes {
 			if n < 0 {
@@ -72,8 +73,8 @@ func (d *DeltaDTO) Validate() error {
 		}
 	}
 	for i, c := range d.SetCandidates {
-		if c.Func <= 0 {
-			return fmt.Errorf("mgmt: delta seq %d: set_candidates[%d]: function code %d out of range", d.Seq, i, c.Func)
+		if err := policy.CheckActions([]int{c.Func}); err != nil {
+			return fmt.Errorf("mgmt: delta seq %d: set_candidates[%d]: %w", d.Seq, i, err)
 		}
 		for _, n := range c.Nodes {
 			if n < 0 {
@@ -82,8 +83,8 @@ func (d *DeltaDTO) Validate() error {
 		}
 	}
 	for i, f := range d.DropCandidates {
-		if f <= 0 {
-			return fmt.Errorf("mgmt: delta seq %d: drop_candidates[%d]: function code %d out of range", d.Seq, i, f)
+		if err := policy.CheckActions([]int{f}); err != nil {
+			return fmt.Errorf("mgmt: delta seq %d: drop_candidates[%d]: %w", d.Seq, i, err)
 		}
 	}
 	for i, w := range d.SetWeights {
@@ -92,7 +93,7 @@ func (d *DeltaDTO) Validate() error {
 		}
 	}
 	for i, k := range d.DropWeights {
-		if k.PolicyID < 0 || k.Func <= 0 || k.SrcSubnet < 0 || k.DstSubnet < 0 {
+		if k.PolicyID < 0 || policy.CheckActions([]int{k.Func}) != nil || k.SrcSubnet < 0 || k.DstSubnet < 0 {
 			return fmt.Errorf("mgmt: delta seq %d: drop_weights[%d]: identifier out of range", d.Seq, i)
 		}
 	}
@@ -115,17 +116,15 @@ func (p *PolicyDTO) validate() error {
 	if len(p.Actions) == 0 {
 		return fmt.Errorf("policy %d has no actions", p.ID)
 	}
-	for _, a := range p.Actions {
-		if a <= 0 {
-			return fmt.Errorf("policy %d: action code %d out of range", p.ID, a)
-		}
+	if err := policy.CheckActions(p.Actions); err != nil {
+		return fmt.Errorf("policy %d: %w", p.ID, err)
 	}
 	return nil
 }
 
 func (w *WeightDTO) validate() error {
-	if w.Func <= 0 {
-		return fmt.Errorf("function code %d out of range", w.Func)
+	if err := policy.CheckActions([]int{w.Func}); err != nil {
+		return err
 	}
 	if len(w.Weights) == 0 {
 		return fmt.Errorf("policy %d: empty weight vector", w.PolicyID)

@@ -402,76 +402,3 @@ func BenchmarkSketchAdd(b *testing.B) {
 		s.Add(f, 1)
 	}
 }
-
-func TestRateLimiterBurstThenPolice(t *testing.T) {
-	rlType := policy.RegisterFunc("RL-TEST-1")
-	rl := NewRateLimiter(rlType, 10, 3) // 10 pps, burst 3
-	p := mkpkt("1.1.1.1", "2.2.2.2", 80, nil)
-
-	// Burst: first 3 packets at t=0 pass, the 4th is policed.
-	for i := 0; i < 3; i++ {
-		if v := rl.Process(p, 0); v != VerdictPass {
-			t.Fatalf("burst packet %d: %v", i, v)
-		}
-	}
-	if v := rl.Process(p, 0); v != VerdictDrop {
-		t.Fatalf("over-burst packet: %v, want drop", v)
-	}
-	// 100ms later one token (10 pps) has refilled.
-	if v := rl.Process(p, 100_000); v != VerdictPass {
-		t.Fatalf("refilled packet: %v", v)
-	}
-	if v := rl.Process(p, 100_000); v != VerdictDrop {
-		t.Fatalf("still-empty bucket: %v", v)
-	}
-	if rl.Dropped() != 2 || rl.Processed() != 6 {
-		t.Errorf("counters: dropped=%d processed=%d", rl.Dropped(), rl.Processed())
-	}
-	if rl.Type() != rlType {
-		t.Errorf("Type = %v", rl.Type())
-	}
-}
-
-func TestRateLimiterPerFlowIsolation(t *testing.T) {
-	rlType := policy.RegisterFunc("RL-TEST-2")
-	rl := NewRateLimiter(rlType, 1, 1)
-	a := mkpkt("1.1.1.1", "2.2.2.2", 80, nil)
-	b := mkpkt("3.3.3.3", "2.2.2.2", 80, nil)
-	if rl.Process(a, 0) != VerdictPass {
-		t.Fatal("flow a first packet should pass")
-	}
-	if rl.Process(a, 0) != VerdictDrop {
-		t.Fatal("flow a second packet should be policed")
-	}
-	// Flow b has its own bucket.
-	if rl.Process(b, 0) != VerdictPass {
-		t.Fatal("flow b must not be policed by flow a's bucket")
-	}
-	if rl.TrackedFlows() != 2 {
-		t.Errorf("tracked = %d", rl.TrackedFlows())
-	}
-}
-
-func TestRateLimiterFailOpenAtCapacity(t *testing.T) {
-	rlType := policy.RegisterFunc("RL-TEST-3")
-	rl := NewRateLimiter(rlType, 1, 1)
-	rl.MaxFlows = 1
-	rl.Process(mkpkt("1.1.1.1", "2.2.2.2", 80, nil), 0)
-	// A second flow exceeds MaxFlows: it passes unpoliced, repeatedly.
-	extra := mkpkt("9.9.9.9", "2.2.2.2", 80, nil)
-	for i := 0; i < 5; i++ {
-		if rl.Process(extra, 0) != VerdictPass {
-			t.Fatal("over-capacity flow must fail open")
-		}
-	}
-	if rl.TrackedFlows() != 1 {
-		t.Errorf("tracked = %d, want 1", rl.TrackedFlows())
-	}
-}
-
-func TestRateLimiterBurstFloor(t *testing.T) {
-	rl := NewRateLimiter(policy.RegisterFunc("RL-TEST-4"), 5, 0)
-	if rl.burst != 1 {
-		t.Errorf("burst floor = %v, want 1", rl.burst)
-	}
-}

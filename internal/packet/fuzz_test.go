@@ -44,50 +44,3 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
-
-// FuzzFragmentReassemble checks that any fragmentable packet's fragments
-// cover exactly the original bytes and reassemble.
-func FuzzFragmentReassemble(f *testing.F) {
-	f.Add(uint16(3000), uint16(576), false)
-	f.Add(uint16(8000), uint16(1500), true)
-	f.Add(uint16(100), uint16(68), false)
-	f.Fuzz(func(t *testing.T, payload, mtu uint16, encap bool) {
-		if mtu < HeaderLen+8 {
-			return
-		}
-		p := New(netaddr.FiveTuple{Src: 1, Dst: 2, Proto: 6}, int(payload))
-		if encap {
-			if err := p.Encapsulate(3, 4); err != nil {
-				t.Fatal(err)
-			}
-		}
-		id := uint16(0)
-		frags, err := p.Fragment(int(mtu), func() uint16 { id++; return id })
-		if err != nil {
-			return // DF or tiny MTU: refusal is the contract
-		}
-		if len(frags) == 1 {
-			return
-		}
-		total := 0
-		r := NewReassembler()
-		done := false
-		for _, fr := range frags {
-			if fr.Size() > int(mtu) {
-				t.Fatalf("fragment size %d exceeds MTU %d", fr.Size(), mtu)
-			}
-			total += fr.PayloadLen
-			done = r.Offer(fr)
-		}
-		inner := int(payload)
-		if encap {
-			inner += HeaderLen
-		}
-		if total != inner {
-			t.Fatalf("fragments carry %d bytes, want %d", total, inner)
-		}
-		if !done {
-			t.Fatal("reassembly did not complete after all fragments")
-		}
-	})
-}

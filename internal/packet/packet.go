@@ -1,8 +1,10 @@
 // Package packet models the packets that flow through the enforcement
 // system: an IPv4-like header, IP-over-IP encapsulation for tunneling to
 // middleboxes (§III-B of the paper), label embedding in the unused ToS and
-// fragment-offset header fields (§III-E), and MTU-driven fragmentation —
-// the overhead the label-switching enhancement exists to avoid.
+// fragment-offset header fields (§III-E). The fragment field's flags
+// travel on the wire so that labeling can refuse a fragment; the
+// fragmentation label switching avoids is counted by the simulator's
+// per-link MTU arithmetic (internal/sim), not by splitting packets here.
 //
 // The same types serve the discrete-event simulator (which mostly cares
 // about sizes and headers) and the live UDP runtime (which marshals them
@@ -26,11 +28,9 @@ const ProtoIPIP uint8 = 4
 // Fragment-field flag bits, laid out as in IPv4: 3 flag bits then a
 // 13-bit offset in 8-byte units.
 const (
-	flagDF        = 0x4000
-	flagMF        = 0x2000
-	fragOffMask   = 0x1fff
-	fragUnit      = 8
-	maxFragOffset = fragOffMask * fragUnit
+	flagDF      = 0x4000
+	flagMF      = 0x2000
+	fragOffMask = 0x1fff
 )
 
 // Header is an IPv4-like packet header with the transport ports folded in
@@ -49,43 +49,13 @@ type Header struct {
 // DefaultTTL is the initial time-to-live of generated packets.
 const DefaultTTL = 64
 
-// FragOffset returns the fragment offset in bytes.
-func (h *Header) FragOffset() int { return int(h.frag&fragOffMask) * fragUnit }
-
 // MoreFragments reports the MF flag.
 func (h *Header) MoreFragments() bool { return h.frag&flagMF != 0 }
-
-// DontFragment reports the DF flag.
-func (h *Header) DontFragment() bool { return h.frag&flagDF != 0 }
-
-// SetDontFragment sets or clears the DF flag.
-func (h *Header) SetDontFragment(v bool) {
-	if v {
-		h.frag |= flagDF
-	} else {
-		h.frag &^= flagDF
-	}
-}
 
 // IsFragment reports whether this header belongs to any fragment of a
 // fragmented packet (offset > 0 or MF set).
 func (h *Header) IsFragment() bool {
 	return h.frag&(flagMF|fragOffMask) != 0
-}
-
-func (h *Header) setFrag(offsetBytes int, more bool) error {
-	if offsetBytes%fragUnit != 0 {
-		return fmt.Errorf("packet: fragment offset %d not a multiple of %d", offsetBytes, fragUnit)
-	}
-	if offsetBytes < 0 || offsetBytes > maxFragOffset {
-		return fmt.Errorf("packet: fragment offset %d out of range", offsetBytes)
-	}
-	h.frag = h.frag & flagDF // preserve DF only
-	h.frag |= uint16(offsetBytes / fragUnit)
-	if more {
-		h.frag |= flagMF
-	}
-	return nil
 }
 
 // FiveTuple extracts the flow identifier from the header.
@@ -248,115 +218,6 @@ func (p *Packet) ClearLabel() {
 	p.Inner.TOS = 0
 	p.Inner.frag &= flagDF
 }
-
-// NeedsFragmentation reports whether the packet exceeds the MTU.
-func (p *Packet) NeedsFragmentation(mtu int) bool { return p.Size() > mtu }
-
-// Fragment splits the packet into MTU-sized fragments of its outermost
-// layer, as an IPv4 router would. Only the first fragment logically
-// carries the transport header; all fragments share the outermost ID so a
-// reassembler can regroup them. Returns an error if DF is set (the router
-// would drop and emit ICMP instead) or the MTU is too small to carry any
-// payload.
-func (p *Packet) Fragment(mtu int, nextID func() uint16) ([]*Packet, error) {
-	if !p.NeedsFragmentation(mtu) {
-		return []*Packet{p}, nil
-	}
-	outer := p.OutermostHeader()
-	if outer.DontFragment() {
-		return nil, fmt.Errorf("packet: DF set on %v -> %v but size %d > MTU %d",
-			outer.Src, outer.Dst, p.Size(), mtu)
-	}
-
-	overhead := HeaderLen // the outermost header is repeated per fragment
-	innerBytes := p.PayloadLen
-	if p.Outer != nil {
-		innerBytes += HeaderLen // the inner header fragments as payload
-	}
-	chunk := (mtu - overhead) / fragUnit * fragUnit
-	if chunk <= 0 {
-		return nil, fmt.Errorf("packet: MTU %d cannot carry payload", mtu)
-	}
-
-	id := nextID()
-	var frags []*Packet
-	for off := 0; off < innerBytes; off += chunk {
-		n := chunk
-		last := off+chunk >= innerBytes
-		if last {
-			n = innerBytes - off
-		}
-		f := &Packet{Inner: *outer, PayloadLen: n}
-		f.Inner.ID = id
-		if err := f.Inner.setFrag(off, !last); err != nil {
-			return nil, err
-		}
-		frags = append(frags, f)
-	}
-	return frags, nil
-}
-
-// FragKey groups fragments of one original packet.
-type FragKey struct {
-	Src, Dst netaddr.Addr
-	Proto    uint8
-	ID       uint16
-}
-
-// Reassembler regroups fragments. It is deliberately minimal, the
-// reference FuzzFragmentReassemble holds Fragment to; it is not a
-// hardened real-world reassembly queue. The simulator does not use it: it
-// counts fragments by arithmetic on the link MTU.
-type Reassembler struct {
-	pending map[FragKey]*fragState
-	// Completed counts fully reassembled packets.
-	Completed int
-}
-
-type fragState struct {
-	got      map[int]int // offset -> length
-	total    int         // total bytes, known once the last fragment arrives
-	received int
-}
-
-// NewReassembler returns an empty reassembler.
-func NewReassembler() *Reassembler {
-	return &Reassembler{pending: make(map[FragKey]*fragState)}
-}
-
-// Offer hands a fragment (or whole packet) to the reassembler. It returns
-// true when this call completed a packet; whole packets return true
-// immediately.
-func (r *Reassembler) Offer(p *Packet) bool {
-	h := p.OutermostHeader()
-	if !h.IsFragment() {
-		r.Completed++
-		return true
-	}
-	k := FragKey{Src: h.Src, Dst: h.Dst, Proto: h.Proto, ID: h.ID}
-	st := r.pending[k]
-	if st == nil {
-		st = &fragState{got: make(map[int]int), total: -1}
-		r.pending[k] = st
-	}
-	off := h.FragOffset()
-	if _, dup := st.got[off]; !dup {
-		st.got[off] = p.PayloadLen
-		st.received += p.PayloadLen
-	}
-	if !h.MoreFragments() {
-		st.total = off + p.PayloadLen
-	}
-	if st.total >= 0 && st.received >= st.total {
-		delete(r.pending, k)
-		r.Completed++
-		return true
-	}
-	return false
-}
-
-// PendingGroups returns the number of incomplete fragment groups.
-func (r *Reassembler) PendingGroups() int { return len(r.pending) }
 
 // --- Wire format ----------------------------------------------------------
 //

@@ -2,7 +2,6 @@ package packet
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -125,160 +124,24 @@ func TestLabelRules(t *testing.T) {
 
 	// DF survives labeling.
 	p2 := New(testTuple(), 64)
-	p2.Inner.SetDontFragment(true)
+	p2.Inner.frag |= flagDF
 	if err := p2.EmbedLabel(7); err != nil {
 		t.Fatal(err)
 	}
-	if !p2.Inner.DontFragment() {
+	if p2.Inner.frag&flagDF == 0 {
 		t.Error("DF flag lost by EmbedLabel")
 	}
 	p2.ClearLabel()
-	if !p2.Inner.DontFragment() {
+	if p2.Inner.frag&flagDF == 0 {
 		t.Error("DF flag lost by ClearLabel")
 	}
 }
 
 func TestLabelRefusedMidFragment(t *testing.T) {
 	p := New(testTuple(), 64)
-	if err := p.Inner.setFrag(0, true); err != nil {
-		t.Fatal(err)
-	}
+	p.Inner.frag |= flagMF
 	if err := p.EmbedLabel(5); err == nil {
 		t.Error("labeling an MF fragment must fail")
-	}
-}
-
-func TestFragmentationNotNeeded(t *testing.T) {
-	p := New(testTuple(), 100)
-	frags, err := p.Fragment(1500, fixedID(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frags) != 1 || frags[0] != p {
-		t.Errorf("small packet should come back unsplit, got %d frags", len(frags))
-	}
-}
-
-func TestFragmentationOfEncapsulatedPacket(t *testing.T) {
-	// This is exactly the paper's §III-E scenario: a 1500-byte-ish packet
-	// grows past the MTU once IP-over-IP adds its outer header.
-	p := New(testTuple(), 1480) // 1500 total, exactly fits MTU 1500
-	if p.NeedsFragmentation(1500) {
-		t.Fatal("plain packet should fit")
-	}
-	if err := p.Encapsulate(netaddr.MustParseAddr("10.1.0.2"), netaddr.MustParseAddr("172.31.0.1")); err != nil {
-		t.Fatal(err)
-	}
-	if !p.NeedsFragmentation(1500) {
-		t.Fatal("encapsulated packet should exceed MTU")
-	}
-	frags, err := p.Fragment(1500, fixedID(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frags) != 2 {
-		t.Fatalf("want 2 fragments, got %d", len(frags))
-	}
-	// Each fragment is addressed by the tunnel (outer) header.
-	for i, f := range frags {
-		if f.Inner.Src != netaddr.MustParseAddr("10.1.0.2") || f.Inner.Dst != netaddr.MustParseAddr("172.31.0.1") {
-			t.Errorf("fragment %d not carrying tunnel addresses: %+v", i, f.Inner)
-		}
-		if f.Inner.ID != 42 {
-			t.Errorf("fragment %d ID = %d, want shared ID 42", i, f.Inner.ID)
-		}
-		if f.Size() > 1500 {
-			t.Errorf("fragment %d size %d exceeds MTU", i, f.Size())
-		}
-	}
-	if !frags[0].Inner.MoreFragments() || frags[1].Inner.MoreFragments() {
-		t.Error("MF flags wrong")
-	}
-	if frags[0].Inner.FragOffset() != 0 || frags[1].Inner.FragOffset() == 0 {
-		t.Error("fragment offsets wrong")
-	}
-	// Total carried bytes = inner header + payload.
-	total := 0
-	for _, f := range frags {
-		total += f.PayloadLen
-	}
-	if total != HeaderLen+1480 {
-		t.Errorf("fragment payloads sum to %d, want %d", total, HeaderLen+1480)
-	}
-}
-
-func TestFragmentDFRefused(t *testing.T) {
-	p := New(testTuple(), 3000)
-	p.Inner.SetDontFragment(true)
-	if _, err := p.Fragment(1500, fixedID(1)); err == nil {
-		t.Error("fragmenting a DF packet must fail")
-	}
-}
-
-func TestFragmentTinyMTU(t *testing.T) {
-	p := New(testTuple(), 100)
-	if _, err := p.Fragment(HeaderLen, fixedID(1)); err == nil {
-		t.Error("MTU equal to header size cannot carry payload")
-	}
-}
-
-func TestReassembler(t *testing.T) {
-	r := NewReassembler()
-	p := New(testTuple(), 4000)
-	frags, err := p.Fragment(1500, fixedID(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frags) < 3 {
-		t.Fatalf("want >=3 fragments, got %d", len(frags))
-	}
-	// Deliver out of order; completion only on the last piece.
-	order := []int{2, 0, 1}
-	if len(frags) > 3 {
-		order = rand.New(rand.NewSource(1)).Perm(len(frags))
-	}
-	delivered := 0
-	for _, idx := range order {
-		delivered++
-		done := r.Offer(frags[idx])
-		if delivered < len(frags) && done {
-			t.Error("reassembly completed early")
-		}
-		if delivered == len(frags) && !done {
-			t.Error("reassembly did not complete")
-		}
-	}
-	if r.Completed != 1 || r.PendingGroups() != 0 {
-		t.Errorf("completed=%d pending=%d", r.Completed, r.PendingGroups())
-	}
-	// Duplicate fragments of a finished packet start a fresh group.
-	r.Offer(frags[0])
-	if r.PendingGroups() != 1 {
-		t.Errorf("pending=%d after stray fragment", r.PendingGroups())
-	}
-	// Whole packets complete immediately.
-	if !r.Offer(New(testTuple(), 50)) {
-		t.Error("whole packet should complete immediately")
-	}
-}
-
-func TestReassemblerIgnoresDuplicates(t *testing.T) {
-	r := NewReassembler()
-	p := New(testTuple(), 2000) // splits into exactly 2 fragments at MTU 1500
-	frags, err := p.Fragment(1500, fixedID(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frags) != 2 {
-		t.Fatalf("want 2 fragments, got %d", len(frags))
-	}
-	r.Offer(frags[0])
-	r.Offer(frags[0]) // duplicate must not double-count bytes
-	if done := r.Offer(frags[1]); !done {
-		t.Error("reassembly should complete despite duplicate")
-	}
-	if r.Completed != 1 {
-		t.Errorf("completed = %d, want 1", r.Completed)
 	}
 }
 
@@ -394,10 +257,6 @@ func TestStringForms(t *testing.T) {
 	}
 }
 
-func fixedID(id uint16) func() uint16 {
-	return func() uint16 { return id }
-}
-
 func BenchmarkMarshalUnmarshal(b *testing.B) {
 	p := New(testTuple(), 64)
 	p.Payload = make([]byte, 64)
@@ -408,18 +267,6 @@ func BenchmarkMarshalUnmarshal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := p.Marshal()
 		if _, err := Unmarshal(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFragment(b *testing.B) {
-	p := New(testTuple(), 8000)
-	id := uint16(0)
-	next := func() uint16 { id++; return id }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Fragment(1500, next); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,12 +18,11 @@ import (
 	"sdme/internal/netaddr"
 )
 
-// FuncType identifies a network function that middleboxes implement. The
-// four built-ins are the ones in the paper's evaluation; RegisterFunc adds
-// more.
+// FuncType identifies a network function that middleboxes implement: one
+// of the four in the paper's evaluation.
 type FuncType int
 
-// Built-in network functions (§IV-A).
+// The network functions (§IV-A).
 const (
 	FuncFW  FuncType = iota + 1 // firewalling
 	FuncIDS                     // intrusion detection
@@ -31,46 +30,45 @@ const (
 	FuncTM                      // traffic measurement
 )
 
-// builtinFuncNames indexes FuncType-1.
-var builtinFuncNames = []string{"FW", "IDS", "WP", "TM"}
-
-var extraFuncNames = map[FuncType]string{}
-var nextFunc = FuncType(len(builtinFuncNames) + 1)
-
-// RegisterFunc defines a new function type with the given display name
-// and returns its FuncType. It is intended for package initialization in
-// callers that extend the built-in set; it is not safe for concurrent use.
-func RegisterFunc(name string) FuncType {
-	f := nextFunc
-	nextFunc++
-	extraFuncNames[f] = name
-	return f
-}
+// funcNames indexes FuncType-1.
+var funcNames = []string{"FW", "IDS", "WP", "TM"}
 
 // String renders the function name.
 func (f FuncType) String() string {
-	if i := int(f) - 1; i >= 0 && i < len(builtinFuncNames) {
-		return builtinFuncNames[i]
-	}
-	if n, ok := extraFuncNames[f]; ok {
-		return n
+	if i := int(f) - 1; i >= 0 && i < len(funcNames) {
+		return funcNames[i]
 	}
 	return fmt.Sprintf("func(%d)", int(f))
 }
 
 // ParseFunc resolves a function name ("FW", "IDS", ...), case-insensitive.
 func ParseFunc(s string) (FuncType, error) {
-	for i, n := range builtinFuncNames {
+	for i, n := range funcNames {
 		if strings.EqualFold(n, s) {
 			return FuncType(i + 1), nil
 		}
 	}
-	for f, n := range extraFuncNames {
-		if strings.EqualFold(n, s) {
-			return f, nil
-		}
-	}
 	return 0, fmt.Errorf("policy: unknown function %q", s)
+}
+
+// CheckActions is the one rule a list of function codes obeys wherever it
+// enters a node, from the wire or from the controller: every code names
+// one of the four functions and none repeats. The dataplane infers a
+// packet's position in its chain from which of its functions appears in
+// the list, which requires uniqueness. A single code is checked as a list
+// of one.
+func CheckActions[F ~int](codes []F) error {
+	var seen [FuncTM + 1]bool
+	for _, c := range codes {
+		if c < F(FuncFW) || c > F(FuncTM) {
+			return fmt.Errorf("policy: function code %d is not one of %v", int(c), funcNames)
+		}
+		if seen[c] {
+			return fmt.Errorf("policy: action list repeats function %v", FuncType(c))
+		}
+		seen[c] = true
+	}
+	return nil
 }
 
 // ActionList is the ordered sequence of functions a policy applies. An

@@ -166,20 +166,6 @@ func TestParseFunc(t *testing.T) {
 	}
 }
 
-func TestRegisterFunc(t *testing.T) {
-	f := RegisterFunc("NAT")
-	if f.String() != "NAT" {
-		t.Errorf("registered name = %q", f)
-	}
-	got, err := ParseFunc("nat")
-	if err != nil || got != f {
-		t.Errorf("ParseFunc(nat) = %v, %v", got, err)
-	}
-	if FuncType(999).String() == "" {
-		t.Error("unknown func should still render")
-	}
-}
-
 func TestDescriptorProtoMatch(t *testing.T) {
 	d := NewDescriptor()
 	d.Proto = netaddr.ProtoUDP
