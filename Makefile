@@ -18,10 +18,15 @@ race:
 	$(GO) test -race ./...
 
 # vet = the toolchain's vet plus this repository's own analyzers
-# (internal/lint via cmd/sdme-vet).
+# (internal/lint via cmd/sdme-vet). sdme-vet loads the files built for
+# the GOOS in its environment, so a second run for darwin over the
+# cross-built packages (see cross) analyzes the non-Linux variants, such
+# as internal/live/batch_other.go; -exec hands GOOS to the analyzer, not
+# to the build of it.
 vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/sdme-vet ./...
+	$(GO) run -exec 'env GOOS=darwin' ./cmd/sdme-vet $(CROSS_PKGS)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

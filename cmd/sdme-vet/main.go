@@ -4,25 +4,19 @@
 //
 // Usage:
 //
-//	sdme-vet [-list] [-run name1,name2] [-json] [-typeerrors]
-//	         [-lockdepth n] [-taintdepth n] [-leakdepth n] [patterns ...]
+//	sdme-vet [patterns ...]
 //
 // Patterns default to ./... and accept the usual forms (./internal/live,
-// ./..., sdme/internal/...). The exit status is 1 when any diagnostic is
-// reported, so CI can gate on it. Findings are suppressed per line with
-// a `//vet:ignore <analyzer>` comment on the offending line or the line
+// ./..., sdme/internal/...). Files are selected for the GOOS/GOARCH in
+// the environment, as `go build` would, so `GOOS=darwin sdme-vet` checks
+// the non-Linux variants. The exit status is 1 when any diagnostic is
+// reported and 2 when a package fails to load or type-check, so CI can
+// gate on it. Findings are suppressed per line with a
+// `//vet:ignore <analyzer>` comment on the offending line or the line
 // above it.
-//
-// -json emits the findings as a single JSON array (sorted by position,
-// like the text output) for machine consumption; the exit status
-// contract is unchanged. The -*depth flags bound how many static call
-// edges the interprocedural analyzers follow (0 disables the
-// interprocedural part of lockedblocking).
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -31,7 +25,7 @@ import (
 )
 
 func main() {
-	code, err := run()
+	code, err := run(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sdme-vet:", err)
 		os.Exit(2)
@@ -39,103 +33,30 @@ func main() {
 	os.Exit(code)
 }
 
-func run() (int, error) {
-	list := flag.Bool("list", false, "list the available analyzers and exit")
-	only := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	showTypeErrs := flag.Bool("typeerrors", false, "also print type-checker errors encountered while loading")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array instead of text lines")
-	lockDepth := flag.Int("lockdepth", lint.LockedBlockingDepth, "call depth for interprocedural lockedblocking (0 = intraprocedural only)")
-	taintDepth := flag.Int("taintdepth", lint.WireTaintDepth, "call depth for wiretaint sink summaries")
-	leakDepth := flag.Int("leakdepth", lint.GoroutineLeakDepth, "call depth for goroutineleak stop-path search")
-	flag.Parse()
-	lint.LockedBlockingDepth = *lockDepth
-	lint.WireTaintDepth = *taintDepth
-	lint.GoroutineLeakDepth = *leakDepth
-
-	analyzers := lint.Analyzers()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return 0, nil
-	}
-	if *only != "" {
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			name = strings.TrimSpace(name)
-			a, ok := byName[name]
-			if !ok {
-				return 0, fmt.Errorf("unknown analyzer %q (use -list)", name)
-			}
-			analyzers = append(analyzers, a)
+func run(patterns []string) (int, error) {
+	for _, p := range patterns {
+		if strings.HasPrefix(p, "-") {
+			return 0, fmt.Errorf("unknown flag %s: sdme-vet takes package patterns only", p)
 		}
 	}
-
 	loader, err := lint.NewLoader(".")
 	if err != nil {
 		return 0, err
 	}
-	pkgs, err := loader.Load(flag.Args()...)
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		return 0, err
 	}
-	if *showTypeErrs {
-		for _, pkg := range pkgs {
-			for _, terr := range pkg.TypeErrors {
-				fmt.Fprintf(os.Stderr, "sdme-vet: typecheck %s: %v\n", pkg.Path, terr)
-			}
-		}
-	}
-
-	diags, err := lint.Run(pkgs, analyzers)
+	diags, err := lint.Run(pkgs, lint.Analyzers())
 	if err != nil {
 		return 0, err
 	}
-	if *asJSON {
-		if err := writeJSON(os.Stdout, diags); err != nil {
-			return 0, err
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.String())
-		}
+	for _, d := range diags {
+		fmt.Println(d.String())
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "sdme-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1, nil
 	}
 	return 0, nil
-}
-
-// jsonDiag is the machine-readable finding shape; fields are stable API
-// for CI tooling.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// writeJSON emits the diagnostics (already position-sorted by lint.Run)
-// as one indented JSON array. An empty run emits [] so consumers always
-// parse valid JSON.
-func writeJSON(w *os.File, diags []lint.Diagnostic) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiag{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

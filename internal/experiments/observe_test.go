@@ -68,7 +68,8 @@ func TestDifferentialConformanceLabels(t *testing.T) {
 // TestObservedMetricsDeterminism: two runs from the same seed must
 // produce byte-identical metrics snapshots — the registry exposition is
 // sorted, the engine is FIFO-stable, and nothing in the path reads wall
-// time (the simdeterminism vet pass enforces the latter).
+// time or the global math/rand source (a time.Now in the snapshot stamp
+// or a global draw in the workload generator fails this test).
 func TestObservedMetricsDeterminism(t *testing.T) {
 	one := func() (*ObservedRun, []byte) {
 		bed, err := NewBed(Config{Topology: "campus", Seed: 5, PoliciesPerClass: 4})

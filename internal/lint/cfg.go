@@ -31,31 +31,6 @@ type CFGBlock struct {
 	Succs []*CFGBlock
 }
 
-// ExitReachable reports whether the exit block is reachable from the
-// entry — i.e. whether some path through the function terminates
-// normally. A goroutine body spinning in `for { ... }` with no return
-// has an unreachable exit.
-func (g *CFG) ExitReachable() bool {
-	seen := make([]bool, len(g.Blocks))
-	var walk func(b *CFGBlock) bool
-	walk = func(b *CFGBlock) bool {
-		if seen[b.Index] {
-			return false
-		}
-		seen[b.Index] = true
-		if b == g.Exit {
-			return true
-		}
-		for _, s := range b.Succs {
-			if walk(s) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(g.Entry)
-}
-
 // BuildCFG constructs the control-flow graph of one function body. The
 // same builder serves declared functions and function literals.
 func BuildCFG(body *ast.BlockStmt) *CFG {

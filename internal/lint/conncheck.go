@@ -14,7 +14,6 @@ import (
 // visible discard and not reported.
 var ConnCheck = &Analyzer{
 	Name: "conncheck",
-	Doc:  "flag dropped error results from net/os connection Close/Write/Read calls",
 	Run:  runConnCheck,
 }
 

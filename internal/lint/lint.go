@@ -6,35 +6,25 @@
 //
 // Beyond the AST layer, the package carries a small dataflow engine —
 // per-function control-flow graphs (cfg.go), a program-wide function
-// index and static call graph (program.go), a forward fixpoint solver
-// (dataflow.go) and an object-granular taint propagation layer
-// (taint.go) — that interprocedural analyzers plug into. DESIGN.md §9
-// documents the architecture and the contract for adding analyzers.
+// index with static call resolution (program.go), a forward fixpoint
+// solver (dataflow.go) and an object-granular taint propagation layer
+// (taint.go). DESIGN.md §9 documents the architecture, the finding each
+// analyzer has earned its place with, and the contract for adding one.
 //
-// Six analyzers ship with it:
+// Three analyzers ship with it:
 //
-//   - simdeterminism flags wall-clock reads (time.Now, time.Since) and
-//     global math/rand calls in the simulation packages, where time must
-//     come from the event clock and randomness from a seeded source or
-//     resumed runs diverge;
 //   - lockedblocking flags blocking operations (channel sends/receives,
 //     selects without default, sync.WaitGroup.Wait, net connection I/O,
 //     time.Sleep) performed while a sync.Mutex or RWMutex is held — and,
-//     interprocedurally, calls whose static callees block up to a
-//     configurable depth below the lock site;
+//     interprocedurally, calls whose static callees block up to
+//     callDepth edges below the lock site;
 //   - conncheck flags dropped error results from Close/Write/Read calls
 //     on net and os connection-like values (an explicit `_ =` counts as
 //     an intentional discard);
 //   - wiretaint tracks values produced by the management-channel wire
 //     codec (readMsg/Decode*/json.Unmarshal) and reports any that reach
 //     enforcement state (Node.Install, SetWeights, flow-table mutation,
-//     controller solvers) without passing a Validate-family call;
-//   - goroutineleak flags `go` statements in the long-lived packages
-//     whose goroutine can neither terminate nor observe a stop signal
-//     (no reachable return, no ctx/done/closed-channel read);
-//   - boundedlabels flags metrics label values derived from raw
-//     packet/flow fields, whose unbounded cardinality would explode the
-//     registry (labels must come from compile-time-bounded sets).
+//     controller solvers) without passing a Validate-family call.
 //
 // A finding can be suppressed with a line comment on the offending line
 // or the line above it:
@@ -46,6 +36,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
@@ -56,8 +47,6 @@ import (
 type Analyzer struct {
 	// Name identifies the analyzer in reports and //vet:ignore comments.
 	Name string
-	// Doc is a one-paragraph description.
-	Doc string
 	// Run executes the check over one package, reporting findings via
 	// pass.Reportf.
 	Run func(*Pass) error
@@ -67,9 +56,9 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Prog is the whole-run view (every package of this Run, function
-	// index, CFGs, call graph) for interprocedural analyzers. Purely
-	// syntactic analyzers can ignore it.
+	// Prog is the whole-run view (every package of this Run and its
+	// function index) for interprocedural analyzers. Purely syntactic
+	// analyzers can ignore it.
 	Prog   *Program
 	report func(Diagnostic)
 }
@@ -97,11 +86,13 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the default analyzer set, the one cmd/sdme-vet runs.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		SimDeterminism, LockedBlocking, ConnCheck,
-		WireTaint, GoroutineLeak, BoundedLabels,
-	}
+	return []*Analyzer{LockedBlocking, ConnCheck, WireTaint}
 }
+
+// callDepth bounds how many static call edges an interprocedural
+// summary (lockedblocking's blocking search, wiretaint's sink
+// parameters) follows below a call site.
+const callDepth = 3
 
 // Run executes the analyzers over the packages, applies //vet:ignore
 // suppressions, and returns the surviving diagnostics sorted by
@@ -194,4 +185,18 @@ func forEachFunc(pkg *Package, fn func(*ast.FuncDecl)) {
 			}
 		}
 	}
+}
+
+// packageQualifier reports whether sel is `pkgname.X` for an imported
+// package, returning that package's import path.
+func packageQualifier(pass *Pass, sel *ast.SelectorExpr) (string, bool) {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	pn, ok := pass.Pkg.Info.Uses[id].(*types.PkgName)
+	if !ok {
+		return "", false
+	}
+	return pn.Imported().Path(), true
 }

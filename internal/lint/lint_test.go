@@ -11,81 +11,37 @@ import (
 	"sdme/internal/lint"
 )
 
-// fixture is a throwaway module exercising every analyzer. Lines carrying
-// a trailing `// want:a,b` marker must produce exactly one diagnostic per
-// named analyzer; every other line must stay clean.
+// fixture is a throwaway module exercising the analyzers and the
+// framework around them. Lines carrying a trailing `// want:a,b` marker
+// must produce exactly one diagnostic per named analyzer; every other
+// line must stay clean.
 var fixture = map[string]string{
 	"go.mod": "module fixture\n\ngo 1.24\n",
 
-	// The module root is outside the simdeterminism guard: wall-clock
-	// reads here are legitimate and must not be flagged.
-	"clock.go": `package fixture
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-
-	"internal/sim/sim.go": `package sim
+	// The module root package: conncheck positives next to an explicit
+	// discard and a named suppression.
+	"conn.go": `package fixture
 
 import (
-	"math/rand"
-	"time"
+	"net"
+	"os"
 )
 
-func Nondeterministic() (int64, int) {
-	now := time.Now().UnixNano() // want:simdeterminism
-	n := rand.Intn(10)           // want:simdeterminism
-	return now, n
-}
-
-func Seeded(seed int64) int {
-	r := rand.New(rand.NewSource(seed))
-	return r.Intn(10)
-}
-
-func Suppressed() time.Time {
-	//vet:ignore simdeterminism -- boot banner only
-	return time.Now()
+func Teardown(c net.Conn, f *os.File) {
+	c.Close() // want:conncheck
+	_ = f.Close()
+	//vet:ignore conncheck -- read-only file, nothing to flush
+	f.Close()
 }
 `,
 
-	// Fault schedules replay under the simulator; the guard extends to
-	// them so jitter can only come from the schedule's seeded RNG.
-	"internal/faultinject/fi.go": `package faultinject
+	// A directory whose only file is excluded by its build constraint is
+	// no package: the loader must not list it.
+	"tools/gen.go": `//go:build ignore
 
-import (
-	"math/rand"
-	"time"
-)
+package main
 
-func BadJitter() (int64, int64) {
-	at := time.Now().UnixMicro() // want:simdeterminism
-	j := rand.Int63n(1000)       // want:simdeterminism
-	return at, j
-}
-
-func SeededJitter(seed int64) int64 {
-	return rand.New(rand.NewSource(seed)).Int63n(1000)
-}
-`,
-
-	// The metrics registry is inside the guard: it must read time only
-	// through its injected clock, or same-seed simulation snapshots stop
-	// being byte-identical.
-	"internal/metrics/reg.go": `package metrics
-
-import "time"
-
-type Registry struct {
-	clock func() int64
-}
-
-func (r *Registry) BadStamp() int64 {
-	return time.Now().UnixMicro() // want:simdeterminism
-}
-
-func (r *Registry) Stamp() int64 { return r.clock() }
+func main() {}
 `,
 
 	"internal/live/live.go": `package live
@@ -169,10 +125,12 @@ type expectation struct {
 	analyzer string
 }
 
-func writeFixture(t *testing.T) string {
+// writeModule writes files (relative path → source) into a fresh
+// directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
-	for name, src := range fixture {
+	for name, src := range files {
 		path := filepath.Join(root, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -202,7 +160,7 @@ func wantedDiags(root string) map[expectation]int {
 }
 
 func TestAnalyzersOnFixtureModule(t *testing.T) {
-	root := writeFixture(t)
+	root := writeModule(t, fixture)
 	loader, err := lint.NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
@@ -217,12 +175,9 @@ func TestAnalyzersOnFixtureModule(t *testing.T) {
 	paths := make([]string, len(pkgs))
 	for i, p := range pkgs {
 		paths[i] = p.Path
-		for _, terr := range p.TypeErrors {
-			t.Errorf("typecheck %s: %v", p.Path, terr)
-		}
 	}
 	sort.Strings(paths)
-	wantPaths := []string{"fixture", "fixture/internal/faultinject", "fixture/internal/live", "fixture/internal/metrics", "fixture/internal/sim"}
+	wantPaths := []string{"fixture", "fixture/internal/live"}
 	if fmt.Sprint(paths) != fmt.Sprint(wantPaths) {
 		t.Fatalf("loaded %v, want %v", paths, wantPaths)
 	}
@@ -254,60 +209,59 @@ func TestAnalyzersOnFixtureModule(t *testing.T) {
 	}
 }
 
-// TestRunSingleAnalyzer checks analyzer selection the way sdme-vet -run
-// uses it: only the requested analyzer's findings survive.
+// TestRunSingleAnalyzer checks analyzer selection: run with one
+// analyzer, only its findings survive, on a package where another
+// analyzer would fire too.
 func TestRunSingleAnalyzer(t *testing.T) {
-	root := writeFixture(t)
+	root := writeModule(t, fixture)
 	loader, err := lint.NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.Load("./internal/sim")
+	pkgs, err := loader.Load("./internal/live")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.SimDeterminism})
+	diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.ConnCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 2 {
+	if len(diags) != 3 {
 		for _, d := range diags {
 			t.Logf("got: %s", d)
 		}
-		t.Fatalf("got %d diagnostics, want 2", len(diags))
+		t.Fatalf("got %d diagnostics, want 3", len(diags))
 	}
 	for _, d := range diags {
-		if d.Analyzer != "simdeterminism" {
+		if d.Analyzer != "conncheck" {
 			t.Errorf("unexpected analyzer %q", d.Analyzer)
 		}
 	}
 }
 
 // TestVetIgnoreWildcard checks that `//vet:ignore *` suppresses every
-// analyzer on the next line.
+// analyzer on the next line: here a dropped Write error (conncheck) made
+// under a held mutex (lockedblocking).
 func TestVetIgnoreWildcard(t *testing.T) {
-	root := t.TempDir()
-	files := map[string]string{
+	root := writeModule(t, map[string]string{
 		"go.mod": "module wild\n\ngo 1.24\n",
-		"internal/sim/s.go": `package sim
+		"internal/live/l.go": `package live
 
-import "time"
+import (
+	"net"
+	"sync"
+)
 
-func T() int64 {
+var mu sync.Mutex
+
+func W(c net.Conn, b []byte) {
+	mu.Lock()
+	defer mu.Unlock()
 	//vet:ignore *
-	return time.Now().UnixNano()
+	c.Write(b)
 }
 `,
-	}
-	for name, src := range files {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	loader, err := lint.NewLoader(root)
 	if err != nil {
 		t.Fatal(err)
@@ -322,5 +276,24 @@ func T() int64 {
 	}
 	for _, d := range diags {
 		t.Errorf("suppressed line still reported: %s", d)
+	}
+}
+
+// TestLoadRejectsTypeErrors: a package that does not type-check is a
+// load error, not a partially typed package the analyzers would run on
+// and silently under-report.
+func TestLoadRejectsTypeErrors(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module broken\n\ngo 1.24\n",
+		"a.go":   "package broken\n\ntype T int\n",
+		"b.go":   "package broken\n\ntype T string\n",
+	})
+	loader, err := lint.NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.Load("./...")
+	if err == nil || !strings.Contains(err.Error(), "T redeclared") {
+		t.Fatalf("Load = %d package(s), %v; want a type-check error naming T", len(pkgs), err)
 	}
 }

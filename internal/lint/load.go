@@ -30,16 +30,16 @@ type Package struct {
 	// objects without any export-data dependency.
 	Types *types.Package
 	Info  *types.Info
-	// TypeErrors collects type-checker complaints (best effort: the
-	// analyzers still run on partially typed trees).
-	TypeErrors []error
 }
 
 // Loader loads module packages with the standard library's tooling
 // only: go/parser for syntax, go/types for semantics, and the
 // source-level importer for GOROOT packages. It is the replacement for
-// x/tools' go/packages in this dependency-free setup; test files are
-// not loaded.
+// x/tools' go/packages in this dependency-free setup. It loads the files
+// `go build` would compile for the target GOOS/GOARCH (build.Default, so
+// the GOOS environment variable selects it); test files are not loaded.
+// A package that does not type-check is a load error: an analyzer run
+// on a partially typed package would miss findings silently.
 type Loader struct {
 	// ModRoot is the directory containing go.mod; ModPath the declared
 	// module path.
@@ -182,14 +182,15 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// hasGoFiles reports whether dir directly contains non-test Go sources.
+// hasGoFiles reports whether dir directly contains non-test Go sources
+// for the target platform.
 func hasGoFiles(dir string) bool {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && isSourceFile(e.Name()) {
+		if !e.IsDir() && isSourceFile(dir, e.Name()) {
 			return true
 		}
 	}
@@ -197,12 +198,15 @@ func hasGoFiles(dir string) bool {
 }
 
 // isSourceFile selects the files the loader analyzes: non-test Go
-// sources (generated or not).
-func isSourceFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") &&
-		!strings.HasPrefix(name, "_")
+// sources (generated or not) whose file name and build constraints
+// match the target platform. build.Context.MatchFile also skips names
+// starting with "." or "_".
+func isSourceFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok && err == nil
 }
 
 // loadPackage parses and type-checks one module package (memoized).
@@ -223,7 +227,7 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 	}
 	var files []*ast.File
 	for _, e := range entries {
-		if e.IsDir() || !isSourceFile(e.Name()) {
+		if e.IsDir() || !isSourceFile(dir, e.Name()) {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -247,13 +251,11 @@ func (l *Loader) loadPackage(path string) (*Package, error) {
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		},
 	}
-	conf := types.Config{
-		Importer: &moduleImporter{l: l},
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	conf := types.Config{Importer: &moduleImporter{l: l}}
+	tpkg, err := conf.Check(path, l.fset, files, pkg.Info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-check %s: %w", path, err)
 	}
-	// Check returns the package even when soft errors were recorded via
-	// conf.Error; analyzers run on whatever typed best effort produced.
-	tpkg, _ := conf.Check(path, l.fset, files, pkg.Info)
 	pkg.Types = tpkg
 	pkg.Files = files
 	l.pkgs[path] = pkg
@@ -275,9 +277,6 @@ func (m *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*t
 		pkg, err := m.l.loadPackage(path)
 		if err != nil {
 			return nil, err
-		}
-		if pkg.Types == nil {
-			return nil, fmt.Errorf("lint: no type information for %s", path)
 		}
 		return pkg.Types, nil
 	}

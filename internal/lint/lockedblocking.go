@@ -29,7 +29,7 @@ import (
 //   - time.Sleep.
 //
 // Blocking is also tracked interprocedurally: a call to a module
-// function whose body (or any static callee up to LockedBlockingDepth
+// function whose body (or any static callee up to callDepth
 // edges deep) performs one of the operations above is reported at the
 // mutex-holding call site, with the call chain and the blocking
 // operation's position in the message. A helper that does channel I/O
@@ -40,14 +40,8 @@ import (
 // a closure body runs at an unknown time under unknown locks.
 var LockedBlocking = &Analyzer{
 	Name: "lockedblocking",
-	Doc:  "flag blocking operations performed (or reachable by call) while a sync mutex is held",
 	Run:  runLockedBlocking,
 }
-
-// LockedBlockingDepth bounds how many static call edges the analyzer
-// follows below a lock site looking for a blocking operation
-// (cmd/sdme-vet -lockdepth). Depth 0 disables the interprocedural pass.
-var LockedBlockingDepth = 3
 
 func runLockedBlocking(pass *Pass) error {
 	c := &lockChecker{pass: pass, summaries: make(map[*FuncInfo]*blockSummary)}
@@ -240,14 +234,11 @@ func (c *lockChecker) blockingCall(call *ast.CallExpr, held map[string]token.Pos
 		c.pass.Reportf(call.Pos(), "%s while mutex %s is held", desc, heldNames(held))
 		return
 	}
-	if LockedBlockingDepth <= 0 {
-		return
-	}
 	callee := c.pass.Prog.Callee(c.pass.Pkg, call)
 	if callee == nil {
 		return
 	}
-	if s := c.summary(callee, LockedBlockingDepth); s != nil {
+	if s := c.summary(callee, callDepth); s != nil {
 		c.pass.Reportf(call.Pos(), "call to %s may block (%s via %s at %s) while mutex %s is held",
 			callee.Name(), s.op, strings.Join(s.chain, " → "),
 			c.pass.Pkg.Fset.Position(s.pos), heldNames(held))

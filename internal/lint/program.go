@@ -3,24 +3,14 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 )
 
 // Program is the whole-analysis view shared by every analyzer of one
-// Run: all loaded packages, an index of declared functions, memoized
-// per-function CFGs and a package-level call graph with static dispatch
-// resolution. Analyzers reach it through Pass.Prog; purely syntactic
-// analyzers can ignore it — construction is cheap and everything
-// expensive (CFGs, the call graph) is built lazily and memoized.
+// Run: an index of the functions declared in every loaded package, so a
+// summary can follow a call into another package. Analyzers reach it
+// through Pass.Prog; purely syntactic analyzers can ignore it.
 type Program struct {
-	Pkgs []*Package
-
 	funcs map[*types.Func]*FuncInfo
-	// order keeps FuncInfos in deterministic (package, position) order
-	// for iteration.
-	order []*FuncInfo
-
-	callgraphBuilt bool
 }
 
 // FuncInfo is one function or method declared with a body in the
@@ -32,12 +22,6 @@ type FuncInfo struct {
 	Decl *ast.FuncDecl
 	// Pkg is the declaring package.
 	Pkg *Package
-	// Callees are the statically resolved outgoing call edges, in
-	// source order (duplicates preserved: one entry per call site).
-	// Populated by Program.CallGraph.
-	Callees []*FuncInfo
-
-	cfg *CFG
 }
 
 // Name returns the function's package-qualified name for messages.
@@ -51,40 +35,17 @@ func (fi *FuncInfo) Name() string {
 
 // NewProgram indexes the declared functions of the given packages.
 func NewProgram(pkgs []*Package) *Program {
-	p := &Program{Pkgs: pkgs, funcs: make(map[*types.Func]*FuncInfo)}
+	p := &Program{funcs: make(map[*types.Func]*FuncInfo)}
 	for _, pkg := range pkgs {
 		forEachFunc(pkg, func(fd *ast.FuncDecl) {
 			obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 			if !ok {
 				return
 			}
-			fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg}
-			p.funcs[obj] = fi
-			p.order = append(p.order, fi)
+			p.funcs[obj] = &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg}
 		})
 	}
 	return p
-}
-
-// Funcs returns every indexed function in deterministic order.
-func (p *Program) Funcs() []*FuncInfo { return p.order }
-
-// FuncOf returns the FuncInfo for a *types.Func, nil when the function
-// is not declared (with a body) in the analyzed packages — standard
-// library, interface methods, externally declared.
-func (p *Program) FuncOf(obj *types.Func) *FuncInfo {
-	if obj == nil {
-		return nil
-	}
-	return p.funcs[obj]
-}
-
-// CFGOf returns the function's control-flow graph, built on first use.
-func (p *Program) CFGOf(fi *FuncInfo) *CFG {
-	if fi.cfg == nil {
-		fi.cfg = BuildCFG(fi.Decl.Body)
-	}
-	return fi.cfg
 }
 
 // CalleeObj resolves the callee object of a call expression using the
@@ -103,7 +64,7 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		if sel, ok := info.Selections[fun]; ok {
 			if f, ok := sel.Obj().(*types.Func); ok {
 				// Interface dispatch yields the interface's method object,
-				// which has no body in the program; FuncOf filters it.
+				// which has no body in the program; Callee filters it.
 				return f
 			}
 			return nil
@@ -116,78 +77,9 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// Callee resolves a call site to a function declared in the program,
-// nil for dynamic or external calls.
+// Callee resolves a call site to a function declared (with a body) in
+// the program, nil for dynamic calls and for the standard library,
+// interface methods and anything else declared outside it.
 func (p *Program) Callee(pkg *Package, call *ast.CallExpr) *FuncInfo {
-	return p.FuncOf(CalleeObj(pkg.Info, call))
-}
-
-// CallGraph builds (once) the static call graph over the program's
-// functions: for every FuncInfo, Callees lists the program functions it
-// calls directly (including calls inside `go` and `defer` statements
-// and nested function literals — the literal runs with the enclosing
-// function's identity for reachability purposes).
-func (p *Program) CallGraph() {
-	if p.callgraphBuilt {
-		return
-	}
-	p.callgraphBuilt = true
-	for _, fi := range p.order {
-		fi := fi
-		ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callee := p.Callee(fi.Pkg, call); callee != nil {
-				fi.Callees = append(fi.Callees, callee)
-			}
-			return true
-		})
-	}
-}
-
-// Reachable walks the call graph from the given roots up to depth edges
-// deep (depth < 0: unbounded) and invokes visit for every function
-// reached, roots included. Visit order is deterministic; each function
-// is visited once.
-func (p *Program) Reachable(roots []*FuncInfo, depth int, visit func(*FuncInfo)) {
-	p.CallGraph()
-	type item struct {
-		fi *FuncInfo
-		d  int
-	}
-	seen := make(map[*FuncInfo]bool)
-	queue := make([]item, 0, len(roots))
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			queue = append(queue, item{r, 0})
-		}
-	}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		visit(it.fi)
-		if depth >= 0 && it.d >= depth {
-			continue
-		}
-		for _, c := range it.fi.Callees {
-			if !seen[c] {
-				seen[c] = true
-				queue = append(queue, item{c, it.d + 1})
-			}
-		}
-	}
-}
-
-// sortedFuncNames renders a deterministic list of function names (used
-// in diagnostics that cite multiple functions).
-func sortedFuncNames(fis []*FuncInfo) []string {
-	names := make([]string, len(fis))
-	for i, fi := range fis {
-		names[i] = fi.Name()
-	}
-	sort.Strings(names)
-	return names
+	return p.funcs[CalleeObj(pkg.Info, call)]
 }

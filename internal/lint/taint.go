@@ -5,10 +5,9 @@ import (
 	"go/types"
 )
 
-// taintSpec classifies calls and types for one taint analysis. The
-// engine (taintAnalysis) is shared by wiretaint (wire-decoded values
-// until validated) and boundedlabels (packet/flow-derived values); each
-// analyzer supplies its own classification.
+// taintSpec classifies calls for one taint analysis: wiretaint runs the
+// engine (taintAnalysis) once with wire decoders as sources, and once
+// per parameter, with no sources, when it summarizes a callee.
 type taintSpec struct {
 	// sourceResults: a call whose results are tainted (wire decoders).
 	sourceResults func(call *ast.CallExpr) bool
@@ -17,9 +16,6 @@ type taintSpec struct {
 	sourceArgs func(call *ast.CallExpr) []ast.Expr
 	// sanitized: expressions a call cleanses (Validate receiver/args).
 	sanitized func(call *ast.CallExpr) []ast.Expr
-	// typeSource marks whole types as tainted wherever they appear
-	// (packet/flow types for boundedlabels). Optional.
-	typeSource func(t types.Type) bool
 	// propagate: a call with a tainted argument or receiver returns
 	// tainted results.
 	propagate bool
@@ -96,14 +92,6 @@ func (t *taintAnalysis) exprTainted(e ast.Expr, facts FactSet) bool {
 		case *ast.CallExpr:
 			if t.callResultTainted(n, facts) {
 				tainted = true
-			}
-			return true
-		}
-		if !tainted && t.spec.typeSource != nil {
-			if ex, ok := n.(ast.Expr); ok {
-				if tv, ok := t.pass.Pkg.Info.Types[ex]; ok && tv.Type != nil && t.spec.typeSource(tv.Type) {
-					tainted = true
-				}
 			}
 		}
 		return true

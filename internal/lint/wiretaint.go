@@ -20,18 +20,13 @@ import (
 // follows values into function literals (the live runtime applies
 // configuration via Device.Do closures). Calls to module functions are
 // additionally checked against interprocedural summaries: a function
-// that forwards parameter i to a sink within WireTaintDepth call edges
+// that forwards parameter i to a sink within callDepth call edges
 // is itself a sink in position i, so the report lands at the call site
 // that held the tainted value.
 var WireTaint = &Analyzer{
 	Name: "wiretaint",
-	Doc:  "flag wire-decoded values reaching enforcement state without validation",
 	Run:  runWireTaint,
 }
-
-// WireTaintDepth bounds how many static call edges a sink summary
-// follows below a call site (cmd/sdme-vet -taintdepth).
-var WireTaintDepth = 3
 
 // wireSinkMethods maps a defining-package path suffix to the method or
 // function names that constitute enforcement state for that package.
@@ -133,7 +128,7 @@ func (w *wireTaint) checkCall(call *ast.CallExpr, tainted func(ast.Expr) bool) {
 	if callee == nil {
 		return
 	}
-	params := w.sinkParams(callee, WireTaintDepth)
+	params := w.sinkParams(callee, callDepth)
 	for i, arg := range call.Args {
 		if i < len(params) && params[i] && tainted(arg) {
 			w.pass.Reportf(call.Pos(),

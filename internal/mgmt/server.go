@@ -84,8 +84,12 @@ var DefaultRepushPolicy = RetryPolicy{Attempts: 3, PerAttempt: 2 * time.Second, 
 type Server struct {
 	l net.Listener
 
-	mu      sync.Mutex
-	conns   map[topo.NodeID]*serverConn
+	mu    sync.Mutex
+	conns map[topo.NodeID]*serverConn
+	// open holds every accepted connection until its serveConn returns,
+	// registered or not: Close closes them all, so a peer that never
+	// says hello, or an agent's superseded connection, cannot hold it.
+	open    map[net.Conn]bool
 	nextSeq uint64
 	epoch   uint64
 	latest  map[topo.NodeID]nodeConfig
@@ -149,6 +153,7 @@ func NewServer(addr string, onMeasure func(topo.NodeID, []MeasureRow)) (*Server,
 	s := &Server{
 		l:      l,
 		conns:  make(map[topo.NodeID]*serverConn),
+		open:   make(map[net.Conn]bool),
 		latest: make(map[topo.NodeID]nodeConfig),
 		acked:  make(map[topo.NodeID]uint64),
 		onMeas: onMeasure,
@@ -227,15 +232,15 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	conns := make([]*serverConn, 0, len(s.conns))
-	for _, c := range s.conns {
+	conns := make([]net.Conn, 0, len(s.open))
+	for c := range s.open {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
 	close(s.stop)
 	_ = s.l.Close()
 	for _, c := range conns {
-		_ = c.conn.Close()
+		_ = c.Close()
 	}
 	s.wg.Wait()
 }
@@ -470,6 +475,14 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		s.open[conn] = true
+		s.mu.Unlock()
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
@@ -477,6 +490,11 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.open, conn)
+		s.mu.Unlock()
+	}()
 	env, err := readMsg(conn)
 	if err != nil || env.T != TypeHello {
 		_ = conn.Close()
