@@ -80,7 +80,10 @@ type Controller struct {
 	ap       *route.AllPairs
 	policies *policy.Table
 	opts     Options
-	// candidates caches M_x^e for every proxy/middlebox x.
+	// candidates caches M_x^e for every proxy/middlebox x. Plans share
+	// it, so it is replaced, never mutated: a change of the failed set
+	// (MarkFailed, RestoreFromJournal) drops it, and the next use
+	// recomputes it. Everything else it derives from is fixed at New.
 	candidates map[topo.NodeID]map[policy.FuncType][]topo.NodeID
 	// failed marks middleboxes currently considered down.
 	failed map[topo.NodeID]bool
@@ -126,7 +129,7 @@ func (c *Controller) capacityOf(x topo.NodeID) float64 {
 // computeAssignments fills the M_x^e cache for every proxy and middlebox:
 // the k closest providers of each function the node does not itself
 // implement (Π_x), via shortest-path distance — the paper's Dijkstra
-// assignment (§III-B/C).
+// assignment (§III-B/C). It runs only when the cache is empty.
 func (c *Controller) computeAssignments() {
 	c.candidates = make(map[topo.NodeID]map[policy.FuncType][]topo.NodeID)
 	funcs := c.dep.Functions()

@@ -1,7 +1,7 @@
 package controller
 
 import (
-	"sort"
+	"slices"
 
 	"sdme/internal/enforce"
 	"sdme/internal/mgmt"
@@ -28,20 +28,25 @@ func (s DeltaStats) Total() int { return s.Added + s.Removed + s.Reweighted }
 
 // DiffPlans computes the per-node configuration deltas that transform
 // old's exported state into cur's, plus their aggregate size. Nodes whose
-// configuration is unchanged are absent from the result. All delta slices
-// are sorted, so equal diffs are deeply equal and encode to identical
-// wire bytes.
+// configuration is unchanged are absent from the result. The Drop lists
+// are sorted and everything else is a map or a sorted policy list, so
+// equal diffs are deeply equal and encode to identical wire bytes. Work
+// is skipped where the plans share structure: two plans carrying the same
+// candidate map (one assignment) have no candidate changes, and a node
+// whose policy list holds the same pointers has no policy changes.
 func DiffPlans(old, cur *Plan) (map[topo.NodeID]enforce.ConfigDelta, DeltaStats) {
 	if old == nil {
 		old = &Plan{}
 	}
 	var stats DeltaStats
 	out := make(map[topo.NodeID]enforce.ConfigDelta)
-
-	for _, id := range unionNodes(old, cur) {
+	sameCands := sameAssignment(old.Candidates, cur.Candidates)
+	for id := range unionNodes(old, cur) {
 		var d enforce.ConfigDelta
 		diffPolicies(old.NodePolicies[id], cur.NodePolicies[id], &d, &stats)
-		diffCandidates(old.Candidates[id], cur.Candidates[id], &d, &stats)
+		if !sameCands {
+			diffCandidates(old.Candidates[id], cur.Candidates[id], &d, &stats)
+		}
 		diffWeights(old.Weights[id], cur.Weights[id], &d, &stats)
 		if !d.Empty() {
 			out[id] = d
@@ -51,13 +56,10 @@ func DiffPlans(old, cur *Plan) (map[topo.NodeID]enforce.ConfigDelta, DeltaStats)
 	return out, stats
 }
 
-// unionNodes returns the sorted union of nodes configured by either plan.
-func unionNodes(old, cur *Plan) []topo.NodeID {
-	seen := make(map[topo.NodeID]bool)
-	add := func(p *Plan) {
-		if p == nil {
-			return
-		}
+// unionNodes returns the set of nodes configured by either plan.
+func unionNodes(old, cur *Plan) map[topo.NodeID]bool {
+	seen := make(map[topo.NodeID]bool, len(cur.NodePolicies))
+	for _, p := range [2]*Plan{old, cur} {
 		for id := range p.NodePolicies {
 			seen[id] = true
 		}
@@ -68,12 +70,13 @@ func unionNodes(old, cur *Plan) []topo.NodeID {
 			seen[id] = true
 		}
 	}
-	add(old)
-	add(cur)
-	return sortedNodeKeys(seen)
+	return seen
 }
 
 func diffPolicies(old, cur []*policy.Policy, d *enforce.ConfigDelta, stats *DeltaStats) {
+	if slices.Equal(old, cur) {
+		return
+	}
 	var added int
 	d.Upserts, d.Removes, added = enforce.DiffPolicies(old, cur)
 	stats.Added += added
@@ -82,55 +85,45 @@ func diffPolicies(old, cur []*policy.Policy, d *enforce.ConfigDelta, stats *Delt
 }
 
 func diffCandidates(old, cur map[policy.FuncType][]topo.NodeID, d *enforce.ConfigDelta, stats *DeltaStats) {
-	for _, e := range sortedFuncKeys(cur) {
-		list := cur[e]
+	for e, list := range cur {
 		prev, ok := old[e]
 		if !ok {
 			ensureSetCandidates(d)[e] = list
 			stats.Added++
-		} else if !sameNodeIDs(prev, list) {
+		} else if !slices.Equal(prev, list) {
 			ensureSetCandidates(d)[e] = list
 			stats.Reweighted++
 		}
 	}
-	for _, e := range sortedFuncKeys(old) {
+	for e := range old {
 		if _, ok := cur[e]; !ok {
 			d.DropCandidates = append(d.DropCandidates, e)
 			stats.Removed++
 		}
 	}
+	slices.Sort(d.DropCandidates)
 }
 
 func diffWeights(old, cur map[enforce.WeightKey][]float64, d *enforce.ConfigDelta, stats *DeltaStats) {
-	for _, k := range sortedWeightKeys(cur) {
-		vec := cur[k]
+	for k, vec := range cur {
 		prev, ok := old[k]
 		if !ok {
 			ensureSetWeights(d)[k] = vec
 			stats.Added++
-		} else if !sameVector(prev, vec) {
+		} else if !slices.Equal(prev, vec) {
 			ensureSetWeights(d)[k] = vec
 			stats.Reweighted++
 		}
 	}
-	for _, k := range sortedWeightKeys(old) {
+	for k := range old {
 		if _, ok := cur[k]; !ok {
 			d.DropWeights = append(d.DropWeights, k)
 			stats.Removed++
 		}
 	}
-}
-
-func sameNodeIDs(a, b []topo.NodeID) bool {
-	if len(a) != len(b) {
-		return false
+	if len(d.DropWeights) > 1 {
+		mgmt.SortWeightKeys(d.DropWeights)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func ensureSetCandidates(d *enforce.ConfigDelta) map[policy.FuncType][]topo.NodeID {
@@ -147,15 +140,7 @@ func ensureSetWeights(d *enforce.ConfigDelta) map[enforce.WeightKey][]float64 {
 	return d.SetWeights
 }
 
-func sortedFuncKeys(m map[policy.FuncType][]topo.NodeID) []policy.FuncType {
-	out := make([]policy.FuncType, 0, len(m))
-	for e := range m {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
+// sortedWeightKeys lists a weight map's keys in wire order.
 func sortedWeightKeys(m map[enforce.WeightKey][]float64) []enforce.WeightKey {
 	out := make([]enforce.WeightKey, 0, len(m))
 	for k := range m {

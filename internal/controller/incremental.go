@@ -11,11 +11,12 @@ import (
 
 // Stage 2 of the compilation pipeline: incremental re-solve. A Pipeline
 // owns the last compiled plan; on each Recompute it compiles the current
-// inputs (Stage 1), determines which chain instances are dirty via the
-// instance identity hashes and the dependency index, re-solves only those
-// (carrying every clean instance's weights forward and charging its
-// expected loads as constant base loads in the LP), and diffs the result
-// against the previous plan into per-node ConfigDeltas (Stage 3). When
+// inputs against it (Stage 1, which reuses what the inputs left clean),
+// determines which chain instances are dirty via the instance identity
+// hashes and the dependency index, re-solves only those (carrying every
+// clean instance's weights forward and charging its expected loads as
+// constant base loads in the LP), and diffs the result against the
+// previous plan into per-node ConfigDeltas (Stage 3). When
 // the dirty fraction exceeds DirtyThreshold the scoped solve would
 // rebuild most of the program anyway, so the pipeline falls back to a
 // full solve — which is also what re-tightens the spread heuristic's
@@ -131,11 +132,13 @@ func (p *Pipeline) NodeChanged(id topo.NodeID) { p.dirtyNodes[id] = true }
 // "everything dirty", a failure repair MarkFailed + NodeChanged + Recompute.
 func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	c := p.c
-	startUS := c.clockUS()
-	plan, err := c.CompilePlan(meas, p.opts.Fine)
+	var at stageStamps
+	at[0] = c.clockUS()
+	plan, reused, err := c.compilePlan(meas, p.opts.Fine, p.plan)
 	if err != nil {
 		return nil, err
 	}
+	at[stageCompile+1] = c.clockUS()
 
 	dirty := p.dirtySet(plan)
 	stats := PlanStats{Instances: len(plan.Order), Dirty: len(dirty)}
@@ -150,9 +153,11 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 		// static invariants before it can be diffed and pushed.
 		return nil, err
 	}
+	at[stageSolve+1] = c.clockUS()
 
 	deltas, dstats := DiffPlans(p.plan, plan)
 	stats.Delta = dstats
+	at[stageDiff+1] = c.clockUS()
 	p.version++
 	plan.Version = p.version
 	journaled := sol != nil || reweighted(deltas)
@@ -165,6 +170,7 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 			return nil, err
 		}
 	}
+	at[stageJournal+1] = c.clockUS()
 	if sol != nil {
 		c.observeSolveStats(sol)
 	}
@@ -177,7 +183,7 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 	p.dirtyPolicies = make(map[int]bool)
 	p.dirtyNodes = make(map[topo.NodeID]bool)
 
-	c.observeRecompute(startUS)
+	c.observeRecompute(&at, reused, len(plan.Order)-reused)
 	return &PlanUpdate{Plan: plan, Solution: sol, Deltas: deltas, Stats: stats}, nil
 }
 

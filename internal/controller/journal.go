@@ -687,6 +687,7 @@ func (c *Controller) RestoreFromJournal(st *JournalState) error {
 		failed[id] = true
 	}
 	c.failed = failed
+	c.candidates = nil // computed for the failed set just replaced
 	plan, err := c.CompilePlan(nil, false)
 	if errors.Is(err, ErrNoLiveProvider) {
 		// The journaled failed set starves a function: no plan exists to

@@ -16,6 +16,14 @@ const (
 	// controller's clock, virtual under the simulator.
 	MetricSolveUS     = "sdme_controller_solve_us"
 	MetricRecomputeUS = "sdme_controller_recompute_us"
+	// MetricStageUS splits a Recompute by stage, label stage=compile|
+	// solve|diff|journal (solve includes the dirty set and the plan
+	// check, and runs without an LP on HP/Random). MetricInstancesReused
+	// counts the chain instances Stage 1 took unchanged from the previous
+	// plan, MetricInstancesIndexed the ones it walked and hashed afresh.
+	MetricStageUS          = "sdme_controller_stage_us"
+	MetricInstancesReused  = "sdme_controller_instances_reused_total"
+	MetricInstancesIndexed = "sdme_controller_instances_indexed_total"
 	// MetricLPStarts counts LP solves by path, label kind=cold|warm|
 	// fallback (lp.Start); MetricLPPivots their pivots by stage, label
 	// stage=phase1|lambda|dual|spread.
@@ -108,12 +116,34 @@ func (c *Controller) clockUS() int64 {
 	return c.clock()
 }
 
-// observeRecompute records one Recompute's duration.
-func (c *Controller) observeRecompute(startUS int64) {
-	if c.metrics == nil || c.clock == nil {
+// Recompute's stages, in order, as MetricStageUS labels them.
+const (
+	stageCompile = iota
+	stageSolve
+	stageDiff
+	stageJournal
+	numStages
+)
+
+var stageNames = [numStages]string{"compile", "solve", "diff", "journal"}
+
+// stageStamps are the clock readings at a Recompute's start and at the
+// end of each stage.
+type stageStamps [numStages + 1]int64
+
+// observeRecompute records one Recompute's duration, its stages and its
+// instance reuse.
+func (c *Controller) observeRecompute(at *stageStamps, reused, indexed int) {
+	reg := c.metrics
+	if reg == nil || c.clock == nil {
 		return
 	}
-	c.metrics.Histogram(MetricRecomputeUS, metrics.LatencyBucketsUS).Observe(c.clock() - startUS)
+	reg.Histogram(MetricRecomputeUS, metrics.LatencyBucketsUS).Observe(c.clock() - at[0])
+	for i, name := range stageNames {
+		reg.Histogram(MetricStageUS, metrics.LatencyBucketsUS, "stage", name).Observe(at[i+1] - at[i])
+	}
+	reg.Counter(MetricInstancesReused).Add(int64(reused))
+	reg.Counter(MetricInstancesIndexed).Add(int64(indexed))
 }
 
 // Aliases keep controller.go's struct free of a direct metrics import.
@@ -129,16 +159,4 @@ func countVectors(w weightPlan) int {
 		n += len(m)
 	}
 	return n
-}
-
-func sameVector(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"reflect"
 	"sort"
 
 	"sdme/internal/enforce"
@@ -84,22 +86,33 @@ type Plan struct {
 	Index *DepIndex
 }
 
-// CompilePlan runs Stage 1: it recomputes candidate assignments over the
-// current failed-set, canonicalizes the measurements into chain instances
-// (fine selects Eq. 1), computes every node's relevant policy subset, and
+// CompilePlan runs Stage 1: it canonicalizes the measurements into chain
+// instances (fine selects Eq. 1) over the candidate assignments of the
+// current failed-set, computes every node's relevant policy subset, and
 // builds the dependency index. The returned plan has no weights yet. A
 // function whose last live provider failed makes the plan impossible: the
 // typed *NoLiveProviderError (errors.Is ErrNoLiveProvider) says which.
 func (c *Controller) CompilePlan(meas Measurements, fine bool) (*Plan, error) {
+	p, _, err := c.compilePlan(meas, fine, nil)
+	return p, err
+}
+
+// compilePlan is CompilePlan against the previous plan: an instance whose
+// policy pointer and demands are prev's under the same assignment keeps
+// prev's Touched and Hash, which depend on nothing else. It also returns
+// how many instances were reused that way.
+func (c *Controller) compilePlan(meas Measurements, fine bool, prev *Plan) (*Plan, int, error) {
 	for _, e := range c.dep.Functions() {
 		if len(c.liveProviders(e)) == 0 {
-			return nil, &NoLiveProviderError{Func: e}
+			return nil, 0, &NoLiveProviderError{Func: e}
 		}
 	}
-	c.computeAssignments()
+	if c.candidates == nil {
+		c.computeAssignments()
+	}
 	insts, err := c.chainInstances(meas, fine)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	p := &Plan{
 		Fine:         fine,
@@ -120,9 +133,17 @@ func (c *Controller) CompilePlan(meas Measurements, fine bool) (*Plan, error) {
 	for _, id := range c.dep.MBNodes {
 		p.NodePolicies[id] = c.policies.FuncRelevant(c.dep.FuncsOf(id))
 	}
+	var prevInsts map[InstanceKey]*ChainInstance
+	if prev != nil && prev.Fine == fine && sameAssignment(prev.Candidates, p.Candidates) {
+		prevInsts = prev.Instances
+	}
+	reused := 0
 	for _, inst := range insts {
-		if err := c.indexInstance(inst); err != nil {
-			return nil, err
+		if old := prevInsts[inst.Key]; old != nil && old.Pol == inst.Pol && maps.Equal(old.SrcVols, inst.SrcVols) {
+			inst.Touched, inst.Hash = old.Touched, old.Hash
+			reused++
+		} else if err := c.indexInstance(inst); err != nil {
+			return nil, 0, err
 		}
 		p.Instances[inst.Key] = inst
 		p.Order = append(p.Order, inst.Key)
@@ -134,7 +155,14 @@ func (c *Controller) CompilePlan(meas Measurements, fine bool) (*Plan, error) {
 			p.Index.ByFunc[f] = append(p.Index.ByFunc[f], inst.Key)
 		}
 	}
-	return p, nil
+	return p, reused, nil
+}
+
+// sameAssignment reports whether two plans carry the same candidate map
+// (one computeAssignments), not merely equal ones: then every list in it
+// is identical, and nothing that derives from the lists can differ.
+func sameAssignment(a, b map[topo.NodeID]map[policy.FuncType][]topo.NodeID) bool {
+	return a != nil && reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // chainInstances canonicalizes a measurement matrix into chain instances:

@@ -225,7 +225,8 @@ func pipeFrames(t *testing.T, setup func(*faultinject.Conn), payloads []string) 
 
 	for _, p := range payloads {
 		hdr := []byte{0, 0, 0, byte(len(p))}
-		// Split the frame across two writes, like mgmt's writeMsg does.
+		// Split the frame across two writes: mgmt's writeMsg writes a frame
+		// whole, but Conn must not depend on how a writer cuts its frames.
 		if _, err := fc.Write(hdr); err != nil {
 			t.Fatal(err)
 		}

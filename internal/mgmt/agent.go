@@ -1,6 +1,7 @@
 package mgmt
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,9 +168,10 @@ func NewAgentWith(dev *live.Device, serverAddr string, opts AgentOptions) (*Agen
 	a := &Agent{dev: dev, opts: opts, stop: make(chan struct{})}
 	a.m = newAgentMetrics(opts.Metrics, int(dev.Node.ID))
 	var conn net.Conn
+	var r *bufio.Reader
 	var err error
 	for try := 0; try < 2*len(opts.Addrs); try++ {
-		conn, err = a.connect(false)
+		conn, r, err = a.connect(false)
 		if err == nil {
 			break
 		}
@@ -178,7 +180,7 @@ func NewAgentWith(dev *live.Device, serverAddr string, opts AgentOptions) (*Agen
 		return nil, fmt.Errorf("mgmt: dial %v: %w", opts.Addrs, err)
 	}
 	a.wg.Add(1)
-	go a.run(conn)
+	go a.run(conn, r)
 	if opts.ReportEvery > 0 && dev.Node.IsProxy {
 		a.wg.Add(1)
 		go a.reportLoop(opts.ReportEvery)
@@ -256,8 +258,9 @@ func (a *Agent) followRedirect(addr string) {
 // redial marks a reconnect, counted as soon as the dial succeeds: the
 // server registers the connection inside the handshake, so counting after
 // it would let the other side observe the agent connected with the
-// counter still unmoved.
-func (a *Agent) connect(redial bool) (net.Conn, error) {
+// counter still unmoved. It returns the connection's frame reader with
+// it: frames that arrived behind the hello-ack may already be buffered.
+func (a *Agent) connect(redial bool) (net.Conn, *bufio.Reader, error) {
 	var conn net.Conn
 	var err error
 	if a.opts.Dial != nil {
@@ -267,7 +270,7 @@ func (a *Agent) connect(redial bool) (net.Conn, error) {
 	}
 	if err != nil {
 		a.rotateAddr()
-		return nil, err
+		return nil, nil, err
 	}
 	if redial {
 		a.m.reconnects.Inc()
@@ -278,7 +281,7 @@ func (a *Agent) connect(redial bool) (net.Conn, error) {
 	// else contends for it during the handshake, and a stuck peer is cut
 	// off by Close closing the conn, which fails the write.
 	//vet:ignore lockedblocking -- writeMu serializes frames on this conn by design
-	err = writeMsg(conn, TypeHello, Hello{
+	_, err = writeMsg(conn, TypeHello, Hello{
 		NodeID: int(a.dev.Node.ID),
 		Proxy:  a.dev.Node.IsProxy,
 		Epoch:  a.epoch.Load(),
@@ -286,22 +289,23 @@ func (a *Agent) connect(redial bool) (net.Conn, error) {
 	a.writeMu.Unlock()
 	if err != nil {
 		_ = conn.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	// The handshake completes on the server's hello-ack: from then on the
 	// server routes pushes to this connection, never to a dying
 	// predecessor. A config can legally overtake the hello-ack (a push
 	// racing the registration), so handle those inline. Close unblocks
 	// this read by closing a.conn.
+	r := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		env, err := readMsg(conn)
+		env, err := readMsg(r)
 		if err != nil {
 			_ = conn.Close()
-			return nil, err
+			return nil, nil, err
 		}
 		switch env.T {
 		case TypeHelloAck:
-			return conn, nil
+			return conn, r, nil
 		case TypeNotLeader:
 			// A standby bounced us: re-home to the leader it names (or
 			// the next replica in the rotation) and redial.
@@ -313,7 +317,7 @@ func (a *Agent) connect(redial bool) (net.Conn, error) {
 				a.rotateAddr()
 			}
 			_ = conn.Close()
-			return nil, fmt.Errorf("mgmt: replica is not the leader (redirect %q)", nl.LeaderAddr)
+			return nil, nil, fmt.Errorf("mgmt: replica is not the leader (redirect %q)", nl.LeaderAddr)
 		default:
 			a.dispatch(env)
 		}
@@ -346,7 +350,8 @@ func (a *Agent) write(typ string, v interface{}) error {
 	// Close unblocks a stuck write by closing the conn under the mutex's
 	// own discipline.
 	//vet:ignore lockedblocking -- writeMu serializes frames on this conn by design
-	return writeMsg(a.conn, typ, v)
+	_, err := writeMsg(a.conn, typ, v)
+	return err
 }
 
 // run owns the connection lifecycle: serve the current connection until
@@ -357,13 +362,13 @@ func (a *Agent) write(typ string, v interface{}) error {
 // a wedged replica or a dying leader never sees an unbounded reconnect
 // storm. Only a connection that survives HealthyPeriod earns the reset
 // to BackoffMin (nextBackoffBase, unit-tested in isolation).
-func (a *Agent) run(conn net.Conn) {
+func (a *Agent) run(conn net.Conn, r *bufio.Reader) {
 	defer a.wg.Done()
 	rng := rand.New(rand.NewSource(a.opts.Seed))
 	backoff := a.opts.BackoffMin
 	for {
 		connectedAt := time.Now()
-		a.readLoop(conn)
+		a.readLoop(r)
 		_ = conn.Close()
 		select {
 		case <-a.stop:
@@ -383,7 +388,7 @@ func (a *Agent) run(conn net.Conn) {
 				timer.Stop()
 				return
 			}
-			c, err := a.connect(true)
+			c, cr, err := a.connect(true)
 			if err == nil {
 				// Close may have raced the dial: stop is closed but the
 				// fresh conn escaped its sweep. Shut it down ourselves or
@@ -394,7 +399,7 @@ func (a *Agent) run(conn net.Conn) {
 					return
 				default:
 				}
-				conn = c
+				conn, r = c, cr
 				break
 			}
 			if backoff *= 2; backoff > a.opts.BackoffMax {
@@ -420,10 +425,11 @@ func (o *AgentOptions) nextBackoffBase(prev, connLife time.Duration) time.Durati
 	return prev
 }
 
-// readLoop serves one connection until it dies.
-func (a *Agent) readLoop(conn net.Conn) {
+// readLoop serves one connection, through its frame reader, until it
+// dies.
+func (a *Agent) readLoop(r *bufio.Reader) {
 	for {
-		env, err := readMsg(conn)
+		env, err := readMsg(r)
 		if err != nil {
 			return
 		}

@@ -31,7 +31,7 @@ func dialFake(t *testing.T, addr string, epoch uint64) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMsg(conn, TypeHello, Hello{NodeID: int(fakeNode), Name: "fake", Epoch: epoch}); err != nil {
+	if _, err := writeMsg(conn, TypeHello, Hello{NodeID: int(fakeNode), Name: "fake", Epoch: epoch}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := readMsg(conn)
@@ -57,7 +57,7 @@ func serveScript(t *testing.T, conn net.Conn, seen chan<- *Envelope, handle func
 			return
 		}
 		seen <- env
-		if err := writeMsg(conn, TypeAck, *ack); err != nil {
+		if _, err := writeMsg(conn, TypeAck, *ack); err != nil {
 			return
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"sdme/internal/metrics"
 	"sdme/internal/mgmt"
 	"sdme/internal/netaddr"
+	"sdme/internal/policy"
 	"sdme/internal/topo"
 	"sdme/internal/verify"
 	"sdme/internal/workload"
@@ -324,4 +325,77 @@ func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
 	if !server.Converged(ids...) {
 		t.Error("fleet not converged on the latest epoch")
 	}
+}
+
+// BenchmarkPushAllDelta2PC is the wire half of the control loop's common
+// step: one campus fleet (32 agents on loopback), and a one-policy edit's
+// delta — a port range widened, then narrowed back — rolled out through
+// the two-phase protocol.
+func BenchmarkPushAllDelta2PC(b *testing.B) {
+	bed, err := experiments.NewBed(experiments.Config{Topology: "campus", Seed: 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{Strategy: enforce.LoadBalanced, K: bed.Cfg.K})
+	pipe := ctl.NewPipeline(controller.PipelineOptions{})
+	meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, bed.GenerateDemands(20000))
+	upd, err := pipe.Recompute(meas)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := live.NewRuntime()
+	defer rt.Close()
+	server, err := mgmt.NewServer("127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer server.Close()
+	fallback := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
+	var ids []topo.NodeID
+	for id, n := range nodes {
+		fallback[id] = mgmt.ConfigToDTO(0, n.Config())
+		dev, err := rt.AddDevice(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		agent, err := mgmt.NewAgent(dev, server.Addr(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer agent.Close()
+		ids = append(ids, id)
+	}
+	if !server.WaitConnected(5*time.Second, ids...) {
+		b.Fatalf("agents did not connect: %d of %d", len(server.Connected()), len(ids))
+	}
+	pol := mgmt.RetryPolicy{Attempts: 1, PerAttempt: 5 * time.Second}
+	if _, err := server.PushAllDelta2PC(upd.Deltas, fallback, pol); err != nil {
+		b.Fatal(err)
+	}
+
+	// The edit and its reversal, each a delta against the plan before it.
+	p := bed.Classed[0].Policy
+	edit := func(d policy.Descriptor) map[topo.NodeID]enforce.ConfigDelta {
+		bed.Table.Update(p.ID, d, p.Actions)
+		pipe.PolicyChanged(p.ID)
+		upd, err := pipe.Recompute(meas)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return upd.Deltas
+	}
+	wide := p.Desc
+	wide.DstPort.Hi = wide.DstPort.Lo + 1
+	deltas := [2]map[topo.NodeID]enforce.ConfigDelta{edit(wide), edit(p.Desc)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := server.PushAllDelta2PC(deltas[i%2], nil, pol); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(deltas[0])), "nodes/op")
 }

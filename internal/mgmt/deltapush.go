@@ -124,7 +124,6 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 			s.smInc(func(m *serverMetrics) *metrics.Counter { return m.prepares })
 			if np.delta != nil {
 				s.smInc(func(m *serverMetrics) *metrics.Counter { return m.deltaPushes })
-				s.observePushBytes(TypePrepareDelta, *np.delta, true)
 				ddto := *np.delta
 				errs[i] = s.callRetry(node, TypePrepareDelta, func(seq uint64) interface{} {
 					ddto.Seq = seq
@@ -137,7 +136,6 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 				np.full = np.next.wire()
 			}
 			dto := np.full
-			s.observePushBytes(TypePrepare, dto, false)
 			errs[i] = s.callRetry(node, TypePrepare, func(seq uint64) interface{} {
 				dto.Seq = seq
 				return dto

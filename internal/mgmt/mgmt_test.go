@@ -2,8 +2,10 @@ package mgmt_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -439,5 +441,116 @@ func TestAgentReconnectAfterServerRestart(t *testing.T) {
 	}
 	if err := b.pushOne(node, testPol); err != nil {
 		t.Fatalf("push after reconnect: %v", err)
+	}
+}
+
+// countingConn keeps a copy of every Write on a connection.
+type countingConn struct {
+	net.Conn
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, append([]byte(nil), p...))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// Every frame an agent sends — its hello, the prepare and commit acks of a
+// rollout — is one Write holding exactly one whole frame.
+func TestOneWritePerFrame(t *testing.T) {
+	b := newMgmtBed(t, 0)
+	node := b.dep.ProxyNodes[0]
+	cc := &countingConn{}
+	b.replaceAgent(t, node, mgmt.AgentOptions{Dial: func() (net.Conn, error) {
+		conn, err := net.Dial("tcp", b.server.Addr())
+		if err != nil {
+			return nil, err
+		}
+		cc.Conn = conn
+		return cc, nil
+	}})
+	if err := b.pushOne(node, testPol); err != nil {
+		t.Fatal(err)
+	}
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if len(cc.writes) != 3 {
+		t.Fatalf("agent made %d writes for a hello and two acks", len(cc.writes))
+	}
+	for i, w := range cc.writes {
+		if len(w) < 4 || int(binary.BigEndian.Uint32(w)) != len(w)-4 {
+			t.Fatalf("write %d (%d bytes) is not one whole frame", i, len(w))
+		}
+	}
+}
+
+// A frame the server sends in the same segment as the hello-ack lands in
+// the buffer the agent's handshake read through; the read loop must go on
+// from that buffer, or the frame is lost and its sender waits out its
+// timeout.
+func TestFrameBehindHelloAckIsServed(t *testing.T) {
+	b := newMgmtBed(t, 0)
+	node := b.dep.ProxyNodes[0]
+	b.closeAgent(t, node)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	frame := func(typ string, v interface{}) []byte {
+		env, err := mgmt.EncodeEnvelope(typ, v)
+		if err != nil {
+			t.Error(err)
+		}
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(env))), env...)
+	}
+	acked := make(chan mgmt.Ack, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		read := func() *mgmt.Envelope {
+			var hdr [4]byte
+			if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+				return nil
+			}
+			buf := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+			if _, err := io.ReadFull(conn, buf); err != nil {
+				return nil
+			}
+			env, _ := mgmt.DecodeEnvelope(buf)
+			return env
+		}
+		if env := read(); env == nil || env.T != mgmt.TypeHello {
+			return
+		}
+		seg := append(frame(mgmt.TypeHelloAck, mgmt.Ack{}), frame(mgmt.TypeAbort, mgmt.Commit{Seq: 7, Epoch: 1})...)
+		if _, err := conn.Write(seg); err != nil {
+			return
+		}
+		if env := read(); env != nil && env.T == mgmt.TypeAck {
+			var ack mgmt.Ack
+			if json.Unmarshal(env.Data, &ack) == nil {
+				acked <- ack
+			}
+		}
+	}()
+	agent, err := mgmt.NewAgentWith(b.devices[node], l.Addr().String(), mgmt.AgentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.agents[node] = agent
+	select {
+	case ack := <-acked:
+		if ack.Seq != 7 || ack.Error != "" {
+			t.Fatalf("abort answered with %+v", ack)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("the frame behind the hello-ack was never answered")
 	}
 }

@@ -23,8 +23,9 @@ const (
 	MetricRollbacks       = "sdme_mgmt_rollbacks_total"
 	// Delta rollout accounting: how many pushes went out as deltas, how
 	// many of those degraded to a full push on a base-epoch refusal, and
-	// the encoded wire bytes of full-config vs delta pushes — the pair
-	// the "delta pushes ≤10% of full-push bytes" acceptance check reads.
+	// the envelope bytes of every full-config vs delta frame written
+	// (each attempt, seq included) — the pair the "delta pushes ≤10% of
+	// full-push bytes" acceptance check reads.
 	MetricDeltaPushes    = "sdme_mgmt_delta_pushes_total"
 	MetricDeltaFallbacks = "sdme_mgmt_delta_fallbacks_total"
 	MetricPushBytesFull  = "sdme_mgmt_push_bytes_full_total"
@@ -85,24 +86,19 @@ func (s *Server) smInc(sel func(*serverMetrics) *metrics.Counter) {
 	}
 }
 
-// observePushBytes records one push's encoded envelope size under the
-// full or delta byte counter. The payload is encoded with its pre-seq
-// value (seq is assigned per attempt and adds a handful of digits the
-// full-vs-delta comparison does not care about); nothing is encoded when
-// no registry is attached.
-func (s *Server) observePushBytes(typ string, v interface{}, delta bool) {
+// observePushBytes counts the envelope length of one plan frame written
+// (a full config or prepare, or a prepare-delta) under the full or delta
+// byte counter; other frames are not pushes.
+func (s *Server) observePushBytes(typ string, n int) {
 	m := s.sm.Load()
 	if m == nil {
 		return
 	}
-	buf, err := EncodeEnvelope(typ, v)
-	if err != nil {
-		return
-	}
-	if delta {
-		m.bytesDelta.Add(int64(len(buf)))
-	} else {
-		m.bytesFull.Add(int64(len(buf)))
+	switch typ {
+	case TypePrepareDelta:
+		m.bytesDelta.Add(int64(n))
+	case TypePrepare, TypeConfig:
+		m.bytesFull.Add(int64(n))
 	}
 }
 

@@ -1,6 +1,7 @@
 package mgmt
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -95,7 +96,7 @@ func (b *PeerBus) Send(to int, env *Envelope) error {
 	// elector's timers, the replicator's append hook) never interleave
 	// partial frames on one connection.
 	//vet:ignore lockedblocking -- bus lock serializes frames per peer connection by design
-	err := writeMsg(conn, env.T, env.Data)
+	_, err := writeMsg(conn, env.T, env.Data)
 	if err != nil {
 		delete(b.conns, to)
 		_ = conn.Close()
@@ -155,8 +156,9 @@ func (b *PeerBus) acceptLoop() {
 // ha.Replica.Deliver), not here — the bus is a dumb pipe.
 func (b *PeerBus) readLoop(conn net.Conn) {
 	defer b.wg.Done()
+	r := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		env, err := readMsg(conn)
+		env, err := readMsg(r)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package mgmt
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -356,7 +357,6 @@ func (s *Server) repushLatest(node topo.NodeID, latest nodeConfig, pol RetryPoli
 	}
 	dto := latest.wire()
 	s.smInc(func(m *serverMetrics) *metrics.Counter { return m.pushes })
-	s.observePushBytes(TypeConfig, dto, false)
 	return s.callRetry(node, TypeConfig, func(seq uint64) interface{} {
 		dto.Seq = seq
 		return dto
@@ -426,11 +426,12 @@ func (s *Server) callOnce(node topo.NodeID, typ string, mk func(seq uint64) inte
 	// writeMu serializes concurrent pushers' frames on this conn; a hung
 	// peer is bounded by the ack timeout whose expiry closes the conn.
 	//vet:ignore lockedblocking -- writeMu serializes frames on this conn by design
-	err := writeMsg(c.conn, typ, mk(seq))
+	n, err := writeMsg(c.conn, typ, mk(seq))
 	c.writeMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("mgmt: push to %v: %w (%v)", node, ErrConnClosed, err)
 	}
+	s.observePushBytes(typ, n)
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	var ack Ack
@@ -495,7 +496,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.open, conn)
 		s.mu.Unlock()
 	}()
-	env, err := readMsg(conn)
+	r := bufio.NewReaderSize(conn, readBufSize)
+	env, err := readMsg(r)
 	if err != nil || env.T != TypeHello {
 		_ = conn.Close()
 		return
@@ -529,7 +531,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// converge. The redirect carries the leader's address when known.
 		nl := NotLeader{LeaderAddr: s.leaderAddr, Term: s.term}
 		s.mu.Unlock()
-		_ = writeMsg(conn, TypeNotLeader, nl)
+		_, _ = writeMsg(conn, TypeNotLeader, nl)
 		_ = conn.Close()
 		return
 	}
@@ -555,7 +557,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Same frame-serialization mutex as pushOnce; the handshake ack is
 	// the first frame out, nothing else holds writeMu yet.
 	//vet:ignore lockedblocking -- writeMu serializes frames on this conn by design
-	ackErr := writeMsg(conn, TypeHelloAck, Ack{})
+	_, ackErr := writeMsg(conn, TypeHelloAck, Ack{})
 	c.writeMu.Unlock()
 	if ackErr != nil {
 		return
@@ -576,7 +578,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	for {
-		env, err := readMsg(conn)
+		env, err := readMsg(r)
 		if err != nil {
 			return
 		}

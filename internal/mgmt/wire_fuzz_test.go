@@ -16,7 +16,7 @@ import (
 // frame serializes one message the way the channel does, for seeding.
 func frame(f *testing.F, typ string, v interface{}) []byte {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, typ, v); err != nil {
+	if _, err := writeMsg(&buf, typ, v); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -76,7 +76,7 @@ func FuzzWire(f *testing.F) {
 			raw = json.RawMessage("null")
 		}
 		var buf bytes.Buffer
-		if err := writeMsg(&buf, env.T, raw); err != nil {
+		if _, err := writeMsg(&buf, env.T, raw); err != nil {
 			t.Fatalf("re-frame of parsed envelope failed: %v", err)
 		}
 		back, err := readMsg(&buf)
