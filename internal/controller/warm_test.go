@@ -71,13 +71,16 @@ func spread(b *rebalanceBed, sol *controller.LBSolution) float64 {
 	return s
 }
 
-// TestWarmRebalancesMatchCold runs 60 rebalances of one program shape
-// through a pipeline, where every full solve after the first starts from
-// the previous one's basis, and solves each again cold on a fresh
-// controller: λ must agree within 1e-9 relative and the spread objective
-// within 1e-6, and the warm starts must be taken.
+// TestWarmRebalancesMatchCold runs 60 rebalances (12 under -short) of one
+// program shape through a pipeline, where every full solve after the first
+// starts from the previous one's basis, and solves each again cold on a
+// fresh controller: λ must agree within 1e-9 relative and the spread
+// objective within 1e-6, and the warm starts must be taken.
 func TestWarmRebalancesMatchCold(t *testing.T) {
-	const rebalances = 60
+	rebalances := 60
+	if testing.Short() {
+		rebalances = 12
+	}
 	b := newRebalanceBed(t, 20)
 	ctl := b.controller()
 	reg := metrics.NewRegistry(nil)
@@ -111,14 +114,14 @@ func TestWarmRebalancesMatchCold(t *testing.T) {
 		}
 	}
 	starts := func(kind string) int64 { return reg.Counter(controller.MetricLPStarts, "kind", kind).Value() }
-	if starts("cold") != 1 || starts("warm") != rebalances-1 || starts("fallback") != 0 {
+	if starts("cold") != 1 || starts("warm") != int64(rebalances-1) || starts("fallback") != 0 {
 		t.Errorf("starts cold/warm/fallback = %d/%d/%d, want 1/%d/0", starts("cold"), starts("warm"), starts("fallback"), rebalances-1)
 	}
 	if dual := reg.Counter(controller.MetricLPPivots, "stage", "dual").Value(); dual == 0 {
 		t.Error("no dual simplex pivot counted")
 	}
 	t.Logf("pivots per rebalance: %.1f from the start basis, %.1f cold",
-		float64(warmPivots)/(rebalances-1), float64(coldPivots)/(rebalances-1))
+		float64(warmPivots)/float64(rebalances-1), float64(coldPivots)/float64(rebalances-1))
 	if warmPivots >= coldPivots {
 		t.Errorf("warm starts took %d pivots, cold solves %d", warmPivots, coldPivots)
 	}

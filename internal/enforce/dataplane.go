@@ -62,14 +62,14 @@ func (n *Node) HandleOutbound(pkt *packet.Packet, now int64, fwd Forwarder) erro
 	}
 
 	first, _ := entry.Actions.First()
-	next, err := n.SelectNext(entry.PolicyID, first, ft)
+	hop, err := n.next(entry.Hop, entry.PolicyID, first, ft)
 	if err != nil {
 		return err
 	}
-	if !entry.Pinned || entry.NextHop != next {
-		n.flows.PinEntry(ft, next)
+	if hop.Pinned = true; hop != entry.Hop {
+		n.flows.SetHop(ft, hop)
 	}
-	nextAddr := n.dep.AddrOf(next)
+	nextAddr := hop.HopAddr
 
 	if n.cfg.LabelSwitching && entry.LabelSwitched && entry.Label != 0 {
 		// Established chain: rewrite the destination and ride the label.
@@ -180,15 +180,19 @@ func (n *Node) handleTunneled(pkt *packet.Packet, now int64, fwd Forwarder) erro
 		return nil
 	}
 
-	next, err := n.SelectNext(entry.PolicyID, nextFunc, ft)
+	hop, err := n.next(entry.Hop, entry.PolicyID, nextFunc, ft)
 	if err != nil {
 		return err
 	}
+	if hop != entry.Hop { // a middlebox's flow entry keeps its hop unpinned
+		n.flows.SetHop(ft, hop)
+	}
 	if installed {
-		n.labels.PinEntry(k, next)
+		hop.Pinned = true
+		n.labels.SetHop(k, hop)
 	}
 	// Re-tunnel, preserving the proxy as outer source (§III-E).
-	if err := pkt.Encapsulate(outer.Src, n.dep.AddrOf(next)); err != nil {
+	if err := pkt.Encapsulate(outer.Src, hop.HopAddr); err != nil {
 		return err
 	}
 	atomic.AddInt64(&n.Counters.TunnelTx, 1)
@@ -242,14 +246,14 @@ func (n *Node) handleLabeled(pkt *packet.Packet, now int64, fwd Forwarder) error
 	}
 	// Select with the ORIGINAL tuple so the choice matches the tunneled
 	// first packet.
-	next, err := n.SelectNext(entry.PolicyID, nextFunc, entry.Flow)
+	hop, err := n.next(entry.Hop, entry.PolicyID, nextFunc, entry.Flow)
 	if err != nil {
 		return err
 	}
-	if !entry.Pinned || entry.NextHop != next {
-		n.labels.PinEntry(k, next)
+	if hop.Pinned = true; hop != entry.Hop {
+		n.labels.SetHop(k, hop)
 	}
-	pkt.Inner.Dst = n.dep.AddrOf(next)
+	pkt.Inner.Dst = hop.HopAddr
 	atomic.AddInt64(&n.Counters.LabelTx, 1)
 	fwd.Send(n, pkt)
 	return nil

@@ -1,7 +1,9 @@
 package enforce_test
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,7 +86,7 @@ type testbed struct {
 
 // newTestbed builds: small campus (4 cores, 3 edges+proxies), middleboxes
 // 2×FW, 2×IDS, 1×WP, 1×TM, and the given policies.
-func newTestbed(t *testing.T, opts controller.Options, buildPolicies func(tbl *policy.Table)) *testbed {
+func newTestbed(t testing.TB, opts controller.Options, buildPolicies func(tbl *policy.Table)) *testbed {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	g := topo.Campus(topo.CampusConfig{Gateways: 2, CoreRouters: 4, EdgeRouters: 3, WithProxies: true}, rng)
@@ -113,7 +115,7 @@ func newTestbed(t *testing.T, opts controller.Options, buildPolicies func(tbl *p
 
 // buildNodes compiles the controller's first plan (no measurements) and
 // materializes a fresh set of nodes from it.
-func buildNodes(t *testing.T, ctl *controller.Controller) map[topo.NodeID]*enforce.Node {
+func buildNodes(t testing.TB, ctl *controller.Controller) map[topo.NodeID]*enforce.Node {
 	t.Helper()
 	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(nil)
 	if err != nil {
@@ -126,7 +128,7 @@ func buildNodes(t *testing.T, ctl *controller.Controller) map[topo.NodeID]*enfor
 	return nodes
 }
 
-func (tb *testbed) proxy(t *testing.T, subnet int) *enforce.Node {
+func (tb *testbed) proxy(t testing.TB, subnet int) *enforce.Node {
 	t.Helper()
 	id, ok := tb.dep.ProxyFor(subnet)
 	if !ok {
@@ -616,6 +618,24 @@ func TestInstallRejectsDuplicateFunctions(t *testing.T) {
 	cfg.Policies = bad.All()
 	if err := proxy.Install(cfg); err == nil {
 		t.Error("duplicate function in chain must be rejected")
+	}
+}
+
+// TestInstallRejectsWidePolicyID: the soft-state tables keep a policy ID
+// in 32 bits, so a wider one (which the wire format can carry) must not be
+// installed, where it would be truncated.
+func TestInstallRejectsWidePolicyID(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("every int fits 32 bits")
+	}
+	tb := newTestbed(t, controller.Options{Strategy: enforce.HotPotato}, webPolicy)
+	proxy := tb.proxy(t, 1)
+	cfg := proxy.Config()
+	wide := *cfg.Policies[0]
+	wide.ID = math.MaxInt32 + wide.ID + 1
+	cfg.Policies = []*policy.Policy{&wide}
+	if err := proxy.Install(cfg); err == nil {
+		t.Error("a policy ID outside 32 bits must be rejected")
 	}
 }
 

@@ -167,6 +167,11 @@ type Node struct {
 	flowShards, labelShards int
 	tableShards             [2]int
 
+	// gen is the generation of the installed configuration: Install
+	// increments it, so a next hop an entry stored under an older one is
+	// not reused (see next).
+	gen uint32
+
 	// Counters is exported for inspection; treat as read-only outside
 	// the node's owner, and use CountersSnapshot instead while dataplane
 	// workers may be running (fields are updated with atomics).
@@ -258,7 +263,8 @@ func NewMiddleboxWith(dep *Deployment, id topo.NodeID, factory FunctionFactory) 
 // not the installed one.
 //
 // An action list that fails policy.CheckActions (a code outside the four
-// functions, or a repeated one) is rejected, leaving the node untouched.
+// functions, or a repeated one), or a policy ID outside 32 bits, is
+// rejected, leaving the node untouched.
 func (n *Node) Install(cfg Config) error {
 	old := n.cfg
 	samePolicies := n.classifier != nil && slices.Equal(old.Policies, cfg.Policies)
@@ -270,6 +276,9 @@ func (n *Node) Install(cfg Config) error {
 			if err := policy.CheckActions(p.Actions); err != nil {
 				return fmt.Errorf("enforce: %v: %w", p, err)
 			}
+			if int(int32(p.ID)) != p.ID { // the tables keep 32 bits of it
+				return fmt.Errorf("enforce: %v: policy ID outside 32 bits", p)
+			}
 		}
 	}
 	shards := [2]int{n.flowShards, n.labelShards}
@@ -279,6 +288,7 @@ func (n *Node) Install(cfg Config) error {
 		old.FlowTTL != cfg.FlowTTL || old.LabelTTL != cfg.LabelTTL
 
 	n.cfg = cfg
+	n.gen++
 	if !samePolicies {
 		n.classifier = policy.NewClassifier(cfg.Policies)
 	}
@@ -342,10 +352,17 @@ func (n *Node) ResetMeasurements() {
 // flows resume without any controller round-trip. ErrNoLiveProvider
 // (via NoLiveCandidateError) surfaces when no live candidate remains.
 func (n *Node) SelectNext(policyID int, e policy.FuncType, flow netaddr.FiveTuple) (topo.NodeID, error) {
+	mb, _, err := n.selectNext(policyID, e, flow)
+	return mb, err
+}
+
+// selectNext is SelectNext also reporting whether the answer is the
+// strategy's own pick rather than a failover's backup.
+func (n *Node) selectNext(policyID int, e policy.FuncType, flow netaddr.FiveTuple) (topo.NodeID, bool, error) {
 	cands := n.cfg.Candidates[e]
 	if len(cands) == 0 {
 		atomic.AddInt64(&n.Counters.NoProvider, 1)
-		return topo.InvalidNode, &NoLiveCandidateError{Node: n.ID, Func: e}
+		return topo.InvalidNode, false, &NoLiveCandidateError{Node: n.ID, Func: e}
 	}
 	var pick int
 	switch n.cfg.Strategy {
@@ -358,10 +375,10 @@ func (n *Node) SelectNext(policyID int, e policy.FuncType, flow netaddr.FiveTupl
 		w := n.lookupWeights(policyID, e, flow)
 		pick = pickWeightedIdx(cands, w, flow.Hash(n.hashSeed()))
 	default:
-		return topo.InvalidNode, fmt.Errorf("enforce: node %v has no strategy installed", n.ID)
+		return topo.InvalidNode, false, fmt.Errorf("enforce: node %v has no strategy installed", n.ID)
 	}
 	if !n.live.down(cands[pick]) {
-		return cands[pick], nil
+		return cands[pick], true, nil
 	}
 	// Local fast failover: scan the ranked list from the preferred pick.
 	for off := 1; off < len(cands); off++ {
@@ -371,11 +388,32 @@ func (n *Node) SelectNext(policyID int, e policy.FuncType, flow netaddr.FiveTupl
 			if n.nm != nil {
 				n.nm.failovers.Inc()
 			}
-			return alt, nil
+			return alt, false, nil
 		}
 	}
 	atomic.AddInt64(&n.Counters.NoProvider, 1)
-	return topo.InvalidNode, &NoLiveCandidateError{Node: n.ID, Func: e}
+	return topo.InvalidNode, false, &NoLiveCandidateError{Node: n.ID, Func: e}
+}
+
+// next returns the hop for function e of the flow. h is the hop the
+// flow's entry stored: when it was chosen under the installed
+// configuration and no provider is down, SelectNext would return the same
+// middlebox with no side effect, so h is the answer. Otherwise SelectNext
+// runs, and its answer carries the generation — the entry may keep it —
+// only when it is the strategy's own pick, not a failover's backup.
+func (n *Node) next(h flowtable.Hop, policyID int, e policy.FuncType, flow netaddr.FiveTuple) (flowtable.Hop, error) {
+	if h.Gen == n.gen && n.live.downCount.Load() == 0 {
+		return h, nil
+	}
+	mb, own, err := n.selectNext(policyID, e, flow)
+	if err != nil {
+		return flowtable.Hop{}, err
+	}
+	out := flowtable.Hop{NextHop: mb, HopAddr: n.dep.AddrOf(mb)}
+	if own {
+		out.Gen = n.gen
+	}
+	return out, nil
 }
 
 // hashSeed salts the configured seed with this node's identity. The salt

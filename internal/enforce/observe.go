@@ -32,7 +32,14 @@ const (
 	// classification, so miss over inserted+null-inserted is the
 	// classifications per flow.
 	MetricFlowTableEvents = "sdme_flowtable_events"
+	// MetricTx is a node's transmissions since it was built, by §III-E
+	// mode: label mode=tunnel|label|plain|control (the TunnelTx, LabelTx,
+	// PlainTx and ControlTx counters), refreshed with the shard gauges.
+	MetricTx = "sdme_node_tx"
 )
+
+// txModes are MetricTx's mode labels.
+var txModes = [...]string{"tunnel", "label", "plain", "control"}
 
 // funcMetrics caches one (node, func) series triple so the hot path
 // avoids registry lookups.
@@ -46,6 +53,7 @@ type nodeMetrics struct {
 	nodeLabel string
 	packetsIn *metrics.Counter
 	failovers *metrics.Counter
+	tx        [len(txModes)]*metrics.Gauge
 	perFunc   map[policy.FuncType]*funcMetrics
 }
 
@@ -66,6 +74,9 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 		failovers: reg.Counter(MetricFailovers, "node", node),
 		perFunc:   make(map[policy.FuncType]*funcMetrics, len(n.Funcs)),
 	}
+	for i, mode := range txModes {
+		nm.tx[i] = reg.Gauge(MetricTx, "node", node, "mode", mode)
+	}
 	for f := range n.Funcs {
 		nm.perFunc[f] = &funcMetrics{
 			packets: reg.Counter(MetricFuncPkts, "node", node, "func", f.String()),
@@ -78,13 +89,18 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 }
 
 // SyncShardGauges refreshes the per-shard occupancy gauges of the node's
-// soft-state tables and its flow-table activity gauges into the attached
-// registry. No-op without metrics. Safe to call from any goroutine
-// (table lengths and counters are read shard-locked).
+// soft-state tables, its flow-table activity gauges and its transmission
+// gauges into the attached registry. No-op without metrics. Safe to call
+// from any goroutine (table lengths and counters are read shard-locked,
+// the node's counters atomically).
 func (n *Node) SyncShardGauges() {
 	nm := n.nm
 	if nm == nil {
 		return
+	}
+	c := n.CountersSnapshot()
+	for i, v := range [...]int64{c.TunnelTx, c.LabelTx, c.PlainTx, c.ControlTx} { // txModes order
+		nm.tx[i].Set(float64(v))
 	}
 	if t := n.flows; t != nil {
 		for i := 0; i < t.Shards(); i++ {

@@ -17,7 +17,7 @@
 //
 // Both tables are one slot store (store.go), lock-striped into a
 // power-of-two number of shards. Entries go in and out by value: Lookup
-// returns a copy, and every later change (PinEntry, AllocLabel,
+// returns a copy, and every later change (SetHop, AllocLabel,
 // FlagLabelSwitched) names the key and happens under its shard's lock, so
 // no caller ever holds table memory. Every method holds at most one shard
 // lock at a time — InvalidateIf and Sweep visit the shards one by one — so
@@ -32,6 +32,20 @@ import (
 	"sdme/internal/topo"
 )
 
+// Hop is the next hop an entry records: the middlebox the flow (or the
+// label's chain) was last forwarded to, its address, and the generation of
+// the node configuration it was chosen under. A hop with Gen 0 is no
+// decision, only the middlebox. Pinned marks the entries InvalidateProvider
+// purges when NextHop dies: local fast failover uses the pin to purge
+// flows riding a provider that has since died, instead of waiting for the
+// TTL.
+type Hop struct {
+	NextHop topo.NodeID
+	HopAddr netaddr.Addr
+	Gen     uint32
+	Pinned  bool
+}
+
 // Entry is a copy of one flow-table record. Null entries cache "no policy
 // matched".
 type Entry struct {
@@ -40,13 +54,10 @@ type Entry struct {
 	// Actions is the table's interned copy of the action list, shared by
 	// every entry with the same list: it must not be modified.
 	Actions policy.ActionList
-	// NextHop pins the middlebox this flow was last forwarded to (the
-	// chain's first hop at a proxy); Pinned reports whether it is set.
-	// Local fast failover uses the pin to purge flows riding a provider
-	// that has since died, instead of waiting for the TTL.
-	NextHop topo.NodeID
-	Pinned  bool
-	Null    bool
+	// Hop is where the flow goes next from this node: the chain's first
+	// middlebox at a proxy (pinned), the next one at a middlebox (not).
+	Hop
+	Null bool
 	// LabelSwitched is flipped when the tail middlebox's control packet
 	// arrives; from then on packets are label-switched, not tunneled.
 	LabelSwitched bool
@@ -115,8 +126,8 @@ func flowHash(ft netaddr.FiveTuple) uint64 {
 // fill copies slot e into out field by field: in place, where building an
 // Entry value would be copied once more.
 func (t *Table) fill(out *Entry, s *flowShard, e *flowSlot) {
-	out.Flow, out.PolicyID, out.Actions = e.key, e.policyID, s.acts.list(e.acts)
-	out.NextHop, out.Pinned = e.nextHop, e.flags&flagPinned != 0
+	out.Flow, out.PolicyID, out.Actions = e.key, int(e.policyID), s.acts.list(e.acts)
+	out.Hop = e.hop()
 	out.Null, out.LabelSwitched = e.flags&flagNull != 0, e.flags&flagSwitched != 0
 	out.Label = e.label
 }
@@ -156,7 +167,7 @@ func (t *Table) insert(ft netaddr.FiveTuple, policyID int, actions policy.Action
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.insert(ft, tag, now)
-	e.policyID, e.acts, e.flags = policyID, s.acts.id(actions), e.flags|flags
+	e.policyID, e.acts, e.flags = int32(policyID), s.acts.id(actions), e.flags|flags
 	t.fill(&out, s, e)
 	return out
 }
@@ -247,11 +258,10 @@ type LabelEntry struct {
 	// destination address before final forwarding.
 	Dst    netaddr.Addr
 	HasDst bool
-	// NextHop pins the downstream middlebox the chain continues at
-	// (unset at the tail); Pinned reports whether it is set. See
-	// Entry.NextHop.
-	NextHop topo.NodeID
-	Pinned  bool
+	// Hop is the downstream middlebox the chain continues at, pinned once
+	// this node's function passed the flow's first packet (unset at the
+	// tail).
+	Hop
 }
 
 // A label slot's value is the flow's original 5-tuple.
@@ -280,8 +290,8 @@ func NewLabelTableSharded(ttl int64, shards int) *LabelTable {
 
 // fill is Table.fill for label entries.
 func (t *LabelTable) fill(out *LabelEntry, s *labelShard, e *labelSlot) {
-	out.Key, out.PolicyID, out.Actions, out.Flow = e.key, e.policyID, s.acts.list(e.acts), e.val
-	out.NextHop, out.Pinned = e.nextHop, e.flags&flagPinned != 0
+	out.Key, out.PolicyID, out.Actions, out.Flow = e.key, int(e.policyID), s.acts.list(e.acts), e.val
+	out.Hop = e.hop()
 	if e.flags&flagHasDst != 0 {
 		out.Dst, out.HasDst = e.val.Dst, true
 	}
@@ -317,7 +327,7 @@ func (t *LabelTable) insert(k LabelKey, policyID int, actions policy.ActionList,
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.insert(k, tag, now)
-	e.val, e.policyID, e.acts, e.flags = flow, policyID, s.acts.id(actions), e.flags|flags
+	e.val, e.policyID, e.acts, e.flags = flow, int32(policyID), s.acts.id(actions), e.flags|flags
 	t.fill(&out, s, e)
 	return out
 }

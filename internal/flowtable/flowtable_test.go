@@ -281,7 +281,7 @@ func TestInvalidateProviderPurgesOnlyPinnedMatches(t *testing.T) {
 	tbl := NewTable(0)
 	for i, mb := range []topo.NodeID{5, 5, 6} {
 		tbl.Insert(ft(uint32(i+1)), 1, actFWIDS, 0)
-		tbl.PinEntry(ft(uint32(i+1)), mb)
+		tbl.SetHop(ft(uint32(i+1)), Hop{NextHop: mb, Pinned: true})
 	}
 	tbl.Insert(ft(4), 1, actFWIDS, 0) // never forwarded: unpinned
 	tbl.InsertNull(ft(5), 0)
@@ -311,6 +311,46 @@ func TestInvalidateProviderPurgesOnlyPinnedMatches(t *testing.T) {
 	}
 }
 
+// TestHopReadsBack: the hop SetHop writes is the one Lookup returns,
+// SetHop on a key with no entry creates none, and re-inserting the key
+// clears it.
+func TestHopReadsBack(t *testing.T) {
+	first := Hop{NextHop: 7, HopAddr: 0x0a000007, Gen: 3, Pinned: true}
+	later := Hop{NextHop: 8, HopAddr: 0x0a000008, Gen: 4}
+	tbl := NewTable(0)
+	if e := tbl.Insert(ft(1), 1, actFWIDS, 0); e.Hop != (Hop{}) {
+		t.Fatalf("fresh entry has hop %+v", e.Hop)
+	}
+	tbl.SetHop(ft(1), first)
+	if e, _ := tbl.Lookup(ft(1), 0); e.Hop != first {
+		t.Fatalf("after SetHop: %+v, want %+v", e.Hop, first)
+	}
+	tbl.SetHop(ft(1), later)
+	if e, _ := tbl.Lookup(ft(1), 0); e.Hop != later {
+		t.Fatalf("after SetHop: %+v, want %+v", e.Hop, later)
+	}
+	tbl.SetHop(ft(2), first)
+	if tbl.Len() != 1 {
+		t.Fatalf("SetHop on a missing key inserted: len %d", tbl.Len())
+	}
+	tbl.Insert(ft(1), 1, actFWIDS, 0)
+	if e, _ := tbl.Lookup(ft(1), 0); e.Hop != (Hop{}) {
+		t.Fatalf("re-insert kept %+v", e.Hop)
+	}
+
+	lt := NewLabelTable(0)
+	k := LabelKey{Src: 10, Label: 1}
+	lt.Insert(k, 1, actFWIDS, ft(1), 0)
+	lt.SetHop(k, first)
+	if e, _ := lt.Lookup(k, 0); e.Hop != first {
+		t.Fatalf("label entry after SetHop: %+v, want %+v", e.Hop, first)
+	}
+	lt.InsertTail(k, 1, actFWIDS, ft(1), 0)
+	if e, _ := lt.Lookup(k, 0); e.Hop != (Hop{}) {
+		t.Fatalf("label re-insert kept %+v", e.Hop)
+	}
+}
+
 func TestInvalidateIfCustomPredicate(t *testing.T) {
 	tbl := NewTable(0)
 	tbl.Insert(ft(1), 1, actFWIDS, 0)
@@ -333,9 +373,9 @@ func TestLabelTableInvalidateProvider(t *testing.T) {
 	k2 := LabelKey{Src: 10, Label: 2}
 	k3 := LabelKey{Src: 11, Label: 1}
 	tbl.Insert(k1, 1, actFWIDS, ft(1), 0)
-	tbl.PinEntry(k1, 7)
+	tbl.SetHop(k1, Hop{NextHop: 7, Pinned: true})
 	tbl.Insert(k2, 1, actFWIDS, ft(2), 0)
-	tbl.PinEntry(k2, 8)
+	tbl.SetHop(k2, Hop{NextHop: 8, Pinned: true})
 	tbl.InsertTail(k3, 1, actFWIDS, ft(3), 0) // tail: unpinned
 
 	if n := tbl.InvalidateProvider(7); n != 1 {

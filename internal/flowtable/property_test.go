@@ -296,7 +296,7 @@ func TestShardedTableMatchesReferenceModel(t *testing.T) {
 					}
 					if ok {
 						mb := topo.NodeID(rng.Intn(4) + 1)
-						tbl.PinEntry(ft, mb)
+						tbl.SetHop(ft, Hop{NextHop: mb, Pinned: true})
 						re.nextHop, re.pinned = mb, true
 					}
 				case op < 90: // InvalidateIf
@@ -488,7 +488,7 @@ func TestShardedLabelTableMatchesReferenceModel(t *testing.T) {
 					}
 					if ok {
 						mb := topo.NodeID(rng.Intn(3) + 1)
-						tbl.PinEntry(k, mb)
+						tbl.SetHop(k, Hop{NextHop: mb, Pinned: true})
 						re.nextHop, re.pinned = mb, true
 					}
 				case op < 90: // InvalidateIf

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"sdme/internal/netaddr"
 	"sdme/internal/policy"
 	"sdme/internal/topo"
 )
@@ -18,7 +19,7 @@ const MaxShards = 256
 // Slot flags.
 const (
 	flagLive     uint8 = 1 << iota // the slot holds a record (else it is on the free list)
-	flagPinned                     // nextHop is set
+	flagPinned                     // InvalidateProvider purges by nextHop
 	flagNull                       // flow table: no policy matched
 	flagSwitched                   // flow table: the chain confirmed label switching
 	flagHasDst                     // label table: the chain's tail (Dst = val.Dst)
@@ -28,16 +29,32 @@ const (
 // tables share, and V for the rest (nothing for a flow, the original
 // 5-tuple for a label). No slot may contain a pointer kind, so the slab is
 // memory the garbage collector never scans (TestSlotsArePointerFree); the
-// action list is an index into the shard's interned lists.
+// action list is an index into the shard's interned lists. The policy and
+// the next hop are narrowed to 32 bits so the stored decision (nextHop,
+// hopAddr, gen) fits the bytes the wider pair took: a flow slot is 48
+// bytes and a label slot 56 (TestSlotSizes).
 type slot[K comparable, V any] struct {
 	key      K
 	val      V
 	lastHit  int64
-	policyID int
-	nextHop  topo.NodeID
+	policyID int32
+	nextHop  int32 // a topo.NodeID
+	hopAddr  netaddr.Addr
+	gen      uint32
 	acts     uint32 // interner index; 0 is the empty list
 	label    uint16 // the flow table's allocated label (0 = none)
 	flags    uint8
+}
+
+func (e *slot[K, V]) hop() Hop {
+	return Hop{NextHop: topo.NodeID(e.nextHop), HopAddr: e.hopAddr, Gen: e.gen, Pinned: e.flags&flagPinned != 0}
+}
+
+func (e *slot[K, V]) setHop(h Hop) {
+	e.nextHop, e.hopAddr, e.gen = int32(h.NextHop), h.HopAddr, h.Gen
+	if e.flags &^= flagPinned; h.Pinned {
+		e.flags |= flagPinned
+	}
 }
 
 // The slab is a list of chunks of 1<<chunkBits slots; slot i lives at
@@ -245,15 +262,14 @@ func (st *store[K, V]) locate(h uint64) (*shard[K, V], uint32) {
 	return &st.shards[h&st.mask], uint32(h >> 32)
 }
 
-// PinEntry records the provider the flow (or the label's chain) was
-// steered to next; a key with no entry is left alone.
-func (st *store[K, V]) PinEntry(k K, mb topo.NodeID) {
+// SetHop records h as the hop the flow (or the label's chain) continues
+// at; a key with no entry is left alone.
+func (st *store[K, V]) SetHop(k K, h Hop) {
 	s, t := st.locate(st.hash(k))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.get(k, t); e != nil {
-		e.nextHop = mb
-		e.flags |= flagPinned
+		e.setHop(h)
 	}
 }
 
@@ -264,7 +280,7 @@ func (st *store[K, V]) PinEntry(k K, mb topo.NodeID) {
 // re-tunneled flow.
 func (st *store[K, V]) InvalidateProvider(mb topo.NodeID) int {
 	return st.purge(true, math.MinInt64, func(_ *shard[K, V], e *slot[K, V]) bool {
-		return e.flags&flagPinned != 0 && e.nextHop == mb
+		return e.flags&flagPinned != 0 && topo.NodeID(e.nextHop) == mb
 	})
 }
 

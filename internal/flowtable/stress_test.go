@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"sdme/internal/netaddr"
 	"sdme/internal/policy"
@@ -66,7 +67,7 @@ func TestStressShardedTableRace(t *testing.T) {
 					}
 					tbl.AllocLabel(ft)
 					if rng.Intn(4) == 0 {
-						tbl.PinEntry(ft, topo.NodeID(rng.Intn(3)+1))
+						tbl.SetHop(ft, Hop{NextHop: topo.NodeID(rng.Intn(3) + 1), Pinned: true})
 					}
 					if rng.Intn(8) == 0 {
 						tbl.FlagLabelSwitched(ft, ts)
@@ -179,7 +180,7 @@ func TestStressShardedLabelTableRace(t *testing.T) {
 					}
 				}
 				if rng.Intn(4) == 0 {
-					tbl.PinEntry(k, topo.NodeID(rng.Intn(3)+1))
+					tbl.SetHop(k, Hop{NextHop: topo.NodeID(rng.Intn(3) + 1), Pinned: true})
 				}
 			}
 		}(g)
@@ -325,6 +326,18 @@ func TestSlotsArePointerFree(t *testing.T) {
 		if path, ok := pointerIn(typ, typ.String()); ok {
 			t.Errorf("%s holds a pointer kind at %s", typ, path)
 		}
+	}
+}
+
+// TestSlotSizes guards the slab's footprint: the stored next hop (address
+// and generation) rides in the bytes the 32-bit policy and node IDs left
+// free, so a flow slot stays 48 bytes and a label slot 56.
+func TestSlotSizes(t *testing.T) {
+	if got := unsafe.Sizeof(flowSlot{}); got != 48 {
+		t.Errorf("flow slot is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(labelSlot{}); got != 56 {
+		t.Errorf("label slot is %d bytes, want 56", got)
 	}
 }
 

@@ -256,3 +256,50 @@ func TestLiveFlowTableEvents(t *testing.T) {
 		t.Fatalf("classifications per flow = %v, want 1", got)
 	}
 }
+
+// TestLiveTxGauges reads §III-E's transmissions off a live device's
+// registry: after a flow's first packet is tunneled and the rest ride
+// labels, the proxy's sdme_node_tx gauges equal its counters, mode by
+// mode.
+func TestLiveTxGauges(t *testing.T) {
+	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato, LabelSwitching: true})
+	reg := b.rt.NewRegistry()
+	b.rt.AttachMetrics(reg)
+	proxyID, _ := b.dep.ProxyFor(1)
+	proxyAddr := b.dep.AddrOf(proxyID)
+	dev := b.devices[proxyID]
+	dev.Do(func(n *enforce.Node) { n.SetMetrics(reg) })
+
+	ft := liveFlow(3)
+	if err := b.rt.Inject(proxyAddr, packet.New(ft, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if !live.WaitUntil(3*time.Second, func() bool { return dev.Counters().ControlRx >= 1 }) {
+		t.Fatalf("control message never arrived: %+v", dev.Counters())
+	}
+	const more = 6
+	for i := 0; i < more; i++ {
+		if err := b.rt.Inject(proxyAddr, packet.New(ft, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !live.WaitUntil(3*time.Second, func() bool { return b.sink.Received() >= 1+more }) {
+		t.Fatalf("sink received %d of %d", b.sink.Received(), 1+more)
+	}
+	c := dev.Counters()
+	if c.TunnelTx != 1 || c.LabelTx != more {
+		t.Fatalf("proxy counters: tunnel=%d label=%d, want 1/%d", c.TunnelTx, c.LabelTx, more)
+	}
+	node := strconv.Itoa(int(proxyID))
+	tx := func(mode string) float64 { return reg.Gauge(enforce.MetricTx, "node", node, "mode", mode).Value() }
+	if !live.WaitUntil(3*time.Second, func() bool {
+		dev.Counters() // wakes the loop, which refreshes the sampled gauges
+		return tx("label") == float64(c.LabelTx)
+	}) {
+		t.Fatalf("label gauge %v, LabelTx %d", tx("label"), c.LabelTx)
+	}
+	if tx("tunnel") != float64(c.TunnelTx) || tx("plain") != float64(c.PlainTx) || tx("control") != float64(c.ControlTx) {
+		t.Fatalf("tunnel/plain/control gauges %v/%v/%v, counters %d/%d/%d",
+			tx("tunnel"), tx("plain"), tx("control"), c.TunnelTx, c.PlainTx, c.ControlTx)
+	}
+}

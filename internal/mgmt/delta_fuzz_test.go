@@ -52,11 +52,11 @@ func seedSoftState(n *enforce.Node) (flows []netaddr.FiveTuple, labels []flowtab
 	for id := 1; id <= 3; id++ {
 		ft := netaddr.FiveTuple{Src: topo.HostAddr(1, id), Dst: topo.HostAddr(2, 1), SrcPort: 40000, DstPort: 80, Proto: netaddr.ProtoTCP}
 		n.FlowTable().Insert(ft, id, policy.ActionList{policy.FuncFW, policy.FuncIDS}, 0)
-		n.FlowTable().PinEntry(ft, topo.NodeID(9+id))
+		n.FlowTable().SetHop(ft, flowtable.Hop{NextHop: topo.NodeID(9 + id), Pinned: true})
 		flows = append(flows, ft)
 		k := flowtable.LabelKey{Src: ft.Src, Label: uint16(id)}
 		n.LabelTable().Insert(k, id, policy.ActionList{policy.FuncIDS}, ft, 0)
-		n.LabelTable().PinEntry(k, topo.NodeID(9+id))
+		n.LabelTable().SetHop(k, flowtable.Hop{NextHop: topo.NodeID(9 + id), Pinned: true})
 		labels = append(labels, k)
 	}
 	null := netaddr.FiveTuple{Src: topo.HostAddr(1, 9), Dst: topo.HostAddr(2, 1), SrcPort: 40000, DstPort: 9, Proto: netaddr.ProtoTCP}

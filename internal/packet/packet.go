@@ -75,7 +75,8 @@ type Packet struct {
 	Inner Header
 	// PayloadLen is the L4 payload size in bytes; the simulator accounts
 	// sizes with it. Payload optionally carries real bytes (live mode and
-	// reassembly tests); when non-nil its length must equal PayloadLen.
+	// the payload-inspecting functions); when non-nil its length must
+	// equal PayloadLen.
 	PayloadLen int
 	Payload    []byte
 	// outerBuf is the inline backing store for Outer: Encapsulate and

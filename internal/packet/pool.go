@@ -6,8 +6,8 @@
 // Lifecycle rules (DESIGN §12): a pooled Packet is owned by exactly one
 // worker from Get to Put; nothing reached through a Forwarder may retain
 // the pointer past the call — forwarders marshal synchronously. Code that
-// needs a packet to outlive the handler (the simulator's event queue,
-// fragment reassembly tests) must Clone it or build its own with New.
+// needs a packet to outlive the handler (the simulator's event queue)
+// must Clone it or build its own with New.
 package packet
 
 import "sync/atomic"

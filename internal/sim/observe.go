@@ -88,8 +88,18 @@ func (nw *Network) SnapshotEvery(every, until int64) {
 	}
 	for at := every; at <= until; at += every {
 		nw.Engine.After(at-nw.Engine.Now(), func() {
+			nw.SyncGauges()
 			nw.snaps = append(nw.snaps, nw.m.reg.Snapshot())
 		})
+	}
+}
+
+// SyncGauges refreshes every node's sampled gauges (enforce's
+// SyncShardGauges), as a live device does when it is woken; the scheduled
+// snapshots call it first.
+func (nw *Network) SyncGauges() {
+	for _, n := range nw.nodes {
+		n.SyncShardGauges()
 	}
 }
 
