@@ -118,11 +118,13 @@ bench-compare:
 # its workers, and the live send path's guards (concurrent injectors on
 # the one socket, inject after close, the allocation counts, the batch
 # edge cases: a refused or oversize frame mid-batch, a cut datagram, a
-# command after a burst, a sink's errors). -count=5 shakes out
-# schedule-dependent interleavings.
+# command after a burst, a sink's errors), and the metrics reads: a scrape
+# right after traffic with no device woken, scrapes while a device's
+# tables are rebuilt by Install, and a scrape of a wedged device.
+# -count=5 shakes out schedule-dependent interleavings.
 race-stress:
 	$(GO) test -race -count=5 \
-		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire|Batch|SinkCountsErrors' \
+		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire|Batch|SinkCountsErrors|Scrape' \
 		./internal/flowtable/ ./internal/live/
 
 # Flake hunt for the packages that cross a wire or a clock: 20 passes

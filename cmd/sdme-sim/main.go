@@ -297,7 +297,6 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 	}
 
 	if reg != nil {
-		nw.SyncGauges()
 		snap := reg.Snapshot()
 		if metricsOut == "-" {
 			fmt.Printf("\n%s", snap.Text)

@@ -34,9 +34,6 @@ func (n *Node) HandleOutbound(pkt *packet.Packet, now int64, fwd Forwarder) erro
 		return fmt.Errorf("enforce: HandleOutbound on middlebox %v", n.ID)
 	}
 	atomic.AddInt64(&n.Counters.PacketsIn, 1)
-	if n.nm != nil {
-		n.nm.packetsIn.Inc()
-	}
 	ft := pkt.FiveTuple()
 	n.trace(ft, HopIngress, 0, now)
 	entry := n.classify(ft, now)
@@ -109,9 +106,6 @@ func (n *Node) HandleArrival(pkt *packet.Packet, now int64, fwd Forwarder) error
 		return fmt.Errorf("enforce: HandleArrival on proxy %v", n.ID)
 	}
 	atomic.AddInt64(&n.Counters.PacketsIn, 1)
-	if n.nm != nil {
-		n.nm.packetsIn.Inc()
-	}
 	if pkt.IsEncapsulated() {
 		return n.handleTunneled(pkt, now, fwd)
 	}

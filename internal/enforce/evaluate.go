@@ -1,7 +1,6 @@
 package enforce
 
 import (
-	"fmt"
 	"sort"
 
 	"sdme/internal/netaddr"
@@ -43,51 +42,26 @@ type LoadReport struct {
 // identical loads. The packet-level simulator cross-checks this in tests.
 func EvaluateFlows(nodes map[topo.NodeID]*Node, dep *Deployment, ap *route.AllPairs, flows []FlowDemand) (*LoadReport, error) {
 	report := &LoadReport{Loads: make(map[topo.NodeID]int64)}
+	var packets int64
+	visit := func(_ *Node, to topo.NodeID, _ policy.FuncType, cost float64) {
+		report.Loads[to] += packets
+		report.PathCost += float64(packets) * cost
+	}
+	var tr Trace
 	for i := range flows {
-		f := &flows[i]
-		srcSub := dep.SubnetIndexOf(f.Tuple.Src)
-		proxyID, ok := dep.ProxyFor(srcSub)
-		if !ok {
-			return nil, fmt.Errorf("enforce: flow %v: no proxy for subnet %d", f.Tuple, srcSub)
+		packets, tr.Flow = flows[i].Packets, flows[i].Tuple
+		cut, err := walkChain(nodes, dep, ap, &tr, visit)
+		if err != nil {
+			return nil, err
 		}
-		proxy, ok := nodes[proxyID]
-		if !ok {
-			return nil, fmt.Errorf("enforce: proxy node %v not materialized", proxyID)
-		}
-		report.TotalPackets += f.Packets
-
-		p := proxy.classifier.Match(f.Tuple)
-		dstEdge := dep.Graph.SubnetOwner(f.Tuple.Dst)
-		if p == nil || p.Actions.IsPermit() {
+		report.TotalPackets += packets
+		switch {
+		case tr.Policy == nil || tr.Policy.Actions.IsPermit():
 			report.Unenforced++
-			if dstEdge != topo.InvalidNode {
-				report.PathCost += float64(f.Packets) * ap.Dist(proxyID, dstEdge)
-			}
-			continue
+		case cut != nil:
+			report.Dropped++
 		}
-
-		cur := proxy
-		curID := proxyID
-		enforced := true
-		for _, e := range p.Actions {
-			next, err := cur.SelectNext(p.ID, e, f.Tuple)
-			if err != nil {
-				report.Dropped++
-				enforced = false
-				break
-			}
-			report.Loads[next] += f.Packets
-			report.PathCost += float64(f.Packets) * ap.Dist(curID, next)
-			var okNode bool
-			cur, okNode = nodes[next]
-			if !okNode {
-				return nil, fmt.Errorf("enforce: middlebox node %v not materialized", next)
-			}
-			curID = next
-		}
-		if enforced && dstEdge != topo.InvalidNode {
-			report.PathCost += float64(f.Packets) * ap.Dist(curID, dstEdge)
-		}
+		report.PathCost += float64(packets) * tr.TailCost
 	}
 	return report, nil
 }

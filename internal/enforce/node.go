@@ -176,6 +176,11 @@ type Node struct {
 	// the node's owner, and use CountersSnapshot instead while dataplane
 	// workers may be running (fields are updated with atomics).
 	Counters Counters
+
+	// tablesMu orders Install's replacement of flows and labels before a
+	// metrics read of them (tables); the packet path needs no lock, being
+	// serialized with Install anyway.
+	tablesMu sync.Mutex
 }
 
 // CountersSnapshot returns an atomically-read copy of the node's counters,
@@ -297,10 +302,12 @@ func (n *Node) Install(cfg Config) error {
 		return nil
 	}
 	n.tableShards = shards
+	n.tablesMu.Lock()
 	n.flows = flowtable.NewTableSharded(cfg.FlowTTL, n.flowShards)
 	if !n.IsProxy {
 		n.labels = flowtable.NewLabelTableSharded(cfg.LabelTTL, n.labelShards)
 	}
+	n.tablesMu.Unlock()
 	return nil
 }
 
@@ -385,9 +392,6 @@ func (n *Node) selectNext(policyID int, e policy.FuncType, flow netaddr.FiveTupl
 		alt := cands[(pick+off)%len(cands)]
 		if !n.live.down(alt) {
 			atomic.AddInt64(&n.Counters.Failovers, 1)
-			if n.nm != nil {
-				n.nm.failovers.Inc()
-			}
 			return alt, false, nil
 		}
 	}

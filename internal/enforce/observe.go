@@ -3,7 +3,9 @@ package enforce
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 
+	"sdme/internal/flowtable"
 	"sdme/internal/metrics"
 	"sdme/internal/netaddr"
 	"sdme/internal/policy"
@@ -12,7 +14,8 @@ import (
 
 // Metric family names the dataplane emits. Sim and live runs share this
 // code, so both substrates expose identical names — the conformance
-// suite asserts that.
+// suite asserts that. Every family but the sdme_func_* counters is read
+// from the node at exposition (SetMetrics).
 const (
 	MetricPacketsIn  = "sdme_node_packets_in_total"
 	MetricFuncPkts   = "sdme_func_packets_total"
@@ -21,25 +24,19 @@ const (
 	MetricFuncServes = "sdme_func_serves_total"
 	MetricFailovers  = "sdme_node_failovers_total"
 	// MetricFlowShardEntries / MetricLabelShardEntries are per-shard
-	// occupancy gauges of the lock-striped soft-state tables, refreshed by
-	// SyncShardGauges (the live runtime calls it periodically; it is a
-	// sampled view, not an event stream).
+	// occupancy gauges of the lock-striped soft-state tables.
 	MetricFlowShardEntries  = "sdme_flowtable_shard_entries"
 	MetricLabelShardEntries = "sdme_labeltable_shard_entries"
-	// MetricFlowTableEvents is a node's flow-table activity since it was
-	// built (flowtable.Stats), label event=hit|miss|null_hit|inserted|
-	// expired, refreshed with the shard gauges. A miss is a §III-D
-	// classification, so miss over inserted+null-inserted is the
-	// classifications per flow.
+	// MetricFlowTableEvents is the activity of a node's flow table since
+	// it was built (flowtable.Stats), label event=hit|miss|null_hit|
+	// inserted|expired. A miss is a §III-D classification, so miss over
+	// inserted+null-inserted is the classifications per flow.
 	MetricFlowTableEvents = "sdme_flowtable_events"
 	// MetricTx is a node's transmissions since it was built, by §III-E
 	// mode: label mode=tunnel|label|plain|control (the TunnelTx, LabelTx,
-	// PlainTx and ControlTx counters), refreshed with the shard gauges.
+	// PlainTx and ControlTx counters).
 	MetricTx = "sdme_node_tx"
 )
-
-// txModes are MetricTx's mode labels.
-var txModes = [...]string{"tunnel", "label", "plain", "control"}
 
 // funcMetrics caches one (node, func) series triple so the hot path
 // avoids registry lookups.
@@ -47,36 +44,68 @@ type funcMetrics struct {
 	packets, bytes, drops, serves *metrics.Counter
 }
 
-// nodeMetrics is a node's cached view into the registry.
+// nodeMetrics is a node's attachment to a registry: the registry its
+// reads are registered with, and its function counters.
 type nodeMetrics struct {
-	reg       *metrics.Registry
-	nodeLabel string
-	packetsIn *metrics.Counter
-	failovers *metrics.Counter
-	tx        [len(txModes)]*metrics.Gauge
-	perFunc   map[policy.FuncType]*funcMetrics
+	reg     *metrics.Registry
+	perFunc map[policy.FuncType]*funcMetrics
 }
 
-// SetMetrics attaches a metrics registry to the node: the dataplane then
-// records per-node packets-in and per-(node, function) packets, bytes,
-// drops and cache serves. nil detaches. Call before the node's owner
-// (simulator event loop or live device goroutine) starts driving it.
+// SetMetrics attaches a metrics registry to the node. The dataplane
+// counts per-(node, function) packets, bytes, drops and cache serves into
+// it; everything else the registry reads from the node whenever it writes
+// its exposition: packets in, failovers, transmissions by mode, flow-table
+// events and per-shard table occupancy. nil detaches: the read series
+// leave the exposition, the function counters keep their values. Call
+// before the node's owner (simulator event loop or live device goroutine)
+// starts driving it.
 func (n *Node) SetMetrics(reg *metrics.Registry) {
+	if n.nm != nil {
+		n.nm.reg.Unread(n)
+	}
+	n.nm = nil
 	if reg == nil {
-		n.nm = nil
 		return
 	}
 	node := strconv.Itoa(int(n.ID))
-	nm := &nodeMetrics{
-		reg:       reg,
-		nodeLabel: node,
-		packetsIn: reg.Counter(MetricPacketsIn, "node", node),
-		failovers: reg.Counter(MetricFailovers, "node", node),
-		perFunc:   make(map[policy.FuncType]*funcMetrics, len(n.Funcs)),
-	}
-	for i, mode := range txModes {
-		nm.tx[i] = reg.Gauge(MetricTx, "node", node, "mode", mode)
-	}
+	c := &n.Counters
+	reg.ReadCounter(MetricPacketsIn, n, func(emit metrics.Emit) {
+		emit(float64(atomic.LoadInt64(&c.PacketsIn)), "node", node)
+	})
+	reg.ReadCounter(MetricFailovers, n, func(emit metrics.Emit) {
+		emit(float64(atomic.LoadInt64(&c.Failovers)), "node", node)
+	})
+	reg.ReadGauge(MetricTx, n, func(emit metrics.Emit) {
+		emit(float64(atomic.LoadInt64(&c.TunnelTx)), "node", node, "mode", "tunnel")
+		emit(float64(atomic.LoadInt64(&c.LabelTx)), "node", node, "mode", "label")
+		emit(float64(atomic.LoadInt64(&c.PlainTx)), "node", node, "mode", "plain")
+		emit(float64(atomic.LoadInt64(&c.ControlTx)), "node", node, "mode", "control")
+	})
+	reg.ReadGauge(MetricFlowTableEvents, n, func(emit metrics.Emit) {
+		if flows, _ := n.tables(); flows != nil {
+			st := flows.Stats()
+			emit(float64(st.Hits), "node", node, "event", "hit")
+			emit(float64(st.Misses), "node", node, "event", "miss")
+			emit(float64(st.NullHits), "node", node, "event", "null_hit")
+			emit(float64(st.Inserted), "node", node, "event", "inserted")
+			emit(float64(st.Expired), "node", node, "event", "expired")
+		}
+	})
+	reg.ReadGauge(MetricFlowShardEntries, n, func(emit metrics.Emit) {
+		if flows, _ := n.tables(); flows != nil {
+			for i := 0; i < flows.Shards(); i++ {
+				emit(float64(flows.ShardLen(i)), "node", node, "shard", strconv.Itoa(i))
+			}
+		}
+	})
+	reg.ReadGauge(MetricLabelShardEntries, n, func(emit metrics.Emit) {
+		if _, labels := n.tables(); labels != nil {
+			for i := 0; i < labels.Shards(); i++ {
+				emit(float64(labels.ShardLen(i)), "node", node, "shard", strconv.Itoa(i))
+			}
+		}
+	})
+	nm := &nodeMetrics{reg: reg, perFunc: make(map[policy.FuncType]*funcMetrics, len(n.Funcs))}
 	for f := range n.Funcs {
 		nm.perFunc[f] = &funcMetrics{
 			packets: reg.Counter(MetricFuncPkts, "node", node, "func", f.String()),
@@ -88,39 +117,12 @@ func (n *Node) SetMetrics(reg *metrics.Registry) {
 	n.nm = nm
 }
 
-// SyncShardGauges refreshes the per-shard occupancy gauges of the node's
-// soft-state tables, its flow-table activity gauges and its transmission
-// gauges into the attached registry. No-op without metrics. Safe to call
-// from any goroutine (table lengths and counters are read shard-locked,
-// the node's counters atomically).
-func (n *Node) SyncShardGauges() {
-	nm := n.nm
-	if nm == nil {
-		return
-	}
-	c := n.CountersSnapshot()
-	for i, v := range [...]int64{c.TunnelTx, c.LabelTx, c.PlainTx, c.ControlTx} { // txModes order
-		nm.tx[i].Set(float64(v))
-	}
-	if t := n.flows; t != nil {
-		for i := 0; i < t.Shards(); i++ {
-			nm.reg.Gauge(MetricFlowShardEntries, "node", nm.nodeLabel, "shard", strconv.Itoa(i)).
-				Set(float64(t.ShardLen(i)))
-		}
-		st := t.Stats()
-		for _, ev := range [...]struct {
-			name string
-			n    int
-		}{{"hit", st.Hits}, {"miss", st.Misses}, {"null_hit", st.NullHits}, {"inserted", st.Inserted}, {"expired", st.Expired}} {
-			nm.reg.Gauge(MetricFlowTableEvents, "node", nm.nodeLabel, "event", ev.name).Set(float64(ev.n))
-		}
-	}
-	if t := n.labels; t != nil {
-		for i := 0; i < t.Shards(); i++ {
-			nm.reg.Gauge(MetricLabelShardEntries, "node", nm.nodeLabel, "shard", strconv.Itoa(i)).
-				Set(float64(t.ShardLen(i)))
-		}
-	}
+// tables returns the node's soft-state tables for a reader outside the
+// node's owner: Install replaces them under tablesMu.
+func (n *Node) tables() (*flowtable.Table, *flowtable.LabelTable) {
+	n.tablesMu.Lock()
+	defer n.tablesMu.Unlock()
+	return n.flows, n.labels
 }
 
 // HopEventKind classifies one runtime hop record.

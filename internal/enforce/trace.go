@@ -1,6 +1,7 @@
 package enforce
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -69,40 +70,51 @@ func (tr *Trace) String() string {
 // exactly the dataplane's SelectNext, so the answer matches what the
 // simulator and the live runtime do.
 func TraceFlow(nodes map[topo.NodeID]*Node, dep *Deployment, ap *route.AllPairs, ft netaddr.FiveTuple) (*Trace, error) {
+	tr := &Trace{Flow: ft}
+	cut, err := walkChain(nodes, dep, ap, tr, func(from *Node, to topo.NodeID, e policy.FuncType, cost float64) {
+		tr.Hops = append(tr.Hops, TraceHop{Node: to, Func: e, Cost: cost, Candidates: from.cfg.Candidates[e]})
+	})
+	if err := cmp.Or(err, cut); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// walkChain follows tr.Flow along its enforcement path with the
+// dataplane's own decisions: the source subnet's proxy classifies it, and
+// each function of the matched chain is one SelectNext at the node before
+// it. It sets tr's Policy, Proxy and TailCost; visit sees every hop: the
+// node it leaves, the middlebox chosen, the function it runs there and
+// the routing distance between the two. cut is SelectNext's error when a
+// function has no usable provider: the walk stops there, TailCost 0. A
+// proxy or middlebox missing from nodes is err.
+func walkChain(nodes map[topo.NodeID]*Node, dep *Deployment, ap *route.AllPairs, tr *Trace,
+	visit func(from *Node, to topo.NodeID, e policy.FuncType, cost float64)) (cut, err error) {
+	ft := tr.Flow
 	srcSub := dep.SubnetIndexOf(ft.Src)
 	proxyID, ok := dep.ProxyFor(srcSub)
 	if !ok {
 		return nil, fmt.Errorf("enforce: no proxy for source subnet %d of %v", srcSub, ft)
 	}
-	proxy, ok := nodes[proxyID]
+	cur, ok := nodes[proxyID]
 	if !ok {
 		return nil, fmt.Errorf("enforce: proxy node %v not materialized", proxyID)
 	}
-	tr := &Trace{Flow: ft, Proxy: proxyID}
-	tr.Policy = proxy.classifier.Match(ft)
-
-	cur, curID := proxy, proxyID
+	tr.Policy, tr.Proxy, tr.TailCost = cur.classifier.Match(ft), proxyID, 0
 	if tr.Policy != nil && !tr.Policy.Actions.IsPermit() {
 		for _, e := range tr.Policy.Actions {
 			next, err := cur.SelectNext(tr.Policy.ID, e, ft)
 			if err != nil {
-				return nil, err
+				return err, nil
 			}
-			tr.Hops = append(tr.Hops, TraceHop{
-				Node:       next,
-				Func:       e,
-				Cost:       ap.Dist(curID, next),
-				Candidates: cur.cfg.Candidates[e],
-			})
-			cur, ok = nodes[next]
-			if !ok {
+			visit(cur, next, e, ap.Dist(cur.ID, next))
+			if cur, ok = nodes[next]; !ok {
 				return nil, fmt.Errorf("enforce: middlebox node %v not materialized", next)
 			}
-			curID = next
 		}
 	}
 	if dstEdge := dep.Graph.SubnetOwner(ft.Dst); dstEdge != topo.InvalidNode {
-		tr.TailCost = ap.Dist(curID, dstEdge)
+		tr.TailCost = ap.Dist(cur.ID, dstEdge)
 	}
-	return tr, nil
+	return nil, nil
 }

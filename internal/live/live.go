@@ -379,7 +379,6 @@ func (d *Device) loop(rd *reader) {
 				if nextSweep, err = d.rearm(nextSweep); err != nil {
 					return
 				}
-				d.syncGauges() // sampled gauges refresh whenever someone asks
 				continue
 			}
 			return // socket closed
@@ -455,7 +454,7 @@ func newForwarder(rt *Runtime, conn *net.UDPConn, raw syscall.RawConn) *udpForwa
 func (f *udpForwarder) Send(from *enforce.Node, pkt *packet.Packet) {
 	ep, ok := f.rt.lookup(pkt.OutermostDst())
 	if !ok {
-		f.rt.blackhole()
+		f.rt.Blackholed.Add(1)
 		return
 	}
 	f.frames[f.staged] = pkt.AppendMarshal(append(f.frames[f.staged][:0], frameData))
@@ -465,7 +464,7 @@ func (f *udpForwarder) Send(from *enforce.Node, pkt *packet.Packet) {
 func (f *udpForwarder) SendControl(from *enforce.Node, to netaddr.Addr, flow netaddr.FiveTuple) {
 	ep, ok := f.rt.lookup(to)
 	if !ok {
-		f.rt.blackhole()
+		f.rt.Blackholed.Add(1)
 		return
 	}
 	f.frames[f.staged] = appendControl(f.frames[f.staged][:0], flow)
@@ -477,7 +476,7 @@ func (f *udpForwarder) SendControl(from *enforce.Node, to netaddr.Addr, flow net
 // takes it (Dropped).
 func (f *udpForwarder) stage(ep netip.AddrPort) {
 	if len(f.frames[f.staged]) > maxFrame {
-		f.rt.blackhole()
+		f.rt.Blackholed.Add(1)
 		return
 	}
 	if f.rt.lose() {
@@ -498,7 +497,7 @@ func (f *udpForwarder) flush() {
 	}
 	refused := f.out.write(f.frames[:f.staged], f.eps[:f.staged])
 	for range refused {
-		f.rt.blackhole()
+		f.rt.Blackholed.Add(1)
 	}
 	if m := f.rt.lm.Load(); m != nil {
 		m.sent.Add(int64(f.staged - refused))
@@ -527,9 +526,6 @@ func (r *Runtime) lose() bool {
 		return false
 	}
 	r.Dropped.Add(1)
-	if m := r.lm.Load(); m != nil {
-		m.dropped.Inc()
-	}
 	return true
 }
 
@@ -654,14 +650,14 @@ func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 	if in.conn == nil {
 		conn, _, err := listen()
 		if err != nil {
-			r.blackhole()
+			r.Blackholed.Add(1)
 			return fmt.Errorf("live: open injector socket: %w", err)
 		}
 		in.conn = conn
 	}
 	in.frame = pkt.AppendMarshal(append(in.frame[:0], frameData))
 	if len(in.frame) > maxFrame {
-		r.blackhole()
+		r.Blackholed.Add(1)
 		return fmt.Errorf("live: inject via %v: %d-byte frame exceeds the fabric's %d", via, len(in.frame), maxFrame)
 	}
 	if r.lose() {
@@ -669,7 +665,7 @@ func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 	}
 	//vet:ignore lockedblocking -- the mutex owns the scratch frame the write reads, and the socket's write lock would queue concurrent injectors anyway
 	if _, err := in.conn.WriteToUDPAddrPort(in.frame, ep); err != nil {
-		r.blackhole()
+		r.Blackholed.Add(1)
 		return fmt.Errorf("live: inject via %v: %w", via, err)
 	}
 	if m := r.lm.Load(); m != nil {

@@ -2,6 +2,7 @@ package live
 
 import (
 	"sdme/internal/metrics"
+	"sdme/internal/packet"
 )
 
 // Live-fabric metric family names. The per-node dataplane families come
@@ -18,9 +19,9 @@ const (
 	// MetricEnforceLatencyUS is a per-node histogram of receive→handled
 	// latency in microseconds (queue wait plus enforcement).
 	MetricEnforceLatencyUS = "sdme_live_enforce_latency_us"
-	// MetricPoolHits / MetricPoolMisses mirror packet.PoolStats: gauges
-	// (not counters) because the pool counters are process-global and
-	// every device syncs the same cumulative value.
+	// MetricPoolHits / MetricPoolMisses read packet.PoolStats: gauges
+	// (not counters) because the pool is process-global, so they are not
+	// this runtime's count alone.
 	MetricPoolHits   = "sdme_live_pool_hits"
 	MetricPoolMisses = "sdme_live_pool_misses"
 )
@@ -31,9 +32,8 @@ var QueueDepthBuckets = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // liveMetrics caches the runtime's registry handles. reg is retained so
 // devices can mint their per-node worker series lazily.
 type liveMetrics struct {
-	reg                       *metrics.Registry
-	blackholed, dropped, sent *metrics.Counter
-	poolHits, poolMisses      *metrics.Gauge
+	reg  *metrics.Registry
+	sent *metrics.Counter
 }
 
 // NewRegistry creates a registry driven by the runtime's wall clock
@@ -43,28 +43,30 @@ func (r *Runtime) NewRegistry() *metrics.Registry {
 	return metrics.NewRegistry(r.NowUS)
 }
 
-// AttachMetrics wires a registry into the fabric: datagrams sent,
-// blackholed (unmapped address) and dropped by injected loss. Safe to
-// call while devices run; nil detaches.
+// AttachMetrics wires a registry into the fabric. It counts datagrams
+// sent and the worker histograms into it, and it reads Blackholed,
+// Dropped and the packet pool's hits and misses at every exposition.
+// Safe to call while devices run; nil detaches: the read series leave
+// the exposition.
 func (r *Runtime) AttachMetrics(reg *metrics.Registry) {
+	r.mu.Lock() // orders attaches: each one's reads leave the registry it replaces
+	defer r.mu.Unlock()
+	if old := r.lm.Load(); old != nil {
+		old.reg.Unread(r)
+	}
 	if reg == nil {
 		r.lm.Store(nil)
 		return
 	}
-	r.lm.Store(&liveMetrics{
-		reg:        reg,
-		blackholed: reg.Counter(MetricBlackholed),
-		dropped:    reg.Counter(MetricLossDropped),
-		sent:       reg.Counter(MetricSent),
-		poolHits:   reg.Gauge(MetricPoolHits),
-		poolMisses: reg.Gauge(MetricPoolMisses),
+	reg.ReadCounter(MetricBlackholed, r, func(emit metrics.Emit) { emit(float64(r.Blackholed.Load())) })
+	reg.ReadCounter(MetricLossDropped, r, func(emit metrics.Emit) { emit(float64(r.Dropped.Load())) })
+	reg.ReadGauge(MetricPoolHits, r, func(emit metrics.Emit) {
+		hits, _ := packet.PoolStats()
+		emit(float64(hits))
 	})
-}
-
-// blackhole counts an undeliverable datagram on both surfaces.
-func (r *Runtime) blackhole() {
-	r.Blackholed.Add(1)
-	if m := r.lm.Load(); m != nil {
-		m.blackholed.Inc()
-	}
+	reg.ReadGauge(MetricPoolMisses, r, func(emit metrics.Emit) {
+		_, misses := packet.PoolStats()
+		emit(float64(misses))
+	})
+	r.lm.Store(&liveMetrics{reg: reg, sent: reg.Counter(MetricSent)})
 }

@@ -3,6 +3,7 @@ package live_test
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -160,20 +161,30 @@ func TestLiveDifferentialConformance(t *testing.T) {
 
 // TestLiveSimMetricNameParity asserts the acceptance criterion that the
 // sim and live substrates emit the same dataplane metric family names:
-// the families shared by construction (sdme_node_*, sdme_func_*) must
-// be exactly equal across a sim run and a live run.
+// the families shared by construction (sdme_node_*, sdme_func_*,
+// sdme_flowtable_*, sdme_labeltable_*) must be exactly equal across a sim
+// run and a live run. The table families are read at exposition, so both
+// scrapes must carry their series with nothing synced or woken first.
 func TestLiveSimMetricNameParity(t *testing.T) {
-	shared := func(text []byte) map[string]bool {
-		out := make(map[string]bool)
+	// shared maps each shared family in an exposition to its series count.
+	shared := func(text []byte) map[string]int {
+		out := make(map[string]int)
 		sc := bufio.NewScanner(bytes.NewReader(text))
 		for sc.Scan() {
 			line := sc.Text()
-			if !strings.HasPrefix(line, "# TYPE ") {
+			if strings.HasPrefix(line, "# TYPE ") {
+				name := strings.Fields(line)[2]
+				for _, prefix := range []string{"sdme_node_", "sdme_func_", "sdme_flowtable_", "sdme_labeltable_"} {
+					if strings.HasPrefix(name, prefix) {
+						out[name] = 0
+					}
+				}
 				continue
 			}
-			name := strings.Fields(line)[2]
-			if strings.HasPrefix(name, "sdme_node_") || strings.HasPrefix(name, "sdme_func_") {
-				out[name] = true
+			if name, _, ok := strings.Cut(line, "{"); ok {
+				if _, in := out[name]; in {
+					out[name]++
+				}
 			}
 		}
 		return out
@@ -204,22 +215,42 @@ func TestLiveSimMetricNameParity(t *testing.T) {
 		t.Fatal("sim exposition has no shared dataplane families")
 	}
 	for name := range simFams {
-		if !liveFams[name] {
+		if _, ok := liveFams[name]; !ok {
 			t.Errorf("family %s present in sim, missing in live", name)
 		}
 	}
 	for name := range liveFams {
-		if !simFams[name] {
+		if _, ok := simFams[name]; !ok {
 			t.Errorf("family %s present in live, missing in sim", name)
 		}
 	}
+	for _, name := range []string{enforce.MetricFlowTableEvents, enforce.MetricFlowShardEntries, enforce.MetricLabelShardEntries} {
+		if simFams[name] == 0 || liveFams[name] == 0 {
+			t.Errorf("family %s: %d sim series, %d live series; want both non-empty", name, simFams[name], liveFams[name])
+		}
+	}
+}
+
+// scraped returns one series' value from a scrape of reg — the text
+// /metrics serves — and whether the scrape had the series. series is the
+// family name with its labels as the exposition renders them, sorted by
+// key.
+func scraped(reg *metrics.Registry, series string) (float64, bool) {
+	sc := bufio.NewScanner(bytes.NewReader(reg.Snapshot().Text))
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }
 
 // TestLiveFlowTableEvents reads §III-D's classifications per flow off a
 // live device's registry: 20 flows of 3 packets each enter at a proxy,
 // so its flow table classifies each flow once (a miss and an insert)
-// and looks the other two packets up (hits). The device loop publishes
-// the table's counters with the shard gauges whenever it is woken.
+// and looks the other two packets up (hits). The registry reads the
+// table's counters when it is scraped; nothing wakes the device first.
 func TestLiveFlowTableEvents(t *testing.T) {
 	b := newObservedLiveBed(t, enforce.HotPotato)
 	proxyID, _ := b.dep.ProxyFor(1)
@@ -237,15 +268,11 @@ func TestLiveFlowTableEvents(t *testing.T) {
 			t.Fatalf("sink received %d of %d", b.sink.Received(), (p+1)*flows)
 		}
 	}
-	node := strconv.Itoa(int(proxyID))
 	event := func(name string) float64 {
-		return b.reg.Gauge(enforce.MetricFlowTableEvents, "node", node, "event", name).Value()
+		v, _ := scraped(b.reg, fmt.Sprintf(`%s{event=%q,node="%d"}`, enforce.MetricFlowTableEvents, name, proxyID))
+		return v
 	}
-	dev := b.devices[proxyID]
-	if !live.WaitUntil(3*time.Second, func() bool {
-		dev.Counters() // wakes the loop, which refreshes the sampled gauges
-		return event("hit") == flows*(perFlow-1)
-	}) {
+	if event("hit") != flows*(perFlow-1) {
 		t.Fatalf("hit = %v, want %d", event("hit"), flows*(perFlow-1))
 	}
 	if event("miss") != flows || event("inserted") != flows || event("null_hit") != 0 || event("expired") != 0 {
@@ -290,16 +317,115 @@ func TestLiveTxGauges(t *testing.T) {
 	if c.TunnelTx != 1 || c.LabelTx != more {
 		t.Fatalf("proxy counters: tunnel=%d label=%d, want 1/%d", c.TunnelTx, c.LabelTx, more)
 	}
-	node := strconv.Itoa(int(proxyID))
-	tx := func(mode string) float64 { return reg.Gauge(enforce.MetricTx, "node", node, "mode", mode).Value() }
-	if !live.WaitUntil(3*time.Second, func() bool {
-		dev.Counters() // wakes the loop, which refreshes the sampled gauges
-		return tx("label") == float64(c.LabelTx)
-	}) {
-		t.Fatalf("label gauge %v, LabelTx %d", tx("label"), c.LabelTx)
+	tx := func(mode string) float64 {
+		v, _ := scraped(reg, fmt.Sprintf(`%s{mode=%q,node="%d"}`, enforce.MetricTx, mode, proxyID))
+		return v
 	}
-	if tx("tunnel") != float64(c.TunnelTx) || tx("plain") != float64(c.PlainTx) || tx("control") != float64(c.ControlTx) {
-		t.Fatalf("tunnel/plain/control gauges %v/%v/%v, counters %d/%d/%d",
-			tx("tunnel"), tx("plain"), tx("control"), c.TunnelTx, c.PlainTx, c.ControlTx)
+	if tx("label") != float64(c.LabelTx) || tx("tunnel") != float64(c.TunnelTx) ||
+		tx("plain") != float64(c.PlainTx) || tx("control") != float64(c.ControlTx) {
+		t.Fatalf("label/tunnel/plain/control gauges %v/%v/%v/%v, counters %d/%d/%d/%d",
+			tx("label"), tx("tunnel"), tx("plain"), tx("control"), c.LabelTx, c.TunnelTx, c.PlainTx, c.ControlTx)
+	}
+}
+
+// TestLiveScrapeNotStale sends N flows through a proxy and then scrapes
+// once, with no Do or Counters call, no health probe and no sweep (the
+// configuration has no TTL) in between: the scrape must already show the
+// proxy's N tunnelled packets and N classifications. A registry that
+// holds copies refreshed when the device is woken would read 0 here.
+func TestLiveScrapeNotStale(t *testing.T) {
+	b := newObservedLiveBed(t, enforce.HotPotato)
+	proxyID, _ := b.dep.ProxyFor(1)
+	proxyAddr := b.dep.AddrOf(proxyID)
+	const n = 20
+	for i := 0; i < n; i++ {
+		if err := b.rt.Inject(proxyAddr, packet.New(observedLiveFlow(i), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The proxy classifies and tunnels a packet before the sink can
+	// receive it, so its counts are final once the sink has all n.
+	if !live.WaitUntil(3*time.Second, func() bool { return b.sink.Received() >= n }) {
+		t.Fatalf("sink received %d of %d", b.sink.Received(), n)
+	}
+	text := string(b.reg.Snapshot().Text)
+	for _, series := range []string{
+		fmt.Sprintf(`%s{mode="tunnel",node="%d"} %d`, enforce.MetricTx, proxyID, n),
+		fmt.Sprintf(`%s{event="miss",node="%d"} %d`, enforce.MetricFlowTableEvents, proxyID, n),
+	} {
+		if !strings.Contains(text, series+"\n") {
+			t.Errorf("scrape lacks %q:\n%s", series, text)
+		}
+	}
+}
+
+// TestLiveScrapeDuringInstall scrapes in a loop while a middlebox is
+// re-installed with new shard tuning, which gives it fresh flow and label
+// tables each time; under -race this checks that a read of the tables is
+// ordered with Install's replacement of them. The last scrape shows the
+// last tuning's shard count.
+func TestLiveScrapeDuringInstall(t *testing.T) {
+	b := newObservedLiveBed(t, enforce.HotPotato)
+	var mbID topo.NodeID
+	for id, n := range b.nodes {
+		if !n.IsProxy {
+			mbID = id
+			break
+		}
+	}
+	dev := b.devices[mbID]
+	stop := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		count := 0
+		for {
+			select {
+			case <-stop:
+				scrapes <- count
+				return
+			default:
+				b.reg.Snapshot()
+				count++
+			}
+		}
+	}()
+	shards := 0
+	for i := 0; i < 40; i++ {
+		shards = 1 << (i % 4)
+		dev.Do(func(n *enforce.Node) {
+			n.SetShardTuning(shards, shards)
+			if err := n.Install(n.Config()); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	close(stop)
+	if got := <-scrapes; got == 0 {
+		t.Fatal("no scrape ran beside the installs")
+	}
+	text := string(b.reg.Snapshot().Text)
+	for _, fam := range []string{enforce.MetricFlowShardEntries, enforce.MetricLabelShardEntries} {
+		if got := strings.Count(text, fmt.Sprintf(`%s{node="%d",`, fam, mbID)); got != shards {
+			t.Errorf("%s: %d series for node %d, want %d", fam, got, mbID, shards)
+		}
+	}
+}
+
+// TestLiveScrapeWhileWedged scrapes a registry whose device is wedged: a
+// read never waits on a device, so the scrape returns.
+func TestLiveScrapeWhileWedged(t *testing.T) {
+	b := newObservedLiveBed(t, enforce.HotPotato)
+	proxyID, _ := b.dep.ProxyFor(1)
+	release := b.devices[proxyID].Wedge()
+	defer release()
+	done := make(chan struct{})
+	go func() {
+		b.reg.Snapshot()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("scrape stalled on a wedged device")
 	}
 }

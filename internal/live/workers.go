@@ -196,17 +196,3 @@ func (d *Device) observeQueueDepth(depth int) {
 	}
 	d.queueDepth.Observe(int64(depth))
 }
-
-// syncGauges refreshes the sampled gauges — per-shard table occupancy and
-// the process-global pool hit/miss counters. Dispatcher-goroutine only,
-// called periodically between reads.
-func (d *Device) syncGauges() {
-	m := d.rt.lm.Load()
-	if m == nil {
-		return
-	}
-	hits, misses := packet.PoolStats()
-	m.poolHits.Set(float64(hits))
-	m.poolMisses.Set(float64(misses))
-	d.Node.SyncShardGauges()
-}

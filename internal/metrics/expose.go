@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -30,43 +31,44 @@ func (r *Registry) Snapshot() Snapshot {
 
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format, families and series in sorted order so output is
-// deterministic.
+// deterministic. Read families are read here, once per call; a family
+// with no series is left out.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	// Snapshot family/series structure under the lock; values are atomics
-	// and read lock-free afterwards.
+	// or reads, taken lock-free afterwards.
 	type seriesRef struct {
 		key string
-		m   interface{}
+		m   interface{} // a pushed metric, or a read's float64
 	}
 	type famRef struct {
 		f      *family
 		series []seriesRef
+		reads  []read
 	}
-	fams := make([]famRef, 0, len(names))
-	for _, name := range names {
-		f := r.families[name]
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fr := famRef{f: f}
-		for _, k := range keys {
-			fr.series = append(fr.series, seriesRef{key: k, m: f.series[k]})
+	r.mu.Lock()
+	fams := make([]famRef, 0, len(r.families))
+	for _, f := range r.families {
+		fr := famRef{f: f, reads: slices.Clone(f.reads)}
+		for k, m := range f.series {
+			fr.series = append(fr.series, seriesRef{key: k, m: m})
 		}
 		fams = append(fams, fr)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].f.name < fams[j].f.name })
 
 	var b bytes.Buffer
 	for _, fr := range fams {
 		f := fr.f
+		for _, rd := range fr.reads {
+			rd.fn(func(v float64, labels ...string) {
+				fr.series = append(fr.series, seriesRef{key: labelKey(labels), m: v})
+			})
+		}
+		if len(fr.series) == 0 {
+			continue
+		}
+		sort.Slice(fr.series, func(i, j int) bool { return fr.series[i].key < fr.series[j].key })
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
@@ -76,14 +78,24 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case *Counter:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.key, m.Value())
 			case *Gauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, s.key, strconv.FormatFloat(m.Value(), 'g', -1, 64))
+				writeGauge(&b, f.name, s.key, m.Value())
 			case *Histogram:
 				writeHistogram(&b, f.name, s.key, m)
+			case float64: // a read
+				if f.kind == kindCounter {
+					fmt.Fprintf(&b, "%s%s %d\n", f.name, s.key, int64(m))
+				} else {
+					writeGauge(&b, f.name, s.key, m)
+				}
 			}
 		}
 	}
 	_, err := w.Write(b.Bytes())
 	return err
+}
+
+func writeGauge(b *bytes.Buffer, name, key string, v float64) {
+	fmt.Fprintf(b, "%s%s %s\n", name, key, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // writeHistogram renders one histogram series: cumulative buckets, sum

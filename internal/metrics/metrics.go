@@ -1,12 +1,13 @@
 // Package metrics is a dependency-free observability registry: atomic
 // counters, gauges and fixed-bucket histograms addressed by name plus
-// label pairs, with a pluggable microsecond clock so the discrete-event
-// simulator stamps snapshots with virtual time while the live runtime
-// uses wall time. The registry is the single source the figure tables,
-// the conformance tests and the /metrics endpoint all read from; the
-// exposition (expose.go) is deterministic — families and series are
-// sorted — so two runs with identical inputs produce byte-identical
-// snapshots, which the determinism regression test asserts.
+// label pairs, reads of values their owners already keep, and a
+// pluggable microsecond clock so the discrete-event simulator stamps
+// snapshots with virtual time while the live runtime uses wall time. The
+// registry is the single source the figure tables, the conformance tests
+// and the /metrics endpoint all read from; the exposition (expose.go) is
+// deterministic — families and series are sorted — so two runs with
+// identical inputs produce byte-identical snapshots, which the
+// determinism regression test asserts.
 //
 // The package deliberately imports no time source of its own: callers
 // inject a Clock (sim: Engine.Now; live: Runtime.NowUS), so same-seed
@@ -16,6 +17,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,14 +139,25 @@ var LatencyBucketsUS = []int64{50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000
 // HopBuckets is the default bucket set for path hop counts.
 var HopBuckets = []int64{1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24}
 
-// family is one metric name: its kind, help text and label-addressed
-// series.
+// family is one metric name: its kind, help text, label-addressed
+// series and the reads that add series at exposition.
 type family struct {
 	name   string
 	kind   string
 	help   string
 	bounds []int64 // histograms only
 	series map[string]interface{}
+	reads  []read
+}
+
+// Emit reports one series of a read family: its value and its label
+// pairs (alternating key, value, as for Counter).
+type Emit func(v float64, labels ...string)
+
+// read is one owner's contribution to a read family.
+type read struct {
+	owner any
+	fn    func(Emit)
 }
 
 // Registry holds every metric family. All methods are safe for
@@ -285,6 +298,39 @@ func (r *Registry) Histogram(name string, bounds []int64, labels ...string) *His
 	h := &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
 	f.series[key] = h
 	return h
+}
+
+// ReadCounter publishes a counter family whose values an owner already
+// keeps: every exposition calls fn, which emits the owner's series of the
+// family as they are at that moment. Nothing is copied in between, so a
+// scrape is never staler than the owner's own count. fn runs outside the
+// registry's lock, possibly concurrently with the owner, and must not
+// block on it. Each owner reads a family once, and emits series no one
+// else in the family emits.
+func (r *Registry) ReadCounter(name string, owner any, fn func(Emit)) {
+	r.addRead(name, kindCounter, owner, fn)
+}
+
+// ReadGauge is ReadCounter for a gauge family.
+func (r *Registry) ReadGauge(name string, owner any, fn func(Emit)) {
+	r.addRead(name, kindGauge, owner, fn)
+}
+
+func (r *Registry) addRead(name, kind string, owner any, fn func(Emit)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.getFamily(name, kind, nil)
+	f.reads = append(f.reads, read{owner: owner, fn: fn})
+}
+
+// Unread removes every read owner registered, in every family: its series
+// leave the exposition. A scrape already under way may still call them.
+func (r *Registry) Unread(owner any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, f := range r.families {
+		f.reads = slices.DeleteFunc(f.reads, func(rd read) bool { return rd.owner == owner })
+	}
 }
 
 // SetHelp records a family's # HELP line. Unknown names are a no-op:

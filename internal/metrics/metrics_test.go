@@ -96,6 +96,39 @@ func TestExpositionDeterministicAndSorted(t *testing.T) {
 	}
 }
 
+func TestReadSeries(t *testing.T) {
+	r := NewRegistry(nil)
+	r.Counter("pkts_total", "node", "2").Add(4) // a pushed series beside the reads
+	var a, b int64 = 10, 20
+	ownerA, ownerB := new(int), new(int)
+	r.ReadCounter("pkts_total", ownerB, func(emit Emit) { emit(float64(b), "node", "3") })
+	r.ReadCounter("pkts_total", ownerA, func(emit Emit) { emit(float64(a), "node", "1") })
+	r.ReadGauge("depth", ownerA, func(emit Emit) { emit(0.5) })
+	r.ReadGauge("empty", ownerA, func(Emit) {})
+	expose := func() string {
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	a = 11 // read at exposition, not at registration
+	want := "# TYPE depth gauge\ndepth 0.5\n" +
+		"# TYPE pkts_total counter\n" +
+		`pkts_total{node="1"} 11` + "\n" + `pkts_total{node="2"} 4` + "\n" + `pkts_total{node="3"} 20` + "\n"
+	if got := expose(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Unread drops every read of an owner and keeps pushed series.
+	r.Unread(ownerA)
+	want = "# TYPE pkts_total counter\n" + `pkts_total{node="2"} 4` + "\n" + `pkts_total{node="3"} 20` + "\n"
+	if got := expose(); got != want {
+		t.Fatalf("after Unread:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry(nil)
 	r.Counter("esc_total", "k", "a\"b\\c\nd").Inc()

@@ -221,11 +221,6 @@ func (d Descriptor) SrcOverlaps(subnet netaddr.Prefix) bool {
 	return d.Src.Overlaps(subnet)
 }
 
-// DstOverlaps is the destination-side counterpart of SrcOverlaps.
-func (d Descriptor) DstOverlaps(subnet netaddr.Prefix) bool {
-	return d.Dst.Overlaps(subnet)
-}
-
 // String renders the descriptor compactly.
 func (d Descriptor) String() string {
 	src, dst := d.Src.String(), d.Dst.String()

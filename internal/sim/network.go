@@ -178,9 +178,6 @@ func (nw *Network) SetNodeDown(id topo.NodeID, down bool) {
 	}
 }
 
-// NodeDown reports whether a device is currently marked down.
-func (nw *Network) NodeDown(id topo.NodeID) bool { return nw.down[id] }
-
 // transit is one packet (or its fragment train) moving through routers.
 type transit struct {
 	pkt *packet.Packet
@@ -216,9 +213,6 @@ func (nw *Network) InjectFlow(ft netaddr.FiveTuple, packets, bytes int, start, g
 		at := start + int64(i)*gap + loopDelay
 		nw.Engine.After(at-nw.Engine.Now(), func() {
 			nw.stats.PacketsInjected++
-			if nw.m != nil {
-				nw.m.injected.Inc()
-			}
 			if nw.down[proxyID] {
 				// The subnet's proxy is dead: outbound traffic blackholes
 				// at the first hop until it recovers.

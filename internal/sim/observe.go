@@ -21,7 +21,6 @@ const (
 // simMetrics caches the network's registry handles.
 type simMetrics struct {
 	reg       *metrics.Registry
-	injected  *metrics.Counter
 	delivered *metrics.Counter
 	e2e       *metrics.Histogram
 	hops      *metrics.Histogram
@@ -38,19 +37,23 @@ func (nw *Network) NewRegistry() *metrics.Registry {
 
 // AttachMetrics wires a registry into the network and every enforcement
 // node: the dataplane families (per-node, per-func) plus the simulator's
-// path measurements — end-to-end latency, per-link hop latency, path hop
-// counts and middlebox queueing delay. nil detaches.
+// path measurements — packets injected (read from Stats at exposition),
+// end-to-end latency, per-link hop latency, path hop counts and
+// middlebox queueing delay. nil detaches.
 func (nw *Network) AttachMetrics(reg *metrics.Registry) {
 	for _, n := range nw.nodes {
 		n.SetMetrics(reg)
+	}
+	if nw.m != nil {
+		nw.m.reg.Unread(nw)
 	}
 	if reg == nil {
 		nw.m = nil
 		return
 	}
+	reg.ReadCounter(MetricInjected, nw, func(emit metrics.Emit) { emit(float64(nw.stats.PacketsInjected)) })
 	nw.m = &simMetrics{
 		reg:       reg,
-		injected:  reg.Counter(MetricInjected),
 		delivered: reg.Counter(MetricDelivered),
 		e2e:       reg.Histogram(MetricE2ELatency, metrics.LatencyBucketsUS),
 		hops:      reg.Histogram(MetricPathHops, metrics.HopBuckets),
@@ -59,14 +62,6 @@ func (nw *Network) AttachMetrics(reg *metrics.Registry) {
 	}
 	reg.SetHelp(MetricE2ELatency, "end-to-end delivery latency of injected data packets")
 	reg.SetHelp(MetricPathHops, "router-to-router transmissions per delivered packet")
-}
-
-// Registry returns the attached registry (nil if none).
-func (nw *Network) Registry() *metrics.Registry {
-	if nw.m == nil {
-		return nil
-	}
-	return nw.m.reg
 }
 
 // SetTracer attaches a runtime tracer to every enforcement node (and to
@@ -88,18 +83,8 @@ func (nw *Network) SnapshotEvery(every, until int64) {
 	}
 	for at := every; at <= until; at += every {
 		nw.Engine.After(at-nw.Engine.Now(), func() {
-			nw.SyncGauges()
 			nw.snaps = append(nw.snaps, nw.m.reg.Snapshot())
 		})
-	}
-}
-
-// SyncGauges refreshes every node's sampled gauges (enforce's
-// SyncShardGauges), as a live device does when it is woken; the scheduled
-// snapshots call it first.
-func (nw *Network) SyncGauges() {
-	for _, n := range nw.nodes {
-		n.SyncShardGauges()
 	}
 }
 

@@ -55,14 +55,6 @@ func ViewOf(epoch uint64, cfg enforce.Config) NodePlanView {
 	}
 }
 
-// ViewOfTerm is ViewOf carrying the leadership term the node's agent
-// last saw (mgmt.Agent.LastTerm) — replicated-controller deployments.
-func ViewOfTerm(epoch, term uint64, cfg enforce.Config) NodePlanView {
-	v := ViewOf(epoch, cfg)
-	v.Term = term
-	return v
-}
-
 // policyDigest renders the policy table deterministically: sorted by ID,
 // each policy's identity, priority, descriptor, and chain.
 func policyDigest(cfg enforce.Config) string {
