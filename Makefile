@@ -120,12 +120,14 @@ bench-compare:
 # edge cases: a refused or oversize frame mid-batch, a cut datagram, a
 # command after a burst, a sink's errors), and the metrics reads: a scrape
 # right after traffic with no device woken, scrapes while a device's
-# tables are rebuilt by Install, and a scrape of a wedged device.
+# tables are rebuilt by Install, and a scrape of a wedged device. Last,
+# the packet pool's tests: goroutines on every P taking, stamping and
+# putting back packets, with exact counts.
 # -count=5 shakes out schedule-dependent interleavings.
 race-stress:
 	$(GO) test -race -count=5 \
-		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire|Batch|SinkCountsErrors|Scrape' \
-		./internal/flowtable/ ./internal/live/
+		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire|Batch|SinkCountsErrors|Scrape|TestPool' \
+		./internal/flowtable/ ./internal/live/ ./internal/packet/
 
 # Flake hunt for the packages that cross a wire or a clock: 20 passes
 # under the race detector at GOMAXPROCS 1 and 2, where a test that waits

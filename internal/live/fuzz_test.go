@@ -29,39 +29,19 @@ func frameParses(frame []byte) bool {
 	return err == nil
 }
 
-// poolView is the packet pool as seen with nobody holding a packet.
-type poolView struct {
-	free      int   // packets on the free list
-	allocated int64 // Gets that found it empty, before this look
-}
-
-// viewPool counts the free list by emptying it and putting it back. The
-// Get that finds it empty is a miss of the view's own; its packet is
-// dropped, so the list is left as it was found.
-func viewPool() poolView {
-	_, misses := packet.PoolStats()
-	v := poolView{allocated: misses}
-	var held []*packet.Packet
-	for {
-		p := packet.Get()
-		if _, now := packet.PoolStats(); now != misses {
-			break
-		}
-		held = append(held, p)
-	}
-	for _, p := range held {
-		packet.Put(p)
-	}
-	v.free = len(held)
-	return v
+// outstanding is the number of packets out of the pool: Gets not yet
+// matched by a Put.
+func outstanding() int64 {
+	hits, misses := packet.PoolStats()
+	return hits + misses - packet.PoolPuts()
 }
 
 // FuzzDispatchFrame sends arbitrary datagrams through the door every frame
 // comes in by — Device.dispatch, and behind it unmarshalControl,
 // packet.UnmarshalInto and the node's handlers — on a proxy and on a
 // middlebox of one worker each. No datagram panics, one the parser rejects
-// counts once in Errors, and the packet the dispatcher took from the pool
-// is back in it when the worker is done.
+// counts once in Errors, and every packet the dispatcher took from the pool
+// has been Put back exactly once when the worker is done.
 func FuzzDispatchFrame(f *testing.F) {
 	b := newWorkerBed(f, 1)
 	flow := workerFlow(0)
@@ -97,13 +77,12 @@ func FuzzDispatchFrame(f *testing.F) {
 		for _, d := range []*Device{b.proxy, b.mb} {
 			// A Do runs on the dispatcher, where dispatch belongs, and
 			// only after the worker has finished what came before it.
-			var before, after poolView
-			var errs int64
+			var before, after, errs int64
 			ok := d.Do(func(*enforce.Node) {
-				before, errs = viewPool(), d.Errors.Load()
+				before, errs = outstanding(), d.Errors.Load()
 				d.dispatch(frame, d.rt.now())
 			}) && d.Do(func(*enforce.Node) {
-				after, errs = viewPool(), d.Errors.Load()-errs
+				after, errs = outstanding(), d.Errors.Load()-errs
 			})
 			if !ok {
 				t.Fatal("device stopped")
@@ -115,9 +94,9 @@ func FuzzDispatchFrame(f *testing.F) {
 			} else if errs != 1 {
 				t.Fatalf("%x: rejected, and counted %d errors, want 1", frame, errs)
 			}
-			// before's own miss is the 1.
-			if grown, made := after.free-before.free, after.allocated-before.allocated-1; int64(grown) != made {
-				t.Fatalf("%x: pool grew by %d packets and allocated %d: one was not put back", frame, grown, made)
+			// A missing Put leaves one more out, a double Put one fewer.
+			if after != before {
+				t.Fatalf("%x: %d packets out of the pool after the frame, %d before: a Get and its Put do not match", frame, after, before)
 			}
 		}
 	})

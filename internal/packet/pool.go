@@ -10,55 +10,48 @@
 // must Clone it or build its own with New.
 package packet
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// pktPool counts Get outcomes beside the free list: a hit reused a pooled
-// object, a miss allocated a fresh one. The live runtime mirrors these
-// into its metrics registry (pool effectiveness is a first-class dataplane
-// signal: a sustained miss rate means the path is not allocation-free).
+// pktPool is a sync.Pool: a private slot and a shared list per P, so a
+// worker takes back the packet it put on its own core and touches no
+// lock, plus a victim cache that keeps a packet through one GC. Packets
+// idle across two GC cycles return to the heap. Beside it, exact counts:
+// a hit reused a pooled object, a miss allocated a fresh one, and puts
+// let a caller check that every Get was matched by one Put. The live
+// runtime reads hits and misses into its metrics registry (a sustained
+// miss rate means the path is not allocation-free).
 var pktPool struct {
-	free   chan *Packet
-	hits   atomic.Int64
-	misses atomic.Int64
+	free               sync.Pool
+	hits, misses, puts atomic.Int64
 }
 
 // WireBufferSize bounds a frame on the wire: one UDP datagram on the
 // loopback fabric never exceeds 64 KiB.
 const WireBufferSize = 64 * 1024
 
-func init() {
-	// A fixed-capacity free list instead of sync.Pool: the dataplane wants
-	// deterministic reuse (sync.Pool drops its content on GC, turning
-	// steady state back into an allocation storm after every cycle) and
-	// the channel doubles as the bound on retained memory.
-	pktPool.free = make(chan *Packet, 4096)
-}
-
 // Get returns a reset Packet from the pool, allocating if the pool is
 // empty.
 func Get() *Packet {
-	select {
-	case p := <-pktPool.free:
+	if p, _ := pktPool.free.Get().(*Packet); p != nil {
 		pktPool.hits.Add(1)
 		return p
-	default:
-		pktPool.misses.Add(1)
-		return &Packet{}
 	}
+	pktPool.misses.Add(1)
+	return &Packet{}
 }
 
 // Put resets p and returns it to the pool. p must not be used after Put.
-// Putting nil is a no-op; if the pool is full the packet is dropped for
-// the GC.
+// Putting nil is a no-op.
 func Put(p *Packet) {
 	if p == nil {
 		return
 	}
 	p.Reset()
-	select {
-	case pktPool.free <- p:
-	default:
-	}
+	pktPool.puts.Add(1)
+	pktPool.free.Put(p)
 }
 
 // PoolStats reports cumulative pool activity: hits (Get served from the
@@ -66,3 +59,7 @@ func Put(p *Packet) {
 func PoolStats() (hits, misses int64) {
 	return pktPool.hits.Load(), pktPool.misses.Load()
 }
+
+// PoolPuts reports how many packets Put has taken back; hits + misses −
+// puts is the number of packets out of the pool right now.
+func PoolPuts() int64 { return pktPool.puts.Load() }
