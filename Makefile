@@ -88,6 +88,7 @@ cover:
 verify-examples:
 	$(GO) run ./cmd/sdme-topo -topology campus -verify
 	$(GO) run ./cmd/sdme-topo -topology waxman -verify
+	$(GO) run ./cmd/sdme-topo -topology campus -observe
 
 # The repository benchmark (bench/README.md): five time-bounded workloads
 # over the real dataplane nodes, the live runtime and the control loop

@@ -317,28 +317,10 @@ func run() error {
 		for _, h := range rtr.Hops[:min(len(rtr.Hops), len(planned.Hops))] {
 			fmt.Printf("  %-12s ran %v\n", g.Node(h.Node).Name, h.Func)
 		}
-		// Every packet of the flow must walk the planned chain. Packets
-		// pipeline, so hop records of different packets interleave; the
-		// invariant that survives interleaving is per-(node, func) counts:
-		// each planned hop seen exactly once per packet, nothing else.
-		type hopKey struct {
-			node topo.NodeID
-			f    policy.FuncType
-		}
-		got := make(map[hopKey]int)
-		for _, h := range rtr.Hops {
-			got[hopKey{h.Node, h.Func}]++
-		}
-		n := len(rtr.Hops) / max(len(planned.Hops), 1)
-		conforms := len(planned.Hops) > 0 && len(rtr.Hops) == n*len(planned.Hops)
-		for _, p := range planned.Hops {
-			if got[hopKey{p.Node, p.Func}] != n {
-				conforms = false
-			}
-			delete(got, hopKey{p.Node, p.Func})
-		}
-		conforms = conforms && len(got) == 0
-		fmt.Printf("matches static plan across %d packets: %v\n", n, conforms)
+		// Every packet of the flow must walk the planned chain, in order.
+		// Packets pipeline, so the hop records of different packets
+		// interleave.
+		fmt.Printf("matches static plan across %d packets: %v\n", *packets, planned.Conforms(rtr, *packets))
 	}
 
 	if *metricsAddr != "" && *hold > 0 {

@@ -7,11 +7,11 @@
 //	sdme-topo [-topology campus|waxman] [-seed 20] [-routes edge1]
 //	          [-candidates proxy-edge1] [-observe]
 //
-// -observe runs the unified observability layer over the simulated
-// dataplane: it injects enforced flows with the metrics registry and
-// the runtime packet tracer attached, differentially checks every
-// sampled runtime trace against the static plan for both the HP and LB
-// selectors, and prints a virtual-time metrics exposition excerpt.
+// -observe runs experiments.Conform on the simulated dataplane for both
+// the HP and LB selectors: enforced flows cross it with the metrics
+// registry and the runtime packet tracer attached, every flow's hops are
+// checked against the static plan, and a virtual-time metrics exposition
+// excerpt is printed. A flow that leaves its plan fails the command.
 package main
 
 import (
@@ -47,7 +47,6 @@ func run() error {
 	audit := flag.Bool("audit", false, "build the default deployment and audit enforceability of every policy")
 	verifyPlan := flag.Bool("verify", false, "statically verify the controller's plan (candidate sets and LB weights) before any install")
 	observe := flag.Bool("observe", false, "run observed simulation: runtime traces vs static plans, plus a metrics exposition excerpt")
-	observeFlows := flag.Int("observe-flows", 50, "enforced flows per selector for -observe")
 	flag.Parse()
 
 	bed, err := experiments.NewBed(experiments.Config{Topology: *topoName, Seed: *seed, PoliciesPerClass: 1})
@@ -148,7 +147,7 @@ func run() error {
 	}
 
 	if *observe {
-		if err := runObserve(*topoName, *seed, *observeFlows); err != nil {
+		if err := runObserve(g, *topoName, *seed); err != nil {
 			return err
 		}
 	}
@@ -178,64 +177,52 @@ func run() error {
 	return nil
 }
 
-// runObserve drives the observability layer end to end on the simulated
-// dataplane: for each selector it injects enforced flows with metrics
-// and tracing attached and reports whether every sampled runtime trace
-// reproduced the static plan, then prints an exposition excerpt.
-func runObserve(topology string, seed int64, flows int) error {
-	fmt.Printf("\nobserved simulation (%d enforced flows per selector):\n", flows)
-	var last *experiments.ObservedRun
+// runObserve runs the conformance check on the simulated dataplane under
+// both selectors: enforced flows, three packets each, cross it with the
+// metrics registry and the runtime tracer attached, and every flow's hops
+// must conform to its static plan — a mismatch fails the command. It
+// prints one flow's hop records and an excerpt of the exposition. g is
+// the topology Conform builds: a bed's graph and placement do not depend
+// on its policy count.
+func runObserve(g *topo.Graph, topology string, seed int64) error {
+	fmt.Println("\nobserved simulation:")
+	mismatches := 0
+	var last *experiments.Reading
 	for _, strat := range []enforce.Strategy{enforce.HotPotato, enforce.LoadBalanced} {
-		// A fresh bed per selector: the flow draw consumes the bed's rng,
-		// so both selectors see the same workload.
-		bed, err := experiments.NewBed(experiments.Config{Topology: topology, Seed: seed, PoliciesPerClass: 4})
-		if err != nil {
-			return err
-		}
-		run, err := bed.RunObserved(experiments.ObserveConfig{
-			Strategy: strat, Flows: flows, SnapshotEveryUS: 100_000,
-		})
+		r, err := experiments.Conform(experiments.Sim, experiments.Conformance{Topology: topology, Seed: seed, Strategy: strat})
 		if err != nil {
 			return fmt.Errorf("observe %v: %w", strat, err)
 		}
 		status := "all runtime traces match the static plans"
-		if n := len(run.Mismatches); n > 0 {
+		if n := len(r.Mismatches); n > 0 {
 			status = fmt.Sprintf("%d MISMATCHES", n)
 		}
 		extra := ""
 		if strat == enforce.LoadBalanced {
-			extra = fmt.Sprintf(", λ=%.0f", run.Lambda)
+			extra = fmt.Sprintf(", λ=%.0f", r.Lambda)
 		}
-		fmt.Printf("  %-4v %d flows, %d hop records sampled%s: %s\n",
-			strat, len(run.Flows), run.Tracer.Total(), extra, status)
-		for _, m := range run.Mismatches {
-			fmt.Println("    " + m.String())
+		fmt.Printf("  %-4v %d flows, %d of %d packets delivered, %d hop records%s: %s\n",
+			strat, len(r.Flows), r.Delivered, r.Sent, r.Tracer.Total(), extra, status)
+		for _, m := range r.Mismatches {
+			fmt.Println("    " + m)
 		}
-		if last = run; strat == enforce.HotPotato && len(run.Flows) > 0 {
-			g := bed.Graph
-			ft := run.Flows[0]
+		mismatches += len(r.Mismatches)
+		if last = r; strat == enforce.HotPotato {
+			ft := r.Flows[0]
 			fmt.Printf("  example: flow %v\n", ft)
-			for _, h := range run.Tracer.FlowRecords(ft) {
+			for _, h := range r.Tracer.FlowRecords(ft) {
 				fn := ""
 				if h.Func != 0 {
 					fn = " " + h.Func.String()
 				}
-				wait := ""
-				if h.WaitUS > 0 {
-					wait = fmt.Sprintf(" (queued %dus)", h.WaitUS)
-				}
-				fmt.Printf("    t=%-6dus %-12s %v%s%s\n", h.AtUS, g.Node(h.Node).Name, h.Event, fn, wait)
+				fmt.Printf("    t=%-6dus %-12s %v%s\n", h.AtUS, g.Node(h.Node).Name, h.Event, fn)
 			}
 		}
 	}
 
-	snaps := last.Network.Snapshots()
-	fmt.Printf("\n  %d virtual-time registry snapshots taken; final exposition excerpt:\n", len(snaps))
-	families := []string{
-		sim.MetricDelivered, sim.MetricE2ELatency, enforce.MetricFuncPkts,
-		controller.MetricLambda, controller.MetricSolves,
-	}
-	sc := bufio.NewScanner(bytes.NewReader(last.Registry.Snapshot().Text))
+	fmt.Println("\n  final exposition excerpt:")
+	families := []string{sim.MetricDelivered, sim.MetricE2ELatency, enforce.MetricFuncPkts}
+	sc := bufio.NewScanner(bytes.NewReader(last.Exposition))
 	shown := 0
 	for sc.Scan() && shown < 14 {
 		line := sc.Text()
@@ -246,6 +233,9 @@ func runObserve(topology string, seed int64, flows int) error {
 				break
 			}
 		}
+	}
+	if mismatches > 0 {
+		return fmt.Errorf("%d flows left their static plans", mismatches)
 	}
 	return nil
 }

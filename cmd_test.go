@@ -27,6 +27,7 @@ func TestCmdSmoke(t *testing.T) {
 		{[]string{"sdme-live", "-packets", "3"}, "matches static plan across 3 packets: true"},
 		{[]string{"sdme-live", "-peers", "3"}, "| ha | live | 20 | 3 | 1 |"},
 		{[]string{"sdme-topo", "-topology", "campus", "-verify"}, "ok: 32 nodes, 3 policies, no violations"},
+		{[]string{"sdme-topo", "-topology", "campus", "-observe"}, "all runtime traces match the static plans"},
 		{[]string{"sdme-results", "-quick"}, "markdown -> results/EXPERIMENTS.generated.md"},
 	} {
 		tc := tc

@@ -678,6 +678,42 @@ func TestTraceFlowMatchesDataplane(t *testing.T) {
 	}
 }
 
+// TestTraceConforms holds the conformance predicate to its definition:
+// the runtime hops of n packets are n in-order copies of the plan,
+// interleaved any way. A copy out of order, a hop missing or repeated, or
+// a middlebox outside the plan fails it.
+func TestTraceConforms(t *testing.T) {
+	fw := enforce.TraceHop{Node: 4, Func: policy.FuncFW}
+	ids := enforce.TraceHop{Node: 7, Func: policy.FuncIDS}
+	tm := enforce.TraceHop{Node: 9, Func: policy.FuncTM}
+	plan := &enforce.Trace{Hops: []enforce.TraceHop{fw, ids, tm}}
+	hops := func(h ...enforce.TraceHop) *enforce.Trace { return &enforce.Trace{Hops: h} }
+	for _, tc := range []struct {
+		name    string
+		rt      *enforce.Trace
+		packets int
+		want    bool
+	}{
+		{"one packet", hops(fw, ids, tm), 1, true},
+		{"two copies in turn", hops(fw, ids, tm, fw, ids, tm), 2, true},
+		{"two copies interleaved", hops(fw, fw, ids, tm, ids, tm), 2, true},
+		{"reordered copy", hops(fw, ids, tm, ids, fw, tm), 2, false},
+		{"second copy overtakes", hops(fw, ids, ids, fw, tm, tm), 2, false},
+		{"missing hop", hops(fw, ids, tm, fw, tm), 2, false},
+		{"extra hop", hops(fw, ids, tm, fw, ids, tm, tm), 2, false},
+		{"one copy for two packets", hops(fw, ids, tm), 2, false},
+		{"foreign node", hops(fw, ids, tm, fw, enforce.TraceHop{Node: 8, Func: policy.FuncIDS}, tm), 2, false},
+		{"foreign function", hops(fw, ids, tm, fw, enforce.TraceHop{Node: 7, Func: policy.FuncTM}, tm), 2, false},
+	} {
+		if got := plan.Conforms(tc.rt, tc.packets); got != tc.want {
+			t.Errorf("%s: Conforms = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if !plan.SamePath(hops(fw, ids, tm)) || plan.SamePath(hops(fw, tm, ids)) {
+		t.Error("SamePath is not the one-packet case of Conforms")
+	}
+}
+
 func TestTraceFlowUnmatched(t *testing.T) {
 	tb := newTestbed(t, controller.Options{Strategy: enforce.HotPotato}, webPolicy)
 	tr, err := enforce.TraceFlow(tb.nodes, tb.dep, tb.ap, flowFromSubnet(1, 2, 9999))

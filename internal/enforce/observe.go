@@ -271,10 +271,10 @@ func (t *RuntimeTracer) FlowRecords(ft netaddr.FiveTuple) []HopRecord {
 
 // RuntimeTrace condenses a flow's HopProcess records into the same shape
 // as the static plan (TraceFlow): the sequence of (middlebox, function)
-// hops its packets actually traversed. With one packet per flow — how
-// the conformance suite drives it — the sequence is exactly the chain;
-// with pipelined multi-packet flows, hops of different packets
-// interleave in record order.
+// hops its packets actually traversed. With one packet the sequence is
+// exactly the chain; with pipelined multi-packet flows, hops of different
+// packets interleave in record order (Conforms accepts exactly those
+// interleavings).
 func (t *RuntimeTracer) RuntimeTrace(ft netaddr.FiveTuple) *Trace {
 	tr := &Trace{Flow: ft}
 	for _, r := range t.FlowRecords(ft) {
@@ -286,21 +286,41 @@ func (t *RuntimeTracer) RuntimeTrace(ft netaddr.FiveTuple) *Trace {
 	return tr
 }
 
-// SamePath reports whether two traces visit the same middleboxes running
-// the same functions in the same order — the plan/runtime conformance
-// predicate (costs and candidate sets are plan-side detail and are not
-// compared).
-func (tr *Trace) SamePath(other *Trace) bool {
-	if len(tr.Hops) != len(other.Hops) {
+// Conforms reports whether the runtime trace rt is what the given number
+// of packets leave when each walks the plan tr in order: rt holds exactly
+// that many copies of tr's (middlebox, function) hops, interleaved in any
+// way that keeps every copy in plan order. Packets of one flow pipeline,
+// so their records interleave. A chain names a function once, so a
+// (middlebox, function) pair occurs once in tr and one counting pass
+// decides it: a hop is admissible while fewer packets have reached it than
+// its predecessor. Costs and candidate sets are plan-side detail and are
+// not compared.
+func (tr *Trace) Conforms(rt *Trace, packets int) bool {
+	if len(rt.Hops) != packets*len(tr.Hops) {
 		return false
 	}
+	type step struct {
+		node topo.NodeID
+		f    policy.FuncType
+	}
+	at := make(map[step]int, len(tr.Hops))
 	for i, h := range tr.Hops {
-		if h.Node != other.Hops[i].Node || h.Func != other.Hops[i].Func {
+		at[step{h.Node, h.Func}] = i
+	}
+	reached := make([]int, len(tr.Hops))
+	for _, h := range rt.Hops {
+		i, ok := at[step{h.Node, h.Func}]
+		if !ok || reached[i] == packets || i > 0 && reached[i] == reached[i-1] {
 			return false
 		}
+		reached[i]++
 	}
 	return true
 }
+
+// SamePath reports whether two one-packet traces visit the same
+// middleboxes running the same functions in the same order.
+func (tr *Trace) SamePath(other *Trace) bool { return tr.Conforms(other, 1) }
 
 // SetTracer attaches a runtime tracer (nil detaches). Like SetMetrics,
 // attach before the node's owner starts driving it.

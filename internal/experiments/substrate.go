@@ -307,6 +307,9 @@ type Backend struct {
 	// newSubstrate brings up sc's control plane — Replicas, Seed — beside
 	// the site's dataplane; journals live in dir ("": none is kept).
 	newSubstrate func(site Site, sc Scenario, dir string) (Substrate, error)
+	// conform brings a conformance run's dataplane up over the site, its
+	// nodes reporting to tracer, for flows to cross.
+	conform func(site Site, flows []netaddr.FiveTuple, tracer *enforce.RuntimeTracer) (*conformPlane, error)
 }
 
 func (b Backend) String() string { return b.name }

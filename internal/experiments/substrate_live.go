@@ -29,6 +29,7 @@ var Live = Backend{
 	name:         "live",
 	leaseUS:      liveLeaseUS,
 	newSubstrate: newLive,
+	conform:      liveConform,
 }
 
 // liveLeaseUS is the election lease wall-clock timers can keep on a busy

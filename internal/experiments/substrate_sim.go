@@ -18,7 +18,7 @@ import (
 // Sim runs a story on the discrete-event simulator: virtual time, exact
 // drop accounting, no management channel — the same seed gives the same
 // numbers.
-var Sim = Backend{name: "sim", leaseUS: simLeaseUS, newSubstrate: newSim}
+var Sim = Backend{name: "sim", leaseUS: simLeaseUS, newSubstrate: newSim, conform: simConform}
 
 const simLeaseUS = 20_000
 

@@ -8,6 +8,7 @@ import (
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
 	"sdme/internal/live"
+	"sdme/internal/metrics"
 	"sdme/internal/netaddr"
 	"sdme/internal/packet"
 	"sdme/internal/policy"
@@ -15,13 +16,16 @@ import (
 	"sdme/internal/topo"
 )
 
-// liveBed spins up a small deployment as real UDP endpoints.
+// liveBed spins up a small deployment as real UDP endpoints, with a
+// registry and a runtime tracer attached to every device.
 type liveBed struct {
 	rt      *live.Runtime
 	dep     *enforce.Deployment
 	devices map[topo.NodeID]*live.Device
 	sink    *live.Sink
 	tbl     *policy.Table
+	reg     *metrics.Registry
+	tracer  *enforce.RuntimeTracer
 }
 
 func newLiveBed(t *testing.T, opts controller.Options) *liveBed {
@@ -55,8 +59,14 @@ func newLiveBed(t *testing.T, opts controller.Options) *liveBed {
 
 	rt := live.NewRuntime()
 	t.Cleanup(rt.Close)
+	reg := rt.NewRegistry()
+	rt.AttachMetrics(reg)
+	tracer := enforce.NewRuntimeTracer(0, 1, 2)
 	devices := make(map[topo.NodeID]*live.Device)
 	for id, n := range nodes {
+		// Attached before the device owns the node.
+		n.SetMetrics(reg)
+		n.SetTracer(tracer)
 		dev, err := rt.AddDevice(n)
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +82,7 @@ func newLiveBed(t *testing.T, opts controller.Options) *liveBed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &liveBed{rt: rt, dep: dep, devices: devices, sink: sink, tbl: tbl}
+	return &liveBed{rt: rt, dep: dep, devices: devices, sink: sink, tbl: tbl, reg: reg, tracer: tracer}
 }
 
 func liveFlow(n uint16) netaddr.FiveTuple {
@@ -106,12 +116,19 @@ func TestLiveEndToEndChain(t *testing.T) {
 	if enc != 0 || lab != 0 {
 		t.Errorf("delivered packets still encapsulated (%d) or labeled (%d)", enc, lab)
 	}
-	// Both middleboxes processed every packet, over real sockets.
+	// Both middleboxes processed every packet, over real sockets, and
+	// every packet met fw1 before ids1.
 	for _, id := range b.dep.MBNodes {
 		c := b.devices[id].Counters()
 		if c.Load != n {
 			t.Errorf("middlebox %v load = %d, want %d", id, c.Load, n)
 		}
+	}
+	plan := &enforce.Trace{Hops: []enforce.TraceHop{
+		{Node: b.dep.MBNodes[0], Func: policy.FuncFW}, {Node: b.dep.MBNodes[1], Func: policy.FuncIDS},
+	}}
+	if rt := b.tracer.RuntimeTrace(ft); !plan.Conforms(rt, n) {
+		t.Errorf("runtime hops %v are not %d in-order copies of %v", rt.Hops, n, plan.Hops)
 	}
 	if b.rt.Blackholed.Load() != 0 {
 		t.Errorf("blackholed datagrams: %d", b.rt.Blackholed.Load())

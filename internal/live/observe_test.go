@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,218 +14,53 @@ import (
 	"sdme/internal/experiments"
 	"sdme/internal/live"
 	"sdme/internal/metrics"
-	"sdme/internal/netaddr"
 	"sdme/internal/packet"
-	"sdme/internal/policy"
-	"sdme/internal/route"
-	"sdme/internal/topo"
 )
 
-// observedLiveBed is a liveBed with the observability layer attached:
-// the registry and tracer are wired into every node BEFORE AddDevice
-// hands the node to its device goroutine.
-type observedLiveBed struct {
-	*liveBed
-	reg    *metrics.Registry
-	tracer *enforce.RuntimeTracer
-	nodes  map[topo.NodeID]*enforce.Node
-	dep    *enforce.Deployment
-	ap     *route.AllPairs
-}
-
-func newObservedLiveBed(t *testing.T, strategy enforce.Strategy) *observedLiveBed {
-	t.Helper()
-	rng := rand.New(rand.NewSource(2))
-	g := topo.Campus(topo.CampusConfig{Gateways: 2, CoreRouters: 4, EdgeRouters: 2, WithProxies: true}, rng)
-	dep, err := enforce.NewDeployment(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cores := g.NodesOfKind(topo.KindCoreRouter)
-	dep.AddMiddlebox(cores[0], "fw1", policy.FuncFW)
-	dep.AddMiddlebox(cores[2], "fw2", policy.FuncFW)
-	dep.AddMiddlebox(cores[1], "ids1", policy.FuncIDS)
-
-	tbl := policy.NewTable()
-	d := policy.NewDescriptor()
-	d.DstPort = netaddr.SinglePort(80)
-	tbl.Add(d, policy.ActionList{policy.FuncFW, policy.FuncIDS})
-
-	ap := route.NewAllPairs(g, route.RouterTransitOnly(g))
-	ctl := controller.New(dep, ap, tbl, controller.Options{
-		Strategy: strategy,
-		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1},
-		HashSeed: 2,
-	})
-	// The plan is compiled over the flows the test will send (under LB the
-	// weights are solved for them) and the nodes built from it before the
-	// devices start, so the static plan and the runtime selection share
-	// one configuration.
-	demands := make([]enforce.FlowDemand, 0, 50)
-	for i := 0; i < 50; i++ {
-		demands = append(demands, enforce.FlowDemand{Tuple: observedLiveFlow(i), Packets: 1})
-	}
-	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(controller.MeasurementsFromFlows(dep, tbl, demands))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rt := live.NewRuntime()
-	t.Cleanup(rt.Close)
-	reg := rt.NewRegistry()
-	rt.AttachMetrics(reg)
-	tracer := enforce.NewRuntimeTracer(4096, 1, 2)
-
-	devices := make(map[topo.NodeID]*live.Device)
-	for id, n := range nodes {
-		n.SetMetrics(reg)
-		n.SetTracer(tracer)
-		dev, err := rt.AddDevice(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		devices[id] = dev
-	}
-	addrs := make([]netaddr.Addr, 0, 8)
-	for h := 1; h <= 8; h++ {
-		addrs = append(addrs, topo.HostAddr(2, h))
-	}
-	sink, err := rt.AddSink(addrs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &observedLiveBed{
-		liveBed: &liveBed{rt: rt, dep: dep, devices: devices, sink: sink, tbl: tbl},
-		reg:     reg, tracer: tracer, nodes: nodes, dep: dep, ap: ap,
-	}
-}
-
-func observedLiveFlow(i int) netaddr.FiveTuple {
-	return netaddr.FiveTuple{
-		Src: topo.HostAddr(1, 1+i%8), Dst: topo.HostAddr(2, 1+(i/8)%8),
-		SrcPort: uint16(31000 + i), DstPort: 80, Proto: netaddr.ProtoTCP,
-	}
-}
-
-// TestLiveDifferentialConformance is the live half of the differential
-// suite: the same plan-vs-runtime check as the sim tests, but with the
-// packets crossing real UDP sockets. Both selectors must reproduce the
-// static plan on every sampled flow.
+// TestLiveDifferentialConformance is the conformance run on real UDP
+// sockets: every flow's packets, the later ones label-switched, must walk
+// the static plan under both selectors.
 func TestLiveDifferentialConformance(t *testing.T) {
 	for _, strategy := range []enforce.Strategy{enforce.HotPotato, enforce.LoadBalanced} {
 		t.Run(strategy.String(), func(t *testing.T) {
-			b := newObservedLiveBed(t, strategy)
-			proxyID, _ := b.dep.ProxyFor(1)
-			proxyAddr := b.dep.AddrOf(proxyID)
-
-			const n = 50
-			flows := make([]netaddr.FiveTuple, n)
-			planned := make([]*enforce.Trace, n)
-			for i := range flows {
-				flows[i] = observedLiveFlow(i)
-				tr, err := enforce.TraceFlow(b.nodes, b.dep, b.ap, flows[i])
-				if err != nil {
-					t.Fatalf("plan trace %v: %v", flows[i], err)
-				}
-				planned[i] = tr
+			r, err := experiments.Conform(experiments.Live, experiments.Conformance{
+				Topology: "campus", Seed: 2, Strategy: strategy, LabelSwitching: true,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, ft := range flows {
-				if err := b.rt.Inject(proxyAddr, packet.New(ft, 64)); err != nil {
-					t.Fatal(err)
-				}
+			for _, m := range r.Mismatches {
+				t.Error(m)
 			}
-			if !live.WaitUntil(5*time.Second, func() bool { return b.sink.Received() >= n }) {
-				t.Fatalf("sink received %d of %d", b.sink.Received(), n)
-			}
-
-			mismatches := 0
-			for i, ft := range flows {
-				rt := b.tracer.RuntimeTrace(ft)
-				if !planned[i].SamePath(rt) {
-					mismatches++
-					t.Errorf("flow %v: planned %v, runtime %v", ft, planned[i].Hops, rt.Hops)
-				}
-			}
-			if mismatches == 0 {
-				t.Logf("%v: %d live runtime traces match static plans (%d hop records)",
-					strategy, n, b.tracer.Total())
+			if r.Delivered != r.Sent || r.LabelTx == 0 {
+				t.Errorf("delivered %d of %d, %d label-switched", r.Delivered, r.Sent, r.LabelTx)
 			}
 		})
 	}
 }
 
-// TestLiveSimMetricNameParity asserts the acceptance criterion that the
-// sim and live substrates emit the same dataplane metric family names:
-// the families shared by construction (sdme_node_*, sdme_func_*,
-// sdme_flowtable_*, sdme_labeltable_*) must be exactly equal across a sim
-// run and a live run. The table families are read at exposition, so both
-// scrapes must carry their series with nothing synced or woken first.
+// TestLiveSimMetricNameParity: the sim and live substrates emit the same
+// dataplane metric families with the same values (Differential compares
+// them series by series), and the families read from the tables at
+// exposition carry series on both with nothing synced or woken first.
 func TestLiveSimMetricNameParity(t *testing.T) {
-	// shared maps each shared family in an exposition to its series count.
-	shared := func(text []byte) map[string]int {
-		out := make(map[string]int)
-		sc := bufio.NewScanner(bytes.NewReader(text))
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "# TYPE ") {
-				name := strings.Fields(line)[2]
-				for _, prefix := range []string{"sdme_node_", "sdme_func_", "sdme_flowtable_", "sdme_labeltable_"} {
-					if strings.HasPrefix(name, prefix) {
-						out[name] = 0
-					}
-				}
-				continue
-			}
-			if name, _, ok := strings.Cut(line, "{"); ok {
-				if _, in := out[name]; in {
-					out[name]++
-				}
-			}
-		}
-		return out
-	}
-
-	bed, err := experiments.NewBed(experiments.Config{Topology: "campus", Seed: 3, PoliciesPerClass: 2})
+	rs, diffs, err := experiments.Differential(experiments.Conformance{
+		Topology: "campus", Seed: 3, Strategy: enforce.HotPotato, LabelSwitching: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRun, err := bed.RunObserved(experiments.ObserveConfig{Strategy: enforce.HotPotato, Flows: 10})
-	if err != nil {
-		t.Fatal(err)
+	for _, d := range diffs {
+		t.Errorf("sim and live disagree on %s", d)
 	}
-	simFams := shared(simRun.Registry.Snapshot().Text)
-
-	b := newObservedLiveBed(t, enforce.HotPotato)
-	proxyID, _ := b.dep.ProxyFor(1)
-	proxyAddr := b.dep.AddrOf(proxyID)
-	if err := b.rt.Inject(proxyAddr, packet.New(observedLiveFlow(0), 64)); err != nil {
-		t.Fatal(err)
-	}
-	if !live.WaitUntil(3*time.Second, func() bool { return b.sink.Received() >= 1 }) {
-		t.Fatal("packet never delivered")
-	}
-	liveFams := shared(b.reg.Snapshot().Text)
-
-	if len(simFams) == 0 {
-		t.Fatal("sim exposition has no shared dataplane families")
-	}
-	for name := range simFams {
-		if _, ok := liveFams[name]; !ok {
-			t.Errorf("family %s present in sim, missing in live", name)
-		}
-	}
-	for name := range liveFams {
-		if _, ok := simFams[name]; !ok {
-			t.Errorf("family %s present in live, missing in sim", name)
-		}
-	}
-	for _, name := range []string{enforce.MetricFlowTableEvents, enforce.MetricFlowShardEntries, enforce.MetricLabelShardEntries} {
-		if simFams[name] == 0 || liveFams[name] == 0 {
-			t.Errorf("family %s: %d sim series, %d live series; want both non-empty", name, simFams[name], liveFams[name])
+	for _, r := range rs {
+		for _, name := range []string{
+			enforce.MetricPacketsIn, enforce.MetricFuncPkts, enforce.MetricFuncBytes, enforce.MetricTx,
+			enforce.MetricFlowTableEvents, enforce.MetricFlowShardEntries, enforce.MetricLabelShardEntries,
+		} {
+			if !bytes.Contains(r.Exposition, []byte("\n"+name+"{")) {
+				t.Errorf("%s exposition has no %s series", r.Backend, name)
+			}
 		}
 	}
 }
@@ -252,13 +86,13 @@ func scraped(reg *metrics.Registry, series string) (float64, bool) {
 // and looks the other two packets up (hits). The registry reads the
 // table's counters when it is scraped; nothing wakes the device first.
 func TestLiveFlowTableEvents(t *testing.T) {
-	b := newObservedLiveBed(t, enforce.HotPotato)
+	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato})
 	proxyID, _ := b.dep.ProxyFor(1)
 	proxyAddr := b.dep.AddrOf(proxyID)
 	const flows, perFlow = 20, 3
 	for p := 0; p < perFlow; p++ {
 		for i := 0; i < flows; i++ {
-			if err := b.rt.Inject(proxyAddr, packet.New(observedLiveFlow(i), 64)); err != nil {
+			if err := b.rt.Inject(proxyAddr, packet.New(liveFlow(uint16(i)), 64)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -290,12 +124,9 @@ func TestLiveFlowTableEvents(t *testing.T) {
 // mode.
 func TestLiveTxGauges(t *testing.T) {
 	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato, LabelSwitching: true})
-	reg := b.rt.NewRegistry()
-	b.rt.AttachMetrics(reg)
 	proxyID, _ := b.dep.ProxyFor(1)
 	proxyAddr := b.dep.AddrOf(proxyID)
 	dev := b.devices[proxyID]
-	dev.Do(func(n *enforce.Node) { n.SetMetrics(reg) })
 
 	ft := liveFlow(3)
 	if err := b.rt.Inject(proxyAddr, packet.New(ft, 16)); err != nil {
@@ -318,7 +149,7 @@ func TestLiveTxGauges(t *testing.T) {
 		t.Fatalf("proxy counters: tunnel=%d label=%d, want 1/%d", c.TunnelTx, c.LabelTx, more)
 	}
 	tx := func(mode string) float64 {
-		v, _ := scraped(reg, fmt.Sprintf(`%s{mode=%q,node="%d"}`, enforce.MetricTx, mode, proxyID))
+		v, _ := scraped(b.reg, fmt.Sprintf(`%s{mode=%q,node="%d"}`, enforce.MetricTx, mode, proxyID))
 		return v
 	}
 	if tx("label") != float64(c.LabelTx) || tx("tunnel") != float64(c.TunnelTx) ||
@@ -334,12 +165,12 @@ func TestLiveTxGauges(t *testing.T) {
 // proxy's N tunnelled packets and N classifications. A registry that
 // holds copies refreshed when the device is woken would read 0 here.
 func TestLiveScrapeNotStale(t *testing.T) {
-	b := newObservedLiveBed(t, enforce.HotPotato)
+	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato})
 	proxyID, _ := b.dep.ProxyFor(1)
 	proxyAddr := b.dep.AddrOf(proxyID)
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := b.rt.Inject(proxyAddr, packet.New(observedLiveFlow(i), 64)); err != nil {
+		if err := b.rt.Inject(proxyAddr, packet.New(liveFlow(uint16(i)), 64)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,14 +196,8 @@ func TestLiveScrapeNotStale(t *testing.T) {
 // ordered with Install's replacement of them. The last scrape shows the
 // last tuning's shard count.
 func TestLiveScrapeDuringInstall(t *testing.T) {
-	b := newObservedLiveBed(t, enforce.HotPotato)
-	var mbID topo.NodeID
-	for id, n := range b.nodes {
-		if !n.IsProxy {
-			mbID = id
-			break
-		}
-	}
+	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato})
+	mbID := b.dep.MBNodes[0]
 	dev := b.devices[mbID]
 	stop := make(chan struct{})
 	scrapes := make(chan int)
@@ -414,7 +239,7 @@ func TestLiveScrapeDuringInstall(t *testing.T) {
 // TestLiveScrapeWhileWedged scrapes a registry whose device is wedged: a
 // read never waits on a device, so the scrape returns.
 func TestLiveScrapeWhileWedged(t *testing.T) {
-	b := newObservedLiveBed(t, enforce.HotPotato)
+	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato})
 	proxyID, _ := b.dep.ProxyFor(1)
 	release := b.devices[proxyID].Wedge()
 	defer release()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sdme/internal/enforce"
-	"sdme/internal/metrics"
 	"sdme/internal/netaddr"
 	"sdme/internal/ospf"
 	"sdme/internal/packet"
@@ -111,7 +110,6 @@ type Network struct {
 	// AttachMetrics / SetTracer were called.
 	m       *simMetrics
 	tracer  *enforce.RuntimeTracer
-	snaps   []metrics.Snapshot
 	pktHops map[*packet.Packet]int64
 }
 

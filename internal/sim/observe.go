@@ -72,23 +72,3 @@ func (nw *Network) SetTracer(t *enforce.RuntimeTracer) {
 		n.SetTracer(t)
 	}
 }
-
-// SnapshotEvery schedules periodic registry snapshots at virtual times
-// every, 2·every, … up to and including until (both in microseconds).
-// The horizon is required so Run(0) can still drain the event queue; the
-// snapshots are retrievable via Snapshots after the run.
-func (nw *Network) SnapshotEvery(every, until int64) {
-	if nw.m == nil || every <= 0 {
-		return
-	}
-	for at := every; at <= until; at += every {
-		nw.Engine.After(at-nw.Engine.Now(), func() {
-			nw.snaps = append(nw.snaps, nw.m.reg.Snapshot())
-		})
-	}
-}
-
-// Snapshots returns the snapshots taken so far, in virtual-time order.
-func (nw *Network) Snapshots() []metrics.Snapshot {
-	return append([]metrics.Snapshot(nil), nw.snaps...)
-}
