@@ -145,9 +145,12 @@ race-flake:
 
 # Same behaviour, checked: regenerate the results into a temp dir and
 # compare, byte for byte against the committed ones, the three paper CSVs
-# (Figures 4/5, Table III) and the sim rows of the three fault-story CSVs
+# (Figures 4/5, Table III), the sim rows of the three fault-story CSVs
 # (virtual time, deterministic per seed; the live rows are wall-clock
-# measurements) (~40 s).
+# measurements) and the report, ablation tables A-F included, less its
+# three kinds of wall-clock line: the "generated <timestamp>" header, the
+# "solve time (ms, wall)" row and every "| live |" row (~45 s).
+REPORT_WALL = -e ', generated ' -e '^| solve time (ms, wall) |' -e '| live |'
 results-check:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/sdme-results -out "$$tmp" >/dev/null || exit 1; \
@@ -158,7 +161,10 @@ results-check:
 		grep -v '^live,\|,live,' "$$tmp/$$f" > "$$tmp/$$f.sim"; \
 		grep -v '^live,\|,live,' "results/$$f" | cmp - "$$tmp/$$f.sim" || exit 1; \
 	done; \
-	echo "results-check: paper CSVs and the sim rows of recovery.csv failover.csv ha.csv identical"
+	f=EXPERIMENTS.generated.md; \
+	grep -v $(REPORT_WALL) "$$tmp/$$f" > "$$tmp/$$f.det"; \
+	grep -v $(REPORT_WALL) "results/$$f" | cmp - "$$tmp/$$f.det" || exit 1; \
+	echo "results-check: paper CSVs, the sim rows of recovery.csv failover.csv ha.csv and the report's deterministic lines identical"
 
 # Cross-builds. The live fabric batches datagrams with recvmmsg/sendmmsg
 # on Linux (sendmmsg's number is per arch) and reads and writes one

@@ -40,10 +40,16 @@ import (
 	"sdme/internal/metrics"
 	"sdme/internal/mgmt"
 	"sdme/internal/netaddr"
-	"sdme/internal/packet"
 	"sdme/internal/policy"
 	"sdme/internal/route"
 	"sdme/internal/topo"
+)
+
+// The demo flow's packets carry payloadLen payload bytes each; at most
+// inFlight of them are between the proxy and the sink at once.
+const (
+	payloadLen = 64
+	inFlight   = 64
 )
 
 func main() {
@@ -235,7 +241,7 @@ func run() error {
 	planned, plannedErr := enforce.TraceFlow(nodes, dep, ap, flow)
 	fmt.Printf("\nsending %d packets on flow %v\n", *packets, flow)
 
-	if err := rt.Inject(proxyAddr, packet.New(flow, 64)); err != nil {
+	if err := rt.Send(proxyAddr, flow, payloadLen); err != nil {
 		return err
 	}
 	if *labels {
@@ -245,7 +251,13 @@ func run() error {
 		fmt.Printf("label-switch control message received by proxy: %v\n", ok)
 	}
 	for i := 1; i < *packets; i++ {
-		if err := rt.Inject(proxyAddr, packet.New(flow, 64)); err != nil {
+		// Paced by a window of packets in flight: an unpaced burst
+		// overruns a loopback socket buffer, and the kernel drops the
+		// datagram where no counter of the fabric sees it.
+		if !live.WaitUntil(5*time.Second, func() bool { return i-sink.Received() < inFlight }) {
+			return fmt.Errorf("sink received only %d of the %d packets sent", sink.Received(), i)
+		}
+		if err := rt.Send(proxyAddr, flow, payloadLen); err != nil {
 			return err
 		}
 	}

@@ -154,7 +154,7 @@ func traceOne(bed *experiments.Bed, strategy enforce.Strategy, demands []enforce
 		return fmt.Errorf("bad -trace %q", spec)
 	}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-		Strategy: strategy, K: bed.Cfg.K,
+		Strategy: strategy, K: controller.DefaultK(),
 	})
 	_, nodes, _, err := experiments.Deploy(ctl, controller.PipelineOptions{},
 		controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands))
@@ -204,7 +204,7 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 		traffic = maxPackets
 	}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-		Strategy: strategy, K: bed.Cfg.K,
+		Strategy: strategy, K: controller.DefaultK(),
 		LabelSwitching: labels, HashSeed: uint64(seed),
 	})
 	if journalPath != "" {

@@ -25,6 +25,7 @@ func TestCmdSmoke(t *testing.T) {
 		{[]string{"sdme-sim", "-packet-level", "-traffic", "2000", "-kill-at", "5000"}, "soft-state entries purged after FW1 died"},
 		{[]string{"sdme-sim", "-controllers", "3"}, "| ha | sim | 20 | 3 | 1 |"},
 		{[]string{"sdme-live", "-packets", "3"}, "matches static plan across 3 packets: true"},
+		{[]string{"sdme-live", "-packets", "1000"}, "sink received 1000 packets"},
 		{[]string{"sdme-live", "-peers", "3"}, "| ha | live | 20 | 3 | 1 |"},
 		{[]string{"sdme-topo", "-topology", "campus", "-verify"}, "ok: 32 nodes, 3 policies, no violations"},
 		{[]string{"sdme-topo", "-topology", "campus", "-observe"}, "all runtime traces match the static plans"},

@@ -17,7 +17,6 @@ import (
 	"sdme/internal/experiments"
 	"sdme/internal/live"
 	"sdme/internal/netaddr"
-	"sdme/internal/packet"
 	"sdme/internal/policy"
 	"sdme/internal/route"
 	"sdme/internal/topo"
@@ -85,14 +84,14 @@ func main() {
 		fmt.Printf("flow %v: %d packets\n", f.ft, f.pkts)
 		// First packet installs the chain; wait for the control message
 		// so the rest ride labels.
-		if err := rt.Inject(f.via, packet.New(f.ft, 100)); err != nil {
+		if err := rt.Send(f.via, f.ft, 100); err != nil {
 			log.Fatal(err)
 		}
 		proxyDev := devices[g.NodeByAddr(f.via)]
 		before := proxyDev.Counters().ControlRx
 		live.WaitUntil(2*time.Second, func() bool { return proxyDev.Counters().ControlRx > before })
 		for i := 1; i < f.pkts; i++ {
-			if err := rt.Inject(f.via, packet.New(f.ft, 100)); err != nil {
+			if err := rt.Send(f.via, f.ft, 100); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -123,7 +123,7 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 	}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy: enforce.LoadBalanced,
-		K:        bed.Cfg.K,
+		K:        controller.DefaultK(),
 	})
 	pipe := ctl.NewPipeline(controller.PipelineOptions{Fine: sh.fine, DirtyThreshold: sh.threshold})
 	rng := rand.New(rand.NewSource(sh.seed * 7919))

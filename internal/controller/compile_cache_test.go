@@ -28,7 +28,7 @@ func TestCompileCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := controller.Options{Strategy: enforce.LoadBalanced, K: bed.Cfg.K}
+	opts := controller.Options{Strategy: enforce.LoadBalanced, K: controller.DefaultK()}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, opts)
 	reg := metrics.NewRegistry(nil)
 	ctl.SetMetrics(reg, func() int64 { return 0 })
@@ -125,7 +125,7 @@ func restoreMidChurn(t *testing.T, ctl *controller.Controller, bed *experiments.
 		t.Fatal(err)
 	}
 	clear(down)
-	fresh := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: bed.Cfg.K})
+	fresh := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: controller.DefaultK()})
 	for _, id := range st.Failed {
 		down[id] = true
 		if err := fresh.MarkFailed(id, true); err != nil {
@@ -170,7 +170,7 @@ func TestRecomputeStageCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{Strategy: enforce.LoadBalanced, K: bed.Cfg.K})
+	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{Strategy: enforce.LoadBalanced, K: controller.DefaultK()})
 	j, err := controller.OpenJournal(filepath.Join(t.TempDir(), "controller.journal"))
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func BenchmarkRecomputeEdit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{Strategy: enforce.LoadBalanced, K: bed.Cfg.K})
+	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{Strategy: enforce.LoadBalanced, K: controller.DefaultK()})
 	pipe := ctl.NewPipeline(controller.PipelineOptions{})
 	meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, bed.GenerateDemands(20000))
 	if _, err := pipe.Recompute(meas); err != nil {

@@ -59,7 +59,7 @@ func TestLBSolutionProperties(t *testing.T) {
 
 		// Hot-potato's realized maximum load bounds the LP optimum.
 		hpCtl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-			Strategy: enforce.HotPotato, K: bed.Cfg.K,
+			Strategy: enforce.HotPotato, K: controller.DefaultK(),
 		})
 		_, hpNodes, _ := deploy(t, hpCtl, nil)
 		hpReport, err := enforce.EvaluateFlows(hpNodes, bed.Dep, bed.AllPairs, demands)
@@ -75,7 +75,7 @@ func TestLBSolutionProperties(t *testing.T) {
 
 		for _, sv := range solvers {
 			ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-				Strategy: enforce.LoadBalanced, K: bed.Cfg.K,
+				Strategy: enforce.LoadBalanced, K: controller.DefaultK(),
 			})
 			upd, err := ctl.NewPipeline(controller.PipelineOptions{Fine: sv.fine}).Recompute(meas)
 			if err != nil {

@@ -34,7 +34,7 @@ func newRebalanceBed(t *testing.T, seed int64) *rebalanceBed {
 func (b *rebalanceBed) controller() *controller.Controller {
 	return controller.New(b.bed.Dep, b.bed.AllPairs, b.bed.Table, controller.Options{
 		Strategy: enforce.LoadBalanced,
-		K:        b.bed.Cfg.K,
+		K:        controller.DefaultK(),
 	})
 }
 

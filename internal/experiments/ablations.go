@@ -101,7 +101,7 @@ func RunStateAblation(seed int64, flows, packetsPerFlow, packetBytes int, labelS
 		return nil, err
 	}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-		Strategy: enforce.HotPotato, K: bed.Cfg.K,
+		Strategy: enforce.HotPotato, K: controller.DefaultK(),
 		LabelSwitching: labelSwitching, HashSeed: uint64(seed),
 	})
 	_, nodes, _, err := Deploy(ctl, controller.PipelineOptions{}, nil)
@@ -175,7 +175,7 @@ func RunEq1VsEq2(cfg Config, traffic int) (*FormulationComparison, error) {
 	demands := bed.GenerateDemands(traffic)
 	meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands)
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-		Strategy: enforce.LoadBalanced, K: bed.Cfg.K, HashSeed: uint64(cfg.Seed),
+		Strategy: enforce.LoadBalanced, K: controller.DefaultK(), HashSeed: uint64(cfg.Seed),
 	})
 	solve := func(fine bool) (*controller.LBSolution, error) {
 		upd, err := ctl.NewPipeline(controller.PipelineOptions{Fine: fine}).Recompute(meas)
@@ -309,7 +309,7 @@ func RunQueueingAblation(seed int64, flows, packetsPerFlow int, ratePPS float64)
 			demands = demands[:flows]
 		}
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-			Strategy: strategy, K: bed.Cfg.K, HashSeed: uint64(seed),
+			Strategy: strategy, K: controller.DefaultK(), HashSeed: uint64(seed),
 		})
 		// Scale the per-flow demands to packet counts for measurement
 		// (only the LB strategy solves over them).

@@ -14,7 +14,6 @@ import (
 	"sdme/internal/live"
 	"sdme/internal/metrics"
 	"sdme/internal/netaddr"
-	"sdme/internal/packet"
 	"sdme/internal/policy"
 )
 
@@ -40,6 +39,7 @@ type Conformance struct {
 const (
 	conformFlows   = 50
 	conformPackets = 3
+	conformPayload = 64
 	// conformWait bounds each wait for the fleet to settle on wall time.
 	conformWait = 5 * time.Second
 )
@@ -97,7 +97,7 @@ func Conform(on Backend, c Conformance) (*Reading, error) {
 	}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy:       c.Strategy,
-		K:              bed.Cfg.K,
+		K:              controller.DefaultK(),
 		HashSeed:       uint64(c.Seed)*2654435761 + uint64(c.Strategy),
 		LabelSwitching: c.LabelSwitching,
 	})
@@ -234,7 +234,7 @@ func simConform(site Site, flows []netaddr.FiveTuple, tracer *enforce.RuntimeTra
 			for i, ft := range flows {
 				// Staggered starts keep each flow's packets in order
 				// without serializing the run.
-				if err := nw.InjectFlow(ft, packets, 64, nw.Engine.Now()+int64(i)*10, 100); err != nil {
+				if err := nw.InjectFlow(ft, packets, conformPayload, nw.Engine.Now()+int64(i)*10, 100); err != nil {
 					return err
 				}
 			}
@@ -275,11 +275,7 @@ func liveConform(site Site, flows []netaddr.FiveTuple, tracer *enforce.RuntimeTr
 			for p := 0; p < packets; p++ {
 				for _, ft := range flows {
 					proxy, _ := site.Dep.ProxyFor(site.Dep.SubnetIndexOf(ft.Src))
-					// The wire carries payload bytes, not a length: the
-					// simulator's 64-byte packet is 64 real bytes here.
-					pkt := packet.New(ft, 64)
-					pkt.Payload = make([]byte, 64)
-					if err := fleet.Runtime.Inject(site.Dep.AddrOf(proxy), pkt); err != nil {
+					if err := fleet.Runtime.Send(site.Dep.AddrOf(proxy), ft, conformPayload); err != nil {
 						return err
 					}
 				}

@@ -64,7 +64,7 @@ func RunDriftExperiment(cfg Config, target, epochs int) ([]DriftEpoch, error) {
 	}
 	newLoop := func() (loop, error) {
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
-			Strategy: enforce.LoadBalanced, K: bed.Cfg.K, HashSeed: uint64(cfg.Seed),
+			Strategy: enforce.LoadBalanced, K: controller.DefaultK(), HashSeed: uint64(cfg.Seed),
 		})
 		pipe, nodes, _, err := Deploy(ctl, controller.PipelineOptions{DirtyThreshold: -1}, nil)
 		if err != nil {

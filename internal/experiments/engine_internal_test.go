@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -133,4 +134,72 @@ func TestRolloutIsWriteAhead(t *testing.T) {
 	if got := applies(); got != applied {
 		t.Errorf("the unfenced rollout reached the agents: %d applies, had %d", got, applied)
 	}
+}
+
+// TestChaosDeposedJournalWrite: a replica closes the journal writer it lent
+// its controller when it is voted out or stopped, at any moment after the
+// controller resumed it. The first leader's history, and a repair's
+// failed-set record and re-solve, that find the writer closed leave the
+// work to the successor, as a rollout that finds its controller deposed
+// does, instead of failing the story.
+func TestChaosDeposedJournalWrite(t *testing.T) {
+	bed, err := newFaultBed(11, enforce.LoadBalanced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// deposed returns a story whose leading plane resumed a lent writer,
+	// ran before, and then lost the writer to a demotion.
+	deposed := func(t *testing.T, before func(t *testing.T, c *control)) *control {
+		j, err := controller.OpenJournal(filepath.Join(t.TempDir(), "journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = j.Close() })
+		w := j.Writer()
+		ctl := bed.newController()
+		if err := ctl.ResumeJournal(&controller.JournalState{}, w); err != nil {
+			t.Fatal(err)
+		}
+		c := &control{bed: bed, sc: Recovery(11), down: make(map[topo.NodeID]bool), rolled: true}
+		c.Plane = Plane{Ctl: ctl, Pipe: ctl.NewPipeline(controller.PipelineOptions{})}
+		before(t, c)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	history := func(t *testing.T, c *control) {
+		if err := c.history(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("history", func(t *testing.T) {
+		c := deposed(t, func(*testing.T, *control) {})
+		if err := c.history(); !errors.Is(err, errDeposed) {
+			t.Fatalf("history through a closed writer: %v, want errDeposed", err)
+		}
+	})
+	t.Run("repair records the failed set", func(t *testing.T) {
+		c := deposed(t, history)
+		c.down[bed.fw[1]] = true
+		c.reconcile(false)
+		if c.err != nil || c.rolled {
+			t.Fatalf("err=%v rolled=%v, want the repair left to the successor", c.err, c.rolled)
+		}
+	})
+	t.Run("repair re-solves", func(t *testing.T) {
+		c := deposed(t, func(t *testing.T, c *control) {
+			history(t, c)
+			c.down[bed.fw[1]] = true
+			if err := c.Ctl.MarkFailed(bed.fw[1], true); err != nil {
+				t.Fatal(err)
+			}
+			c.Pipe.NodeChanged(bed.fw[1])
+		})
+		c.reconcile(false)
+		if c.err != nil || c.rolled {
+			t.Fatalf("err=%v rolled=%v, want the repair left to the successor", c.err, c.rolled)
+		}
+	})
 }

@@ -38,10 +38,9 @@ type Config struct {
 	// TrafficPoints are the x-axis values in total packets; defaults to
 	// the paper's 1M..10M sweep.
 	TrafficPoints []int
-	// Counts is the middlebox population (defaults to §IV-A).
+	// Counts is the middlebox population (defaults to §IV-A). Candidate
+	// sets keep §IV-A's sizes, controller.DefaultK.
 	Counts map[policy.FuncType]int
-	// K is the candidate set size per function (defaults to §IV-A).
-	K map[policy.FuncType]int
 }
 
 func (c *Config) fill() {
@@ -58,9 +57,6 @@ func (c *Config) fill() {
 	}
 	if c.Counts == nil {
 		c.Counts = controller.DefaultCounts()
-	}
-	if c.K == nil {
-		c.K = controller.DefaultK()
 	}
 }
 
@@ -126,7 +122,7 @@ func (b *Bed) GenerateDemands(target int) []enforce.FlowDemand {
 func (b *Bed) RunStrategy(strategy enforce.Strategy, demands []enforce.FlowDemand) (*enforce.LoadReport, *controller.LBSolution, error) {
 	ctl := controller.New(b.Dep, b.AllPairs, b.Table, controller.Options{
 		Strategy: strategy,
-		K:        b.Cfg.K,
+		K:        controller.DefaultK(),
 		HashSeed: uint64(b.Cfg.Seed)*2654435761 + uint64(strategy),
 	})
 	_, nodes, upd, err := Deploy(ctl, controller.PipelineOptions{}, controller.MeasurementsFromFlows(b.Dep, b.Table, demands))

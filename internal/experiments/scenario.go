@@ -299,7 +299,7 @@ func (c *control) onLead(l Lead) {
 	c.Plane, c.lead, c.rolled = c.bed.Plane, l, false
 	if l.Journal != nil {
 		ctl := c.bed.newController()
-		if err := ctl.ResumeJournal(l.State, l.Journal); errors.Is(err, controller.ErrJournalClosed) {
+		if err := journaled(ctl.ResumeJournal(l.State, l.Journal)); errors.Is(err, errDeposed) {
 			// Voted out or killed before it could resume: the successor's
 			// report redoes it, as for a rollout that finds it deposed.
 			return
@@ -309,7 +309,11 @@ func (c *control) onLead(l Lead) {
 		}
 		c.Plane = Plane{Ctl: ctl, Pipe: ctl.NewPipeline(controller.PipelineOptions{})}
 		if c.exported == nil {
-			c.err = c.history()
+			if err := c.history(); errors.Is(err, errDeposed) {
+				return // deposed meanwhile: the successor makes the history
+			} else if err != nil {
+				c.err = err
+			}
 		} else if after, err := exportBytes(c.Plane); err != nil {
 			c.err = err
 		} else if !bytes.Equal(c.exported, after) {
@@ -353,7 +357,11 @@ func (c *control) reconcile(whole bool) {
 	repairing, failed := !whole, c.Ctl.Failed()
 	for _, id := range c.bed.Dep.MBNodes {
 		if c.down[id] != slices.Contains(failed, id) {
-			if c.err = c.Ctl.MarkFailed(id, c.down[id]); c.err != nil {
+			if err := journaled(c.Ctl.MarkFailed(id, c.down[id])); errors.Is(err, errDeposed) {
+				c.rolled = false // the successor's report redoes it
+				return
+			} else if err != nil {
+				c.err = err
 				return
 			}
 			c.Pipe.NodeChanged(id)
@@ -364,6 +372,7 @@ func (c *control) reconcile(whole bool) {
 	var err error
 	if repairing {
 		upd, err = c.Pipe.Recompute(c.meas)
+		err = journaled(err)
 		if errors.Is(err, controller.ErrNoLiveProvider) {
 			c.res.Degraded++
 			return

@@ -50,8 +50,12 @@ type Lead struct {
 	Journal *controller.Journal
 }
 
-// trafficGapUS paces the workload: see Substrate.Offer.
-const trafficGapUS = 500
+// trafficGapUS paces the workload, see Substrate.Offer; each of its
+// packets carries trafficPayload bytes of payload.
+const (
+	trafficGapUS   = 500
+	trafficPayload = 256
+)
 
 // awaitUS bounds every wait of a story on the substrate's clock.
 const awaitUS = 15_000_000
@@ -140,6 +144,17 @@ type Substrate interface {
 // errDeposed answers a rollout from a controller that does not lead (any
 // more): killed, restarted under, or voted out since its plane was built.
 var errDeposed = errors.New("experiments: the controller no longer leads")
+
+// journaled passes on the error of a plane's journal write, a closed
+// journal as errDeposed: a replica closes the writer it lent its
+// controller when it is voted out or stopped, so a write can find it
+// closed any time after the controller resumed it.
+func journaled(err error) error {
+	if errors.Is(err, controller.ErrJournalClosed) {
+		return fmt.Errorf("%w: %w", errDeposed, err)
+	}
+	return err
+}
 
 // leadership is the part of a substrate that knows who leads: what its
 // control plane's hooks feed, what OnLead and Rollout read, and the leader

@@ -17,7 +17,6 @@ import (
 	"sdme/internal/metrics"
 	"sdme/internal/mgmt"
 	"sdme/internal/netaddr"
-	"sdme/internal/packet"
 	"sdme/internal/topo"
 )
 
@@ -397,7 +396,7 @@ func (s *liveSubstrate) Offer(flows []netaddr.FiveTuple, _ int) error {
 		ft := flows[next%len(flows)]
 		next++
 		proxyID, ok := s.site.Dep.ProxyFor(s.site.Dep.SubnetIndexOf(ft.Src))
-		if ok && s.fleet.Runtime.Inject(s.site.Dep.AddrOf(proxyID), packet.New(ft, 64)) == nil {
+		if ok && s.fleet.Runtime.Send(s.site.Dep.AddrOf(proxyID), ft, trafficPayload) == nil {
 			s.injected.Add(1)
 		}
 	})

@@ -152,7 +152,7 @@ func (s *SimSubstrate) path() string { return filepath.Join(s.dir, "controller.w
 func (s *SimSubstrate) Offer(flows []netaddr.FiveTuple, packetsPerFlow int) error {
 	s.offeredUS = s.eng.Now() + int64(len(flows))*97 + int64(packetsPerFlow)*trafficGapUS
 	for i, ft := range flows {
-		if err := s.Network.InjectFlow(ft, packetsPerFlow, 256, int64(i)*97, trafficGapUS); err != nil {
+		if err := s.Network.InjectFlow(ft, packetsPerFlow, trafficPayload, int64(i)*97, trafficGapUS); err != nil {
 			return err
 		}
 	}

@@ -65,7 +65,7 @@ func (c *control) history() error {
 	c.meas = controller.MeasurementsFromFlows(c.bed.Dep, c.bed.tbl, demands)
 	c.down[c.bed.fw[0]] = c.sc.Flows == 0
 	_, err := c.Pipe.Recompute(c.meas)
-	return err
+	return journaled(err)
 }
 
 // exportBytes renders a plane's plan as the configuration export of a

@@ -674,6 +674,20 @@ func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 	return nil
 }
 
+// zeros is the payload of every packet Send builds; it is only read.
+var zeros [maxFrame]byte
+
+// Send injects one host packet of flow ft via `via` carrying payloadLen
+// payload bytes. The wire carries the bytes, not a length: a packet built
+// with packet.New alone crosses it as a bare header, while the simulator
+// counts HeaderLen+payloadLen bytes for it.
+func (r *Runtime) Send(via netaddr.Addr, ft netaddr.FiveTuple, payloadLen int) error {
+	pkt := packet.New(ft, payloadLen)
+	// A payload this long overruns the frame, and Inject refuses it.
+	pkt.Payload = zeros[:min(payloadLen, maxFrame)]
+	return r.Inject(via, pkt)
+}
+
 // WaitUntil polls cond every millisecond until it returns true or the
 // timeout elapses; it reports whether cond became true. Tests and demos
 // use it to sequence against network asynchrony.

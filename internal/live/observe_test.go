@@ -80,6 +80,38 @@ func scraped(reg *metrics.Registry, series string) (float64, bool) {
 	return 0, false
 }
 
+// TestLiveFuncBytes: a packet Send builds crosses the wire with its
+// payload bytes, so every sdme_func_bytes_total series reads packets ×
+// (HeaderLen + payload), the bytes the simulator counts for the same
+// packets. A packet with a length and no bytes crosses as a bare header.
+func TestLiveFuncBytes(t *testing.T) {
+	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato})
+	proxyID, _ := b.dep.ProxyFor(1)
+	const packets, payload = 10, 64
+	for i := 0; i < packets; i++ {
+		if err := b.rt.Send(b.dep.AddrOf(proxyID), liveFlow(1), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !live.WaitUntil(3*time.Second, func() bool { return b.sink.Received() >= packets }) {
+		t.Fatalf("sink received %d of %d", b.sink.Received(), packets)
+	}
+	want := fmt.Sprint(packets * (packet.HeaderLen + payload))
+	series := 0
+	sc := bufio.NewScanner(bytes.NewReader(b.reg.Snapshot().Text))
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), enforce.MetricFuncBytes+"{") {
+			series++
+			if _, got, _ := strings.Cut(sc.Text(), " "); got != want {
+				t.Errorf("%s, want %s", sc.Text(), want)
+			}
+		}
+	}
+	if series != len(b.dep.MBNodes) {
+		t.Fatalf("%d %s series, want one per middlebox (%d)", series, enforce.MetricFuncBytes, len(b.dep.MBNodes))
+	}
+}
+
 // TestLiveFlowTableEvents reads §III-D's classifications per flow off a
 // live device's registry: 20 flows of 3 packets each enter at a proxy,
 // so its flow table classifies each flow once (a miss and an insert)

@@ -21,18 +21,16 @@ import (
 type AgentOptions struct {
 	// ReportEvery > 0 enables periodic measurement reports (proxies).
 	ReportEvery time.Duration
-	// Dial overrides how the agent (re)connects; nil dials the server
-	// address over TCP. Fault-injection harnesses wrap it (see
+	// Dial overrides how the agent (re)connects; nil dials the current
+	// replica address over TCP. Fault-injection harnesses wrap it (see
 	// faultinject.ConnTap) to interpose a fault-carrying connection.
-	// When set, it wins over Addrs/DialAddr.
+	// When set, it wins over Addrs.
 	Dial func() (net.Conn, error)
 	// Addrs lists the controller replica addresses. The agent rotates
 	// through them on reconnect and follows a NotLeader redirect to the
 	// address it names, so it re-homes to whichever replica leads.
 	// Empty means the single address passed to NewAgentWith.
 	Addrs []string
-	// DialAddr overrides how one specific address is dialed (nil = TCP).
-	DialAddr func(addr string) (net.Conn, error)
 	// BackoffMin/BackoffMax bound the jittered exponential reconnect
 	// backoff (defaults 10ms and 2s). Each failed dial doubles the base
 	// delay; the actual sleep is uniformly drawn from [base/2, base].
@@ -43,10 +41,6 @@ type AgentOptions struct {
 	// backoff, so reconnect storms stay bounded; only a genuinely
 	// healthy spell earns the fast retry back.
 	HealthyPeriod time.Duration
-	// Seed drives the backoff jitter (default: the device's node ID, so
-	// a fleet of agents created together de-synchronizes its retries
-	// deterministically).
-	Seed int64
 	// Metrics, when non-nil, is the registry the agent counts its
 	// self-healing activity in (reconnects, applies, epoch rejects,
 	// reports) under a node label; nil gives the agent a private one.
@@ -54,12 +48,9 @@ type AgentOptions struct {
 	Metrics *metrics.Registry
 }
 
-func (o *AgentOptions) fill(dev *live.Device, serverAddr string) {
+func (o *AgentOptions) fill(serverAddr string) {
 	if len(o.Addrs) == 0 {
 		o.Addrs = []string{serverAddr}
-	}
-	if o.DialAddr == nil {
-		o.DialAddr = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	if o.BackoffMin <= 0 {
 		o.BackoffMin = 10 * time.Millisecond
@@ -72,9 +63,6 @@ func (o *AgentOptions) fill(dev *live.Device, serverAddr string) {
 	}
 	if o.HealthyPeriod <= 0 {
 		o.HealthyPeriod = o.BackoffMax
-	}
-	if o.Seed == 0 {
-		o.Seed = int64(dev.Node.ID) + 1
 	}
 	if o.Metrics == nil {
 		o.Metrics = metrics.NewRegistry(nil)
@@ -164,7 +152,7 @@ func NewAgent(dev *live.Device, serverAddr string, reportEvery time.Duration) (*
 // With multiple Addrs, each replica is tried once (following one
 // NotLeader redirect per try) before giving up.
 func NewAgentWith(dev *live.Device, serverAddr string, opts AgentOptions) (*Agent, error) {
-	opts.fill(dev, serverAddr)
+	opts.fill(serverAddr)
 	a := &Agent{dev: dev, opts: opts, stop: make(chan struct{})}
 	a.m = newAgentMetrics(opts.Metrics, int(dev.Node.ID))
 	var conn net.Conn
@@ -266,7 +254,7 @@ func (a *Agent) connect(redial bool) (net.Conn, *bufio.Reader, error) {
 	if a.opts.Dial != nil {
 		conn, err = a.opts.Dial()
 	} else {
-		conn, err = a.opts.DialAddr(a.currentAddr())
+		conn, err = net.Dial("tcp", a.currentAddr())
 	}
 	if err != nil {
 		a.rotateAddr()
@@ -364,7 +352,9 @@ func (a *Agent) write(typ string, v interface{}) error {
 // to BackoffMin (nextBackoffBase, unit-tested in isolation).
 func (a *Agent) run(conn net.Conn, r *bufio.Reader) {
 	defer a.wg.Done()
-	rng := rand.New(rand.NewSource(a.opts.Seed))
+	// Seeded by the node ID, so a fleet of agents created together
+	// de-synchronizes its retries deterministically.
+	rng := rand.New(rand.NewSource(int64(a.dev.Node.ID) + 1))
 	backoff := a.opts.BackoffMin
 	for {
 		connectedAt := time.Now()

@@ -38,7 +38,7 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 	}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy: enforce.LoadBalanced,
-		K:        bed.Cfg.K,
+		K:        controller.DefaultK(),
 	})
 	creg := metrics.NewRegistry(nil)
 	ctl.SetMetrics(creg, nil)
@@ -204,7 +204,7 @@ func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
 	}
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy: enforce.LoadBalanced,
-		K:        bed.Cfg.K,
+		K:        controller.DefaultK(),
 	})
 	pipe := ctl.NewPipeline(controller.PipelineOptions{})
 	demands := bed.GenerateDemands(4000)
@@ -336,7 +336,7 @@ func BenchmarkPushAllDelta2PC(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{Strategy: enforce.LoadBalanced, K: bed.Cfg.K})
+	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{Strategy: enforce.LoadBalanced, K: controller.DefaultK()})
 	pipe := ctl.NewPipeline(controller.PipelineOptions{})
 	meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, bed.GenerateDemands(20000))
 	upd, err := pipe.Recompute(meas)

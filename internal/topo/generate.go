@@ -66,22 +66,23 @@ type CampusConfig struct {
 	Gateways    int
 	CoreRouters int
 	EdgeRouters int
-	// CoreRingLinks adds a ring over the core routers for core-to-core
-	// path diversity (the paper does not specify core-core wiring; the
-	// gateways alone would make them a 2-hub star). Default true.
-	NoCoreRing bool
-	// EdgeUplinks is how many core routers each edge router connects to
-	// (default 2, for the redundancy typical of campus designs).
-	EdgeUplinks int
 	// WithProxies attaches one policy proxy per edge-router subnet.
 	WithProxies bool
 	// OffPathProxies deploys the proxies off-path (§III-A) instead of
 	// in-path; only meaningful with WithProxies.
 	OffPathProxies bool
-	// LinkDelayUS is the per-link propagation delay for the simulator
-	// (default 100us).
-	LinkDelayUS int64
 }
+
+// The campus wiring the paper leaves open (DESIGN §2): a ring over the
+// core routers gives them core-to-core path diversity (the gateways alone
+// would make them a 2-hub star), and each edge router connects to
+// edgeUplinks core routers, for the redundancy typical of campus designs.
+// linkDelayUS is the simulator's propagation delay on every router-router
+// link of both generators.
+const (
+	edgeUplinks = 2
+	linkDelayUS = 100
+)
 
 func (c *CampusConfig) fill() {
 	if c.Gateways == 0 {
@@ -92,12 +93,6 @@ func (c *CampusConfig) fill() {
 	}
 	if c.EdgeRouters == 0 {
 		c.EdgeRouters = 10
-	}
-	if c.EdgeUplinks == 0 {
-		c.EdgeUplinks = 2
-	}
-	if c.LinkDelayUS == 0 {
-		c.LinkDelayUS = 100
 	}
 }
 
@@ -126,12 +121,12 @@ func Campus(cfg CampusConfig, rng *rand.Rand) *Graph {
 		x := 100 * float64(i+1) / float64(cfg.CoreRouters+1)
 		cores[i] = newRouter(fmt.Sprintf("core%d", i+1), KindCoreRouter, x, 55)
 		for _, gw := range gws {
-			g.AddLink(Link{A: cores[i], B: gw, DelayUS: cfg.LinkDelayUS})
+			g.AddLink(Link{A: cores[i], B: gw, DelayUS: linkDelayUS})
 		}
 	}
-	if !cfg.NoCoreRing && cfg.CoreRouters > 2 {
+	if cfg.CoreRouters > 2 {
 		for i := range cores {
-			g.AddLink(Link{A: cores[i], B: cores[(i+1)%len(cores)], DelayUS: cfg.LinkDelayUS})
+			g.AddLink(Link{A: cores[i], B: cores[(i+1)%len(cores)], DelayUS: linkDelayUS})
 		}
 	}
 	for i := 0; i < cfg.EdgeRouters; i++ {
@@ -141,12 +136,8 @@ func Campus(cfg CampusConfig, rng *rand.Rand) *Graph {
 		n.Subnet = subnetPrefix(i + 1)
 		g.nodes[id] = n
 		g.byAddr[subnetRouterAddr(i+1)] = id
-		ups := cfg.EdgeUplinks
-		if ups > len(cores) {
-			ups = len(cores)
-		}
-		for _, c := range pickDistinct(rng, len(cores), ups) {
-			g.AddLink(Link{A: id, B: cores[c], DelayUS: cfg.LinkDelayUS})
+		for _, c := range pickDistinct(rng, len(cores), edgeUplinks) {
+			g.AddLink(Link{A: id, B: cores[c], DelayUS: linkDelayUS})
 		}
 		if cfg.WithProxies {
 			attachProxy(g, id, i+1, cfg.OffPathProxies)
@@ -212,22 +203,25 @@ func AttachHost(g *Graph, edge NodeID, subnetIdx, h int) NodeID {
 }
 
 // WaxmanConfig parameterizes the Waxman generator. The zero value is
-// replaced by the paper's settings: 400 edge routers, 25 core routers in a
-// 100x100 region, 4 core-to-core links per core router.
+// replaced by the paper's settings: 400 edge routers and 25 core routers.
 type WaxmanConfig struct {
 	EdgeRouters int
 	CoreRouters int
-	CoreDegree  int
-	// Alpha and Beta are the Waxman parameters: two routers at Euclidean
-	// distance d connect with probability Alpha*exp(-d/(Beta*L)) where L
-	// is the maximum possible distance. Defaults 0.4 and 0.14 (common in
-	// the literature); the degree constraint dominates the final shape.
-	Alpha, Beta    float64
-	Region         float64 // side of the square placement region, default 100
-	WithProxies    bool
-	OffPathProxies bool
-	LinkDelayUS    int64
+	WithProxies bool
 }
+
+// The core mesh of §IV-A: core routers placed in a waxmanRegion x
+// waxmanRegion square, waxmanDegree core-to-core links each. Two routers at
+// Euclidean distance d connect with probability
+// waxmanAlpha*exp(-d/(waxmanBeta*L)), where L is the maximum possible
+// distance; the two values are common in the literature, and the degree
+// constraint dominates the final shape.
+const (
+	waxmanRegion float64 = 100
+	waxmanDegree         = 4
+	waxmanAlpha          = 0.4
+	waxmanBeta           = 0.14
+)
 
 func (c *WaxmanConfig) fill() {
 	if c.EdgeRouters == 0 {
@@ -236,29 +230,14 @@ func (c *WaxmanConfig) fill() {
 	if c.CoreRouters == 0 {
 		c.CoreRouters = 25
 	}
-	if c.CoreDegree == 0 {
-		c.CoreDegree = 4
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.4
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.14
-	}
-	if c.Region == 0 {
-		c.Region = 100
-	}
-	if c.LinkDelayUS == 0 {
-		c.LinkDelayUS = 100
-	}
 }
 
 // Waxman builds the random topology of §IV-A. Core routers are placed
-// uniformly at random in a Region x Region square and interconnected by a
+// uniformly at random in the waxmanRegion square and interconnected by a
 // degree-constrained Waxman process: a random spanning tree weighted by
 // the Waxman probability guarantees connectivity, then additional links
 // are sampled (still Waxman-weighted) until every core router has
-// CoreDegree core-to-core links or no legal pair remains. Edge routers are
+// waxmanDegree core-to-core links or no legal pair remains. Edge routers are
 // split evenly across core routers.
 func Waxman(cfg WaxmanConfig, rng *rand.Rand) *Graph {
 	cfg.fill()
@@ -269,11 +248,11 @@ func Waxman(cfg WaxmanConfig, rng *rand.Rand) *Graph {
 		seq++
 		cores[i] = g.AddNode(Node{
 			Name: fmt.Sprintf("core%d", i+1), Kind: KindCoreRouter,
-			X: rng.Float64() * cfg.Region, Y: rng.Float64() * cfg.Region,
+			X: rng.Float64() * waxmanRegion, Y: rng.Float64() * waxmanRegion,
 			Addr: routerAddr(seq), Attach: InvalidNode,
 		})
 	}
-	connectWaxman(g, cores, cfg, rng)
+	connectWaxman(g, cores, rng)
 
 	perCore := cfg.EdgeRouters / cfg.CoreRouters
 	extra := cfg.EdgeRouters % cfg.CoreRouters
@@ -296,9 +275,9 @@ func Waxman(cfg WaxmanConfig, rng *rand.Rand) *Graph {
 			nn.Subnet = subnetPrefix(idx)
 			g.nodes[id] = nn
 			g.byAddr[subnetRouterAddr(idx)] = id
-			g.AddLink(Link{A: id, B: core, DelayUS: cfg.LinkDelayUS})
+			g.AddLink(Link{A: id, B: core, DelayUS: linkDelayUS})
 			if cfg.WithProxies {
-				attachProxy(g, id, idx, cfg.OffPathProxies)
+				attachProxy(g, id, idx, false)
 			}
 		}
 	}
@@ -307,16 +286,16 @@ func Waxman(cfg WaxmanConfig, rng *rand.Rand) *Graph {
 
 // connectWaxman wires the core mesh: spanning tree first (connectivity),
 // then Waxman-weighted extra links up to the degree target.
-func connectWaxman(g *Graph, cores []NodeID, cfg WaxmanConfig, rng *rand.Rand) {
+func connectWaxman(g *Graph, cores []NodeID, rng *rand.Rand) {
 	n := len(cores)
 	if n < 2 {
 		return
 	}
-	maxDist := cfg.Region * math.Sqrt2
+	maxDist := waxmanRegion * math.Sqrt2
 	prob := func(a, b NodeID) float64 {
 		na, nb := g.Node(a), g.Node(b)
 		d := math.Hypot(na.X-nb.X, na.Y-nb.Y)
-		return cfg.Alpha * math.Exp(-d/(cfg.Beta*maxDist))
+		return waxmanAlpha * math.Exp(-d/(waxmanBeta*maxDist))
 	}
 
 	// Random spanning tree: attach each new node to an already-connected
@@ -326,7 +305,7 @@ func connectWaxman(g *Graph, cores []NodeID, cfg WaxmanConfig, rng *rand.Rand) {
 	for _, oi := range order[1:] {
 		v := cores[oi]
 		u := weightedPick(rng, connected, func(u NodeID) float64 { return prob(u, v) })
-		g.AddLink(Link{A: u, B: v, DelayUS: cfg.LinkDelayUS})
+		g.AddLink(Link{A: u, B: v, DelayUS: linkDelayUS})
 		connected = append(connected, v)
 	}
 
@@ -347,11 +326,11 @@ func connectWaxman(g *Graph, cores []NodeID, cfg WaxmanConfig, rng *rand.Rand) {
 		var cands []pair
 		var weights []float64
 		for i := 0; i < n; i++ {
-			if deg(cores[i]) >= cfg.CoreDegree {
+			if deg(cores[i]) >= waxmanDegree {
 				continue
 			}
 			for j := i + 1; j < n; j++ {
-				if deg(cores[j]) >= cfg.CoreDegree || g.HasLink(cores[i], cores[j]) {
+				if deg(cores[j]) >= waxmanDegree || g.HasLink(cores[i], cores[j]) {
 					continue
 				}
 				cands = append(cands, pair{cores[i], cores[j]})
@@ -362,7 +341,7 @@ func connectWaxman(g *Graph, cores []NodeID, cfg WaxmanConfig, rng *rand.Rand) {
 			return
 		}
 		k := weightedIndex(rng, weights)
-		g.AddLink(Link{A: cands[k].a, B: cands[k].b, DelayUS: cfg.LinkDelayUS})
+		g.AddLink(Link{A: cands[k].a, B: cands[k].b, DelayUS: linkDelayUS})
 	}
 }
 

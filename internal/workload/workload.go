@@ -79,10 +79,6 @@ type GenConfig struct {
 	Subnets int
 	// PoliciesPerClass is how many policies of each class to create.
 	PoliciesPerClass int
-	// SizeAlpha, SizeMin, SizeMax shape the bounded-Pareto flow sizes.
-	// Zero values default to 0.65, 1 and 5000.
-	SizeAlpha        float64
-	SizeMin, SizeMax int
 	// Companions adds, for each one-to-many web policy, the §IV-A
 	// "many-to-one companion policy for the return web traffic":
 	// wildcard-source traffic from port 80 back into the subnet,
@@ -90,16 +86,15 @@ type GenConfig struct {
 	Companions bool
 }
 
+// Flow sizes follow a bounded Pareto with shape sizeAlpha on
+// [sizeMin, sizeMax] packets: the power law §IV-A names, with the
+// parameters DESIGN §2 fixes.
+const (
+	sizeAlpha        = 0.65
+	sizeMin, sizeMax = 1, 5000
+)
+
 func (c *GenConfig) fill() {
-	if c.SizeAlpha == 0 {
-		c.SizeAlpha = 0.65
-	}
-	if c.SizeMin == 0 {
-		c.SizeMin = 1
-	}
-	if c.SizeMax == 0 {
-		c.SizeMax = 5000
-	}
 	if c.PoliciesPerClass == 0 {
 		c.PoliciesPerClass = 10
 	}
@@ -240,7 +235,6 @@ const defaultPacketBytes = 512
 // policy is chosen uniformly. The returned flows' tuples are guaranteed
 // to match their generating policy's descriptor.
 func GenerateFlows(cfg GenConfig, policies []ClassedPolicy, targetPackets int, rng *rand.Rand) []Flow {
-	cfg.fill()
 	byClass := map[Class][]*ClassedPolicy{}
 	for i := range policies {
 		cp := &policies[i]
@@ -252,7 +246,7 @@ func GenerateFlows(cfg GenConfig, policies []ClassedPolicy, targetPackets int, r
 			panic(fmt.Sprintf("workload: no policies of class %v", c))
 		}
 	}
-	sampler := NewSizeSampler(cfg.SizeAlpha, cfg.SizeMin, cfg.SizeMax)
+	sampler := NewSizeSampler(sizeAlpha, sizeMin, sizeMax)
 
 	var flows []Flow
 	total := 0

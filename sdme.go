@@ -71,19 +71,15 @@ const (
 	TM  = policy.FuncTM
 )
 
-// Config assembles a System.
+// Config assembles a System. The middlebox population (7 FW / 7 IDS /
+// 4 WP / 4 TM) and the candidate-set sizes |M_x^e| (4/4/2/2) are the
+// paper's §IV-A ones.
 type Config struct {
 	// Topology is "campus" (§IV-A real-world campus) or "waxman" (400
 	// edge routers / 25 cores).
 	Topology string
 	// Seed drives topology generation and middlebox placement.
 	Seed int64
-	// MiddleboxCounts is the population per function; defaults to the
-	// paper's 7 FW / 7 IDS / 4 WP / 4 TM.
-	MiddleboxCounts map[FuncType]int
-	// K is the candidate-set size |M_x^e| per function; defaults to the
-	// paper's 4/4/2/2.
-	K map[FuncType]int
 	// LabelSwitching enables the §III-E enhancement on all nodes.
 	LabelSwitching bool
 	// FlowTTL / LabelTTL bound soft state (microseconds of virtual or
@@ -138,14 +134,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := cfg.MiddleboxCounts
-	if counts == nil {
-		counts = controller.DefaultCounts()
-	}
-	dep.PlaceRandom(counts, rng)
-	if cfg.K == nil {
-		cfg.K = controller.DefaultK()
-	}
+	dep.PlaceRandom(controller.DefaultCounts(), rng)
 	return &System{
 		Graph:    g,
 		Dep:      dep,
@@ -252,7 +241,7 @@ func (s *System) Deploy(strategy Strategy) error {
 	s.AllPairs = route.NewAllPairs(s.Graph, route.RouterTransitOnly(s.Graph))
 	s.ctl = controller.New(s.Dep, s.AllPairs, s.Policies, controller.Options{
 		Strategy:       strategy,
-		K:              s.cfg.K,
+		K:              controller.DefaultK(),
 		LabelSwitching: s.cfg.LabelSwitching,
 		FlowTTL:        s.cfg.FlowTTL,
 		LabelTTL:       s.cfg.LabelTTL,
