@@ -123,12 +123,14 @@ bench-compare:
 # right after traffic with no device woken, scrapes while a device's
 # tables are rebuilt by Install, and a scrape of a wedged device. Last,
 # the packet pool's tests: goroutines on every P taking, stamping and
-# putting back packets, with exact counts.
+# putting back packets, with exact counts. And the network functions:
+# 8 goroutines sharing one instance of each, as a live middlebox's workers
+# do, with exact counts, and their steady-state allocation guards.
 # -count=5 shakes out schedule-dependent interleavings.
 race-stress:
 	$(GO) test -race -count=5 \
-		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire|Batch|SinkCountsErrors|Scrape|TestPool' \
-		./internal/flowtable/ ./internal/live/ ./internal/packet/
+		-run 'Stress|AllocFree|IndexSurvives|WorkerPool|FlowWorkerHash|Inject|SinkAllocs|IdleFlowsExpire|Batch|SinkCountsErrors|Scrape|TestPool|NFConcurrent' \
+		./internal/flowtable/ ./internal/live/ ./internal/packet/ ./internal/nf/
 
 # Flake hunt for the packages that cross a wire or a clock: 20 passes
 # under the race detector at GOMAXPROCS 1 and 2, where a test that waits

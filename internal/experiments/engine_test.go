@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -25,6 +26,7 @@ func TestChaosEngineVerdictsAgree(t *testing.T) {
 		bothRepaired, handedOver, compositeOK bool
 	}
 	got := make(map[string]verdicts)
+	staleWhy := make(map[string]string) // what each backend's stale check saw, if not a refusal
 	for _, on := range experiments.Backends {
 		rec, err := experiments.Run(on, experiments.Recovery(seed))
 		if err != nil {
@@ -62,15 +64,17 @@ func TestChaosEngineVerdictsAgree(t *testing.T) {
 			handedOver:   co.FinalLeader != co.FirstLeader && co.RepairedUS > co.PromotedUS,
 			compositeOK:  co.VerifyOK && co.Converged && co.ExportIdentical && co.StaleRejected && co.Resumed,
 		}
+		staleWhy[on.String()] = fmt.Sprintf("HA: %q, composite: %q", ha.StaleWhy, co.StaleWhy)
 	}
 	want := verdicts{true, true, true, true, true, true, true, true, true, true, true, true, true}
 	for name, v := range got {
 		if v != want {
-			t.Errorf("%s verdicts %+v, want all true", name, v)
+			t.Errorf("%s verdicts %+v, want all true; stale check saw %s", name, v, staleWhy[name])
 		}
 	}
 	if got["sim"] != got["live"] {
-		t.Errorf("backends disagree:\n sim  %+v\n live %+v", got["sim"], got["live"])
+		t.Errorf("backends disagree:\n sim  %+v (stale check saw %s)\n live %+v (stale check saw %s)",
+			got["sim"], staleWhy["sim"], got["live"], staleWhy["live"])
 	}
 }
 
@@ -108,7 +112,7 @@ func TestChaosHAComposite(t *testing.T) {
 			t.Errorf("%v: the successor restored a different plan than the first repair left", on)
 		}
 		if !res.StaleRejected {
-			t.Errorf("%v: the dead leader's stale output was accepted", on)
+			t.Errorf("%v: the dead leader's stale output was accepted: %s", on, res.StaleWhy)
 		}
 		if !res.Resumed {
 			t.Errorf("%v: deliveries or epochs did not resume: %+v", on, res)

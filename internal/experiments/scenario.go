@@ -254,7 +254,9 @@ type Result struct {
 	// StaleRejected: the first leader's term-stamped output was refused
 	// after its deposition (a standby's frame fence without a management
 	// channel; the server's self-gate AND an agent's fence with one).
+	// StaleWhy says what the check saw when it was not.
 	StaleRejected bool
+	StaleWhy      string
 }
 
 // control holds the controller that currently leads, and is what both of
@@ -543,9 +545,10 @@ func Run(on Backend, sc Scenario) (*Result, error) {
 	res.Resumed = resumed(t) && (ctl.successions == 0 ||
 		res.ExportIdentical && (res.EpochBefore == 0 || res.EpochAfter > res.EpochBefore))
 	if sc.Replicas > 0 && res.FinalLeader != res.FirstLeader {
-		if res.StaleRejected, err = sub.StaleRefused(res.FirstLeader, res.FirstTerm); err != nil {
+		if res.StaleWhy, err = sub.StaleRefused(res.FirstLeader, res.FirstTerm); err != nil {
 			return nil, err
 		}
+		res.StaleRejected = res.StaleWhy == ""
 	}
 	return res, nil
 }

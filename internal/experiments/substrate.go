@@ -132,9 +132,10 @@ type Substrate interface {
 	// the update reach the nodes; a nil update rolls the plane's whole
 	// plan out. A plane that no longer leads gets errDeposed.
 	Rollout(p Plane, upd *controller.PlanUpdate) error
-	// StaleRefused resurrects a deposed leader's term-stamped output and
-	// reports whether it was refused.
-	StaleRefused(id int, term uint64) (bool, error)
+	// StaleRefused resurrects a deposed leader's term-stamped output. It
+	// returns "" if the output was refused, and otherwise what the check
+	// saw instead.
+	StaleRefused(id int, term uint64) (string, error)
 	// Drain ends the workload and lets packets in flight land.
 	Drain()
 	Totals() Totals

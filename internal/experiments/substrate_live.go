@@ -600,24 +600,33 @@ func (s *liveSubstrate) probe(srv *mgmt.Server, node topo.NodeID, pol mgmt.Retry
 // plan the zombie rolls out reaches that agent over a real connection,
 // and the agent must refuse it. (This takes the current leader's server
 // out of service.) The lease may churn between "settled" and this check,
-// so it first waits for a leader other than old.
-func (s *liveSubstrate) StaleRefused(old int, oldTerm uint64) (bool, error) {
+// so it first waits for a leader other than old. What it returns names
+// each fence that did not hold: the gate never closed, the agent never
+// reached the zombie, or it reached it and did not refuse.
+func (s *liveSubstrate) StaleRefused(old int, oldTerm uint64) (string, error) {
 	var cur Lead
 	if !s.Await(awaitUS, func() (ok bool) { cur, ok = s.leader(); return ok && cur.ID != old }) {
-		return false, fmt.Errorf("experiments: no successor to replica %d for the stale-push check", old)
+		return "", fmt.Errorf("experiments: no successor to replica %d for the stale-push check", old)
 	}
 	zombie, leaderSrv := s.servers[old].Load(), s.servers[cur.ID].Load()
 	node := s.fleet.IDs[0]
 	gated := live.WaitUntil(10*time.Second, func() bool {
 		return errors.Is(s.probe(zombie, node, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 100 * time.Millisecond}), mgmt.ErrNotLeader)
 	})
+	var why []string
+	if !gated {
+		why = append(why, fmt.Sprintf("replica %d's demotion gate never closed", old))
+	}
 	zombie.SetLeader(oldTerm)
 	leaderSrv.SetNotLeader(zombie.Addr())
 	leaderSrv.DropConn(node)
 	if !zombie.WaitConnected(10*time.Second, node) {
-		return false, nil
+		why = append(why, fmt.Sprintf("agent %v never connected to the zombie", node))
+		return strings.Join(why, "; "), nil
 	}
 	var refused *mgmt.RefusedError
-	fenced := errors.As(s.probe(zombie, node, pushPol), &refused) && strings.Contains(refused.Reason, "stale term")
-	return gated && fenced, nil
+	if err := s.probe(zombie, node, pushPol); !errors.As(err, &refused) || !strings.Contains(refused.Reason, "stale term") {
+		why = append(why, fmt.Sprintf("agent %v did not refuse the zombie's push (got %v)", node, err))
+	}
+	return strings.Join(why, "; "), nil
 }

@@ -280,8 +280,8 @@ func (s *SimSubstrate) Close() {
 // StaleRefused delivers a well-formed journal frame stamped with the
 // deposed leader's term to a live standby, at exactly the offset the
 // standby would otherwise append at — only the term fence can refuse it —
-// and reports whether the standby's journal stayed untouched.
-func (s *SimSubstrate) StaleRefused(oldLeader int, oldTerm uint64) (bool, error) {
+// and checks that the standby's journal stayed untouched.
+func (s *SimSubstrate) StaleRefused(oldLeader int, oldTerm uint64) (string, error) {
 	sb, g := -1, s.group.Load()
 	cur, _ := g.Leader()
 	for i := 0; i < g.N(); i++ {
@@ -291,23 +291,23 @@ func (s *SimSubstrate) StaleRefused(oldLeader int, oldTerm uint64) (bool, error)
 		}
 	}
 	if sb < 0 {
-		return false, fmt.Errorf("experiments: no live standby for the stale-frame check")
+		return "", fmt.Errorf("experiments: no live standby for the stale-frame check")
 	}
 	// Fresh, CRC-valid frame bytes from a scratch journal: everything
 	// about the frame is legitimate except the term it rode in under.
 	sj, err := controller.OpenJournal(filepath.Join(s.dir, "stale-scratch.wal"))
 	if err != nil {
-		return false, err
+		return "", err
 	}
 	if err := sj.LogEpoch(999_999, oldTerm); err != nil {
-		return false, err
+		return "", err
 	}
 	frames, err := sj.ReadChunk(0, 1<<20)
 	if err != nil {
-		return false, err
+		return "", err
 	}
 	if err := sj.Close(); err != nil {
-		return false, err
+		return "", err
 	}
 	standby := g.Replica(sb)
 	bytesBefore := standby.JournalBytes()
@@ -318,8 +318,11 @@ func (s *SimSubstrate) StaleRefused(oldLeader int, oldTerm uint64) (bool, error)
 		Frames: frames,
 	})
 	if err != nil {
-		return false, err
+		return "", err
 	}
 	standby.Deliver(&mgmt.Envelope{T: mgmt.TypeJournalFrame, Data: data})
-	return standby.JournalBytes() == bytesBefore, nil
+	if after := standby.JournalBytes(); after != bytesBefore {
+		return fmt.Sprintf("standby %d appended the stale frame (journal %d -> %d bytes)", sb, bytesBefore, after), nil
+	}
+	return "", nil
 }

@@ -2,6 +2,7 @@ package nf
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"sdme/internal/netaddr"
@@ -37,6 +38,15 @@ type Alert struct {
 // source after which the scan detector raises an alert.
 const portScanThreshold = 32
 
+// scanRecord is the port-scan detector's state for one source: the
+// distinct destination ports it touched, in arrival order, until there
+// are portScanThreshold of them. The alert fires as the last one is
+// written; after that the record is full and never changes again.
+type scanRecord struct {
+	n     int32
+	ports [portScanThreshold]uint16
+}
+
 // IDS is a passive intrusion detection system: it scans payloads against
 // content signatures and tracks per-source destination-port fan-out to
 // flag port scans. Being passive, it always passes packets; its output is
@@ -47,11 +57,13 @@ type IDS struct {
 	signatures []Signature
 	processed  int64
 	alerts     []Alert
-	// scanPorts tracks the set of destination ports each source touched.
-	scanPorts map[netaddr.Addr]map[uint16]struct{}
-	// scanAlerted dedups port-scan alerts per source.
-	scanAlerted map[netaddr.Addr]bool
+	// scans holds one record per source, by value, and scanOf each
+	// source's place among them: a known source costs one map read, and
+	// the GC scans neither.
+	scans  []scanRecord
+	scanOf map[netaddr.Addr]int32
 	// MaxAlerts bounds the alert log; older alerts are discarded first.
+	// At zero or below the IDS keeps no alerts.
 	MaxAlerts int
 }
 
@@ -60,10 +72,9 @@ var _ Function = (*IDS)(nil)
 // NewIDS creates an IDS with the given signature set.
 func NewIDS(sigs []Signature) *IDS {
 	return &IDS{
-		signatures:  append([]Signature(nil), sigs...),
-		scanPorts:   make(map[netaddr.Addr]map[uint16]struct{}),
-		scanAlerted: make(map[netaddr.Addr]bool),
-		MaxAlerts:   4096,
+		signatures: append([]Signature(nil), sigs...),
+		scanOf:     make(map[netaddr.Addr]int32),
+		MaxAlerts:  4096,
 	}
 }
 
@@ -79,26 +90,54 @@ func (s *IDS) Process(pkt *packet.Packet, now int64) Verdict {
 
 	if len(pkt.Payload) > 0 {
 		for _, sig := range s.signatures {
-			if bytes.Contains(pkt.Payload, sig.Pattern) {
+			if contains(pkt.Payload, sig.Pattern) {
 				s.raise(Alert{Signature: sig.Name, Flow: ft, At: now})
 			}
 		}
 	}
 
-	ports := s.scanPorts[ft.Src]
-	if ports == nil {
-		ports = make(map[uint16]struct{})
-		s.scanPorts[ft.Src] = ports
+	i, ok := s.scanOf[ft.Src]
+	if !ok {
+		i = int32(len(s.scans))
+		s.scans = append(s.scans, scanRecord{})
+		s.scanOf[ft.Src] = i
 	}
-	ports[ft.DstPort] = struct{}{}
-	if len(ports) >= portScanThreshold && !s.scanAlerted[ft.Src] {
-		s.scanAlerted[ft.Src] = true
+	r := &s.scans[i]
+	if r.n == portScanThreshold || slices.Contains(r.ports[:r.n], ft.DstPort) {
+		return VerdictPass
+	}
+	r.ports[r.n] = ft.DstPort
+	if r.n++; r.n == portScanThreshold {
 		s.raise(Alert{Signature: "port-scan", Flow: ft, At: now})
 	}
 	return VerdictPass
 }
 
+// contains reports whether pat occurs in b, as bytes.Contains does. It
+// looks for pat's first byte with IndexByte and compares only where that
+// byte is. On amd64 bytes.Contains instead tries every offset of a
+// haystack of up to 64 bytes, and most dataplane payloads are that short.
+func contains(b, pat []byte) bool {
+	if len(pat) == 0 {
+		return true
+	}
+	for len(b) >= len(pat) {
+		i := bytes.IndexByte(b[:len(b)-len(pat)+1], pat[0])
+		if i < 0 {
+			return false
+		}
+		if bytes.Equal(b[i:i+len(pat)], pat) {
+			return true
+		}
+		b = b[i+1:]
+	}
+	return false
+}
+
 func (s *IDS) raise(a Alert) {
+	if s.MaxAlerts <= 0 {
+		return
+	}
 	if len(s.alerts) >= s.MaxAlerts {
 		s.alerts = s.alerts[1:]
 	}

@@ -43,9 +43,11 @@ func (v Verdict) String() string {
 	}
 }
 
-// Function is one network function instance, owned by a single middlebox
-// (no internal locking; middleboxes are single-threaded event handlers in
-// the simulator and one-goroutine loops in the live runtime).
+// Function is one network function instance, owned by a single middlebox.
+// Process is safe for concurrent use: the live runtime's worker pool
+// shares one instance across its workers, and flow-affinity dispatch does
+// not serialize it, because one function serves every flow its middlebox
+// carries. Each implementation guards its state with its own mutex.
 type Function interface {
 	// Type identifies which policy action this function implements.
 	Type() policy.FuncType

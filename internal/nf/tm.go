@@ -14,11 +14,15 @@ import (
 // has room for; the sketch covers everything, so heavy-hitter queries
 // stay accurate under memory pressure — the standard design for
 // measurement middleboxes.
+//
+// A flow is hashed once. Row i's column is derived from the two halves
+// h1, h2 of that hash as h1 + i·h2 (Kirsch and Mitzenmacher, "Less
+// hashing, same performance"), which keeps the count-min error bound
+// without a hash per row.
 type CountMinSketch struct {
 	width  int
 	depth  int
-	counts [][]uint64
-	seeds  []uint64
+	counts []uint64 // depth rows of width counters, row after row
 }
 
 // NewCountMinSketch creates a sketch with the given width (counters per
@@ -30,33 +34,39 @@ func NewCountMinSketch(width, depth int) *CountMinSketch {
 	if depth < 1 {
 		depth = 1
 	}
-	s := &CountMinSketch{width: width, depth: depth}
-	s.counts = make([][]uint64, depth)
-	s.seeds = make([]uint64, depth)
-	for i := range s.counts {
-		s.counts[i] = make([]uint64, width)
-		// Fixed distinct seeds; reproducibility matters more here than
-		// adversarial resistance.
-		s.seeds[i] = 0x9e3779b97f4a7c15 * uint64(i+1)
-	}
-	return s
+	return &CountMinSketch{width: width, depth: depth, counts: make([]uint64, width*depth)}
+}
+
+// flowHash hashes the 5-tuple a word at a time.
+func flowHash(ft netaddr.FiveTuple) uint64 {
+	ports := uint64(ft.SrcPort)<<24 | uint64(ft.DstPort)<<8 | uint64(ft.Proto)
+	return netaddr.Mix64((uint64(ft.Src)<<32 | uint64(ft.Dst)) ^ netaddr.Mix64(ports))
+}
+
+// cell returns the index of row i's counter for a flow hashed to h1, h2.
+// The column maps the 32-bit h1 + i·h2 onto [0, width) by a multiply and
+// a shift, which needs no division.
+func (s *CountMinSketch) cell(h1, h2 uint32, i int) int {
+	col := uint64(h1+uint32(i)*h2) * uint64(s.width) >> 32
+	return i*s.width + int(col)
 }
 
 // Add increments the estimate for the flow by delta.
 func (s *CountMinSketch) Add(ft netaddr.FiveTuple, delta uint64) {
+	h := flowHash(ft)
+	h1, h2 := uint32(h), uint32(h>>32)
 	for i := 0; i < s.depth; i++ {
-		s.counts[i][ft.Hash(s.seeds[i])%uint64(s.width)] += delta
+		s.counts[s.cell(h1, h2, i)] += delta
 	}
 }
 
 // Estimate returns the (over-approximating) count for the flow.
 func (s *CountMinSketch) Estimate(ft netaddr.FiveTuple) uint64 {
-	var est uint64
-	for i := 0; i < s.depth; i++ {
-		c := s.counts[i][ft.Hash(s.seeds[i])%uint64(s.width)]
-		if i == 0 || c < est {
-			est = c
-		}
+	h := flowHash(ft)
+	h1, h2 := uint32(h), uint32(h>>32)
+	est := s.counts[s.cell(h1, h2, 0)]
+	for i := 1; i < s.depth; i++ {
+		est = min(est, s.counts[s.cell(h1, h2, i)])
 	}
 	return est
 }

@@ -1,6 +1,8 @@
 package nf
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"sdme/internal/netaddr"
@@ -69,17 +71,33 @@ func NewWebProxy(capacity int) *WebProxy {
 // Type implements Function.
 func (w *WebProxy) Type() policy.FuncType { return policy.FuncWP }
 
+// contentHash hashes a payload 8 bytes per step: each little-endian word
+// is folded into the state by a 64×64→128-bit multiply whose halves are
+// XORed, so a difference in any bit of a word spreads over the whole
+// state before the next word arrives. The length goes in first, so
+// payloads that differ only by trailing zero bytes differ.
 func contentHash(b []byte) uint64 {
 	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
+		k0 = 0x9e3779b97f4a7c15
+		k1 = 0xbf58476d1ce4e5b9
 	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+	h := uint64(len(b)) * k0
+	for ; len(b) >= 8; b = b[8:] {
+		h = fold(h^binary.LittleEndian.Uint64(b), k1)
 	}
-	return h
+	if len(b) > 0 {
+		var w uint64
+		for i, c := range b {
+			w |= uint64(c) << (8 * i)
+		}
+		h = fold(h^w, k1)
+	}
+	return fold(h, k0)
+}
+
+func fold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
 func keyOf(pkt *packet.Packet) objectKey {
