@@ -89,6 +89,8 @@ verify-examples:
 	$(GO) run ./cmd/sdme-topo -topology campus -verify
 	$(GO) run ./cmd/sdme-topo -topology waxman -verify
 	$(GO) run ./cmd/sdme-topo -topology campus -observe
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/sdme-topo -topology waxman -export "$$tmp/export.json"
 
 # The repository benchmark (bench/README.md): five time-bounded workloads
 # over the real dataplane nodes, the live runtime and the control loop

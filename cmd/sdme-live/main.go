@@ -171,8 +171,6 @@ func run() error {
 		fmt.Printf("observability on http://%s/metrics and /debug/pprof/\n\n", ln.Addr())
 	}
 
-	// Wire form of every node's plan, taken before the devices own the nodes.
-	fallback := experiments.FullConfigs(nodes)
 	for _, n := range nodes {
 		// Attach before the fleet takes the nodes: the device goroutine
 		// owns a node from then on. Shard tuning is local (never on the
@@ -201,8 +199,8 @@ func run() error {
 		return fmt.Errorf("agents failed to connect")
 	}
 
-	// Roll the plan out over the wire: a delta against the empty base,
-	// carried by each node's full configuration. The epoch-fenced
+	// Roll the whole plan out over the wire: a delta against the empty
+	// base, carried by each node's full configuration. The epoch-fenced
 	// prepare/commit batch guarantees the fleet never mixes plan
 	// generations: every node stages, then all flip atomically (a single
 	// refusal rolls the whole batch back).
@@ -218,8 +216,7 @@ func run() error {
 	if err := fence(); err != nil {
 		return err
 	}
-	initial, _ := controller.DiffPlans(nil, pipe.Plan())
-	epoch, err := pipe.Rollout(server, initial, fallback, pushPol)
+	epoch, err := pipe.Rollout(server, nil, pushPol)
 	if err != nil {
 		return err
 	}
@@ -291,7 +288,7 @@ func run() error {
 	if err := fence(); err != nil {
 		return err
 	}
-	if _, err := pipe.Rollout(server, upd.Deltas, nil, pushPol); err != nil {
+	if _, err := pipe.Rollout(server, upd, pushPol); err != nil {
 		return err
 	}
 	fmt.Printf("\n§III-C loop closed: proxies reported %d packets, controller solved λ=%.0f\n",

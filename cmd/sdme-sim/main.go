@@ -4,8 +4,8 @@
 // Usage:
 //
 //	sdme-sim [-topology campus|waxman] [-strategy hp|rand|lb]
-//	         [-traffic 1000000] [-policies 10] [-seed 20] [-labels]
-//	         [-packet-level] [-metrics out.prom]
+//	         [-traffic 1000000] [-policies 10] [-seed 20]
+//	         [-trace 1:2:80 | -packet-level [-labels] [-metrics out.prom]]
 //	         [-controllers 3 -kill-leader-at 200000 [-kill-leaders 1]]
 //
 // The default mode uses the fast flow-level evaluator (valid because the
@@ -72,12 +72,22 @@ func run() error {
 	killLeaderAt := flag.Int64("kill-leader-at", 0, "HA mode: virtual us after the first rollout at which the elected leader is killed (0: 10 lease windows)")
 	killLeaders := flag.Int("kill-leaders", 1, "HA mode: how many consecutive leaders to assassinate")
 	flag.Parse()
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *controllers > 1 {
 		return runHATakeover(*controllers, *killLeaders, *killLeaderAt, *seed)
 	}
-	if *killLeaderAt != 0 {
-		return fmt.Errorf("-kill-leader-at requires -controllers > 1")
+	for _, name := range []string{"kill-leader-at", "kill-leaders"} {
+		if set[name] {
+			return fmt.Errorf("-%s requires -controllers > 1", name)
+		}
+	}
+	if *packetLevel && *traceSpec != "" {
+		return fmt.Errorf("-trace requires the flow-level mode (drop -packet-level)")
+	}
+	if !*packetLevel && *labels {
+		return fmt.Errorf("-labels requires -packet-level")
 	}
 
 	strategy, err := parseStrategy(*stratName)

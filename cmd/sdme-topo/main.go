@@ -102,16 +102,10 @@ func run() error {
 		}
 	}
 
-	// defaultDeployment compiles the default controller's first plan and
-	// builds every node from it.
-	defaultDeployment := func() (*controller.Controller, map[topo.NodeID]*enforce.Node, error) {
-		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: controller.DefaultK()})
-		_, nodes, _, err := experiments.Deploy(ctl, controller.PipelineOptions{}, nil)
-		return ctl, nodes, err
-	}
-
+	// -audit and -export read the default controller's first plan.
+	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: controller.DefaultK()})
 	if *audit {
-		ctl, nodes, err := defaultDeployment()
+		_, nodes, _, err := experiments.Deploy(ctl, controller.PipelineOptions{}, nil)
 		if err != nil {
 			return err
 		}
@@ -128,7 +122,11 @@ func run() error {
 	}
 
 	if *exportPath != "" {
-		ctl, nodes, err := defaultDeployment()
+		upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(nil)
+		if err != nil {
+			return err
+		}
+		cfgs, err := ctl.NodeConfigs(upd.Plan)
 		if err != nil {
 			return err
 		}
@@ -136,7 +134,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := ctl.ExportConfig(nodes).WriteJSON(f); err != nil {
+		if err := ctl.ExportConfig(cfgs).WriteJSON(f); err != nil {
 			_ = f.Close()
 			return err
 		}

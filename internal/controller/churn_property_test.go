@@ -165,7 +165,7 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 				t.Fatalf("step %d: delta for unknown node %v", step, id)
 			}
 		}
-		if err := controller.ApplyDeltas(live, upd.Deltas); err != nil {
+		if err := pipe.Apply(live, upd); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 
@@ -320,7 +320,7 @@ func configsOf(nodes map[topo.NodeID]*enforce.Node) map[topo.NodeID]enforce.Conf
 func exportBytes(t *testing.T, ctl *controller.Controller, nodes map[topo.NodeID]*enforce.Node) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ctl.ExportConfig(nodes).WriteJSON(&buf); err != nil {
+	if err := ctl.ExportConfig(configsOf(nodes)).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

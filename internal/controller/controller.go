@@ -13,8 +13,6 @@
 package controller
 
 import (
-	"fmt"
-
 	"sdme/internal/enforce"
 	"sdme/internal/policy"
 	"sdme/internal/route"
@@ -196,21 +194,4 @@ func MeasurementsFromFlows(dep *enforce.Deployment, tbl *policy.Table, flows []e
 		}] += f.Packets
 	}
 	return out
-}
-
-// ApplyDeltas is the in-process rollout: it applies a plan update's
-// per-node deltas, which Node.Install's rule turns into purging only what
-// they change (the wire rollout is Pipeline.Rollout). The caller must own
-// the nodes.
-func ApplyDeltas(nodes map[topo.NodeID]*enforce.Node, deltas map[topo.NodeID]enforce.ConfigDelta) error {
-	for id, d := range deltas {
-		n, ok := nodes[id]
-		if !ok {
-			continue
-		}
-		if err := n.ApplyDelta(d); err != nil {
-			return fmt.Errorf("controller: apply delta on node %v: %w", id, err)
-		}
-	}
-	return nil
 }

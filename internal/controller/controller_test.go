@@ -68,7 +68,7 @@ func recompute(t *testing.T, pipe *controller.Pipeline, nodes map[topo.NodeID]*e
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
+	if err := pipe.Apply(nodes, upd); err != nil {
 		t.Fatal(err)
 	}
 	return upd

@@ -54,10 +54,9 @@ type Export struct {
 	Nodes             []ExportedNode `json:"nodes"`
 }
 
-// ExportConfig snapshots the configuration of every node. Nodes must not
-// be concurrently active (take the snapshot from their owner, or before
-// starting traffic).
-func (c *Controller) ExportConfig(nodes map[topo.NodeID]*enforce.Node) *Export {
+// ExportConfig renders every node's configuration, as NodeConfigs derives
+// it from a plan.
+func (c *Controller) ExportConfig(cfgs map[topo.NodeID]enforce.Config) *Export {
 	out := &Export{}
 	out.Topology.Nodes = c.dep.Graph.NumNodes()
 	out.Topology.Links = c.dep.Graph.NumLinks()
@@ -67,17 +66,18 @@ func (c *Controller) ExportConfig(nodes map[topo.NodeID]*enforce.Node) *Export {
 		out.FailedMiddleboxes = append(out.FailedMiddleboxes, c.dep.Graph.Node(id).Name)
 	}
 
-	for _, id := range sortedNodeKeys(nodes) {
-		n := nodes[id]
+	for _, id := range sortedNodeKeys(cfgs) {
 		gn := c.dep.Graph.Node(id)
-		cfg := n.Config()
+		cfg := cfgs[id]
 		en := ExportedNode{
 			Name:     gn.Name,
 			ID:       int(id),
 			Kind:     gn.Kind.String(),
 			Addr:     gn.Addr.String(),
-			Subnet:   n.SubnetIdx,
 			Strategy: cfg.Strategy.String(),
+		}
+		if gn.Kind == topo.KindProxy {
+			en.Subnet = topo.SubnetIndexOf(gn.Addr)
 		}
 		for _, p := range cfg.Policies {
 			en.Policies = append(en.Policies, ExportedPolicy{

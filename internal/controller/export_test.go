@@ -17,16 +17,20 @@ func TestExportConfigRoundTrip(t *testing.T) {
 		K:        map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
 	})
 	pid := b.tbl.All()[0].ID
-	_, nodes, _ := deploy(t, ctl, controller.Measurements{
+	_, _, upd := deploy(t, ctl, controller.Measurements{
 		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 100,
 	})
+	cfgs, err := ctl.NodeConfigs(upd.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	export := ctl.ExportConfig(nodes)
+	export := ctl.ExportConfig(cfgs)
 	if export.Topology.Subnets != 4 || export.Topology.Middleboxes != 7 {
 		t.Errorf("topology summary: %+v", export.Topology)
 	}
-	if len(export.Nodes) != len(nodes) {
-		t.Fatalf("exported %d nodes, want %d", len(export.Nodes), len(nodes))
+	if len(export.Nodes) != len(cfgs) {
+		t.Fatalf("exported %d nodes, want %d", len(export.Nodes), len(cfgs))
 	}
 
 	var buf bytes.Buffer
@@ -79,7 +83,7 @@ func TestExportMarksFailures(t *testing.T) {
 	if err := ctl.MarkFailed(dead, true); err != nil {
 		t.Fatal(err)
 	}
-	export := ctl.ExportConfig(nodes)
+	export := ctl.ExportConfig(configsOf(nodes))
 	if len(export.FailedMiddleboxes) != 1 || export.FailedMiddleboxes[0] != b.g.Node(dead).Name {
 		t.Errorf("failed list: %v", export.FailedMiddleboxes)
 	}

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"fmt"
 
 	"sdme/internal/enforce"
 	"sdme/internal/lp"
@@ -226,14 +227,57 @@ func (p *Pipeline) Rollback() error {
 	return p.c.journalWeights(p.plan.Lambda, p.plan.Weights)
 }
 
+// Apply is the in-process rollout of a plan update: its per-node deltas,
+// which Node.Install's rule turns into purging only what they change, or,
+// for a nil update, the whole current plan as NodeConfigs derives it. The
+// caller must own the nodes.
+func (p *Pipeline) Apply(nodes map[topo.NodeID]*enforce.Node, upd *PlanUpdate) error {
+	if upd != nil {
+		for id, d := range upd.Deltas {
+			if n, ok := nodes[id]; ok {
+				if err := n.ApplyDelta(d); err != nil {
+					return fmt.Errorf("controller: apply delta on node %v: %w", id, err)
+				}
+			}
+		}
+		return nil
+	}
+	cfgs, err := p.c.NodeConfigs(p.plan)
+	if err != nil {
+		return err
+	}
+	for id, cfg := range cfgs {
+		if n, ok := nodes[id]; ok {
+			if err := n.Install(cfg); err != nil {
+				return fmt.Errorf("controller: configure node %v: %w", id, err)
+			}
+		}
+	}
+	return nil
+}
+
 // Rollout is the wire rollout: it pushes a plan update's deltas through
-// the management server's epoch-fenced two-phase protocol (fallback as in
-// mgmt.Server.PushAllDelta2PC) and, when the fleet refused them, rolls
-// the pipeline back so its diff base never runs ahead of the nodes. A
-// commit straggler is not a refusal: the plan is decided and the
-// straggler heals through the reconnect re-push.
-func (p *Pipeline) Rollout(srv *mgmt.Server, deltas map[topo.NodeID]enforce.ConfigDelta, fallback map[topo.NodeID]mgmt.ConfigDTO, pol mgmt.RetryPolicy) (uint64, error) {
-	epoch, err := srv.PushAllDelta2PC(deltas, fallback, pol)
+// the management server's epoch-fenced two-phase protocol and, when the
+// fleet refused them, rolls the pipeline back so its diff base never runs
+// ahead of the nodes. A nil update is the whole current plan: a delta
+// against the empty plan, carried by NodeConfigs for every node srv holds
+// no base for. A commit straggler is not a refusal: the plan is decided
+// and the straggler heals through the reconnect re-push.
+func (p *Pipeline) Rollout(srv *mgmt.Server, upd *PlanUpdate, pol mgmt.RetryPolicy) (uint64, error) {
+	var fallback map[topo.NodeID]mgmt.ConfigDTO
+	if upd == nil {
+		cfgs, err := p.c.NodeConfigs(p.plan)
+		if err != nil {
+			return 0, err
+		}
+		fallback = make(map[topo.NodeID]mgmt.ConfigDTO, len(cfgs))
+		for id, cfg := range cfgs {
+			fallback[id] = mgmt.ConfigToDTO(0, cfg)
+		}
+		upd = &PlanUpdate{}
+		upd.Deltas, _ = DiffPlans(nil, p.plan)
+	}
+	epoch, err := srv.PushAllDelta2PC(upd.Deltas, fallback, pol)
 	if err != nil && !errors.Is(err, mgmt.ErrCommitStraggler) {
 		err = errors.Join(err, p.Rollback())
 	}

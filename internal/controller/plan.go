@@ -268,47 +268,56 @@ func (c *Controller) indexInstance(inst *ChainInstance) error {
 	return nil
 }
 
-// BuildNodesFromPlan materializes and configures every proxy and
-// middlebox from a compiled plan: candidate sets, relevant policies P_x,
-// strategy, feature flags and, when the plan has been solved, LB weights.
-// It is the only from-scratch build; every later change reaches the nodes
-// as a delta, and the churn property test checks the two agree.
-func (c *Controller) BuildNodesFromPlan(p *Plan) (map[topo.NodeID]*enforce.Node, error) {
+// NodeConfigs derives every proxy's and middlebox's configuration from a
+// compiled plan: candidate sets, relevant policies P_x, strategy, feature
+// flags and, when the plan has been solved, LB weights. It is the one
+// derivation of a node's configuration; every later change reaches the
+// nodes as a delta, and the churn property test checks the two agree.
+func (c *Controller) NodeConfigs(p *Plan) (map[topo.NodeID]enforce.Config, error) {
 	if err := c.verifyPlanWith(p.Candidates, p.Weights); err != nil {
 		return nil, err
 	}
-	nodes := make(map[topo.NodeID]*enforce.Node, len(c.dep.ProxyNodes)+len(c.dep.MBNodes))
-	build := func(id topo.NodeID, n *enforce.Node) error {
-		cfg := enforce.Config{
-			Candidates:     p.Candidates[id],
-			Strategy:       c.opts.Strategy,
-			HashSeed:       c.opts.HashSeed,
-			LabelSwitching: c.opts.LabelSwitching,
-			FlowTTL:        c.opts.FlowTTL,
-			LabelTTL:       c.opts.LabelTTL,
+	out := make(map[topo.NodeID]enforce.Config, len(c.dep.ProxyNodes)+len(c.dep.MBNodes))
+	for _, ids := range [][]topo.NodeID{c.dep.ProxyNodes, c.dep.MBNodes} {
+		for _, id := range ids {
+			cfg := enforce.Config{
+				Candidates:     p.Candidates[id],
+				Policies:       p.NodePolicies[id],
+				Strategy:       c.opts.Strategy,
+				HashSeed:       c.opts.HashSeed,
+				LabelSwitching: c.opts.LabelSwitching,
+				FlowTTL:        c.opts.FlowTTL,
+				LabelTTL:       c.opts.LabelTTL,
+			}
+			if w := p.Weights[id]; len(w) > 0 {
+				cfg.Weights = w
+			}
+			out[id] = cfg
 		}
-		cfg.Policies = p.NodePolicies[id]
-		if w := p.Weights[id]; len(w) > 0 {
-			cfg.Weights = w
-		}
-		if err := n.Install(cfg); err != nil {
-			return fmt.Errorf("controller: configure node %v: %w", id, err)
-		}
-		nodes[id] = n
-		return nil
 	}
+	return out, nil
+}
+
+// BuildNodesFromPlan materializes every proxy, then every middlebox, and
+// installs its NodeConfigs configuration. It is the only from-scratch
+// build.
+func (c *Controller) BuildNodesFromPlan(p *Plan) (map[topo.NodeID]*enforce.Node, error) {
+	cfgs, err := c.NodeConfigs(p)
+	if err != nil {
+		return nil, err
+	}
+	nodes := make(map[topo.NodeID]*enforce.Node, len(cfgs))
 	for _, id := range c.dep.ProxyNodes {
-		if err := build(id, enforce.NewProxy(c.dep, id)); err != nil {
-			return nil, err
-		}
+		nodes[id] = enforce.NewProxy(c.dep, id)
 	}
 	for _, id := range c.dep.MBNodes {
-		n, err := enforce.NewMiddleboxWith(c.dep, id, c.opts.FunctionFactory)
-		if err != nil {
+		if nodes[id], err = enforce.NewMiddleboxWith(c.dep, id, c.opts.FunctionFactory); err != nil {
 			return nil, err
 		}
-		if err := build(id, n); err != nil {
-			return nil, err
+	}
+	for _, id := range sortedNodeKeys(nodes) {
+		if err := nodes[id].Install(cfgs[id]); err != nil {
+			return nil, fmt.Errorf("controller: configure node %v: %w", id, err)
 		}
 	}
 	return nodes, nil

@@ -11,6 +11,7 @@ import (
 	"sdme/internal/enforce"
 	"sdme/internal/faultinject"
 	"sdme/internal/mgmt"
+	"sdme/internal/netaddr"
 	"sdme/internal/topo"
 )
 
@@ -87,6 +88,29 @@ func TestChaosRepairAbsorbsOnlyExpectedOutcomes(t *testing.T) {
 				t.Errorf("repairs=%d degraded=%d, want %d and %d", res.Repairs, res.Degraded, tc.repairs, tc.degraded)
 			}
 		})
+	}
+}
+
+// TestSimOfferStartsNow: a workload offered after t = 0 starts then and
+// keeps its pace — one packet every trafficGapUS — instead of injecting
+// every packet already due at once.
+func TestSimOfferStartsNow(t *testing.T) {
+	bed, err := newFaultBed(11, enforce.HotPotato)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSim(bed.Site)
+	const t0, packets = 50_000, 10
+	s.eng.After(t0, func() {})
+	s.eng.Run(0)
+	if err := s.Offer([]netaddr.FiveTuple{bedFlow(0)}, packets); err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= packets; k++ {
+		s.eng.Run(t0 + int64(k-1)*trafficGapUS + trafficGapUS/2)
+		if got := s.Network.Stats().PacketsInjected; got != int64(k) {
+			t.Fatalf("%d µs after the offer: %d packets injected, want %d", int64(k-1)*trafficGapUS+trafficGapUS/2, got, k)
+		}
 	}
 }
 

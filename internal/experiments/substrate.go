@@ -107,9 +107,10 @@ type Substrate interface {
 	// Every reports each gapUS, the next gap starting once the story has
 	// answered, until the returned stop is called.
 	Every(gapUS int64, report func()) (stop func())
-	// Offer starts the workload: every flow sends packetsPerFlow packets
-	// trafficGapUS apart on virtual time; on wall time the flows take
-	// turns, one packet every trafficGapUS, until Drain.
+	// Offer starts the workload now: on virtual time every flow sends
+	// packetsPerFlow packets trafficGapUS apart, flow i starting i·97 µs
+	// after the offer; on wall time the flows take turns, one packet every
+	// trafficGapUS, until Drain.
 	Offer(flows []netaddr.FiveTuple, packetsPerFlow int) error
 	// OnHealth registers who hears that a device went down or came back:
 	// a modeled detection delay after the fault on virtual time, a health

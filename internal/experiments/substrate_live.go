@@ -143,16 +143,6 @@ func (f *Fleet) Close() {
 	f.Runtime.Close()
 }
 
-// FullConfigs renders every node's installed configuration in wire form:
-// the fallback map a rollout needs for nodes the server holds no base for.
-func FullConfigs(nodes map[topo.NodeID]*enforce.Node) map[topo.NodeID]mgmt.ConfigDTO {
-	out := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
-	for id, n := range nodes {
-		out[id] = mgmt.ConfigToDTO(0, n.Config())
-	}
-	return out
-}
-
 // liveSubstrate is a Site on real sockets: a fleet, a health monitor
 // feeding the dataplane's liveness view, and the control plane — one
 // management server per controller replica, and with a replica group a
@@ -193,9 +183,6 @@ type liveSubstrate struct {
 	mu       sync.Mutex
 	crashed  map[topo.NodeID]bool
 	releases map[topo.NodeID]func()
-	// full is the latest whole plan in wire form, the fallback a probe
-	// through a server that holds no base needs.
-	full map[topo.NodeID]mgmt.ConfigDTO
 }
 
 func newLive(site Site, sc Scenario, dir string) (Substrate, error) {
@@ -486,27 +473,13 @@ func (s *liveSubstrate) Rollout(p Plane, upd *controller.PlanUpdate) (err error)
 			}
 		}
 	}
-	if upd != nil {
-		_, err := p.Pipe.Rollout(srv, upd.Deltas, nil, pushPol)
-		return err
-	}
 	// The whole plan goes to a server that holds no base yet, while the
-	// fleet may still be re-homing: a delta against the empty plan, carried
-	// by the full-configuration fallback, once every agent is there (a
-	// stopped device's agent lives on, stages, and straggles at commit).
-	if !srv.WaitConnected(10*time.Second, s.fleet.IDs...) {
+	// fleet may still be re-homing: once every agent is there (a stopped
+	// device's agent lives on, stages, and straggles at commit).
+	if upd == nil && !srv.WaitConnected(10*time.Second, s.fleet.IDs...) {
 		return fmt.Errorf("experiments: agents did not reach %s: connected %v", srv.Addr(), srv.Connected())
 	}
-	built, err := p.Ctl.BuildNodesFromPlan(p.Pipe.Plan())
-	if err != nil {
-		return err
-	}
-	full := FullConfigs(built)
-	s.mu.Lock()
-	s.full = full
-	s.mu.Unlock()
-	deltas, _ := controller.DiffPlans(nil, p.Pipe.Plan())
-	_, err = p.Pipe.Rollout(srv, deltas, full, pushPol)
+	_, err = p.Pipe.Rollout(srv, upd, pushPol)
 	return err
 }
 
@@ -583,13 +556,10 @@ func (s *liveSubstrate) Close() {
 }
 
 // probe pushes an empty delta for one node through srv: an epoch
-// heartbeat through the full prepare/commit path. A server that holds no
-// base for the node stages the fallback instead.
+// heartbeat through the full prepare/commit path, against the base srv
+// recorded for the node when its whole plan committed.
 func (s *liveSubstrate) probe(srv *mgmt.Server, node topo.NodeID, pol mgmt.RetryPolicy) error {
-	s.mu.Lock()
-	fallback := map[topo.NodeID]mgmt.ConfigDTO{node: s.full[node]}
-	s.mu.Unlock()
-	_, err := srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{node: {}}, fallback, pol)
+	_, err := srv.PushAllDelta2PC(map[topo.NodeID]enforce.ConfigDelta{node: {}}, nil, pol)
 	return err
 }
 

@@ -150,9 +150,10 @@ func newSim(site Site, sc Scenario, dir string) (Substrate, error) {
 func (s *SimSubstrate) path() string { return filepath.Join(s.dir, "controller.wal") }
 
 func (s *SimSubstrate) Offer(flows []netaddr.FiveTuple, packetsPerFlow int) error {
-	s.offeredUS = s.eng.Now() + int64(len(flows))*97 + int64(packetsPerFlow)*trafficGapUS
+	now := s.eng.Now()
+	s.offeredUS = now + int64(len(flows))*97 + int64(packetsPerFlow)*trafficGapUS
 	for i, ft := range flows {
-		if err := s.Network.InjectFlow(ft, packetsPerFlow, trafficPayload, int64(i)*97, trafficGapUS); err != nil {
+		if err := s.Network.InjectFlow(ft, packetsPerFlow, trafficPayload, now+int64(i)*97, trafficGapUS); err != nil {
 			return err
 		}
 	}
@@ -202,8 +203,7 @@ func (s *SimSubstrate) Play(sched *faultinject.Schedule, apply func(faultinject.
 
 // Rollout applies the update in place — the one place a plan meets the
 // simulated nodes; the engine is single-threaded, so mutating nodes
-// between events is safe. A whole plan is installed as the
-// configurations a fresh build from it gives.
+// between events is safe.
 func (s *SimSubstrate) Rollout(p Plane, upd *controller.PlanUpdate) error {
 	l, err := s.leadOf(p)
 	if err != nil {
@@ -218,19 +218,7 @@ func (s *SimSubstrate) Rollout(p Plane, upd *controller.PlanUpdate) error {
 			return err
 		}
 	}
-	if upd != nil {
-		return controller.ApplyDeltas(s.Nodes, upd.Deltas)
-	}
-	built, err := p.Ctl.BuildNodesFromPlan(p.Pipe.Plan())
-	if err != nil {
-		return err
-	}
-	for id, n := range built {
-		if err := s.Nodes[id].Install(n.Config()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.Pipe.Apply(s.Nodes, upd)
 }
 
 // Rebalance is one turn of the §III-C loop on the simulator: the plane

@@ -68,16 +68,16 @@ func (c *control) history() error {
 	return journaled(err)
 }
 
-// exportBytes renders a plane's plan as the configuration export of a
-// fresh build from it, as indented JSON. Every export goes through this
-// one path, so byte equality means state equality.
+// exportBytes renders a plane's plan as the configuration export of the
+// node configurations derived from it, as indented JSON. Every export
+// goes through this one path, so byte equality means state equality.
 func exportBytes(p Plane) ([]byte, error) {
-	nodes, err := p.Ctl.BuildNodesFromPlan(p.Pipe.Plan())
+	cfgs, err := p.Ctl.NodeConfigs(p.Pipe.Plan())
 	if err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := p.Ctl.ExportConfig(nodes).WriteJSON(&buf); err != nil {
+	if err := p.Ctl.ExportConfig(cfgs).WriteJSON(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -92,18 +92,18 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 	}
 
 	pol := mgmt.RetryPolicy{Attempts: 2, PerAttempt: 3 * time.Second}
-	plans := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
-	for id, n := range nodes {
-		plans[id] = mgmt.ConfigToDTO(0, n.Config())
-	}
-	// The first Recompute's deltas are the diff against the empty plan;
-	// the server holds no base, so they go out as the full fallback.
-	if _, err := pipe.Rollout(server, upd.Deltas, plans, pol); err != nil {
+	// The whole plan: the server holds no base, so every node gets its
+	// NodeConfigs configuration as the full fallback.
+	if _, err := pipe.Rollout(server, nil, pol); err != nil {
 		t.Fatalf("full rollout: %v", err)
 	}
 	fullBytes := reg.Counter(mgmt.MetricPushBytesFull).Value()
 	if fullBytes == 0 {
 		t.Fatal("full rollout counted no bytes")
+	}
+	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), nodeConfigs(t, ctl, upd.Plan)); len(viol) > 0 {
+		t.Fatalf("fleet diverges from NodeConfigs after the whole-plan rollout (%d violations), first: %v",
+			len(viol), viol[0])
 	}
 
 	// The single edit: a one-to-one policy (one source subnet, so only
@@ -152,7 +152,7 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 		t.Errorf("edit produced deltas for all %d nodes; want only the affected subset", len(nodes))
 	}
 
-	if _, err := pipe.Rollout(server, upd2.Deltas, nil, pol); err != nil {
+	if _, err := pipe.Rollout(server, upd2, pol); err != nil {
 		t.Fatalf("delta rollout: %v", err)
 	}
 	if got := reg.Counter(mgmt.MetricDeltaFallbacks).Value(); got != 0 {
@@ -171,23 +171,28 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 		upd2.Stats.Dirty, upd2.Stats.Instances, len(upd2.Deltas), len(nodes))
 
 	// The fleet must now hold exactly the new plan's configuration.
-	rebuilt, err := ctl.BuildNodesFromPlan(upd2.Plan)
+	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), nodeConfigs(t, ctl, upd2.Plan)); len(viol) > 0 {
+		t.Fatalf("fleet diverges from the new plan after delta rollout (%d violations), first: %v",
+			len(viol), viol[0])
+	}
+}
+
+// appliedConfigs reads every device's installed configuration.
+func appliedConfigs(devices map[topo.NodeID]*live.Device) map[topo.NodeID]enforce.Config {
+	out := make(map[topo.NodeID]enforce.Config, len(devices))
+	for id, dev := range devices {
+		dev.Do(func(n *enforce.Node) { out[id] = n.Config() })
+	}
+	return out
+}
+
+func nodeConfigs(t *testing.T, ctl *controller.Controller, plan *controller.Plan) map[topo.NodeID]enforce.Config {
+	t.Helper()
+	cfgs, err := ctl.NodeConfigs(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied := make(map[topo.NodeID]enforce.Config, len(devices))
-	for id, dev := range devices {
-		id := id
-		dev.Do(func(n *enforce.Node) { applied[id] = n.Config() })
-	}
-	fullCfg := make(map[topo.NodeID]enforce.Config, len(rebuilt))
-	for id, n := range rebuilt {
-		fullCfg[id] = n.Config()
-	}
-	if viol := verify.CheckDeltaEquivalence(applied, fullCfg); len(viol) > 0 {
-		t.Fatalf("fleet diverges from the rebuilt plan after delta rollout (%d violations), first: %v",
-			len(viol), viol[0])
-	}
+	return cfgs
 }
 
 // A refused rollout must not advance the pipeline's diff base. Recompute
@@ -232,10 +237,8 @@ func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
 	devices := make(map[topo.NodeID]*live.Device, len(nodes))
 	agents := make(map[topo.NodeID]*mgmt.Agent, len(nodes))
 	taps := make(map[topo.NodeID]*faultinject.ConnTap, len(nodes))
-	fallback := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
 	var ids []topo.NodeID
 	for id, n := range nodes {
-		fallback[id] = mgmt.ConfigToDTO(0, n.Config())
 		dev, err := rt.AddDevice(n)
 		if err != nil {
 			t.Fatal(err)
@@ -256,7 +259,7 @@ func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
 		t.Fatalf("agents did not connect: %v of %v", server.Connected(), ids)
 	}
 	pol := mgmt.RetryPolicy{Attempts: 1, PerAttempt: 3 * time.Second}
-	if _, err := pipe.Rollout(server, upd.Deltas, fallback, pol); err != nil {
+	if _, err := pipe.Rollout(server, nil, pol); err != nil {
 		t.Fatalf("initial rollout: %v", err)
 	}
 	base := pipe.Plan()
@@ -285,7 +288,7 @@ func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
 		break
 	}
 	taps[victim].DropFrames(1)
-	_, err = pipe.Rollout(server, upd.Deltas, nil, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 300 * time.Millisecond})
+	_, err = pipe.Rollout(server, upd, mgmt.RetryPolicy{Attempts: 1, PerAttempt: 300 * time.Millisecond})
 	if err == nil || errors.Is(err, mgmt.ErrCommitStraggler) {
 		t.Fatalf("rollout with a lost prepare ack: err = %v, want a rolled-back prepare failure", err)
 	}
@@ -300,25 +303,12 @@ func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
 
 	// Three more edits roll out cleanly, carrying the refused one along.
 	for i := 1; i <= 3; i++ {
-		if _, err := pipe.Rollout(server, edit(i).Deltas, nil, pol); err != nil {
+		if _, err := pipe.Rollout(server, edit(i), pol); err != nil {
 			t.Fatalf("edit %d rollout: %v", i, err)
 		}
 	}
 
-	rebuilt, err := ctl.BuildNodesFromPlan(pipe.Plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	applied := make(map[topo.NodeID]enforce.Config, len(devices))
-	for id, dev := range devices {
-		id := id
-		dev.Do(func(n *enforce.Node) { applied[id] = n.Config() })
-	}
-	want := make(map[topo.NodeID]enforce.Config, len(rebuilt))
-	for id, n := range rebuilt {
-		want[id] = n.Config()
-	}
-	if viol := verify.CheckDeltaEquivalence(applied, want); len(viol) > 0 {
+	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), nodeConfigs(t, ctl, pipe.Plan())); len(viol) > 0 {
 		t.Fatalf("fleet diverges from a from-scratch build after a refused rollout (%d violations), first: %v",
 			len(viol), viol[0])
 	}
@@ -354,10 +344,8 @@ func BenchmarkPushAllDelta2PC(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer server.Close()
-	fallback := make(map[topo.NodeID]mgmt.ConfigDTO, len(nodes))
 	var ids []topo.NodeID
 	for id, n := range nodes {
-		fallback[id] = mgmt.ConfigToDTO(0, n.Config())
 		dev, err := rt.AddDevice(n)
 		if err != nil {
 			b.Fatal(err)
@@ -373,7 +361,7 @@ func BenchmarkPushAllDelta2PC(b *testing.B) {
 		b.Fatalf("agents did not connect: %d of %d", len(server.Connected()), len(ids))
 	}
 	pol := mgmt.RetryPolicy{Attempts: 1, PerAttempt: 5 * time.Second}
-	if _, err := server.PushAllDelta2PC(upd.Deltas, fallback, pol); err != nil {
+	if _, err := pipe.Rollout(server, nil, pol); err != nil {
 		b.Fatal(err)
 	}
 

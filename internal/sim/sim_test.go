@@ -106,7 +106,7 @@ func (b *simBed) recompute(t *testing.T, meas controller.Measurements) *controll
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := controller.ApplyDeltas(b.nodes, upd.Deltas); err != nil {
+	if err := b.pipe.Apply(b.nodes, upd); err != nil {
 		t.Fatal(err)
 	}
 	return upd

@@ -358,7 +358,7 @@ func TestReassignAfterFailureIsClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("repair after marking %d down=%v: %v", int(mb), down, err)
 		}
-		if err := controller.ApplyDeltas(nodes, upd.Deltas); err != nil {
+		if err := pipe.Apply(nodes, upd); err != nil {
 			t.Fatal(err)
 		}
 		return ctl.VerifyPlan(upd.Plan)

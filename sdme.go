@@ -287,7 +287,7 @@ func (s *System) recompute() error {
 	if err != nil {
 		return err
 	}
-	return controller.ApplyDeltas(s.Nodes, upd.Deltas)
+	return s.pipe.Apply(s.Nodes, upd)
 }
 
 // Evaluate routes the demand set through the enforcement logic and
