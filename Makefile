@@ -84,13 +84,18 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Statically verify the controller plan (candidate sets, loop freedom,
-# hot-potato optimality, LB weights) on both example topologies.
+# hot-potato optimality, LB weights) on both example topologies, then run
+# every program under examples/: each must exit 0.
 verify-examples:
 	$(GO) run ./cmd/sdme-topo -topology campus -verify
 	$(GO) run ./cmd/sdme-topo -topology waxman -verify
 	$(GO) run ./cmd/sdme-topo -topology campus -observe
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/sdme-topo -topology waxman -export "$$tmp/export.json"
+	@for ex in examples/*/; do \
+		echo "== $$ex =="; \
+		$(GO) run "./$$ex" >/dev/null || exit 1; \
+	done
 
 # The repository benchmark (bench/README.md): five time-bounded workloads
 # over the real dataplane nodes, the live runtime and the control loop

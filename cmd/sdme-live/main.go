@@ -99,10 +99,11 @@ func run() error {
 		LabelSwitching: *labels,
 	})
 
-	// Crash recovery: an existing journal is replayed into the controller
-	// (failed set, weight plan, epoch high-water) before any plan is
-	// computed, then reopened for appending so this run's state survives
-	// the next restart. The pipeline then starts from the journaled plan.
+	// Crash recovery: what an earlier run left in the journal is replayed
+	// into the controller (failed set, weight plan, epoch high-water)
+	// before any plan is computed, and the journal stays open for
+	// appending so this run's state survives the next restart. Deploy then
+	// starts from the journaled plan.
 	var resumeEpoch uint64
 	if *journalPath != "" {
 		st, err := ctl.AttachJournal(*journalPath)
@@ -117,17 +118,12 @@ func run() error {
 		}
 	}
 
-	pipe := ctl.NewPipeline(controller.PipelineOptions{})
-	if pipe.Plan() == nil {
-		if _, err := pipe.Recompute(nil); err != nil {
-			return err
-		}
-	} else if pipe.Plan().Weights != nil {
-		fmt.Printf("journal: recovered LB weight plan (λ=%.0f)\n", pipe.Plan().Lambda)
-	}
-	nodes, err := ctl.BuildNodesFromPlan(pipe.Plan())
+	pipe, nodes, first, err := ctl.Deploy(controller.PipelineOptions{}, nil)
 	if err != nil {
 		return err
+	}
+	if first == nil && pipe.Plan().Weights != nil {
+		fmt.Printf("journal: recovered LB weight plan (λ=%.0f)\n", pipe.Plan().Lambda)
 	}
 
 	// Management server: collects measurement reports as they arrive.

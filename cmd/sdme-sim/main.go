@@ -73,9 +73,22 @@ func run() error {
 	killLeaders := flag.Int("kill-leaders", 1, "HA mode: how many consecutive leaders to assassinate")
 	flag.Parse()
 	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var notHA string // the first flag set that the HA mode does not read
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		switch f.Name {
+		case "controllers", "kill-leader-at", "kill-leaders", "seed":
+		default:
+			if notHA == "" {
+				notHA = f.Name
+			}
+		}
+	})
 
 	if *controllers > 1 {
+		if notHA != "" {
+			return fmt.Errorf("-%s does not apply with -controllers > 1", notHA)
+		}
 		return runHATakeover(*controllers, *killLeaders, *killLeaderAt, *seed)
 	}
 	for _, name := range []string{"kill-leader-at", "kill-leaders"} {
@@ -166,7 +179,7 @@ func traceOne(bed *experiments.Bed, strategy enforce.Strategy, demands []enforce
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy: strategy, K: controller.DefaultK(),
 	})
-	_, nodes, _, err := experiments.Deploy(ctl, controller.PipelineOptions{},
+	_, nodes, _, err := ctl.Deploy(controller.PipelineOptions{},
 		controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands))
 	if err != nil {
 		return err
@@ -228,15 +241,7 @@ func runPacketLevel(bed *experiments.Bed, strategy enforce.Strategy, traffic int
 				st.Records, st.Epoch, len(st.Failed), st.Torn)
 		}
 	}
-	// The pipeline starts from the journaled plan when one was replayed,
-	// otherwise its first Recompute compiles the initial one.
-	pipe := ctl.NewPipeline(controller.PipelineOptions{})
-	if pipe.Plan() == nil {
-		if _, err := pipe.Recompute(nil); err != nil {
-			return err
-		}
-	}
-	nodes, err := ctl.BuildNodesFromPlan(pipe.Plan())
+	pipe, nodes, _, err := ctl.Deploy(controller.PipelineOptions{}, nil)
 	if err != nil {
 		return err
 	}

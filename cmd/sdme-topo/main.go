@@ -105,7 +105,7 @@ func run() error {
 	// -audit and -export read the default controller's first plan.
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{K: controller.DefaultK()})
 	if *audit {
-		_, nodes, _, err := experiments.Deploy(ctl, controller.PipelineOptions{}, nil)
+		_, nodes, _, err := ctl.Deploy(controller.PipelineOptions{}, nil)
 		if err != nil {
 			return err
 		}
@@ -126,15 +126,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfgs, err := ctl.NodeConfigs(upd.Plan)
-		if err != nil {
-			return err
-		}
 		f, err := os.Create(*exportPath)
 		if err != nil {
 			return err
 		}
-		if err := ctl.ExportConfig(cfgs).WriteJSON(f); err != nil {
+		if err := ctl.ExportConfig(ctl.NodeConfigs(upd.Plan)).WriteJSON(f); err != nil {
 			_ = f.Close()
 			return err
 		}

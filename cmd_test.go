@@ -47,6 +47,7 @@ func TestCmdSmoke(t *testing.T) {
 		{[]string{"sdme-sim", "-packet-level", "-trace", "1:2:80"}, "sdme-sim: -trace requires", true},
 		{[]string{"sdme-sim", "-labels"}, "sdme-sim: -labels requires -packet-level", true},
 		{[]string{"sdme-sim", "-kill-leaders", "2"}, "sdme-sim: -kill-leaders requires -controllers > 1", true},
+		{[]string{"sdme-sim", "-controllers", "3", "-packet-level", "-labels", "-metrics", "-", "-kill-at", "5000", "-trace", "1:2:80"}, "sdme-sim: -kill-at does not apply with -controllers > 1", true},
 		{[]string{"sdme-live", "-packets", "3"}, "matches static plan across 3 packets: true", false},
 		{[]string{"sdme-live", "-packets", "1000"}, "sink received 1000 packets", false},
 		{[]string{"sdme-live", "-peers", "3"}, "| ha | live | 20 | 3 | 1 |", false},
@@ -67,6 +68,12 @@ func TestCmdSmoke(t *testing.T) {
 		dir, args := t.TempDir(), []string{"sdme-live", "-packets", "3", "-journal", "j.wal"}
 		run(t, dir, false, args, "matches static plan across 3 packets: true")
 		run(t, dir, false, args, "journal: replayed", "matches static plan across 3 packets: true")
+	})
+	t.Run("sdme-sim -packet-level -traffic 2000 -journal j.wal twice", func(t *testing.T) {
+		t.Parallel()
+		dir, args := t.TempDir(), []string{"sdme-sim", "-packet-level", "-traffic", "2000", "-journal", "j.wal"}
+		run(t, dir, false, args, "simulation: injected=")
+		run(t, dir, false, args, "journal: replayed", "simulation: injected=")
 	})
 	t.Run("sdme-topo -export e.json", func(t *testing.T) {
 		t.Parallel()

@@ -46,11 +46,7 @@ func main() {
 		K:              map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 1, policy.FuncTM: 1},
 		LabelSwitching: true,
 	})
-	upd, err := ctl.NewPipeline(controller.PipelineOptions{}).Recompute(nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	_, nodes, _, err := ctl.Deploy(controller.PipelineOptions{}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,7 +25,9 @@ import (
 // at every single step, both structurally (verify.CheckDeltaEquivalence)
 // and on the serialized export bytes. Shards cover the Eq. (2) and
 // Eq. (1) formulations and the three dirty-threshold regimes (default
-// mixed, always-scoped, always-full). Every shard runs twice: the same
+// mixed, always-scoped, always-full). Every plan a shard computes passes
+// the whole-plan check (Options.Verify), scoped solves and carried-through
+// plans included. Every shard runs twice: the same
 // seed must give deeply equal plans and identical encoded delta bytes at
 // every step — scoped solves included, they are bit-reproducible.
 
@@ -124,6 +126,7 @@ func runChurnShard(t *testing.T, sh churnShard) []churnRecord {
 	ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 		Strategy: enforce.LoadBalanced,
 		K:        controller.DefaultK(),
+		Verify:   true,
 	})
 	pipe := ctl.NewPipeline(controller.PipelineOptions{Fine: sh.fine, DirtyThreshold: sh.threshold})
 	rng := rand.New(rand.NewSource(sh.seed * 7919))

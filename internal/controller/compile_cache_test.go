@@ -93,7 +93,7 @@ func restoreMidChurn(t *testing.T, ctl *controller.Controller, bed *experiments.
 	if err := ctl.SetJournal(j); err != nil {
 		t.Fatal(err)
 	}
-	st, err := controller.ReplayJournal(path)
+	st, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}

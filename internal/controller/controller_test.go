@@ -44,16 +44,10 @@ func newBed(t testing.TB, seed int64, buildPolicies func(tbl *policy.Table)) *be
 	return &bed{g: g, dep: dep, ap: route.NewAllPairs(g, route.RouterTransitOnly(g)), tbl: tbl}
 }
 
-// deploy takes a fresh controller through the control loop's first turn:
-// compile (and under LB solve) the first plan over meas, build the nodes.
+// deploy is Controller.Deploy for a test: the control loop's first turn.
 func deploy(t *testing.T, ctl *controller.Controller, meas controller.Measurements) (*controller.Pipeline, map[topo.NodeID]*enforce.Node, *controller.PlanUpdate) {
 	t.Helper()
-	pipe := ctl.NewPipeline(controller.PipelineOptions{})
-	upd, err := pipe.Recompute(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
+	pipe, nodes, upd, err := ctl.Deploy(controller.PipelineOptions{}, meas)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,7 @@ func TestExportConfigRoundTrip(t *testing.T) {
 	_, _, upd := deploy(t, ctl, controller.Measurements{
 		{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 100,
 	})
-	cfgs, err := ctl.NodeConfigs(upd.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	cfgs := ctl.NodeConfigs(upd.Plan)
 	export := ctl.ExportConfig(cfgs)
 	if export.Topology.Subnets != 4 || export.Topology.Middleboxes != 7 {
 		t.Errorf("topology summary: %+v", export.Topology)

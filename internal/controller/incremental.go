@@ -113,6 +113,29 @@ func (c *Controller) NewPipeline(opts PipelineOptions) *Pipeline {
 	return p
 }
 
+// Deploy takes the controller through the control loop's first turn: a
+// new pipeline starts from the journaled plan when RestoreFromJournal
+// restored one, or else compiles the first plan over meas (solving the LB
+// weights when the strategy is LoadBalanced and there is traffic), and
+// every node is built from that plan. The update is nil for a journaled
+// plan, which no Recompute produced. Later turns are Recompute and the
+// deltas.
+func (c *Controller) Deploy(opts PipelineOptions, meas Measurements) (*Pipeline, map[topo.NodeID]*enforce.Node, *PlanUpdate, error) {
+	pipe := c.NewPipeline(opts)
+	var upd *PlanUpdate
+	if pipe.plan == nil {
+		var err error
+		if upd, err = pipe.Recompute(meas); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	nodes, err := c.BuildNodesFromPlan(pipe.plan)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return pipe, nodes, upd, nil
+}
+
 // Plan returns the last compiled plan (nil before the first Recompute,
 // unless the controller was restored from a journal).
 func (p *Pipeline) Plan() *Plan { return p.plan }
@@ -149,9 +172,11 @@ func (p *Pipeline) Recompute(meas Measurements) (*PlanUpdate, error) {
 		if sol, err = p.solve(plan, dirty, &stats); err != nil {
 			return nil, err
 		}
-	} else if err := c.verifyPlanWith(plan.Candidates, nil); err != nil {
-		// No LP to run, but the candidate plan still has to hold the
-		// static invariants before it can be diffed and pushed.
+	}
+	// Whichever way the plan came about (no LP, carried through, a scoped
+	// or a full solve), it is checked whole before it is diffed or
+	// journaled.
+	if err := c.verifyPlan(plan); err != nil {
 		return nil, err
 	}
 	at[stageSolve+1] = c.clockUS()
@@ -242,11 +267,7 @@ func (p *Pipeline) Apply(nodes map[topo.NodeID]*enforce.Node, upd *PlanUpdate) e
 		}
 		return nil
 	}
-	cfgs, err := p.c.NodeConfigs(p.plan)
-	if err != nil {
-		return err
-	}
-	for id, cfg := range cfgs {
+	for id, cfg := range p.c.NodeConfigs(p.plan) {
 		if n, ok := nodes[id]; ok {
 			if err := n.Install(cfg); err != nil {
 				return fmt.Errorf("controller: configure node %v: %w", id, err)
@@ -266,10 +287,7 @@ func (p *Pipeline) Apply(nodes map[topo.NodeID]*enforce.Node, upd *PlanUpdate) e
 func (p *Pipeline) Rollout(srv *mgmt.Server, upd *PlanUpdate, pol mgmt.RetryPolicy) (uint64, error) {
 	var fallback map[topo.NodeID]mgmt.ConfigDTO
 	if upd == nil {
-		cfgs, err := p.c.NodeConfigs(p.plan)
-		if err != nil {
-			return 0, err
-		}
+		cfgs := p.c.NodeConfigs(p.plan)
 		fallback = make(map[topo.NodeID]mgmt.ConfigDTO, len(cfgs))
 		for id, cfg := range cfgs {
 			fallback[id] = mgmt.ConfigToDTO(0, cfg)
@@ -315,8 +333,7 @@ func (p *Pipeline) dirtySet(plan *Plan) map[InstanceKey]bool {
 	return dirty
 }
 
-// solve runs Stage 2 proper: scoped or full LP solve, weight merge, and
-// verification (scoped to the dirty policies on the scoped path). It
+// solve runs Stage 2 proper: scoped or full LP solve and weight merge. It
 // returns the LP's solution over the merged plan, nil when no LP ran.
 func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStats) (*LBSolution, error) {
 	c := p.c
@@ -339,9 +356,6 @@ func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStat
 		if err != nil {
 			return nil, err
 		}
-		if err := c.verifyPlanWith(plan.Candidates, sol.Weights); err != nil {
-			return nil, err
-		}
 		plan.Weights, plan.InstanceLoads = sol.Weights, sol.InstanceLoads
 		plan.Lambda = sol.Lambda
 		stats.FullSolve, stats.Solved = true, true
@@ -362,19 +376,12 @@ func (p *Pipeline) solve(plan *Plan, dirty map[InstanceKey]bool, stats *PlanStat
 	if err != nil {
 		return nil, err
 	}
-	dirtyPolicies := make(map[int]bool, len(dirty))
-	for k := range dirty {
-		dirtyPolicies[k.PolicyID] = true
-	}
 	for k, loads := range sol.InstanceLoads {
 		carriedLoads[k] = loads
 	}
 	sol.Weights, sol.InstanceLoads = mergeWeights(carriedW, sol.Weights), carriedLoads
 	plan.Weights, plan.InstanceLoads = sol.Weights, sol.InstanceLoads
 	plan.Lambda = sol.Lambda
-	if err := c.verifyPlanScoped(plan.Candidates, plan.Weights, dirtyPolicies); err != nil {
-		return nil, err
-	}
 	stats.Solved = true
 	return sol, nil
 }

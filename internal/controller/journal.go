@@ -130,6 +130,8 @@ type journalFile struct {
 	// writer is the handle Writer lent out and not yet closed: while it is
 	// set, it alone may write.
 	writer *Journal
+	// torn reports that OpenJournal cut a torn tail away.
+	torn bool
 }
 
 // OpenJournal opens (creating if needed) a journal. Any torn tail (a
@@ -157,7 +159,7 @@ func OpenJournal(path string) (*Journal, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	j := &Journal{journalFile: &journalFile{f: f, path: path, records: int64(st.Records)}}
+	j := &Journal{journalFile: &journalFile{f: f, path: path, records: int64(st.Records), torn: st.Torn}}
 	j.size.Store(st.Bytes)
 	j.runCRC.Store(st.crc)
 	return j, nil
@@ -419,9 +421,6 @@ func (j *Journal) CRC() uint32 { return j.runCRC.Load() }
 // Size / JournalAck values, which are sums of whole frames).
 func (j *Journal) ReadChunk(offset int64, max int) ([]byte, error) {
 	size, path := j.size.Load(), j.path
-	if path == "" {
-		return nil, errors.New("controller: journal has no path")
-	}
 	if offset < 0 || offset > size {
 		return nil, fmt.Errorf("controller: journal read offset %d out of range [0,%d]", offset, size)
 	}
@@ -501,8 +500,8 @@ type JournalState struct {
 	Weights map[topo.NodeID]map[enforce.WeightKey][]float64
 	// Records counts intact records replayed; Bytes is the intact prefix
 	// length in bytes (the replication offset a standby resumes from);
-	// Torn reports whether a partial tail record was discarded (a crash
-	// mid-append).
+	// Torn reports whether a partial tail record (a crash mid-append) was
+	// discarded when the journal was opened.
 	Records int
 	Bytes   int64
 	Torn    bool
@@ -510,19 +509,23 @@ type JournalState struct {
 	crc uint32
 }
 
-// ReplayJournal reads a journal back, stopping cleanly at a torn tail (a
-// partial, corrupt or undecodable record: replay ends at the last intact
-// one before it).
-func ReplayJournal(path string) (*JournalState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("controller: open journal: %w", err)
+// Replay reads the intact journal back through this handle: whatever an
+// earlier run left when it was opened, and every record appended or
+// applied since. Torn reports whether the open cut a torn tail away (a
+// partial, corrupt or undecodable record: the journal ends at the last
+// intact one before it).
+func (j *Journal) Replay() (*JournalState, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.closed || j.f == nil {
+		return nil, ErrJournalClosed
 	}
-	defer f.Close() //nolint:errcheck // read-only handle
 	st := &JournalState{}
-	if err := walkFrames(f, st); err != nil {
+	//vet:ignore lockedblocking -- a consistent replay: no append, apply or truncation may move the file under the walk
+	if err := walkFrames(io.NewSectionReader(j.f, 0, j.size.Load()), st); err != nil {
 		return nil, err
 	}
+	st.Torn = j.torn
 	return st, nil
 }
 
@@ -672,8 +675,9 @@ func (c *Controller) journalWeights(lambda float64, weights weightPlan) error {
 // starts from. BuildNodesFromPlan(pipe.Plan()) therefore reproduces the
 // pre-crash export, and the next Recompute is a full solve (no instance
 // loads were journaled, so nothing may be carried). It refuses a journal
-// whose deployment fingerprint does not match this controller's inputs, or
-// whose failed set names a node MarkFailed would refuse.
+// whose deployment fingerprint does not match this controller's inputs,
+// whose failed set names a node MarkFailed would refuse, or, with
+// Options.Verify set, whose plan fails the check Recompute makes.
 func (c *Controller) RestoreFromJournal(st *JournalState) error {
 	if st.Fingerprint != c.Fingerprint() {
 		return fmt.Errorf("controller: journal fingerprint %#x does not match deployment %#x",
@@ -698,29 +702,29 @@ func (c *Controller) RestoreFromJournal(st *JournalState) error {
 		return err
 	}
 	plan.Weights, plan.Lambda = st.Weights, st.Lambda
+	if err := c.verifyPlan(plan); err != nil {
+		return err
+	}
 	c.restored = plan
 	return nil
 }
 
 // AttachJournal makes the file at path the controller's write-ahead
-// journal: whatever an earlier run left there is replayed and restored,
-// then the file is reopened for appending and attached. It returns the
+// journal: it is opened, whatever an earlier run left there is replayed
+// and restored, and the journal is attached for appending. It returns the
 // replayed state (zero Records for a new file); the open journal is
 // c.Journal(), which the caller closes.
 func (c *Controller) AttachJournal(path string) (*JournalState, error) {
-	st := &JournalState{}
-	if _, err := os.Stat(path); err == nil {
-		if st, err = ReplayJournal(path); err != nil {
-			return nil, err
-		}
-	}
 	j, err := OpenJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.ResumeJournal(st, j); err != nil {
-		_ = j.Close()
-		return nil, err
+	st, err := j.Replay()
+	if err == nil {
+		err = c.ResumeJournal(st, j)
+	}
+	if err != nil {
+		return nil, errors.Join(err, j.Close())
 	}
 	return st, nil
 }

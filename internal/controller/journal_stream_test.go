@@ -51,8 +51,7 @@ func realFrames(tb testing.TB) []byte {
 // whatever bytes arrive, ApplyFrames must persist a prefix of the input
 // and nothing past the first frame that is corrupt or that replay would
 // refuse, report an error exactly when it left something out, and leave a
-// file that reopens to the same totals and that ReplayJournal replays
-// without error.
+// file that reopens to the same totals and that replays without error.
 func FuzzJournalStream(f *testing.F) {
 	good := realFrames(f)
 	f.Add(good)
@@ -116,9 +115,9 @@ func FuzzJournalStream(f *testing.F) {
 		if n2, err := again.ApplyFrames(0, data[:n]); err != nil || n2 != n || again.Records() != records {
 			t.Fatalf("re-applying the intact prefix: %v (%d/%d bytes, %d/%d records)", err, n2, n, again.Records(), records)
 		}
-		st, err := ReplayJournal(path)
+		st, err := j2.Replay()
 		if err != nil {
-			t.Fatalf("ReplayJournal refuses what ApplyFrames persisted: %v", err)
+			t.Fatalf("replay refuses what ApplyFrames persisted: %v", err)
 		}
 		if st.Torn || st.Bytes != n || int64(st.Records) != records {
 			t.Fatalf("replay saw %d bytes, %d records, torn %v; the journal holds %d, %d",
@@ -151,7 +150,7 @@ func TestStandbyRefusesWhatReplayRefuses(t *testing.T) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if st, err := ReplayJournal(path); err != nil || st.Records != 2 {
+		if st, err := scanFile(path); err != nil || st.Records != 2 || st.Torn {
 			t.Errorf("%s: replay of the standby's file: %+v, %v", payload, st, err)
 		}
 	}
@@ -316,7 +315,7 @@ func TestJournalOneFileProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			scan, err := ReplayJournal(path)
+			scan, err := scanFile(path)
 			if err != nil {
 				t.Fatalf("seed %d step %d (op %d): fresh scan: %v", seed, step, what, err)
 			}
@@ -388,7 +387,19 @@ func TestJournalWriterFence(t *testing.T) {
 	if w2.LogEpoch(6, 2) == nil {
 		t.Error("a writer appended to a closed file")
 	}
-	if st, err := ReplayJournal(j.path); err != nil || st.Records != 4 {
+	if st, err := scanFile(j.path); err != nil || st.Records != 4 {
 		t.Errorf("the file replays %+v, %v; want the 4 accepted records", st, err)
 	}
+}
+
+// scanFile walks the journal file at path afresh, through no handle: what
+// is on disk, whatever any open journal believes.
+func scanFile(path string) (*JournalState, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close() //nolint:errcheck // read-only handle
+	st := &JournalState{}
+	return st, walkFrames(f, st)
 }

@@ -17,15 +17,11 @@ func TestNodeConfigsIsTheBuild(t *testing.T) {
 	b := newBed(t, 61, webPolicy)
 	agree := func(name string, ctl *controller.Controller, plan *controller.Plan) {
 		t.Helper()
-		cfgs, err := ctl.NodeConfigs(plan)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		nodes, err := ctl.BuildNodesFromPlan(plan)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if viol := verify.CheckDeltaEquivalence(configsOf(nodes), cfgs); len(viol) > 0 {
+		if viol := verify.CheckDeltaEquivalence(configsOf(nodes), ctl.NodeConfigs(plan)); len(viol) > 0 {
 			t.Fatalf("%s: the build diverges from NodeConfigs (%d violations), first: %v", name, len(viol), viol[0])
 		}
 	}
@@ -56,10 +52,7 @@ func TestNodeConfigsIsTheBuild(t *testing.T) {
 		agree("after MarkFailed", lb, upd.Plan)
 	}
 
-	cfgs, err := lb.NodeConfigs(pipe.Plan())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfgs := lb.NodeConfigs(pipe.Plan())
 	if len(verify.CheckDeltaEquivalence(configsOf(nodes), cfgs)) == 0 {
 		t.Fatal("the failure repair changed no node's configuration")
 	}

@@ -273,10 +273,7 @@ func (c *Controller) indexInstance(inst *ChainInstance) error {
 // flags and, when the plan has been solved, LB weights. It is the one
 // derivation of a node's configuration; every later change reaches the
 // nodes as a delta, and the churn property test checks the two agree.
-func (c *Controller) NodeConfigs(p *Plan) (map[topo.NodeID]enforce.Config, error) {
-	if err := c.verifyPlanWith(p.Candidates, p.Weights); err != nil {
-		return nil, err
-	}
+func (c *Controller) NodeConfigs(p *Plan) map[topo.NodeID]enforce.Config {
 	out := make(map[topo.NodeID]enforce.Config, len(c.dep.ProxyNodes)+len(c.dep.MBNodes))
 	for _, ids := range [][]topo.NodeID{c.dep.ProxyNodes, c.dep.MBNodes} {
 		for _, id := range ids {
@@ -295,22 +292,20 @@ func (c *Controller) NodeConfigs(p *Plan) (map[topo.NodeID]enforce.Config, error
 			out[id] = cfg
 		}
 	}
-	return out, nil
+	return out
 }
 
 // BuildNodesFromPlan materializes every proxy, then every middlebox, and
 // installs its NodeConfigs configuration. It is the only from-scratch
 // build.
 func (c *Controller) BuildNodesFromPlan(p *Plan) (map[topo.NodeID]*enforce.Node, error) {
-	cfgs, err := c.NodeConfigs(p)
-	if err != nil {
-		return nil, err
-	}
+	cfgs := c.NodeConfigs(p)
 	nodes := make(map[topo.NodeID]*enforce.Node, len(cfgs))
 	for _, id := range c.dep.ProxyNodes {
 		nodes[id] = enforce.NewProxy(c.dep, id)
 	}
 	for _, id := range c.dep.MBNodes {
+		var err error
 		if nodes[id], err = enforce.NewMiddleboxWith(c.dep, id, c.opts.FunctionFactory); err != nil {
 			return nil, err
 		}

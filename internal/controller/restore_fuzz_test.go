@@ -33,11 +33,11 @@ func journalPayloads(tb testing.TB, raw []byte) [][]byte {
 // wrong length or sign, epochs and terms running backwards. The input is
 // one payload per line; the harness frames each with a good CRC, so every
 // mutation gets through the door. On a fixed controller (the one that
-// wrote testdata/pr12.journal) ReplayJournal → RestoreFromJournal must
-// never panic, and must either refuse or restore a failed set of real
-// middleboxes and a plan whose nodes, when BuildNodesFromPlan under Verify
-// agrees to build them, carry configurations the management channel would
-// accept.
+// wrote testdata/pr12.journal) OpenJournal → Replay → RestoreFromJournal
+// must never panic, and must either refuse or restore a failed set of real
+// middleboxes and a plan whose nodes, when RestoreFromJournal under Verify
+// accepts the plan and BuildNodesFromPlan builds them, carry
+// configurations the management channel would accept.
 func FuzzRestoreFromJournal(f *testing.F) {
 	raw, err := os.ReadFile("testdata/pr12.journal")
 	if err != nil {
@@ -66,9 +66,13 @@ func FuzzRestoreFromJournal(f *testing.F) {
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := controller.ReplayJournal(path)
+		j, err := controller.OpenJournal(path)
 		if err != nil {
 			return
+		}
+		st, err := j.Replay()
+		if cerr := j.Close(); err != nil || cerr != nil {
+			t.Fatalf("a journal that opens does not replay: %v, %v", err, cerr)
 		}
 		ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
 			Strategy: enforce.LoadBalanced,

@@ -42,7 +42,7 @@ func RunCandidateKAblation(cfg Config, traffic int, ks []int) ([]KAblationPoint,
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: enforce.LoadBalanced, K: kmap, HashSeed: uint64(cfg.Seed) + uint64(k),
 		})
-		_, nodes, upd, err := Deploy(ctl, controller.PipelineOptions{}, meas)
+		_, nodes, upd, err := ctl.Deploy(controller.PipelineOptions{}, meas)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: k=%d: %w", k, err)
 		}
@@ -104,7 +104,7 @@ func RunStateAblation(seed int64, flows, packetsPerFlow, packetBytes int, labelS
 		Strategy: enforce.HotPotato, K: controller.DefaultK(),
 		LabelSwitching: labelSwitching, HashSeed: uint64(seed),
 	})
-	_, nodes, _, err := Deploy(ctl, controller.PipelineOptions{}, nil)
+	_, nodes, _, err := ctl.Deploy(controller.PipelineOptions{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +325,7 @@ func RunQueueingAblation(seed int64, flows, packetsPerFlow int, ratePPS float64)
 				DstSubnet: bed.Dep.SubnetIndexOf(d.Tuple.Dst),
 			}] += int64(packetsPerFlow)
 		}
-		_, nodes, _, err := Deploy(ctl, controller.PipelineOptions{}, meas)
+		_, nodes, _, err := ctl.Deploy(controller.PipelineOptions{}, meas)
 		if err != nil {
 			return nil, err
 		}

@@ -101,7 +101,7 @@ func Conform(on Backend, c Conformance) (*Reading, error) {
 		HashSeed:       uint64(c.Seed)*2654435761 + uint64(c.Strategy),
 		LabelSwitching: c.LabelSwitching,
 	})
-	_, nodes, upd, err := Deploy(ctl, controller.PipelineOptions{}, controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands))
+	_, nodes, upd, err := ctl.Deploy(controller.PipelineOptions{}, controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands))
 	if err != nil {
 		return nil, err
 	}

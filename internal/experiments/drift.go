@@ -66,7 +66,7 @@ func RunDriftExperiment(cfg Config, target, epochs int) ([]DriftEpoch, error) {
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: enforce.LoadBalanced, K: controller.DefaultK(), HashSeed: uint64(cfg.Seed),
 		})
-		pipe, nodes, _, err := Deploy(ctl, controller.PipelineOptions{DirtyThreshold: -1}, nil)
+		pipe, nodes, _, err := ctl.Deploy(controller.PipelineOptions{DirtyThreshold: -1}, nil)
 		if err != nil {
 			return loop{}, err
 		}

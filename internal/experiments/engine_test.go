@@ -146,3 +146,18 @@ func TestChaosScheduleOutsideBedRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosLiveRefusesUnstagedFault: the live substrate cannot resurrect a
+// stopped device, and its management connections are not fault-wrapped, so
+// a schedule that asks for either is refused before bring-up with an error
+// naming the kind instead of quietly doing less than it says.
+func TestChaosLiveRefusesUnstagedFault(t *testing.T) {
+	for _, text := range []string{"5ms ack-loss 9 param=2", "5ms conn-delay 9 param=500", "5ms recover 9"} {
+		sc := experiments.Recovery(11)
+		sc.Schedule = faultinject.MustParse(text)
+		kind := strings.Fields(text)[1]
+		if _, err := experiments.Run(experiments.Live, sc); err == nil || !strings.Contains(err.Error(), kind) {
+			t.Errorf("%q on live: err = %v, want one naming %s", text, err, kind)
+		}
+	}
+}

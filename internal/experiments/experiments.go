@@ -125,7 +125,7 @@ func (b *Bed) RunStrategy(strategy enforce.Strategy, demands []enforce.FlowDeman
 		K:        controller.DefaultK(),
 		HashSeed: uint64(b.Cfg.Seed)*2654435761 + uint64(strategy),
 	})
-	_, nodes, upd, err := Deploy(ctl, controller.PipelineOptions{}, controller.MeasurementsFromFlows(b.Dep, b.Table, demands))
+	_, nodes, upd, err := ctl.Deploy(controller.PipelineOptions{}, controller.MeasurementsFromFlows(b.Dep, b.Table, demands))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -134,23 +134,6 @@ func (b *Bed) RunStrategy(strategy enforce.Strategy, demands []enforce.FlowDeman
 		return nil, nil, err
 	}
 	return report, upd.Solution, nil
-}
-
-// Deploy takes a fresh controller through the control loop's first turn:
-// the pipeline compiles the first plan over meas (solving the LB weights
-// when the strategy is LoadBalanced and there is traffic) and every node
-// is built from it. Later turns are pipe.Recompute + the deltas.
-func Deploy(ctl *controller.Controller, opts controller.PipelineOptions, meas controller.Measurements) (*controller.Pipeline, map[topo.NodeID]*enforce.Node, *controller.PlanUpdate, error) {
-	pipe := ctl.NewPipeline(opts)
-	upd, err := pipe.Recompute(meas)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	nodes, err := ctl.BuildNodesFromPlan(upd.Plan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return pipe, nodes, upd, nil
 }
 
 // FigurePoint is one x-axis point of Figures 4/5.

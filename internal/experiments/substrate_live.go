@@ -29,6 +29,11 @@ var Live = Backend{
 	leaseUS:      liveLeaseUS,
 	newSubstrate: newLive,
 	conform:      liveConform,
+	// A stopped device cannot be brought back, and the management
+	// connections are not fault-wrapped.
+	refuses: map[faultinject.Kind]bool{
+		faultinject.KindRecover: true, faultinject.KindConnDelay: true, faultinject.KindAckLoss: true,
+	},
 }
 
 // liveLeaseUS is the election lease wall-clock timers can keep on a busy

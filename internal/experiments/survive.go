@@ -72,12 +72,8 @@ func (c *control) history() error {
 // node configurations derived from it, as indented JSON. Every export
 // goes through this one path, so byte equality means state equality.
 func exportBytes(p Plane) ([]byte, error) {
-	cfgs, err := p.Ctl.NodeConfigs(p.Pipe.Plan())
-	if err != nil {
-		return nil, err
-	}
 	var buf bytes.Buffer
-	if err := p.Ctl.ExportConfig(cfgs).WriteJSON(&buf); err != nil {
+	if err := p.Ctl.ExportConfig(p.Ctl.NodeConfigs(p.Pipe.Plan())).WriteJSON(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

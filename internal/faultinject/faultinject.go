@@ -2,12 +2,14 @@
 // engine — the machinery behind the paper's dependability claim (§III,
 // failure handling). A Schedule is a seedable, reproducible script of
 // faults (middlebox crash/recover, device wedge, management-connection
-// drop/delay/ack-loss) that one format drives into both execution
-// substrates: the discrete-event simulator (events land on the virtual
-// clock via a Scheduler) and the live UDP runtime (events land on wall
-// timers via a Driver). The same schedule therefore produces the same
-// failure story in simulation and over real sockets, which is what makes
-// the recovery-convergence experiments comparable across the two.
+// drop/delay/ack-loss, controller kills) in one format that drives both
+// execution substrates: the discrete-event simulator (events land on the
+// virtual clock via a Scheduler) and the live UDP runtime (events land on
+// wall timers via a Driver). Each substrate stages the kinds it can — the
+// simulator has no management channel, and the live runtime cannot bring
+// a stopped device back — as the comment on each Kind says; for the kinds
+// both stage, one schedule tells the same failure story in simulation and
+// over real sockets.
 //
 // Determinism contract: given the same Seed, Resolve always yields the
 // same jittered event times in the same order. All randomness comes from
@@ -37,8 +39,8 @@ const (
 	// sim: Network.SetNodeDown true).
 	KindCrash Kind = iota + 1
 	// KindRecover brings a crashed/down node back (sim: SetNodeDown
-	// false; live runtimes that cannot resurrect a socket may map it to
-	// un-marking the failure).
+	// false; the live substrate refuses it, as a stopped device's socket
+	// cannot be resurrected).
 	KindRecover
 	// KindWedge blocks a device's loop — alive at the socket, dead at the
 	// dataplane — until a matching KindUnwedge.
@@ -46,19 +48,23 @@ const (
 	// KindUnwedge releases a wedged device.
 	KindUnwedge
 	// KindConnDrop kills a node's management connection mid-stream (the
-	// agent is expected to heal itself by reconnecting).
+	// agent is expected to heal itself by reconnecting; sim ignores it, as
+	// it has no management channel).
 	KindConnDrop
 	// KindConnDelay imposes Param microseconds of delay on each frame the
-	// node's fault-wrapped management connection writes.
+	// node's fault-wrapped management connection writes (Conn; sim ignores
+	// it and the live substrate, whose connections are not wrapped,
+	// refuses it).
 	KindConnDelay
 	// KindAckLoss discards the next Param frames written on the node's
-	// fault-wrapped management connection (acks and measurement reports).
+	// fault-wrapped management connection (acks and measurement reports;
+	// as for KindConnDelay, sim ignores it and the live substrate refuses
+	// it).
 	KindAckLoss
 	// KindPartition severs both directions between a node pair: Target and
 	// the peer named by Param each lose their connection to the other
-	// (live: both management conns dropped; sim: both nodes see the other
-	// as down). Schedule a second partition event with the same pair after
-	// the outage window to model healing, or rely on agent reconnects.
+	// (live: both management conns dropped, and the agents' reconnects
+	// heal it; sim ignores it, as it has no management channel).
 	KindPartition
 	// KindLeaderKill takes whichever controller replica currently leads
 	// away from its peers (Target is ignored — the leader is resolved at

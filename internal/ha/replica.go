@@ -24,8 +24,8 @@ func unmarshalValid(data []byte, v interface{ Validate() error }) error {
 //
 //   standby:  a Standby applies streamed frames to the journal, and
 //             heartbeats drive catch-up/resync;
-//   leader:   the journal is lent to a Writer handle: ReplayJournal's
-//             state and that handle seed the controller (via OnPromote),
+//   leader:   the journal is lent to a Writer handle: the state it
+//             replays and that handle seed the controller (via OnPromote),
 //             a Replicator streams every Append to the standbys, and the
 //             journal refuses frames and truncations until the handle is
 //             closed at deposition.
@@ -72,7 +72,7 @@ type Replica struct {
 	// this replica's journal — the election up-to-date fence (Raft's
 	// "term of last log entry"). It is persisted across restarts by the
 	// term-marker epoch record every new leader appends at promotion
-	// (recovered here via ReplayJournal), advances when the standby
+	// (recovered here by replaying the journal), advances when the standby
 	// proves its journal a prefix of a newer leader's, and gates both
 	// lease grants and incoming frames.
 	lastTerm atomic.Uint64
@@ -94,7 +94,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := controller.ReplayJournal(cfg.JournalPath)
+	st, err := j.Replay()
 	if err != nil {
 		_ = j.Close()
 		return nil, err
@@ -191,7 +191,7 @@ func (r *Replica) promote(term uint64) {
 	}
 	w := r.j.Writer()
 	//vet:ignore lockedblocking -- takeover is atomic: a deposition must not land between the replay and the term marker
-	st, err := controller.ReplayJournal(r.cfg.JournalPath)
+	st, err := w.Replay()
 	if err != nil {
 		r.mu.Unlock()
 		panic(fmt.Sprintf("ha: replica %d takeover replay: %v", r.cfg.ID, err))

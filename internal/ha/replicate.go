@@ -21,9 +21,10 @@ import (
 // dead leader streamed that never reached a quorum) is detected at the
 // first frame or heartbeat and resynced from zero, never silently
 // spliced or livelocked on misaligned catch-up offsets.
-// Takeover then reuses ReplayJournal + RestoreFromJournal verbatim: the
-// new leader replays the journal replication delivered and resumes epoch
-// numbering past the max term-fenced high-water mark it finds.
+// Takeover then reuses the restart path verbatim (Journal.Replay, then
+// RestoreFromJournal): the new leader replays the journal replication
+// delivered and resumes epoch numbering past the max term-fenced
+// high-water mark it finds.
 
 // Replication metric family names.
 const (

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -306,7 +307,24 @@ func TestStandbyAcksTrueLengthForUnreplayableRecord(t *testing.T) {
 			t.Fatalf("%s: acked %d bytes at term %d, durable %d at term 2", payload, ack.Bytes, ack.Term, sj.Size())
 		}
 	}
-	if st, err := controller.ReplayJournal(spath); err != nil || st.Records != 1 {
+	if err := sj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Read the disk again, through a handle of its own: nothing of a
+	// refused frame may sit past the length the standby reported.
+	fi, err := os.Stat(spath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(good)) {
+		t.Fatalf("the standby's file holds %d bytes, want the %d of the good record", fi.Size(), len(good))
+	}
+	rj, err := controller.OpenJournal(spath)
+	if err != nil {
+		t.Fatalf("the standby's journal no longer opens: %v", err)
+	}
+	defer rj.Close() //nolint:errcheck // read-only reopen
+	if st, err := rj.Replay(); err != nil || st.Records != 1 || st.Torn {
 		t.Fatalf("the standby's journal no longer replays: %+v, %v", st, err)
 	}
 }

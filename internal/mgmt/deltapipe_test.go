@@ -101,7 +101,7 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 	if fullBytes == 0 {
 		t.Fatal("full rollout counted no bytes")
 	}
-	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), nodeConfigs(t, ctl, upd.Plan)); len(viol) > 0 {
+	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), ctl.NodeConfigs(upd.Plan)); len(viol) > 0 {
 		t.Fatalf("fleet diverges from NodeConfigs after the whole-plan rollout (%d violations), first: %v",
 			len(viol), viol[0])
 	}
@@ -171,7 +171,7 @@ func TestSinglePolicyEditDeltaRollout(t *testing.T) {
 		upd2.Stats.Dirty, upd2.Stats.Instances, len(upd2.Deltas), len(nodes))
 
 	// The fleet must now hold exactly the new plan's configuration.
-	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), nodeConfigs(t, ctl, upd2.Plan)); len(viol) > 0 {
+	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), ctl.NodeConfigs(upd2.Plan)); len(viol) > 0 {
 		t.Fatalf("fleet diverges from the new plan after delta rollout (%d violations), first: %v",
 			len(viol), viol[0])
 	}
@@ -184,15 +184,6 @@ func appliedConfigs(devices map[topo.NodeID]*live.Device) map[topo.NodeID]enforc
 		dev.Do(func(n *enforce.Node) { out[id] = n.Config() })
 	}
 	return out
-}
-
-func nodeConfigs(t *testing.T, ctl *controller.Controller, plan *controller.Plan) map[topo.NodeID]enforce.Config {
-	t.Helper()
-	cfgs, err := ctl.NodeConfigs(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfgs
 }
 
 // A refused rollout must not advance the pipeline's diff base. Recompute
@@ -308,7 +299,7 @@ func TestRefusedRolloutKeepsDiffBase(t *testing.T) {
 		}
 	}
 
-	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), nodeConfigs(t, ctl, pipe.Plan())); len(viol) > 0 {
+	if viol := verify.CheckDeltaEquivalence(appliedConfigs(devices), ctl.NodeConfigs(pipe.Plan())); len(viol) > 0 {
 		t.Fatalf("fleet diverges from a from-scratch build after a refused rollout (%d violations), first: %v",
 			len(viol), viol[0])
 	}

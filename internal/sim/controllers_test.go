@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -154,7 +155,7 @@ func TestTakeoverRefusesLongerButStalerJournal(t *testing.T) {
 			idNew, termNew, idC)
 	}
 	// The quorum-acked term-B marker must have survived takeover...
-	st, err := controller.ReplayJournal(fmt.Sprintf("%s/replica-%d.wal", dir, idC))
+	st, err := g.Replica(idC).Journal().Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestDeposedLeaderHandleCannotAppend(t *testing.T) {
 		t.Fatalf("the deposed replica did not follow: %d bytes CRC %#x (was %d) vs the leader's %d bytes CRC %#x",
 			a.JournalBytes(), a.JournalCRC(), before, l.JournalBytes(), l.JournalCRC())
 	}
-	st, err := controller.ReplayJournal(fmt.Sprintf("%s/replica-%d.wal", dir, idA))
+	st, err := replayFile(fmt.Sprintf("%s/replica-%d.wal", dir, idA))
 	if err != nil || st.Epoch != 702 || st.Bytes != a.JournalBytes() {
 		t.Fatalf("the deposed replica's file replays epoch %d over %d bytes (%v), want 702 over %d",
 			st.Epoch, st.Bytes, err, a.JournalBytes())
@@ -286,4 +287,15 @@ func TestDeposedLeaderHandleCannotAppend(t *testing.T) {
 	if a.JournalBytes() != st.Bytes {
 		t.Fatal("the refused append moved the journal")
 	}
+}
+
+// replayFile replays a replica's journal file through a handle of its own,
+// which it closes again.
+func replayFile(path string) (*controller.JournalState, error) {
+	j, err := controller.OpenJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	st, err := j.Replay()
+	return st, errors.Join(err, j.Close())
 }

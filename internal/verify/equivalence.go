@@ -9,73 +9,10 @@ import (
 	"sdme/internal/topo"
 )
 
-// Scoped re-verification: the incremental pipeline only re-solves the
-// chain instances its dependency index marked dirty, so it only needs the
-// invariants re-checked for those instances' policies — everything else
-// was verified when it was last solved and has not changed. CheckScoped
-// restricts every invariant to a policy-ID scope; CheckDeltaEquivalence
-// is the delta≡full check that a delta-applied configuration matches the
-// from-scratch rebuild it is supposed to equal.
-
 // InvEquivalence is the delta≡full invariant: applying per-node
 // ConfigDeltas on top of the previous configuration must yield exactly
 // the configuration a from-scratch build of the new plan produces.
 const InvEquivalence Invariant = "delta-equivalence"
-
-// CheckScoped runs the plan invariants restricted to the given policy
-// IDs: coverage and loop checks consider only the scoped policies (and
-// therefore only the functions their chains reference), hp-optimality and
-// failed-candidate checks consider only the candidate lists those
-// functions exercise, and the weight check considers only the scoped
-// policies' vectors. An empty scope verifies nothing.
-func CheckScoped(p Plan, policyIDs map[int]bool) []Violation {
-	if len(policyIDs) == 0 {
-		return nil
-	}
-	scoped := p
-
-	tbl := policy.NewTable()
-	funcs := make(map[policy.FuncType]bool)
-	for _, pol := range p.Policies.All() {
-		if !policyIDs[pol.ID] {
-			continue
-		}
-		tbl.AddPolicy(pol)
-		for _, e := range pol.Actions {
-			funcs[e] = true
-		}
-	}
-	scoped.Policies = tbl
-
-	cands := make(map[topo.NodeID]map[policy.FuncType][]topo.NodeID, len(p.Candidates))
-	for x, byFunc := range p.Candidates {
-		m := make(map[policy.FuncType][]topo.NodeID, len(byFunc))
-		for e, list := range byFunc {
-			if funcs[e] {
-				m[e] = list
-			}
-		}
-		cands[x] = m
-	}
-	scoped.Candidates = cands
-
-	if p.Weights != nil {
-		w := make(map[topo.NodeID]map[enforce.WeightKey][]float64, len(p.Weights))
-		for x, byKey := range p.Weights {
-			m := make(map[enforce.WeightKey][]float64)
-			for k, vec := range byKey {
-				if policyIDs[k.PolicyID] {
-					m[k] = vec
-				}
-			}
-			if len(m) > 0 {
-				w[x] = m
-			}
-		}
-		scoped.Weights = w
-	}
-	return Check(scoped)
-}
 
 // CheckDeltaEquivalence compares a delta-applied configuration set
 // against a from-scratch build of the same plan and reports every

@@ -249,16 +249,11 @@ func (s *System) Deploy(strategy Strategy) error {
 	})
 	// Every plan, this first one included, comes out of the one pipeline;
 	// full solves keep Balance's λ the exact optimum.
-	s.pipe = s.ctl.NewPipeline(controller.PipelineOptions{DirtyThreshold: -1})
-	upd, err := s.pipe.Recompute(nil)
+	pipe, nodes, _, err := s.ctl.Deploy(controller.PipelineOptions{DirtyThreshold: -1}, nil)
 	if err != nil {
 		return err
 	}
-	nodes, err := s.ctl.BuildNodesFromPlan(upd.Plan)
-	if err != nil {
-		return err
-	}
-	s.Nodes = nodes
+	s.pipe, s.Nodes = pipe, nodes
 	s.strategy = strategy
 	s.deployed = true
 	return nil
