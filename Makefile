@@ -68,13 +68,16 @@ chaos:
 # read from the tree (each `func Fuzz...` in a _test.go file outside
 # testdata), so a new or deleted target needs no edit here. The go tool
 # accepts exactly one -fuzz target per invocation, hence the loop.
+# Minimizing a new interesting input may take 60 s by default, more than a
+# target's whole budget: without the cap, FuzzRestoreFromJournal spends it
+# all minimizing its first one (grown from its journal seed), at ~8 execs.
 FUZZTIME ?= 20s
 fuzz:
 	@grep -rHo --include='*_test.go' --exclude-dir=testdata '^func Fuzz[A-Za-z0-9_]*' . | sort | \
 	while IFS=: read -r file fn; do \
 		name=$${fn#func }; pkg=$${file%/*}; \
 		echo "== $$pkg $$name =="; \
-		$(GO) test "$$pkg" -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) || exit 1; \
+		$(GO) test "$$pkg" -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 1s || exit 1; \
 	done
 
 # Coverage profile across all packages, with the per-function summary's

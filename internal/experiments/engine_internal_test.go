@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -86,6 +87,46 @@ func TestChaosRepairAbsorbsOnlyExpectedOutcomes(t *testing.T) {
 			}
 			if res.Repairs != tc.repairs || res.Degraded != tc.degraded {
 				t.Errorf("repairs=%d degraded=%d, want %d and %d", res.Repairs, res.Degraded, tc.repairs, tc.degraded)
+			}
+		})
+	}
+}
+
+// TestPlayFiresInResolvedOrder: both substrates replay a jittered
+// schedule in resolved order, the two events at one instant in script
+// order. On virtual time each fires at its exact offset; on wall time
+// none fires before it.
+func TestPlayFiresInResolvedOrder(t *testing.T) {
+	sched := faultinject.MustParse("seed 7\n30ms crash 3\n10ms crash 1\n20ms wedge 2 jitter=20ms\n10ms conn-drop 4\n")
+	want := sched.Resolve()
+	if want[0].Target != 1 || want[1].Target != 4 {
+		t.Fatalf("resolved %v: the same-instant pair is not first, in script order", want)
+	}
+	for _, on := range Backends {
+		t.Run(on.String(), func(t *testing.T) {
+			bed, err := newFaultBed(11, enforce.HotPotato)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := on.newSubstrate(bed.Site, Scenario{}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+			var got []faultinject.Event
+			var firedUS []int64
+			startUS := sub.NowUS()
+			sub.Play(sched, func(ev faultinject.Event) {
+				got = append(got, ev)
+				firedUS = append(firedUS, sub.NowUS()-startUS)
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("fired %v, want %v", got, want)
+			}
+			for i, ev := range want {
+				if firedUS[i] < ev.AtUS || on.String() == "sim" && firedUS[i] != ev.AtUS {
+					t.Errorf("%v fired at %d µs", ev, firedUS[i])
+				}
 			}
 		})
 	}

@@ -135,7 +135,7 @@ func TestChaosHAComposite(t *testing.T) {
 // backends, before anything is built (on live it used to reach a nil
 // device from the schedule driver's goroutine).
 func TestChaosScheduleOutsideBedRefused(t *testing.T) {
-	for _, text := range []string{"5ms crash 9999", "5ms wedge 9999", "5ms partition 9 param=9999"} {
+	for _, text := range []string{"5ms crash 9999", "5ms wedge 9999", "5ms conn-drop 9999"} {
 		sc := experiments.Recovery(11)
 		sc.Schedule = faultinject.MustParse(text)
 		for _, on := range experiments.Backends {
@@ -143,21 +143,6 @@ func TestChaosScheduleOutsideBedRefused(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), strings.Fields(text)[1]+" ") || !strings.Contains(err.Error(), "9999") {
 				t.Errorf("%v, %q: err = %v, want one naming the event", on, text, err)
 			}
-		}
-	}
-}
-
-// TestChaosLiveRefusesUnstagedFault: the live substrate cannot resurrect a
-// stopped device, and its management connections are not fault-wrapped, so
-// a schedule that asks for either is refused before bring-up with an error
-// naming the kind instead of quietly doing less than it says.
-func TestChaosLiveRefusesUnstagedFault(t *testing.T) {
-	for _, text := range []string{"5ms ack-loss 9 param=2", "5ms conn-delay 9 param=500", "5ms recover 9"} {
-		sc := experiments.Recovery(11)
-		sc.Schedule = faultinject.MustParse(text)
-		kind := strings.Fields(text)[1]
-		if _, err := experiments.Run(experiments.Live, sc); err == nil || !strings.Contains(err.Error(), kind) {
-			t.Errorf("%q on live: err = %v, want one naming %s", text, err, kind)
 		}
 	}
 }

@@ -85,19 +85,14 @@ func controllerFault(ev faultinject.Event) bool {
 }
 
 // schedule resolves the scenario's fault script over the bed and checks
-// that it addresses the bed's own nodes and asks nothing of on that on
-// cannot stage.
-func (sc Scenario) schedule(b *faultBed, on Backend) (*faultinject.Schedule, error) {
+// that it addresses the bed's own nodes.
+func (sc Scenario) schedule(b *faultBed) (*faultinject.Schedule, error) {
 	if s := sc.Schedule; s != nil {
 		if err := s.Validate(); err != nil {
 			return nil, err
 		}
 		for _, ev := range s.Events {
-			if on.refuses[ev.Kind] {
-				return nil, fmt.Errorf("experiments: the %s substrate cannot stage %v faults", on, ev.Kind)
-			}
-			if !controllerFault(ev) && (b.Nodes[ev.Target] == nil ||
-				ev.Kind == faultinject.KindPartition && b.Nodes[topo.NodeID(ev.Param)] == nil) {
+			if !controllerFault(ev) && b.Nodes[ev.Target] == nil {
 				return nil, fmt.Errorf("experiments: schedule event %q addresses a node outside the bed", ev)
 			}
 		}
@@ -463,7 +458,7 @@ func Run(on Backend, sc Scenario) (*Result, error) {
 		return nil, err
 	}
 	// Resolved before a substrate owns the nodes: it reads their configs.
-	sched, err := sc.schedule(bed, on)
+	sched, err := sc.schedule(bed)
 	if err != nil {
 		return nil, err
 	}

@@ -327,10 +327,6 @@ type Backend struct {
 	// conform brings a conformance run's dataplane up over the site, its
 	// nodes reporting to tracer, for flows to cross.
 	conform func(site Site, flows []netaddr.FiveTuple, tracer *enforce.RuntimeTracer) (*conformPlane, error)
-	// refuses names the fault kinds the backend cannot stage: a schedule
-	// naming one is refused before bring-up rather than run doing less
-	// than it says.
-	refuses map[faultinject.Kind]bool
 }
 
 func (b Backend) String() string { return b.name }

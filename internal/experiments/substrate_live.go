@@ -29,11 +29,6 @@ var Live = Backend{
 	leaseUS:      liveLeaseUS,
 	newSubstrate: newLive,
 	conform:      liveConform,
-	// A stopped device cannot be brought back, and the management
-	// connections are not fault-wrapped.
-	refuses: map[faultinject.Kind]bool{
-		faultinject.KindRecover: true, faultinject.KindConnDelay: true, faultinject.KindAckLoss: true,
-	},
 }
 
 // liveLeaseUS is the election lease wall-clock timers can keep on a busy
@@ -419,12 +414,6 @@ func (s *liveSubstrate) Apply(ev faultinject.Event) error {
 		}
 	case faultinject.KindConnDrop:
 		s.leaderServer().DropConn(ev.Target)
-	case faultinject.KindPartition:
-		// A network partition between a node pair, seen from the
-		// controller: both ends lose their management connection at once.
-		// The agents' reconnect machinery heals both sides.
-		s.leaderServer().DropConn(ev.Target)
-		s.leaderServer().DropConn(topo.NodeID(ev.Param))
 	case faultinject.KindLeaderKill:
 		// The kill partitions the replica from its peers by closing its
 		// bus. It still believes it leads — until its lease starves and it
@@ -435,14 +424,20 @@ func (s *liveSubstrate) Apply(ev faultinject.Event) error {
 		if old, ok := s.depose(); ok && old.Journal != nil {
 			return s.restart(old)
 		}
+	default:
+		return fmt.Errorf("experiments: the live substrate cannot stage %v faults", ev.Kind)
 	}
 	return nil
 }
 
+// Play sleeps until each resolved offset, measured from the call, and
+// applies the event on the calling goroutine.
 func (s *liveSubstrate) Play(sched *faultinject.Schedule, apply func(faultinject.Event)) {
-	driver := faultinject.NewLiveDriver(sched, apply)
-	driver.Start()
-	driver.Wait()
+	start := time.Now()
+	for _, ev := range sched.Resolve() {
+		time.Sleep(time.Until(start.Add(time.Duration(ev.AtUS) * time.Microsecond)))
+		apply(ev)
+	}
 }
 
 // leaderServer is the server of whoever led last.

@@ -164,13 +164,17 @@ func (s *SimSubstrate) OnHealth(report func(id topo.NodeID, down bool)) { s.repo
 
 // Apply models the dataplane faults and the controller's. A wedged device
 // is indistinguishable from a crashed one here: both blackhole until
-// repaired. Management-channel faults have nothing to act on.
+// repaired.
 func (s *SimSubstrate) Apply(ev faultinject.Event) error {
 	var down bool
 	switch ev.Kind {
 	case faultinject.KindCrash, faultinject.KindWedge:
 		down = true
-	case faultinject.KindRecover, faultinject.KindUnwedge:
+	case faultinject.KindUnwedge:
+	case faultinject.KindConnDrop:
+		// The simulated controller reaches its nodes without a management
+		// channel: there is no connection to drop.
+		return nil
 	case faultinject.KindLeaderKill:
 		s.killLeader()
 		return nil
@@ -181,7 +185,7 @@ func (s *SimSubstrate) Apply(ev faultinject.Event) error {
 		}
 		return nil
 	default:
-		return nil
+		return fmt.Errorf("experiments: the sim substrate cannot stage %v faults", ev.Kind)
 	}
 	s.Network.SetNodeDown(ev.Target, down)
 	if s.report != nil {
@@ -190,12 +194,14 @@ func (s *SimSubstrate) Apply(ev faultinject.Event) error {
 	return nil
 }
 
+// Play puts every resolved event on the engine, in resolved order: the
+// engine's FIFO tie-break keeps same-instant events in script order.
 func (s *SimSubstrate) Play(sched *faultinject.Schedule, apply func(faultinject.Event)) {
 	var lastUS int64
 	for _, ev := range sched.Resolve() {
+		s.eng.After(ev.AtUS, func() { apply(ev) })
 		lastUS = ev.AtUS
 	}
-	faultinject.DriveSim(sched, s.eng, apply)
 	if lastUS > 0 {
 		s.eng.Run(s.eng.Now() + lastUS)
 	}

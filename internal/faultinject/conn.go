@@ -14,40 +14,27 @@ import (
 // deciding their fate, so a dropped message never leaves a torn prefix
 // in the stream — the peer only ever sees whole frames or silence.
 //
-// Faults available: DropNow (kill the connection mid-stream), a per-frame
-// write delay (slow channel), counted frame loss (lost acks or
-// measurement reports), and AfterFrames (a fault that fires at an exact
-// point of the conversation, e.g. between a prepare ack and the commit).
+// Faults available: DropNow (kill the connection mid-stream), counted
+// frame loss (lost acks or measurement reports), and AfterFrames (a fault
+// that fires at an exact point of the conversation, e.g. between a
+// prepare ack and the commit).
 type Conn struct {
 	inner net.Conn
 
 	mu         sync.Mutex
 	buf        []byte
-	delay      time.Duration
 	dropFrames int64
 	// afterN / after: run after once afterN more frames reached the socket.
 	afterN int64
 	after  func(*Conn)
-	// DroppedFrames / DelayedFrames count injected faults for assertions.
-	droppedFrames int64
-	delayedFrames int64
+	// dropped counts the frames DropFrames consumed, for assertions.
+	dropped int64
 }
 
 var _ net.Conn = (*Conn)(nil)
 
 // WrapConn wraps an established connection.
 func WrapConn(inner net.Conn) *Conn { return &Conn{inner: inner} }
-
-// SetWriteDelay imposes d of delay on every subsequently written frame
-// (0 removes it).
-func (c *Conn) SetWriteDelay(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	c.delay = d
-}
 
 // DropFrames discards the next n complete frames written through the
 // connection.
@@ -77,11 +64,11 @@ func (c *Conn) AfterFrames(n int64, fn func(*Conn)) {
 // here on, as if the peer's kernel reset the socket.
 func (c *Conn) DropNow() { _ = c.inner.Close() }
 
-// Stats reports how many frames faults have consumed or delayed.
-func (c *Conn) Stats() (dropped, delayed int64) {
+// Dropped reports how many frames DropFrames has consumed.
+func (c *Conn) Dropped() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.droppedFrames, c.delayedFrames
+	return c.dropped
 }
 
 // Write buffers bytes until complete frames are available, then forwards
@@ -89,14 +76,13 @@ func (c *Conn) Stats() (dropped, delayed int64) {
 // full input length as written even for dropped frames — from the
 // writer's perspective the fault is invisible, exactly like real loss.
 func (c *Conn) Write(p []byte) (int, error) {
-	// Decide each complete frame's fate under the lock, but sleep and hit
-	// the socket outside it — otherwise an injected delay stalls every
-	// directive call (DropFrames, Stats) behind it. Callers already
-	// serialize writes per connection (the wire protocol's framing
-	// demands it), so releasing the lock between extraction and the
-	// socket write cannot reorder frames.
+	// Decide each complete frame's fate under the lock, but hit the
+	// socket outside it, so a blocked write stalls no directive call
+	// (DropFrames, Dropped) behind it. Callers already serialize writes
+	// per connection (the wire protocol's framing demands it), so
+	// releasing the lock between extraction and the socket write cannot
+	// reorder frames.
 	var forward [][]byte
-	var delay time.Duration
 	var fault func(*Conn) // the AfterFrames fault, due after forward[faultAt]
 	faultAt := -1
 	c.mu.Lock()
@@ -114,12 +100,8 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.buf = c.buf[total:]
 		if c.dropFrames > 0 {
 			c.dropFrames--
-			c.droppedFrames++
+			c.dropped++
 			continue
-		}
-		if c.delay > 0 {
-			c.delayedFrames++
-			delay = c.delay
 		}
 		forward = append(forward, frame)
 		// Counted here, under the lock AfterFrames arms under: a frame
@@ -133,9 +115,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	}
 	c.mu.Unlock()
 	for i, frame := range forward {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
 		if _, err := c.inner.Write(frame); err != nil {
 			return 0, err
 		}
@@ -155,14 +134,13 @@ func (c *Conn) SetReadDeadline(t time.Time) error  { return c.inner.SetReadDeadl
 func (c *Conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }
 
 // ConnTap wraps every connection a self-healing agent dials, so fault
-// directives survive reconnects: a delay or frame-loss directive applies
-// to whichever connection is currently live, and DropConn kills the
-// current one (the agent is expected to dial a fresh connection, which
-// the tap wraps in turn).
+// directives survive reconnects: a frame-loss directive applies to
+// whichever connection is currently live, and DropConn kills the current
+// one (the agent is expected to dial a fresh connection, which the tap
+// wraps in turn).
 type ConnTap struct {
 	mu         sync.Mutex
 	cur        *Conn
-	delay      time.Duration
 	dropFrames int64
 	dials      int
 }
@@ -177,7 +155,6 @@ func (t *ConnTap) Dial(dial func() (net.Conn, error)) func() (net.Conn, error) {
 		}
 		c := WrapConn(inner)
 		t.mu.Lock()
-		c.SetWriteDelay(t.delay)
 		if t.dropFrames > 0 {
 			c.DropFrames(t.dropFrames)
 			t.dropFrames = 0
@@ -186,16 +163,6 @@ func (t *ConnTap) Dial(dial func() (net.Conn, error)) func() (net.Conn, error) {
 		t.dials++
 		t.mu.Unlock()
 		return c, nil
-	}
-}
-
-// SetWriteDelay applies to the current and all future connections.
-func (t *ConnTap) SetWriteDelay(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.delay = d
-	if t.cur != nil {
-		t.cur.SetWriteDelay(d)
 	}
 }
 
@@ -244,14 +211,14 @@ func (t *ConnTap) Dials() int {
 	return t.dials
 }
 
-// CurrentStats reports the current connection's fault counters (zeros if
-// no connection is live).
-func (t *ConnTap) CurrentStats() (dropped, delayed int64) {
+// Dropped reports how many frames the current connection has dropped
+// (0 if no connection is live).
+func (t *ConnTap) Dropped() int64 {
 	t.mu.Lock()
 	cur := t.cur
 	t.mu.Unlock()
 	if cur == nil {
-		return 0, 0
+		return 0
 	}
-	return cur.Stats()
+	return cur.Dropped()
 }

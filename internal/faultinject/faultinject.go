@@ -1,21 +1,16 @@
 // Package faultinject is the repository's deterministic fault-schedule
 // engine — the machinery behind the paper's dependability claim (§III,
 // failure handling). A Schedule is a seedable, reproducible script of
-// faults (middlebox crash/recover, device wedge, management-connection
-// drop/delay/ack-loss, controller kills) in one format that drives both
-// execution substrates: the discrete-event simulator (events land on the
-// virtual clock via a Scheduler) and the live UDP runtime (events land on
-// wall timers via a Driver). Each substrate stages the kinds it can — the
-// simulator has no management channel, and the live runtime cannot bring
-// a stopped device back — as the comment on each Kind says; for the kinds
-// both stage, one schedule tells the same failure story in simulation and
-// over real sockets.
+// faults (middlebox crash, device wedge and release, management-connection
+// drop, controller kills) in one format that drives both execution
+// substrates: the discrete-event simulator lands events on its virtual
+// clock, the live UDP runtime on wall time. Both accept every kind; the
+// comment on each Kind says what each substrate does with it.
 //
 // Determinism contract: given the same Seed, Resolve always yields the
 // same jittered event times in the same order. All randomness comes from
 // a private seeded source; the package never touches the global
-// math/rand state or the wall clock for decisions (wall timers only fire
-// the pre-resolved times).
+// math/rand state or the wall clock for decisions.
 package faultinject
 
 import (
@@ -38,34 +33,16 @@ const (
 	// KindCrash permanently stops a middlebox/device (live: Device.Stop;
 	// sim: Network.SetNodeDown true).
 	KindCrash Kind = iota + 1
-	// KindRecover brings a crashed/down node back (sim: SetNodeDown
-	// false; the live substrate refuses it, as a stopped device's socket
-	// cannot be resurrected).
-	KindRecover
 	// KindWedge blocks a device's loop — alive at the socket, dead at the
-	// dataplane — until a matching KindUnwedge.
+	// dataplane — until a matching KindUnwedge (sim: the node is down, as
+	// for KindCrash).
 	KindWedge
-	// KindUnwedge releases a wedged device.
+	// KindUnwedge releases a wedged device (sim: SetNodeDown false).
 	KindUnwedge
-	// KindConnDrop kills a node's management connection mid-stream (the
-	// agent is expected to heal itself by reconnecting; sim ignores it, as
-	// it has no management channel).
+	// KindConnDrop kills a node's management connection mid-stream (live:
+	// the agent heals itself by reconnecting; sim has no management
+	// channel, so nothing happens).
 	KindConnDrop
-	// KindConnDelay imposes Param microseconds of delay on each frame the
-	// node's fault-wrapped management connection writes (Conn; sim ignores
-	// it and the live substrate, whose connections are not wrapped,
-	// refuses it).
-	KindConnDelay
-	// KindAckLoss discards the next Param frames written on the node's
-	// fault-wrapped management connection (acks and measurement reports;
-	// as for KindConnDelay, sim ignores it and the live substrate refuses
-	// it).
-	KindAckLoss
-	// KindPartition severs both directions between a node pair: Target and
-	// the peer named by Param each lose their connection to the other
-	// (live: both management conns dropped, and the agents' reconnects
-	// heal it; sim ignores it, as it has no management channel).
-	KindPartition
 	// KindLeaderKill takes whichever controller replica currently leads
 	// away from its peers (Target is ignored — the leader is resolved at
 	// fire time). It has nothing to kill mid-election, or where one
@@ -79,13 +56,9 @@ const (
 
 var kindNames = map[Kind]string{
 	KindCrash:             "crash",
-	KindRecover:           "recover",
 	KindWedge:             "wedge",
 	KindUnwedge:           "unwedge",
 	KindConnDrop:          "conn-drop",
-	KindConnDelay:         "conn-delay",
-	KindAckLoss:           "ack-loss",
-	KindPartition:         "partition",
 	KindLeaderKill:        "leaderkill",
 	KindControllerRestart: "ctl-restart",
 }
@@ -115,17 +88,10 @@ type Event struct {
 	JitterUS int64
 	Kind     Kind
 	Target   topo.NodeID
-	// Param carries the kind-specific argument: delay µs for
-	// KindConnDelay, frame count for KindAckLoss, the peer node ID for
-	// KindPartition.
-	Param int64
 }
 
 func (e Event) String() string {
 	s := fmt.Sprintf("%s %s %d", durationUS(e.AtUS), e.Kind, int(e.Target))
-	if e.Param != 0 {
-		s += fmt.Sprintf(" param=%d", e.Param)
-	}
 	if e.JitterUS != 0 {
 		s += fmt.Sprintf(" jitter=%s", durationUS(e.JitterUS))
 	}
@@ -144,7 +110,7 @@ type Schedule struct {
 	Events []Event
 }
 
-// Validate rejects malformed schedules before they reach a driver.
+// Validate rejects malformed schedules before they are played.
 func (s *Schedule) Validate() error {
 	for i, e := range s.Events {
 		if e.AtUS < 0 || e.JitterUS < 0 {
@@ -152,23 +118,6 @@ func (s *Schedule) Validate() error {
 		}
 		if _, ok := kindNames[e.Kind]; !ok {
 			return fmt.Errorf("faultinject: event %d: unknown kind %d", i, int(e.Kind))
-		}
-		switch e.Kind {
-		case KindConnDelay:
-			if e.Param < 0 {
-				return fmt.Errorf("faultinject: event %d: conn-delay needs param >= 0", i)
-			}
-		case KindAckLoss:
-			if e.Param <= 0 {
-				return fmt.Errorf("faultinject: event %d: ack-loss needs param > 0 (frames to drop)", i)
-			}
-		case KindPartition:
-			if e.Param < 0 {
-				return fmt.Errorf("faultinject: event %d: partition needs param = peer node id", i)
-			}
-			if e.Param == int64(e.Target) {
-				return fmt.Errorf("faultinject: event %d: partition peer equals target %d", i, int(e.Target))
-			}
 		}
 	}
 	return nil
@@ -210,12 +159,11 @@ func (s *Schedule) String() string {
 //	5ms   crash     12
 //	20ms  conn-drop 3
 //	30ms  wedge     7  jitter=2ms
-//	45ms  conn-delay 3 param=1500
 //	60ms  unwedge   7
 //
 // The first column is a Go duration (the offset from schedule start),
-// the second a fault kind, the third the target node ID. Optional
-// key=value fields set jitter (duration) and param (integer).
+// the second a fault kind, the third the target node ID. An optional
+// jitter=<duration> field widens the firing window.
 func Parse(r io.Reader) (*Schedule, error) {
 	s := &Schedule{}
 	sc := bufio.NewScanner(r)
@@ -266,12 +214,6 @@ func Parse(r io.Reader) (*Schedule, error) {
 					return nil, fmt.Errorf("faultinject: line %d: bad jitter %q: %v", lineNo, v, err)
 				}
 				ev.JitterUS = d.Microseconds()
-			case "param":
-				p, err := strconv.ParseInt(v, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("faultinject: line %d: bad param %q", lineNo, v)
-				}
-				ev.Param = p
 			default:
 				return nil, fmt.Errorf("faultinject: line %d: unknown field %q", lineNo, k)
 			}

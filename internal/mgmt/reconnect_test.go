@@ -145,7 +145,7 @@ func TestChaosPushRetryHealsAckLoss(t *testing.T) {
 	if st.StaleConfigs < 1 {
 		t.Errorf("retry was not acked idempotently: %+v", st)
 	}
-	if dropped, _ := currentConnStats(tap); dropped < 1 {
+	if dropped := tap.Dropped(); dropped < 1 {
 		t.Errorf("fault conn dropped %d frames, want >= 1", dropped)
 	}
 }
@@ -392,9 +392,4 @@ func (b *mgmtBed) measTotal() int64 {
 		total += v
 	}
 	return total
-}
-
-func currentConnStats(tap *faultinject.ConnTap) (dropped, delayed int64) {
-	// The tap tracks the live conn; stats accessor lives on the Conn.
-	return tap.CurrentStats()
 }

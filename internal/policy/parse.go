@@ -43,19 +43,9 @@ func ParseRules(r io.Reader, tbl *Table) error {
 		if len(fields) < 5 || len(fields) > 6 {
 			return fmt.Errorf("policy: line %d: want 5 or 6 fields, got %d", lineNo, len(fields))
 		}
-		d := NewDescriptor()
-		var err error
-		if d.Src, err = parsePrefixField(fields[0]); err != nil {
-			return fmt.Errorf("policy: line %d: src: %w", lineNo, err)
-		}
-		if d.Dst, err = parsePrefixField(fields[1]); err != nil {
-			return fmt.Errorf("policy: line %d: dst: %w", lineNo, err)
-		}
-		if d.SrcPort, err = parsePortField(fields[2]); err != nil {
-			return fmt.Errorf("policy: line %d: srcPort: %w", lineNo, err)
-		}
-		if d.DstPort, err = parsePortField(fields[3]); err != nil {
-			return fmt.Errorf("policy: line %d: dstPort: %w", lineNo, err)
+		d, err := ParseMatch(fields[0], fields[1], fields[2], fields[3])
+		if err != nil {
+			return fmt.Errorf("policy: line %d: %w", lineNo, err)
 		}
 		actions, err := ParseActions(fields[4])
 		if err != nil {
@@ -71,8 +61,28 @@ func ParseRules(r io.Reader, tbl *Table) error {
 	return scanner.Err()
 }
 
+// ParseMatch parses a policy's four match fields in the text format's
+// notation; an empty field means "*".
+func ParseMatch(src, dst, srcPort, dstPort string) (Descriptor, error) {
+	d := NewDescriptor()
+	var err error
+	if d.Src, err = parsePrefixField(src); err != nil {
+		return d, fmt.Errorf("src: %w", err)
+	}
+	if d.Dst, err = parsePrefixField(dst); err != nil {
+		return d, fmt.Errorf("dst: %w", err)
+	}
+	if d.SrcPort, err = parsePortField(srcPort); err != nil {
+		return d, fmt.Errorf("srcPort: %w", err)
+	}
+	if d.DstPort, err = parsePortField(dstPort); err != nil {
+		return d, fmt.Errorf("dstPort: %w", err)
+	}
+	return d, nil
+}
+
 func parsePrefixField(s string) (netaddr.Prefix, error) {
-	if s == "*" {
+	if s == "*" || s == "" {
 		return netaddr.AnyPrefix(), nil
 	}
 	if !strings.ContainsRune(s, '/') {
@@ -87,7 +97,7 @@ func parsePrefixField(s string) (netaddr.Prefix, error) {
 }
 
 func parsePortField(s string) (netaddr.PortRange, error) {
-	if s == "*" {
+	if s == "*" || s == "" {
 		return netaddr.AnyPort(), nil
 	}
 	if lo, hi, ok := strings.Cut(s, "-"); ok {

@@ -24,8 +24,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
@@ -144,26 +142,17 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // AddPolicy appends a policy in string form: source and destination
-// prefixes ("*" or CIDR), source and destination ports ("*", "80" or
-// "1000-2000"), and a comma-separated action list ("FW,IDS" or
-// "permit"). Policies match first-added-first.
+// prefixes ("*", CIDR or a host address), source and destination ports
+// ("*", "80" or "1000-2000"), and a comma-separated action list
+// ("FW,IDS" or "permit"); an empty field means "*" (or "permit").
+// Policies match first-added-first.
 func (s *System) AddPolicy(src, dst, srcPort, dstPort, actions string) error {
 	if s.deployed {
 		return fmt.Errorf("sdme: AddPolicy after Deploy; policies are distributed at deploy time")
 	}
-	d := policy.NewDescriptor()
-	var err error
-	if d.Src, err = parsePrefix(src); err != nil {
-		return err
-	}
-	if d.Dst, err = parsePrefix(dst); err != nil {
-		return err
-	}
-	if d.SrcPort, err = parsePorts(srcPort); err != nil {
-		return err
-	}
-	if d.DstPort, err = parsePorts(dstPort); err != nil {
-		return err
+	d, err := policy.ParseMatch(src, dst, srcPort, dstPort)
+	if err != nil {
+		return fmt.Errorf("sdme: %w", err)
 	}
 	acts, err := policy.ParseActions(actions)
 	if err != nil {
@@ -188,32 +177,6 @@ func (s *System) MustAddPolicy(src, dst, srcPort, dstPort, actions string) {
 	if err := s.AddPolicy(src, dst, srcPort, dstPort, actions); err != nil {
 		panic(err)
 	}
-}
-
-func parsePrefix(s string) (netaddr.Prefix, error) {
-	if s == "*" || s == "" {
-		return netaddr.AnyPrefix(), nil
-	}
-	return netaddr.ParsePrefix(s)
-}
-
-func parsePorts(s string) (netaddr.PortRange, error) {
-	if s == "*" || s == "" {
-		return netaddr.AnyPort(), nil
-	}
-	if lo, hi, ok := strings.Cut(s, "-"); ok {
-		l, err1 := strconv.ParseUint(lo, 10, 16)
-		h, err2 := strconv.ParseUint(hi, 10, 16)
-		if err1 != nil || err2 != nil || l > h {
-			return netaddr.PortRange{}, fmt.Errorf("sdme: bad port range %q", s)
-		}
-		return netaddr.PortRange{Lo: uint16(l), Hi: uint16(h)}, nil
-	}
-	p, err := strconv.ParseUint(s, 10, 16)
-	if err != nil {
-		return netaddr.PortRange{}, fmt.Errorf("sdme: bad port %q", s)
-	}
-	return netaddr.SinglePort(uint16(p)), nil
 }
 
 // LintPolicies analyzes the policy list for dead (shadowed/redundant)

@@ -119,6 +119,7 @@ func TestFacadePolicyParsing(t *testing.T) {
 		{"*", "*", "*", "*", "permit"},
 		{"10.1.0.0/16", "10.2.0.0/16", "1000-2000", "80", "FW"},
 		{"", "", "", "", ""},
+		{"10.1.2.3", "*", "*", "443", "IDS"},
 	}
 	for _, g := range good {
 		if err := sys.AddPolicy(g[0], g[1], g[2], g[3], g[4]); err != nil {
