@@ -92,6 +92,8 @@ cover:
 verify-examples:
 	$(GO) run ./cmd/sdme-topo -topology campus -verify
 	$(GO) run ./cmd/sdme-topo -topology waxman -verify
+	$(GO) run ./cmd/sdme-topo -topology campus -audit
+	$(GO) run ./cmd/sdme-topo -topology waxman -audit
 	$(GO) run ./cmd/sdme-topo -topology campus -observe
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/sdme-topo -topology waxman -export "$$tmp/export.json"

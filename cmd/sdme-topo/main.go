@@ -110,15 +110,15 @@ func run() error {
 			return err
 		}
 		vs := ctl.Audit(nodes)
-		if len(vs) == 0 {
-			fmt.Printf("\naudit: all %d policies enforceable from all %d subnets\n",
-				bed.Table.Len(), bed.Dep.NumSubnets())
-		} else {
+		if len(vs) > 0 {
 			fmt.Printf("\naudit: %d violations\n", len(vs))
 			for _, v := range vs {
 				fmt.Println("  " + v.String())
 			}
+			return fmt.Errorf("audit: %d violations", len(vs))
 		}
+		fmt.Printf("\naudit: all %d policies enforceable from all %d subnets\n",
+			bed.Table.Len(), bed.Dep.NumSubnets())
 	}
 
 	if *exportPath != "" {

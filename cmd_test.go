@@ -52,6 +52,7 @@ func TestCmdSmoke(t *testing.T) {
 		{[]string{"sdme-live", "-packets", "1000"}, "sink received 1000 packets", false},
 		{[]string{"sdme-live", "-peers", "3"}, "| ha | live | 20 | 3 | 1 |", false},
 		{[]string{"sdme-topo", "-topology", "campus", "-verify"}, "ok: 32 nodes, 3 policies, no violations", false},
+		{[]string{"sdme-topo", "-topology", "campus", "-audit"}, "audit: all", false},
 		{[]string{"sdme-topo", "-topology", "campus", "-observe"}, "all runtime traces match the static plans", false},
 		{[]string{"sdme-results", "-quick"}, "markdown -> results/EXPERIMENTS.generated.md", false},
 	} {

@@ -47,14 +47,6 @@ type Options struct {
 	Strategy enforce.Strategy
 	// K sets |M_x^e| per function; functions absent from the map get 1.
 	K map[policy.FuncType]int
-	// Capacity is C(x) per middlebox; absent entries get 1. With uniform
-	// capacities, minimizing λ minimizes the maximum load, which is what
-	// the paper's evaluation plots.
-	Capacity map[topo.NodeID]float64
-	// CapLambda adds the paper's λ <= 1 constraint. If that makes the
-	// program infeasible the controller re-solves without it and reports
-	// the (overload) λ.
-	CapLambda bool
 	// LabelSwitching enables §III-E on every node.
 	LabelSwitching bool
 	// FlowTTL/LabelTTL are soft-state lifetimes (0 = no expiry).
@@ -112,14 +104,6 @@ func New(dep *enforce.Deployment, ap *route.AllPairs, policies *policy.Table, op
 func (c *Controller) kFor(e policy.FuncType) int {
 	if k, ok := c.opts.K[e]; ok {
 		return k
-	}
-	return 1
-}
-
-// capacityOf returns C(x).
-func (c *Controller) capacityOf(x topo.NodeID) float64 {
-	if v, ok := c.opts.Capacity[x]; ok && v > 0 {
-		return v
 	}
 	return 1
 }

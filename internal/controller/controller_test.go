@@ -399,47 +399,6 @@ func TestRealizedLoadsTrackLPSolution(t *testing.T) {
 	}
 }
 
-func TestInfeasibleCapRetriesUncapped(t *testing.T) {
-	b := newBed(t, 7, webPolicy)
-	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
-		Strategy:  enforce.LoadBalanced,
-		K:         map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
-		CapLambda: true, // with default capacity 1, any real demand overloads
-	})
-	pid := b.tbl.All()[0].ID
-	meas := controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 1000}
-	sol := solveLB(t, ctl, meas, false)
-	if sol.Capped {
-		t.Error("solution should report the cap was dropped")
-	}
-	if sol.Lambda <= 1 {
-		t.Errorf("overloaded λ = %v, want > 1", sol.Lambda)
-	}
-}
-
-func TestCapRespectedWhenFeasible(t *testing.T) {
-	b := newBed(t, 8, webPolicy)
-	caps := map[topo.NodeID]float64{}
-	for _, id := range b.dep.MBNodes {
-		caps[id] = 1e9
-	}
-	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{
-		Strategy:  enforce.LoadBalanced,
-		K:         map[policy.FuncType]int{policy.FuncFW: 2, policy.FuncIDS: 2},
-		CapLambda: true,
-		Capacity:  caps,
-	})
-	pid := b.tbl.All()[0].ID
-	meas := controller.Measurements{{PolicyID: pid, SrcSubnet: 1, DstSubnet: 2}: 1000}
-	sol := solveLB(t, ctl, meas, false)
-	if !sol.Capped {
-		t.Error("cap should have been kept")
-	}
-	if sol.Lambda > 1 {
-		t.Errorf("λ = %v with huge capacities", sol.Lambda)
-	}
-}
-
 func TestMeasurementsFromFlowsMatchesProxyCounts(t *testing.T) {
 	b := newBed(t, 9, webPolicy)
 	demands := []enforce.FlowDemand{

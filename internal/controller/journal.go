@@ -600,12 +600,12 @@ func (c *Controller) Fingerprint() uint64 {
 	for _, p := range c.policies.All() {
 		put("p:%d/%d/%s/%s;", p.ID, p.Prio, p.Desc.String(), p.Actions.String())
 	}
-	// The literal 1 and false stand where two since-removed options (the
-	// default candidate-set size and a classifier switch) were hashed, so
-	// journals written before their removal still restore
-	// (TestFingerprintPinned).
-	put("o:%d/1/%v/%v/%d/%d/false/%d;", int(c.opts.Strategy),
-		c.opts.CapLambda, c.opts.LabelSwitching, c.opts.FlowTTL, c.opts.LabelTTL,
+	// The literal 1 and the two falses stand where three since-removed
+	// options (the default candidate-set size, the λ <= 1 cap and a
+	// classifier switch) were hashed, so journals written before their
+	// removal still restore (TestFingerprintPinned).
+	put("o:%d/1/false/%v/%d/%d/false/%d;", int(c.opts.Strategy),
+		c.opts.LabelSwitching, c.opts.FlowTTL, c.opts.LabelTTL,
 		c.opts.HashSeed)
 	funcs := make([]int, 0, len(c.opts.K))
 	for f := range c.opts.K {

@@ -349,12 +349,13 @@ func TestReplayParentCommitJournal(t *testing.T) {
 	}
 }
 
-// TestFingerprintPinned pins Fingerprint's output for two fixed controllers
-// to the values recorded at the commit that wrote testdata/pr12.journal
-// (the first is the one in that journal's deploy record). RestoreFromJournal
-// refuses a journal whose fingerprint differs, so a change to what
-// Fingerprint hashes — removing an option it covers, say — must keep these
-// values or it orphans every journal written before it.
+// TestFingerprintPinned pins Fingerprint's output for two fixed controllers.
+// The first is the value in testdata/pr12.journal's deploy record.
+// RestoreFromJournal refuses a journal whose fingerprint differs, so a
+// change to what Fingerprint hashes — removing an option it covers, say —
+// must keep the values of the options every product path could have set,
+// or it orphans every journal written before it. The second sets every
+// option still hashed; it moved once, when the λ cap it set went.
 func TestFingerprintPinned(t *testing.T) {
 	b := newBed(t, 62, webPolicy)
 	for _, tt := range []struct {
@@ -368,8 +369,8 @@ func TestFingerprintPinned(t *testing.T) {
 		}, 3890866397437025038},
 		{"every hashed option set", controller.Options{
 			Strategy: enforce.Random, K: map[policy.FuncType]int{policy.FuncFW: 3},
-			CapLambda: true, LabelSwitching: true, FlowTTL: 500, LabelTTL: 700, HashSeed: 99,
-		}, 12208636457476732597},
+			LabelSwitching: true, FlowTTL: 500, LabelTTL: 700, HashSeed: 99,
+		}, 16850638202121856798},
 	} {
 		if got := controller.New(b.dep, b.ap, b.tbl, tt.opts).Fingerprint(); got != tt.want {
 			t.Errorf("%s: fingerprint %d, recorded %d", tt.name, got, tt.want)

@@ -18,10 +18,6 @@ import (
 // produce.
 type LBSolution struct {
 	Lambda float64
-	// Capped reports whether the λ <= 1 constraint was kept. When the
-	// instance is infeasible under the cap the controller re-solves
-	// without it, reports λ > 1, and sets Capped false.
-	Capped bool
 	// Weights holds, per node, the weight vectors to install (parallel
 	// to the node's candidate lists).
 	Weights map[topo.NodeID]map[enforce.WeightKey][]float64
@@ -30,8 +26,7 @@ type LBSolution struct {
 	ExpectedLoads map[topo.NodeID]float64
 	// Vars / Constraints / Iterations describe the solved program, both
 	// objectives; the Eq. (1) vs Eq. (2) ablation reports these and
-	// SolveTime, the wall time spent building and solving it (the
-	// uncapped retry included).
+	// SolveTime, the wall time spent building and solving it.
 	Vars, Constraints, Iterations int
 	SolveTime                     time.Duration
 	// Start is the path the solve took: cold, warm from the basis of
@@ -92,29 +87,21 @@ type wRef struct {
 // back to a cold solve otherwise (lp.Problem.SolveFrom).
 func (c *Controller) solveChainLP(insts []*ChainInstance, base map[topo.NodeID]float64, start *lp.Basis) (*LBSolution, error) {
 	t0, t0US := time.Now(), c.clockUS()
-	sol, err := c.buildAndSolve(insts, c.opts.CapLambda, base, start)
+	sol, err := c.buildAndSolve(insts, base, start)
 	if err != nil {
 		return nil, err
-	}
-	if sol == nil && c.opts.CapLambda {
-		// Infeasible under λ <= 1: overloaded network. Resolve uncapped.
-		sol, err = c.buildAndSolve(insts, false, base, start)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if sol == nil {
-		return nil, fmt.Errorf("controller: load-balancing LP infeasible even without the λ cap")
 	}
 	sol.SolveTime, sol.clockUS = time.Since(t0), c.clockUS()-t0US
 	return sol, nil
 }
 
-// buildAndSolve constructs the program and solves it. It returns (nil,
-// nil) when the program is infeasible, so the caller can retry uncapped.
-// base shifts every load expression by constant carried-forward loads
-// (see solveChainLP).
-func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base map[topo.NodeID]float64, start *lp.Basis) (*LBSolution, error) {
+// buildAndSolve constructs the program and solves it. base shifts every
+// load expression by constant carried-forward loads (see solveChainLP).
+//
+// Every middlebox has unit capacity C(x) = 1, as in the paper's
+// evaluation: minimizing λ then minimizes the maximum load. λ is not
+// capped at 1 — measured in packets, any real demand exceeds it.
+func (c *Controller) buildAndSolve(insts []*ChainInstance, base map[topo.NodeID]float64, start *lp.Basis) (*LBSolution, error) {
 	prob := lp.NewProblem()
 	lam := prob.AddVar("lambda")
 	prob.SetObjective(lam, 1)
@@ -150,7 +137,7 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base 
 		}
 	}
 	for _, x := range xs {
-		U = max(U, (vl+base[x])/c.capacityOf(x))
+		U = max(U, vl+base[x])
 	}
 
 	// The spread variables exist only for types with a loaded provider:
@@ -174,45 +161,38 @@ func (c *Controller) buildAndSolve(insts []*ChainInstance, capLambda bool, base 
 		}
 	}
 
-	// Capacity constraints: Σ load(x) + base(x) - λ·C(x) <= 0 (the
-	// paper's fifth/sixth constraint; base(x) is zero outside scoped
+	// Capacity constraints: Σ load(x) + base(x) - λ <= 0 (the paper's
+	// fifth/sixth constraint at C(x) = 1; base(x) is zero outside scoped
 	// re-solves), and per implemented type f the bounds
-	// μ_f·C(x) <= load(x) + base(x) <= λ_f·C(x), written with non-negative
+	// μ_f <= load(x) + base(x) <= λ_f, written with non-negative
 	// right-hand sides so that each starts basic on its slack instead of
-	// needing an artificial: μ_f·C(x) - load(x) <= base(x) and
-	// load(x) + h_f·C(x) <= U·C(x) - base(x). The ceiling's slack is then
-	// also far from zero, so it does not block the λ stage's pivots.
+	// needing an artificial: μ_f - load(x) <= base(x) and
+	// load(x) + h_f <= U - base(x). The ceiling's slack is then also far
+	// from zero, so it does not block the λ stage's pivots.
 	for _, x := range xs {
-		capX := c.capacityOf(x)
-		prob.AddConstraint(lp.Le, -base[x], append([]lp.Term{{Var: lam, Coef: -capX}}, loadTerms[x]...)...)
+		prob.AddConstraint(lp.Le, -base[x], append([]lp.Term{{Var: lam, Coef: -1}}, loadTerms[x]...)...)
 		for _, f := range c.dep.FuncsOf(x) {
-			prob.AddConstraint(lp.Le, U*capX-base[x], append([]lp.Term{{Var: headF[f], Coef: capX}}, loadTerms[x]...)...)
-			floor := []lp.Term{{Var: muF[f], Coef: capX}}
+			prob.AddConstraint(lp.Le, U-base[x], append([]lp.Term{{Var: headF[f], Coef: 1}}, loadTerms[x]...)...)
+			floor := []lp.Term{{Var: muF[f], Coef: 1}}
 			for _, t := range loadTerms[x] {
 				floor = append(floor, lp.Term{Var: t.Var, Coef: -t.Coef})
 			}
 			prob.AddConstraint(lp.Le, base[x], floor...)
 		}
 	}
-	if capLambda {
-		prob.AddConstraint(lp.Le, 1, lp.Term{Var: lam, Coef: 1})
-	}
-
 	solved, err := prob.SolveFrom(start)
 	if err != nil {
 		return nil, err
 	}
 	c.observeLP(solved)
-	switch solved.Status {
-	case lp.Infeasible:
-		return nil, nil
-	case lp.Unbounded:
-		return nil, fmt.Errorf("controller: load-balancing LP unbounded (builder bug)")
+	if solved.Status != lp.Optimal {
+		// λ is uncapped and every split variable free to take the whole
+		// volume, so the program is always feasible and bounded.
+		return nil, fmt.Errorf("controller: load-balancing LP %v (builder bug)", solved.Status)
 	}
 
 	out := &LBSolution{
 		Lambda:        solved.Objective,
-		Capped:        capLambda,
 		ExpectedLoads: make(map[topo.NodeID]float64),
 		Vars:          prob.NumVars(),
 		Constraints:   prob.NumConstraints(),

@@ -311,20 +311,12 @@ func RunQueueingAblation(seed int64, flows, packetsPerFlow int, ratePPS float64)
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: strategy, K: controller.DefaultK(), HashSeed: uint64(seed),
 		})
-		// Scale the per-flow demands to packet counts for measurement
-		// (only the LB strategy solves over them).
-		meas := controller.Measurements{}
-		for _, d := range demands {
-			p := bed.Table.Match(d.Tuple)
-			if p == nil || p.Actions.IsPermit() {
-				continue
-			}
-			meas[enforce.MeasKey{
-				PolicyID:  p.ID,
-				SrcSubnet: bed.Dep.SubnetIndexOf(d.Tuple.Src),
-				DstSubnet: bed.Dep.SubnetIndexOf(d.Tuple.Dst),
-			}] += int64(packetsPerFlow)
+		// Every flow sends packetsPerFlow packets, and the measurements
+		// count those (only the LB strategy solves over them).
+		for i := range demands {
+			demands[i].Packets = int64(packetsPerFlow)
 		}
+		meas := controller.MeasurementsFromFlows(bed.Dep, bed.Table, demands)
 		_, nodes, _, err := ctl.Deploy(controller.PipelineOptions{}, meas)
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"sdme/internal/controller"
 	"sdme/internal/enforce"
 	"sdme/internal/policy"
+	"sdme/internal/topo"
 	"sdme/internal/workload"
 )
 
@@ -56,21 +57,25 @@ func RunDriftExperiment(cfg Config, target, epochs int) ([]DriftEpoch, error) {
 		return out
 	}
 
-	// Each side is one control loop: a plane (full re-solves, the §III-C
-	// periodic rebalance) and the simulated nodes its plans roll out to.
+	// Each side is one control loop: a pipeline (full re-solves, the
+	// §III-C periodic rebalance) and the nodes its plans are applied to.
 	type loop struct {
-		Plane
-		*SimSubstrate
+		pipe  *controller.Pipeline
+		nodes map[topo.NodeID]*enforce.Node
 	}
 	newLoop := func() (loop, error) {
 		ctl := controller.New(bed.Dep, bed.AllPairs, bed.Table, controller.Options{
 			Strategy: enforce.LoadBalanced, K: controller.DefaultK(), HashSeed: uint64(cfg.Seed),
 		})
 		pipe, nodes, _, err := ctl.Deploy(controller.PipelineOptions{DirtyThreshold: -1}, nil)
+		return loop{pipe, nodes}, err
+	}
+	rebalance := func(l loop, meas controller.Measurements) error {
+		upd, err := l.pipe.Recompute(meas)
 		if err != nil {
-			return loop{}, err
+			return err
 		}
-		return loop{Plane{ctl, pipe}, NewSim(Site{Graph: bed.Graph, Dep: bed.Dep, Nodes: nodes})}, nil
+		return l.pipe.Apply(l.nodes, upd)
 	}
 	stale, err := newLoop()
 	if err != nil {
@@ -89,21 +94,21 @@ func RunDriftExperiment(cfg Config, target, epochs int) ([]DriftEpoch, error) {
 
 		if e == 0 {
 			// Both controllers see epoch 0 and solve once.
-			if _, err := stale.Rebalance(stale.Plane, meas); err != nil {
+			if err := rebalance(stale, meas); err != nil {
 				return nil, err
 			}
 		}
 		// The rebalancing controller re-solves every epoch (§III-C's
 		// periodic loop); the stale one keeps epoch-0 weights forever.
-		if _, err := rebal.Rebalance(rebal.Plane, meas); err != nil {
+		if err := rebalance(rebal, meas); err != nil {
 			return nil, err
 		}
 
-		staleReport, err := enforce.EvaluateFlows(stale.Nodes, bed.Dep, bed.AllPairs, demands)
+		staleReport, err := enforce.EvaluateFlows(stale.nodes, bed.Dep, bed.AllPairs, demands)
 		if err != nil {
 			return nil, err
 		}
-		rebalReport, err := enforce.EvaluateFlows(rebal.Nodes, bed.Dep, bed.AllPairs, demands)
+		rebalReport, err := enforce.EvaluateFlows(rebal.nodes, bed.Dep, bed.AllPairs, demands)
 		if err != nil {
 			return nil, err
 		}

@@ -38,9 +38,6 @@ type Config struct {
 	// TrafficPoints are the x-axis values in total packets; defaults to
 	// the paper's 1M..10M sweep.
 	TrafficPoints []int
-	// Counts is the middlebox population (defaults to §IV-A). Candidate
-	// sets keep §IV-A's sizes, controller.DefaultK.
-	Counts map[policy.FuncType]int
 }
 
 func (c *Config) fill() {
@@ -54,9 +51,6 @@ func (c *Config) fill() {
 		for m := 1; m <= 10; m++ {
 			c.TrafficPoints = append(c.TrafficPoints, m*1000000)
 		}
-	}
-	if c.Counts == nil {
-		c.Counts = controller.DefaultCounts()
 	}
 }
 
@@ -89,7 +83,7 @@ func NewBed(cfg Config) (*Bed, error) {
 	if err != nil {
 		return nil, err
 	}
-	dep.PlaceRandom(cfg.Counts, rng)
+	dep.PlaceRandom(controller.DefaultCounts(), rng)
 
 	tbl := policy.NewTable()
 	wcfg := workload.GenConfig{Subnets: dep.NumSubnets(), PoliciesPerClass: cfg.PoliciesPerClass}

@@ -81,9 +81,11 @@ type Totals struct {
 	// Lead is the Lead.N of the leadership now in force (0: nobody leads).
 	Lead int
 	// Kills counts the leaders a schedule has taken out, TakeoverMaxUS the
-	// worst kill→next promotion latency among them.
-	Kills         int
-	TakeoverMaxUS int64
+	// worst kill→next promotion latency among them. KillsMissed counts the
+	// leader kills that found nobody leading (an election under way) and
+	// so took nobody out.
+	Kills, KillsMissed int
+	TakeoverMaxUS      int64
 	// Trace is a replica group's promotion history "id@term@tUS;...";
 	// Transitions sums the replicas' election role changes, StreamedBytes
 	// what the leaders' journals sent their standbys (the group's
@@ -177,6 +179,7 @@ type leadership struct {
 	leading bool       // and whether it still does
 	hear    func(Lead) // who OnLead registered
 	kills   []int64    // when each leader kill landed
+	missed  int        // leader kills that found nobody leading
 }
 
 // promoted records a leadership change and reports it.
@@ -226,17 +229,22 @@ func (ls *leadership) depose() (Lead, bool) {
 }
 
 // killLeader is Apply(KindLeaderKill): whoever leads a replica group at
-// this instant is taken from its peers.
+// this instant is taken from its peers. When nobody leads, nobody is
+// taken, and the kill counts as missed.
 func (ls *leadership) killLeader() {
 	if ls.group.Load() == nil {
 		return
 	}
-	if l, ok := ls.depose(); ok {
-		ls.mu.Lock()
-		ls.kills = append(ls.kills, ls.now())
+	l, ok := ls.depose()
+	ls.mu.Lock()
+	if !ok {
+		ls.missed++
 		ls.mu.Unlock()
-		ls.kill(l.ID)
+		return
 	}
+	ls.kills = append(ls.kills, ls.now())
+	ls.mu.Unlock()
+	ls.kill(l.ID)
 }
 
 func (ls *leadership) OnLead(report func(Lead)) {
@@ -274,6 +282,7 @@ func (ls *leadership) count(t *Totals) {
 		t.Lead = ls.last.N
 	}
 	kills := ls.kills
+	t.KillsMissed = ls.missed
 	ls.mu.Unlock()
 	t.Kills = len(kills)
 	g := ls.group.Load()

@@ -8,6 +8,7 @@ import (
 
 	"sdme/internal/controller"
 	"sdme/internal/faultinject"
+	"sdme/internal/ha"
 	"sdme/internal/mgmt"
 	"sdme/internal/netaddr"
 	"sdme/internal/ospf"
@@ -126,7 +127,7 @@ func newSim(site Site, sc Scenario, dir string) (Substrate, error) {
 	switch {
 	case sc.Replicas > 0:
 		// The group rides the network's engine: one clock, one event order.
-		g, err := sim.NewControllerGroup(s.eng, sim.ControllerGroupConfig{
+		g, err := sim.NewControllerGroup(s.eng, ha.GroupConfig{
 			N: sc.Replicas, Dir: dir, LeaseUS: simLeaseUS, Seed: sc.Seed,
 			OnPromote: func(id int, st *controller.JournalState, j *controller.Journal, term uint64) {
 				s.epoch = max(s.epoch, st.Epoch)

@@ -222,21 +222,13 @@ type Device struct {
 }
 
 // AddDevice opens a loopback socket for the node, registers its address
-// and starts its receive loop with the runtime's default worker count.
-// Proxies treat arriving data frames as outbound subnet traffic;
-// middleboxes treat them as chain arrivals.
+// and starts its receive loop with the runtime's worker count
+// (SetDefaultWorkers). Proxies treat arriving data frames as outbound
+// subnet traffic; middleboxes treat them as chain arrivals.
 func (r *Runtime) AddDevice(n *enforce.Node) (*Device, error) {
-	return r.AddDeviceWorkers(n, 0)
-}
-
-// AddDeviceWorkers is AddDevice with an explicit worker-pool size
-// (0: the runtime default, which itself defaults to GOMAXPROCS).
-func (r *Runtime) AddDeviceWorkers(n *enforce.Node, workers int) (*Device, error) {
-	if workers <= 0 {
-		r.mu.RLock()
-		workers = r.defaultWorkers
-		r.mu.RUnlock()
-	}
+	r.mu.RLock()
+	workers := r.defaultWorkers
+	r.mu.RUnlock()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

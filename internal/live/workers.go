@@ -62,7 +62,7 @@ func flowWorkerHash(src netaddr.Addr, srcPort, dstPort uint16, proto uint8) uint
 
 // startWorkers launches the device's worker pool, each worker with a
 // forwarder writing through raw, the device socket's raw handle. Called
-// once from AddDeviceWorkers before the dispatcher starts.
+// once from AddDevice before the dispatcher starts.
 func (d *Device) startWorkers(n int, raw syscall.RawConn) {
 	d.workers = make([]chan workItem, n)
 	d.fwds = make([]*udpForwarder, n)

@@ -121,11 +121,12 @@ func newWorkerBed(t testing.TB, workers int) *workerBed {
 
 	rt := NewRuntime()
 	t.Cleanup(rt.Close)
-	proxyDev, err := rt.AddDeviceWorkers(proxyNode, workers)
+	rt.SetDefaultWorkers(workers)
+	proxyDev, err := rt.AddDevice(proxyNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mbDev, err := rt.AddDeviceWorkers(mbNode, workers)
+	mbDev, err := rt.AddDevice(mbNode)
 	if err != nil {
 		t.Fatal(err)
 	}

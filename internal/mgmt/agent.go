@@ -502,13 +502,7 @@ func (a *Agent) handleConfig(data []byte) {
 	if !a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), false) {
 		return
 	}
-	errStr := ""
-	if cfg, err := ConfigFromDTO(dto); err != nil {
-		errStr = err.Error()
-	} else {
-		errStr = a.install(dto.Epoch, cfg)
-	}
-	_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: errStr})
+	_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: a.install(dto.Epoch, ConfigFromDTO(dto))})
 }
 
 // reportLoop periodically snapshots and resets the proxy's measurements

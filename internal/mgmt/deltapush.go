@@ -95,12 +95,7 @@ func (s *Server) PushAllDelta2PC(deltas map[topo.NodeID]enforce.ConfigDelta, fal
 			return 0, fmt.Errorf("mgmt: 2pc delta push to %v: %w", node, ErrNoBase)
 		}
 		fb.Epoch, fb.Term = epoch, term
-		cfg, err := ConfigFromDTO(fb)
-		if err != nil {
-			s.mu.Unlock()
-			return 0, fmt.Errorf("mgmt: 2pc delta push: fallback for %v: %w", node, err)
-		}
-		next.cfg = cfg
+		next.cfg = ConfigFromDTO(fb)
 		plans[node] = &nodePlan{full: fb, next: next}
 	}
 	s.mu.Unlock()

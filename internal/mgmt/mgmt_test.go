@@ -48,10 +48,7 @@ func TestConfigDTORoundTrip(t *testing.T) {
 		LabelTTL:       67890,
 	}
 	dto := mgmt.ConfigToDTO(7, cfg)
-	back, err := mgmt.ConfigFromDTO(dto)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := mgmt.ConfigFromDTO(dto)
 	if back.Strategy != cfg.Strategy || back.HashSeed != cfg.HashSeed ||
 		back.LabelSwitching != cfg.LabelSwitching ||
 		back.FlowTTL != cfg.FlowTTL || back.LabelTTL != cfg.LabelTTL {

@@ -40,12 +40,7 @@ func (a *Agent) handlePrepare(data []byte) {
 	if !a.admit(dto.Seq, dto.Epoch, dto.Term, dto.Validate(), true) {
 		return
 	}
-	cfg, err := ConfigFromDTO(dto)
-	if err != nil {
-		_ = a.write(TypeAck, Ack{Seq: dto.Seq, Epoch: dto.Epoch, Error: err.Error(), Prepared: true})
-		return
-	}
-	a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, cfg: cfg})
+	a.stage(dto.Seq, &stagedPlan{epoch: dto.Epoch, cfg: ConfigFromDTO(dto)})
 }
 
 // handleCommit atomically applies the staged plan for the named epoch.

@@ -425,7 +425,9 @@ func WeightsToDTO(seq uint64, w map[enforce.WeightKey][]float64) ConfigDTO {
 }
 
 // ConfigFromDTO reconstructs an enforce.Config from the wire form.
-func ConfigFromDTO(dto ConfigDTO) (enforce.Config, error) {
+// It cannot fail: ConfigDTO.Validate, which every agent runs first, is
+// where a malformed config is refused.
+func ConfigFromDTO(dto ConfigDTO) enforce.Config {
 	cfg := enforce.Config{
 		Strategy:       enforce.Strategy(dto.Strategy),
 		HashSeed:       dto.HashSeed,
@@ -447,7 +449,7 @@ func ConfigFromDTO(dto ConfigDTO) (enforce.Config, error) {
 		}
 	}
 	cfg.Weights = WeightsFromDTO(dto.Weights)
-	return cfg, nil
+	return cfg
 }
 
 // policyToDTO and policyFromDTO are the lossless per-policy codec shared

@@ -121,15 +121,8 @@ func FuzzConfigDTO(f *testing.F) {
 		if err := json.Unmarshal(data, &dto); err != nil {
 			return
 		}
-		cfg, err := ConfigFromDTO(dto)
-		if err != nil {
-			return
-		}
-		dto2 := ConfigToDTO(dto.Seq, cfg)
-		cfg2, err := ConfigFromDTO(dto2)
-		if err != nil {
-			t.Fatalf("re-decode of re-encoded config failed: %v", err)
-		}
+		cfg := ConfigFromDTO(dto)
+		cfg2 := ConfigFromDTO(ConfigToDTO(dto.Seq, cfg))
 		if !reflect.DeepEqual(cfg, cfg2) {
 			t.Fatalf("config not stable across round trip:\n%#v\nvs\n%#v", cfg, cfg2)
 		}

@@ -3,10 +3,12 @@ package sim
 import (
 	"fmt"
 
-	"sdme/internal/controller"
 	"sdme/internal/ha"
 	"sdme/internal/mgmt"
 )
+
+// peerDelayUS is the one-way peer envelope latency.
+const peerDelayUS = 200
 
 // ControllerGroup hosts an ha.Group (DESIGN §11) on the engine's virtual
 // clock: election timeouts, heartbeats, and journal-frame deliveries are
@@ -15,28 +17,6 @@ import (
 // Peer envelopes travel with a fixed virtual latency and are silently
 // lost to dead or partitioned endpoints, which is exactly the loss model
 // the lease protocol is built to tolerate.
-
-// ControllerGroupConfig sizes a replica group.
-type ControllerGroupConfig struct {
-	// N is the replica count (default 3).
-	N int
-	// Dir holds the per-replica journal files.
-	Dir string
-	// LeaseUS is the election lease in virtual µs (default per
-	// ha.ElectorConfig).
-	LeaseUS int64
-	// Seed drives every replica's election jitter.
-	Seed int64
-	// OnPromote/OnDemote are the harness hooks, running synchronously
-	// inside the engine event that resolved the election.
-	OnPromote func(id int, st *controller.JournalState, j *controller.Journal, term uint64)
-	OnDemote  func(id int, term uint64)
-}
-
-// peerDelayUS is the one-way peer envelope latency.
-const peerDelayUS = 200
-
-// ControllerGroup is the sim-side host of an ha.Group.
 type ControllerGroup struct {
 	*ha.Group
 	eng     *Engine
@@ -44,24 +24,16 @@ type ControllerGroup struct {
 	cut     map[[2]int]bool
 }
 
-// NewControllerGroup builds and starts N replicas, all standby; run the
-// engine to let the first election resolve.
-func NewControllerGroup(eng *Engine, cfg ControllerGroupConfig) (*ControllerGroup, error) {
-	if cfg.N <= 0 {
-		cfg.N = 3
-	}
+// NewControllerGroup builds and starts cfg.N replicas, all standby, on
+// the engine: it sets cfg.Clock and cfg.Transport itself. The hooks run
+// synchronously inside the engine event that resolved the election. Run
+// the engine to let the first election resolve.
+func NewControllerGroup(eng *Engine, cfg ha.GroupConfig) (*ControllerGroup, error) {
 	g := &ControllerGroup{eng: eng, leaseUS: cfg.LeaseUS, cut: make(map[[2]int]bool)}
+	cfg.Clock = simClock{eng: eng}
+	cfg.Transport = func(id int) ha.PeerTransport { return groupTransport{g: g, from: id} }
 	var err error
-	g.Group, err = ha.NewGroup(ha.GroupConfig{
-		N:         cfg.N,
-		Dir:       cfg.Dir,
-		LeaseUS:   cfg.LeaseUS,
-		Seed:      cfg.Seed,
-		Clock:     simClock{eng: eng},
-		Transport: func(id int) ha.PeerTransport { return groupTransport{g: g, from: id} },
-		OnPromote: cfg.OnPromote,
-		OnDemote:  cfg.OnDemote,
-	})
+	g.Group, err = ha.NewGroup(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -16,8 +16,8 @@ import (
 // one election, exactly one leader.
 func TestControllerGroupElectsOneLeader(t *testing.T) {
 	eng := sim.NewEngine()
-	g, err := sim.NewControllerGroup(eng, sim.ControllerGroupConfig{
-		Dir: t.TempDir(), LeaseUS: 10_000, Seed: 3,
+	g, err := sim.NewControllerGroup(eng, ha.GroupConfig{
+		N: 3, Dir: t.TempDir(), LeaseUS: 10_000, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestElectionAtMostOneLeaderPerTerm(t *testing.T) {
 func TestTakeoverRefusesLongerButStalerJournal(t *testing.T) {
 	dir := t.TempDir()
 	eng := sim.NewEngine()
-	g, err := sim.NewControllerGroup(eng, sim.ControllerGroupConfig{
-		Dir: dir, LeaseUS: 10_000, Seed: 7,
+	g, err := sim.NewControllerGroup(eng, ha.GroupConfig{
+		N: 3, Dir: dir, LeaseUS: 10_000, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,8 +179,8 @@ func electionHistory(t *testing.T, dir string, seed int64) []ha.Promotion {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	g, err := sim.NewControllerGroup(eng, sim.ControllerGroupConfig{
-		Dir: dir, LeaseUS: 10_000, Seed: seed,
+	g, err := sim.NewControllerGroup(eng, ha.GroupConfig{
+		N: 3, Dir: dir, LeaseUS: 10_000, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,8 +221,8 @@ func TestDeposedLeaderHandleCannotAppend(t *testing.T) {
 	dir := t.TempDir()
 	eng := sim.NewEngine()
 	handles := make(map[int]*controller.Journal)
-	g, err := sim.NewControllerGroup(eng, sim.ControllerGroupConfig{
-		Dir: dir, LeaseUS: 10_000, Seed: 11,
+	g, err := sim.NewControllerGroup(eng, ha.GroupConfig{
+		N: 3, Dir: dir, LeaseUS: 10_000, Seed: 11,
 		OnPromote: func(id int, _ *controller.JournalState, j *controller.Journal, _ uint64) { handles[id] = j },
 	})
 	if err != nil {

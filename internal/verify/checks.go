@@ -164,15 +164,19 @@ func CheckFailed(p Plan) []Violation {
 	return out
 }
 
+// weightTol is the simplex round-off CheckWeights forgives: an entry
+// above −weightTol is not negative, a vector summing to at most
+// weightTol is all zero.
+const weightTol = 1e-6
+
 // CheckWeights verifies the LB weight vectors in Plan.Weights: each
 // vector must address an existing candidate list, be parallel to it
 // (same length — the dataplane indexes candidates by weight position),
 // and contain only finite, non-negative entries. An all-zero vector is a
 // warning: enforce.pickWeighted silently degrades it to uniform
-// selection, which is safe but defeats the LP. With RequireNormalized
-// the entries must additionally sum to 1±Tol.
+// selection, which is safe but defeats the LP. The vectors are the LP's
+// volumes (normalized at selection time), so their sums are not checked.
 func CheckWeights(p Plan) []Violation {
-	tol := p.tol()
 	var out []Violation
 	owners := make([]topo.NodeID, 0, len(p.Weights))
 	for id := range p.Weights {
@@ -223,7 +227,7 @@ func CheckWeights(p Plan) []Violation {
 						Detail:    fmt.Sprintf("weight[%d] = %v is not finite", i, w),
 					})
 					bad = true
-				case w < -tol:
+				case w < -weightTol:
 					out = append(out, Violation{
 						Invariant: InvWeights,
 						Severity:  SevError,
@@ -240,18 +244,7 @@ func CheckWeights(p Plan) []Violation {
 			if bad {
 				continue
 			}
-			if p.RequireNormalized {
-				if math.Abs(sum-1) > tol {
-					out = append(out, Violation{
-						Invariant: InvWeights,
-						Severity:  SevError,
-						Node:      x,
-						PolicyID:  k.PolicyID,
-						Func:      k.Func,
-						Detail:    fmt.Sprintf("weights sum to %v, want 1±%v", sum, tol),
-					})
-				}
-			} else if sum <= tol {
+			if sum <= weightTol {
 				out = append(out, Violation{
 					Invariant: InvWeights,
 					Severity:  SevWarning,

@@ -20,7 +20,7 @@
 //     prefix of the live providers (closest first, deterministic
 //     tie-break), no longer than the configured k;
 //   - lb-weights: every weight vector is finite, non-negative, parallel
-//     to its candidate list, and (optionally) normalized;
+//     to its candidate list, and not all zero;
 //   - failed-candidate: no failed middlebox appears in any candidate set.
 //
 // All checks are pure reads: nothing in this package mutates the
@@ -132,20 +132,6 @@ type Plan struct {
 	// K returns the configured candidate-set cap per function; nil
 	// skips the prefix-size check.
 	K func(policy.FuncType) int
-	// RequireNormalized makes CheckWeights require each weight vector to
-	// sum to 1±Tol. The controller's LP emits volume-valued vectors
-	// (normalized at selection time), so it leaves this false; externally
-	// supplied probability vectors should set it.
-	RequireNormalized bool
-	// Tol is the numeric tolerance (default 1e-6).
-	Tol float64
-}
-
-func (p *Plan) tol() float64 {
-	if p.Tol > 0 {
-		return p.Tol
-	}
-	return 1e-6
 }
 
 // failedSet returns Failed as a set.

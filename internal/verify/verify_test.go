@@ -276,13 +276,11 @@ func TestWeightChecks(t *testing.T) {
 	}
 
 	tests := []struct {
-		name      string
-		weights   map[topo.NodeID]map[enforce.WeightKey][]float64
-		normalize bool
-		want      []vkey
+		name    string
+		weights map[topo.NodeID]map[enforce.WeightKey][]float64
+		want    []vkey
 	}{
 		{name: "valid-volume-weights", weights: wrap([]float64{3, 1}, key)},
-		{name: "valid-normalized", weights: wrap([]float64{0.75, 0.25}, key), normalize: true},
 		{
 			name: "negative-entry", weights: wrap([]float64{-0.5, 1.5}, key),
 			want: []vkey{{verify.InvWeights, verify.SevError, x, b.polID, policy.FuncFW}},
@@ -293,10 +291,6 @@ func TestWeightChecks(t *testing.T) {
 		},
 		{
 			name: "length-mismatch", weights: wrap([]float64{1}, key),
-			want: []vkey{{verify.InvWeights, verify.SevError, x, b.polID, policy.FuncFW}},
-		},
-		{
-			name: "denormalized-sum", weights: wrap([]float64{0.3, 0.3}, key), normalize: true,
 			want: []vkey{{verify.InvWeights, verify.SevError, x, b.polID, policy.FuncFW}},
 		},
 		{
@@ -313,7 +307,6 @@ func TestWeightChecks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := b.plan()
 			p.Weights = tc.weights
-			p.RequireNormalized = tc.normalize
 			got := verify.Check(p)
 			wantExact(t, got, tc.want)
 			hard := false
