@@ -64,7 +64,7 @@ func TestCompileCacheEquivalence(t *testing.T) {
 	recompute(-1)
 	for step := 0; step < steps; step++ {
 		if step == steps/2 {
-			pipe = restoreMidChurn(t, ctl, bed, down, rng, recompute)
+			pipe = restoreMidChurn(t, ctl, opts, bed, down, rng, recompute)
 		}
 		churnStep(t, bed, ctl, pipe, rng, down, &demands, demandTarget)
 		recompute(step)
@@ -78,33 +78,28 @@ func TestCompileCacheEquivalence(t *testing.T) {
 }
 
 // restoreMidChurn restores the controller in place from a journal whose
-// failed set is not the one its cached assignment was computed for: it
-// journals the current state, fails one more middlebox and recomputes (so
-// the cache holds the larger failed set's assignment), then restores the
+// failed set is not the one its cached assignment was computed for: a
+// twin over the same inputs journals its deployment (an empty failed
+// set), the controller fails one more middlebox and recomputes (so the
+// cache holds the larger failed set's assignment), then it restores the
 // journal and returns the pipeline a restored controller starts.
-func restoreMidChurn(t *testing.T, ctl *controller.Controller, bed *experiments.Bed, down map[topo.NodeID]bool,
-	rng *rand.Rand, recompute func(step int)) *controller.Pipeline {
+func restoreMidChurn(t *testing.T, ctl *controller.Controller, opts controller.Options, bed *experiments.Bed,
+	down map[topo.NodeID]bool, rng *rand.Rand, recompute func(step int)) *controller.Pipeline {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "controller.journal")
-	j, err := controller.OpenJournal(path)
+	j, err := controller.OpenJournal(filepath.Join(t.TempDir(), "controller.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.SetJournal(j); err != nil {
+	if err := controller.New(bed.Dep, bed.AllPairs, bed.Table, opts).SetJournal(j); err != nil {
 		t.Fatal(err)
 	}
 	st, err := j.Replay()
+	if cerr := j.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := ctl.SetJournal(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
 
 	before := ctl.NewPipeline(controller.PipelineOptions{})
 	id, ok := failableMB(bed.Dep, down, rng)

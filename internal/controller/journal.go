@@ -28,9 +28,9 @@ import (
 // corresponding plan reaches the nodes, so a controller killed at any
 // point can be restarted, replay the journal, and resume at the next
 // epoch with exactly the plan it last pushed. Static inputs (topology,
-// placement, policy table, options) are recorded once as a fingerprint +
-// policy dump so replay against a different deployment fails loudly
-// instead of producing a silently divergent plan.
+// placement, policy table, options) are recorded once, as a fingerprint,
+// so replay against a different deployment fails loudly instead of
+// producing a silently divergent plan.
 //
 // Record format (DESIGN §10): each record is
 //
@@ -42,7 +42,9 @@ import (
 // (partial record from a crash mid-append) is detected by the length /
 // CRC check and tolerated: replay stops at the last intact record.
 
-// Journal record kinds.
+// Journal record kinds. JournalPolicies is written no more: journals from
+// before its removal hold a policy-table dump, which replay checks for
+// shape and skips.
 const (
 	JournalDeploy   = "jrnl-deploy"
 	JournalPolicies = "jrnl-policies"
@@ -54,15 +56,6 @@ const (
 // DeployRecord fingerprints the static planning inputs.
 type DeployRecord struct {
 	Fingerprint uint64 `json:"fingerprint"`
-	Nodes       int    `json:"nodes"`
-	Middleboxes int    `json:"middleboxes"`
-	Policies    int    `json:"policies"`
-}
-
-// PoliciesRecord dumps the policy table (audit trail; the fingerprint is
-// what replay checks).
-type PoliciesRecord struct {
-	Policies []mgmt.PolicyDTO `json:"policies"`
 }
 
 // FailedRecord is the full failed-middlebox set after a MarkFailed (full
@@ -489,7 +482,6 @@ func (j *Journal) LogEpoch(epoch, term uint64) error {
 // value of every journaled quantity.
 type JournalState struct {
 	Fingerprint uint64
-	Policies    []mgmt.PolicyDTO
 	Failed      []topo.NodeID
 	Epoch       uint64
 	// Term is the highest election term any replayed epoch record was
@@ -539,11 +531,12 @@ func (st *JournalState) apply(env *mgmt.Envelope) error {
 		}
 		st.Fingerprint = r.Fingerprint
 	case JournalPolicies:
-		var r PoliciesRecord
+		var r struct {
+			Policies []mgmt.PolicyDTO `json:"policies"`
+		}
 		if err := json.Unmarshal(env.Data, &r); err != nil {
 			return fmt.Errorf("controller: journal policies record: %w", err)
 		}
-		st.Policies = r.Policies
 	case JournalFailed:
 		var r FailedRecord
 		if err := json.Unmarshal(env.Data, &r); err != nil {
@@ -618,24 +611,12 @@ func (c *Controller) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SetJournal attaches a write-ahead journal: the static inputs are
-// recorded immediately, and every subsequent MarkFailed / solved
-// Recompute appends its record before the result can reach any node. nil
-// detaches.
+// SetJournal attaches a write-ahead journal: the static inputs' fingerprint
+// is recorded immediately, and every subsequent MarkFailed / solved
+// Recompute appends its record before the result can reach any node.
 func (c *Controller) SetJournal(j *Journal) error {
 	c.journal = j
-	if j == nil {
-		return nil
-	}
-	if err := j.Append(JournalDeploy, DeployRecord{
-		Fingerprint: c.Fingerprint(),
-		Nodes:       c.dep.Graph.NumNodes(),
-		Middleboxes: len(c.dep.MBNodes),
-		Policies:    c.policies.Len(),
-	}); err != nil {
-		return err
-	}
-	return j.Append(JournalPolicies, PoliciesRecord{Policies: policiesToDTO(c)})
+	return j.Append(JournalDeploy, DeployRecord{Fingerprint: c.Fingerprint()})
 }
 
 // Journal returns the attached journal (nil if none).
@@ -739,10 +720,4 @@ func (c *Controller) ResumeJournal(st *JournalState, j *Journal) error {
 		}
 	}
 	return c.SetJournal(j)
-}
-
-// policiesToDTO dumps the controller's full policy table in wire form.
-func policiesToDTO(c *Controller) []mgmt.PolicyDTO {
-	cfg := enforce.Config{Policies: c.policies.All()}
-	return mgmt.ConfigToDTO(0, cfg).Policies
 }

@@ -133,7 +133,11 @@ func FuzzJournalStream(f *testing.F) {
 // records before it must, and the length reported stays the true one.
 func TestStandbyRefusesWhatReplayRefuses(t *testing.T) {
 	good := realFrames(t)
-	for _, payload := range []string{`{"t":"journal","data":{}}`, `{"t":"jrnl-epoch","data":"x"}`} {
+	for _, payload := range []string{
+		`{"t":"journal","data":{}}`,
+		`{"t":"jrnl-epoch","data":"x"}`,
+		`{"t":"jrnl-policies","data":{"policies":"x"}}`, // a legacy kind, still checked for shape
+	} {
 		path := filepath.Join(t.TempDir(), "standby.wal")
 		j, err := OpenJournal(path)
 		if err != nil {

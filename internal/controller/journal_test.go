@@ -189,6 +189,31 @@ func TestJournalAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestSetJournalWritesOnlyTheFingerprint: attaching a journal records the
+// deployment fingerprint and nothing else (no policy-table dump), so a
+// start, restart or promotion costs one append and one fsync.
+func TestSetJournalWritesOnlyTheFingerprint(t *testing.T) {
+	b := newBed(t, 60, webPolicy)
+	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{})
+	path := journalPath(t)
+	j, err := controller.OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.SetJournal(j); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Records(); got != 1 {
+		t.Errorf("a freshly attached journal holds %d records, want 1", got)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := replayed(t, path); st.Records != 1 || st.Fingerprint != ctl.Fingerprint() {
+		t.Errorf("replayed %d records, fingerprint %#x; want 1 record of %#x", st.Records, st.Fingerprint, ctl.Fingerprint())
+	}
+}
+
 func TestRestoreFromJournalFingerprintGate(t *testing.T) {
 	b := newBed(t, 61, webPolicy)
 	ctl := controller.New(b.dep, b.ap, b.tbl, controller.Options{

@@ -107,7 +107,7 @@ func TestLBSolutionProperties(t *testing.T) {
 						sum += wi
 					}
 					if sum <= eps {
-						// No demand routed through this key; pickWeighted
+						// No demand routed through this key; pickWeightedIdx
 						// falls back to uniform hashing over candidates.
 						continue
 					}

@@ -14,24 +14,24 @@ func TestPickWeighted(t *testing.T) {
 	cands := []topo.NodeID{10, 20, 30}
 
 	// Single candidate short-circuits.
-	if got := pickWeighted(cands[:1], nil, 12345); got != 10 {
+	if got := cands[pickWeightedIdx(cands[:1], nil, 12345)]; got != 10 {
 		t.Errorf("single candidate pick = %v", got)
 	}
 	// Nil weights fall back to uniform by hash.
-	if got := pickWeighted(cands, nil, 4); got != cands[4%3] {
+	if got := cands[pickWeightedIdx(cands, nil, 4)]; got != cands[4%3] {
 		t.Errorf("uniform pick = %v", got)
 	}
 	// All-zero weights likewise.
-	if got := pickWeighted(cands, []float64{0, 0, 0}, 5); got != cands[5%3] {
+	if got := cands[pickWeightedIdx(cands, []float64{0, 0, 0}, 5)]; got != cands[5%3] {
 		t.Errorf("zero-weight pick = %v", got)
 	}
 	// Mismatched weight length falls back to uniform.
-	if got := pickWeighted(cands, []float64{1}, 7); got != cands[7%3] {
+	if got := cands[pickWeightedIdx(cands, []float64{1}, 7)]; got != cands[7%3] {
 		t.Errorf("mismatched-weight pick = %v", got)
 	}
 	// A weight vector concentrated on one candidate always picks it.
 	for h := uint64(0); h < 100; h++ {
-		if got := pickWeighted(cands, []float64{0, 1, 0}, h*2654435761); got != 20 {
+		if got := cands[pickWeightedIdx(cands, []float64{0, 1, 0}, h*2654435761)]; got != 20 {
 			t.Fatalf("concentrated pick = %v for hash %d", got, h)
 		}
 	}
@@ -50,7 +50,7 @@ func TestPickWeightedProportions(t *testing.T) {
 			Src: netaddr.Addr(rng.Uint32()), Dst: netaddr.Addr(rng.Uint32()),
 			SrcPort: uint16(rng.Intn(65536)), DstPort: 80, Proto: 6,
 		}
-		counts[pickWeighted(cands, weights, ft.Hash(42))]++
+		counts[cands[pickWeightedIdx(cands, weights, ft.Hash(42))]]++
 	}
 	if got := counts[2]; got < n/2-n/25 || got > n/2+n/25 {
 		t.Errorf("middle candidate got %d of %d, want ≈ %d", got, n, n/2)
@@ -64,9 +64,9 @@ func TestPickWeightedDeterministicPerFlow(t *testing.T) {
 	cands := []topo.NodeID{1, 2, 3, 4}
 	weights := []float64{0.3, 0.3, 0.2, 0.2}
 	ft := netaddr.FiveTuple{Src: 9, Dst: 8, SrcPort: 7, DstPort: 80, Proto: 6}
-	first := pickWeighted(cands, weights, ft.Hash(7))
+	first := cands[pickWeightedIdx(cands, weights, ft.Hash(7))]
 	for i := 0; i < 50; i++ {
-		if got := pickWeighted(cands, weights, ft.Hash(7)); got != first {
+		if got := cands[pickWeightedIdx(cands, weights, ft.Hash(7))]; got != first {
 			t.Fatal("same flow must always pick the same candidate")
 		}
 	}

@@ -455,15 +455,11 @@ func (n *Node) lookupWeights(policyID int, e policy.FuncType, flow netaddr.FiveT
 	return nil
 }
 
-// pickWeighted implements the paper's hash-proportional selection: with
+// pickWeightedIdx implements the paper's hash-proportional selection: with
 // hash value r in [0, N), candidate y_i is chosen when r/N falls in the
 // cumulative weight interval of y_i. Nil/zero weights degrade to uniform.
-func pickWeighted(cands []topo.NodeID, weights []float64, hash uint64) topo.NodeID {
-	return cands[pickWeightedIdx(cands, weights, hash)]
-}
-
-// pickWeightedIdx is pickWeighted returning the candidate's index, so the
-// failover scan can start from the strategy's preferred rank.
+// It returns the candidate's index, so the failover scan can start from
+// the strategy's preferred rank.
 func pickWeightedIdx(cands []topo.NodeID, weights []float64, hash uint64) int {
 	if len(cands) == 1 {
 		return 0

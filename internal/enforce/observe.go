@@ -139,7 +139,7 @@ const (
 	// HopEncap / HopDecap: IP-over-IP tunnel encapsulation events.
 	HopEncap
 	HopDecap
-	// HopQueue: the packet waited WaitUS for a busy middlebox.
+	// HopQueue: the packet waited for a busy middlebox.
 	HopQueue
 	// HopForward: the node forwarded the packet plain (chain complete or
 	// permit traffic).
@@ -181,8 +181,6 @@ type HopRecord struct {
 	// AtUS is the dataplane clock when the event happened (virtual time
 	// in the simulator, microseconds since start in the live runtime).
 	AtUS int64
-	// WaitUS is the queueing delay (HopQueue only).
-	WaitUS int64
 }
 
 // RuntimeTracer is a sampling ring buffer of per-packet hop records. The

@@ -277,7 +277,6 @@ func LoadTable(rows []TableRow) *Table {
 type MultiSeedSummary struct {
 	Topology string
 	Traffic  int
-	Seeds    []int64
 	// Mean/Min/Max of the per-draw maximum loads.
 	Mean map[policy.FuncType]map[enforce.Strategy]float64
 	Min  map[policy.FuncType]map[enforce.Strategy]int64
@@ -288,7 +287,7 @@ type MultiSeedSummary struct {
 func RunMultiSeed(cfg Config, traffic int, seeds []int64) (*MultiSeedSummary, error) {
 	cfg.fill()
 	sum := &MultiSeedSummary{
-		Topology: cfg.Topology, Traffic: traffic, Seeds: seeds,
+		Topology: cfg.Topology, Traffic: traffic,
 		Mean: make(map[policy.FuncType]map[enforce.Strategy]float64),
 		Min:  make(map[policy.FuncType]map[enforce.Strategy]int64),
 		Max:  make(map[policy.FuncType]map[enforce.Strategy]int64),

@@ -98,8 +98,8 @@ func TestChaosSimRestartByteIdenticalPlan(t *testing.T) {
 	if res.Torn {
 		t.Error("clean kill left a torn journal tail")
 	}
-	if res.Records < 4 {
-		t.Errorf("journal replayed %d records, want >= 4 (deploy, policies, weights, failed)", res.Records)
+	if res.Records < 3 {
+		t.Errorf("journal replayed %d records, want >= 3 (deploy, weights, failed)", res.Records)
 	}
 	if !res.ExportIdentical {
 		t.Fatal("restarted controller exported a different plan")

@@ -83,8 +83,6 @@ type AgentStats struct {
 	// their epoch was already applied (reconnect re-pushes and commit
 	// retries crossing an earlier ack).
 	StaleConfigs int64
-	// ReportsSent counts measurement reports shipped to the controller.
-	ReportsSent int64
 	// Prepared counts plans staged by a two-phase prepare.
 	Prepared int64
 	// Committed counts staged plans atomically applied on commit.
@@ -197,7 +195,6 @@ func (a *Agent) Stats() AgentStats {
 		Reconnects:   m.reconnects.Value(),
 		Applies:      m.applies.Value(),
 		StaleConfigs: m.epochRejects.Value(),
-		ReportsSent:  m.reports.Value(),
 		Prepared:     m.prepares.Value(),
 		Committed:    m.commits.Value(),
 		Aborted:      m.aborts.Value(),
@@ -271,7 +268,6 @@ func (a *Agent) connect(redial bool) (net.Conn, *bufio.Reader, error) {
 	//vet:ignore lockedblocking -- writeMu serializes frames on this conn by design
 	_, err = writeMsg(conn, TypeHello, Hello{
 		NodeID: int(a.dev.Node.ID),
-		Proxy:  a.dev.Node.IsProxy,
 		Epoch:  a.epoch.Load(),
 	})
 	a.writeMu.Unlock()

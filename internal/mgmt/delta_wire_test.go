@@ -31,7 +31,7 @@ func dialFake(t *testing.T, addr string, epoch uint64) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := writeMsg(conn, TypeHello, Hello{NodeID: int(fakeNode), Name: "fake", Epoch: epoch}); err != nil {
+	if _, err := writeMsg(conn, TypeHello, Hello{NodeID: int(fakeNode), Epoch: epoch}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := readMsg(conn)

@@ -18,7 +18,7 @@ import (
 // refused with an error Ack (configs) or dropped with a closed
 // connection (handshakes and reports); it must never be half-applied.
 
-// maxNameLen bounds free-form identity strings from the wire.
+// maxNameLen bounds the free-form address a not-leader bounce carries.
 const maxNameLen = 256
 
 // Validate checks a configuration push for structural sanity: strategy
@@ -150,9 +150,6 @@ func (c *Commit) Validate() error {
 func (h *Hello) Validate() error {
 	if h.NodeID < 0 {
 		return fmt.Errorf("mgmt: hello: negative node id %d", h.NodeID)
-	}
-	if len(h.Name) > maxNameLen {
-		return fmt.Errorf("mgmt: hello: name longer than %d bytes", maxNameLen)
 	}
 	return nil
 }

@@ -91,8 +91,6 @@ const (
 // idempotently re-push the latest plan only when the agent is behind.
 type Hello struct {
 	NodeID int    `json:"node_id"`
-	Name   string `json:"name"`
-	Proxy  bool   `json:"proxy"`
 	Epoch  uint64 `json:"epoch,omitempty"`
 }
 

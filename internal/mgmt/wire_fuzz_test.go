@@ -50,7 +50,7 @@ func seedConfig() enforce.Config {
 // must survive a write/read round trip with its type tag and payload
 // semantically intact (JSON compaction may reformat the raw bytes).
 func FuzzWire(f *testing.F) {
-	f.Add(frame(f, TypeHello, Hello{NodeID: 3, Name: "proxy-edge1", Proxy: true, Epoch: 2}))
+	f.Add(frame(f, TypeHello, Hello{NodeID: 3, Epoch: 2}))
 	f.Add(frame(f, TypeHelloAck, Hello{NodeID: 3}))
 	f.Add(frame(f, TypeConfig, ConfigToDTO(9, seedConfig())))
 	f.Add(frame(f, TypeConfig, WeightsToDTO(10, seedConfig().Weights)))

@@ -30,7 +30,7 @@ func wireMessages() []struct {
 		typ string
 		v   interface{}
 	}{
-		{TypeHello, Hello{NodeID: 3, Name: "proxy-edge1 <&>", Proxy: true, Epoch: 2}},
+		{TypeHello, Hello{NodeID: 3, Epoch: 2}},
 		{TypeHelloAck, Ack{}},
 		{TypeConfig, ConfigToDTO(9, seedConfig())},
 		{TypeAck, Ack{Seq: 9, Epoch: 4, Error: "refused: \"stale\" epoch\n", Prepared: true, Term: 2}},
@@ -42,7 +42,7 @@ func wireMessages() []struct {
 		{TypeLeaseRequest, LeaseRequest{Candidate: 1, Term: 3, JournalBytes: 4096, LastTerm: 2}},
 		{TypeLeaseGrant, LeaseGrant{Voter: 2, Term: 3, Granted: true}},
 		{TypeHeartbeat, Heartbeat{Leader: 1, Term: 3, JournalBytes: 4096, JournalCRC: 0xdeadbeef, Reply: true}},
-		{TypeNotLeader, NotLeader{LeaderAddr: "127.0.0.1:7000", Term: 3}},
+		{TypeNotLeader, NotLeader{LeaderAddr: "127.0.0.1:7000 <&>", Term: 3}},
 		{TypeJournalFrame, JournalFrame{Leader: 1, Term: 3, Offset: 128, PrefixCRC: 7, Frames: []byte{0, 1, 2, 0xff}}},
 		{TypeJournalFetch, JournalFetch{Standby: 2, From: 128}},
 		{TypeJournalAck, JournalAck{Standby: 2, Term: 3, Bytes: 4096}},

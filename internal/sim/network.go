@@ -14,7 +14,6 @@ import (
 type Stats struct {
 	PacketsInjected int64
 	Delivered       int64
-	DeliveredBytes  int64
 	// ServedLocally counts packets answered by a web-proxy cache hit and
 	// DroppedPolicy packets denied by a firewall (both terminate inside
 	// the network by design).
@@ -248,7 +247,6 @@ func (f *simForwarder) Send(from *enforce.Node, pkt *packet.Packet) {
 		},
 		subnet: func(addr netaddr.Addr, now int64) {
 			nw.stats.Delivered++
-			nw.stats.DeliveredBytes += int64(pkt.Size())
 			nw.DeliveredTo[addr]++
 			nw.recordLatency(pkt, now)
 		},
@@ -415,7 +413,7 @@ func (nw *Network) deliverData(dev topo.NodeID, pkt *packet.Packet, now int64) {
 				if ft := pkt.FiveTuple(); nw.tracer.Sampled(ft) {
 					nw.tracer.Record(enforce.HopRecord{
 						Flow: ft, Node: dev, Event: enforce.HopQueue,
-						AtUS: now, WaitUS: wait,
+						AtUS: now,
 					})
 				}
 			}
@@ -428,7 +426,6 @@ func (nw *Network) deliverData(dev topo.NodeID, pkt *packet.Packet, now int64) {
 		nw.processAtMiddlebox(n, pkt, now)
 	case topo.KindHost:
 		nw.stats.Delivered++
-		nw.stats.DeliveredBytes += int64(pkt.Size())
 		nw.DeliveredTo[nw.g.Node(dev).Addr]++
 		nw.recordLatency(pkt, now)
 	case topo.KindProxy:

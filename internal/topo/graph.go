@@ -317,7 +317,7 @@ func SortedIDs(ids []NodeID) []NodeID {
 type Stats struct {
 	Nodes, Links                  int
 	Core, Edge, Gateways          int
-	Middleboxes, Proxies, Hosts   int
+	Middleboxes, Proxies          int
 	MinRouterDegree, MaxRouterDeg int
 	ConnectedRouters              bool
 }
@@ -342,8 +342,6 @@ func (g *Graph) Summarize() Stats {
 			s.Middleboxes++
 		case KindProxy:
 			s.Proxies++
-		case KindHost:
-			s.Hosts++
 		}
 		if n.Kind.IsRouter() {
 			d := len(g.adj[n.ID])

@@ -173,7 +173,7 @@ const weightTol = 1e-6
 // vector must address an existing candidate list, be parallel to it
 // (same length — the dataplane indexes candidates by weight position),
 // and contain only finite, non-negative entries. An all-zero vector is a
-// warning: enforce.pickWeighted silently degrades it to uniform
+// warning: enforce.pickWeightedIdx silently degrades it to uniform
 // selection, which is safe but defeats the LP. The vectors are the LP's
 // volumes (normalized at selection time), so their sums are not checked.
 func CheckWeights(p Plan) []Violation {

@@ -23,6 +23,12 @@
 //     to its candidate list, and not all zero;
 //   - failed-candidate: no failed middlebox appears in any candidate set.
 //
+// One check judges a fleet rather than a plan: CheckDeltaEquivalence
+// (delta-equivalence) compares the configurations the nodes applied with
+// the plan's own, node by node. There is no fleet-wide "one epoch, one
+// policy table" check: a delta rollout leaves the nodes it does not touch
+// on their older epoch, and each proxy holds its own policy subset P_x.
+//
 // All checks are pure reads: nothing in this package mutates the
 // deployment, the routing state or the candidate sets, and no check
 // needs a constructed enforce.Node — plans are verifiable before any

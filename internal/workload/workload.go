@@ -168,8 +168,6 @@ func GeneratePolicies(cfg GenConfig, tbl *policy.Table, rng *rand.Rand) []Classe
 type Flow struct {
 	Tuple   netaddr.FiveTuple
 	Packets int
-	// PacketBytes is the size of each packet in the flow.
-	PacketBytes int
 	// Under is the policy the flow was generated to match.
 	Under *ClassedPolicy
 	// SrcSubnet/DstSubnet are the subnet indexes of the endpoints.
@@ -223,11 +221,6 @@ func (s *SizeSampler) Mean() float64 {
 	return num * (math.Pow(h, 1-a) - math.Pow(l, 1-a))
 }
 
-// defaultPacketBytes is the per-packet size used when flows do not
-// specify one; small enough that IP-over-IP never fragments, so the
-// fragmentation experiments vary it explicitly.
-const defaultPacketBytes = 512
-
 // GenerateFlows creates flows assigned to the classed policies until the
 // cumulative packet count reaches targetPackets (§IV-A generates flows
 // whose totals range 1M–10M). Flows rotate through the three classes so
@@ -255,9 +248,8 @@ func GenerateFlows(cfg GenConfig, policies []ClassedPolicy, targetPackets int, r
 		list := byClass[class]
 		cp := list[rng.Intn(len(list))]
 		f := Flow{
-			Under:       cp,
-			Packets:     sampler.Sample(rng),
-			PacketBytes: defaultPacketBytes,
+			Under:   cp,
+			Packets: sampler.Sample(rng),
 		}
 
 		srcSub := cp.SrcSubnet
