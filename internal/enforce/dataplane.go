@@ -163,11 +163,15 @@ func (n *Node) handleTunneled(pkt *packet.Packet, now int64, fwd Forwarder) erro
 	if !hasNext {
 		// Chain complete: notify the proxy (outer source held its
 		// address along the whole chain) and forward the original.
-		if n.cfg.LabelSwitching && lbl != 0 {
-			atomic.AddInt64(&n.Counters.ControlTx, 1)
-			fwd.SendControl(n, outer.Src, ft)
+		if n.cfg.LabelSwitching {
+			if lbl != 0 {
+				atomic.AddInt64(&n.Counters.ControlTx, 1)
+				fwd.SendControl(n, outer.Src, ft)
+			}
+			// Only label mode wrote these fields; in tunnel mode they are
+			// the host's.
+			pkt.ClearLabel()
 		}
-		pkt.ClearLabel()
 		atomic.AddInt64(&n.Counters.PlainTx, 1)
 		n.trace(ft, HopForward, 0, now)
 		fwd.Send(n, pkt)

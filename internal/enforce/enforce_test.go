@@ -363,6 +363,48 @@ func TestLabelSwitchingDisabledNeverLabels(t *testing.T) {
 	}
 }
 
+// TestTunnelKeepsHostHeader: with label switching off nothing writes a
+// label, so the chain's tail must not clear one. A host's ToS (DSCP EF)
+// and a last fragment (MF clear, offset 5) reach the destination with the
+// inner header the host sent.
+func TestTunnelKeepsHostHeader(t *testing.T) {
+	tb := newTestbed(t, controller.Options{Strategy: enforce.HotPotato}, webPolicy)
+	f := newFabric(t, tb.nodes)
+	proxy := tb.proxy(t, 1)
+	for i, tc := range []struct {
+		name string
+		tos  uint8
+		frag uint16
+	}{
+		{"ToS 0xB8", 0xB8, 0},
+		{"ToS 0xB8 again", 0xB8, 0},
+		{"last fragment", 0, 5},
+	} {
+		// The fragment field has no setter: write it on the wire.
+		src := packet.New(flowFromSubnet(1, 2, 80), 100)
+		src.Inner.TOS = tc.tos
+		wire := src.Marshal()
+		wire[1+18], wire[1+19] = byte(tc.frag>>8), byte(tc.frag)
+		sent, err := packet.Unmarshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sent.Inner
+		if err := proxy.HandleOutbound(sent, int64(i), f); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.delivered) != i+1 {
+			t.Fatalf("%s: delivered %d packets, want %d", tc.name, len(f.delivered), i+1)
+		}
+		if got := f.delivered[i].Inner; got != want {
+			t.Errorf("%s: delivered inner header %+v, want the sent %+v", tc.name, got, want)
+		}
+	}
+	if proxy.Counters.TunnelTx != 3 {
+		t.Fatalf("proxy counters %+v, want 3 tunnelled", proxy.Counters)
+	}
+}
+
 func TestFirewallDropStopsChain(t *testing.T) {
 	tb := newTestbed(t, controller.Options{Strategy: enforce.HotPotato}, webPolicy)
 	// Install a deny rule for subnet 1 on every firewall.

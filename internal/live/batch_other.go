@@ -41,11 +41,11 @@ type sender struct{ conn *net.UDPConn }
 
 func (s *sender) init(conn *net.UDPConn, _ syscall.RawConn) { s.conn = conn }
 
-func (s *sender) write(frames [][]byte, eps []netip.AddrPort) (refused int) {
+func (s *sender) write(frames [][]byte, eps []netip.AddrPort) (refused, messages int, fellBack bool) {
 	for i, b := range frames {
 		if _, err := s.conn.WriteToUDPAddrPort(b, eps[i]); err != nil {
 			refused++
 		}
 	}
-	return refused
+	return refused, len(frames) - refused, false
 }

@@ -89,7 +89,15 @@ func TestForwarderAllocFree(t *testing.T) {
 	if err := labelled.EmbedLabel(7); err != nil {
 		t.Fatal(err)
 	}
-	sent := 0
+	// A second sink, so that a batch can split between two endpoints.
+	other := topo.HostAddr(1, 201)
+	sink2, err := rt.AddSink(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toOther := payloadPacket(workerFlow(4), 64)
+	toOther.Inner.Dst = other
+	sent, sent2 := 0, 0
 	for _, tc := range []struct {
 		name string
 		send func()
@@ -105,11 +113,28 @@ func TestForwarderAllocFree(t *testing.T) {
 			}
 			sent += batchSlots
 		}},
+		// Alternating endpoints and lengths: a message per endpoint, each
+		// a run of tunnelled and labelled frames.
+		{"grouped batch", func() {
+			for i := range batchSlots {
+				switch i % 4 {
+				case 0:
+					fwd.Send(nil, tunnelled)
+				case 2:
+					fwd.Send(nil, labelled)
+				default:
+					fwd.Send(nil, toOther)
+				}
+			}
+			sent += batchSlots / 2
+			sent2 += batchSlots / 2
+		}},
 	} {
 		avg := testing.AllocsPerRun(200, func() {
 			tc.send()
 			fwd.flush()
 			awaitReceived(t, sink, sent)
+			awaitReceived(t, sink2, sent2)
 		})
 		if avg != 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, avg)
@@ -120,6 +145,38 @@ func TestForwarderAllocFree(t *testing.T) {
 	}
 	if got := rt.Blackholed.Load(); got != 0 {
 		t.Fatalf("Blackholed = %d, want 0", got)
+	}
+}
+
+// BenchmarkForwarderFlush: one worker's full batch, 16 tunnelled frames
+// alternating between two endpoints, marshalled and flushed once per op.
+// With UDP GSO the flush is two kernel messages of eight datagrams each.
+func BenchmarkForwarderFlush(b *testing.B) {
+	rt := NewRuntime()
+	defer rt.Close()
+	conn, raw, err := listen()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer conn.Close()
+	fwd := newForwarder(rt, conn, raw)
+	var pkts [2]*packet.Packet
+	for i := range pkts {
+		dst := topo.HostAddr(2, 1+i)
+		if _, err := rt.AddSink(dst); err != nil {
+			b.Fatal(err)
+		}
+		pkts[i] = payloadPacket(workerFlow(uint16(i)), 64)
+		if err := pkts[i].Encapsulate(topo.HostAddr(1, 1), dst); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for i := range batchSlots { // the last Send fills the batch, which flushes it
+			fwd.Send(nil, pkts[i%2])
+		}
 	}
 }
 

@@ -104,6 +104,9 @@ type Runtime struct {
 	Blackholed atomic.Int64
 	// Dropped counts datagrams discarded by injected loss.
 	Dropped atomic.Int64
+	// GSOFallbacks counts worker senders whose kernel refused UDP GSO;
+	// each sends one datagram per message from then on (batch_linux.go).
+	GSOFallbacks atomic.Int64
 	// lossNum/lossDen encode the loss probability as a rational so the
 	// hot path needs no float math or locking; lossSeq drives a cheap
 	// deterministic sequence.
@@ -487,12 +490,16 @@ func (f *udpForwarder) flush() {
 	if f.staged == 0 {
 		return
 	}
-	refused := f.out.write(f.frames[:f.staged], f.eps[:f.staged])
-	for range refused {
-		f.rt.Blackholed.Add(1)
+	refused, messages, fellBack := f.out.write(f.frames[:f.staged], f.eps[:f.staged])
+	if refused > 0 {
+		f.rt.Blackholed.Add(int64(refused))
+	}
+	if fellBack {
+		f.rt.GSOFallbacks.Add(1)
 	}
 	if m := f.rt.lm.Load(); m != nil {
 		m.sent.Add(int64(f.staged - refused))
+		m.messages.Add(int64(messages))
 	}
 	f.staged = 0
 }
@@ -662,6 +669,7 @@ func (r *Runtime) Inject(via netaddr.Addr, pkt *packet.Packet) error {
 	}
 	if m := r.lm.Load(); m != nil {
 		m.sent.Inc()
+		m.messages.Inc()
 	}
 	return nil
 }

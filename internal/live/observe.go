@@ -12,6 +12,12 @@ const (
 	MetricBlackholed  = "sdme_live_blackholed_total"
 	MetricLossDropped = "sdme_live_loss_dropped_total"
 	MetricSent        = "sdme_live_datagrams_sent_total"
+	// MetricSendMessages counts the messages those datagrams left in: an
+	// Inject is one, and a worker's UDP GSO message carries several, so
+	// sent / messages is the datagrams per kernel send.
+	MetricSendMessages = "sdme_live_send_messages_total"
+	// MetricGSOFallbacks reads Runtime.GSOFallbacks.
+	MetricGSOFallbacks = "sdme_live_gso_fallbacks_total"
 	// MetricWorkerQueueDepth is a per-node histogram of the dispatch-time
 	// depth of the chosen worker's queue — the live view of hot-path
 	// backpressure.
@@ -32,8 +38,8 @@ var QueueDepthBuckets = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 // liveMetrics caches the runtime's registry handles. reg is retained so
 // devices can mint their per-node worker series lazily.
 type liveMetrics struct {
-	reg  *metrics.Registry
-	sent *metrics.Counter
+	reg            *metrics.Registry
+	sent, messages *metrics.Counter
 }
 
 // NewRegistry creates a registry driven by the runtime's wall clock
@@ -44,8 +50,9 @@ func (r *Runtime) NewRegistry() *metrics.Registry {
 }
 
 // AttachMetrics wires a registry into the fabric. It counts datagrams
-// sent and the worker histograms into it, and it reads Blackholed,
-// Dropped and the packet pool's hits and misses at every exposition.
+// and messages sent and the worker histograms into it, and it reads
+// Blackholed, Dropped, GSOFallbacks and the packet pool's hits and misses
+// at every exposition.
 // Safe to call while devices run; nil detaches: the read series leave
 // the exposition.
 func (r *Runtime) AttachMetrics(reg *metrics.Registry) {
@@ -60,6 +67,7 @@ func (r *Runtime) AttachMetrics(reg *metrics.Registry) {
 	}
 	reg.ReadCounter(MetricBlackholed, r, func(emit metrics.Emit) { emit(float64(r.Blackholed.Load())) })
 	reg.ReadCounter(MetricLossDropped, r, func(emit metrics.Emit) { emit(float64(r.Dropped.Load())) })
+	reg.ReadCounter(MetricGSOFallbacks, r, func(emit metrics.Emit) { emit(float64(r.GSOFallbacks.Load())) })
 	reg.ReadGauge(MetricPoolHits, r, func(emit metrics.Emit) {
 		hits, _ := packet.PoolStats()
 		emit(float64(hits))
@@ -68,5 +76,5 @@ func (r *Runtime) AttachMetrics(reg *metrics.Registry) {
 		_, misses := packet.PoolStats()
 		emit(float64(misses))
 	})
-	r.lm.Store(&liveMetrics{reg: reg, sent: reg.Counter(MetricSent)})
+	r.lm.Store(&liveMetrics{reg: reg, sent: reg.Counter(MetricSent), messages: reg.Counter(MetricSendMessages)})
 }

@@ -112,6 +112,32 @@ func TestLiveFuncBytes(t *testing.T) {
 	}
 }
 
+// TestLiveSendMessages: beside the datagrams it sent, the fabric counts
+// the kernel messages they left in (a UDP GSO message carries several),
+// and it reads the GSO fallbacks at exposition: none on loopback.
+func TestLiveSendMessages(t *testing.T) {
+	b := newLiveBed(t, controller.Options{Strategy: enforce.HotPotato})
+	proxyID, _ := b.dep.ProxyFor(1)
+	const packets = 50
+	for i := range packets {
+		if err := b.rt.Send(b.dep.AddrOf(proxyID), liveFlow(uint16(i)), 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// inject → proxy → FW → IDS → sink: four datagrams a packet. A worker
+	// counts after its send returns, which may be after the sink read it.
+	sent := func() float64 { v, _ := scraped(b.reg, live.MetricSent); return v }
+	if !live.WaitUntil(3*time.Second, func() bool { return sent() == 4*packets }) {
+		t.Fatalf("%s = %v, want %d", live.MetricSent, sent(), 4*packets)
+	}
+	if msgs, _ := scraped(b.reg, live.MetricSendMessages); msgs < packets || msgs > 4*packets {
+		t.Errorf("%s = %v for %d datagrams, want between %d and %d", live.MetricSendMessages, msgs, 4*packets, packets, 4*packets)
+	}
+	if fb, ok := scraped(b.reg, live.MetricGSOFallbacks); !ok || fb != 0 {
+		t.Errorf("%s = %v (present: %v), want 0", live.MetricGSOFallbacks, fb, ok)
+	}
+}
+
 // TestLiveFlowTableEvents reads §III-D's classifications per flow off a
 // live device's registry: 20 flows of 3 packets each enter at a proxy,
 // so its flow table classifies each flow once (a miss and an insert)
